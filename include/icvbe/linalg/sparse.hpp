@@ -15,9 +15,12 @@
 //     pattern-discovery stamp of the circuit);
 //  2. freeze_pattern(): coordinates are compiled to CSR, duplicates merged;
 //  3. steady state: fill(0) + add() re-stamp values into the frozen
-//     pattern (binary search over a short sorted row -- allocation-free),
-//     and SparseLuFactorizationT::refactor() re-factors numerically along a
-//     cached pivot order and fill pattern, also allocation-free.
+//     pattern through the stamp tape (the slot each add of the last
+//     restamp hit, checked in three compares; a binary search over the
+//     short sorted row only when the check fails -- allocation-free), and
+//     SparseLuFactorizationT::refactor() re-factors numerically along a
+//     cached pivot order and fill pattern from the first pivot step whose
+//     row changed, also allocation-free.
 //
 // Scalar genericity: the pattern machinery (COO -> CSR compilation,
 // fill-reducing ordering, BTF permutation, fill-pattern discovery) is
@@ -43,6 +46,58 @@
 #include "icvbe/linalg/matrix.hpp"
 
 namespace icvbe::linalg {
+
+template <typename Scalar>
+class SparseMatrixT;
+
+/// Slot tape of one restamp sequence over a frozen pattern. Devices stamp
+/// the same sequence of (row, col) adds on every restamp (the MatrixView
+/// stamping contract), so the k-th add of a restamp lands in the CSR slot
+/// the k-th add of the previous one hit. The tape records those slots and
+/// replays them: each add checks that the taped slot lies in row r with
+/// column c -- three compares -- instead of binary-searching the row. An
+/// entry that fails the check (a device stamping out of order, an add
+/// beyond the taped length) falls back to the search and re-records that
+/// entry, so a deviation costs a search, never a wrong entry.
+///
+/// One entry per pattern-discovery registration is reserved at freeze
+/// time; the first restamp records them. Nothing allocates after that.
+class StampTape {
+ public:
+  /// Reserve `entries` unrecorded entries and rewind. Allocates.
+  void reset(std::size_t entries) {
+    slots_.assign(entries, kUnrecorded);
+    cursor_ = 0;
+    misses_ = 0;
+  }
+  /// Start of a restamp: the next add replays entry 0.
+  void rewind() noexcept { cursor_ = 0; }
+
+  [[nodiscard]] std::size_t size() const noexcept { return slots_.size(); }
+  /// Adds that found a recorded entry failing its check, or ran past the
+  /// tape, and so paid a search (diagnostic; 0 in a steady restamp loop).
+  [[nodiscard]] std::uint64_t misses() const noexcept { return misses_; }
+
+  /// CSR slot of (r, c) in the frozen matrix `m`, advancing the cursor.
+  /// Throws Error like SparseMatrixT::slot if (r, c) is outside the
+  /// pattern.
+  template <typename Scalar>
+  std::size_t next(const SparseMatrixT<Scalar>& m, std::size_t r,
+                   std::size_t c);
+
+ private:
+  static constexpr std::uint32_t kUnrecorded = 0xffffffffu;
+
+  /// The search fallback of next() (out of line, so the taped hit path
+  /// stays small enough to inline into every device stamp).
+  template <typename Scalar>
+  std::size_t miss(const SparseMatrixT<Scalar>& m, std::size_t r,
+                   std::size_t c);
+
+  std::vector<std::uint32_t> slots_;
+  std::size_t cursor_ = 0;
+  std::uint64_t misses_ = 0;
+};
 
 /// Compressed-sparse-row matrix with a two-phase lifecycle (see header
 /// comment). All coordinate registrations happen while building -- value
@@ -71,18 +126,20 @@ class SparseMatrixT {
 
   /// Accumulate v at (r, c). Building phase: registers the coordinate
   /// (allocates). Frozen phase: allocation-free accumulation into the
-  /// stored slot; throws Error if (r, c) is outside the frozen pattern.
+  /// slot the stamp tape replays (or searches); throws Error if (r, c) is
+  /// outside the frozen pattern.
   /// \pre r < rows(), c < cols().
   void add(std::size_t r, std::size_t c, Scalar v) {
     if (frozen_) {
-      values_[slot(r, c)] += v;
+      values_[tape_.next(*this, r, c)] += v;
     } else {
       add_building(r, c, v);
     }
   }
 
   /// Compile the recorded coordinates into CSR (sorted columns per row,
-  /// duplicates merged by summation). No-op if already frozen.
+  /// duplicates merged by summation) and reserve one stamp-tape entry per
+  /// registration. No-op if already frozen.
   void freeze_pattern();
 
   /// Thaw back to the building phase, keeping the current entries as
@@ -90,7 +147,8 @@ class SparseMatrixT {
   void unfreeze();
 
   /// Set every stored value (frozen only); the pattern is untouched.
-  /// fill(0.0) is the per-Newton-iteration / per-frequency re-stamp reset.
+  /// fill(0.0) is the per-Newton-iteration / per-frequency re-stamp reset,
+  /// so it also rewinds the stamp tape.
   void fill(Scalar value);
 
   /// Value at (r, c); zero outside the pattern (frozen only).
@@ -124,10 +182,13 @@ class SparseMatrixT {
   [[nodiscard]] double max_abs() const;
 
   /// CSR slot of (r, c) (frozen only); throws Error if outside the
-  /// pattern. Binary search over the (short, sorted) row -- the same
-  /// lookup frozen add() uses, exposed so SparseValueBatchT can stamp
-  /// lane planes against this pattern.
+  /// pattern. Binary search over the (short, sorted) row -- the stamp
+  /// tape's fallback.
   [[nodiscard]] std::size_t slot(std::size_t r, std::size_t c) const;
+
+  /// The stamp tape frozen add() replays (its size is the registration
+  /// count of pattern discovery; misses() is the search count since).
+  [[nodiscard]] const StampTape& tape() const noexcept { return tape_; }
 
  private:
   void add_building(std::size_t r, std::size_t c, Scalar v);
@@ -145,7 +206,29 @@ class SparseMatrixT {
   std::vector<int> row_ptr_;
   std::vector<int> col_index_;
   std::vector<Scalar> values_;
+  StampTape tape_;
 };
+
+template <typename Scalar>
+inline std::size_t StampTape::next(const SparseMatrixT<Scalar>& m,
+                                   std::size_t r, std::size_t c) {
+  if (cursor_ < slots_.size()) {
+    // The slot must lie in row r and hold column c; an unrecorded entry
+    // fails the first compare (kUnrecorded is never a valid slot).
+    const std::size_t s = slots_[cursor_];
+    const std::vector<int>& cols = m.col_index();
+    if (s < cols.size() && static_cast<std::size_t>(cols[s]) == c &&
+        r < m.rows()) {
+      const std::vector<int>& rows = m.row_ptr();
+      if (static_cast<std::size_t>(rows[r]) <= s &&
+          s < static_cast<std::size_t>(rows[r + 1])) {
+        ++cursor_;
+        return s;
+      }
+    }
+  }
+  return miss(m, r, c);
+}
 
 using SparseMatrix = SparseMatrixT<double>;
 using ComplexSparseMatrix = SparseMatrixT<Complex>;
@@ -189,13 +272,16 @@ class SparseValueBatchT {
   [[nodiscard]] const SparseMatrixT<Scalar>& pattern() const;
 
   /// Zero every value of one lane (the per-Newton-iteration restamp reset
-  /// of that lane). Strided by lanes(); allocation-free.
+  /// of that lane) and rewind the stamp tape. Strided by lanes();
+  /// allocation-free.
   void clear_lane(std::size_t lane);
 
-  /// Accumulate v at (r, c) in `lane`. Slot must be inside the frozen
-  /// pattern (throws Error otherwise, like frozen SparseMatrixT::add).
+  /// Accumulate v at (r, c) in `lane`, through the batch's own stamp tape
+  /// (lanes stamp one after another, each after its clear_lane). Slot must
+  /// be inside the frozen pattern (throws Error otherwise, like frozen
+  /// SparseMatrixT::add).
   void add(std::size_t r, std::size_t c, Scalar v, std::size_t lane) {
-    values_[pattern_->slot(r, c) * lanes_ + lane] += v;
+    values_[tape_.next(*pattern_, r, c) * lanes_ + lane] += v;
   }
 
   /// Copy a scalar matrix's values into one lane. The matrix must share
@@ -206,10 +292,13 @@ class SparseValueBatchT {
     return values_;
   }
 
+  [[nodiscard]] const StampTape& tape() const noexcept { return tape_; }
+
  private:
   const SparseMatrixT<Scalar>* pattern_ = nullptr;
   std::size_t lanes_ = 0;
   std::vector<Scalar> values_;  ///< nnz * lanes, lane-fastest
+  StampTape tape_;
 };
 
 using SparseValueBatch = SparseValueBatchT<double>;
@@ -304,6 +393,15 @@ struct BtfDecomposition {
                                              const std::vector<int>& col_index,
                                              std::size_t n);
 
+/// What SparseLuFactorizationT::refactor() did with its frozen passes
+/// (diagnostic; symbolic analyses are counted by analysis_count()).
+struct RefactorStats {
+  std::uint64_t full = 0;     ///< passes that replayed every pivot step
+  std::uint64_t partial = 0;  ///< passes that kept an unchanged prefix
+  std::uint64_t skipped = 0;  ///< calls whose matrix was bitwise unchanged
+  std::uint64_t steps_replayed = 0;  ///< pivot steps recomputed, summed
+};
+
 /// Sparse LU with a reusable symbolic analysis, the SPICE-family engine
 /// shape (Nagel's SPICE2 reordering, KLU-style refactorisation):
 ///
@@ -320,10 +418,17 @@ struct BtfDecomposition {
 ///  * refactor() per Newton iteration / AC frequency point: if the matrix
 ///    pattern matches the cached analysis, a purely numeric
 ///    re-factorisation runs along the frozen pivot order and pattern -- no
-///    allocation, no searching. If a frozen pivot collapses numerically
-///    the analysis is redone once with fresh pivoting (allocates; rare),
-///    and NumericalError is thrown only if the matrix is genuinely
-///    singular to working precision.
+///    allocation, no searching. It is incremental (KLU's frozen-pivot
+///    refactor, replayed from the first changed row): pivot step k reads
+///    only row rperm[k] of A and the factors of steps < k, so the steps
+///    before the first step whose row differs bitwise from the values the
+///    stored factors came from are kept, and only the rest is replayed --
+///    none at all when nothing changed. The kept prefix is re-screened
+///    against the current column maxima and growth cap, so the outcome is
+///    bit-identical to a full pass. If a frozen pivot collapses
+///    numerically the analysis is redone once with fresh pivoting
+///    (allocates; rare), and NumericalError is thrown only if the matrix
+///    is genuinely singular to working precision.
 ///
 /// API mirrors the dense LuFactorizationT so SimSession can hold either.
 ///
@@ -373,6 +478,11 @@ class SparseLuFactorizationT {
     return analysis_count_;
   }
 
+  /// Full / partial / skipped frozen passes since construction.
+  [[nodiscard]] const RefactorStats& refactor_stats() const noexcept {
+    return stats_;
+  }
+
   /// Drop the cached symbolic analysis: the next refactor() re-analyses
   /// with fresh pivoting (allocates). Lets a driver re-pin the analysis
   /// to a chosen reference matrix after a frozen-pivot collapse
@@ -380,14 +490,17 @@ class SparseLuFactorizationT {
   /// to keep every frequency point's factorisation a pure function of
   /// (operating point, frequency, prime frequency), independent of which
   /// sweep point (or parallel worker) tripped the collapse.
-  void invalidate_analysis() noexcept { analyzed_ = false; }
+  void invalidate_analysis() noexcept {
+    analyzed_ = false;
+    replay_ok_ = false;
+  }
 
   /// Select the symbolic path (ordering / BTF / supernode thresholds).
   /// Changing the options drops the cached analysis -- the next refactor()
   /// re-analyses under the new configuration. Same-value calls are no-ops,
   /// so sessions may set options unconditionally at rebind.
   void set_options(const SparseOptions& options) noexcept {
-    if (!(options == options_)) analyzed_ = false;
+    if (!(options == options_)) invalidate_analysis();
     options_ = options;
   }
   [[nodiscard]] const SparseOptions& options() const noexcept {
@@ -465,19 +578,27 @@ class SparseLuFactorizationT {
   /// refactor()).
   void analyze(const SparseMatrixT<Scalar>& a, double pivot_tol);
   /// Numeric-only pass along the cached order/pattern (sparse replay up to
-  /// sn_start_, dense supernode microkernel beyond). Returns false on
-  /// pivot breakdown (column-relative, via colmax_) or runaway element
-  /// growth -- the frozen pivots were chosen for different numerics, e.g.
-  /// a transient restamp whose companion conductances dwarf the values
-  /// the analysis saw (caller re-analyses). `amax` = max|A| of the
-  /// current matrix. `enforce_screens = false` skips both failure checks:
-  /// the post-analysis value pass uses it to rewrite the factors through
-  /// the very kernel every later refactor runs, making the stored values
+  /// sn_start_, dense supernode microkernel beyond), replaying pivot steps
+  /// [from, n) and keeping the stored factors of steps < from. Returns
+  /// false on pivot breakdown (column-relative, via colmax_) or runaway
+  /// element growth -- the frozen pivots were chosen for different
+  /// numerics, e.g. a transient restamp whose companion conductances
+  /// dwarf the values the analysis saw (caller re-analyses). The kept
+  /// steps face the same two screens, judged on their stored pivots and
+  /// growth_ against the current colmax_ and cap, so a pass fails exactly
+  /// where a full pass would. `amax` = max|A| of the current matrix.
+  /// `enforce_screens = false` skips both failure checks: the
+  /// post-analysis value pass uses it to rewrite the factors through the
+  /// very kernel every later refactor runs, making the stored values
   /// (down to the sign of zero) independent of whether the analysis or a
   /// frozen pass produced them.
   [[nodiscard]] bool refactor_frozen(const SparseMatrixT<Scalar>& a,
                                      double pivot_tol, double amax,
+                                     std::size_t from,
                                      bool enforce_screens = true);
+  /// Fill growth_ from factors the analysis produced (the running max
+  /// refactor_frozen would have recorded for them).
+  void record_growth();
   [[nodiscard]] bool pattern_matches(const SparseMatrixT<Scalar>& a) const;
 
   /// Batched kernel bodies, parameterised over the lane-op policy (the
@@ -502,6 +623,8 @@ class SparseLuFactorizationT {
   /// column-relative scale); refilled by every refactor(), allocation-free
   /// once sized.
   std::vector<double> colmax_;
+  /// Per-column sum of |A| (the 1-norm's columns), filled alongside.
+  std::vector<double> colsum_;
 
   // Identity of the analysed pattern (SparseMatrixT::pattern_stamp is
   // process-unique per freeze, so equality means the same frozen CSR).
@@ -512,6 +635,17 @@ class SparseLuFactorizationT {
   std::vector<int> rperm_;
   std::vector<int> cperm_;
   std::vector<int> cstep_;
+  std::vector<int> rstep_;  ///< inverse of rperm_: the step of each row
+
+  // Incremental refactor state. While replay_ok_ holds, the stored
+  // factors are exactly what a full frozen pass over last_values_ yields,
+  // and growth_[k] is that pass's running growth max after step k. Sized
+  // by analyze(); cleared by analyze(), invalidate_analysis(),
+  // set_options() and any failed pass.
+  bool replay_ok_ = false;
+  std::vector<Scalar> last_values_;
+  std::vector<double> growth_;
+  RefactorStats stats_;
 
   // Scatter map: A's CSR entry i lands in working slot astep_[i].
   std::vector<int> astep_;

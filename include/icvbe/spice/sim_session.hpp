@@ -114,6 +114,16 @@ class SimSession {
   [[nodiscard]] bool uses_sparse_engine() const noexcept {
     return use_sparse_;
   }
+  /// The bound sparse engine's DC matrix and factorisation, for
+  /// diagnostics (stamp-tape misses, refactor_stats(), analysis_count());
+  /// empty when the dense engine is bound.
+  [[nodiscard]] const linalg::SparseMatrix& sparse_matrix() const noexcept {
+    return sa_;
+  }
+  [[nodiscard]] const linalg::SparseLuFactorization& sparse_lu()
+      const noexcept {
+    return slu_;
+  }
   [[nodiscard]] NewtonOptions& options() noexcept { return options_; }
   [[nodiscard]] const NewtonOptions& options() const noexcept {
     return options_;

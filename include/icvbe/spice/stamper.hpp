@@ -29,26 +29,56 @@ class StamperT {
   StamperT(linalg::MatrixViewT<Scalar> a, linalg::VectorT<Scalar>& b,
            int node_unknowns);
 
+  // The add methods are defined here, not in stamper.cpp, so each
+  // device's stamp inlines down to the matrix's taped add.
+
   /// Linear conductance (complex: admittance) between nodes a and b.
-  void add_conductance(NodeId a, NodeId b, Scalar g);
+  void add_conductance(NodeId a, NodeId b, Scalar g) {
+    const int ia = node_index(a);
+    const int ib = node_index(b);
+    add_entry(ia, ia, g);
+    add_entry(ib, ib, g);
+    add_entry(ia, ib, -g);
+    add_entry(ib, ia, -g);
+  }
 
   /// Independent current J injected into node n (flows from ground into n).
-  void add_current_into(NodeId n, Scalar j);
+  void add_current_into(NodeId n, Scalar j) { add_rhs(node_index(n), j); }
 
   /// Companion model of a nonlinear branch from p to m: current I = g v +
   /// ieq flows p -> m. Stamps the conductance and moves ieq to the RHS.
-  void stamp_companion(NodeId p, NodeId m, Scalar g, Scalar ieq);
+  void stamp_companion(NodeId p, NodeId m, Scalar g, Scalar ieq) {
+    add_conductance(p, m, g);
+    // ieq flows p -> m: extract it from p's injection, add to m's.
+    add_rhs(node_index(p), -ieq);
+    add_rhs(node_index(m), ieq);
+  }
 
   /// Transconductance: current leaving node `out_p` (entering `out_m`)
   /// controlled by V(in_p) - V(in_m) with gain gm.
   void add_transconductance(NodeId out_p, NodeId out_m, NodeId in_p,
-                            NodeId in_m, Scalar gm);
+                            NodeId in_m, Scalar gm) {
+    const int op = node_index(out_p);
+    const int om = node_index(out_m);
+    const int ip = node_index(in_p);
+    const int im = node_index(in_m);
+    add_entry(op, ip, gm);
+    add_entry(op, im, -gm);
+    add_entry(om, ip, -gm);
+    add_entry(om, im, gm);
+  }
 
   /// Raw matrix access for aux rows/columns. Row/col indices are unknown
   /// indices: nodes occupy [0, node_unknowns), aux rows follow. Negative
   /// index (ground) contributions are dropped.
-  void add_entry(int row, int col, Scalar v);
-  void add_rhs(int row, Scalar v);
+  void add_entry(int row, int col, Scalar v) {
+    if (row < 0 || col < 0) return;  // ground row/column is eliminated
+    a_.add(static_cast<std::size_t>(row), static_cast<std::size_t>(col), v);
+  }
+  void add_rhs(int row, Scalar v) {
+    if (row < 0) return;
+    b_[static_cast<std::size_t>(row)] += v;
+  }
 
   /// Unknown index of a node (-1 for ground).
   [[nodiscard]] int node_index(NodeId n) const { return n - 1; }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <queue>
 #include <set>
@@ -22,6 +23,27 @@ std::atomic<std::uint64_t> g_next_pattern_stamp{1};
 
 }  // namespace
 
+// ---------------------------------------------------------- StampTape ---
+
+template <typename Scalar>
+std::size_t StampTape::miss(const SparseMatrixT<Scalar>& m, std::size_t r,
+                            std::size_t c) {
+  const std::size_t found = m.slot(r, c);  // throws outside the pattern
+  if (cursor_ == slots_.size()) {
+    ++misses_;  // an add beyond the taped length
+    return found;
+  }
+  std::uint32_t& s = slots_[cursor_++];
+  if (s != kUnrecorded) ++misses_;
+  s = static_cast<std::uint32_t>(found);
+  return found;
+}
+
+template std::size_t StampTape::miss(const SparseMatrixT<double>&,
+                                     std::size_t, std::size_t);
+template std::size_t StampTape::miss(const SparseMatrixT<Complex>&,
+                                     std::size_t, std::size_t);
+
 // ------------------------------------------------------ SparseMatrixT ---
 
 template <typename Scalar>
@@ -34,6 +56,7 @@ void SparseMatrixT<Scalar>::resize(std::size_t rows, std::size_t cols) {
   row_ptr_.clear();
   col_index_.clear();
   values_.clear();
+  tape_.reset(0);
 }
 
 template <typename Scalar>
@@ -92,6 +115,7 @@ void SparseMatrixT<Scalar>::freeze_pattern() {
     row_ptr_[r + 1] += row_ptr_[r];
   }
 
+  tape_.reset(coo_coords_.size());
   coo_coords_.clear();
   coo_coords_.shrink_to_fit();
   coo_values_.clear();
@@ -117,6 +141,7 @@ void SparseMatrixT<Scalar>::unfreeze() {
   row_ptr_.clear();
   col_index_.clear();
   values_.clear();
+  tape_.reset(0);
   frozen_ = false;
 }
 
@@ -124,6 +149,7 @@ template <typename Scalar>
 void SparseMatrixT<Scalar>::fill(Scalar value) {
   ICVBE_REQUIRE(frozen_, "SparseMatrix::fill: freeze_pattern() first");
   std::fill(values_.begin(), values_.end(), value);
+  tape_.rewind();
 }
 
 template <typename Scalar>
@@ -189,6 +215,7 @@ void SparseValueBatchT<Scalar>::bind(const SparseMatrixT<Scalar>& pattern,
   pattern_ = &pattern;
   lanes_ = lanes;
   values_.assign(pattern.nonzeros() * lanes, Scalar{});
+  tape_.reset(pattern.tape().size());
 }
 
 template <typename Scalar>
@@ -215,6 +242,7 @@ void SparseValueBatchT<Scalar>::clear_lane(std::size_t lane) {
     v[3 * k] = Scalar{};
   }
   for (; i < nnz; ++i, v += k) *v = Scalar{};
+  tape_.rewind();
 }
 
 template <typename Scalar>
@@ -779,6 +807,25 @@ bool SparseLuFactorizationT<Scalar>::pattern_matches(
   return analyzed_ && n_ == a.rows() && pattern_stamp_ == a.pattern_stamp();
 }
 
+namespace {
+
+/// The incremental refactor's change test. Bitwise, not operator==: a
+/// value that compares equal but differs in its bits (0.0 vs -0.0) still
+/// counts as changed, so kept factors never depend on such a value.
+template <typename Scalar>
+bool same_bits(const Scalar& a, const Scalar& b) noexcept {
+  return std::memcmp(&a, &b, sizeof(Scalar)) == 0;
+}
+
+bool is_negative_zero(double x) noexcept {
+  return x == 0.0 && std::signbit(x);
+}
+bool is_negative_zero(const Complex& z) noexcept {
+  return is_negative_zero(z.real()) || is_negative_zero(z.imag());
+}
+
+}  // namespace
+
 template <typename Scalar>
 void SparseLuFactorizationT<Scalar>::refactor(const SparseMatrixT<Scalar>& a,
                                               double pivot_tol) {
@@ -791,20 +838,38 @@ void SparseLuFactorizationT<Scalar>::refactor(const SparseMatrixT<Scalar>& a,
   // pivot comparison silently and only surface at the first solve. The
   // same pass fills the per-column maxima the column-relative pivot test
   // uses (AC systems legitimately span many decades across columns, so a
-  // global max|A| threshold would misdiagnose them as singular).
+  // global max|A| threshold would misdiagnose them as singular), and the
+  // column sums of |A| for condition_estimate()'s 1-norm. When the stored
+  // factors can be replayed it also compares every value bitwise with the
+  // one they were computed from, and finds the first pivot step whose row
+  // changed; cross-block entries never enter the elimination, so they do
+  // not count.
+  const bool replay = replay_ok_ && pattern_matches(a);
+  replay_ok_ = false;  // re-established only by a pass that succeeds
   double amax = 0.0;
   bool finite = true;
+  std::size_t from = replay ? n_ : 0;
   colmax_.assign(a.cols(), 0.0);
-  {
-    const std::vector<int>& cols = a.col_index();
-    const std::vector<Scalar>& vals = a.values();
-    for (std::size_t i = 0; i < vals.size(); ++i) {
-      if (!scalar_is_finite(vals[i])) finite = false;
-      const double v = scalar_abs(vals[i]);
+  colsum_.assign(a.cols(), 0.0);
+  const std::vector<int>& rows = a.row_ptr();
+  const std::vector<int>& cols = a.col_index();
+  const std::vector<Scalar>& vals = a.values();
+  for (std::size_t r = 0; r < a.rows(); ++r) {
+    bool changed = false;
+    for (int i = rows[r]; i < rows[r + 1]; ++i) {
+      const std::size_t e = static_cast<std::size_t>(i);
+      if (!scalar_is_finite(vals[e])) finite = false;
+      const double v = scalar_abs(vals[e]);
       amax = std::max(amax, v);
-      double& cm = colmax_[static_cast<std::size_t>(cols[i])];
-      cm = std::max(cm, v);
+      const std::size_t c = static_cast<std::size_t>(cols[e]);
+      colmax_[c] = std::max(colmax_[c], v);
+      colsum_[c] += v;
+      if (replay && !same_bits(vals[e], last_values_[e])) {
+        last_values_[e] = vals[e];
+        changed = changed || astep_[e] >= 0;
+      }
     }
+    if (changed) from = std::min(from, static_cast<std::size_t>(rstep_[r]));
   }
   if (!finite) {
     throw NumericalError("sparse LU: matrix has non-finite entries");
@@ -815,9 +880,23 @@ void SparseLuFactorizationT<Scalar>::refactor(const SparseMatrixT<Scalar>& a,
     throw NumericalError("sparse LU: zero matrix");
   }
 
-  if (!(pattern_matches(a) && refactor_frozen(a, pivot_tol, amax))) {
+  bool factored = false;
+  if (pattern_matches(a)) {
+    ++(from == 0 ? stats_.full : from < n_ ? stats_.partial : stats_.skipped);
+    stats_.steps_replayed += n_ - from;
+    factored = refactor_frozen(a, pivot_tol, amax, from);
+    // Without a replay the pass above did not track the values.
+    if (factored && !replay) {
+      std::copy(vals.begin(), vals.end(), last_values_.begin());
+    }
+    replay_ok_ = factored;
+  }
+  if (!factored) {
     // First factorisation, new pattern, or a frozen pivot collapsed: run
-    // the full analysis with fresh pivoting.
+    // the full analysis with fresh pivoting. A failed replay fails at the
+    // step a full pass would (the kept factors are the ones it would
+    // recompute, under the same screens), so there is no full pass to
+    // retry first.
     analyze(a, pivot_tol);
     if (sn_start_ < n_) {
       // Rewrite the factors through the frozen kernel so the stored
@@ -827,22 +906,33 @@ void SparseLuFactorizationT<Scalar>::refactor(const SparseMatrixT<Scalar>& a,
       // bit-identity contract compares lanes against frozen-kernel
       // output. Magnitudes are identical by construction, so the screens
       // the analysis just passed are not re-judged.
-      (void)refactor_frozen(a, pivot_tol, amax, /*enforce_screens=*/false);
+      (void)refactor_frozen(a, pivot_tol, amax, 0, /*enforce_screens=*/false);
+      replay_ok_ = true;
+    } else {
+      // The analysis's sparse pass is the frozen kernel's arithmetic
+      // step for step, except that it copies A's values where the kernel
+      // adds them to zero: a -0.0 entry would make the two differ in the
+      // sign of a zero, so such a matrix is not replayed from.
+      record_growth();
+      replay_ok_ = std::none_of(vals.begin(), vals.end(),
+                                [](const Scalar& v) {
+                                  return is_negative_zero(v);
+                                });
     }
   }
+  a_norm1_ = *std::max_element(colsum_.begin(), colsum_.end());
+}
 
-  // 1-norm of A for condition_estimate(). perm_ (sized by the analysis
-  // above) is free between solves -- solve_in_place overwrites it fully --
-  // so borrowing it keeps refactor() allocation-free. Magnitude sums are
-  // non-negative reals, so they live in the scalar's real part.
-  std::fill(perm_.begin(), perm_.end(), Scalar{});
-  const std::vector<int>& cols = a.col_index();
-  const std::vector<Scalar>& vals = a.values();
-  for (std::size_t i = 0; i < cols.size(); ++i) {
-    perm_[static_cast<std::size_t>(cols[i])] += Scalar(scalar_abs(vals[i]));
+template <typename Scalar>
+void SparseLuFactorizationT<Scalar>::record_growth() {
+  double gmax = 0.0;
+  for (std::size_t k = 0; k < n_; ++k) {
+    gmax = std::max(gmax, scalar_abs(udiag_[k]));
+    for (int ui = u_ptr_[k]; ui < u_ptr_[k + 1]; ++ui) {
+      gmax = std::max(gmax, scalar_abs(u_val_[static_cast<std::size_t>(ui)]));
+    }
+    growth_[k] = gmax;
   }
-  a_norm1_ = 0.0;
-  for (const Scalar& s : perm_) a_norm1_ = std::max(a_norm1_, scalar_abs(s));
 }
 
 template <typename Scalar>
@@ -854,6 +944,7 @@ void SparseLuFactorizationT<Scalar>::analyze(const SparseMatrixT<Scalar>& a,
   const std::vector<Scalar>& values = a.values();
 
   analyzed_ = false;
+  replay_ok_ = false;
   n_ = n;
 
   // --- symbolic pre-order ------------------------------------------------
@@ -1189,6 +1280,12 @@ void SparseLuFactorizationT<Scalar>::analyze(const SparseMatrixT<Scalar>& a,
 
   work_.assign(n, Scalar{});
   perm_.assign(n, Scalar{});
+  rstep_.assign(n, 0);
+  for (std::size_t k = 0; k < n; ++k) {
+    rstep_[static_cast<std::size_t>(rperm_[k])] = static_cast<int>(k);
+  }
+  last_values_.assign(values.begin(), values.end());
+  growth_.assign(n, 0.0);
   pattern_stamp_ = a.pattern_stamp();
   analyzed_ = true;
   ++analysis_count_;
@@ -1197,7 +1294,7 @@ void SparseLuFactorizationT<Scalar>::analyze(const SparseMatrixT<Scalar>& a,
 template <typename Scalar>
 bool SparseLuFactorizationT<Scalar>::refactor_frozen(
     const SparseMatrixT<Scalar>& a, double pivot_tol, double amax,
-    bool enforce_screens) {
+    std::size_t from, bool enforce_screens) {
   const std::size_t n = n_;
   const std::size_t sn = sn_start_;
   const std::size_t bdim = n - sn;
@@ -1223,7 +1320,24 @@ bool SparseLuFactorizationT<Scalar>::refactor_frozen(
     off_val_[t] = values[static_cast<std::size_t>(off_a_idx_[t])];
   }
 
-  for (std::size_t k = 0; k < n; ++k) {
+  // Kept steps [0, from): their rows are unchanged, so their stored
+  // factors are what the loop below would recompute bit for bit; only
+  // their screens are re-judged, under this matrix's column maxima and
+  // growth cap. growth_ is a running max, so its last kept entry stands
+  // for every kept step.
+  if (from > 0) {
+    gmax = growth_[from - 1];
+    if (enforce_screens) {
+      if (gmax > growth_cap) return false;
+      for (std::size_t k = 0; k < from; ++k) {
+        const double tol =
+            pivot_tol * colmax_[static_cast<std::size_t>(cperm_[k])];
+        if (!(scalar_abs(udiag_[k]) > tol)) return false;
+      }
+    }
+  }
+
+  for (std::size_t k = from; k < n; ++k) {
     const std::size_t r = static_cast<std::size_t>(rperm_[k]);
     for (int i = row_ptr[r]; i < row_ptr[r + 1]; ++i) {
       const int s = astep_[static_cast<std::size_t>(i)];
@@ -1254,6 +1368,7 @@ bool SparseLuFactorizationT<Scalar>::refactor_frozen(
         gmax = std::max(gmax, scalar_abs(uv));
         work_[us] = Scalar{};
       }
+      growth_[k] = gmax;
       const double tol =
           pivot_tol * colmax_[static_cast<std::size_t>(cperm_[k])];
       if (enforce_screens && (!(scalar_abs(d) > tol) || gmax > growth_cap)) {
@@ -1341,6 +1456,7 @@ bool SparseLuFactorizationT<Scalar>::refactor_frozen(
       for (std::size_t t = kb + 1; t < bdim; ++t) {
         gmax = std::max(gmax, scalar_abs(drow[t]));
       }
+      growth_[k] = gmax;
       const double tol =
           pivot_tol * colmax_[static_cast<std::size_t>(cperm_[k])];
       if (enforce_screens && (!(scalar_abs(d) > tol) || gmax > growth_cap)) {
@@ -1352,6 +1468,7 @@ bool SparseLuFactorizationT<Scalar>::refactor_frozen(
   // Mirror the dense block's pattern positions back into the flat factor
   // arrays: the solve / condition / diagnostic paths stay oblivious to
   // the supernode.
+  if (from == n) return true;
   for (std::size_t t = 0; t < sn_l_idx_.size(); ++t) {
     l_val_[static_cast<std::size_t>(sn_l_idx_[t])] =
         sn_val_[static_cast<std::size_t>(sn_l_pos_[t])];
@@ -2004,6 +2121,10 @@ void SparseLuFactorizationT<Scalar>::solve_in_place(
   for (std::size_t b = bstep_ptr_.size() - 1; b-- > 0;) {
     const std::size_t lo = static_cast<std::size_t>(bstep_ptr_[b]);
     const std::size_t hi = static_cast<std::size_t>(bstep_ptr_[b + 1]);
+    // Off-block deduction fused with forward substitution (unit-lower
+    // L): step k's L entries reach only earlier steps of this block,
+    // which are final by then, so each element sees the same operation
+    // sequence as two separate passes would apply.
     for (std::size_t k = lo; k < hi; ++k) {
       Scalar acc = perm_[k];
       for (int t = off_ptr_[k]; t < off_ptr_[k + 1]; ++t) {
@@ -2011,11 +2132,6 @@ void SparseLuFactorizationT<Scalar>::solve_in_place(
                perm_[static_cast<std::size_t>(
                    off_step_[static_cast<std::size_t>(t)])];
       }
-      perm_[k] = acc;
-    }
-    // Forward substitution with unit-lower L.
-    for (std::size_t k = lo; k < hi; ++k) {
-      Scalar acc = perm_[k];
       for (int li = l_ptr_[k]; li < l_ptr_[k + 1]; ++li) {
         acc -= l_val_[static_cast<std::size_t>(li)] *
                perm_[static_cast<std::size_t>(

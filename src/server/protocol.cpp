@@ -1,8 +1,7 @@
 #include "icvbe/server/protocol.hpp"
 
 #include <cctype>
-#include <cstdio>
-#include <cstdlib>
+#include <charconv>
 
 #include "icvbe/spice/netlist.hpp"
 
@@ -99,14 +98,21 @@ std::optional<Frame> FrameDecoder::next() {
 }
 
 std::string format_value(double v) {
-  // Shortest decimal that strtod parses back to exactly v (17 significant
-  // digits always does; most values need fewer).
+  // The first of %.15g, %.16g, %.17g that parses back to exactly v (17
+  // significant digits always does; most values need fewer). to_chars in
+  // general format with a precision is specified as printf's %.*g, so the
+  // text is snprintf's, without its format parsing and locale.
   char buf[32];
+  char* end = buf;
   for (int precision = 15; precision <= 17; ++precision) {
-    std::snprintf(buf, sizeof buf, "%.*g", precision, v);
-    if (std::strtod(buf, nullptr) == v) break;
+    end = std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general,
+                        precision)
+              .ptr;
+    double back = 0.0;
+    std::from_chars(buf, end, back);
+    if (back == v) break;
   }
-  return buf;
+  return std::string(buf, end);
 }
 
 std::vector<PatchCommand> parse_patch_body(std::string_view body) {

@@ -2,13 +2,16 @@
 
 #include <netinet/in.h>
 #include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <map>
@@ -30,6 +33,15 @@
 namespace icvbe::server {
 
 namespace {
+
+using Clock = std::chrono::steady_clock;
+
+/// DATA-frame coalescing: after a run's first row, rows are held and
+/// written together once this long has passed since the run's last write
+/// (by the next row, or by the connection's reader if none comes) ...
+constexpr Clock::duration kFlushDelay = std::chrono::milliseconds(1);
+/// ... or as soon as this many bytes are held.
+constexpr std::size_t kFlushBytes = 16 * 1024;
 
 /// Write the whole buffer; returns false once the peer is gone (EPIPE /
 /// ECONNRESET) -- callers treat a dead peer as cancellation, never as a
@@ -96,17 +108,48 @@ struct SimServer::Impl {
 
   void accept_loop();
   void reap_finished_locked();
+
+  struct PendingRows;
+};
+
+/// The DATA frames a run holds back for coalescing (StreamObserver).
+struct SimServer::Impl::PendingRows {
+  explicit PendingRows(Connection& c) : conn(c) {}
+
+  /// Write the held frames, if any. \pre mutex held and !closed.
+  void write_locked(Clock::time_point now);
+
+  Connection& conn;  ///< valid while !closed (finish_run closes)
+  std::mutex mutex;
+  std::string frames;  ///< complete DATA frames not yet written
+  std::size_t count = 0;  ///< rows streamed so far
+  Clock::time_point last_write{};
+  bool held = false;       ///< on the connection's held list
+  bool closed = false;     ///< terminal frame written
 };
 
 /// One client: a reader thread owning the command dispatch, a write mutex
 /// making frames atomic across the reader and the worker pool, and the
 /// per-connection session/run registries.
 struct SimServer::Impl::Connection {
-  Connection(Impl& server, int fd) : server_(server), fd_(fd) {}
+  /// Throws Error if the reader's wake-up descriptor cannot be created.
+  Connection(Impl& server, int fd)
+      : server_(server),
+        fd_(fd),
+        wake_fd_(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC)) {
+    if (wake_fd_ < 0) throw Error("serve: eventfd() failed");
+  }
 
   Impl& server_;
   const int fd_;
   std::thread reader_;
+
+  // Runs' held DATA rows (StreamObserver), which the reader writes once
+  // they fall due; a run that starts holding rows signals wake_fd_ so the
+  // reader's wait takes the new deadline into account.
+  const int wake_fd_;
+  std::mutex held_mutex_;
+  std::vector<std::shared_ptr<PendingRows>> held_;
 
   std::mutex write_mutex_;
   std::atomic<bool> peer_alive{true};
@@ -120,14 +163,18 @@ struct SimServer::Impl::Connection {
 
   // ------------------------------------------------------------ output --
 
-  void send_frame(const std::vector<std::string>& head,
-                  std::string_view body = {}) {
-    const std::string frame = encode_frame(head, body);
+  /// Write complete frames atomically with respect to every other writer.
+  void write_frames(std::string_view frames) {
     const std::lock_guard<std::mutex> lock(write_mutex_);
     if (!peer_alive.load(std::memory_order_relaxed)) return;
-    if (!write_all(fd_, frame)) {
+    if (!write_all(fd_, frames)) {
       peer_alive.store(false, std::memory_order_relaxed);
     }
+  }
+
+  void send_frame(const std::vector<std::string>& head,
+                  std::string_view body = {}) {
+    write_frames(encode_frame(head, body));
   }
 
   void send_ok(const std::vector<std::string>& head,
@@ -150,6 +197,7 @@ struct SimServer::Impl::Connection {
       for (;;) {
         std::optional<Frame> frame;
         while (!(frame = decoder.next()).has_value()) {
+          wait_readable();
           const ssize_t n = ::recv(fd_, buf, sizeof buf, 0);
           if (n < 0 && errno == EINTR) continue;
           if (n <= 0) goto eof;
@@ -167,6 +215,69 @@ struct SimServer::Impl::Connection {
   eof:
     shutdown_runs();
     finished.store(true, std::memory_order_release);
+  }
+
+  /// Block until the socket has input (or hung up), writing held DATA rows
+  /// as they fall due meanwhile.
+  void wait_readable() {
+    for (;;) {
+      const Clock::time_point next = flush_held();
+      timespec wait{};
+      if (next != Clock::time_point::max()) {
+        const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                            std::max(next - Clock::now(), Clock::duration{}))
+                            .count();
+        wait.tv_sec = static_cast<time_t>(ns / 1'000'000'000);
+        wait.tv_nsec = static_cast<long>(ns % 1'000'000'000);
+      }
+      pollfd fds[2] = {{fd_, POLLIN, 0}, {wake_fd_, POLLIN, 0}};
+      const int r = ::ppoll(fds, 2,
+                            next == Clock::time_point::max() ? nullptr : &wait,
+                            nullptr);
+      if (r < 0 && errno != EINTR) return;  // recv() reports the failure
+      if ((fds[1].revents & POLLIN) != 0) {
+        std::uint64_t signals = 0;
+        (void)!::read(wake_fd_, &signals, sizeof signals);
+      }
+      if (fds[0].revents != 0) return;
+    }
+  }
+
+  /// A run's on_row started holding rows: have the reader write them when
+  /// they fall due.
+  void hold(std::shared_ptr<PendingRows> rows) {
+    {
+      const std::lock_guard<std::mutex> lock(held_mutex_);
+      held_.push_back(std::move(rows));
+    }
+    const std::uint64_t signal = 1;
+    (void)!::write(wake_fd_, &signal, sizeof signal);
+  }
+
+  /// Write the held rows that are due (and drop finished runs' entries);
+  /// returns when the next ones fall due, or time_point::max().
+  Clock::time_point flush_held() {
+    Clock::time_point next = Clock::time_point::max();
+    const Clock::time_point now = Clock::now();
+    const std::lock_guard<std::mutex> lock(held_mutex_);
+    for (auto it = held_.begin(); it != held_.end();) {
+      bool done = false;
+      {
+        PendingRows& rows = **it;
+        const std::lock_guard<std::mutex> rows_lock(rows.mutex);
+        const Clock::time_point due = rows.last_write + kFlushDelay;
+        done = rows.closed || now >= due;
+        if (done) {
+          if (!rows.closed) rows.write_locked(now);
+          rows.held = false;
+        } else {
+          next = std::min(next, due);
+        }
+      }
+      // Erase only after unlocking: this may drop the last reference.
+      it = done ? held_.erase(it) : it + 1;
+    }
+    return next;
   }
 
   /// Returns false when the connection should close.
@@ -400,10 +511,20 @@ struct SimServer::Impl::Connection {
 
   /// Streams a run's points as DATA frames; returning false from on_row
   /// (cancel flag, dead peer) makes the engine throw CancelledError.
+  ///
+  /// Rows are coalesced: the first is written at once, later ones are
+  /// appended to the run's PendingRows and written together once
+  /// kFlushDelay has passed since the last write or kFlushBytes are held
+  /// -- by the next on_row, or by the connection's reader when the run is
+  /// slow to produce it -- and always ahead of the terminal frame
+  /// (finish_run). A transient of a few hundred points then costs a few
+  /// writes instead of one per row; frames and their order are unchanged.
   class StreamObserver : public spice::RunObserver {
    public:
     StreamObserver(Connection& conn, RunState& run)
-        : conn_(conn), run_(run) {}
+        : conn_(conn),
+          run_(run),
+          rows_(std::make_shared<PendingRows>(conn)) {}
 
     void on_begin(const std::vector<std::string>& axis_labels,
                   const std::vector<std::string>& probe_labels,
@@ -429,19 +550,38 @@ struct SimServer::Impl::Connection {
         body += ' ';
         body += format_value(probes[i]);
       }
-      conn_.send_frame({"DATA", run_.id, std::to_string(row)}, body);
-      rows_sent_.fetch_add(1, std::memory_order_relaxed);
+      const std::string frame =
+          encode_frame({"DATA", run_.id, std::to_string(row)}, body);
+      bool hold = false;
+      {
+        // Parallel AC workers deliver concurrently; the mutex keeps frames
+        // whole and orders them with the reader's writes.
+        const std::lock_guard<std::mutex> lock(rows_->mutex);
+        rows_->frames += frame;
+        ++rows_->count;
+        const Clock::time_point now = Clock::now();
+        if (rows_->count == 1 || rows_->frames.size() >= kFlushBytes ||
+            now - rows_->last_write >= kFlushDelay) {
+          rows_->write_locked(now);
+        } else if (!rows_->held) {
+          rows_->held = hold = true;
+        }
+      }
+      if (hold) conn_.hold(rows_);
       return true;
     }
 
+    /// Rows streamed; read once run() has returned (every worker that
+    /// delivered rows has been joined by then).
     [[nodiscard]] std::size_t rows_sent() const noexcept {
-      return rows_sent_.load(std::memory_order_relaxed);
+      return rows_->count;
     }
+    [[nodiscard]] PendingRows* rows() const noexcept { return rows_.get(); }
 
    private:
     Connection& conn_;
     RunState& run_;
-    std::atomic<std::size_t> rows_sent_{0};  ///< parallel AC workers race
+    std::shared_ptr<PendingRows> rows_;
   };
 
   /// Worker-pool body of one RUN.
@@ -470,19 +610,21 @@ struct SimServer::Impl::Connection {
       }
 
       (void)sim.run(plan, &observer);
-      finish_run(run,
-                 {"DONE", run.id, std::to_string(observer.rows_sent())});
+      finish_run(run, {"DONE", run.id, std::to_string(observer.rows_sent())},
+                 {}, observer.rows());
     } catch (const spice::CancelledError&) {
-      finish_run(
-          run,
-          {"CANCELLED", run.id, std::to_string(observer.rows_sent())});
+      finish_run(run,
+                 {"CANCELLED", run.id, std::to_string(observer.rows_sent())},
+                 {}, observer.rows());
     } catch (const std::exception& e) {
-      finish_run(run, {"FAIL", run.id}, e.what());
+      finish_run(run, {"FAIL", run.id}, e.what(), observer.rows());
     }
   }
 
+  /// `rows` (the run's held DATA frames, if it streamed any) is written
+  /// ahead of the terminal frame, in the same write.
   void finish_run(RunState& run, const std::vector<std::string>& head,
-                  std::string_view body = {}) {
+                  std::string_view body = {}, PendingRows* rows = nullptr) {
     // Release the session *before* the terminal frame goes out: a client
     // that reruns the instant it sees DONE/CANCELLED must never bounce
     // off a stale busy flag. The inflight count, by contrast, drops only
@@ -494,7 +636,16 @@ struct SimServer::Impl::Connection {
       if (it != sessions_.end()) it->second.busy = false;
       runs_.erase(run.id);
     }
-    send_frame(head, body);
+    if (rows == nullptr) {
+      send_frame(head, body);
+    } else {
+      // Closing under the rows mutex waits out a write of the reader's in
+      // progress and keeps the reader from writing these rows again.
+      const std::lock_guard<std::mutex> lock(rows->mutex);
+      rows->frames += encode_frame(head, body);
+      rows->write_locked(Clock::now());
+      rows->closed = true;
+    }
     {
       // Notify under the lock: the moment a waiter in shutdown_runs can
       // observe inflight_ == 0 the connection may be reaped, so the
@@ -519,6 +670,13 @@ struct SimServer::Impl::Connection {
     drained_cv_.wait(lock, [&] { return inflight_ == 0; });
   }
 };
+
+void SimServer::Impl::PendingRows::write_locked(Clock::time_point now) {
+  if (frames.empty()) return;
+  conn.write_frames(frames);
+  frames.clear();
+  last_write = now;
+}
 
 // ------------------------------------------------------------ SimServer ---
 
@@ -599,7 +757,13 @@ void SimServer::Impl::accept_loop() {
     if (r <= 0) continue;
     const int fd = ::accept(listen_fd, nullptr, nullptr);
     if (fd < 0) continue;
-    auto conn = std::make_unique<Connection>(*this, fd);
+    std::unique_ptr<Connection> conn;
+    try {
+      conn = std::make_unique<Connection>(*this, fd);
+    } catch (const Error&) {
+      ::close(fd);  // out of descriptors: refuse this client, keep serving
+      continue;
+    }
     Connection* raw = conn.get();
     raw->reader_ = std::thread([raw]() { raw->reader_loop(); });
     const std::lock_guard<std::mutex> lock(conns_mutex);
@@ -612,6 +776,7 @@ void SimServer::Impl::reap_finished_locked() {
     if ((*it)->finished.load(std::memory_order_acquire)) {
       (*it)->reader_.join();
       ::close((*it)->fd_);
+      ::close((*it)->wake_fd_);
       it = conns.erase(it);
     } else {
       ++it;

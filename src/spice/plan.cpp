@@ -695,6 +695,17 @@ struct BoundAxis {
         break;
     }
   }
+
+  /// The value apply() last set (temperature in kelvin).
+  [[nodiscard]] double value() const {
+    switch (kind) {
+      case SweepAxis::Kind::kVsource: return vsource->voltage();
+      case SweepAxis::Kind::kIsource: return isource->current();
+      case SweepAxis::Kind::kTemperature: return circuit->temperature();
+      case SweepAxis::Kind::kResistor: return resistor->nominal_resistance();
+    }
+    return 0.0;  // unreachable
+  }
 };
 
 BoundAxis bind_axis(const SweepAxis& axis, Circuit& circuit) {
@@ -717,6 +728,36 @@ BoundAxis bind_axis(const SweepAxis& axis, Circuit& circuit) {
   }
   return b;
 }
+
+/// Puts the devices (and the temperature) a plan sweeps back to their
+/// pre-run values when the run ends, however it ends: on a warm session
+/// the next run -- an AC operating point after a DC sweep, say -- must see
+/// the deck's values, not the last grid point's. Only values that moved
+/// are re-applied (a temperature re-broadcast also resets device state).
+/// A circuit that never had a temperature keeps a swept one: there is no
+/// value to go back to.
+class AxisRestore {
+ public:
+  AxisRestore(const std::vector<SweepAxis>& axes, Circuit& circuit) {
+    for (const SweepAxis& a : axes) {
+      BoundAxis bound = bind_axis(a, circuit);
+      bound.celsius = false;  // value() reads kelvin back
+      const bool known = a.kind() != SweepAxis::Kind::kTemperature ||
+                         circuit.has_temperature();
+      if (known) saved_.push_back({bound, bound.value()});
+    }
+  }
+  AxisRestore(const AxisRestore&) = delete;
+  AxisRestore& operator=(const AxisRestore&) = delete;
+  ~AxisRestore() {
+    for (auto it = saved_.rbegin(); it != saved_.rend(); ++it) {
+      if (it->first.value() != it->second) it->first.apply(it->second);
+    }
+  }
+
+ private:
+  std::vector<std::pair<BoundAxis, double>> saved_;
+};
 
 /// One postfix instruction of a compiled probe.
 struct ProbeInstr {
@@ -1344,6 +1385,8 @@ SweepResult SimSession::run(const AnalysisPlan& plan, RunObserver* observer) {
   if (stream.active()) {
     observer->on_begin(out.axis_labels_, out.probe_labels_, out.rows_);
   }
+
+  const AxisRestore restore(plan.axes, *circuit_);
 
   // The warm start live at run() entry (e.g. .NODESET hints or an
   // analytic startup guess) doubles as the deterministic seed: 2-axis

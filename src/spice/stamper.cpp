@@ -15,56 +15,6 @@ StamperT<Scalar>::StamperT(linalg::MatrixViewT<Scalar> a,
                 "Stamper: bad node unknown count");
 }
 
-template <typename Scalar>
-void StamperT<Scalar>::add_entry(int row, int col, Scalar v) {
-  if (row < 0 || col < 0) return;  // ground row/column is eliminated
-  a_.add(static_cast<std::size_t>(row), static_cast<std::size_t>(col), v);
-}
-
-template <typename Scalar>
-void StamperT<Scalar>::add_rhs(int row, Scalar v) {
-  if (row < 0) return;
-  b_[static_cast<std::size_t>(row)] += v;
-}
-
-template <typename Scalar>
-void StamperT<Scalar>::add_conductance(NodeId a, NodeId b, Scalar g) {
-  const int ia = node_index(a);
-  const int ib = node_index(b);
-  add_entry(ia, ia, g);
-  add_entry(ib, ib, g);
-  add_entry(ia, ib, -g);
-  add_entry(ib, ia, -g);
-}
-
-template <typename Scalar>
-void StamperT<Scalar>::add_current_into(NodeId n, Scalar j) {
-  add_rhs(node_index(n), j);
-}
-
-template <typename Scalar>
-void StamperT<Scalar>::stamp_companion(NodeId p, NodeId m, Scalar g,
-                                       Scalar ieq) {
-  add_conductance(p, m, g);
-  // ieq flows p -> m: extract it from p's injection, add to m's.
-  add_rhs(node_index(p), -ieq);
-  add_rhs(node_index(m), ieq);
-}
-
-template <typename Scalar>
-void StamperT<Scalar>::add_transconductance(NodeId out_p, NodeId out_m,
-                                            NodeId in_p, NodeId in_m,
-                                            Scalar gm) {
-  const int op = node_index(out_p);
-  const int om = node_index(out_m);
-  const int ip = node_index(in_p);
-  const int im = node_index(in_m);
-  add_entry(op, ip, gm);
-  add_entry(op, im, -gm);
-  add_entry(om, ip, -gm);
-  add_entry(om, im, gm);
-}
-
 template class StamperT<double>;
 template class StamperT<linalg::Complex>;
 

@@ -20,6 +20,7 @@
 #include "icvbe/lab/silicon.hpp"
 #include "icvbe/spice/analysis.hpp"
 #include "icvbe/spice/netlist.hpp"
+#include "icvbe/spice/netlist_gen.hpp"
 #include "icvbe/spice/plan.hpp"
 #include "icvbe/testing/alloc_hook.hpp"
 
@@ -367,6 +368,35 @@ R1 n 0 1k TC1=2m
   ASSERT_EQ(r.rows(), 2u);
   EXPECT_NEAR(r.value(0, 0), 1.2, 1e-4);   // 1k * 1.2 * 1mA
   EXPECT_NEAR(r.value(0, 1), 2.4, 1e-4);   // 2k * 1.2 * 1mA
+}
+
+TEST(AnalysisPlanTest, RunPutsSweptValuesBack) {
+  // A warm session outlives its runs: every swept device and the
+  // temperature go back to their pre-run values however the run ends.
+  Circuit c;
+  build_diode_rig(c);
+  c.get<VoltageSource>("V1").set_voltage(0.3);
+  c.set_temperature(300.0);
+  SimSession session(c);
+  AnalysisPlan plan;
+  plan.axes = {SweepAxis::temperature_kelvin(SweepGrid::list({250.0, 350.0})),
+               SweepAxis::vsource("V1", SweepGrid::linear(0.0, 1.2, 4))};
+  plan.probes = {Probe::node_voltage("a")};
+  (void)session.run(plan);
+  EXPECT_EQ(c.get<VoltageSource>("V1").voltage(), 0.3);
+  EXPECT_EQ(c.temperature(), 300.0);
+
+  // A run cancelled after its first point unwinds the same way.
+  struct CancelAfterFirstRow : RunObserver {
+    bool on_row(std::size_t, const double*, std::size_t, const double*,
+                std::size_t) override {
+      return false;
+    }
+  } cancel;
+  plan.axes = {SweepAxis::resistor("R1", SweepGrid::list({2e3, 3e3}))};
+  EXPECT_THROW((void)session.run(plan, &cancel), CancelledError);
+  EXPECT_EQ(c.get<Resistor>("R1").nominal_resistance(), 1e3);
+  EXPECT_EQ(c.get<Resistor>("R1").resistance(), 1e3);
 }
 
 TEST(AnalysisPlanTest, RejectsSameTargetOnBothAxes) {
@@ -732,6 +762,29 @@ C1 out 0 1n
   // and matches an uncancelled session.
   const SweepResult again = session.run(*parsed.plan);
   EXPECT_GT(again.rows(), 10u);
+}
+
+TEST(AnalysisPlanTest, LinearGridSweepAnalysesOnceAndSkipsEveryRefactor) {
+  // A linear circuit's matrix does not depend on the source value a .DC
+  // sweep moves, nor on the Newton iterate: one symbolic analysis, and
+  // every later refactor sees an identical matrix and is skipped.
+  SyntheticNetlistSpec gen;
+  gen.topology = SyntheticTopology::kGrid;
+  gen.nodes = 400;
+  gen.seed = 3;
+  auto parsed = parse_netlist(generate_netlist(gen));
+  ASSERT_TRUE(parsed.plan.has_value());
+  SimSession session(*parsed.circuit);
+  ASSERT_TRUE(session.uses_sparse_engine());
+  const SweepResult r = session.run(*parsed.plan);
+  EXPECT_EQ(r.rows(), 7u);
+  const linalg::SparseLuFactorization& lu = session.sparse_lu();
+  EXPECT_EQ(lu.analysis_count(), 1);
+  EXPECT_EQ(lu.refactor_stats().full, 0u);
+  EXPECT_EQ(lu.refactor_stats().partial, 0u);
+  EXPECT_EQ(lu.refactor_stats().steps_replayed, 0u);
+  EXPECT_GE(lu.refactor_stats().skipped, 2u * r.rows() - 1);
+  EXPECT_EQ(session.sparse_matrix().tape().misses(), 0u);
 }
 
 TEST(AnalysisPlanTest, SteadyStateAllocationsIndependentOfPointCount) {

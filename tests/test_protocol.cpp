@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -144,6 +148,59 @@ TEST(FormatValue, PrefersShortRepresentations) {
   EXPECT_EQ(format_value(1.0), "1");
   EXPECT_EQ(format_value(0.5), "0.5");
   EXPECT_EQ(format_value(1e-12), "1e-12");
+}
+
+/// The snprintf/strtod formatter format_value replaced: the reference its
+/// to_chars form must reproduce byte for byte.
+std::string format_value_printf(double v) {
+  char buf[32];
+  for (int precision = 15; precision <= 17; ++precision) {
+    std::snprintf(buf, sizeof buf, "%.*g", precision, v);
+    if (std::strtod(buf, nullptr) == v) break;
+  }
+  return buf;
+}
+
+TEST(FormatValue, MatchesThePrintfFormOnRandomBitPatterns) {
+  std::vector<double> values = {
+      0.0,
+      -0.0,
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::quiet_NaN(),
+      -std::numeric_limits<double>::quiet_NaN(),
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::min(),
+      std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::lowest(),
+      0.1,
+      1e-5,
+      123456789012345678.0,
+  };
+  // Raw bit patterns cover every exponent (subnormals, NaN payloads
+  // included); a second set draws subnormals on purpose.
+  std::mt19937_64 rng(0x1cbe13u);
+  for (int i = 0; i < 100000; ++i) {
+    const std::uint64_t bits = rng();
+    double v = 0.0;
+    std::memcpy(&v, &bits, sizeof v);
+    values.push_back(v);
+  }
+  for (int i = 0; i < 1000; ++i) {
+    const std::uint64_t bits = rng() & 0x800fffffffffffffull;
+    double v = 0.0;
+    std::memcpy(&v, &bits, sizeof v);
+    values.push_back(v);
+  }
+  for (const double v : values) {
+    ASSERT_EQ(format_value(v), format_value_printf(v))
+        << "bits " << std::hex << [&] {
+             std::uint64_t b = 0;
+             std::memcpy(&b, &v, sizeof b);
+             return b;
+           }();
+  }
 }
 
 TEST(PatchBody, ParsesEveryTargetKind) {

@@ -50,6 +50,19 @@ C1 out 0 1n
 .PROBE V(out)
 )";
 
+// A diode load makes the small-signal answer depend on the operating
+// point; the DC sweep ends at 1.2 V, far from the deck's 0.3 V.
+const char* kSweptDiodeDeck = R"(
+V1 in 0 0.3 AC 1
+R1 in out 1k
+D1 out 0 DMOD
+C1 out 0 1n
+.model DMOD D IS=1e-14
+.DC V1 0 1.2 0.1
+.AC DEC 5 1k 10meg
+.PROBE V(out)
+)";
+
 std::string unique_socket_path() {
   static std::atomic<int> counter{0};
   return "/tmp/icvbe_srv_" + std::to_string(::getpid()) + "_" +
@@ -230,6 +243,21 @@ TEST_F(ServerTest, PatchedWarmRerunMatchesAColdRunOfThePatchedDeck) {
   // And the patch genuinely changed the answer.
   ASSERT_EQ(before.rows_.size(), got.rows_.size());
   EXPECT_NE(before.rows_.at(5).second[0], got.rows_.at(5).second[0]);
+}
+
+TEST_F(ServerTest, AcAfterADcSweepOnTheSameSessionMatchesAColdAcRun) {
+  // The sweep moves V1 to 1.2 V; the session must put the deck's 0.3 V
+  // back when the run ends, or the AC operating point moves with it.
+  start();
+  Client client = connect();
+  (void)client.load("d", kSweptDiodeDeck);
+  Collector dc;
+  ASSERT_EQ(client.run("d", "DC", &dc).outcome, RunOutcome::kDone);
+  ASSERT_NEAR(dc.rows_.rbegin()->second.first[0], 1.2, 1e-12);
+  Collector got;
+  ASSERT_EQ(client.run("d", "AC", &got).outcome, RunOutcome::kDone);
+  expect_stream_matches(got,
+                        local_run(kSweptDiodeDeck, spice::AnalysisKind::kAc));
 }
 
 TEST_F(ServerTest, CancelMidRunStopsStreamingAndKeepsTheSessionUsable) {

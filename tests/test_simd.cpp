@@ -118,19 +118,27 @@ TEST(DPack, OpsBitIdenticalToScalar) {
 
     (pa + pb).store(out);
     for (std::size_t l = 0; l < kPackWidth; ++l) {
-      if (!std::isnan(a[l])) EXPECT_EQ(out[l], a[l] + b[l]);
+      if (!std::isnan(a[l])) {
+        EXPECT_EQ(out[l], a[l] + b[l]);
+      }
     }
     (pa - pb).store(out);
     for (std::size_t l = 0; l < kPackWidth; ++l) {
-      if (!std::isnan(a[l])) EXPECT_EQ(out[l], a[l] - b[l]);
+      if (!std::isnan(a[l])) {
+        EXPECT_EQ(out[l], a[l] - b[l]);
+      }
     }
     (pa * pb).store(out);
     for (std::size_t l = 0; l < kPackWidth; ++l) {
-      if (!std::isnan(a[l])) EXPECT_EQ(out[l], a[l] * b[l]);
+      if (!std::isnan(a[l])) {
+        EXPECT_EQ(out[l], a[l] * b[l]);
+      }
     }
     (pa / pb).store(out);
     for (std::size_t l = 0; l < kPackWidth; ++l) {
-      if (!std::isnan(a[l])) EXPECT_EQ(out[l], a[l] / b[l]);
+      if (!std::isnan(a[l])) {
+        EXPECT_EQ(out[l], a[l] / b[l]);
+      }
     }
     DPack::abs(pa).store(out);
     for (std::size_t l = 0; l < kPackWidth; ++l) {

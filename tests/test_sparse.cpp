@@ -5,12 +5,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <memory>
 #include <random>
 
 #include "icvbe/common/error.hpp"
 #include "icvbe/linalg/matrix.hpp"
+#include "icvbe/linalg/matrix_view.hpp"
 #include "icvbe/linalg/solve.hpp"
 #include "icvbe/linalg/sparse.hpp"
+#include "icvbe/spice/device.hpp"
+#include "icvbe/spice/linear_devices.hpp"
+#include "icvbe/spice/stamper.hpp"
 
 namespace icvbe::linalg {
 namespace {
@@ -88,6 +94,136 @@ TEST(SparseMatrixTest, MultiplyMatchesDense) {
   const Vector y = m.multiply(x);
   const Vector yd = m.to_dense().multiply(x);
   for (std::size_t i = 0; i < 3; ++i) EXPECT_DOUBLE_EQ(y[i], yd[i]);
+}
+
+/// A device that breaks the fixed-stamp-sequence contract: every call
+/// stamps the same ring of conductances (plus a leak per node), but the
+/// order moves with `phase` -- odd phases swap the adds within each row
+/// (same row, other column), and every second phase starts the ring at
+/// another edge -- so its adds reach each diagonal slot in a different
+/// order on every restamp.
+class ScrambledConductances final : public spice::Device {
+ public:
+  explicit ScrambledConductances(int nodes)
+      : Device("XSCRAMBLE"), nodes_(nodes) {}
+
+  [[nodiscard]] std::unique_ptr<spice::Device> clone() const override {
+    auto d = std::make_unique<ScrambledConductances>(nodes_);
+    d->phase = phase;
+    return d;
+  }
+  void stamp(spice::Stamper& st, const spice::Unknowns&) override {
+    for (int k = 0; k < nodes_; ++k) {
+      const int a = (phase / 2 + k) % nodes_;  // unknown indices
+      const int b = (a + 1) % nodes_;
+      const double g = 1.0 + 0.1 * a;
+      if (phase % 2 == 0) {
+        st.add_entry(a, a, g);
+        st.add_entry(a, b, -g);
+        st.add_entry(b, b, g);
+        st.add_entry(b, a, -g);
+      } else {
+        st.add_entry(a, b, -g);
+        st.add_entry(a, a, g);
+        st.add_entry(b, a, -g);
+        st.add_entry(b, b, g);
+      }
+      st.add_entry(a, a, 0.01 * (a + 1));  // leak to ground
+    }
+  }
+  void stamp_ac(spice::AcStamper&, const spice::Unknowns&) const override {}
+
+  int phase = 0;
+
+ private:
+  int nodes_;
+};
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+TEST(StampTapeTest, OutOfOrderDeviceMatchesTheSearchPathBitwise) {
+  // The tape replays the last restamp's slots; a device that reorders its
+  // adds misses it, and every missed add must land where the binary
+  // search puts it. The reference is the search path itself: a copy of the
+  // freshly frozen pattern, whose tape has nothing recorded yet.
+  constexpr int kNodes = 12;
+  const auto n = static_cast<std::size_t>(kNodes);
+  spice::Resistor r1("R1", 1, 2, 1e3);
+  spice::Resistor r2("R2", 3, kNodes, 2.2e3);
+  ScrambledConductances dev(kNodes);
+  const spice::Unknowns x(n);
+  Vector b(n, 0.0);
+  const auto stamp_all = [&](MatrixView m) {
+    spice::Stamper st(m, b, kNodes);
+    r1.stamp(st, x);
+    dev.stamp(st, x);
+    r2.stamp(st, x);
+  };
+  SparseMatrix pattern(n, n);
+  stamp_all(pattern);
+  pattern.freeze_pattern();
+
+  SparseMatrix taped = pattern;
+  SparseValueBatch batch;
+  batch.bind(pattern, 2);
+  SparseLuFactorization lu_taped;
+  SparseLuFactorization lu_search;
+  Vector ones(n, 1.0);
+  for (int phase = 0; phase < 8; ++phase) {
+    SCOPED_TRACE("phase " + std::to_string(phase));
+    dev.phase = phase;
+    taped.fill(0.0);
+    stamp_all(taped);
+    MatrixView lane(batch, 1);
+    lane.fill(0.0);
+    stamp_all(lane);
+    SparseMatrix search = pattern;
+    search.fill(0.0);
+    stamp_all(search);
+    EXPECT_EQ(search.tape().misses(), 0u);
+
+    for (std::size_t i = 0; i < pattern.nonzeros(); ++i) {
+      ASSERT_TRUE(same_bits(taped.values()[i], search.values()[i])) << i;
+      ASSERT_TRUE(same_bits(batch.values()[i * 2 + 1], search.values()[i]))
+          << i;
+    }
+    lu_taped.refactor(taped);
+    lu_search.refactor(search);
+    const Vector xt = lu_taped.solve(ones);
+    const Vector xs = lu_search.solve(ones);
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_TRUE(same_bits(xt[i], xs[i])) << i;
+    }
+  }
+  EXPECT_GT(taped.tape().misses(), 0u) << "the search fallback never ran";
+  EXPECT_GT(batch.tape().misses(), 0u) << "the search fallback never ran";
+}
+
+TEST(StampTapeTest, FixedSequenceRestampsNeverMiss) {
+  SparseMatrix m(3, 3);
+  const auto stamp = [&m](double g) {
+    m.add(0, 0, g);
+    m.add(2, 1, -g);
+    m.add(1, 1, g);
+    m.add(0, 0, 1.0);  // a second add to the same slot
+    m.add(1, 2, -g);
+    m.add(2, 2, g);
+  };
+  stamp(0.0);
+  m.freeze_pattern();
+  EXPECT_EQ(m.tape().size(), 6u);  // one entry per registration
+  for (int k = 1; k <= 5; ++k) {
+    m.fill(0.0);
+    stamp(static_cast<double>(k));
+    EXPECT_DOUBLE_EQ(m.at(0, 0), k + 1.0);
+    EXPECT_DOUBLE_EQ(m.at(1, 2), -k);
+  }
+  EXPECT_EQ(m.tape().misses(), 0u);
+  // An add outside the pattern still throws through the tape.
+  m.fill(0.0);
+  EXPECT_THROW(m.add(0, 2, 1.0), Error);
 }
 
 TEST(SparseLuTest, SolvesTridiagonalSystem) {

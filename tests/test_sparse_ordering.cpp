@@ -12,7 +12,11 @@
 //  * batched lanes are bit-identical to scalar refactors per lane under
 //    the new symbolic path (forced supernode coverage included);
 //  * structurally/numerically singular systems throw NumericalError on
-//    every path.
+//    every path;
+//  * the incremental refactor (replay from the first changed pivot step,
+//    none when nothing changed) solves bit-identically to a full frozen
+//    pass on the same analysis, cross-block BTF entries and forced
+//    supernodes included.
 // A 1e4-node subset runs when ICVBE_SPARSE_STRESS=1 (CI stress job).
 
 #include <gtest/gtest.h>
@@ -403,6 +407,302 @@ TEST(SparseOrderingHarness, TwoHundredSeededPatterns) {
   EXPECT_EQ(case_id, 200);
 }
 
+/// Block upper-triangular system: two random MNA blocks plus entries from
+/// the first block's rows into the second block's columns, which the BTF
+/// path keeps out of the elimination (applied raw at solve time).
+TestSystem make_block_triangular(std::mt19937_64& rng, int n1, int n2) {
+  const TestSystem a = make_random_mna(rng, n1, 0);
+  const TestSystem b = make_random_mna(rng, n2, 1);
+  std::vector<Entry> e;
+  const auto append = [&e](const TestSystem& sys, int offset) {
+    const auto& rp = sys.sparse.row_ptr();
+    const auto& ci = sys.sparse.col_index();
+    const auto& v = sys.sparse.values();
+    for (std::size_t r = 0; r < sys.n; ++r) {
+      for (int i = rp[r]; i < rp[r + 1]; ++i) {
+        e.push_back({{static_cast<int>(r) + offset,
+                      ci[static_cast<std::size_t>(i)] + offset},
+                     v[static_cast<std::size_t>(i)]});
+      }
+    }
+  };
+  append(a, 0);
+  append(b, n1);
+  for (int k = 0; k < n1 / 2 + 1; ++k) {
+    const int r = static_cast<int>(rng() % static_cast<std::uint64_t>(n1));
+    const int c = n1 + static_cast<int>(rng() % b.n);
+    e.push_back({{r, c}, rnd(rng, -1.0, 1.0)});
+  }
+  return build(a.n + b.n, e);
+}
+
+/// A copy of m's pattern (and stamp) carrying f(row, col, value) values.
+template <typename F>
+SparseMatrix map_values(const SparseMatrix& m, F&& f) {
+  SparseMatrix out = m;
+  out.fill(0.0);
+  const auto& rp = m.row_ptr();
+  const auto& ci = m.col_index();
+  const auto& v = m.values();
+  for (std::size_t r = 0; r < m.rows(); ++r) {
+    for (int i = rp[r]; i < rp[r + 1]; ++i) {
+      const auto c = static_cast<std::size_t>(ci[static_cast<std::size_t>(i)]);
+      out.add(r, c, f(r, c, v[static_cast<std::size_t>(i)]));
+    }
+  }
+  return out;
+}
+
+/// Counts of refactor outcomes across the incremental harness, so the
+/// test can insist every path was exercised.
+struct IncrementalCoverage {
+  std::uint64_t partial = 0;
+  std::uint64_t skipped = 0;
+  int off_block_only = 0;
+};
+
+/// Drive `inc` through cumulative perturbations of sys -- random row
+/// subsets, cross-block entries only, a single row, nothing -- and check
+/// each incremental refactor against `full`, which shares the analysis but
+/// reaches the same values through a matrix whose every row differs (all
+/// values doubled: exact, and invisible to the scale-free pivot and growth
+/// screens), so it replays every step.
+void check_incremental(const TestSystem& sys, std::mt19937_64& rng,
+                       bool force_supernode, IncrementalCoverage& cov) {
+  SparseOptions o;
+  if (force_supernode) {
+    o.supernode_min = 8;
+    o.supernode_density = 0.3;
+  }
+  SparseLuFactorization inc;
+  SparseLuFactorization full;
+  inc.set_options(o);
+  full.set_options(o);
+  ASSERT_NO_THROW(inc.refactor(sys.sparse));
+  full.refactor(sys.sparse);
+
+  // Cross-block entries: row and column in different BTF blocks.
+  const BtfDecomposition btf =
+      btf_decompose(sys.sparse.row_ptr(), sys.sparse.col_index(), sys.n);
+  std::vector<int> col_block(sys.n, 0);
+  for (std::size_t r = 0; r < sys.n; ++r) {
+    col_block[static_cast<std::size_t>(btf.match_col[r])] = btf.row_block[r];
+  }
+  const auto off_block = [&](std::size_t r, std::size_t c) {
+    return btf.row_block[r] != col_block[c];
+  };
+  bool has_off_block = false;
+  for (std::size_t r = 0; r < sys.n && !has_off_block; ++r) {
+    for (int i = sys.sparse.row_ptr()[r]; i < sys.sparse.row_ptr()[r + 1];
+         ++i) {
+      if (off_block(r, static_cast<std::size_t>(sys.sparse.col_index()[
+                           static_cast<std::size_t>(i)]))) {
+        has_off_block = true;
+      }
+    }
+  }
+
+  SparseMatrix cur = sys.sparse;
+  for (int round = 0; round < 6; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    const int mode = round % 4;
+    std::vector<char> rows(sys.n, 0);
+    if (mode == 0) {
+      for (auto& f : rows) f = (rng() % 4 == 0) ? 1 : 0;
+    } else if (mode == 2) {
+      rows[rng() % sys.n] = 1;
+    }
+    const bool off_only = mode == 1 && has_off_block;
+    cur = map_values(cur, [&](std::size_t r, std::size_t c, double v) {
+      const bool hit = off_only ? off_block(r, c) : rows[r] != 0;
+      return hit ? v * (1.0 + 1e-3 * rnd(rng, 0.5, 1.5)) : v;
+    });
+    if (off_only) ++cov.off_block_only;
+
+    const RefactorStats before = inc.refactor_stats();
+    ASSERT_NO_THROW(inc.refactor(cur));
+    full.refactor(map_values(cur, [](std::size_t, std::size_t, double v) {
+      return 2.0 * v;
+    }));
+    full.refactor(cur);
+    ASSERT_EQ(inc.analysis_count(), full.analysis_count());
+    const RefactorStats& after = inc.refactor_stats();
+    cov.partial += after.partial - before.partial;
+    cov.skipped += after.skipped - before.skipped;
+    if (mode == 3) {
+      EXPECT_EQ(after.skipped, before.skipped + 1)
+          << "an unchanged matrix must skip the replay";
+    }
+
+    for (int probe = 0; probe < 2; ++probe) {
+      const Vector b = random_rhs(rng, sys.n);
+      const Vector xi = inc.solve(b);
+      const Vector xf = full.solve(b);
+      for (std::size_t i = 0; i < sys.n; ++i) {
+        ASSERT_EQ(std::memcmp(&xi[i], &xf[i], sizeof(double)), 0)
+            << "row " << i << ": incremental refactor not bit-identical to "
+               "a full pass";
+      }
+    }
+    const double ci = inc.condition_estimate();
+    const double cf = full.condition_estimate();
+    EXPECT_EQ(std::memcmp(&ci, &cf, sizeof(double)), 0);
+  }
+  EXPECT_EQ(full.refactor_stats().partial, 0u);
+  EXPECT_EQ(full.refactor_stats().skipped, 0u);
+}
+
+TEST(SparseOrderingHarness, IncrementalRefactorMatchesAFullPass) {
+  std::mt19937_64 rng(20261017u);
+  IncrementalCoverage cov;
+  int case_id = 0;
+  for (int rep = 0; rep < 25; ++rep) {
+    const bool force_sn = (rep % 2) == 0;
+    std::vector<TestSystem> systems;
+    systems.push_back(make_ladder(rng, 8 + static_cast<int>(rng() % 90)));
+    systems.push_back(
+        make_mesh(rng, 3 + static_cast<int>(rng() % 8), (rep % 3) == 0));
+    systems.push_back(make_random_mna(rng, 10 + static_cast<int>(rng() % 80),
+                                      static_cast<int>(rng() % 4)));
+    systems.push_back(make_random_mna(rng, 10 + static_cast<int>(rng() % 40),
+                                      2 + static_cast<int>(rng() % 5)));
+    systems.push_back(make_block_triangular(
+        rng, 5 + static_cast<int>(rng() % 30),
+        5 + static_cast<int>(rng() % 30)));
+    systems.push_back(make_block_triangular(
+        rng, 20 + static_cast<int>(rng() % 20),
+        20 + static_cast<int>(rng() % 20)));
+    systems.push_back(make_near_singular(rng, 4 + static_cast<int>(rng() % 5)));
+    systems.push_back(make_random_mna(rng, 4 + static_cast<int>(rng() % 5), 0));
+    for (const TestSystem& s : systems) {
+      SCOPED_TRACE("incremental case " + std::to_string(case_id++));
+      check_incremental(s, rng, force_sn, cov);
+    }
+  }
+  EXPECT_EQ(case_id, 200);
+  EXPECT_GT(cov.partial, 0u);
+  EXPECT_GT(cov.skipped, 0u);
+  EXPECT_GT(cov.off_block_only, 0);
+}
+
+TEST(SparseOrderingHarness, KeptPivotFailingOnARaisedColumnMaxReanalyses) {
+  // BTF off, so both rows share one block: step 0 takes row 0 and pivots
+  // on column 0 (value 1), step 1 takes row 1. Raising row 1's column-0
+  // entry to 1e20 leaves the kept step 0 untouched, but its pivot now
+  // sits below pivot_tol (1e-14) x the column max: the replay from step 1
+  // must fail over to a fresh analysis -- exactly what a full pass does --
+  // which pivots row 0 on column 1 instead.
+  SparseOptions o;
+  o.btf = false;
+  SparseMatrix a(2, 2);
+  a.add(0, 0, 1.0);
+  a.add(0, 1, 1.0);
+  a.add(1, 0, 1.0);
+  a.add(1, 1, 3.0);
+  a.freeze_pattern();
+  SparseLuFactorization f;
+  f.set_options(o);
+  f.refactor(a);
+  ASSERT_EQ(f.analysis_count(), 1);
+
+  const SparseMatrix raised =
+      map_values(a, [](std::size_t r, std::size_t c, double v) {
+        return (r == 1 && c == 0) ? 1e20 : v;
+      });
+  f.refactor(raised);
+  EXPECT_EQ(f.refactor_stats().partial, 1u) << "replay did not keep step 0";
+  EXPECT_EQ(f.analysis_count(), 2);
+
+  SparseLuFactorization fresh;
+  fresh.set_options(o);
+  fresh.refactor(raised);
+  Vector b(2);
+  b[0] = 1.0;
+  b[1] = -2.0;
+  const Vector x = f.solve(b);
+  const Vector want = fresh.solve(b);
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(std::memcmp(&x[i], &want[i], sizeof(double)), 0) << i;
+  }
+  // And the re-analysed state replays: the same matrix again is a skip.
+  f.refactor(raised);
+  EXPECT_EQ(f.refactor_stats().skipped, 1u);
+  EXPECT_EQ(f.analysis_count(), 2);
+}
+
+TEST(SparseOrderingHarness, KeptGrowthOverALoweredCapReanalyses) {
+  // Rows 0-2 form one BTF block, row 3 another; (0, 3) is a cross-block
+  // entry, outside the elimination. Step 1 is pinned to the column-1
+  // pivot while it is benign; shrinking it to ~1e-11 then makes step 2
+  // grow to ~1e10 -- within the 1e8 x max|A| cap while (0, 3) holds 1e3.
+  // Lowering (0, 3) to 1 changes no eliminated value, so every step is
+  // kept, but the kept growth now breaks the cap: the refactor must
+  // re-analyse, as a full pass would.
+  const auto make = [](double pivot_row_value, double cross) {
+    SparseMatrix m(4, 4);
+    m.add(0, 0, 1.0);
+    m.add(0, 1, 1.0);
+    m.add(0, 3, cross);
+    m.add(1, 0, 1.0);
+    m.add(1, 1, pivot_row_value);
+    m.add(1, 2, 0.1);
+    m.add(2, 1, 1.0);
+    m.add(2, 2, 1.0);
+    m.add(3, 3, 1.0);
+    m.freeze_pattern();
+    return m;
+  };
+  const SparseMatrix benign = make(2.0, 1e3);
+  SparseLuFactorization f;
+  f.refactor(benign);
+  ASSERT_EQ(f.btf_block_count(), 2u);
+  const auto with = [&benign](double pivot_row_value, double cross) {
+    return map_values(benign, [=](std::size_t r, std::size_t c, double v) {
+      if (r == 1 && c == 1) return pivot_row_value;
+      if (r == 0 && c == 3) return cross;
+      return v;
+    });
+  };
+  const SparseMatrix grown = with(1.0 + 1e-11, 1e3);
+  f.refactor(grown);
+  ASSERT_EQ(f.analysis_count(), 1) << "the grown factors should pass";
+
+  const SparseMatrix capped = with(1.0 + 1e-11, 1.0);
+  f.refactor(capped);
+  EXPECT_EQ(f.refactor_stats().skipped, 1u) << "nothing eliminated changed";
+  EXPECT_EQ(f.analysis_count(), 2);
+  SparseLuFactorization fresh;
+  fresh.refactor(capped);
+  Vector b(4, 1.0);
+  const Vector x = f.solve(b);
+  const Vector want = fresh.solve(b);
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(std::memcmp(&x[i], &want[i], sizeof(double)), 0) << i;
+  }
+}
+
+TEST(SparseOrderingHarness, NegativeZeroInputIsNotReplayedFromTheAnalysis) {
+  // The analysis copies A's values where the frozen kernel adds them to
+  // +0.0, so with a -0.0 entry the two may differ in the sign of a zero:
+  // the refactor after such an analysis runs a full pass, and only the
+  // one after that may skip.
+  SparseMatrix m(2, 2);
+  m.add(0, 0, 2.0);
+  m.add(0, 1, -0.0);
+  m.add(1, 0, 1.0);
+  m.add(1, 1, 3.0);
+  m.freeze_pattern();
+  ASSERT_TRUE(std::signbit(m.at(0, 1)));
+  SparseLuFactorization f;
+  f.refactor(m);
+  f.refactor(m);
+  EXPECT_EQ(f.refactor_stats().full, 1u);
+  EXPECT_EQ(f.refactor_stats().skipped, 0u);
+  f.refactor(m);
+  EXPECT_EQ(f.refactor_stats().skipped, 1u);
+  EXPECT_EQ(f.analysis_count(), 1);
+}
+
 TEST(SparseOrderingHarness, BatchLanesBitIdenticalUnderNewPath) {
   std::mt19937_64 rng(7u);
   for (int rep = 0; rep < 6; ++rep) {
@@ -539,7 +839,9 @@ TEST(SparseOrderingHarness, BatchSimdKernelBitIdenticalToScalarLaneKernel) {
               << " SIMD kernel not bit-identical to scalar lane kernel";
         }
       }
-      if (rep % 4 != 3) ASSERT_TRUE(any_ok);
+      if (rep % 4 != 3) {
+        ASSERT_TRUE(any_ok);
+      }
 
       // Steady state: re-running the batch at the same shape allocates
       // nothing on either kernel path.

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <sstream>
 #include <vector>
 
 #include "icvbe/spice/netlist.hpp"
@@ -334,6 +335,34 @@ TEST(TransientEngineTest, DenseAndSparseResultsAgreeOnRcLadderDeck) {
           << "probe " << p << " row " << r;
     }
   }
+}
+
+TEST(TransientEngineTest, LadderWithPnpLoadRestampsNeverMissTheTape) {
+  // A 200-stage RC ladder driven by a pulse into a diode-connected PNP:
+  // every Newton iteration of the transient restamps the same add
+  // sequence, so after the first restamp records the tape no add searches,
+  // and the refactors replay only the steps the PNP's rows reach.
+  std::ostringstream d;
+  d << "V1 n0 0 PULSE(1 0.5 0 10u 10u 200u 400u)\n";
+  for (int k = 1; k <= 200; ++k) {
+    d << "R" << k << " n" << k - 1 << " n" << k << " " << 90 + (k * 37) % 21
+      << "\nC" << k << " n" << k << " 0 100p\n";
+  }
+  d << "Q1 0 0 n200 PMOD\n.MODEL PMOD PNP (IS=1e-16 BF=50)\n"
+    << ".TRAN 5u 500u\n.PROBE V(n200)\n.END\n";
+  auto parsed = parse_netlist(d.str());
+  ASSERT_TRUE(parsed.plan.has_value());
+  SimSession session(*parsed.circuit);
+  ASSERT_TRUE(session.uses_sparse_engine());
+  const SweepResult r = session.run(*parsed.plan);
+  EXPECT_GT(r.rows(), 100u);
+  EXPECT_EQ(session.sparse_matrix().tape().misses(), 0u);
+  const linalg::RefactorStats& stats = session.sparse_lu().refactor_stats();
+  EXPECT_GT(stats.partial, 0u);
+  EXPECT_LT(stats.steps_replayed,
+            (stats.full + stats.partial + stats.skipped) *
+                session.sparse_lu().size() / 2)
+      << "replays should cover well under half the pivot steps";
 }
 
 TEST(TransientEngineTest, AdvanceIsAllocationFreeAfterSetup) {
