@@ -1,16 +1,19 @@
-// AC small-signal sweep throughput, dense vs sparse complex engines.
+// AC small-signal sweep throughput: the session's sparse complex engine
+// against a dense complex LU of the same system.
 //
 // Stage 1 (report): for generated rc-ladder decks of growing size, time
-// the per-frequency-point solve_ac() kernel -- complex restamp + LU
-// refactor + solve -- on both engines after their setup (the sparse
-// engine's one symbolic analysis included in setup, exactly like a
-// Newton loop's). Reports points/second, asserts the >= 3x sparse gate
-// at >= 200 nodes, and records the study in results/BENCH_ac.json plus
-// the usual CSV.
+// the per-frequency-point solve_ac() kernel -- complex restamp + sparse LU
+// refactor + solve, after its setup (the one symbolic analysis included
+// in setup, exactly like a Newton loop's) -- and, as the dense
+// reference, the same restamp through AcStamper into a dense complex
+// matrix plus linalg::ComplexLuFactorization refactor + solve. Reports
+// points/second, asserts the >= 3x sparse gate at >= 200 nodes, and
+// records the study in results/BENCH_ac.json plus the usual CSV.
 //
-// Stage 2: google-benchmark timings of the same kernel plus a whole
+// Stage 2: google-benchmark timings of the same kernels plus a whole
 // .AC plan run through SimSession::run.
 
+#include <algorithm>
 #include <chrono>
 #include <fstream>
 #include <memory>
@@ -18,10 +21,12 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "icvbe/linalg/solve.hpp"
 #include "icvbe/spice/netlist.hpp"
 #include "icvbe/spice/netlist_gen.hpp"
 #include "icvbe/spice/plan.hpp"
 #include "icvbe/spice/sim_session.hpp"
+#include "icvbe/spice/stamper.hpp"
 
 namespace {
 
@@ -37,18 +42,56 @@ spice::ParsedNetlist make_ac_deck(int nodes, std::uint64_t seed = 42) {
   return spice::parse_netlist(spice::generate_netlist(spec));
 }
 
-/// Mean microseconds per AC point over the deck's frequency grid,
-/// repeated until >= ~60 ms of work. The session is primed (OP solved,
-/// complex engine materialised, symbolic analysis cached) before timing.
-double time_ac_point_us(spice::SimSession& session,
-                        const std::vector<double>& freqs) {
-  (void)session.solve_or_throw();
-  (void)session.solve_ac(2.0 * M_PI * freqs.front());  // setup + analysis
+/// The dense reference of SimSession::solve_ac: the same complex system
+/// about the same operating point, stamped through AcStamper into a dense
+/// matrix and solved with linalg::ComplexLuFactorization. Storage is
+/// allocated once; solve() reuses it.
+class DenseAcSolver {
+ public:
+  explicit DenseAcSolver(spice::SimSession& session)
+      : session_(session),
+        op_(session.solve_or_throw()),
+        node_unknowns_(session.circuit().node_count() - 1) {
+    const auto n = static_cast<std::size_t>(session.unknown_count());
+    a_.resize(n, n);
+    b_.assign(n, linalg::Complex{});
+  }
+
+  const linalg::ComplexVector& solve(double omega) {
+    a_.fill(linalg::Complex{});
+    std::fill(b_.begin(), b_.end(), linalg::Complex{});
+    spice::AcStamper st(a_, b_, node_unknowns_, omega);
+    for (const auto& dev : session_.circuit().devices()) {
+      dev->stamp_ac(st, op_);
+    }
+    for (int i = 0; i < node_unknowns_; ++i) {
+      st.add_entry(i, i, linalg::Complex(session_.options().gmin_floor));
+    }
+    lu_.refactor(a_);
+    lu_.solve_in_place(b_);
+    return b_;
+  }
+
+ private:
+  spice::SimSession& session_;
+  spice::Unknowns op_;
+  int node_unknowns_;
+  linalg::ComplexMatrix a_;
+  linalg::ComplexVector b_;
+  linalg::ComplexLuFactorization lu_;
+};
+
+/// Mean microseconds per AC point of `solve_at(omega)` over the deck's
+/// frequency grid, repeated until >= ~60 ms of work. One untimed call
+/// first primes any setup (complex engine, symbolic analysis).
+template <typename SolveAt>
+double time_ac_point_us(SolveAt&& solve_at, const std::vector<double>& freqs) {
+  (void)solve_at(2.0 * M_PI * freqs.front());
   int reps = 1;
   for (;;) {
     const auto t0 = Clock::now();
     for (int r = 0; r < reps; ++r) {
-      for (double f : freqs) (void)session.solve_ac(2.0 * M_PI * f);
+      for (double f : freqs) (void)solve_at(2.0 * M_PI * f);
     }
     const double us =
         std::chrono::duration<double, std::micro>(Clock::now() - t0).count();
@@ -73,24 +116,16 @@ std::vector<AcRow> run_study() {
   for (int nodes : {50, 100, 200, 500}) {
     AcRow row;
     row.nodes = nodes;
-    {
-      auto parsed = make_ac_deck(nodes);
-      const std::vector<double> freqs = parsed.plan->ac->frequencies();
-      row.points = freqs.size();
-      spice::NewtonOptions opt;
-      opt.sparse = spice::SparseMode::kDense;
-      spice::SimSession session(*parsed.circuit, opt);
-      row.unknowns = session.unknown_count();
-      row.dense_us = time_ac_point_us(session, freqs);
-    }
-    {
-      auto parsed = make_ac_deck(nodes);
-      const std::vector<double> freqs = parsed.plan->ac->frequencies();
-      spice::NewtonOptions opt;
-      opt.sparse = spice::SparseMode::kSparse;
-      spice::SimSession session(*parsed.circuit, opt);
-      row.sparse_us = time_ac_point_us(session, freqs);
-    }
+    auto parsed = make_ac_deck(nodes);
+    const std::vector<double> freqs = parsed.plan->ac->frequencies();
+    row.points = freqs.size();
+    spice::SimSession session(*parsed.circuit);
+    row.unknowns = session.unknown_count();
+    DenseAcSolver dense(session);
+    row.dense_us = time_ac_point_us(
+        [&](double w) -> const auto& { return dense.solve(w); }, freqs);
+    row.sparse_us = time_ac_point_us(
+        [&](double w) -> const auto& { return session.solve_ac(w); }, freqs);
     rows.push_back(row);
   }
   return rows;
@@ -123,7 +158,8 @@ void write_json(const std::vector<AcRow>& rows, const std::string& path) {
 /// this binary, so a complex-engine regression cannot slip through green.
 [[nodiscard]] bool report() {
   bench::banner(
-      "AC sweep throughput: dense vs sparse complex engines (us/point)");
+      "AC sweep throughput: dense complex LU vs the sparse engine "
+      "(us/point)");
   const std::vector<AcRow> rows = run_study();
 
   Table t({"nodes", "unknowns", "points", "dense [us/pt]", "sparse [us/pt]",
@@ -157,15 +193,12 @@ void write_json(const std::vector<AcRow>& rows, const std::string& path) {
 
 void BM_AcPointDense(benchmark::State& state) {
   auto parsed = make_ac_deck(static_cast<int>(state.range(0)));
-  spice::NewtonOptions opt;
-  opt.sparse = spice::SparseMode::kDense;
-  spice::SimSession session(*parsed.circuit, opt);
-  (void)session.solve_or_throw();
-  (void)session.solve_ac(2.0 * M_PI * 10.0);
+  spice::SimSession session(*parsed.circuit);
+  DenseAcSolver dense(session);
   double f = 10.0;
   for (auto _ : state) {
     f = f < 1e5 ? f * 1.2589254117941673 : 10.0;
-    const auto& x = session.solve_ac(2.0 * M_PI * f);
+    const auto& x = dense.solve(2.0 * M_PI * f);
     benchmark::DoNotOptimize(x.data());
   }
 }
@@ -173,9 +206,7 @@ BENCHMARK(BM_AcPointDense)->Arg(100)->Arg(200);
 
 void BM_AcPointSparse(benchmark::State& state) {
   auto parsed = make_ac_deck(static_cast<int>(state.range(0)));
-  spice::NewtonOptions opt;
-  opt.sparse = spice::SparseMode::kSparse;
-  spice::SimSession session(*parsed.circuit, opt);
+  spice::SimSession session(*parsed.circuit);
   (void)session.solve_or_throw();
   (void)session.solve_ac(2.0 * M_PI * 10.0);
   double f = 10.0;

@@ -428,13 +428,12 @@ struct CampaignTimings {
   unsigned threads = 0;
 };
 
-/// Run the real 1000-die campaign through both paths (same sparse-forced
-/// engine, same thread pool) and bit-compare the LotSummary.
+/// Run the real 1000-die campaign through both paths (same thread pool)
+/// and bit-compare the LotSummary.
 CampaignTimings time_campaign() {
   lab::LotCampaignConfig cfg;
   cfg.samples = kGateDies;
   cfg.seed_base = 9000;
-  cfg.lab.newton.sparse = spice::SparseMode::kSparse;
   const lab::SiliconLot lot;
 
   CampaignTimings out;

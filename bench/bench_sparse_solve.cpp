@@ -1,10 +1,10 @@
-// Dense-vs-sparse linear engine crossover on generated netlists.
+// The sparse linear engine against a dense LU on generated netlists.
 //
 // Stage 1 (reproduction-style report): for each topology/size, stamp the
 // MNA system at its solved DC operating point and time the
-// refactor+solve loop both engines run inside every Newton iteration.
-// Prints the crossover, compares it with the NewtonOptions auto
-// threshold, and records the study in results/BENCH_sparse.json (plus the
+// refactor+solve every Newton iteration runs, on the sparse engine and on
+// linalg::LuFactorization of the same system (to_dense()). Prints the
+// crossover and records the study in results/BENCH_sparse.json (plus the
 // usual CSV).
 //
 // Stage 2 (ordering A/B): legacy set-based minimum degree vs the AMD +
@@ -47,7 +47,6 @@ using Clock = std::chrono::steady_clock;
 struct StampedSystem {
   std::unique_ptr<spice::Circuit> circuit;
   int unknowns = 0;
-  linalg::Matrix dense;
   linalg::SparseMatrix sparse;
   linalg::Vector rhs;
 };
@@ -70,13 +69,6 @@ StampedSystem make_system(spice::SyntheticTopology topology, int nodes,
 
   const auto un = static_cast<std::size_t>(n);
   out.rhs.assign(un, 0.0);
-  out.dense.resize(un, un);
-  {
-    spice::Stamper st(out.dense, out.rhs, node_unknowns);
-    for (const auto& dev : out.circuit->devices()) dev->stamp(st, x);
-    for (int i = 0; i < node_unknowns; ++i) st.add_entry(i, i, 1e-12);
-  }
-  std::fill(out.rhs.begin(), out.rhs.end(), 0.0);
   out.sparse.resize(un, un);
   {
     spice::Stamper st(out.sparse, out.rhs, node_unknowns);
@@ -121,9 +113,10 @@ std::vector<CrossoverRow> run_crossover_study() {
       const auto un = static_cast<std::size_t>(sys.unknowns);
       linalg::Vector x(un);
 
+      const linalg::Matrix dense = sys.sparse.to_dense();
       linalg::LuFactorization dlu;
       const double dense_us = time_us([&] {
-        dlu.refactor(sys.dense);
+        dlu.refactor(dense);
         x = sys.rhs;
         dlu.solve_in_place(x);
       });
@@ -306,8 +299,6 @@ void write_json(const std::vector<CrossoverRow>& rows, int crossover,
      << "  \"bench\": \"bench_sparse_solve\",\n"
      << "  \"kernel\": \"MNA refactor+solve per Newton iteration\",\n"
      << "  \"measured_crossover_unknowns\": " << crossover << ",\n"
-     << "  \"auto_threshold_default\": "
-     << spice::NewtonOptions{}.sparse_threshold << ",\n"
      << "  \"rows\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const CrossoverRow& r = rows[i];
@@ -372,15 +363,10 @@ void write_json(const std::vector<CrossoverRow>& rows, int crossover,
   bench::emit(t, "sparse_crossover.csv");
 
   const int crossover = crossover_unknowns(rows);
-  const int threshold = spice::NewtonOptions{}.sparse_threshold;
   std::printf(
       "\nmeasured crossover: sparse wins from <= %d unknowns on the "
-      "refactor+solve kernel.\n"
-      "NewtonOptions auto threshold = %d -- deliberately above the kernel "
-      "crossover so the\npaper's small bandgap cells keep the dense "
-      "engine's bit-exact legacy behaviour;\nlower options.sparse_threshold "
-      "(or force SparseMode::kSparse) to claim the win earlier.\n",
-      crossover, threshold);
+      "refactor+solve kernel.\n",
+      crossover);
 
   // Crossover gate: >= 3x on a >= 500-node netlist.
   bool gate_ok = true;
@@ -461,11 +447,12 @@ void write_json(const std::vector<CrossoverRow>& rows, int crossover,
 void BM_DenseRefactorSolve(benchmark::State& state) {
   StampedSystem sys = make_system(spice::SyntheticTopology::kMesh,
                                   static_cast<int>(state.range(0)));
+  const linalg::Matrix dense = sys.sparse.to_dense();
   linalg::LuFactorization lu;
   linalg::Vector x(static_cast<std::size_t>(sys.unknowns));
-  lu.refactor(sys.dense);
+  lu.refactor(dense);
   for (auto _ : state) {
-    lu.refactor(sys.dense);
+    lu.refactor(dense);
     x = sys.rhs;
     lu.solve_in_place(x);
     benchmark::DoNotOptimize(x.data());
@@ -493,9 +480,7 @@ void BM_SparseSessionDcSolve(benchmark::State& state) {
   spec.topology = spice::SyntheticTopology::kMesh;
   spec.nodes = static_cast<int>(state.range(0));
   auto parsed = spice::parse_netlist(spice::generate_netlist(spec));
-  spice::NewtonOptions opt;
-  opt.sparse = spice::SparseMode::kSparse;
-  spice::SimSession session(*parsed.circuit, opt);
+  spice::SimSession session(*parsed.circuit);
   auto& v1 = parsed.circuit->get<spice::VoltageSource>("V1");
   (void)session.solve_or_throw();
   double dv = 0.0;

@@ -2,7 +2,7 @@
 //
 // Stage 1 (report): for each ladder size, run the deck's full .TRAN
 // startup settling (PULSE supply step into an n-stage RC line) with the
-// adaptive trapezoidal controller on both linear engines, and record
+// adaptive trapezoidal controller, and record
 // wall time, accepted/rejected steps, Newton iterations, and timestep
 // throughput into results/BENCH_tran.json (plus the usual CSV).
 //
@@ -38,7 +38,6 @@ spice::ParsedNetlist make_ladder(int nodes, std::uint64_t seed = 42) {
 struct SettleRow {
   int nodes = 0;
   int unknowns = 0;
-  bool sparse = false;
   double wall_ms = 0.0;
   long accepted = 0;
   long rejected = 0;
@@ -49,11 +48,9 @@ struct SettleRow {
   }
 };
 
-SettleRow run_settling(int nodes, spice::SparseMode mode) {
+SettleRow run_settling(int nodes) {
   auto parsed = make_ladder(nodes);
-  spice::NewtonOptions options;
-  options.sparse = mode;
-  spice::SimSession session(*parsed.circuit, options);
+  spice::SimSession session(*parsed.circuit);
   spice::TransientSolver solver(session, *parsed.plan->transient);
   solver.begin();
   const auto t0 = Clock::now();
@@ -63,7 +60,6 @@ SettleRow run_settling(int nodes, spice::SparseMode mode) {
   SettleRow row;
   row.nodes = nodes;
   row.unknowns = session.unknown_count();
-  row.sparse = session.uses_sparse_engine();
   row.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
   row.accepted = solver.steps_accepted();
   row.rejected = solver.steps_rejected();
@@ -81,7 +77,6 @@ void write_json(const std::vector<SettleRow>& rows, const std::string& path) {
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const SettleRow& r = rows[i];
     os << "    {\"nodes\": " << r.nodes << ", \"unknowns\": " << r.unknowns
-       << ", \"engine\": \"" << (r.sparse ? "sparse" : "dense") << "\""
        << ", \"wall_ms\": " << r.wall_ms << ", \"steps\": " << r.accepted
        << ", \"rejected\": " << r.rejected
        << ", \"newton_iterations\": " << r.newton_iterations
@@ -97,16 +92,13 @@ void report() {
       "adaptive trapezoidal)");
   std::vector<SettleRow> rows;
   const int sizes[] = {20, 50, 100, 200};
-  for (int nodes : sizes) {
-    rows.push_back(run_settling(nodes, spice::SparseMode::kDense));
-    rows.push_back(run_settling(nodes, spice::SparseMode::kSparse));
-  }
+  for (int nodes : sizes) rows.push_back(run_settling(nodes));
 
-  Table t({"nodes", "unknowns", "engine", "wall [ms]", "steps", "rejected",
+  Table t({"nodes", "unknowns", "wall [ms]", "steps", "rejected",
            "newton iters", "steps/s"});
   for (const SettleRow& r : rows) {
     t.add_row({std::to_string(r.nodes), std::to_string(r.unknowns),
-               r.sparse ? "sparse" : "dense", format_sig(r.wall_ms, 4),
+               format_sig(r.wall_ms, 4),
                std::to_string(r.accepted), std::to_string(r.rejected),
                std::to_string(r.newton_iterations),
                format_sig(r.steps_per_second(), 4)});

@@ -27,10 +27,7 @@ struct CampaignConfig {
   bool ideal_thermal = false;      ///< true: die temperature == chamber
   bandgap::TestCellParams cell;    ///< cell electricals (models overwritten
                                    ///< from the DieSample)
-  /// Solver options for every measurement rig the laboratory builds. The
-  /// default (auto engine selection) keeps historical behaviour; lot runs
-  /// that use the batched lane path force sparse here so the per-die and
-  /// batched factorisations share one engine and stay bit-identical.
+  /// Solver options for every measurement rig the laboratory builds.
   spice::NewtonOptions newton;
 };
 

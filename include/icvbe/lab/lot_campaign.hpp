@@ -24,16 +24,14 @@ struct LotCampaignConfig {
   int first_index = 1;       ///< lot index of the first die
   unsigned threads = 0;      ///< worker threads; 0 = hardware_concurrency
 
-  /// Batched lot solver: lanes > 1 makes run() group dies into lanes-wide
-  /// batches per worker, sharing one sparse pattern + symbolic analysis
-  /// per rig and carrying all lanes through each LU refactor/solve
-  /// together (BatchDcSession) instead of building fresh circuits and
-  /// sessions per die. Requires lab.newton.sparse == kSparse (the batch
-  /// engine is sparse; forcing the per-die path onto the same engine is
-  /// what keeps the two paths bit-identical). 0 or 1 = classic per-die
-  /// path. Results are bit-identical for any lanes value and any thread
-  /// count (asserted by test_lot_batch and bench_lot_statistics).
-  unsigned lanes = 0;
+  /// Batched lot solver: lanes > 1 (the default) makes run() group dies
+  /// into lanes-wide batches per worker, sharing one sparse pattern +
+  /// symbolic analysis per rig and carrying all lanes through each LU
+  /// refactor/solve together (BatchDcSession) instead of building fresh
+  /// circuits and sessions per die. 0 or 1 = classic per-die path, the
+  /// reference. Results are bit-identical for any lanes value and any
+  /// thread count (asserted by test_lot_batch and bench_lot_statistics).
+  unsigned lanes = 8;
 
   /// Per-die instrument master seed is `seed_base + die index` (the same
   /// convention the serial lot studies used).
@@ -117,9 +115,7 @@ class LotCampaign {
   /// leaves the lockstep (pivot rejection, non-convergence in plain
   /// Newton, any measurement error) falls back to the per-die run_die()
   /// for that die, so every result is bit-identical to run() with
-  /// lanes == 0 under the same (sparse-forced) solver options.
-  /// \pre config().lab.newton.sparse == SparseMode::kSparse (throws
-  ///      Error otherwise).
+  /// lanes == 0.
   [[nodiscard]] std::vector<DieCharacterisation> run_batched() const;
 
   /// Characterise a single die (what each worker runs). Deterministic in

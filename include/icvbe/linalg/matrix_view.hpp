@@ -4,8 +4,8 @@
 //
 // This is the stamping contract: devices write their MNA entries through a
 // Stamper that holds a MatrixViewT, so the same stamp() code serves the
-// dense small-circuit fast path and the sparse large-netlist engine with
-// zero duplication. The only operation a stamp needs is `add` (+=), which
+// sessions' sparse engine and a dense reference solve with zero
+// duplication. The only operation a stamp needs is `add` (+=), which
 // keeps the view trivially cheap: one branch per entry, inlined. The view
 // is scalar-generic: MatrixView (double) carries DC/transient Jacobians,
 // ComplexMatrixView carries the AC small-signal admittance system -- one

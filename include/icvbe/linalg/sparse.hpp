@@ -4,11 +4,10 @@
 // reusable symbolic analysis. Generic over the scalar type (double for
 // DC/transient Newton systems, Complex for small-signal AC systems).
 //
-// The dense workspace solver (matrix.hpp / solve.hpp) is ideal for the
-// paper's tens-of-node bandgap cells but stores O(n^2) and refactors in
-// O(n^3). The netlist parser happily ingests thousands of nodes, where an
-// MNA matrix has a handful of entries per row; this header provides the
-// engine SimSession switches to above NewtonOptions::sparse_threshold.
+// The dense workspace solver (matrix.hpp / solve.hpp) stores O(n^2) and
+// refactors in O(n^3). The netlist parser happily ingests thousands of
+// nodes, where an MNA matrix has a handful of entries per row; this header
+// provides the engine every SimSession binds, at every size.
 //
 // Lifecycle, mirroring the dense workspace-reuse discipline:
 //  1. building: SparseMatrixT::add(r, c, v) records coordinates (one

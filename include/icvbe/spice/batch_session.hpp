@@ -13,8 +13,9 @@
 //
 // Determinism contract (what makes batched results bit-identical to the
 // per-die scalar path, for any thread count and any lane count):
-//  * each lane's per-iteration arithmetic -- stamping, damping, tolerance
-//    checks -- is exactly SimSession::newton_attempt's, and the batched
+//  * each lane's per-iteration arithmetic is exactly
+//    SimSession::newton_attempt's: the same stamps, and the same
+//    newton_update() call for damping and tolerance checks; the batched
 //    refactor/solve produce bit-identical factors/solutions to the scalar
 //    sparse engine under the same pivot sequence;
 //  * the analysis is primed once from a caller-chosen reference state
@@ -59,8 +60,7 @@ struct BatchLaneStatus {
 class BatchDcSession {
  public:
   /// Bind to `lanes` circuits. Runs one pattern-discovery stamp pass on
-  /// lane 0 and preallocates every buffer; the sparse batch engine is
-  /// always used (that is the point), regardless of options.sparse.
+  /// lane 0 and preallocates every buffer.
   /// \pre all lanes share the topology of lane 0 and outlive the session.
   explicit BatchDcSession(std::vector<Circuit*> lanes,
                           NewtonOptions options = {});

@@ -2,8 +2,8 @@
 // Dynamic (energy-storage) devices: capacitor and inductor.
 //
 // Both stamp classic SPICE companion models through the same
-// Stamper/MatrixView contract every static device uses, so the dense and
-// sparse linear engines serve them unchanged. A dynamic device is in one
+// Stamper/MatrixView contract every static device uses, so the linear
+// engine serves them unchanged. A dynamic device is in one
 // of two modes:
 //
 //  * DC mode (default): the device contributes its steady-state behaviour

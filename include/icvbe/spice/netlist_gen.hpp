@@ -50,7 +50,7 @@ struct SyntheticNetlistSpec {
   /// `.AC DEC ...` over the topology's interesting band with VDB/VP
   /// probes of the far node (the `gen_netlist --ac` flag). The rc-ladder
   /// becomes a many-pole low-pass; resistive ladders give flat dividers
-  /// -- both are valid dense-vs-sparse complex workloads.
+  /// -- both are valid complex-engine workloads.
   bool ac_analysis = false;
 };
 

@@ -408,14 +408,13 @@ struct AnalysisPlan {
   /// N = N workers over per-thread circuit clones. Results are
   /// bit-identical for any value.
   unsigned threads = 1;
-  /// Batched outer-row fanout for 2-axis DC plans on the sparse engine
-  /// (.STEP corner families): lanes > 1 groups outer rows into lanes-wide
-  /// batches per worker, sharing one symbolic analysis and carrying all
-  /// lanes through each LU refactor/solve together (BatchDcSession). A
-  /// row whose lane leaves the lockstep is re-run through the ordinary
-  /// scalar row path on its clone. Ignored (scalar path) unless the plan
-  /// has two axes and the session bound the sparse engine. Results are
-  /// bit-identical for any lanes value and any thread count.
+  /// Batched outer-row fanout for 2-axis DC plans (.STEP corner
+  /// families): lanes > 1 groups outer rows into lanes-wide batches per
+  /// worker, sharing one symbolic analysis and carrying all lanes through
+  /// each LU refactor/solve together (BatchDcSession). A row whose lane
+  /// leaves the lockstep is re-run through the ordinary scalar row path
+  /// on its clone. Ignored (scalar path) unless the plan has two axes.
+  /// Results are bit-identical for any lanes value and any thread count.
   unsigned lanes = 0;
 };
 

@@ -18,21 +18,10 @@
 #include <vector>
 
 #include "icvbe/common/series.hpp"
-#include "icvbe/linalg/solve.hpp"
 #include "icvbe/linalg/sparse.hpp"
 #include "icvbe/spice/circuit.hpp"
 
 namespace icvbe::spice {
-
-/// Linear-engine selection for a session. kAuto compares the unknown count
-/// against NewtonOptions::sparse_threshold at bind time; the choice is
-/// fixed until rebind() (and inherited by the per-thread clones of a
-/// parallel plan run, so results stay bit-identical for any thread count).
-enum class SparseMode {
-  kAuto,    ///< sparse iff unknowns >= sparse_threshold (default)
-  kDense,   ///< always the dense workspace LU
-  kSparse,  ///< always the CSR engine with cached symbolic analysis
-};
 
 struct NewtonOptions {
   int max_iterations = 200;      ///< per Newton attempt
@@ -43,11 +32,6 @@ struct NewtonOptions {
   double gmin_floor = 1e-12;     ///< final gmin left in the matrix
   int gmin_steps = 8;            ///< decades of gmin ramp when needed
   int source_steps = 10;         ///< source-stepping ramp points when needed
-  SparseMode sparse = SparseMode::kAuto;  ///< linear engine selection
-  /// Unknown count at/above which kAuto picks the sparse engine. The
-  /// default tracks the measured dense/sparse crossover on generated
-  /// netlists (bench_sparse_solve; see results/BENCH_sparse.json).
-  int sparse_threshold = 64;
   /// Symbolic-path knobs for the sparse engine (ordering, BTF, supernode
   /// thresholds). Applied to every sparse factorization the session owns
   /// (real DC/TRAN, complex AC, batched lanes) at bind/rebind time.
@@ -62,6 +46,29 @@ struct DcResult {
   int iterations = 0;        ///< total Newton iterations spent
   std::string strategy;      ///< "newton", "gmin", or "source"
 };
+
+/// Outcome of one Newton iteration's update (newton_update).
+enum class NewtonStep {
+  kContinue,   ///< not converged yet; iterate again
+  kConverged,  ///< undamped step within tolerance on every unknown
+  kDiverged,   ///< the iterate went non-finite
+};
+
+/// The epilogue of one Newton iteration, shared by SimSession and
+/// BatchDcSession: damp the step so no node voltage moves more than
+/// max_step_volts (junction limiting inside the devices already handles
+/// the exponentials), move `x` to the damped iterate, then test
+/// convergence and finiteness. The linear solve's result for unknown i is
+/// read at `x_new[i * stride]`: stride 1 for a scalar solve buffer, K for
+/// lane-fastest RHS planes of a K-lane batch. Both sessions run this one
+/// function, so a lane's trajectory is bit-identical to the scalar one by
+/// construction. `first_iteration` is never converged (two iterations
+/// are required).
+[[nodiscard]] NewtonStep newton_update(const NewtonOptions& opt,
+                                       int node_unknowns,
+                                       bool first_iteration,
+                                       const double* x_new,
+                                       std::size_t stride, Unknowns& x);
 
 /// Legacy function probe: maps a solved operating point to the scalar
 /// being recorded. New code should prefer the typed, serialisable
@@ -89,8 +96,7 @@ class RunObserver;
 class SimSession {
  public:
   /// Bind to `circuit`, assign unknowns, and preallocate every buffer the
-  /// Newton loop needs (including the one-pass sparse pattern discovery
-  /// when the CSR engine is selected).
+  /// Newton loop needs (including the one-pass sparse pattern discovery).
   /// \pre `circuit` has at least one non-ground node or aux unknown, and
   ///      outlives the session.
   /// \post unknown indices are assigned; adding devices or nodes
@@ -101,22 +107,15 @@ class SimSession {
   SimSession& operator=(const SimSession&) = delete;
 
   /// Re-assign unknowns and re-size the workspace after a topology change.
-  /// \post the warm start is invalidated; the linear engine is re-chosen
-  ///       from options() (auto threshold against the new unknown count)
-  ///       and the idle engine's storage is released.
+  /// \post the warm start is invalidated, the sparse pattern is
+  ///       re-discovered, and the AC engine is released.
   void rebind();
 
   [[nodiscard]] Circuit& circuit() noexcept { return *circuit_; }
   [[nodiscard]] const Circuit& circuit() const noexcept { return *circuit_; }
   [[nodiscard]] int unknown_count() const noexcept { return n_unknowns_; }
-  /// True if this session bound the sparse CSR engine (decided at
-  /// construction / rebind() from options().sparse and sparse_threshold).
-  [[nodiscard]] bool uses_sparse_engine() const noexcept {
-    return use_sparse_;
-  }
-  /// The bound sparse engine's DC matrix and factorisation, for
-  /// diagnostics (stamp-tape misses, refactor_stats(), analysis_count());
-  /// empty when the dense engine is bound.
+  /// The DC matrix and factorisation, for diagnostics (stamp-tape misses,
+  /// refactor_stats(), analysis_count()).
   [[nodiscard]] const linalg::SparseMatrix& sparse_matrix() const noexcept {
     return sa_;
   }
@@ -133,8 +132,9 @@ class SimSession {
   /// references session-owned storage and is valid until the next solve.
   /// Start point priority: `initial` if given, else the previous solution
   /// (warm-start continuation, on by default), else a cold start.
-  /// Falls back to gmin stepping, then source stepping, like the legacy
-  /// solver.
+  /// If plain Newton fails it is retried once from the same start with
+  /// fresh pivots every iteration, then falls back to gmin stepping, then
+  /// source stepping, like the legacy solver.
   /// \pre the circuit's device count is unchanged since bind/rebind()
   ///      (violations throw CircuitError rather than stamping into a
   ///      stale pattern).
@@ -154,18 +154,17 @@ class SimSession {
   /// or an explicitly seeded warm start (seed_warm_start); if neither
   /// exists, the operating point is solved first (solve_or_throw).
   ///
-  /// Every device stamps its linearised complex admittance at the OP
-  /// through the engine the session bound at rebind time: the dense
-  /// complex workspace below the sparse threshold, or a complex CSR
-  /// matrix whose frozen pattern is discovered once and whose LU reuses
-  /// one cached symbolic analysis across the whole frequency sweep. The
-  /// gmin_floor diagonal is included, mirroring the DC system.
+  /// Every device stamps its linearised complex admittance at the OP into
+  /// a complex CSR matrix whose frozen pattern is discovered once and
+  /// whose LU reuses one cached symbolic analysis across the whole
+  /// frequency sweep. The gmin_floor diagonal is included, mirroring the
+  /// DC system.
   ///
   /// Returns the complex unknown phasors (node voltages then aux branch
   /// currents), session-owned and valid until the next solve_ac call.
   /// Allocation guarantee: after the first solve_ac at a given size (which
-  /// materialises the complex engine and, for sparse, runs the symbolic
-  /// analysis), further calls perform zero heap allocations (asserted by
+  /// materialises the complex engine and runs the symbolic analysis),
+  /// further calls perform zero heap allocations (asserted by
   /// test_ac via the counting operator-new hook).
   /// Throws NumericalError if the AC system is singular.
   const linalg::ComplexVector& solve_ac(double omega);
@@ -260,9 +259,11 @@ class SimSession {
   }
 
  private:
-  /// One Newton attempt at fixed gmin; allocation-free. Returns true on
-  /// convergence; x holds the final iterate either way.
-  bool newton_attempt(double gmin, Unknowns& x, int& iterations);
+  /// One Newton attempt at fixed gmin; allocation-free unless `repivot`
+  /// (a fresh symbolic analysis, hence fresh pivots, every iteration).
+  /// Returns true on convergence; x holds the final iterate either way.
+  bool newton_attempt(double gmin, Unknowns& x, int& iterations,
+                      bool repivot = false);
 
   /// AC-plan execution (defined with the rest of the plan machinery in
   /// plan.cpp). \pre plan.ac is set and plan.axes is empty.
@@ -280,29 +281,19 @@ class SimSession {
   int node_unknowns_ = 0;
   std::size_t bound_device_count_ = 0;
 
-  // Exactly one linear engine is live per bind: the dense workspace pair
-  // (a_, lu_) below threshold, the CSR pair (sa_, slu_) above it. The idle
-  // engine's storage is released at rebind() -- a 5000-unknown session
-  // must not carry a 200 MB dense matrix it never factors.
-  bool use_sparse_ = false;
-  linalg::Matrix a_;
-  linalg::Vector b_;
-  linalg::Vector x_new_;
-  linalg::LuFactorization lu_;
+  linalg::Vector b_;  ///< RHS, then the linear solve's result
   linalg::SparseMatrix sa_;
   linalg::SparseLuFactorization slu_;
 
-  // Complex twin of the bound engine for AC solves, materialised lazily by
+  // Complex twin of the DC engine for AC solves, materialised lazily by
   // the first solve_ac() (a DC-only session never pays for it) and
-  // released at rebind(). The sparse pattern is discovered by one
-  // stamp_ac pass, then frozen -- the same build-once discipline as sa_.
+  // released at rebind(). The pattern is discovered by one stamp_ac pass,
+  // then frozen -- the same build-once discipline as sa_.
   bool ac_ready_ = false;
-  linalg::ComplexMatrix ca_;
   linalg::ComplexVector cb_;
-  linalg::ComplexLuFactorization clu_;
   linalg::ComplexSparseMatrix csa_;
   linalg::ComplexSparseLuFactorization cslu_;
-  // The sparse symbolic analysis is pinned to the first frequency a
+  // The symbolic analysis is pinned to the first frequency a
   // session stamped (the sweep's "prime"): if a later point's refactor
   // collapsed the frozen pivots and re-analysed, the next solve_ac
   // re-pins at this omega first, so every point's factorisation is a

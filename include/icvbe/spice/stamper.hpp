@@ -22,10 +22,10 @@ template <typename Scalar>
 class StamperT {
  public:
   /// `node_unknowns` = number of non-ground nodes; aux rows follow.
-  /// `a` views either the dense workspace matrix or the sparse CSR one
-  /// (implicitly constructible from MatrixT& or SparseMatrixT&): devices
-  /// stamp through the same MatrixViewT contract either way, so the engine
-  /// choice never duplicates a device model.
+  /// `a` views either a dense matrix or the sparse CSR one (implicitly
+  /// constructible from MatrixT& or SparseMatrixT&): devices stamp through
+  /// the same MatrixViewT contract either way, so the sessions' CSR engine
+  /// and a dense reference solve share one device model.
   StamperT(linalg::MatrixViewT<Scalar> a, linalg::VectorT<Scalar>& b,
            int node_unknowns);
 

@@ -215,11 +215,6 @@ struct WorkerRigs {
 }  // namespace
 
 std::vector<DieCharacterisation> LotCampaign::run_batched() const {
-  ICVBE_REQUIRE(
-      config_.lab.newton.sparse == spice::SparseMode::kSparse,
-      "LotCampaign: the batched lane path requires lab.newton.sparse == "
-      "kSparse (the batch engine is sparse; the per-die path must use the "
-      "same engine for bit-identical results)");
   const auto n = static_cast<std::size_t>(config_.samples);
   const std::size_t k = config_.lanes;
   std::vector<DieCharacterisation> results(n);

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <initializer_list>
 #include <istream>
 #include <limits>
 #include <sstream>
@@ -165,18 +167,40 @@ MosfetModel parse_mosfet_model(const std::map<std::string, double>& p,
   return m;
 }
 
+/// Most points one deck grid (.DC/.STEP/.AC) may describe. Grid sizes are
+/// checked against it in double arithmetic before anything is allocated,
+/// so an absurd card is a named error rather than a hang.
+constexpr double kMaxGridPoints = 1e7;
+
+void require_finite(std::initializer_list<double> values, int line,
+                    const char* what) {
+  for (double v : values) {
+    if (!std::isfinite(v)) fail(line, std::string(what) + " must be finite");
+  }
+}
+
+void require_grid_size(double points, int line) {
+  if (!(points <= kMaxGridPoints)) {
+    fail(line, "sweep would have " + format_sig(points, 3) +
+                   " points (at most 1e7)");
+  }
+}
+
 /// start, start+incr, ... up to stop (inclusive within a tolerance), the
 /// SPICE .DC / .STEP stepping rule.
 std::vector<double> stepped_values(double start, double stop, double incr,
                                    int line) {
+  require_finite({start, stop, incr}, line,
+                 "sweep start, stop and increment");
   if (incr == 0.0 || (stop - start) * incr < 0.0) {
     fail(line, "sweep increment must step from start towards stop");
   }
+  const double points = std::abs((stop - start) / incr) + 1.0;
+  require_grid_size(points, line);
   const double eps = 1e-9 * std::abs(incr);
   std::vector<double> values;
-  values.reserve(
-      static_cast<std::size_t>(std::abs((stop - start) / incr)) + 1);
-  for (int i = 0;; ++i) {
+  values.reserve(static_cast<std::size_t>(points));
+  for (std::int64_t i = 0;; ++i) {
     const double v = start + incr * static_cast<double>(i);
     if (incr > 0.0 ? v > stop + eps : v < stop - eps) break;
     values.push_back(v);
@@ -450,12 +474,22 @@ ParsedNetlist parse_netlist(std::string_view text) {
         if (tokens.size() != 6) {
           fail(lineno, ".STEP DEC needs <start> <stop> <points-per-decade>");
         }
+        const double start = parse_spice_number(tokens[3]);
+        const double stop = parse_spice_number(tokens[4]);
+        const double per_decade = parse_spice_number(tokens[5]);
+        require_finite({start, stop, per_decade}, lineno,
+                       ".STEP DEC start, stop and points per decade");
+        require_grid_size(std::abs(per_decade), lineno);
+        if (start > 0.0 && stop > start) {
+          require_grid_size(
+              per_decade * (std::log10(stop) - std::log10(start)) + 1.0,
+              lineno);
+        }
         try {
           step_axis = axis_for_target(
               target,
-              SweepGrid::log_decades(
-                  parse_spice_number(tokens[3]), parse_spice_number(tokens[4]),
-                  static_cast<int>(parse_spice_number(tokens[5]))),
+              SweepGrid::log_decades(start, stop,
+                                     static_cast<int>(per_decade)),
               lineno);
         } catch (const PlanError& e) {
           fail(lineno, e.what());
@@ -556,9 +590,21 @@ ParsedNetlist parse_netlist(std::string_view text) {
         fail(lineno, ".AC: unknown sweep form '" + tokens[1] +
                          "' (want DEC, OCT, or LIN)");
       }
-      spec.points = static_cast<int>(parse_spice_number(tokens[2]));
+      const double points = parse_spice_number(tokens[2]);
       spec.fstart = parse_spice_number(tokens[3]);
       spec.fstop = parse_spice_number(tokens[4]);
+      require_finite({points, spec.fstart, spec.fstop}, lineno,
+                     ".AC points, fstart and fstop");
+      require_grid_size(std::abs(points), lineno);
+      if (spec.spacing != AcSpec::Spacing::kLinear && spec.fstart > 0.0 &&
+          spec.fstop > spec.fstart) {
+        const double span =
+            spec.spacing == AcSpec::Spacing::kDecade
+                ? std::log10(spec.fstop) - std::log10(spec.fstart)
+                : std::log2(spec.fstop) - std::log2(spec.fstart);
+        require_grid_size(points * span + 1.0, lineno);
+      }
+      spec.points = static_cast<int>(points);
       try {
         (void)spec.frequencies();  // validate now, with line context
       } catch (const PlanError& e) {

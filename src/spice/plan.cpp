@@ -1263,13 +1263,10 @@ SweepResult SimSession::run_ac(const AnalysisPlan& plan,
   // sparse symbolic analysis at the sweep's FIRST frequency -- otherwise
   // the threshold pivoting would run at whichever point a worker happened
   // to draw first and the factor could differ across schedules.
-  NewtonOptions worker_options = plan.options;
-  worker_options.sparse =
-      use_sparse_ ? SparseMode::kSparse : SparseMode::kDense;
   std::atomic<std::size_t> next{0};
   common::fan_out(threads, [&]() {
     Circuit clone = circuit_->clone();
-    SimSession session(clone, worker_options);
+    SimSession session(clone, plan.options);
     session.seed_warm_start(op);
     const CompiledProbeSet probes(plan.probes, clone, ProbeDomain::kAc);
     std::vector<double> probe_row(plan.probes.size(), 0.0);
@@ -1409,14 +1406,11 @@ SweepResult SimSession::run(const AnalysisPlan& plan, RunObserver* observer) {
   // Batched outer-row fanout (.STEP corner families): workers claim
   // lanes-wide groups of rows and drive them through one BatchDcSession --
   // one symbolic analysis and one K-wide LU refactor/solve per Newton
-  // iteration instead of per-row scalar factorisations. Sparse engine
-  // only (the batch kernel is sparse, and mixing engines would break
-  // bit-identity with the scalar path); a row whose lane leaves the
-  // lockstep is re-run through the ordinary scalar row path on its clone,
-  // which is exactly what the per-row fallback ladder would have done.
-  if (plan.lanes > 1 && use_sparse_) {
-    NewtonOptions lane_options = plan.options;
-    lane_options.sparse = SparseMode::kSparse;
+  // iteration instead of per-row scalar factorisations. A row whose lane
+  // leaves the lockstep is re-run through the ordinary scalar row path on
+  // its clone, which is exactly what the per-row fallback ladder would
+  // have done.
+  if (plan.lanes > 1) {
     const auto lane_w = std::min<std::size_t>(plan.lanes, outer_n);
     const std::size_t groups = (outer_n + lane_w - 1) / lane_w;
     unsigned lane_threads = common::resolve_thread_count(plan.threads);
@@ -1437,7 +1431,7 @@ SweepResult SimSession::run(const AnalysisPlan& plan, RunObserver* observer) {
         ptrs.push_back(&clones[l]);
         bounds.emplace_back(plan, clones[l]);
       }
-      BatchDcSession batch(std::move(ptrs), lane_options);
+      BatchDcSession batch(std::move(ptrs), plan.options);
       // Deterministic prime: row 0's first point start state -- a pure
       // function of (circuit, plan), so the pinned pivot sequence never
       // depends on which worker claims which group.
@@ -1500,7 +1494,7 @@ SweepResult SimSession::run(const AnalysisPlan& plan, RunObserver* observer) {
         }
         for (std::size_t l = 0; l < group_size; ++l) {
           if (!solo[l]) continue;
-          SimSession solo_session(clones[l], lane_options);
+          SimSession solo_session(clones[l], plan.options);
           run_outer_row(solo_session, bounds[l], plan, out.inner_, row[l],
                         out.outer_[row[l]], seed, columns, stream);
         }
@@ -1521,17 +1515,11 @@ SweepResult SimSession::run(const AnalysisPlan& plan, RunObserver* observer) {
   // Parallel outer fanout over per-thread circuit clones: workers pull row
   // indices from a shared counter and write only their own preallocated
   // slots (the LotCampaign discipline) -- scheduling decides who computes
-  // a row, never what it yields. Workers are pinned to this session's
-  // bind-time linear engine: dense and sparse LU round differently, so a
-  // thread-count-dependent engine choice would break bit-identity with
-  // the serial path.
-  NewtonOptions worker_options = plan.options;
-  worker_options.sparse =
-      use_sparse_ ? SparseMode::kSparse : SparseMode::kDense;
+  // a row, never what it yields.
   std::atomic<std::size_t> next{0};
   common::fan_out(threads, [&]() {
     Circuit clone = circuit_->clone();
-    SimSession session(clone, worker_options);
+    SimSession session(clone, plan.options);
     BoundPlan bound(plan, clone);
     for (;;) {
       if (stream.cancelled.load(std::memory_order_relaxed)) break;

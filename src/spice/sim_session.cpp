@@ -21,49 +21,31 @@ void SimSession::rebind() {
 
   const auto n = static_cast<std::size_t>(n_unknowns_);
   b_.assign(n, 0.0);
-  x_new_.assign(n, 0.0);
   x_ = Unknowns(n);
   x_stage_ = Unknowns(n);
   result_.solution = Unknowns(n);
   have_last_ = false;
 
-  // Linear-engine choice, fixed until the next rebind. Only the chosen
-  // engine's storage is materialised.
-  use_sparse_ =
-      options_.sparse == SparseMode::kSparse ||
-      (options_.sparse == SparseMode::kAuto &&
-       n_unknowns_ >= options_.sparse_threshold);
-  if (use_sparse_) {
-    a_ = linalg::Matrix();
-    lu_ = linalg::LuFactorization();
-    slu_ = linalg::SparseLuFactorization();
-    slu_.set_options(options_.sparse_options);
-    // Pattern discovery: one stamp pass registers every (row, col) a
-    // device can touch -- stamped values are irrelevant (a zero value
-    // still registers its slot), so the zero iterate works. The gmin
-    // diagonal slots are part of the pattern too.
-    sa_.resize(n, n);
-    Stamper st(sa_, b_, node_unknowns_);
-    for (const auto& dev : circuit_->devices()) dev->stamp(st, x_);
-    for (int i = 0; i < node_unknowns_; ++i) st.add_entry(i, i, 0.0);
-    sa_.freeze_pattern();
-    // The discovery pass ran device limiting at the zero iterate; wipe
-    // that memory and the scratch RHS so the first real solve starts
-    // clean.
-    for (const auto& dev : circuit_->devices()) dev->reset_state();
-    std::fill(b_.begin(), b_.end(), 0.0);
-  } else {
-    sa_ = linalg::SparseMatrix();
-    slu_ = linalg::SparseLuFactorization();
-    a_.resize(n, n);
-  }
+  slu_ = linalg::SparseLuFactorization();
+  slu_.set_options(options_.sparse_options);
+  // Pattern discovery: one stamp pass registers every (row, col) a device
+  // can touch -- stamped values are irrelevant (a zero value still
+  // registers its slot), so the zero iterate works. The gmin diagonal
+  // slots are part of the pattern too.
+  sa_.resize(n, n);
+  Stamper st(sa_, b_, node_unknowns_);
+  for (const auto& dev : circuit_->devices()) dev->stamp(st, x_);
+  for (int i = 0; i < node_unknowns_; ++i) st.add_entry(i, i, 0.0);
+  sa_.freeze_pattern();
+  // The discovery pass ran device limiting at the zero iterate; wipe that
+  // memory and the scratch RHS so the first real solve starts clean.
+  for (const auto& dev : circuit_->devices()) dev->reset_state();
+  std::fill(b_.begin(), b_.end(), 0.0);
 
   // Release the complex AC engine; the next solve_ac() rebuilds it at the
-  // new size (and re-discovers the sparse pattern).
+  // new size (and re-discovers the pattern).
   ac_ready_ = false;
-  ca_ = linalg::ComplexMatrix();
   cb_ = linalg::ComplexVector();
-  clu_ = linalg::ComplexLuFactorization();
   csa_ = linalg::ComplexSparseMatrix();
   cslu_ = linalg::ComplexSparseLuFactorization();
   cslu_.set_options(options_.sparse_options);
@@ -94,65 +76,61 @@ void SimSession::seed_warm_start(const Unknowns& x) {
   }
 }
 
-bool SimSession::newton_attempt(double gmin, Unknowns& x, int& iterations) {
-  const int n_unknowns = n_unknowns_;
+NewtonStep newton_update(const NewtonOptions& opt, int node_unknowns,
+                         bool first_iteration, const double* x_new,
+                         std::size_t stride, Unknowns& x) {
+  const auto n_unknowns = x.size();
+  const auto nodes = static_cast<std::size_t>(node_unknowns);
+  double* xv = x.raw().data();
+
+  double max_node_dx = 0.0;
+  for (std::size_t i = 0; i < nodes; ++i) {
+    max_node_dx = std::max(max_node_dx, std::abs(x_new[i * stride] - xv[i]));
+  }
+  double scale = 1.0;
+  if (max_node_dx > opt.max_step_volts) {
+    scale = opt.max_step_volts / max_node_dx;
+  }
+
+  bool converged = !first_iteration;
+  for (std::size_t i = 0; i < n_unknowns; ++i) {
+    const double xi = xv[i];
+    const double xn = xi + scale * (x_new[i * stride] - xi);
+    const double dx = std::abs(xn - xi);
+    const double abstol = (i < nodes) ? opt.v_abstol : opt.i_abstol;
+    const double tol =
+        abstol + opt.reltol * std::max(std::abs(xi), std::abs(xn));
+    if (dx > tol) converged = false;
+    xv[i] = xn;
+  }
+  if (!std::isfinite(linalg::norm_inf(x.raw()))) return NewtonStep::kDiverged;
+  return converged && scale == 1.0 ? NewtonStep::kConverged
+                                   : NewtonStep::kContinue;
+}
+
+bool SimSession::newton_attempt(double gmin, Unknowns& x, int& iterations,
+                                bool repivot) {
   const int node_unknowns = node_unknowns_;
   const NewtonOptions& opt = options_;
 
   for (int iter = 0; iter < opt.max_iterations; ++iter) {
     ++iterations;
-    linalg::MatrixView a = use_sparse_ ? linalg::MatrixView(sa_)
-                                       : linalg::MatrixView(a_);
-    a.fill(0.0);
+    sa_.fill(0.0);
     std::fill(b_.begin(), b_.end(), 0.0);
-    Stamper st(a, b_, node_unknowns);
+    Stamper st(sa_, b_, node_unknowns);
     for (const auto& dev : circuit_->devices()) dev->stamp(st, x);
     for (int i = 0; i < node_unknowns; ++i) st.add_entry(i, i, gmin);
 
     try {
-      if (use_sparse_) {
-        slu_.refactor(sa_);
-      } else {
-        lu_.refactor(a_);
-      }
+      if (repivot) slu_.invalidate_analysis();
+      slu_.refactor(sa_);
     } catch (const NumericalError&) {
       return false;
     }
-    x_new_ = b_;  // same-size copy into the preallocated solve buffer
-    if (use_sparse_) {
-      slu_.solve_in_place(x_new_);
-    } else {
-      lu_.solve_in_place(x_new_);
-    }
-
-    // Global damping: scale the step so no node voltage moves more than
-    // max_step_volts in one iteration (junction limiting inside the
-    // devices already handles the exponentials).
-    double max_node_dx = 0.0;
-    for (int i = 0; i < node_unknowns; ++i) {
-      max_node_dx = std::max(max_node_dx,
-                             std::abs(x_new_[static_cast<std::size_t>(i)] -
-                                      x.raw()[static_cast<std::size_t>(i)]));
-    }
-    double scale = 1.0;
-    if (max_node_dx > opt.max_step_volts) {
-      scale = opt.max_step_volts / max_node_dx;
-    }
-
-    bool converged = (iter > 0);  // require at least two iterations
-    for (int i = 0; i < n_unknowns; ++i) {
-      const double xi = x.raw()[static_cast<std::size_t>(i)];
-      const double xn =
-          xi + scale * (x_new_[static_cast<std::size_t>(i)] - xi);
-      const double dx = std::abs(xn - xi);
-      const double abstol = (i < node_unknowns) ? opt.v_abstol : opt.i_abstol;
-      const double tol =
-          abstol + opt.reltol * std::max(std::abs(xi), std::abs(xn));
-      if (dx > tol) converged = false;
-      x.raw()[static_cast<std::size_t>(i)] = xn;
-    }
-    if (!std::isfinite(linalg::norm_inf(x.raw()))) return false;
-    if (converged && scale == 1.0) return true;
+    slu_.solve_in_place(b_);
+    const NewtonStep step =
+        newton_update(opt, node_unknowns, iter == 0, b_.data(), 1, x);
+    if (step != NewtonStep::kContinue) return step == NewtonStep::kConverged;
   }
   return false;
 }
@@ -186,17 +164,32 @@ const DcResult& SimSession::solve(const Unknowns* initial) {
 
   // Choose the start point: explicit initial > warm-start continuation >
   // cold (all zeros).
-  if (initial != nullptr &&
-      initial->size() == static_cast<std::size_t>(n_unknowns_)) {
-    x_ = *initial;
-  } else if (warm_start_enabled_ && have_last_) {
-    x_ = result_.solution;
-  } else {
-    std::fill(x_.raw().begin(), x_.raw().end(), 0.0);
-  }
+  const auto load_start = [&] {
+    if (initial != nullptr &&
+        initial->size() == static_cast<std::size_t>(n_unknowns_)) {
+      x_ = *initial;
+    } else if (warm_start_enabled_ && have_last_) {
+      x_ = result_.solution;
+    } else {
+      std::fill(x_.raw().begin(), x_.raw().end(), 0.0);
+    }
+  };
+  load_start();
 
-  // Strategy 1: plain Newton at the floor gmin.
-  if (newton_attempt(options_.gmin_floor, x_, result_.iterations)) {
+  // Strategy 1: plain Newton at the floor gmin, along the cached pivot
+  // order. A pivot frozen at an earlier iterate can shrink by orders of
+  // magnitude without failing the LU's singularity screen and leave the
+  // solves too inaccurate to converge, so a failed attempt is retried
+  // once from the same start with fresh pivots every iteration -- what a
+  // dense partial-pivoting LU does -- before the gmin ladder.
+  bool plain = newton_attempt(options_.gmin_floor, x_, result_.iterations);
+  if (!plain) {
+    load_start();
+    for (const auto& dev : circuit_->devices()) dev->reset_state();
+    plain = newton_attempt(options_.gmin_floor, x_, result_.iterations,
+                           /*repivot=*/true);
+  }
+  if (plain) {
     result_.solution = x_;
     result_.converged = true;
     result_.strategy = "newton";
@@ -277,63 +270,50 @@ const linalg::ComplexVector& SimSession::solve_ac(double omega) {
   const auto n = static_cast<std::size_t>(n_unknowns_);
   if (!ac_ready_) {
     cb_.assign(n, linalg::Complex{});
-    if (use_sparse_) {
-      // Pattern discovery, mirroring the real engine: one stamp_ac pass
-      // registers every slot (zero values included), gmin diagonal too.
-      csa_.resize(n, n);
-      AcStamper st(csa_, cb_, node_unknowns_, omega);
-      for (const auto& dev : circuit_->devices()) dev->stamp_ac(st, op);
-      for (int i = 0; i < node_unknowns_; ++i) {
-        st.add_entry(i, i, linalg::Complex{});
-      }
-      csa_.freeze_pattern();
-      std::fill(cb_.begin(), cb_.end(), linalg::Complex{});
-    } else {
-      ca_.resize(n, n);
+    // Pattern discovery, mirroring the real engine: one stamp_ac pass
+    // registers every slot (zero values included), gmin diagonal too.
+    csa_.resize(n, n);
+    AcStamper st(csa_, cb_, node_unknowns_, omega);
+    for (const auto& dev : circuit_->devices()) dev->stamp_ac(st, op);
+    for (int i = 0; i < node_unknowns_; ++i) {
+      st.add_entry(i, i, linalg::Complex{});
     }
+    csa_.freeze_pattern();
+    std::fill(cb_.begin(), cb_.end(), linalg::Complex{});
     ac_ready_ = true;
   }
 
   const auto stamp_at = [&](double w) {
-    linalg::ComplexMatrixView a = use_sparse_
-                                      ? linalg::ComplexMatrixView(csa_)
-                                      : linalg::ComplexMatrixView(ca_);
-    a.fill(linalg::Complex{});
+    csa_.fill(linalg::Complex{});
     std::fill(cb_.begin(), cb_.end(), linalg::Complex{});
-    AcStamper st(a, cb_, node_unknowns_, w);
+    AcStamper st(csa_, cb_, node_unknowns_, w);
     for (const auto& dev : circuit_->devices()) dev->stamp_ac(st, op);
     for (int i = 0; i < node_unknowns_; ++i) {
       st.add_entry(i, i, linalg::Complex(options_.gmin_floor));
     }
   };
 
-  if (use_sparse_) {
-    // Bit-identity discipline: the cached symbolic analysis belongs to
-    // the first stamped frequency (the sweep's prime). If a previous
-    // point's refactor collapsed the frozen pivots and re-analysed at
-    // its own frequency, re-pin a fresh analysis at the prime before
-    // this point -- every point's factorisation then depends only on
-    // (op, omega, prime omega), never on sweep order or which parallel
-    // worker tripped the collapse.
-    const bool primed = cslu_.analysis_count() > 0;
-    if (primed && cslu_.analysis_count() != ac_pinned_analysis_) {
-      cslu_.invalidate_analysis();
-      stamp_at(ac_prime_omega_);
-      cslu_.refactor(csa_);
-      ac_pinned_analysis_ = cslu_.analysis_count();
-    }
-    stamp_at(omega);
+  // Bit-identity discipline: the cached symbolic analysis belongs to the
+  // first stamped frequency (the sweep's prime). If a previous point's
+  // refactor collapsed the frozen pivots and re-analysed at its own
+  // frequency, re-pin a fresh analysis at the prime before this point --
+  // every point's factorisation then depends only on (op, omega, prime
+  // omega), never on sweep order or which parallel worker tripped the
+  // collapse.
+  const bool primed = cslu_.analysis_count() > 0;
+  if (primed && cslu_.analysis_count() != ac_pinned_analysis_) {
+    cslu_.invalidate_analysis();
+    stamp_at(ac_prime_omega_);
     cslu_.refactor(csa_);
-    if (!primed) {
-      ac_prime_omega_ = omega;
-      ac_pinned_analysis_ = cslu_.analysis_count();
-    }
-    cslu_.solve_in_place(cb_);
-  } else {
-    stamp_at(omega);
-    clu_.refactor(ca_);
-    clu_.solve_in_place(cb_);
+    ac_pinned_analysis_ = cslu_.analysis_count();
   }
+  stamp_at(omega);
+  cslu_.refactor(csa_);
+  if (!primed) {
+    ac_prime_omega_ = omega;
+    ac_pinned_analysis_ = cslu_.analysis_count();
+  }
+  cslu_.solve_in_place(cb_);
   return cb_;
 }
 

@@ -1,0 +1,155 @@
+#pragma once
+// Dense reference solver for the engine tests: stamps a circuit through the
+// ordinary Stamper into a dense linalg::Matrix (a complex one for AC) and
+// solves with linalg::LuFactorization -- an independent linear-algebra path
+// the sessions' sparse engine is checked against. Plain damped Newton with
+// a gmin-ramp fallback; speed and allocations do not matter here.
+//
+// Bind the oracle to its own parse of the deck under test: unknown
+// numbering is deterministic, so its solution vectors compare index by
+// index with a session's on a second parse.
+
+#include <algorithm>
+#include <cmath>
+#include <vector>
+
+#include "icvbe/common/error.hpp"
+#include "icvbe/linalg/solve.hpp"
+#include "icvbe/spice/dynamic_devices.hpp"
+#include "icvbe/spice/linear_devices.hpp"
+#include "icvbe/spice/plan.hpp"
+#include "icvbe/spice/sim_session.hpp"
+#include "icvbe/spice/stamper.hpp"
+
+namespace icvbe::spice::oracle {
+
+class DenseOracle {
+ public:
+  DenseOracle(Circuit& circuit, NewtonOptions options)
+      : c_(circuit),
+        opt_(options),
+        n_(static_cast<std::size_t>(circuit.assign_unknowns())),
+        nodes_(circuit.node_count() - 1),
+        x_(n_) {}
+
+  /// DC operating point at the circuit's current state, warm-started from
+  /// the previous solution (cold the first time). Throws NumericalError if
+  /// Newton fails even along the gmin ramp.
+  const Unknowns& solve() {
+    if (newton(opt_.gmin_floor, x_)) return x_;
+    x_ = Unknowns(n_);
+    for (double gmin = 1e-2;; gmin = std::max(0.1 * gmin, opt_.gmin_floor)) {
+      for (const auto& dev : c_.devices()) dev->reset_state();
+      if (!newton(gmin, x_)) {
+        throw NumericalError("dense oracle: DC did not converge");
+      }
+      if (gmin == opt_.gmin_floor) return x_;
+    }
+  }
+
+  [[nodiscard]] const Unknowns& solution() const { return x_; }
+
+  /// Small-signal phasors at angular frequency `omega` about solution().
+  [[nodiscard]] linalg::ComplexVector solve_ac(double omega) const {
+    linalg::ComplexMatrix a(n_, n_);
+    linalg::ComplexVector b(n_, linalg::Complex{});
+    AcStamper st(a, b, nodes_, omega);
+    for (const auto& dev : c_.devices()) dev->stamp_ac(st, x_);
+    for (int i = 0; i < nodes_; ++i) {
+      st.add_entry(i, i, linalg::Complex(opt_.gmin_floor));
+    }
+    linalg::ComplexLuFactorization lu;
+    lu.refactor(a);
+    lu.solve_in_place(b);
+    return b;
+  }
+
+  /// Fixed-step transient (spec.adaptive == false, no UIC or .IC): the
+  /// TransientSolver sequence without step control -- operating point at
+  /// t = 0, companion state from it, then per step the waveforms at t + h,
+  /// begin_step(method, h), a DC solve and commit. Returns the solution at
+  /// t = 0 and after every step.
+  [[nodiscard]] std::vector<Unknowns> fixed_step_transient(
+      const TransientSpec& spec) {
+    std::vector<DynamicDevice*> dynamic;
+    std::vector<VoltageSource*> vwaves;
+    for (const auto& dev : c_.devices()) {
+      if (auto* d = dynamic_cast<DynamicDevice*>(dev.get())) {
+        d->set_dc_mode();
+        dynamic.push_back(d);
+      } else if (auto* v = dynamic_cast<VoltageSource*>(dev.get())) {
+        if (v->has_waveform()) vwaves.push_back(v);
+      }
+    }
+    const auto apply_sources = [&](double t) {
+      for (VoltageSource* v : vwaves) v->set_voltage(v->waveform().value_at(t));
+    };
+    const double tmax = spec.tmax > 0.0 ? spec.tmax : spec.tstep;
+    const double teps = 1e-9 * std::max(spec.tstop, tmax);
+
+    apply_sources(0.0);
+    std::vector<Unknowns> out{solve()};
+    for (DynamicDevice* d : dynamic) d->init_state(x_);
+    for (double t = 0.0; t < spec.tstop - teps;) {
+      const double h = std::min({spec.tstep, tmax, spec.tstop - t});
+      t += h;
+      apply_sources(t);
+      for (DynamicDevice* d : dynamic) d->begin_step(spec.method, h);
+      out.push_back(solve());
+      for (DynamicDevice* d : dynamic) d->commit(x_);
+    }
+    for (DynamicDevice* d : dynamic) d->set_dc_mode();
+    return out;
+  }
+
+ private:
+  /// Damped Newton at fixed gmin from `x` (in/out); true on convergence.
+  bool newton(double gmin, Unknowns& x) {
+    for (int iter = 0; iter < opt_.max_iterations; ++iter) {
+      linalg::Matrix a(n_, n_);
+      linalg::Vector b(n_, 0.0);
+      Stamper st(a, b, nodes_);
+      for (const auto& dev : c_.devices()) dev->stamp(st, x);
+      for (int i = 0; i < nodes_; ++i) st.add_entry(i, i, gmin);
+      linalg::LuFactorization lu;
+      try {
+        lu.refactor(a);
+      } catch (const NumericalError&) {
+        return false;
+      }
+      lu.solve_in_place(b);
+
+      double max_node_dx = 0.0;
+      for (int i = 0; i < nodes_; ++i) {
+        const auto k = static_cast<std::size_t>(i);
+        max_node_dx = std::max(max_node_dx, std::abs(b[k] - x.raw()[k]));
+      }
+      const double scale = max_node_dx > opt_.max_step_volts
+                               ? opt_.max_step_volts / max_node_dx
+                               : 1.0;
+      bool converged = iter > 0 && scale == 1.0;
+      for (std::size_t i = 0; i < n_; ++i) {
+        const double xi = x.raw()[i];
+        const double xn = xi + scale * (b[i] - xi);
+        const double abstol = static_cast<int>(i) < nodes_ ? opt_.v_abstol
+                                                           : opt_.i_abstol;
+        if (std::abs(xn - xi) >
+            abstol + opt_.reltol * std::max(std::abs(xi), std::abs(xn))) {
+          converged = false;
+        }
+        if (!std::isfinite(xn)) return false;
+        x.raw()[i] = xn;
+      }
+      if (converged) return true;
+    }
+    return false;
+  }
+
+  Circuit& c_;
+  NewtonOptions opt_;
+  std::size_t n_;
+  int nodes_;
+  Unknowns x_;
+};
+
+}  // namespace icvbe::spice::oracle

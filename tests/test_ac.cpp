@@ -5,8 +5,8 @@
 //    small-signal gain of a nonlinear divider must equal the numeric
 //    derivative of the DC transfer curve (stamp_ac cannot drift from
 //    stamp);
-//  * dense-vs-sparse complex engines agree at <= 1e-10 on a generated
-//    rc-ladder deck;
+//  * the sparse complex engine agrees with a dense complex LU reference
+//    at <= 1e-10 on a generated rc-ladder deck;
 //  * an AC sweep performs zero heap allocations per frequency point after
 //    setup (counting operator-new hook) and is bit-identical for any plan
 //    thread count;
@@ -24,6 +24,8 @@
 #include "icvbe/spice/plan.hpp"
 #include "icvbe/spice/sim_session.hpp"
 #include "icvbe/testing/alloc_hook.hpp"
+
+#include "dense_oracle.hpp"
 
 namespace icvbe::spice {
 namespace {
@@ -250,7 +252,7 @@ TEST(AcAnalysis, LowFrequencySmallSignalGainEqualsDcDerivative) {
   EXPECT_NEAR(ac_gain, numeric, 1e-6 * std::abs(numeric) + 1e-12);
 }
 
-// --------------------------------------------- dense vs sparse complex ---
+// --------------------------------------- dense reference vs the engine ---
 
 TEST(AcAnalysis, DenseAndSparseAgreeOnGeneratedLadderDeck) {
   SyntheticNetlistSpec spec;
@@ -271,25 +273,24 @@ TEST(AcAnalysis, DenseAndSparseAgreeOnGeneratedLadderDeck) {
   plan.probes.push_back(parse_probe("VI(" + far + ")"));
   plan.probes.push_back(parse_probe("VM(" + far + ")"));
 
-  auto run_with = [&](SparseMode mode) {
-    auto fresh = parse_netlist(generate_netlist(spec));
-    AnalysisPlan p = plan;
-    p.options.sparse = mode;
-    NewtonOptions session_options;
-    session_options.sparse = mode;
-    SimSession session(*fresh.circuit, session_options);
-    return session.run(p);
-  };
-  const SweepResult dense = run_with(SparseMode::kDense);
-  const SweepResult sparse = run_with(SparseMode::kSparse);
+  SimSession session(*parsed.circuit);
+  const SweepResult sparse = session.run(plan);
 
-  ASSERT_EQ(dense.rows(), sparse.rows());
-  for (std::size_t i = 0; i < dense.rows(); ++i) {
-    const double scale = std::max({1e-300, dense.value(2, i),
-                                   sparse.value(2, i)});
-    EXPECT_NEAR(dense.value(0, i), sparse.value(0, i), 1e-10 * scale)
+  auto reference = parse_netlist(generate_netlist(spec));
+  oracle::DenseOracle dense(*reference.circuit, NewtonOptions{});
+  (void)dense.solve();
+  const std::size_t far_unknown =
+      static_cast<std::size_t>(reference.circuit->find_node(far) - 1);
+  const std::vector<double> freqs = plan.ac->frequencies();
+  ASSERT_EQ(freqs.size(), sparse.rows());
+  for (std::size_t i = 0; i < sparse.rows(); ++i) {
+    const linalg::Complex v =
+        dense.solve_ac(2.0 * M_PI * freqs[i])[far_unknown];
+    const double scale =
+        std::max({1e-300, std::abs(v), sparse.value(2, i)});
+    EXPECT_NEAR(v.real(), sparse.value(0, i), 1e-10 * scale)
         << "VR row " << i;
-    EXPECT_NEAR(dense.value(1, i), sparse.value(1, i), 1e-10 * scale)
+    EXPECT_NEAR(v.imag(), sparse.value(1, i), 1e-10 * scale)
         << "VI row " << i;
   }
 }
@@ -297,31 +298,25 @@ TEST(AcAnalysis, DenseAndSparseAgreeOnGeneratedLadderDeck) {
 // ------------------------------- allocation and thread-count guarantees ---
 
 TEST(AcAnalysis, SweepIsAllocationFreePerPointAfterSetup) {
-  for (const SparseMode mode : {SparseMode::kDense, SparseMode::kSparse}) {
-    SyntheticNetlistSpec spec;
-    spec.topology = SyntheticTopology::kRcLadder;
-    spec.nodes = 80;
-    spec.seed = 5;
-    spec.ac_analysis = true;
-    auto parsed = parse_netlist(generate_netlist(spec));
-    NewtonOptions options;
-    options.sparse = mode;
-    SimSession session(*parsed.circuit, options);
-    (void)session.solve_or_throw();
+  SyntheticNetlistSpec spec;
+  spec.topology = SyntheticTopology::kRcLadder;
+  spec.nodes = 80;
+  spec.seed = 5;
+  spec.ac_analysis = true;
+  auto parsed = parse_netlist(generate_netlist(spec));
+  SimSession session(*parsed.circuit);
+  (void)session.solve_or_throw();
 
-    // Setup: the first call materialises the complex engine (and for the
-    // sparse engine runs pattern discovery + the symbolic analysis).
-    (void)session.solve_ac(2.0 * M_PI * 10.0);
+  // Setup: the first call materialises the complex engine (pattern
+  // discovery + the symbolic analysis).
+  (void)session.solve_ac(2.0 * M_PI * 10.0);
 
-    const std::uint64_t before = testing::allocation_count();
-    for (int k = 1; k <= 40; ++k) {
-      (void)session.solve_ac(2.0 * M_PI * 10.0 * k);
-    }
-    const std::uint64_t after = testing::allocation_count();
-    EXPECT_EQ(after - before, 0u)
-        << (mode == SparseMode::kSparse ? "sparse" : "dense")
-        << " engine allocated per AC point";
+  const std::uint64_t before = testing::allocation_count();
+  for (int k = 1; k <= 40; ++k) {
+    (void)session.solve_ac(2.0 * M_PI * 10.0 * k);
   }
+  const std::uint64_t after = testing::allocation_count();
+  EXPECT_EQ(after - before, 0u) << "allocated per AC point";
 }
 
 TEST(AcAnalysis, PlanIsBitIdenticalForAnyThreadCount) {

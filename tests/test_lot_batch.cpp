@@ -164,13 +164,6 @@ using spice::BatchDcSession;
 using spice::Circuit;
 using spice::NewtonOptions;
 using spice::SimSession;
-using spice::SparseMode;
-
-NewtonOptions sparse_options() {
-  NewtonOptions opt;
-  opt.sparse = SparseMode::kSparse;
-  return opt;
-}
 
 struct CellLane {
   Circuit circuit;
@@ -251,17 +244,17 @@ void check_cell_lanes_bit_identical(const NewtonOptions& opt) {
 }
 
 TEST(BatchDcSessionTest, CellLanesBitIdenticalToScalarSessions) {
-  check_cell_lanes_bit_identical(sparse_options());
+  check_cell_lanes_bit_identical(NewtonOptions{});
 }
 
 TEST(BatchDcSessionTest, CellLanesBitIdenticalUnderLegacyOrdering) {
-  NewtonOptions opt = sparse_options();
+  NewtonOptions opt;
   opt.sparse_options = linalg::SparseOptions::legacy();
   check_cell_lanes_bit_identical(opt);
 }
 
 TEST(BatchDcSessionTest, CellLanesBitIdenticalUnderForcedSupernode) {
-  NewtonOptions opt = sparse_options();
+  NewtonOptions opt;
   opt.sparse_options.supernode_min = 8;
   opt.sparse_options.supernode_density = 0.3;
   check_cell_lanes_bit_identical(opt);
@@ -277,7 +270,7 @@ TEST(BatchDcSessionTest, FailedLaneDoesNotPerturbLaneMates) {
     CellLane lane;
     lane.handles = bandgap::build_test_cell(lane.circuit, lane_params(l));
     lane.circuit.set_temperature(t);
-    SimSession session(lane.circuit, sparse_options());
+    SimSession session(lane.circuit);
     const spice::Unknowns guess =
         bandgap::cell_initial_guess(lane.circuit, lane.handles, t);
     const auto& r = session.solve(&guess);
@@ -291,7 +284,7 @@ TEST(BatchDcSessionTest, FailedLaneDoesNotPerturbLaneMates) {
     lane.handles = bandgap::build_test_cell(lane.circuit, lane_params(0));
     ptrs.push_back(&lane.circuit);
   }
-  BatchDcSession batch(std::move(ptrs), sparse_options());
+  BatchDcSession batch(std::move(ptrs));
   for (std::size_t l = 0; l < k; ++l) {
     bandgap::TestCellParams p = lane_params(l);
     if (l == 1) p.opamp_offset = 1e6;  // a die that cannot converge
@@ -329,7 +322,7 @@ TEST(BatchDcSessionTest, PerDieSteadyStateIsAllocationFree) {
     lane.handles = bandgap::build_test_cell(lane.circuit, lane_params(0));
     ptrs.push_back(&lane.circuit);
   }
-  BatchDcSession batch(std::move(ptrs), sparse_options());
+  BatchDcSession batch(std::move(ptrs));
   std::vector<spice::ParamDeltaSet> delta;
   std::vector<std::size_t> slot_rx1, slot_u1;
   for (std::size_t l = 0; l < k; ++l) {
@@ -392,7 +385,7 @@ lab::LotCampaignConfig lot_config() {
   cfg.first_index = 1;
   cfg.seed_base = 9000;
   cfg.classical_celsius = {-25.0, 25.0, 75.0, 125.0};
-  cfg.lab.newton.sparse = SparseMode::kSparse;
+  cfg.lanes = 0;  // the per-die reference; tests opt into lanes
   return cfg;
 }
 
@@ -499,14 +492,6 @@ TEST(LotBatchTest, FailingDiesFallBackBitIdentically) {
     SCOPED_TRACE(::testing::Message() << "die=" << i);
     expect_die_bit_identical(ref[i], got[i]);
   }
-}
-
-TEST(LotBatchTest, BatchedPathRequiresSparseEngine) {
-  lab::LotCampaignConfig cfg = lot_config();
-  cfg.lanes = 4;
-  cfg.lab.newton.sparse = SparseMode::kAuto;  // would pick dense at n = 7
-  const lab::LotCampaign campaign(lab::SiliconLot{}, cfg);
-  EXPECT_THROW((void)campaign.run(), Error);
 }
 
 }  // namespace

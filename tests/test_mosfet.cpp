@@ -5,9 +5,11 @@
 #include <cmath>
 
 #include "icvbe/bandgap/cmos_opamp.hpp"
+#include "icvbe/bandgap/test_cell.hpp"
 #include "icvbe/common/constants.hpp"
 #include "icvbe/common/error.hpp"
 #include "icvbe/spice/circuit.hpp"
+#include "icvbe/lab/silicon.hpp"
 #include "icvbe/spice/dc_solver.hpp"
 
 namespace icvbe::spice {
@@ -187,6 +189,56 @@ TEST(CmosOpAmp, OpenLoopGainIsTensOfDb) {
   const double gain = std::abs(measure_open_loop_gain(p));
   EXPECT_GT(gain, 300.0);     // >= ~50 dB
   EXPECT_LT(gain, 3.0e5);     // sane for two stages at this bias
+}
+
+TEST(CmosOpAmp, ClosesTheBandgapLoopAtEveryChamberTemperature) {
+  // The paper's cell with the ideal amplifier replaced by the transistor
+  // level one, solved from an analytic guess. At 75 C the pivots the
+  // sparse LU freezes at the guess collapse (without failing its
+  // singularity screen) as the amplifier settles; plain Newton must still
+  // reach the bandgap point, not fall down the gmin ladder into the
+  // degenerate ~0.1 V state.
+  const lab::DieSample s = lab::SiliconLot{}.sample(0);
+  const TestCellParams p;
+  for (double tc : {-25.0, 25.0, 75.0}) {
+    SCOPED_TRACE(tc);
+    spice::Circuit c;
+    const auto vref = c.node("vref");
+    const auto a = c.node("a");
+    const auto btop = c.node("btop");
+    const auto be = c.node("be");
+    c.add_resistor("RX1", vref, a, p.rx1, p.resistor_tc1, p.resistor_tc2);
+    c.add_resistor("RX2", vref, btop, p.rx2, p.resistor_tc1, p.resistor_tc2);
+    c.add_resistor("RB", btop, be, p.rb, p.resistor_tc1, p.resistor_tc2);
+    c.add_bjt("QA", spice::kGround, spice::kGround, a, s.qa, 1.0);
+    c.add_bjt("QB", spice::kGround, spice::kGround, be, s.qb, 8.0);
+    CmosOpAmpParams op;
+    op.nmos = default_nmos();
+    op.pmos = default_pmos();
+    op.vdd = 2.5;
+    build_cmos_opamp(c, "oa", vref, a, btop, op);
+    c.set_temperature(to_kelvin(tc));
+    spice::Unknowns guess(static_cast<std::size_t>(c.assign_unknowns()));
+    const auto set = [&](spice::NodeId node, double v) {
+      guess.raw()[static_cast<std::size_t>(node - 1)] = v;
+    };
+    const double vbe = 0.65 - 1.9e-3 * (tc - 25.0);
+    set(a, vbe);
+    set(btop, vbe);
+    set(be, vbe - 0.05);
+    set(vref, 1.22);
+    set(c.node("oa.vdd"), op.vdd);
+    set(c.node("oa.bias"), 1.4);
+    set(c.node("oa.tail"), 2.2);
+    set(c.node("oa.d1"), 1.0);
+    set(c.node("oa.d2"), 0.8);
+    spice::NewtonOptions opt;
+    opt.max_iterations = 500;
+    const spice::DcResult r = spice::solve_dc(c, opt, &guess);
+    ASSERT_TRUE(r.converged);
+    EXPECT_EQ(r.strategy, "newton");
+    EXPECT_NEAR(r.solution.node_voltage(vref), 1.18, 0.05);
+  }
 }
 
 TEST(CmosOpAmp, ThresholdMismatchCreatesOffset) {

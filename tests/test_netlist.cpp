@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <limits>
+#include <string>
 
 #include "icvbe/common/constants.hpp"
 #include "icvbe/spice/dc_solver.hpp"
@@ -300,6 +302,36 @@ TEST(NetlistParser, StepDirectiveForms) {
       "V1 a 0 1\nR1 a 0 1k\n.STEP TEMP -50 125 25\n.PROBE V(a)\n");
   ASSERT_TRUE(lin.plan.has_value());
   EXPECT_EQ(lin.plan->axes[0].grid().points().size(), 8u);
+}
+
+TEST(NetlistParser, OversizedOrNonFiniteGridsFailFastWithLine) {
+  // Each card once hung the parser while it built its grid. The size is
+  // now checked arithmetically first: a named error at once, no
+  // allocation.
+  const char* const cards[] = {
+      ".DC TEMP -50 inf 25",
+      ".DC V1 0 1 1e-300",
+      ".DC V1 0 1e308 1",
+      ".STEP R1 1 1e308 1",
+      ".STEP R1 DEC 1 1e300 100000",
+      ".AC DEC 1000000000 1 1e9",
+  };
+  for (const char* card : cards) {
+    SCOPED_TRACE(card);
+    const std::string deck = std::string("V1 a 0 1 AC 1\nR1 a b 1k\n"
+                                         "R2 b 0 1k\n") +
+                             card + "\n.PROBE V(b)\n";
+    const auto t0 = std::chrono::steady_clock::now();
+    try {
+      (void)parse_netlist(deck);
+      ADD_FAILURE() << "should have thrown";
+    } catch (const NetlistError& e) {
+      EXPECT_NE(std::string(e.what()).find("line 4"), std::string::npos)
+          << e.what();
+    }
+    EXPECT_LT(std::chrono::steady_clock::now() - t0,
+              std::chrono::milliseconds(100));
+  }
 }
 
 TEST(NetlistParser, AnalysisDirectiveErrors) {

@@ -285,14 +285,11 @@ TEST(AnalysisPlanTest, TwoAxisLanedFanoutIsBitIdenticalToScalar) {
                SweepAxis::vsource("V1", SweepGrid::linear(0.0, 2.0, 9))};
   plan.probes = {Probe::node_voltage("a"), Probe::branch_current("V1")};
 
-  NewtonOptions opt;
-  opt.sparse = SparseMode::kSparse;  // the batch engine is sparse-only
-
   SweepResult reference;
   {
     Circuit c;
     build_diode_rig(c);
-    SimSession session(c, opt);
+    SimSession session(c);
     plan.threads = 1;
     plan.lanes = 0;
     reference = session.run(plan);
@@ -305,7 +302,7 @@ TEST(AnalysisPlanTest, TwoAxisLanedFanoutIsBitIdenticalToScalar) {
     for (unsigned threads : thread_counts) {
       Circuit c;
       build_diode_rig(c);
-      SimSession session(c, opt);
+      SimSession session(c);
       plan.threads = threads;
       plan.lanes = lanes;
       const SweepResult got = session.run(plan);
@@ -775,7 +772,6 @@ TEST(AnalysisPlanTest, LinearGridSweepAnalysesOnceAndSkipsEveryRefactor) {
   auto parsed = parse_netlist(generate_netlist(gen));
   ASSERT_TRUE(parsed.plan.has_value());
   SimSession session(*parsed.circuit);
-  ASSERT_TRUE(session.uses_sparse_engine());
   const SweepResult r = session.run(*parsed.plan);
   EXPECT_EQ(r.rows(), 7u);
   const linalg::SparseLuFactorization& lu = session.sparse_lu();

@@ -1,9 +1,9 @@
 // Dense-vs-sparse equivalence and stress harness over generated synthetic
-// netlists (spice/netlist_gen.hpp): the sparse CSR engine must reproduce
-// the dense workspace engine's solutions to <= 1e-10 across DC solves and
-// full analysis plans, stay allocation-free per point (this binary links
-// icvbe_alloc_hook), and keep the plan contract's bit-identical parallel
-// fanout.
+// netlists (spice/netlist_gen.hpp): the sessions' sparse CSR engine must
+// reproduce a dense LU reference (dense_oracle.hpp) to <= 1e-10 across DC
+// solves and full analysis plans, stay allocation-free per point (this
+// binary links icvbe_alloc_hook), and keep the plan contract's
+// bit-identical parallel fanout.
 //
 // Default sizes keep the suite inside the ordinary ctest budget; set
 // ICVBE_SPARSE_STRESS=1 (the Release CI job does) to add the large
@@ -21,6 +21,8 @@
 #include "icvbe/spice/sim_session.hpp"
 #include "icvbe/testing/alloc_hook.hpp"
 
+#include "dense_oracle.hpp"
+
 namespace icvbe::spice {
 namespace {
 
@@ -31,18 +33,17 @@ bool stress_enabled() {
   return env != nullptr && env[0] != '\0' && env[0] != '0';
 }
 
-/// Newton tolerances tight enough that both engines converge to within
-/// ~1e-12 of the true operating point: at the default reltol=1e-6 each
-/// engine would legitimately stop microvolts from the root (and from each
-/// other), drowning the 1e-10 comparison in solver slack. The absolute
-/// floors stay above the ~3e-12 iterate noise of a 500-unknown solve, or
-/// convergence would be unreachable.
-NewtonOptions tight_options(SparseMode mode) {
+/// Newton tolerances tight enough that the session and the dense oracle
+/// converge to within ~1e-12 of the true operating point: at the default
+/// reltol=1e-6 each would legitimately stop microvolts from the root (and
+/// from each other), drowning the 1e-10 comparison in solver slack. The
+/// absolute floors stay above the ~3e-12 iterate noise of a 500-unknown
+/// solve, or convergence would be unreachable.
+NewtonOptions tight_options() {
   NewtonOptions opt;
   opt.v_abstol = 1e-11;
   opt.i_abstol = 1e-14;
   opt.reltol = 1e-12;
-  opt.sparse = mode;
   return opt;
 }
 
@@ -93,15 +94,12 @@ TEST(SparseEquivalence, DcOperatingPointMatchesDense) {
     auto dense_deck = parse_case(c);
     auto sparse_deck = parse_case(c);
 
-    SimSession dense(*dense_deck.circuit, tight_options(SparseMode::kDense));
-    SimSession sparse(*sparse_deck.circuit,
-                      tight_options(SparseMode::kSparse));
-    EXPECT_FALSE(dense.uses_sparse_engine());
-    EXPECT_TRUE(sparse.uses_sparse_engine());
-    ASSERT_EQ(dense.unknown_count(), sparse.unknown_count());
+    oracle::DenseOracle dense(*dense_deck.circuit, tight_options());
+    SimSession sparse(*sparse_deck.circuit, tight_options());
 
-    const Unknowns& xd = dense.solve_or_throw();
+    const Unknowns& xd = dense.solve();
     const Unknowns& xs = sparse.solve_or_throw();
+    ASSERT_EQ(xd.size(), xs.size());
     for (std::size_t i = 0; i < xd.size(); ++i) {
       EXPECT_NEAR(xd.raw()[i], xs.raw()[i], kAgreeTol)
           << "unknown " << i << " of " << xd.size();
@@ -117,48 +115,33 @@ TEST(SparseEquivalence, DeckPlanColumnsMatchDense) {
     ASSERT_TRUE(dense_deck.plan.has_value());
 
     AnalysisPlan plan = *dense_deck.plan;
-    plan.options = tight_options(SparseMode::kDense);
-    SimSession dense(*dense_deck.circuit, plan.options);
-    const SweepResult rd = dense.run(plan);
-
-    plan.options = tight_options(SparseMode::kSparse);
+    plan.options = tight_options();
     SimSession sparse(*sparse_deck.circuit, plan.options);
     const SweepResult rs = sparse.run(plan);
 
-    ASSERT_EQ(rd.rows(), rs.rows());
-    ASSERT_EQ(rd.probe_count(), rs.probe_count());
-    for (std::size_t p = 0; p < rd.probe_count(); ++p) {
-      for (std::size_t r = 0; r < rd.rows(); ++r) {
-        EXPECT_NEAR(rd.value(p, r), rs.value(p, r), kAgreeTol)
+    // The reference walks the same single source axis point by point.
+    ASSERT_EQ(plan.axes.size(), 1u);
+    ASSERT_EQ(plan.axes[0].kind(), SweepAxis::Kind::kVsource);
+    auto& source =
+        dense_deck.circuit->get<VoltageSource>(plan.axes[0].device());
+    oracle::DenseOracle dense(*dense_deck.circuit, plan.options);
+    ASSERT_EQ(rs.rows(), rs.inner_values().size());
+    for (std::size_t r = 0; r < rs.rows(); ++r) {
+      source.set_voltage(rs.inner_values()[r]);
+      const Unknowns& xd = dense.solve();
+      for (std::size_t p = 0; p < rs.probe_count(); ++p) {
+        EXPECT_NEAR(plan.probes[p].eval(*dense_deck.circuit, xd),
+                    rs.value(p, r), kAgreeTol)
             << "probe " << p << " row " << r;
       }
     }
   }
 }
 
-TEST(SparseEquivalence, AutoModePicksEngineByThreshold) {
-  // Default auto threshold: a 500-node deck binds sparse ...
-  auto big = parse_case({SyntheticTopology::kResistorLadder, 500});
-  SimSession big_session(*big.circuit);
-  EXPECT_TRUE(big_session.uses_sparse_engine());
-
-  // ... a deck below the threshold stays dense ...
-  auto small = parse_case({SyntheticTopology::kResistorLadder, 10});
-  SimSession small_session(*small.circuit);
-  EXPECT_FALSE(small_session.uses_sparse_engine());
-
-  // ... and a custom threshold moves the crossover.
-  NewtonOptions opt;
-  opt.sparse_threshold = 8;
-  auto small2 = parse_case({SyntheticTopology::kResistorLadder, 10});
-  SimSession forced(*small2.circuit, opt);
-  EXPECT_TRUE(forced.uses_sparse_engine());
-}
-
 TEST(SparseEquivalence, TwoAxisPlanBitIdenticalAcrossThreadCounts) {
   // The plan contract (test_plan) on the sparse path: outer rows fanned
   // across per-thread clones must produce bit-identical columns for any
-  // thread count -- workers are pinned to the parent session's engine.
+  // thread count.
   const EquivalenceCase c{SyntheticTopology::kDiodeLadder, 200};
   AnalysisPlan plan;
   plan.name = "sparse-fanout";
@@ -174,8 +157,7 @@ TEST(SparseEquivalence, TwoAxisPlanBitIdenticalAcrossThreadCounts) {
     auto deck = parse_case(c);
     deck.circuit->set_temperature(300.15);
     plan.threads = threads;
-    SimSession session(*deck.circuit, tight_options(SparseMode::kSparse));
-    ASSERT_TRUE(session.uses_sparse_engine());
+    SimSession session(*deck.circuit, tight_options());
     results.push_back(session.run(plan));
   }
   for (std::size_t v = 1; v < results.size(); ++v) {
@@ -192,7 +174,7 @@ TEST(SparseEquivalence, OrderingSweepMatchesDenseAndLegacy) {
   // The ordering dimension of the equivalence matrix: the legacy exact
   // minimum-degree path (pre-AMD default, kept behind SparseOptions), the
   // new AMD+BTF default, and a forced-supernode AMD variant must all land
-  // on the dense engine's answer on every deck shape.
+  // on the dense reference's answer on every deck shape.
   struct Variant {
     const char* name;
     linalg::SparseOptions options;
@@ -208,16 +190,15 @@ TEST(SparseEquivalence, OrderingSweepMatchesDenseAndLegacy) {
   for (const EquivalenceCase& c : equivalence_cases()) {
     SCOPED_TRACE(case_name(c));
     auto dense_deck = parse_case(c);
-    SimSession dense(*dense_deck.circuit, tight_options(SparseMode::kDense));
-    const Unknowns& xd = dense.solve_or_throw();
+    oracle::DenseOracle dense(*dense_deck.circuit, tight_options());
+    const Unknowns& xd = dense.solve();
 
     for (const Variant& v : variants) {
       SCOPED_TRACE(v.name);
       auto deck = parse_case(c);
-      NewtonOptions opt = tight_options(SparseMode::kSparse);
+      NewtonOptions opt = tight_options();
       opt.sparse_options = v.options;
       SimSession sparse(*deck.circuit, opt);
-      ASSERT_TRUE(sparse.uses_sparse_engine());
       const Unknowns& xs = sparse.solve_or_throw();
       ASSERT_EQ(xd.size(), xs.size());
       for (std::size_t i = 0; i < xd.size(); ++i) {
@@ -230,8 +211,7 @@ TEST(SparseEquivalence, OrderingSweepMatchesDenseAndLegacy) {
 
 TEST(SparseEquivalence, SparseSolveIsAllocationFreeAfterSetup) {
   auto deck = parse_case({SyntheticTopology::kMesh, 500});
-  SimSession session(*deck.circuit, tight_options(SparseMode::kSparse));
-  ASSERT_TRUE(session.uses_sparse_engine());
+  SimSession session(*deck.circuit, tight_options());
 
   // First solve performs the one-time symbolic analysis.
   (void)session.solve_or_throw();
@@ -252,8 +232,7 @@ TEST(SparseEquivalence, SparsePlanAllocationsIndependentOfPointCount) {
   // points must allocate exactly as much as the small run (per-run setup
   // only, nothing per point).
   auto deck = parse_case({SyntheticTopology::kMesh, 200});
-  SimSession session(*deck.circuit, tight_options(SparseMode::kSparse));
-  ASSERT_TRUE(session.uses_sparse_engine());
+  SimSession session(*deck.circuit, tight_options());
 
   AnalysisPlan small;
   small.name = "alloc-small";
@@ -287,10 +266,10 @@ TEST(SparseEquivalence, SymbolicAnalysisSurvivesAWholePlanRun) {
   // must reuse one symbolic analysis (pattern and pivot order are
   // operating-point independent).
   auto deck = parse_case({SyntheticTopology::kDiodeLadder, 200});
-  SimSession session(*deck.circuit, tight_options(SparseMode::kSparse));
+  SimSession session(*deck.circuit, tight_options());
   ASSERT_TRUE(deck.plan.has_value());
   AnalysisPlan plan = *deck.plan;
-  plan.options = tight_options(SparseMode::kSparse);
+  plan.options = tight_options();
   const SweepResult r = session.run(plan);
   EXPECT_GT(r.rows(), 0u);
 }

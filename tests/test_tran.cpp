@@ -1,7 +1,7 @@
 // Transient engine tests: companion-model exactness against discrete
 // closed forms (the recurrence a backward-Euler / trapezoidal integrator
 // must reproduce bit-for-bit up to roundoff), LTE step control behaviour,
-// dense/sparse engine agreement, and the allocation-free stepping
+// agreement with a dense LU reference, and the allocation-free stepping
 // contract.
 
 #include <gtest/gtest.h>
@@ -16,6 +16,8 @@
 #include "icvbe/spice/sim_session.hpp"
 #include "icvbe/spice/transient.hpp"
 #include "icvbe/testing/alloc_hook.hpp"
+
+#include "dense_oracle.hpp"
 
 namespace {
 
@@ -298,7 +300,7 @@ TEST(TransientLteTest, StepSequenceIsDeterministic) {
   EXPECT_EQ(rejected_a, rejected_b);
 }
 
-// ------------------------------------------- dense/sparse + allocations ---
+// ---------------------------------------- dense reference + allocations ---
 
 TEST(TransientEngineTest, DenseAndSparseResultsAgreeOnRcLadderDeck) {
   SyntheticNetlistSpec gen;
@@ -307,31 +309,32 @@ TEST(TransientEngineTest, DenseAndSparseResultsAgreeOnRcLadderDeck) {
   gen.seed = 11;
   const std::string deck = generate_netlist(gen);
 
-  SweepResult results[2];
-  for (int engine = 0; engine < 2; ++engine) {
-    auto parsed = parse_netlist(deck);
-    ASSERT_TRUE(parsed.plan.has_value());
-    ASSERT_TRUE(parsed.plan->transient.has_value());
-    AnalysisPlan plan = *parsed.plan;
-    // Uniform grid so both engines produce identical row sets, and tight
-    // Newton tolerances so solver slack stays below the 1e-10 comparison.
-    plan.transient->adaptive = false;
-    plan.transient->tstep = plan.transient->tstop / 100.0;
-    NewtonOptions options;
-    options.v_abstol = 1e-11;
-    options.i_abstol = 1e-14;
-    options.reltol = 1e-12;
-    options.sparse =
-        engine == 0 ? SparseMode::kDense : SparseMode::kSparse;
-    plan.options = options;
-    SimSession session(*parsed.circuit, options);
-    results[engine] = session.run(plan);
-  }
-  ASSERT_EQ(results[0].rows(), results[1].rows());
-  ASSERT_EQ(results[0].probe_count(), results[1].probe_count());
-  for (std::size_t p = 0; p < results[0].probe_count(); ++p) {
-    for (std::size_t r = 0; r < results[0].rows(); ++r) {
-      EXPECT_NEAR(results[0].value(p, r), results[1].value(p, r), 1e-10)
+  auto parsed = parse_netlist(deck);
+  ASSERT_TRUE(parsed.plan.has_value());
+  ASSERT_TRUE(parsed.plan->transient.has_value());
+  AnalysisPlan plan = *parsed.plan;
+  // Uniform grid so the session and the dense reference step through the
+  // same timepoints, and tight Newton tolerances so solver slack stays
+  // below the 1e-10 comparison.
+  plan.transient->adaptive = false;
+  plan.transient->tstep = plan.transient->tstop / 100.0;
+  NewtonOptions options;
+  options.v_abstol = 1e-11;
+  options.i_abstol = 1e-14;
+  options.reltol = 1e-12;
+  plan.options = options;
+  SimSession session(*parsed.circuit, options);
+  const SweepResult sparse = session.run(plan);
+
+  auto reference = parse_netlist(deck);
+  oracle::DenseOracle dense(*reference.circuit, options);
+  const std::vector<Unknowns> xd =
+      dense.fixed_step_transient(*plan.transient);
+  ASSERT_EQ(sparse.rows(), xd.size());
+  for (std::size_t p = 0; p < sparse.probe_count(); ++p) {
+    for (std::size_t r = 0; r < sparse.rows(); ++r) {
+      EXPECT_NEAR(plan.probes[p].eval(*reference.circuit, xd[r]),
+                  sparse.value(p, r), 1e-10)
           << "probe " << p << " row " << r;
     }
   }
@@ -353,7 +356,6 @@ TEST(TransientEngineTest, LadderWithPnpLoadRestampsNeverMissTheTape) {
   auto parsed = parse_netlist(d.str());
   ASSERT_TRUE(parsed.plan.has_value());
   SimSession session(*parsed.circuit);
-  ASSERT_TRUE(session.uses_sparse_engine());
   const SweepResult r = session.run(*parsed.plan);
   EXPECT_GT(r.rows(), 100u);
   EXPECT_EQ(session.sparse_matrix().tape().misses(), 0u);
@@ -366,27 +368,22 @@ TEST(TransientEngineTest, LadderWithPnpLoadRestampsNeverMissTheTape) {
 }
 
 TEST(TransientEngineTest, AdvanceIsAllocationFreeAfterSetup) {
-  for (const SparseMode mode : {SparseMode::kDense, SparseMode::kSparse}) {
-    SyntheticNetlistSpec gen;
-    gen.topology = SyntheticTopology::kRcLadder;
-    gen.nodes = 30;
-    gen.seed = 3;
-    auto parsed = parse_netlist(generate_netlist(gen));
-    ASSERT_TRUE(parsed.plan->transient.has_value());
-    NewtonOptions options;
-    options.sparse = mode;
-    SimSession session(*parsed.circuit, options);
-    TransientSolver solver(session, *parsed.plan->transient);
-    solver.begin();
-    for (int i = 0; i < 20; ++i) ASSERT_TRUE(solver.advance());
+  SyntheticNetlistSpec gen;
+  gen.topology = SyntheticTopology::kRcLadder;
+  gen.nodes = 30;
+  gen.seed = 3;
+  auto parsed = parse_netlist(generate_netlist(gen));
+  ASSERT_TRUE(parsed.plan->transient.has_value());
+  SimSession session(*parsed.circuit);
+  TransientSolver solver(session, *parsed.plan->transient);
+  solver.begin();
+  for (int i = 0; i < 20; ++i) ASSERT_TRUE(solver.advance());
 
-    const std::uint64_t before = icvbe::testing::allocation_count();
-    for (int i = 0; i < 100; ++i) ASSERT_TRUE(solver.advance());
-    const std::uint64_t after = icvbe::testing::allocation_count();
-    EXPECT_EQ(after - before, 0u)
-        << (mode == SparseMode::kDense ? "dense" : "sparse")
-        << " engine allocated in the transient stepping loop";
-  }
+  const std::uint64_t before = icvbe::testing::allocation_count();
+  for (int i = 0; i < 100; ++i) ASSERT_TRUE(solver.advance());
+  const std::uint64_t after = icvbe::testing::allocation_count();
+  EXPECT_EQ(after - before, 0u)
+      << "allocated in the transient stepping loop";
 }
 
 // -------------------------------------------------- plan / deck plumbing ---

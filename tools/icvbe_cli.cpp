@@ -2,19 +2,15 @@
 //
 //   icvbe simulate <deck.cir>            solve the DC operating point of a
 //                                        SPICE-like netlist at its .TEMP
-//   icvbe run <deck.cir> [threads] [--sparse[=auto|on|off]]
+//   icvbe run <deck.cir> [threads] [--lanes=K]
 //                                        execute the deck's .DC/.STEP/.PROBE
-//                                        analysis plan, CSV out. --sparse
-//                                        picks the linear engine: auto
-//                                        (default, by MNA unknown count:
-//                                        nodes + source branch currents),
-//                                        on (force CSR), off (force dense)
-//   icvbe tran <deck.cir> [--method=be|trap] [--sparse[=auto|on|off]]
+//                                        analysis plan, CSV out
+//   icvbe tran <deck.cir> [--method=be|trap]
 //                                        execute the deck's .TRAN analysis
 //                                        (time-indexed .PROBE series), CSV
 //                                        out; --method overrides the deck's
 //                                        integration scheme
-//   icvbe ac <deck.cir> [threads] [--sparse[=auto|on|off]]
+//   icvbe ac <deck.cir> [threads]
 //                                        execute the deck's .AC small-signal
 //                                        analysis about the DC operating
 //                                        point (frequency-indexed VM/VDB/VP
@@ -26,7 +22,8 @@
 //   icvbe extract [sample]               run the paper's analytical method
 //                                        on a virtual-lot sample and print
 //                                        the extracted .MODEL card
-//   icvbe lot [samples] [threads]        characterise a Monte-Carlo lot in
+//   icvbe lot [samples] [threads] [--lanes=K]
+//                                        characterise a Monte-Carlo lot in
 //                                        parallel and print the statistics
 //   icvbe table1                         reproduce the paper's Table 1
 //   icvbe truthcard                      print the hidden ground-truth card
@@ -79,29 +76,23 @@ void print_usage(std::FILE* out) {
                "usage: icvbe <simulate|run|tran|ac|sweep|tempsweep|extract|"
                "lot|table1|truthcard|serve> [args]\n"
                "  simulate <deck.cir>\n"
-               "  tran <deck.cir> [--method=be|trap] [--sparse[=auto|on|off]]\n"
+               "  tran <deck.cir> [--method=be|trap]\n"
                "      executes the deck's .TRAN/.PROBE analysis, CSV out\n"
-               "  ac <deck.cir> [threads] [--sparse[=auto|on|off]]\n"
+               "  ac <deck.cir> [threads]\n"
                "      executes the deck's .AC/.PROBE small-signal analysis\n"
                "      about the DC operating point, CSV out\n"
-               "  run <deck.cir> [threads] [--sparse[=auto|on|off]] "
-               "[--lanes=K]\n"
-               "      --sparse picks the linear engine: auto (default) "
-               "switches to the\n"
-               "      CSR solver above an MNA-unknown-count threshold "
-               "(nodes + source\n"
-               "      branch currents), on forces it, off forces the dense "
-               "workspace solver\n"
+               "  run <deck.cir> [threads] [--lanes=K]\n"
                "      --lanes=K batches .STEP corner fanout K rows at a "
                "time through the\n"
-               "      lane-batched sparse solver (results bit-identical to "
+               "      lane-batched solver (results bit-identical to "
                "--lanes=1)\n"
                "  sweep <deck.cir> <vsrc> <from> <to> <points> <node>\n"
                "  tempsweep <deck.cir> <fromC> <toC> <points> <node>\n"
                "  extract [sample-index]\n"
                "  lot [samples] [threads] [--lanes=K]\n"
                "      --lanes=K carries K dies per LU refactor/solve "
-               "(bit-identical)\n"
+               "(default 8;\n"
+               "      --lanes=1 is the per-die path; bit-identical)\n"
                "  table1\n"
                "  truthcard\n"
                "  serve [--socket <path>|--port <p>] [--workers N]\n"
@@ -195,22 +186,12 @@ int cmd_simulate(const std::string& path) {
   return 0;
 }
 
-/// Parse a `--sparse` / `--sparse=<mode>` flag value.
-spice::SparseMode parse_sparse_mode(const std::string& text) {
-  if (text.empty() || text == "auto") return spice::SparseMode::kAuto;
-  if (text == "on" || text == "sparse") return spice::SparseMode::kSparse;
-  if (text == "off" || text == "dense") return spice::SparseMode::kDense;
-  throw Error("--sparse: unknown mode '" + text +
-              "' (want auto, on, or off)");
-}
-
 /// The flag vocabulary shared by the deck-executing subcommands. One
-/// scanner instead of three copy-pasted loops: `--sparse[=mode]`
-/// everywhere, `--method=` only where the subcommand allows it; unknown
-/// `--options` are usage errors.
+/// scanner instead of three copy-pasted loops: `--method=` and `--lanes=`
+/// only where the subcommand allows them; unknown `--options` are usage
+/// errors.
 struct DeckArgs {
   std::vector<std::string> positional;
-  spice::SparseMode sparse = spice::SparseMode::kAuto;
   std::optional<spice::IntegrationMethod> method;
   unsigned lanes = 0;
 };
@@ -229,12 +210,7 @@ DeckArgs scan_deck_args(const std::vector<std::string>& args,
                         bool allow_method, bool allow_lanes = false) {
   DeckArgs out;
   for (std::size_t i = 1; i < args.size(); ++i) {
-    if (args[i] == "--sparse") {
-      out.sparse = spice::SparseMode::kAuto;
-    } else if (args[i].rfind("--sparse=", 0) == 0) {
-      out.sparse = parse_sparse_mode(
-          args[i].substr(std::string("--sparse=").size()));
-    } else if (allow_lanes && args[i].rfind("--lanes=", 0) == 0) {
+    if (allow_lanes && args[i].rfind("--lanes=", 0) == 0) {
       out.lanes = parse_lanes_value(
           args[i].substr(std::string("--lanes=").size()));
     } else if (allow_method && args[i].rfind("--method=", 0) == 0) {
@@ -259,7 +235,7 @@ DeckArgs scan_deck_args(const std::vector<std::string>& args,
 /// (multi-analysis decks carry up to one plan per family), execute on a
 /// warm session, CSV to stdout.
 int run_deck_analysis(const std::string& path, spice::AnalysisKind kind,
-                      unsigned threads, spice::SparseMode sparse_mode,
+                      unsigned threads,
                       std::optional<spice::IntegrationMethod> method,
                       unsigned lanes = 0) {
   auto parsed = load_deck(path);
@@ -275,10 +251,7 @@ int run_deck_analysis(const std::string& path, spice::AnalysisKind kind,
   plan.threads = threads;
   if (lanes > 0) plan.lanes = lanes;
   if (method.has_value()) plan.transient->method = *method;
-  spice::NewtonOptions session_options;
-  session_options.sparse = sparse_mode;
-  plan.options.sparse = sparse_mode;
-  spice::SimSession session(c, session_options);
+  spice::SimSession session(c);
   // .NODESET hints seed the first operating-point solve -- and, for
   // 2-axis plans, the deterministic start of every outer row.
   if (!parsed.nodesets.empty()) {
@@ -409,16 +382,12 @@ int cmd_extract(int sample_index) {
   return 0;
 }
 
-int cmd_lot(int samples, unsigned threads, unsigned lanes) {
+int cmd_lot(int samples, unsigned threads, std::optional<unsigned> lanes) {
   lab::SiliconLot lot;
   lab::LotCampaignConfig cfg;
   cfg.samples = samples;
   cfg.threads = threads;
-  cfg.lanes = lanes;
-  // The batch engine is sparse; --lanes forces the per-die path (K <= 1)
-  // onto the same engine, which is what makes --lanes=1 the bit-identical
-  // scalar reference for any --lanes=K.
-  if (lanes > 0) cfg.lab.newton.sparse = spice::SparseMode::kSparse;
+  if (lanes.has_value()) cfg.lanes = *lanes;
   const lab::LotCampaign campaign(lot, cfg);
   const auto dies = campaign.run();
   const lab::LotSummary s = lab::LotCampaign::summarise(dies);
@@ -488,8 +457,8 @@ int dispatch(const std::vector<std::string>& args) {
     return run_deck_analysis(deck.positional[0],
                              cmd == "run" ? spice::AnalysisKind::kDcSweep
                                           : spice::AnalysisKind::kAc,
-                             static_cast<unsigned>(threads), deck.sparse,
-                             std::nullopt, deck.lanes);
+                             static_cast<unsigned>(threads), std::nullopt,
+                             deck.lanes);
   }
   if (cmd == "tran") {
     const DeckArgs deck = scan_deck_args(args, /*allow_method=*/true);
@@ -497,7 +466,7 @@ int dispatch(const std::vector<std::string>& args) {
       throw UsageError("tran: want <deck.cir>");
     }
     return run_deck_analysis(deck.positional[0],
-                             spice::AnalysisKind::kTransient, 1, deck.sparse,
+                             spice::AnalysisKind::kTransient, 1,
                              deck.method);
   }
   if (cmd == "sweep") {
@@ -525,7 +494,7 @@ int dispatch(const std::vector<std::string>& args) {
   }
   if (cmd == "lot") {
     std::vector<std::string> positional;
-    unsigned lanes = 0;
+    std::optional<unsigned> lanes;
     for (std::size_t i = 1; i < args.size(); ++i) {
       if (args[i].rfind("--lanes=", 0) == 0) {
         lanes = parse_lanes_value(
