@@ -4,7 +4,10 @@
 // startup settling (PULSE supply step into an n-stage RC line) with the
 // adaptive trapezoidal controller, and record
 // wall time, accepted/rejected steps, Newton iterations, and timestep
-// throughput into results/BENCH_tran.json (plus the usual CSV).
+// throughput into results/BENCH_tran.json (plus the usual CSV). One more
+// row runs a 200-stage ladder loaded by a diode-connected PNP -- the
+// paper's IC(VBE) cell shape, where only the load's stamp depends on the
+// Newton iterate. Every row is a report, not a gate.
 //
 // Stage 2: google-benchmark timings of the bare TransientSolver::advance()
 // stepping kernel (the allocation-free inner loop) for both integration
@@ -13,6 +16,7 @@
 #include <chrono>
 #include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -35,7 +39,24 @@ spice::ParsedNetlist make_ladder(int nodes, std::uint64_t seed = 42) {
   return spice::parse_netlist(spice::generate_netlist(spec));
 }
 
+/// A 200-stage RC ladder whose far end is loaded by a diode-connected
+/// PNP, stepped by a supply pulse.
+spice::ParsedNetlist make_pnp_loaded_ladder() {
+  constexpr int kStages = 200;
+  std::ostringstream d;
+  d << "V1 n0 0 PULSE(1 0.5 0 10u 10u 200u 400u)\n";
+  for (int k = 1; k <= kStages; ++k) {
+    d << "R" << k << " n" << k - 1 << " n" << k << " " << 90 + (k * 37) % 21
+      << "\nC" << k << " n" << k << " 0 100p\n";
+  }
+  d << "Q1 0 0 n" << kStages << " PMOD\n"
+    << ".MODEL PMOD PNP (IS=1e-16 BF=50)\n"
+    << ".TRAN 5u 500u\n.PROBE V(n" << kStages << ")\n.END\n";
+  return spice::parse_netlist(d.str());
+}
+
 struct SettleRow {
+  std::string load = "none";
   int nodes = 0;
   int unknowns = 0;
   double wall_ms = 0.0;
@@ -48,8 +69,8 @@ struct SettleRow {
   }
 };
 
-SettleRow run_settling(int nodes) {
-  auto parsed = make_ladder(nodes);
+SettleRow run_settling(spice::ParsedNetlist parsed, int nodes) {
+  parsed.circuit->set_temperature(273.15 + parsed.temperature_celsius);
   spice::SimSession session(*parsed.circuit);
   spice::TransientSolver solver(session, *parsed.plan->transient);
   solver.begin();
@@ -72,11 +93,13 @@ void write_json(const std::vector<SettleRow>& rows, const std::string& path) {
   os << "{\n"
      << "  \"bench\": \"bench_tran\",\n"
      << "  \"kernel\": \"adaptive trapezoidal .TRAN startup settling on "
-        "generated RC-ladder decks\",\n"
+        "generated RC-ladder decks, and on a 200-stage ladder loaded by a "
+        "diode-connected PNP\",\n"
      << "  \"rows\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const SettleRow& r = rows[i];
-    os << "    {\"nodes\": " << r.nodes << ", \"unknowns\": " << r.unknowns
+    os << "    {\"load\": \"" << r.load << "\", \"nodes\": " << r.nodes
+       << ", \"unknowns\": " << r.unknowns
        << ", \"wall_ms\": " << r.wall_ms << ", \"steps\": " << r.accepted
        << ", \"rejected\": " << r.rejected
        << ", \"newton_iterations\": " << r.newton_iterations
@@ -92,12 +115,16 @@ void report() {
       "adaptive trapezoidal)");
   std::vector<SettleRow> rows;
   const int sizes[] = {20, 50, 100, 200};
-  for (int nodes : sizes) rows.push_back(run_settling(nodes));
+  for (int nodes : sizes) {
+    rows.push_back(run_settling(make_ladder(nodes), nodes));
+  }
+  rows.push_back(run_settling(make_pnp_loaded_ladder(), 200));
+  rows.back().load = "pnp";
 
-  Table t({"nodes", "unknowns", "wall [ms]", "steps", "rejected",
+  Table t({"load", "nodes", "unknowns", "wall [ms]", "steps", "rejected",
            "newton iters", "steps/s"});
   for (const SettleRow& r : rows) {
-    t.add_row({std::to_string(r.nodes), std::to_string(r.unknowns),
+    t.add_row({r.load, std::to_string(r.nodes), std::to_string(r.unknowns),
                format_sig(r.wall_ms, 4),
                std::to_string(r.accepted), std::to_string(r.rejected),
                std::to_string(r.newton_iterations),

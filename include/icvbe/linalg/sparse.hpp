@@ -19,7 +19,11 @@
 //     short sorted row only when the check fails -- allocation-free), and
 //     SparseLuFactorizationT::refactor() re-factors numerically along a
 //     cached pivot order and fill pattern from the first pivot step whose
-//     row changed, also allocation-free.
+//     row changed, also allocation-free. A restamp may stop part way,
+//     checkpoint() the values and the tape position, and later
+//     restore_checkpoint() instead of repeating that prefix: a Newton
+//     attempt stamps the linear devices before its first nonlinear one
+//     once and restamps only the rest per iteration.
 //
 // Scalar genericity: the pattern machinery (COO -> CSR compilation,
 // fill-reducing ordering, BTF permutation, fill-pattern discovery) is
@@ -71,6 +75,11 @@ class StampTape {
   }
   /// Start of a restamp: the next add replays entry 0.
   void rewind() noexcept { cursor_ = 0; }
+  /// Index of the entry the next add replays.
+  [[nodiscard]] std::size_t cursor() const noexcept { return cursor_; }
+  /// Make the next add replay entry `cursor` (a position cursor() returned
+  /// during an earlier restamp of the same sequence).
+  void seek(std::size_t cursor) noexcept { cursor_ = cursor; }
 
   [[nodiscard]] std::size_t size() const noexcept { return slots_.size(); }
   /// Adds that found a recorded entry failing its check, or ran past the
@@ -150,6 +159,18 @@ class SparseMatrixT {
   /// so it also rewinds the stamp tape.
   void fill(Scalar value);
 
+  /// Save every stored value and the stamp-tape cursor (frozen only). The
+  /// first call after freeze_pattern() sizes the buffer; later calls on
+  /// the same pattern do not allocate, and a matrix that never
+  /// checkpoints holds no buffer.
+  void checkpoint();
+  /// Copy the values saved by the last checkpoint() back and move the
+  /// stamp tape to the cursor saved with them, so the adds that follow
+  /// replay the same entries they replayed after the checkpoint. Frozen
+  /// only; allocation-free.
+  /// \pre checkpoint() ran since the pattern was frozen.
+  void restore_checkpoint();
+
   /// Value at (r, c); zero outside the pattern (frozen only).
   [[nodiscard]] Scalar at(std::size_t r, std::size_t c) const;
 
@@ -206,6 +227,10 @@ class SparseMatrixT {
   std::vector<int> col_index_;
   std::vector<Scalar> values_;
   StampTape tape_;
+
+  // checkpoint(): saved values (empty until the first call) and cursor.
+  std::vector<Scalar> checkpoint_values_;
+  std::size_t checkpoint_cursor_ = 0;
 };
 
 template <typename Scalar>

@@ -58,6 +58,9 @@ class Circuit {
                            double farads, double ic_volts = std::nan(""));
   Inductor& add_inductor(std::string name, NodeId p, NodeId m,
                          double henries, double ic_amps = std::nan(""));
+  /// Add a device of any class (takes ownership); throws CircuitError on
+  /// a duplicate name.
+  Device& add_device(std::unique_ptr<Device> device);
 
   /// Look up a device by name; throws CircuitError if absent or of the
   /// wrong type.

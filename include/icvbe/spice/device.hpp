@@ -4,7 +4,10 @@
 // Lifecycle per DC solve:
 //   1. set_temperature(T)   -- update temperature-dependent parameters
 //   2. reset_state()        -- clear junction-limiting memory
-//   3. stamp(stamper, prev) -- once per Newton iteration, linearised at prev
+//   3. stamp(stamper, prev) -- linear devices: once per Newton attempt;
+//                              nonlinear: every iteration, linearised at prev
+//      (SimSession checkpoints the linear devices before the first
+//      nonlinear one; the devices from there on restamp every iteration)
 //   4. power(solution)      -- dissipation for the electro-thermal loop
 //
 // Small-signal contract (AC analysis): after a DC operating point has been
@@ -64,6 +67,16 @@ class Device {
   virtual void stamp_ac(AcStamper& ac, const Unknowns& op) const = 0;
 
   /// True if the device is nonlinear (forces Newton iteration).
+  ///
+  /// Contract of a device returning false (asserted per class by
+  /// test_session's LinearDeviceContract): stamp() writes bitwise the same
+  /// matrix and RHS values at any iterate `prev`, and changes no state that
+  /// a later stamp(), power() or probe could observe. Its values may change
+  /// only through calls made between Newton attempts (a source value,
+  /// set_temperature, begin_step, a parameter setter). SimSession relies
+  /// on this: it stamps the linear devices before the first nonlinear one
+  /// once per attempt and restores them from a checkpoint on every later
+  /// iteration.
   [[nodiscard]] virtual bool is_nonlinear() const { return false; }
 
   // Lane-batched exponential evaluation (BatchDcSession). Junction devices

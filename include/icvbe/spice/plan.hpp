@@ -20,6 +20,7 @@
 // per-thread circuit clones (same deterministic-fanout discipline as
 // lab::LotCampaign -- results are bit-identical for any thread count).
 
+#include <algorithm>
 #include <cstddef>
 #include <iosfwd>
 #include <memory>
@@ -332,6 +333,12 @@ class SweepAxis {
 
 // ------------------------------------------------------- TransientSpec ---
 
+/// Most points one analysis grid may describe: a .DC/.STEP/.AC grid's
+/// point count, or a .TRAN spec's TransientSpec::grid_points(). The
+/// parser checks it in double arithmetic before anything is allocated,
+/// so an absurd card is a named error rather than a hang.
+inline constexpr double kMaxGridPoints = 1e7;
+
 /// Declarative description of one time-domain (.TRAN) analysis: the value
 /// counterpart of the sweep axes. Executed by TransientSolver
 /// (spice/transient.hpp) or, via AnalysisPlan::transient, by
@@ -357,6 +364,14 @@ struct TransientSpec {
   /// override the solved operating point; with UIC they seed the start
   /// vector directly.
   std::vector<std::pair<std::string, double>> initial_conditions;
+
+  /// Size of the time grid, tstop / min(tstep, tmax if set); must not
+  /// exceed kMaxGridPoints. Stepping covers [0, tstop] whatever tstart
+  /// is, so this is a fixed-step run's step count and the fewest steps
+  /// an adaptive run can take.
+  [[nodiscard]] double grid_points() const noexcept {
+    return tstop / (tmax > 0.0 ? std::min(tstep, tmax) : tstep);
+  }
 };
 
 // --------------------------------------------------------------- AcSpec ---

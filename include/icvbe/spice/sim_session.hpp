@@ -281,7 +281,10 @@ class SimSession {
   int node_unknowns_ = 0;
   std::size_t bound_device_count_ = 0;
 
+  /// Devices before the first nonlinear one: stamped once per attempt.
+  std::size_t linear_prefix_ = 0;
   linalg::Vector b_;  ///< RHS, then the linear solve's result
+  linalg::Vector b_linear_;  ///< RHS checkpoint: the linear prefix's part
   linalg::SparseMatrix sa_;
   linalg::SparseLuFactorization slu_;
 

@@ -56,6 +56,7 @@ void SparseMatrixT<Scalar>::resize(std::size_t rows, std::size_t cols) {
   row_ptr_.clear();
   col_index_.clear();
   values_.clear();
+  checkpoint_values_.clear();
   tape_.reset(0);
 }
 
@@ -141,6 +142,7 @@ void SparseMatrixT<Scalar>::unfreeze() {
   row_ptr_.clear();
   col_index_.clear();
   values_.clear();
+  checkpoint_values_.clear();
   tape_.reset(0);
   frozen_ = false;
 }
@@ -150,6 +152,23 @@ void SparseMatrixT<Scalar>::fill(Scalar value) {
   ICVBE_REQUIRE(frozen_, "SparseMatrix::fill: freeze_pattern() first");
   std::fill(values_.begin(), values_.end(), value);
   tape_.rewind();
+}
+
+template <typename Scalar>
+void SparseMatrixT<Scalar>::checkpoint() {
+  ICVBE_REQUIRE(frozen_, "SparseMatrix::checkpoint: freeze_pattern() first");
+  checkpoint_values_.assign(values_.begin(), values_.end());
+  checkpoint_cursor_ = tape_.cursor();
+}
+
+template <typename Scalar>
+void SparseMatrixT<Scalar>::restore_checkpoint() {
+  ICVBE_REQUIRE(frozen_ && checkpoint_values_.size() == values_.size(),
+                "SparseMatrix::restore_checkpoint: no checkpoint of this "
+                "pattern");
+  std::copy(checkpoint_values_.begin(), checkpoint_values_.end(),
+            values_.begin());
+  tape_.seek(checkpoint_cursor_);
 }
 
 template <typename Scalar>

@@ -41,13 +41,19 @@ void Circuit::require_unique_name(const std::string& name) const {
   }
 }
 
+Device& Circuit::add_device(std::unique_ptr<Device> device) {
+  require_unique_name(device->name());
+  Device& ref = *device;
+  device_index_.emplace(device->name(), devices_.size());
+  devices_.push_back(std::move(device));
+  return ref;
+}
+
 template <typename T, typename... Args>
 T& Circuit::emplace(Args&&... args) {
   auto dev = std::make_unique<T>(std::forward<Args>(args)...);
-  require_unique_name(dev->name());
   T& ref = *dev;
-  device_index_.emplace(dev->name(), devices_.size());
-  devices_.push_back(std::move(dev));
+  add_device(std::move(dev));
   return ref;
 }
 

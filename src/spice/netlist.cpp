@@ -167,11 +167,6 @@ MosfetModel parse_mosfet_model(const std::map<std::string, double>& p,
   return m;
 }
 
-/// Most points one deck grid (.DC/.STEP/.AC) may describe. Grid sizes are
-/// checked against it in double arithmetic before anything is allocated,
-/// so an absurd card is a named error rather than a hang.
-constexpr double kMaxGridPoints = 1e7;
-
 void require_finite(std::initializer_list<double> values, int line,
                     const char* what) {
   for (double v : values) {
@@ -565,9 +560,15 @@ ParsedNetlist parse_netlist(std::string_view text) {
       spec.tstop = positional[1];
       if (positional.size() > 2) spec.tstart = positional[2];
       if (positional.size() > 3) spec.tmax = positional[3];
+      require_finite({spec.tstep, spec.tstop, spec.tstart, spec.tmax},
+                     lineno, ".TRAN tstep, tstop, tstart and tmax");
       if (!(spec.tstep > 0.0) || !(spec.tstop > spec.tstart) ||
           spec.tstart < 0.0 || spec.tmax < 0.0) {
         fail(lineno, ".TRAN needs tstep > 0 and tstop > tstart >= 0");
+      }
+      if (!(spec.grid_points() <= kMaxGridPoints)) {
+        fail(lineno, ".TRAN would take " + format_sig(spec.grid_points(), 3) +
+                         " steps (at most 1e7)");
       }
       tran = std::move(spec);
       analysis_line = lineno;

@@ -19,8 +19,18 @@ void SimSession::rebind() {
   ICVBE_REQUIRE(n_unknowns_ > 0, "SimSession: circuit has no unknowns");
   bound_device_count_ = circuit_->devices().size();
 
+  // The linear prefix: the devices before the first nonlinear one, which
+  // newton_attempt stamps once per attempt (see there). Parsed decks
+  // instantiate semiconductors last, so there it is every linear device.
+  const auto& devices = circuit_->devices();
+  linear_prefix_ = static_cast<std::size_t>(
+      std::find_if(devices.begin(), devices.end(),
+                   [](const auto& d) { return d->is_nonlinear(); }) -
+      devices.begin());
+
   const auto n = static_cast<std::size_t>(n_unknowns_);
   b_.assign(n, 0.0);
+  b_linear_.assign(n, 0.0);
   x_ = Unknowns(n);
   x_stage_ = Unknowns(n);
   result_.solution = Unknowns(n);
@@ -34,7 +44,7 @@ void SimSession::rebind() {
   // slots are part of the pattern too.
   sa_.resize(n, n);
   Stamper st(sa_, b_, node_unknowns_);
-  for (const auto& dev : circuit_->devices()) dev->stamp(st, x_);
+  for (const auto& dev : devices) dev->stamp(st, x_);
   for (int i = 0; i < node_unknowns_; ++i) st.add_entry(i, i, 0.0);
   sa_.freeze_pattern();
   // The discovery pass ran device limiting at the zero iterate; wipe that
@@ -112,13 +122,32 @@ bool SimSession::newton_attempt(double gmin, Unknowns& x, int& iterations,
                                 bool repivot) {
   const int node_unknowns = node_unknowns_;
   const NewtonOptions& opt = options_;
+  const auto& devices = circuit_->devices();
+  Stamper st(sa_, b_, node_unknowns);
 
   for (int iter = 0; iter < opt.max_iterations; ++iter) {
     ++iterations;
-    sa_.fill(0.0);
-    std::fill(b_.begin(), b_.end(), 0.0);
-    Stamper st(sa_, b_, node_unknowns);
-    for (const auto& dev : circuit_->devices()) dev->stamp(st, x);
+    // A linear device stamps the same values at every iterate, and what
+    // changes those values (a source value, the timestep, a temperature,
+    // a PATCH) changes only between attempts. So iteration 0 stamps the
+    // linear prefix and checkpoints the system; later iterations restore
+    // it. Either way the remaining devices and the gmin diagonal follow,
+    // in device order, so every slot sums its adds as a full restamp would.
+    if (iter == 0) {
+      sa_.fill(0.0);
+      std::fill(b_.begin(), b_.end(), 0.0);
+      for (std::size_t d = 0; d < linear_prefix_; ++d) {
+        devices[d]->stamp(st, x);
+      }
+      sa_.checkpoint();
+      std::copy(b_.begin(), b_.end(), b_linear_.begin());
+    } else {
+      sa_.restore_checkpoint();
+      std::copy(b_linear_.begin(), b_linear_.end(), b_.begin());
+    }
+    for (std::size_t d = linear_prefix_; d < devices.size(); ++d) {
+      devices[d]->stamp(st, x);
+    }
     for (int i = 0; i < node_unknowns; ++i) st.add_entry(i, i, gmin);
 
     try {

@@ -14,6 +14,10 @@ TransientSolver::TransientSolver(SimSession& session, TransientSpec spec)
   ICVBE_REQUIRE(spec_.tstop > spec_.tstart,
                 "TransientSolver: tstop must be > tstart");
   ICVBE_REQUIRE(spec_.tmax >= 0.0, "TransientSolver: tmax must be >= 0");
+  // Bounds the run; the parser reports the same check with the card's
+  // line.
+  ICVBE_REQUIRE(spec_.grid_points() <= kMaxGridPoints,
+                "TransientSolver: time grid of more than 1e7 steps");
   ICVBE_REQUIRE(spec_.lte_reltol > 0.0 && spec_.lte_abstol > 0.0,
                 "TransientSolver: LTE tolerances must be > 0");
   tmax_ = spec_.tmax > 0.0 ? spec_.tmax : spec_.tstep;
@@ -261,8 +265,13 @@ SweepResult TransientSolver::run(const std::vector<Probe>& probes,
   out.axis_labels_ = {"TIME"};
   out.columns_.resize(probes.size());
   for (const Probe& p : probes) out.probe_labels_.push_back(p.to_string());
-  const auto estimate = static_cast<std::size_t>(
-      (spec_.tstop - spec_.tstart) / spec_.tstep * 4.0 + 16.0);
+  // Reserve for a typical run, at most kMaxReservedRows, and let longer
+  // runs grow: memory then follows the steps a run takes, not its grid
+  // (a grid near kMaxGridPoints would reserve ~320 MB per column).
+  constexpr double kMaxReservedRows = 4096.0;
+  const auto estimate = static_cast<std::size_t>(std::min(
+      (spec_.tstop - spec_.tstart) / spec_.tstep * 4.0 + 16.0,
+      kMaxReservedRows));
   out.inner_.reserve(estimate);
   for (auto& col : out.columns_) col.reserve(estimate);
 

@@ -11,6 +11,15 @@
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::size_t> g_largest{0};
+
+void count(std::size_t size) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  std::size_t seen = g_largest.load(std::memory_order_relaxed);
+  while (size > seen && !g_largest.compare_exchange_weak(
+                            seen, size, std::memory_order_relaxed)) {
+  }
+}
 }  // namespace
 
 namespace icvbe::testing {
@@ -19,10 +28,18 @@ std::uint64_t allocation_count() noexcept {
   return g_allocations.load(std::memory_order_relaxed);
 }
 
+std::size_t largest_allocation() noexcept {
+  return g_largest.load(std::memory_order_relaxed);
+}
+
+void reset_largest_allocation() noexcept {
+  g_largest.store(0, std::memory_order_relaxed);
+}
+
 }  // namespace icvbe::testing
 
 void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  count(size);
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
@@ -30,7 +47,7 @@ void* operator new(std::size_t size) {
 void* operator new[](std::size_t size) { return ::operator new(size); }
 
 void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  count(size);
   return std::malloc(size ? size : 1);
 }
 

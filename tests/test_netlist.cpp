@@ -315,6 +315,10 @@ TEST(NetlistParser, OversizedOrNonFiniteGridsFailFastWithLine) {
       ".STEP R1 1 1e308 1",
       ".STEP R1 DEC 1 1e300 100000",
       ".AC DEC 1000000000 1 1e9",
+      ".TRAN 1e-300 1",
+      ".TRAN 1n 1e300",
+      ".TRAN 1u 1 0 1e-300",
+      ".TRAN 1u inf",
   };
   for (const char* card : cards) {
     SCOPED_TRACE(card);

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <mutex>
@@ -23,6 +24,8 @@
 #include "icvbe/spice/netlist_gen.hpp"
 #include "icvbe/spice/plan.hpp"
 #include "icvbe/testing/alloc_hook.hpp"
+
+#include "dense_oracle.hpp"
 
 namespace icvbe::spice {
 namespace {
@@ -316,6 +319,79 @@ TEST(AnalysisPlanTest, TwoAxisLanedFanoutIsBitIdenticalToScalar) {
       }
     }
   }
+}
+
+/// V1 -> R1 -> collector of Q1, R2 collector -> base, R3 base -> ground,
+/// with Q1 added *before* the resistors. (The deck parser instantiates
+/// semiconductors after every other element, so a parsed circuit's device
+/// order is already linear-first; only Circuit-API circuits interleave.)
+void build_bjt_first_rig(Circuit& c) {
+  const NodeId vcc = c.node("vcc");
+  const NodeId col = c.node("c");
+  const NodeId base = c.node("b");
+  c.add_vsource("V1", vcc, kGround, 2.0);
+  c.add_bjt("Q1", col, base, kGround, BjtModel{});
+  c.add_resistor("R1", vcc, col, 10e3);
+  c.add_resistor("R2", col, base, 100e3);
+  c.add_resistor("R3", base, kGround, 1e6);
+  c.set_temperature(300.15);
+}
+
+TEST(AnalysisPlanTest, LanesMatchPerDieWhenNonlinearDevicesComeFirst) {
+  // Q1 is added before R1..R3, so the per-die session's checkpoint holds
+  // only V1 and it restamps Q1 and the resistors on every iteration,
+  // while the batched lanes restamp every device. Both add each slot's
+  // contributions in device order, so they must agree bit for bit, and
+  // both must agree with a dense LU.
+  NewtonOptions tight;
+  tight.v_abstol = 1e-11;
+  tight.i_abstol = 1e-14;
+  tight.reltol = 1e-12;
+  AnalysisPlan plan;
+  plan.name = "bjt_first";
+  plan.axes = {SweepAxis::resistor("R1", SweepGrid::linear(5e3, 20e3, 4)),
+               SweepAxis::vsource("V1", SweepGrid::linear(0.5, 3.0, 11))};
+  plan.probes = {Probe::node_voltage("c"), Probe::node_voltage("b"),
+                 Probe::branch_current("V1")};
+  plan.options = tight;
+
+  const auto run_lanes = [&](unsigned lanes) {
+    Circuit c;
+    build_bjt_first_rig(c);
+    SimSession session(c, tight);
+    AnalysisPlan p = plan;
+    p.lanes = lanes;
+    return session.run(p);
+  };
+  const SweepResult per_die = run_lanes(0);
+  const SweepResult laned = run_lanes(3);
+  ASSERT_EQ(per_die.rows(), 4u * 11u);
+  ASSERT_EQ(laned.rows(), per_die.rows());
+  for (std::size_t p = 0; p < per_die.probe_count(); ++p) {
+    for (std::size_t r = 0; r < per_die.rows(); ++r) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(laned.value(p, r)),
+                std::bit_cast<std::uint64_t>(per_die.value(p, r)))
+          << "probe=" << p << " row=" << r;
+    }
+  }
+
+  Circuit c;
+  build_bjt_first_rig(c);
+  oracle::DenseOracle dense(c, tight);
+  for (std::size_t r = 0; r < per_die.rows(); ++r) {
+    auto& r1 = c.get<Resistor>("R1");
+    r1.set_nominal_resistance(per_die.axis_value(0, r));
+    r1.set_temperature(c.temperature());
+    c.get<VoltageSource>("V1").set_voltage(per_die.axis_value(1, r));
+    const Unknowns& x = dense.solve();
+    for (std::size_t p = 0; p < per_die.probe_count(); ++p) {
+      EXPECT_NEAR(plan.probes[p].eval(c, x), per_die.value(p, r), 1e-10)
+          << "probe=" << p << " row=" << r;
+    }
+  }
+  // The load is on: Q1 pulls the collector well below the open-circuit
+  // divider at the top of the sweep.
+  EXPECT_LT(per_die.value(0, per_die.rows() - 1), 2.0);
 }
 
 TEST(AnalysisPlanTest, TwoAxisResistorStepMatchesManualReprogramming) {

@@ -5,7 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <functional>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "icvbe/bandgap/test_cell.hpp"
 #include "icvbe/common/constants.hpp"
@@ -15,6 +21,7 @@
 #include "icvbe/spice/circuit.hpp"
 #include "icvbe/spice/dc_solver.hpp"
 #include "icvbe/spice/sim_session.hpp"
+#include "icvbe/spice/transient.hpp"
 #include "icvbe/testing/alloc_hook.hpp"
 
 namespace icvbe::spice {
@@ -206,6 +213,265 @@ TEST(SimSessionTest, NewtonLoopIsAllocationFreeAfterSetup) {
   EXPECT_GT(std::abs(vref_sum), 0.0);
   EXPECT_EQ(after - before, 0u)
       << "SimSession::solve() allocated on the steady-state path";
+}
+
+// ---------------------------------------------------------------------------
+// The linear-device contract (Device::is_nonlinear): a device reporting
+// itself linear stamps values independent of the iterate and keeps no
+// state a stamp can change. SimSession stamps such devices once per Newton
+// attempt and restores them from a checkpoint on later iterations, so a
+// device breaking the contract would silently freeze at iteration 0.
+
+/// One stamp of `dev` at `x` into a fresh dense system.
+struct DenseStamp {
+  linalg::Matrix a;
+  linalg::Vector b;
+};
+
+constexpr int kContractNodes = 4;  // nodes 1..4; one aux row follows
+
+DenseStamp stamp_alone(Device& dev, const Unknowns& x) {
+  const std::size_t n = x.size();
+  DenseStamp out{linalg::Matrix(n, n), linalg::Vector(n, 0.0)};
+  Stamper st(out.a, out.b, kContractNodes);
+  dev.stamp(st, x);
+  return out;
+}
+
+bool bitwise_equal(const DenseStamp& p, const DenseStamp& q) {
+  const std::size_t n = p.b.size();
+  for (std::size_t r = 0; r < n; ++r) {
+    if (std::bit_cast<std::uint64_t>(p.b[r]) !=
+        std::bit_cast<std::uint64_t>(q.b[r])) {
+      return false;
+    }
+    for (std::size_t c = 0; c < n; ++c) {
+      if (std::bit_cast<std::uint64_t>(p.a(r, c)) !=
+          std::bit_cast<std::uint64_t>(q.a(r, c))) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+Unknowns iterate(std::initializer_list<double> values) {
+  Unknowns x(values.size());
+  std::copy(values.begin(), values.end(), x.raw().begin());
+  return x;
+}
+
+/// A dynamic device in transient mode with non-zero companion memory:
+/// state initialised at `x0`, one step committed at `x1`, next step begun.
+template <typename Dyn>
+std::unique_ptr<Device> stepping(std::unique_ptr<Dyn> d,
+                                 IntegrationMethod method) {
+  d->set_first_aux(kContractNodes);
+  const Unknowns x0 = iterate({0.2, -0.1, 0.05, 0.4, 1e-3});
+  const Unknowns x1 = iterate({0.7, 0.3, -0.2, 0.1, 2e-3});
+  d->init_state(x0);
+  d->begin_step(method, 1e-6);
+  d->commit(x1);
+  d->begin_step(method, 5e-7);
+  return d;
+}
+
+TEST(LinearDeviceContract, StampIgnoresIterateAndKeepsState) {
+  using Make = std::function<std::unique_ptr<Device>()>;
+  const auto with_aux = [](std::unique_ptr<Device> d) {
+    d->set_first_aux(kContractNodes);
+    return d;
+  };
+  const auto be = IntegrationMethod::kBackwardEuler;
+  const auto trap = IntegrationMethod::kTrapezoidal;
+  const std::vector<std::pair<std::string, Make>> cases = {
+      {"Resistor",
+       [] {
+         auto r = std::make_unique<Resistor>("R1", 1, 2, 1.5e3, 1e-3, 1e-6);
+         r->set_temperature(350.0);
+         return r;
+       }},
+      {"VoltageSource",
+       [&] {
+         return with_aux(std::make_unique<VoltageSource>("V1", 1, 0, 1.2));
+       }},
+      {"CurrentSource",
+       [] { return std::make_unique<CurrentSource>("I1", 2, 3, 1e-4); }},
+      {"Vcvs",
+       [&] {
+         return with_aux(std::make_unique<Vcvs>("E1", 1, 2, 3, 4, 12.5));
+       }},
+      {"OpAmp",
+       [&] {
+         return with_aux(std::make_unique<OpAmp>("U1", 1, 2, 3, 1e6, 2e-3));
+       }},
+      {"Capacitor/DC",
+       [] { return std::make_unique<Capacitor>("C1", 1, 2, 1e-9); }},
+      {"Inductor/DC",
+       [&] { return with_aux(std::make_unique<Inductor>("L1", 3, 4, 1e-6)); }},
+      {"Capacitor/BE",
+       [&] {
+         return stepping(std::make_unique<Capacitor>("C1", 1, 2, 1e-9), be);
+       }},
+      {"Capacitor/TRAP",
+       [&] {
+         return stepping(std::make_unique<Capacitor>("C1", 1, 2, 1e-9), trap);
+       }},
+      {"Inductor/BE",
+       [&] {
+         return stepping(std::make_unique<Inductor>("L1", 3, 4, 1e-6), be);
+       }},
+      {"Inductor/TRAP",
+       [&] {
+         return stepping(std::make_unique<Inductor>("L1", 3, 4, 1e-6), trap);
+       }},
+  };
+
+  const Unknowns x1 = iterate({0.3, -1.7, 2.5, 0.01, 4e-3});
+  const Unknowns x2 = iterate({-4.0, 0.65, 1e-3, 9.0, -7e-2});
+  for (const auto& [name, make] : cases) {
+    SCOPED_TRACE(name);
+    const std::unique_ptr<Device> dev = make();
+    EXPECT_FALSE(dev->is_nonlinear());
+    const double power_before = dev->power(x1);
+
+    const DenseStamp at_x1 = stamp_alone(*dev, x1);
+    const DenseStamp at_x2 = stamp_alone(*dev, x2);
+    EXPECT_TRUE(bitwise_equal(at_x1, at_x2))
+        << "the stamp depends on the iterate";
+    // The two stamps left nothing behind that a later stamp, the power
+    // or a probe would see.
+    EXPECT_TRUE(bitwise_equal(stamp_alone(*dev, x1), at_x1))
+        << "stamping changed the device's state";
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(dev->power(x1)),
+              std::bit_cast<std::uint64_t>(power_before));
+    bool stamped_something = false;
+    for (std::size_t r = 0; r < x1.size(); ++r) {
+      stamped_something = stamped_something || at_x1.b[r] != 0.0;
+      for (std::size_t c = 0; c < x1.size(); ++c) {
+        stamped_something = stamped_something || at_x1.a(r, c) != 0.0;
+      }
+    }
+    EXPECT_TRUE(stamped_something || name == "Capacitor/DC");
+  }
+}
+
+TEST(LinearDeviceContract, JunctionDevicesReportNonlinear) {
+  EXPECT_TRUE(Diode("D1", 1, 0, DiodeModel{}).is_nonlinear());
+  EXPECT_TRUE(Bjt("Q1", 1, 2, 0, BjtModel{}).is_nonlinear());
+  EXPECT_TRUE(Mosfet("M1", 1, 2, 0, MosfetModel{}).is_nonlinear());
+}
+
+// ---------------------------------------------------------------------------
+// The saving itself: a Newton attempt stamps each linear device once and
+// each nonlinear device on every iteration.
+
+/// Wraps a device and counts its stamp() calls; reports the wrapped
+/// device's linearity.
+class CountingDevice final : public Device {
+ public:
+  CountingDevice(std::unique_ptr<Device> inner, long* stamps)
+      : Device(inner->name()), inner_(std::move(inner)), stamps_(stamps) {}
+
+  [[nodiscard]] std::unique_ptr<Device> clone() const override {
+    return std::make_unique<CountingDevice>(inner_->clone(), stamps_);
+  }
+  void set_temperature(double t_kelvin) override {
+    inner_->set_temperature(t_kelvin);
+  }
+  void stamp(Stamper& stamper, const Unknowns& prev) override {
+    ++*stamps_;
+    inner_->stamp(stamper, prev);
+  }
+  void stamp_ac(AcStamper& ac, const Unknowns& op) const override {
+    inner_->stamp_ac(ac, op);
+  }
+  [[nodiscard]] bool is_nonlinear() const override {
+    return inner_->is_nonlinear();
+  }
+  void reset_state() override { inner_->reset_state(); }
+
+ private:
+  std::unique_ptr<Device> inner_;
+  long* stamps_;
+};
+
+/// A 20-stage RC ladder driven by V1, loaded by a diode; one ladder
+/// resistor and the diode are wrapped in CountingDevice.
+struct CountedLadder {
+  Circuit c;
+  long linear_stamps = 0;
+  long diode_stamps = 0;
+  VoltageSource* v1 = nullptr;
+
+  CountedLadder() {
+    const auto name = [](char prefix, int k) {
+      std::string s(1, prefix);
+      s += std::to_string(k);
+      return s;
+    };
+    v1 = &c.add_vsource("V1", c.node("n0"), kGround, 1.0);
+    v1->set_waveform(Waveform::pulse(0.0, 1.5, 1e-6, 1e-6, 1e-6, 20e-6));
+    for (int k = 1; k <= 20; ++k) {
+      const NodeId prev = c.node(name('n', k - 1));
+      const NodeId node = c.node(name('n', k));
+      if (k == 7) {
+        c.add_device(std::make_unique<CountingDevice>(
+            std::make_unique<Resistor>(name('R', k), prev, node, 100.0),
+            &linear_stamps));
+      } else {
+        c.add_resistor(name('R', k), prev, node, 100.0);
+      }
+      c.add_capacitor(name('C', k), node, kGround, 1e-9);
+    }
+    DiodeModel dm;
+    dm.is = 1e-14;
+    c.add_device(std::make_unique<CountingDevice>(
+        std::make_unique<Diode>("D1", c.node("n20"), kGround, dm),
+        &diode_stamps));
+  }
+};
+
+TEST(SimSessionTest, LinearDevicesStampOncePerNewtonAttempt) {
+  CountedLadder rig;
+  SimSession session(rig.c);
+  rig.linear_stamps = 0;  // the bind's pattern-discovery pass
+  rig.diode_stamps = 0;
+
+  long solves = 0;
+  long iterations = 0;
+  for (const double v : {0.2, 0.7, 1.1, 1.6, 2.4, 3.0}) {
+    rig.v1->set_voltage(v);
+    const DcResult& r = session.solve();
+    ASSERT_TRUE(r.converged);
+    ASSERT_EQ(r.strategy, "newton");
+    ++solves;
+    iterations += r.iterations;
+  }
+  // One plain Newton attempt per solve here: the linear device stamped
+  // once per attempt, the diode on every iteration.
+  EXPECT_EQ(rig.linear_stamps, solves);
+  EXPECT_EQ(rig.diode_stamps, iterations);
+  EXPECT_GT(iterations, 2 * solves);
+}
+
+TEST(SimSessionTest, TransientStampsLinearDevicesOncePerStepAttempt) {
+  CountedLadder rig;
+  SimSession session(rig.c);
+  TransientSpec spec;
+  spec.tstep = 1e-6;
+  spec.tstop = 40e-6;
+  TransientSolver tran(session, spec);
+  tran.begin();  // the operating point: one more attempt, not counted
+  rig.linear_stamps = 0;
+  rig.diode_stamps = 0;
+  while (tran.advance()) {
+  }
+  EXPECT_GT(tran.steps_rejected(), 0);
+  EXPECT_EQ(rig.linear_stamps, tran.steps_accepted() + tran.steps_rejected());
+  EXPECT_EQ(rig.diode_stamps, tran.newton_iterations());
+  EXPECT_GT(tran.newton_iterations(),
+            tran.steps_accepted() + tran.steps_rejected());
 }
 
 }  // namespace

@@ -226,6 +226,49 @@ TEST(StampTapeTest, FixedSequenceRestampsNeverMiss) {
   EXPECT_THROW(m.add(0, 2, 1.0), Error);
 }
 
+TEST(StampTapeTest, CheckpointRestoresValuesAndTapeCursor) {
+  // A restamp that stops after a prefix, checkpoints, and later restores
+  // instead of repeating the prefix must leave the values a full restamp
+  // gives, with the suffix still replaying its taped slots.
+  const auto prefix = [](SparseMatrix& m) {
+    m.add(0, 0, 2.0);
+    m.add(1, 1, 3.0);
+    m.add(0, 1, -1.0);
+  };
+  const auto suffix = [](SparseMatrix& m, double g) {
+    m.add(0, 0, g);
+    m.add(2, 2, g);
+    m.add(1, 2, -g);
+  };
+  SparseMatrix m(3, 3);
+  prefix(m);
+  suffix(m, 0.0);
+  m.freeze_pattern();
+  SparseMatrix full = m;
+
+  m.fill(0.0);
+  prefix(m);
+  EXPECT_THROW(m.restore_checkpoint(), Error);  // nothing saved yet
+  m.checkpoint();
+  EXPECT_EQ(m.tape().cursor(), 3u);
+  suffix(m, 0.5);
+  for (int k = 1; k <= 4; ++k) {
+    m.restore_checkpoint();
+    EXPECT_EQ(m.tape().cursor(), 3u);
+    EXPECT_DOUBLE_EQ(m.at(0, 0), 2.0);  // the suffix's adds are gone
+    EXPECT_DOUBLE_EQ(m.at(2, 2), 0.0);
+    suffix(m, static_cast<double>(k));
+    full.fill(0.0);
+    prefix(full);
+    suffix(full, static_cast<double>(k));
+    for (std::size_t i = 0; i < m.values().size(); ++i) {
+      EXPECT_EQ(m.values()[i], full.values()[i]) << "k " << k << " slot " << i;
+    }
+  }
+  EXPECT_EQ(m.tape().misses(), 0u);
+  EXPECT_EQ(full.tape().misses(), 0u);
+}
+
 TEST(SparseLuTest, SolvesTridiagonalSystem) {
   const std::size_t n = 50;
   SparseMatrix m(n, n);

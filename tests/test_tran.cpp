@@ -386,6 +386,32 @@ TEST(TransientEngineTest, AdvanceIsAllocationFreeAfterSetup) {
       << "allocated in the transient stepping loop";
 }
 
+TEST(TransientEngineTest, RunReservesForItsStepsNotItsGrid) {
+  // A grid near the kMaxGridPoints bound, cancelled at its first row:
+  // nothing run() holds before the first step may scale with the grid
+  // (an estimate from the grid would reserve ~256 MB per column here).
+  RcFixture f;
+  SimSession session(f.circuit);
+  TransientSpec spec;
+  spec.tstep = 1.25e-7;
+  spec.tstop = 1.0;
+  ASSERT_GT(spec.grid_points(), 0.5 * kMaxGridPoints);
+  ASSERT_LE(spec.grid_points(), kMaxGridPoints);
+  TransientSolver solver(session, spec);
+  struct CancelAtFirstRow final : RunObserver {
+    bool on_row(std::size_t, const double*, std::size_t, const double*,
+                std::size_t) override {
+      return false;
+    }
+  } cancel;
+  const std::vector<Probe> probes = {parse_probe("V(out)"),
+                                     parse_probe("V(in)"),
+                                     parse_probe("I(V1)")};
+  icvbe::testing::reset_largest_allocation();
+  EXPECT_THROW((void)solver.run(probes, &cancel), CancelledError);
+  EXPECT_LT(icvbe::testing::largest_allocation(), std::size_t{1} << 20);
+}
+
 // -------------------------------------------------- plan / deck plumbing ---
 
 TEST(TransientPlanTest, DeckTranRunsThroughSessionRun) {
@@ -441,6 +467,19 @@ TEST(TransientPlanTest, SolverValidatesSpec) {
   bad.tstep = 1e-5;
   bad.tstop = 0.0;
   EXPECT_THROW(TransientSolver(session, bad), Error);
+  // More than kMaxGridPoints steps, through tstep, tstop or tmax.
+  bad.tstep = 1e-300;
+  bad.tstop = 1.0;
+  EXPECT_THROW(TransientSolver(session, bad), Error);
+  bad.tstep = 1e-9;
+  bad.tstop = 1e300;
+  EXPECT_THROW(TransientSolver(session, bad), Error);
+  bad.tstop = 1.0;
+  bad.tstep = 1e-6;
+  bad.tmax = 1e-300;
+  EXPECT_THROW(TransientSolver(session, bad), Error);
+  bad.tmax = 0.0;
+  EXPECT_NO_THROW(TransientSolver(session, bad));  // 1e6 steps: allowed
 }
 
 TEST(TransientPlanTest, UnknownIcNodeThrows) {
