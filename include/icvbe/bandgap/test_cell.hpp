@@ -83,6 +83,15 @@ struct CellObservation {
   double power = 0.0;       ///< cell dissipation [W]
 };
 
+/// The observation of a solved cell: node voltages at solution x, QA/QB
+/// collector currents and the total dissipation (Circuit::total_power,
+/// bit for bit) at die temperature t_die_kelvin. Shared by solve_cell_at
+/// and the batched lot driver, so both record the same bits.
+[[nodiscard]] CellObservation observe_cell(const spice::Circuit& circuit,
+                                           const TestCellHandles& handles,
+                                           const spice::Unknowns& x,
+                                           double t_die_kelvin);
+
 /// Solve the cell at a fixed die temperature (no thermal feedback).
 [[nodiscard]] CellObservation solve_cell_at(spice::Circuit& circuit,
                                             const TestCellHandles& handles,

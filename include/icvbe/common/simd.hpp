@@ -84,9 +84,20 @@ struct DPack {
     return {std::bit_cast<vec>(std::bit_cast<ivec>(a.v) & m)};
   }
   /// Per lane: a > b ? t : f. The comparison is false on NaN, matching the
-  /// scalar `a > b ? t : f` exactly.
+  /// scalar `a > b ? t : f` exactly. Written as a mask blend, not `?:`
+  /// (see blend()).
   static DPack select_gt(DPack a, DPack b, DPack t, DPack f) noexcept {
-    return {a.v > b.v ? t.v : f.v};
+    return {blend(a.v > b.v, t.v, f.v)};
+  }
+
+  /// Per lane: m ? t : f for a comparison mask m (all-ones or all-zero
+  /// lanes), as (t & m) | (f & ~m). On baseline x86-64 GCC lowers a 32-byte
+  /// vector `?:` one element at a time (a compare-and-branch plus stack
+  /// round trips per lane); the bitwise form stays in registers at every
+  /// -march level. min/max keep `?:`, which GCC already maps to maxpd.
+  static vec blend(ivec m, vec t, vec f) noexcept {
+    return std::bit_cast<vec>((std::bit_cast<ivec>(t) & m) |
+                              (std::bit_cast<ivec>(f) & ~m));
   }
 };
 
@@ -242,8 +253,9 @@ inline DPack vexp(DPack x) noexcept {
   const vec s1 = std::bit_cast<vec>((kh + 1023LL) << 52);
   const vec s2 = std::bit_cast<vec>((ki - kh + 1023LL) << 52);
   vec res = (p * s1) * s2;
-  res = x.v > kExpHi ? vec{} + std::numeric_limits<double>::infinity() : res;
-  res = x.v < kExpLo ? vec{} : res;
+  res = DPack::blend(x.v > kExpHi,
+                     vec{} + std::numeric_limits<double>::infinity(), res);
+  res = DPack::blend(x.v < kExpLo, vec{}, res);
   return {res};
 #else
   DPack r;

@@ -2,13 +2,16 @@
 // LotCampaign: lot-level Monte-Carlo characterisation fanned across a
 // thread pool.
 //
-// Each die of the lot gets its own Laboratory (own circuits, solver
-// sessions, and instrument streams) seeded deterministically from
-// (campaign seed, die index), so the per-die computation is a pure
-// function of the configuration. Workers pull die indices from a shared
-// counter and write into a preallocated, index-ordered result vector --
-// the output is therefore bit-identical regardless of thread count
-// (asserted by test_lot_campaign).
+// Every die's instrument streams are seeded deterministically from
+// (campaign seed, die index), so each die's result is a pure function of
+// the configuration. By default (lanes = 8) workers claim groups of
+// consecutive dies and carry each group through shared-analysis lane
+// circuits (run_batched); a die that leaves the lockstep, and every die
+// when lanes <= 1, runs through run_die, which gives the die its own
+// Laboratory (own circuits, solver sessions and instrument streams). Each
+// die writes its slot of a preallocated, index-ordered result vector, so
+// the output is bit-identical for any thread count and any lane count
+// (asserted by test_lot_campaign and test_lot_batch).
 
 #include <cstdint>
 #include <string>

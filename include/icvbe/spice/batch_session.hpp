@@ -145,13 +145,14 @@ class BatchDcSession {
 
   // Lane-batched device exponentials (Device::collect_exp_args /
   // stamp_with_exps): per-device offsets into a lane's argument span, the
-  // span length, and the preallocated argument/value buffers (one span per
-  // lane), so one vectorized safe_exp_many sweep serves every junction a
-  // lane stamps -- allocation-free after binding.
+  // span length, and the preallocated argument/value buffers (room for one
+  // span per lane; each iteration packs the live lanes' spans first), so
+  // one vectorized safe_exp_many sweep per Newton iteration serves every
+  // junction of every live lane -- allocation-free after binding.
   std::vector<std::size_t> exp_off_;  ///< device -> offset, size devices+1
   std::size_t exp_stride_ = 0;        ///< exp args per lane
-  std::vector<double> exp_args_;      ///< [lane][exp_stride_] arguments
-  std::vector<double> exp_vals_;      ///< [lane][exp_stride_] safe_exp out
+  std::vector<double> exp_args_;      ///< [live lane][exp_stride_] arguments
+  std::vector<double> exp_vals_;      ///< [live lane][exp_stride_] safe_exp
   std::vector<unsigned char> active_;
   std::vector<unsigned char> have_last_;
   std::vector<unsigned char> live_;      ///< still iterating this solve

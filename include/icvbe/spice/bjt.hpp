@@ -99,6 +99,10 @@ class Bjt final : public Device {
     double isub = 0.0;
   };
   [[nodiscard]] TerminalCurrents currents(const Unknowns& x) const;
+  /// power(x) from currents already evaluated at x (tc == currents(x)), so
+  /// a probe that needs both evaluates the model once.
+  [[nodiscard]] double power(const Unknowns& x,
+                             const TerminalCurrents& tc) const;
 
   /// Junction voltages at solution x in the forward (type-normalised)
   /// frame: vbe = s (Vb - Ve), vbc = s (Vb - Vc), with s = +1 for NPN and

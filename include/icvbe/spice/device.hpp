@@ -80,8 +80,8 @@ class Device {
   [[nodiscard]] virtual bool is_nonlinear() const { return false; }
 
   // Lane-batched exponential evaluation (BatchDcSession). Junction devices
-  // split one stamp into three phases so a whole lane's exp() arguments can
-  // run through one vectorized safe_exp_many sweep:
+  // split one stamp into three phases so the exp() arguments of every live
+  // lane can run through one vectorized safe_exp_many sweep:
   //   A. collect_exp_args(prev, out) -- run junction limiting against
   //      `prev` (updating limiting state exactly as stamp() would) and
   //      write exp_arg_count() exponent arguments to `out`;

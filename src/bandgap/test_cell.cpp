@@ -95,8 +95,6 @@ spice::Unknowns cell_initial_guess(spice::Circuit& circuit,
   return guess;
 }
 
-namespace {
-
 CellObservation observe_cell(const spice::Circuit& circuit,
                              const TestCellHandles& handles,
                              const spice::Unknowns& x, double t_die_kelvin) {
@@ -108,13 +106,24 @@ CellObservation observe_cell(const spice::Circuit& circuit,
   obs.delta_vbe = obs.vbe_qa - obs.vbe_qb;
   const auto& qa = circuit.get<spice::Bjt>(handles.qa);
   const auto& qb = circuit.get<spice::Bjt>(handles.qb);
-  obs.ic_qa = std::abs(qa.currents(x).ic);
-  obs.ic_qb = std::abs(qb.currents(x).ic);
-  obs.power = circuit.total_power(x);
+  const spice::Bjt::TerminalCurrents ia = qa.currents(x);
+  const spice::Bjt::TerminalCurrents ib = qb.currents(x);
+  obs.ic_qa = std::abs(ia.ic);
+  obs.ic_qb = std::abs(ib.ic);
+  // Circuit::total_power's sum in its device order, reusing the two BJT
+  // evaluations above.
+  obs.power = 0.0;
+  for (const auto& dev : circuit.devices()) {
+    if (dev.get() == &qa) {
+      obs.power += qa.power(x, ia);
+    } else if (dev.get() == &qb) {
+      obs.power += qb.power(x, ib);
+    } else {
+      obs.power += dev->power(x);
+    }
+  }
   return obs;
 }
-
-}  // namespace
 
 CellObservation solve_cell_at(spice::Circuit& circuit,
                               const TestCellHandles& handles,

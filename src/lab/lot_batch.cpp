@@ -59,26 +59,6 @@ bandgap::TestCellParams cell_params_for(const DieSample& sample,
   return p;
 }
 
-/// The cell observation observe_cell (test_cell.cpp) produces, replicated
-/// field for field against a lane's solution.
-bandgap::CellObservation observe_lane(const spice::Circuit& circuit,
-                                      const bandgap::TestCellHandles& handles,
-                                      const spice::Unknowns& x,
-                                      double t_die_kelvin) {
-  bandgap::CellObservation obs;
-  obs.t_die = t_die_kelvin;
-  obs.vref = x.node_voltage(handles.vref);
-  obs.vbe_qa = x.node_voltage(handles.a);
-  obs.vbe_qb = x.node_voltage(handles.be);
-  obs.delta_vbe = obs.vbe_qa - obs.vbe_qb;
-  const auto& qa = circuit.get<spice::Bjt>(handles.qa);
-  const auto& qb = circuit.get<spice::Bjt>(handles.qb);
-  obs.ic_qa = std::abs(qa.currents(x).ic);
-  obs.ic_qb = std::abs(qb.currents(x).ic);
-  obs.power = circuit.total_power(x);
-  return obs;
-}
-
 /// One die's instrument set, drawn exactly as the Laboratory constructor
 /// draws it (same child streams, same specs).
 struct DieInstruments {
@@ -359,7 +339,7 @@ std::vector<DieCharacterisation> LotCampaign::run_batched() const {
                   rigs->drop_lane(l);
                   continue;
                 }
-                const bandgap::CellObservation obs = observe_lane(
+                const bandgap::CellObservation obs = bandgap::observe_cell(
                     *rigs->cell_circuit[l], rigs->cell_handles[l],
                     rigs->cell->solution(l), t_die[l]);
                 const double t_new =
@@ -390,7 +370,7 @@ std::vector<DieCharacterisation> LotCampaign::run_batched() const {
                 rigs->drop_lane(l);
                 continue;
               }
-              const bandgap::CellObservation obs = observe_lane(
+              const bandgap::CellObservation obs = bandgap::observe_cell(
                   *rigs->cell_circuit[l], rigs->cell_handles[l],
                   rigs->cell->solution(l), t_die[l]);
               CellPoint p;

@@ -148,13 +148,29 @@ void BatchDcSession::solve_active() {
 
   for (int iter = 0; iter < opt.max_iterations && live_count > 0; ++iter) {
     // Stamp every live lane's value plane and RHS at its own iterate,
-    // with the junction exponentials batched: collect every device's exp
-    // arguments (phase A, runs the limiting exactly as stamp() would),
-    // evaluate them in one vectorized sweep (phase B), then stamp in
-    // original device order consuming the precomputed values (phase C).
-    // safe_exp_many is element-wise bit-identical to safe_exp and the
-    // stamp order is unchanged, so the assembled system matches the
-    // one-shot stamp() path bit-for-bit.
+    // with the junction exponentials batched across lanes: collect every
+    // live lane's exp arguments into consecutive exp_stride_ slots (phase
+    // A, runs the limiting exactly as stamp() would), evaluate them all in
+    // one vectorized sweep (phase B), then stamp each lane in original
+    // device order consuming its precomputed values (phase C). Dead lanes
+    // get no slot, so the sweep covers live lanes only. safe_exp_many is
+    // element-wise bit-identical to safe_exp and each lane's stamp order is
+    // unchanged, so the assembled systems match the one-shot stamp() path
+    // bit-for-bit.
+    double* args = exp_args_.data();
+    for (std::size_t l = 0; l < k; ++l) {
+      if (!live_[l]) continue;
+      const auto& devs = lanes_[l]->devices();
+      for (std::size_t d = 0; d < devs.size(); ++d) {
+        if (exp_off_[d + 1] != exp_off_[d]) {
+          devs[d]->collect_exp_args(x_[l], args + exp_off_[d]);
+        }
+      }
+      args += exp_stride_;
+    }
+    safe_exp_many(exp_args_.data(), exp_vals_.data(),
+                  live_count * exp_stride_);
+    const double* vals = exp_vals_.data();
     for (std::size_t l = 0; l < k; ++l) {
       if (!live_[l]) continue;
       ++status_[l].iterations;
@@ -162,14 +178,6 @@ void BatchDcSession::solve_active() {
       a.fill(0.0);
       std::fill(b_lane_[l].begin(), b_lane_[l].end(), 0.0);
       const auto& devs = lanes_[l]->devices();
-      double* args = exp_args_.data() + l * exp_stride_;
-      for (std::size_t d = 0; d < devs.size(); ++d) {
-        if (exp_off_[d + 1] != exp_off_[d]) {
-          devs[d]->collect_exp_args(x_[l], args + exp_off_[d]);
-        }
-      }
-      double* vals = exp_vals_.data() + l * exp_stride_;
-      safe_exp_many(args, vals, exp_stride_);
       Stamper st(a, b_lane_[l], node_unknowns);
       for (std::size_t d = 0; d < devs.size(); ++d) {
         if (exp_off_[d + 1] != exp_off_[d]) {
@@ -181,6 +189,7 @@ void BatchDcSession::solve_active() {
       for (int i = 0; i < node_unknowns; ++i) {
         st.add_entry(i, i, opt.gmin_floor);
       }
+      vals += exp_stride_;
     }
 
     // One shared refactor carries all live lanes; a lane whose values

@@ -340,8 +340,9 @@ double Bjt::vbc(const Unknowns& x) const {
   return sign_ * (x.node_voltage(b_) - x.node_voltage(c_));
 }
 
-double Bjt::power(const Unknowns& x) const {
-  const TerminalCurrents tc = currents(x);
+double Bjt::power(const Unknowns& x) const { return power(x, currents(x)); }
+
+double Bjt::power(const Unknowns& x, const TerminalCurrents& tc) const {
   // P = sum over terminals of V * I_into_terminal (ground reference).
   return std::abs(x.node_voltage(c_) * tc.ic + x.node_voltage(b_) * tc.ib +
                   x.node_voltage(e_) * tc.ie +

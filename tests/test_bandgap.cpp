@@ -9,6 +9,7 @@
 #include "icvbe/common/error.hpp"
 #include "icvbe/lab/silicon.hpp"
 #include "icvbe/physics/vbe_model.hpp"
+#include "icvbe/spice/sim_session.hpp"
 
 namespace icvbe::bandgap {
 namespace {
@@ -60,6 +61,32 @@ TEST(TestCell, DeltaVbeIsPtatWithCleanDevices) {
     const double expected = physics::delta_vbe_ptat(t, p.area_ratio);
     // Within ~0.5 mV: base currents and Early effect perturb slightly.
     EXPECT_NEAR(obs.delta_vbe, expected, 6e-4) << "T=" << t;
+  }
+}
+
+TEST(TestCell, ObservationMatchesCircuitProbesBitwise) {
+  // observe_cell evaluates each BJT once and reuses the currents for the
+  // power sum; every field must equal the direct probes bit for bit.
+  // Nominal lot devices, so the substrate parasitics contribute too.
+  TestCellParams p;
+  p.qa_model = lab::ProcessTruth::nominal().pnp;
+  p.qb_model = p.qa_model;
+  p.radja = 3e3;
+  spice::Circuit c;
+  auto h = build_test_cell(c, p);
+  spice::SimSession session(c);
+  for (double t : {248.15, 348.15}) {
+    c.set_temperature(t);
+    const spice::Unknowns guess = cell_initial_guess(c, h, t);
+    const spice::Unknowns x = session.solve(&guess).solution;
+    const CellObservation obs = observe_cell(c, h, x, t);
+    EXPECT_EQ(obs.t_die, t);
+    EXPECT_EQ(obs.power, c.total_power(x)) << "T=" << t;
+    EXPECT_GT(obs.power, 0.0);
+    EXPECT_EQ(obs.ic_qa, std::abs(c.get<spice::Bjt>(h.qa).currents(x).ic));
+    EXPECT_EQ(obs.ic_qb, std::abs(c.get<spice::Bjt>(h.qb).currents(x).ic));
+    EXPECT_EQ(obs.vref, x.node_voltage(h.vref));
+    EXPECT_EQ(obs.delta_vbe, x.node_voltage(h.a) - x.node_voltage(h.be));
   }
 }
 

@@ -3,7 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
+#include <random>
 #include <sstream>
+#include <type_traits>
+#include <vector>
 
 #include "icvbe/common/ascii_plot.hpp"
 #include "icvbe/common/constants.hpp"
@@ -181,6 +186,114 @@ TEST(RngTest, SpreadFactorCentredOnUnity) {
   constexpr int kN = 20000;
   for (int i = 0; i < kN; ++i) sum += r.spread_factor(0.01);
   EXPECT_NEAR(sum / kN, 1.0, 0.005);
+}
+
+// The lazy engine behind Rng must reproduce std::mt19937_64 bit for bit:
+// every raw draw, every copy taken mid-stream, and every distribution draw
+// Rng makes through it.
+
+/// Seeds spanning the edge values, small integers and scrambled words.
+std::vector<std::uint64_t> engine_seeds(std::size_t count) {
+  std::vector<std::uint64_t> seeds = {0, 1, 2, 0x1CEB00DAULL,
+                                      ~std::uint64_t{0}, 1ULL << 63};
+  std::mt19937_64 pick(2024);
+  while (seeds.size() < count) {
+    seeds.push_back(seeds.size() % 2 == 0 ? seeds.size() : pick());
+  }
+  return seeds;
+}
+
+TEST(LazyMt19937_64Test, RawDrawsMatchStdMt19937_64) {
+  // ICVBE_SPARSE_STRESS=1 (the stress ctest variant) lengthens every
+  // stream to 1e5 draws.
+  const int draws = std::getenv("ICVBE_SPARSE_STRESS") ? 100000 : 1000;
+  for (const std::uint64_t seed : engine_seeds(1000)) {
+    std::mt19937_64 ref(seed);
+    LazyMt19937_64 lazy(seed);
+    for (int i = 0; i < draws; ++i) {
+      const std::uint64_t want = ref();
+      const std::uint64_t got = lazy();
+      if (got != want) {
+        FAIL() << "seed " << seed << " draw " << i << ": " << got
+               << " != " << want;
+      }
+    }
+  }
+}
+
+TEST(LazyMt19937_64Test, RangeMatchesStdMt19937_64) {
+  static_assert(std::is_same_v<LazyMt19937_64::result_type,
+                               std::mt19937_64::result_type>);
+  static_assert(LazyMt19937_64::min() == std::mt19937_64::min());
+  static_assert(LazyMt19937_64::max() == std::mt19937_64::max());
+}
+
+TEST(LazyMt19937_64Test, CopyMidStreamContinuesIdentically) {
+  // Copies taken with the seed expansion only partly built (before draw
+  // 156), just as it completes, and across the first and second twist
+  // rounds (312, 624) must continue the stream like the reference.
+  for (const int at : {0, 1, 2, 155, 156, 157, 311, 312, 313, 623, 624,
+                       625}) {
+    for (const std::uint64_t seed : engine_seeds(8)) {
+      std::mt19937_64 ref(seed);
+      LazyMt19937_64 lazy(seed);
+      for (int i = 0; i < at; ++i) {
+        ref();
+        (void)lazy();
+      }
+      LazyMt19937_64 copy = lazy;
+      LazyMt19937_64 assigned(seed + 1);
+      (void)assigned();
+      assigned = lazy;
+      for (int i = 0; i < 700; ++i) {
+        const std::uint64_t want = ref();
+        ASSERT_EQ(copy(), want) << "copy at " << at << ", draw " << i;
+        ASSERT_EQ(assigned(), want) << "assigned at " << at << ", draw " << i;
+        ASSERT_EQ(lazy(), want) << "original at " << at << ", draw " << i;
+      }
+    }
+  }
+}
+
+/// Rng's draw helpers over std::mt19937_64: the reference the lazy engine
+/// must reproduce through the standard distributions.
+struct StdRng {
+  std::mt19937_64 engine;
+  double uniform(double lo, double hi) {
+    return std::uniform_real_distribution<double>(lo, hi)(engine);
+  }
+  double gaussian(double mean, double sigma) {
+    return std::normal_distribution<double>(mean, sigma)(engine);
+  }
+  std::uint64_t integer(std::uint64_t lo, std::uint64_t hi) {
+    return std::uniform_int_distribution<std::uint64_t>(lo, hi)(engine);
+  }
+};
+
+TEST(RngTest, DrawsMatchStdMt19937_64Reference) {
+  for (const std::uint64_t seed : engine_seeds(50)) {
+    Rng rng(seed);
+    StdRng ref{std::mt19937_64(seed)};
+    // Mixed draws so every distribution meets the stream at many offsets,
+    // the 156/312 boundaries included.
+    for (int i = 0; i < 400; ++i) {
+      switch (i % 4) {
+        case 0:
+          ASSERT_EQ(rng.gaussian(1.5, 0.25), ref.gaussian(1.5, 0.25));
+          break;
+        case 1:
+          ASSERT_EQ(rng.uniform(-2.0, 3.0), ref.uniform(-2.0, 3.0));
+          break;
+        case 2:
+          ASSERT_EQ(rng.integer(3, 1000), ref.integer(3, 1000));
+          break;
+        default:
+          ASSERT_EQ(rng.spread_factor(0.02),
+                    std::exp(ref.gaussian(0.0, 0.02)));
+          break;
+      }
+    }
+  }
 }
 
 TEST(AsciiPlotTest, RendersGlyphsAndLegend) {

@@ -377,6 +377,101 @@ TEST(BatchDcSessionTest, PerDieSteadyStateIsAllocationFree) {
   }
 }
 
+TEST(BatchDcSessionTest, SparseActiveLanesBitIdenticalAndAllocationFree) {
+  // Lanes 1, 4 and 6 of 8 are active, so the live lanes' exp arguments are
+  // packed around gaps; each starts from a guess made for a different die
+  // temperature, so they leave the lockstep at different iterations and
+  // the packed sweep shrinks mid-solve.
+  const std::size_t k = 8;
+  const std::size_t active[] = {1, 4, 6};
+  const double t = to_kelvin(25.0);
+  const double guess_t[] = {t, t + 40.0, t - 20.0};
+
+  std::vector<CellLane> lanes(k);
+  std::vector<Circuit*> ptrs;
+  for (auto& lane : lanes) {
+    lane.handles = bandgap::build_test_cell(lane.circuit, lane_params(0));
+    ptrs.push_back(&lane.circuit);
+  }
+  BatchDcSession batch(std::move(ptrs));
+  std::vector<spice::ParamDeltaSet> delta;
+  std::vector<std::size_t> slot_rx1;
+  for (std::size_t l = 0; l < k; ++l) {
+    const bandgap::TestCellParams p = lane_params(l);
+    spice::ParamDeltaSet d(lanes[l].circuit);
+    slot_rx1.push_back(d.bind_resistor("RX1"));
+    d.set_resistance(d.bind_resistor("RX2"), p.rx2);
+    d.set_resistance(d.bind_resistor("RB"), p.rb);
+    d.set_opamp_offset(d.bind_opamp("U1"), p.opamp_offset);
+    delta.push_back(std::move(d));
+    batch.set_lane_active(l, false);
+  }
+
+  for (int die = 0; die < 3; ++die) {
+    const double rx_scale = 1.0 + 0.002 * static_cast<double>(die);
+    // Scalar references and start points, outside the counting window.
+    std::vector<spice::Unknowns> guess, want;
+    std::vector<int> want_iterations;
+    std::vector<double> rx1;
+    for (std::size_t a = 0; a < 3; ++a) {
+      const std::size_t l = active[a];
+      CellLane ref;
+      ref.handles = bandgap::build_test_cell(ref.circuit, lane_params(l));
+      rx1.push_back(lane_params(l).rx1 * rx_scale);
+      ref.circuit.get<spice::Resistor>("RX1").set_nominal_resistance(
+          rx1.back());
+      ref.circuit.set_temperature(t);
+      guess.push_back(
+          bandgap::cell_initial_guess(ref.circuit, ref.handles, guess_t[a]));
+      SimSession session(ref.circuit);
+      const auto& r = session.solve(&guess.back());
+      ASSERT_TRUE(r.converged) << "lane " << l;
+      ASSERT_EQ(r.strategy, "newton") << "lane " << l;
+      want.push_back(r.solution);
+      want_iterations.push_back(r.iterations);
+    }
+    ASSERT_FALSE(want_iterations[0] == want_iterations[1] &&
+                 want_iterations[1] == want_iterations[2])
+        << "the lanes must converge at different iterations";
+
+    const std::uint64_t before = testing::allocation_count();
+    for (std::size_t a = 0; a < 3; ++a) {
+      const std::size_t l = active[a];
+      delta[l].set_resistance(slot_rx1[l], rx1[a]);
+      lanes[l].circuit.set_temperature(t);
+      batch.begin_variant(l);
+      batch.set_lane_active(l, true);
+      batch.seed_warm_start(l, guess[a]);
+    }
+    batch.solve_active();
+    const std::uint64_t after = testing::allocation_count();
+    // The first solve sizes the shared analysis and factor planes; every
+    // later die must not touch the heap.
+    if (die > 0) {
+      EXPECT_EQ(after, before)
+          << "BatchDcSession allocated with sparse active lanes (die " << die
+          << ")";
+    }
+
+    for (std::size_t a = 0; a < 3; ++a) {
+      const std::size_t l = active[a];
+      ASSERT_TRUE(batch.status(l).converged) << "lane " << l;
+      EXPECT_EQ(batch.status(l).iterations, want_iterations[a])
+          << "lane " << l;
+      const auto& x = batch.solution(l);
+      ASSERT_EQ(x.size(), want[a].size());
+      for (std::size_t i = 0; i < x.size(); ++i)
+        EXPECT_EQ(x.raw()[i], want[a].raw()[i])
+            << "die " << die << " lane " << l << " unknown " << i;
+    }
+    for (std::size_t l = 0; l < k; ++l) {
+      if (l != 1 && l != 4 && l != 6) {
+        EXPECT_EQ(batch.status(l).iterations, 0) << "inactive lane " << l;
+      }
+    }
+  }
+}
+
 // ---------------------------------------------- lot-campaign level ---
 
 lab::LotCampaignConfig lot_config() {

@@ -100,6 +100,78 @@ TEST(Vexp, PackLanesBitIdenticalToScalar) {
   }
 }
 
+namespace {
+
+/// Bitwise equality, except that any NaN matches any NaN: IEEE 754 leaves
+/// the payload of a NaN result unspecified, and the compiler may order a
+/// commutative operation's operands differently in the two flavours.
+bool same_result(double a, double b) {
+  return (std::isnan(a) && std::isnan(b)) || bits_of(a) == bits_of(b);
+}
+
+/// The exp edge cases: the overflow and flush thresholds and their
+/// neighbours, the safe_exp cap and its neighbours, infinities, signed
+/// zeros and NaN.
+std::vector<double> exp_edge_inputs() {
+  using icvbe::common::simd_detail::kExpHi;
+  using icvbe::common::simd_detail::kExpLo;
+  const double inf = std::numeric_limits<double>::infinity();
+  const double cap = 200.0;
+  return {kExpHi,
+          std::nextafter(kExpHi, inf),
+          std::nextafter(kExpHi, -inf),
+          kExpLo,
+          std::nextafter(kExpLo, inf),
+          std::nextafter(kExpLo, -inf),
+          cap,
+          std::nextafter(cap, inf),
+          std::nextafter(cap, -inf),
+          inf,
+          -inf,
+          0.0,
+          -0.0,
+          1.0,
+          std::numeric_limits<double>::quiet_NaN()};
+}
+
+}  // namespace
+
+TEST(Vexp, PackAndSafeExpManyMatchScalarAtEdges) {
+  using icvbe::spice::safe_exp;
+  using icvbe::spice::safe_exp_many;
+  // Every edge value in every lane position, against every other edge
+  // value in the remaining lanes: the clamp blends must pick per lane,
+  // NaN lanes included.
+  const std::vector<double> edges = exp_edge_inputs();
+  double in[kPackWidth];
+  double out[kPackWidth];
+  for (const double a : edges) {
+    for (const double b : edges) {
+      for (std::size_t pos = 0; pos < kPackWidth; ++pos) {
+        for (std::size_t l = 0; l < kPackWidth; ++l) in[l] = b;
+        in[pos] = a;
+        vexp(DPack::load(in)).store(out);
+        for (std::size_t l = 0; l < kPackWidth; ++l) {
+          EXPECT_TRUE(same_result(out[l], vexp(in[l])))
+              << "vexp lane " << l << " x = " << in[l];
+        }
+        safe_exp_many(in, out, kPackWidth);
+        for (std::size_t l = 0; l < kPackWidth; ++l) {
+          EXPECT_TRUE(same_result(out[l], safe_exp(in[l])))
+              << "safe_exp_many lane " << l << " x = " << in[l];
+        }
+      }
+    }
+  }
+  // The thresholds themselves, so both flavours cannot agree on a wrong
+  // clamp: one ulp past kExpHi overflows, one ulp below kExpLo flushes.
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(vexp(edges[1]), inf);
+  EXPECT_TRUE(std::isfinite(vexp(edges[0])));
+  EXPECT_EQ(vexp(edges[5]), 0.0);
+  EXPECT_GT(vexp(edges[3]), 0.0);
+}
+
 TEST(DPack, OpsBitIdenticalToScalar) {
   std::mt19937_64 rng(31337);
   std::uniform_real_distribution<double> uni(-1e3, 1e3);
