@@ -3,8 +3,11 @@
 // Stage 1 (report): for each ladder size, run the deck's full .TRAN
 // startup settling (PULSE supply step into an n-stage RC line) with the
 // adaptive trapezoidal controller, and record
-// wall time, accepted/rejected steps, Newton iterations, and timestep
-// throughput into results/BENCH_tran.json (plus the usual CSV). One more
+// wall time, accepted/rejected steps, Newton iterations, the sparse LU's
+// refactor counters (full / partial / skipped passes and pivot steps
+// replayed, over the whole run including its DC operating point), and
+// timestep throughput into results/BENCH_tran.json (plus the usual CSV),
+// with the build and machine it ran on. One more
 // row runs a 200-stage ladder loaded by a diode-connected PNP -- the
 // paper's IC(VBE) cell shape, where only the load's stamp depends on the
 // Newton iterate. Every row is a report, not a gate.
@@ -18,9 +21,11 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_util.hpp"
+#include "icvbe/common/simd.hpp"
 #include "icvbe/spice/netlist.hpp"
 #include "icvbe/spice/netlist_gen.hpp"
 #include "icvbe/spice/sim_session.hpp"
@@ -63,6 +68,7 @@ struct SettleRow {
   long accepted = 0;
   long rejected = 0;
   long newton_iterations = 0;
+  linalg::RefactorStats refactors;
   [[nodiscard]] double steps_per_second() const {
     return wall_ms > 0.0 ? 1e3 * static_cast<double>(accepted) / wall_ms
                          : 0.0;
@@ -85,7 +91,22 @@ SettleRow run_settling(spice::ParsedNetlist parsed, int nodes) {
   row.accepted = solver.steps_accepted();
   row.rejected = solver.steps_rejected();
   row.newton_iterations = solver.newton_iterations();
+  row.refactors = session.sparse_lu().refactor_stats();
   return row;
+}
+
+/// First "model name" line of /proc/cpuinfo ("unknown" elsewhere).
+std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("model name", 0) == 0) {
+      const auto colon = line.find(':');
+      if (colon != std::string::npos && colon + 2 <= line.size()) {
+        return line.substr(colon + 2);
+      }
+    }
+  }
+  return "unknown";
 }
 
 void write_json(const std::vector<SettleRow>& rows, const std::string& path) {
@@ -95,6 +116,15 @@ void write_json(const std::vector<SettleRow>& rows, const std::string& path) {
      << "  \"kernel\": \"adaptive trapezoidal .TRAN startup settling on "
         "generated RC-ladder decks, and on a 200-stage ladder loaded by a "
         "diode-connected PNP\",\n"
+     << "  \"environment\": {\"compiler\": \"" << __VERSION__
+#ifdef NDEBUG
+     << "\", \"optimized\": true"
+#else
+     << "\", \"optimized\": false"
+#endif
+     << ", \"simd\": " << (common::kSimdEnabled ? "true" : "false")
+     << ", \"hardware_threads\": " << std::thread::hardware_concurrency()
+     << ", \"cpu\": \"" << cpu_model() << "\"},\n"
      << "  \"rows\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const SettleRow& r = rows[i];
@@ -103,6 +133,10 @@ void write_json(const std::vector<SettleRow>& rows, const std::string& path) {
        << ", \"wall_ms\": " << r.wall_ms << ", \"steps\": " << r.accepted
        << ", \"rejected\": " << r.rejected
        << ", \"newton_iterations\": " << r.newton_iterations
+       << ", \"refactors\": {\"full\": " << r.refactors.full
+       << ", \"partial\": " << r.refactors.partial
+       << ", \"skipped\": " << r.refactors.skipped
+       << ", \"steps_replayed\": " << r.refactors.steps_replayed << "}"
        << ", \"steps_per_s\": " << r.steps_per_second() << "}"
        << (i + 1 < rows.size() ? "," : "") << "\n";
   }
@@ -122,12 +156,17 @@ void report() {
   rows.back().load = "pnp";
 
   Table t({"load", "nodes", "unknowns", "wall [ms]", "steps", "rejected",
-           "newton iters", "steps/s"});
+           "newton iters", "full", "partial", "skipped", "replayed",
+           "steps/s"});
   for (const SettleRow& r : rows) {
     t.add_row({r.load, std::to_string(r.nodes), std::to_string(r.unknowns),
                format_sig(r.wall_ms, 4),
                std::to_string(r.accepted), std::to_string(r.rejected),
                std::to_string(r.newton_iterations),
+               std::to_string(r.refactors.full),
+               std::to_string(r.refactors.partial),
+               std::to_string(r.refactors.skipped),
+               std::to_string(r.refactors.steps_replayed),
                format_sig(r.steps_per_second(), 4)});
   }
   bench::emit(t, "tran_settling.csv");

@@ -35,11 +35,16 @@ using VectorT = std::vector<Scalar>;
 using Vector = VectorT<double>;
 using ComplexVector = VectorT<Complex>;
 
-/// Magnitude of a scalar: |x| for double, modulus for complex. Every
-/// pivot / tolerance comparison in the linalg layer goes through this, so
-/// the decision logic stays real-valued for both instantiations.
+/// Magnitude of a scalar: |x| for double, |re| + |im| for complex (the
+/// 1-norm of the pair, LAPACK's cabs1). Every pivot / tolerance comparison
+/// in the linalg layer goes through this, so the decision logic stays
+/// real-valued for both instantiations. For complex it is within a factor
+/// sqrt(2) of the modulus -- tight enough for pivot and screen decisions --
+/// and needs no hypot on the AC refactor's hot path.
 inline double scalar_abs(double v) { return std::abs(v); }
-inline double scalar_abs(const Complex& v) { return std::abs(v); }
+inline double scalar_abs(const Complex& v) {
+  return std::abs(v.real()) + std::abs(v.imag());
+}
 
 /// Finiteness screen (complex: both components must be finite).
 inline bool scalar_is_finite(double v) { return std::isfinite(v); }

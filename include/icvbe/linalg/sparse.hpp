@@ -28,12 +28,12 @@
 // Scalar genericity: the pattern machinery (COO -> CSR compilation,
 // fill-reducing ordering, BTF permutation, fill-pattern discovery) is
 // purely structural and identical for every scalar; pivot *selection*
-// compares magnitudes (scalar_abs -- a double either way), so the symbolic
-// analysis is real-valued for both instantiations and only the numeric
-// refactor / solve arithmetic is scalar-typed. An AC frequency sweep
-// therefore runs the analysis once at its first stamped frequency and
-// re-factors allocation-free at every further point, exactly like a
-// Newton loop.
+// compares magnitudes (scalar_abs -- |x| for double, |re| + |im| for
+// complex, a double either way), so the symbolic analysis is real-valued
+// for both instantiations and only the numeric refactor / solve arithmetic
+// is scalar-typed. An AC frequency sweep therefore runs the analysis once
+// at its first stamped frequency and re-factors allocation-free at every
+// further point, exactly like a Newton loop.
 //
 // Symbolic scale-up (SparseOptions): the default pre-order is approximate
 // minimum degree (AMD) on a quotient graph composed with a block-triangular
@@ -570,8 +570,9 @@ class SparseLuFactorizationT {
   /// rhs is lane-fastest (entry i of lane l at rhs[i * K + l], K * size()
   /// total) and is overwritten by the solutions. Lanes that failed (or
   /// were inactive in) refactor_batch() receive unspecified values -- the
-  /// arithmetic still runs branch-free across all lanes, and a divide by
-  /// a rejected pivot stays confined to its own lane. Allocation-free.
+  /// arithmetic still runs branch-free across all lanes, and the
+  /// reciprocal of a rejected pivot stays confined to its own lane.
+  /// Allocation-free.
   void solve_batch(std::vector<Scalar>& rhs) const;
 
   /// Lane count of the last refactor_batch() (0 before the first).
@@ -592,8 +593,10 @@ class SparseLuFactorizationT {
   /// Rough 1-norm condition estimate via |A|_1 * |A^-1 e|_1 probing --
   /// the same +/-1-vector probe the dense LuFactorizationT uses, so the
   /// two engines report comparable numbers on the same system (held to
-  /// within 10x by test_sparse).
-  /// \pre refactor() has succeeded. Allocates two temporary vectors.
+  /// within 10x by test_sparse). |A|_1 is computed here, from the values
+  /// the factors came from, summing each column in CSR order; no refactor
+  /// pays for it.
+  /// \pre refactor() has succeeded. Allocates temporary vectors.
   [[nodiscard]] double condition_estimate() const;
 
  private:
@@ -642,13 +645,10 @@ class SparseLuFactorizationT {
   int analysis_count_ = 0;
   SparseOptions options_{};
   std::size_t btf_blocks_ = 0;  ///< diagonal blocks of the analysed pattern
-  double a_norm1_ = 0.0;  ///< 1-norm of the last refactored A
   /// Per-column max|A| of the matrix being refactored (the pivot test's
   /// column-relative scale); refilled by every refactor(), allocation-free
   /// once sized.
   std::vector<double> colmax_;
-  /// Per-column sum of |A| (the 1-norm's columns), filled alongside.
-  std::vector<double> colsum_;
 
   // Identity of the analysed pattern (SparseMatrixT::pattern_stamp is
   // process-unique per freeze, so equality means the same frozen CSR).
@@ -671,11 +671,15 @@ class SparseLuFactorizationT {
   std::vector<double> growth_;
   RefactorStats stats_;
 
-  // Scatter map: A's CSR entry i lands in working slot astep_[i].
+  // Scatter map: A's CSR entry i lands in working slot astep_[i]. A
+  // cross-block entry (see below) stays out of the scatter; its slot holds
+  // ~s, negative, where s is the pivot step of its column.
   std::vector<int> astep_;
 
   // Frozen factor, indexed in pivot-step space. L has unit diagonal; U's
-  // diagonal lives in udiag_.
+  // diagonal lives in udiag_, and rdiag_ holds its reciprocals, so the
+  // solves multiply where they would divide. Every stored pivot has a
+  // finite reciprocal (the pivot screens reject one that does not).
   std::vector<int> l_ptr_;
   std::vector<int> l_step_;
   std::vector<Scalar> l_val_;
@@ -683,6 +687,7 @@ class SparseLuFactorizationT {
   std::vector<int> u_step_;
   std::vector<Scalar> u_val_;
   std::vector<Scalar> udiag_;
+  std::vector<Scalar> rdiag_;
 
   std::vector<Scalar> work_;          ///< dense scatter row (step space)
   mutable std::vector<Scalar> perm_;  ///< solve permutation buffer
@@ -691,7 +696,7 @@ class SparseLuFactorizationT {
   // [bstep_ptr_[b], bstep_ptr_[b+1]); the factor above is block-diagonal,
   // and A entries crossing into a *later* block's columns stay unfactored:
   // they are copied raw each refactor (off_val_[t] = A value at CSR slot
-  // off_a_idx_[t], astep_ is -1 there so the scatter skips them) and
+  // off_a_idx_[t], astep_ is negative there so the scatter skips them) and
   // applied during block back-substitution in solve (x of later blocks is
   // final by then). That is what makes BTF a fill *win*: cross-block
   // columns never join any elimination pattern. Without blocks,
@@ -725,6 +730,7 @@ class SparseLuFactorizationT {
   std::vector<Scalar> l_val_b_;
   std::vector<Scalar> u_val_b_;
   std::vector<Scalar> udiag_b_;
+  std::vector<Scalar> rdiag_b_;
   std::vector<Scalar> sn_val_b_;          ///< B x B x K dense block planes
   std::vector<Scalar> work_b_;            ///< step space * K
   std::vector<Scalar> off_val_b_;         ///< off entries * K, raw copies

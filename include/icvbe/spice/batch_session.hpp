@@ -132,6 +132,8 @@ class BatchDcSession {
   int n_unknowns_ = 0;
   int node_unknowns_ = 0;
   std::size_t bound_device_count_ = 0;
+  /// linear_prefix() of lane 0: where the gmin diagonal is stamped.
+  std::size_t linear_prefix_ = 0;
 
   linalg::SparseMatrix sa_;          ///< shared pattern + prime/reference values
   linalg::SparseValueBatch batch_;   ///< K value planes over sa_'s pattern

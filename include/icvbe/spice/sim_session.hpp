@@ -70,6 +70,18 @@ enum class NewtonStep {
                                        const double* x_new,
                                        std::size_t stride, Unknowns& x);
 
+/// Devices before the first nonlinear one (all of them for a linear
+/// circuit): the prefix a Newton attempt stamps once. Both sessions use
+/// this one definition.
+[[nodiscard]] std::size_t linear_prefix(const Circuit& circuit);
+
+/// Add gmin to every node diagonal. Both sessions stamp it right after the
+/// linear prefix, so it rides in SimSession's once-per-attempt checkpoint
+/// and a batched lane sums each diagonal slot in the scalar path's order.
+inline void stamp_gmin(Stamper& st, int node_unknowns, double gmin) {
+  for (int i = 0; i < node_unknowns; ++i) st.add_entry(i, i, gmin);
+}
+
 /// Legacy function probe: maps a solved operating point to the scalar
 /// being recorded. New code should prefer the typed, serialisable
 /// spice::Probe (plan.hpp), which converts implicitly to a SweepProbe.

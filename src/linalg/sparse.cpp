@@ -839,8 +839,19 @@ bool same_bits(const Scalar& a, const Scalar& b) noexcept {
 bool is_negative_zero(double x) noexcept {
   return x == 0.0 && std::signbit(x);
 }
+
 bool is_negative_zero(const Complex& z) noexcept {
   return is_negative_zero(z.real()) || is_negative_zero(z.imag());
+}
+
+/// The pivot screen every factor pass applies: the pivot clears its
+/// column-relative floor (the inverted comparison rejects NaN, and 0 > 0
+/// being false keeps an exact zero out even when the floor underflows to
+/// 0), and its reciprocal -- which the solves multiply by -- is finite, so
+/// a subnormal pivot fails here instead of putting inf into a solution.
+template <typename Scalar>
+bool pivot_ok(const Scalar& d, const Scalar& rd, double tol) noexcept {
+  return (scalar_abs(d) > tol) & scalar_is_finite(rd);
 }
 
 }  // namespace
@@ -857,19 +868,17 @@ void SparseLuFactorizationT<Scalar>::refactor(const SparseMatrixT<Scalar>& a,
   // pivot comparison silently and only surface at the first solve. The
   // same pass fills the per-column maxima the column-relative pivot test
   // uses (AC systems legitimately span many decades across columns, so a
-  // global max|A| threshold would misdiagnose them as singular), and the
-  // column sums of |A| for condition_estimate()'s 1-norm. When the stored
-  // factors can be replayed it also compares every value bitwise with the
-  // one they were computed from, and finds the first pivot step whose row
-  // changed; cross-block entries never enter the elimination, so they do
-  // not count.
+  // global max|A| threshold would misdiagnose them as singular). When the
+  // stored factors can be replayed it also compares every value bitwise
+  // with the one they were computed from, and finds the first pivot step
+  // whose row changed; cross-block entries never enter the elimination, so
+  // they do not count.
   const bool replay = replay_ok_ && pattern_matches(a);
   replay_ok_ = false;  // re-established only by a pass that succeeds
   double amax = 0.0;
   bool finite = true;
   std::size_t from = replay ? n_ : 0;
   colmax_.assign(a.cols(), 0.0);
-  colsum_.assign(a.cols(), 0.0);
   const std::vector<int>& rows = a.row_ptr();
   const std::vector<int>& cols = a.col_index();
   const std::vector<Scalar>& vals = a.values();
@@ -882,7 +891,6 @@ void SparseLuFactorizationT<Scalar>::refactor(const SparseMatrixT<Scalar>& a,
       amax = std::max(amax, v);
       const std::size_t c = static_cast<std::size_t>(cols[e]);
       colmax_[c] = std::max(colmax_[c], v);
-      colsum_[c] += v;
       if (replay && !same_bits(vals[e], last_values_[e])) {
         last_values_[e] = vals[e];
         changed = changed || astep_[e] >= 0;
@@ -939,7 +947,6 @@ void SparseLuFactorizationT<Scalar>::refactor(const SparseMatrixT<Scalar>& a,
                                 });
     }
   }
-  a_norm1_ = *std::max_element(colsum_.begin(), colsum_.end());
 }
 
 template <typename Scalar>
@@ -1049,6 +1056,7 @@ void SparseLuFactorizationT<Scalar>::analyze(const SparseMatrixT<Scalar>& a,
   cstep_.assign(n, -1);
   cperm_.assign(n, -1);
   udiag_.assign(n, Scalar{});
+  rdiag_.assign(n, Scalar{});
 
   // Static column degrees of A: the sparsity half of the Markowitz cost.
   std::vector<int> coldeg(n, 0);
@@ -1123,14 +1131,15 @@ void SparseLuFactorizationT<Scalar>::analyze(const SparseMatrixT<Scalar>& a,
     // Pivot choice among the not-yet-pivoted columns: numerically
     // acceptable (column-relative magnitude floor, then threshold partial
     // pivoting against the largest acceptable candidate), then
-    // structurally sparsest. The inverted comparisons reject NaN, and
-    // 0 > 0 being false keeps an exactly zero pivot out even when the
-    // tolerance product underflows to 0.
+    // structurally sparsest. A candidate must pass the frozen passes'
+    // pivot screen (pivot_ok).
+    const auto acceptable = [&](std::size_t ci) {
+      return pivot_ok(w[ci], Scalar(1.0) / w[ci], pivot_tol * colmax_[ci]);
+    };
     double umax = 0.0;
     for (int c : pattern) {
       const std::size_t ci = static_cast<std::size_t>(c);
-      if (cstep_[ci] >= 0) continue;
-      if (!(scalar_abs(w[ci]) > pivot_tol * colmax_[ci])) continue;
+      if (cstep_[ci] >= 0 || !acceptable(ci)) continue;
       umax = std::max(umax, scalar_abs(w[ci]));
     }
     if (!(umax > 0.0)) {
@@ -1142,8 +1151,7 @@ void SparseLuFactorizationT<Scalar>::analyze(const SparseMatrixT<Scalar>& a,
     int best_col = -1;
     for (int c : pattern) {
       const std::size_t ci = static_cast<std::size_t>(c);
-      if (cstep_[ci] >= 0) continue;
-      if (!(scalar_abs(w[ci]) > pivot_tol * colmax_[ci])) continue;
+      if (cstep_[ci] >= 0 || !acceptable(ci)) continue;
       if (scalar_abs(w[ci]) < kPivotRelThreshold * umax) continue;
       if (best_col < 0 ||
           coldeg[ci] < coldeg[static_cast<std::size_t>(best_col)] ||
@@ -1155,6 +1163,7 @@ void SparseLuFactorizationT<Scalar>::analyze(const SparseMatrixT<Scalar>& a,
     cstep_[static_cast<std::size_t>(best_col)] = static_cast<int>(k);
     cperm_[k] = best_col;
     udiag_[k] = w[static_cast<std::size_t>(best_col)];
+    rdiag_[k] = Scalar(1.0) / udiag_[k];
 
     // Record this row's U part -- every pattern position, including exact
     // numeric zeros: the fill pattern must not depend on the operating
@@ -1212,7 +1221,8 @@ void SparseLuFactorizationT<Scalar>::analyze(const SparseMatrixT<Scalar>& a,
   }
 
   // Scatter map: A entry i lands in step-space slot astep_[i]. Cross-block
-  // entries get a -1 sentinel (the scatter skips them) and are indexed per
+  // entries get ~step, negative (the scatter skips them, and
+  // condition_estimate still finds their column), and are indexed per
   // step for the raw copy + solve-time application instead.
   astep_.resize(col_index.size());
   for (std::size_t i = 0; i < col_index.size(); ++i) {
@@ -1229,7 +1239,7 @@ void SparseLuFactorizationT<Scalar>::analyze(const SparseMatrixT<Scalar>& a,
       for (int i = row_ptr[r]; i < row_ptr[r + 1]; ++i) {
         const std::size_t c = static_cast<std::size_t>(col_index[i]);
         if (col_block[c] == b) continue;
-        astep_[static_cast<std::size_t>(i)] = -1;
+        astep_[static_cast<std::size_t>(i)] = ~cstep_[c];
         off_a_idx_.push_back(i);
         off_step_.push_back(cstep_[c]);
         off_val_.push_back(values[static_cast<std::size_t>(i)]);
@@ -1334,7 +1344,7 @@ bool SparseLuFactorizationT<Scalar>::refactor_frozen(
 
   // Cross-block entries never join the elimination: refresh their raw
   // copies for the solve's block back-substitution and skip them below
-  // (their astep_ is -1).
+  // (their astep_ is negative).
   for (std::size_t t = 0; t < off_a_idx_.size(); ++t) {
     off_val_[t] = values[static_cast<std::size_t>(off_a_idx_[t])];
   }
@@ -1390,7 +1400,8 @@ bool SparseLuFactorizationT<Scalar>::refactor_frozen(
       growth_[k] = gmax;
       const double tol =
           pivot_tol * colmax_[static_cast<std::size_t>(cperm_[k])];
-      if (enforce_screens && (!(scalar_abs(d) > tol) || gmax > growth_cap)) {
+      const Scalar rd = Scalar(1.0) / d;
+      if (enforce_screens && (!pivot_ok(d, rd, tol) || gmax > growth_cap)) {
         // Frozen pivot collapsed (judged against its own column's current
         // scale) or the factors are blowing up (the matrix may still be
         // fine under a different order); work_ is already clean for the
@@ -1398,6 +1409,7 @@ bool SparseLuFactorizationT<Scalar>::refactor_frozen(
         return false;
       }
       udiag_[k] = d;
+      rdiag_[k] = rd;
     } else {
       // Dense supernode row: replay the out-of-block L prefix sparsely
       // (ascending steps, so the prefix ends at the first in-block entry),
@@ -1478,10 +1490,12 @@ bool SparseLuFactorizationT<Scalar>::refactor_frozen(
       growth_[k] = gmax;
       const double tol =
           pivot_tol * colmax_[static_cast<std::size_t>(cperm_[k])];
-      if (enforce_screens && (!(scalar_abs(d) > tol) || gmax > growth_cap)) {
+      const Scalar rd = Scalar(1.0) / d;
+      if (enforce_screens && (!pivot_ok(d, rd, tol) || gmax > growth_cap)) {
         return false;  // work_ is clean: the block's dirt lives in sn_val_
       }
       udiag_[k] = d;
+      rdiag_[k] = rd;
     }
   }
   // Mirror the dense block's pattern positions back into the flat factor
@@ -1543,6 +1557,11 @@ struct ScalarLaneOps {
                           std::size_t K) noexcept {
     for (std::size_t l = 0; l < K; ++l) p[l] /= d[l];
   }
+  /// p[l] *= r[l] -- the back-substitution's reciprocal-pivot scaling.
+  static void mul_inplace(Scalar* p, const Scalar* r,
+                          std::size_t K) noexcept {
+    for (std::size_t l = 0; l < K; ++l) p[l] *= r[l];
+  }
   /// dst[l] = src[l]; src[l] = 0; g[l] = max(g[l], |dst[l]|) -- diagonal
   /// and U-row harvest with the growth tracker.
   static void take_absmax(Scalar* dst, Scalar* src, double* g,
@@ -1576,16 +1595,19 @@ struct ScalarLaneOps {
       cm[l] = std::max(cm[l], m);
     }
   }
-  /// Per-step acceptance: pivot above its column's scale, growth bounded.
-  /// The inverted comparison rejects NaN.
-  static void screen_pivot(unsigned char* ok, const Scalar* dk,
+  /// Per-step acceptance, storing the pivot reciprocals rd: the scalar
+  /// pass's pivot_ok screen against the lane's column scale, growth
+  /// bounded.
+  static void screen_pivot(unsigned char* ok, const Scalar* dk, Scalar* rd,
                            const double* cm, const double* g,
                            const double* cap, double pivot_tol,
                            std::size_t K) noexcept {
     for (std::size_t l = 0; l < K; ++l) {
+      rd[l] = Scalar(1.0) / dk[l];
       ok[l] = static_cast<unsigned char>(
           ok[l] &
-          static_cast<unsigned char>(scalar_abs(dk[l]) > pivot_tol * cm[l]) &
+          static_cast<unsigned char>(
+              pivot_ok(dk[l], rd[l], pivot_tol * cm[l])) &
           static_cast<unsigned char>(!(g[l] > cap[l])));
     }
   }
@@ -1676,6 +1698,15 @@ struct PackLaneOps {
     }
     for (std::size_t l = m; l < n; ++l) p[l] /= d[l];
   }
+  static void mul_inplace(double* p, const double* r,
+                          std::size_t K) noexcept {
+    const std::size_t n = lanes(K);
+    const std::size_t m = packed(K);
+    for (std::size_t q = 0; q < m; q += W) {
+      (P::load(p + q) * P::load(r + q)).store(p + q);
+    }
+    for (std::size_t l = m; l < n; ++l) p[l] *= r[l];
+  }
   static void take_absmax(double* dst, double* src, double* g,
                           std::size_t K) noexcept {
     const std::size_t n = lanes(K);
@@ -1740,16 +1771,24 @@ struct PackLaneOps {
       cm[l] = std::max(cm[l], x);
     }
   }
-  static void screen_pivot(unsigned char* ok, const double* dk,
+  static void screen_pivot(unsigned char* ok, const double* dk, double* rd,
                            const double* cm, const double* g,
                            const double* cap, double pivot_tol,
                            std::size_t K) noexcept {
-    // Once per elimination step, result is bytes: scalar is the right tool.
+    // The reciprocals in packs; the byte-valued screen once per elimination
+    // step, where scalar is the right tool.
     const std::size_t n = lanes(K);
+    const std::size_t m = packed(K);
+    const P one = P::broadcast(1.0);
+    for (std::size_t p = 0; p < m; p += W) {
+      (one / P::load(dk + p)).store(rd + p);
+    }
+    for (std::size_t l = m; l < n; ++l) rd[l] = 1.0 / dk[l];
     for (std::size_t l = 0; l < n; ++l) {
       ok[l] = static_cast<unsigned char>(
           ok[l] &
-          static_cast<unsigned char>(std::abs(dk[l]) > pivot_tol * cm[l]) &
+          static_cast<unsigned char>(
+              pivot_ok(dk[l], rd[l], pivot_tol * cm[l])) &
           static_cast<unsigned char>(!(g[l] > cap[l])));
     }
   }
@@ -1844,6 +1883,7 @@ void SparseLuFactorizationT<Scalar>::refactor_batch(
     l_val_b_.resize(l_val_.size() * K);
     u_val_b_.resize(u_val_.size() * K);
     udiag_b_.resize(n_ * K);
+    rdiag_b_.resize(n_ * K);
     sn_val_b_.resize(sn_val_.size() * K);
     off_val_b_.resize(off_val_.size() * K);
     work_b_.resize(n_ * K);
@@ -2015,8 +2055,9 @@ void SparseLuFactorizationT<Scalar>::refactor_batch_kernel(
       }
     }
     // Same acceptance as the scalar frozen pass: pivot above its own
-    // column's scale, growth bounded (amax_b_ now holds the cap).
-    Ops::screen_pivot(lane_ok.data(), dk,
+    // column's scale with a finite reciprocal, growth bounded (amax_b_ now
+    // holds the cap).
+    Ops::screen_pivot(lane_ok.data(), dk, rdiag_b_.data() + k * K,
                       colmax_b_.data() +
                           static_cast<std::size_t>(cperm_[k]) * K,
                       gmax_b_.data(), amax_b_.data(), pivot_tol, K);
@@ -2114,7 +2155,7 @@ void SparseLuFactorizationT<Scalar>::solve_batch_kernel(
                     K,
             K);
       }
-      Ops::div_inplace(pk, udiag_b_.data() + ki * K, K);
+      Ops::mul_inplace(pk, rdiag_b_.data() + ki * K, K);
     }
   }
   for (std::size_t k = 0; k < n_; ++k) {
@@ -2166,7 +2207,7 @@ void SparseLuFactorizationT<Scalar>::solve_in_place(
                perm_[static_cast<std::size_t>(
                    u_step_[static_cast<std::size_t>(ui)])];
       }
-      perm_[ki] = acc / udiag_[ki];
+      perm_[ki] = acc * rdiag_[ki];
     }
   }
   // x = Q w (undo the column permutation).
@@ -2201,7 +2242,16 @@ double SparseLuFactorizationT<Scalar>::condition_estimate() const {
     for (const Scalar& v : x) s += scalar_abs(v);
     inv_norm = std::max(inv_norm, s / static_cast<double>(n_));
   }
-  return a_norm1_ * inv_norm;
+  // |A|_1 of the values the factors came from. Each column is summed in
+  // CSR order (a cross-block entry's astep_ holds ~step), the order a
+  // refactor-time accumulation would use.
+  std::vector<double> colsum(n_, 0.0);
+  for (std::size_t i = 0; i < last_values_.size(); ++i) {
+    const int s = astep_[i];
+    colsum[static_cast<std::size_t>(s >= 0 ? s : ~s)] +=
+        scalar_abs(last_values_[i]);
+  }
+  return *std::max_element(colsum.begin(), colsum.end()) * inv_norm;
 }
 
 template class SparseLuFactorizationT<double>;

@@ -19,6 +19,7 @@ BatchDcSession::BatchDcSession(std::vector<Circuit*> lanes,
   node_unknowns_ = lanes_[0]->node_count() - 1;
   ICVBE_REQUIRE(n_unknowns_ > 0, "BatchDcSession: circuit has no unknowns");
   bound_device_count_ = lanes_[0]->devices().size();
+  linear_prefix_ = linear_prefix(*lanes_[0]);
   for (std::size_t l = 1; l < k; ++l) {
     ICVBE_REQUIRE(lanes_[l]->assign_unknowns() == n_unknowns_ &&
                       lanes_[l]->node_count() - 1 == node_unknowns_ &&
@@ -89,9 +90,11 @@ void BatchDcSession::prime(std::size_t reference_lane) {
   a.fill(0.0);
   std::fill(b_prime_.begin(), b_prime_.end(), 0.0);
   Stamper st(a, b_prime_, node_unknowns_);
-  for (const auto& dev : ref.devices()) dev->stamp(st, x);
-  for (int i = 0; i < node_unknowns_; ++i) {
-    st.add_entry(i, i, options_.gmin_floor);
+  const auto& devs = ref.devices();
+  for (std::size_t d = 0; d < linear_prefix_; ++d) devs[d]->stamp(st, x);
+  stamp_gmin(st, node_unknowns_, options_.gmin_floor);
+  for (std::size_t d = linear_prefix_; d < devs.size(); ++d) {
+    devs[d]->stamp(st, x);
   }
   slu_.invalidate_analysis();
   slu_.refactor(sa_);  // throws NumericalError if singular here
@@ -179,15 +182,18 @@ void BatchDcSession::solve_active() {
       std::fill(b_lane_[l].begin(), b_lane_[l].end(), 0.0);
       const auto& devs = lanes_[l]->devices();
       Stamper st(a, b_lane_[l], node_unknowns);
-      for (std::size_t d = 0; d < devs.size(); ++d) {
+      const auto stamp_device = [&](std::size_t d) {
         if (exp_off_[d + 1] != exp_off_[d]) {
           devs[d]->stamp_with_exps(st, x_[l], vals + exp_off_[d]);
         } else {
           devs[d]->stamp(st, x_[l]);
         }
-      }
-      for (int i = 0; i < node_unknowns; ++i) {
-        st.add_entry(i, i, opt.gmin_floor);
+      };
+      // gmin sits right after the linear prefix, as in SimSession.
+      for (std::size_t d = 0; d < linear_prefix_; ++d) stamp_device(d);
+      stamp_gmin(st, node_unknowns, opt.gmin_floor);
+      for (std::size_t d = linear_prefix_; d < devs.size(); ++d) {
+        stamp_device(d);
       }
       vals += exp_stride_;
     }

@@ -181,17 +181,28 @@ void require_grid_size(double points, int line) {
   }
 }
 
-/// start, start+incr, ... up to stop (inclusive within a tolerance), the
-/// SPICE .DC / .STEP stepping rule.
-std::vector<double> stepped_values(double start, double stop, double incr,
-                                   int line) {
+/// Point count of the SPICE .DC / .STEP stepping rule (below), checked:
+/// `other_points` is the product of the sweep axes parsed so far, and the
+/// axis is rejected if the sweep's rows would exceed the grid bound.
+double stepped_count(double start, double stop, double incr,
+                     double other_points, int line) {
   require_finite({start, stop, incr}, line,
                  "sweep start, stop and increment");
   if (incr == 0.0 || (stop - start) * incr < 0.0) {
     fail(line, "sweep increment must step from start towards stop");
   }
   const double points = std::abs((stop - start) / incr) + 1.0;
-  require_grid_size(points, line);
+  require_grid_size(points * other_points, line);
+  return points;
+}
+
+/// start, start+incr, ... up to stop (inclusive within a tolerance), the
+/// SPICE .DC / .STEP stepping rule, checked by stepped_count before
+/// anything is allocated.
+std::vector<double> stepped_values(double start, double stop, double incr,
+                                   double other_points, int line) {
+  const double points =
+      stepped_count(start, stop, incr, other_points, line);
   const double eps = 1e-9 * std::abs(incr);
   std::vector<double> values;
   values.reserve(static_cast<std::size_t>(points));
@@ -425,6 +436,9 @@ ParsedNetlist parse_netlist(std::string_view text) {
   std::optional<TransientSpec> tran;
   std::optional<AcSpec> ac;
   int analysis_line = 0;
+  // Rows of the sweep so far: the product of the parsed axes' sizes. Each
+  // further axis is checked against the grid bound as a factor of it.
+  double sweep_points = 1.0;
 
   for (const auto& [line_text, lineno] : logical_lines(text)) {
     const auto tokens = tokenize(line_text);
@@ -438,14 +452,23 @@ ParsedNetlist parse_netlist(std::string_view text) {
         fail(lineno, ".DC needs <target> <start> <stop> <incr> (optionally "
                      "a second spec)");
       }
+      // Check every spec's rows before the first allocates.
+      double dc_points = sweep_points;
+      for (std::size_t i = 1; i + 3 < tokens.size(); i += 4) {
+        dc_points *= stepped_count(parse_spice_number(tokens[i + 1]),
+                                   parse_spice_number(tokens[i + 2]),
+                                   parse_spice_number(tokens[i + 3]),
+                                   dc_points, lineno);
+      }
       for (std::size_t i = 1; i + 3 < tokens.size(); i += 4) {
         dc_axes.push_back(axis_for_target(
             tokens[i],
             SweepGrid::list(stepped_values(parse_spice_number(tokens[i + 1]),
                                            parse_spice_number(tokens[i + 2]),
                                            parse_spice_number(tokens[i + 3]),
-                                           lineno)),
+                                           sweep_points, lineno)),
             lineno));
+        sweep_points *= static_cast<double>(dc_axes.back().grid().size());
       }
       analysis_line = lineno;
       continue;
@@ -463,6 +486,8 @@ ParsedNetlist parse_netlist(std::string_view text) {
           values.push_back(parse_spice_number(tokens[i]));
         }
         if (values.empty()) fail(lineno, ".STEP LIST needs >= 1 value");
+        require_grid_size(static_cast<double>(values.size()) * sweep_points,
+                          lineno);
         step_axis = axis_for_target(target, SweepGrid::list(std::move(values)),
                                     lineno);
       } else if (form == "DEC") {
@@ -477,7 +502,8 @@ ParsedNetlist parse_netlist(std::string_view text) {
         require_grid_size(std::abs(per_decade), lineno);
         if (start > 0.0 && stop > start) {
           require_grid_size(
-              per_decade * (std::log10(stop) - std::log10(start)) + 1.0,
+              (per_decade * (std::log10(stop) - std::log10(start)) + 1.0) *
+                  sweep_points,
               lineno);
         }
         try {
@@ -498,9 +524,10 @@ ParsedNetlist parse_netlist(std::string_view text) {
             SweepGrid::list(stepped_values(parse_spice_number(tokens[2]),
                                            parse_spice_number(tokens[3]),
                                            parse_spice_number(tokens[4]),
-                                           lineno)),
+                                           sweep_points, lineno)),
             lineno);
       }
+      sweep_points *= static_cast<double>(step_axis->grid().size());
       analysis_line = lineno;
       continue;
     }

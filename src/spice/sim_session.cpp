@@ -23,10 +23,7 @@ void SimSession::rebind() {
   // newton_attempt stamps once per attempt (see there). Parsed decks
   // instantiate semiconductors last, so there it is every linear device.
   const auto& devices = circuit_->devices();
-  linear_prefix_ = static_cast<std::size_t>(
-      std::find_if(devices.begin(), devices.end(),
-                   [](const auto& d) { return d->is_nonlinear(); }) -
-      devices.begin());
+  linear_prefix_ = linear_prefix(*circuit_);
 
   const auto n = static_cast<std::size_t>(n_unknowns_);
   b_.assign(n, 0.0);
@@ -86,6 +83,14 @@ void SimSession::seed_warm_start(const Unknowns& x) {
   }
 }
 
+std::size_t linear_prefix(const Circuit& circuit) {
+  const auto& devices = circuit.devices();
+  return static_cast<std::size_t>(
+      std::find_if(devices.begin(), devices.end(),
+                   [](const auto& d) { return d->is_nonlinear(); }) -
+      devices.begin());
+}
+
 NewtonStep newton_update(const NewtonOptions& opt, int node_unknowns,
                          bool first_iteration, const double* x_new,
                          std::size_t stride, Unknowns& x) {
@@ -129,16 +134,19 @@ bool SimSession::newton_attempt(double gmin, Unknowns& x, int& iterations,
     ++iterations;
     // A linear device stamps the same values at every iterate, and what
     // changes those values (a source value, the timestep, a temperature,
-    // a PATCH) changes only between attempts. So iteration 0 stamps the
-    // linear prefix and checkpoints the system; later iterations restore
-    // it. Either way the remaining devices and the gmin diagonal follow,
-    // in device order, so every slot sums its adds as a full restamp would.
+    // a PATCH) changes only between attempts; so does the gmin diagonal.
+    // So iteration 0 stamps the linear prefix and the gmin diagonal and
+    // checkpoints the system; later iterations restore it. Either way the
+    // remaining devices follow in device order, so every slot sums its
+    // adds as a full restamp in that order would (BatchDcSession stamps
+    // gmin at the same position).
     if (iter == 0) {
       sa_.fill(0.0);
       std::fill(b_.begin(), b_.end(), 0.0);
       for (std::size_t d = 0; d < linear_prefix_; ++d) {
         devices[d]->stamp(st, x);
       }
+      stamp_gmin(st, node_unknowns, gmin);
       sa_.checkpoint();
       std::copy(b_.begin(), b_.end(), b_linear_.begin());
     } else {
@@ -148,7 +156,6 @@ bool SimSession::newton_attempt(double gmin, Unknowns& x, int& iterations,
     for (std::size_t d = linear_prefix_; d < devices.size(); ++d) {
       devices[d]->stamp(st, x);
     }
-    for (int i = 0; i < node_unknowns; ++i) st.add_entry(i, i, gmin);
 
     try {
       if (repivot) slu_.invalidate_analysis();

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <vector>
 
 #include "icvbe/bandgap/test_cell.hpp"
@@ -258,6 +259,91 @@ TEST(BatchDcSessionTest, CellLanesBitIdenticalUnderForcedSupernode) {
   opt.sparse_options.supernode_min = 8;
   opt.sparse_options.supernode_density = 0.3;
   check_cell_lanes_bit_identical(opt);
+}
+
+/// The gmin diagonal sits right after the linear prefix in both sessions.
+/// Build K lanes of one rig, differing only in R1, and check the batched
+/// lanes against cold scalar solves to the bit; `prefix` pins where the
+/// rig puts gmin. gmin is raised to the size of the rig's conductances so
+/// that the order in which a diagonal slot sums them shows in the bits.
+void check_rig_lanes_bit_identical(
+    const std::function<void(Circuit&)>& build, std::size_t prefix) {
+  const std::size_t k = 3;
+  NewtonOptions opt;
+  opt.gmin_floor = 3.3e-5;
+  const auto r1 = [](std::size_t l) {
+    return 10.3e3 + 1.7e3 * static_cast<double>(l);
+  };
+  std::vector<spice::Unknowns> scalar_x;
+  std::vector<int> scalar_iterations;
+  for (std::size_t l = 0; l < k; ++l) {
+    Circuit c;
+    build(c);
+    c.get<spice::Resistor>("R1").set_nominal_resistance(r1(l));
+    ASSERT_EQ(spice::linear_prefix(c), prefix);
+    SimSession session(c, opt);
+    const auto& r = session.solve();
+    ASSERT_TRUE(r.converged) << "lane " << l;
+    ASSERT_EQ(r.strategy, "newton");
+    scalar_x.push_back(r.solution);
+    scalar_iterations.push_back(r.iterations);
+  }
+
+  std::vector<Circuit> lanes(k);
+  std::vector<Circuit*> ptrs;
+  for (auto& c : lanes) {
+    build(c);
+    ptrs.push_back(&c);
+  }
+  BatchDcSession batch(std::move(ptrs), opt);
+  for (std::size_t l = 0; l < k; ++l) {
+    spice::ParamDeltaSet d(lanes[l]);
+    d.set_resistance(d.bind_resistor("R1"), r1(l));
+    batch.begin_variant(l);
+  }
+  batch.solve_active();
+  for (std::size_t l = 0; l < k; ++l) {
+    ASSERT_TRUE(batch.status(l).converged) << "lane " << l;
+    EXPECT_EQ(batch.status(l).iterations, scalar_iterations[l]);
+    const auto& x = batch.solution(l);
+    ASSERT_EQ(x.size(), scalar_x[l].size());
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      EXPECT_EQ(x.raw()[i], scalar_x[l].raw()[i])
+          << "lane " << l << " unknown " << i;
+    }
+  }
+}
+
+TEST(BatchDcSessionTest, NonlinearFirstRigLanesBitIdentical) {
+  // A diode-connected NPN instantiated before every linear device: the
+  // linear prefix is empty, so gmin is stamped first.
+  check_rig_lanes_bit_identical(
+      [](Circuit& c) {
+        const spice::NodeId vcc = c.node("vcc");
+        const spice::NodeId n = c.node("c");
+        c.add_bjt("Q1", n, n, spice::kGround, spice::BjtModel{});
+        c.add_vsource("V1", vcc, spice::kGround, 2.0);
+        c.add_resistor("R1", vcc, n, 10e3);
+        c.add_resistor("R2", n, spice::kGround, 27.1e3);
+      },
+      0);
+}
+
+TEST(BatchDcSessionTest, LinearOnlyRigLanesBitIdentical) {
+  // Every device is linear: the prefix is the whole circuit, so gmin is
+  // stamped last.
+  check_rig_lanes_bit_identical(
+      [](Circuit& c) {
+        const spice::NodeId in = c.node("in");
+        const spice::NodeId a = c.node("a");
+        const spice::NodeId b = c.node("b");
+        c.add_vsource("V1", in, spice::kGround, 1.5);
+        c.add_resistor("R1", in, a, 10e3);
+        c.add_resistor("R2", a, spice::kGround, 23.3e3);
+        c.add_resistor("R3", a, b, 31.7e3);
+        c.add_resistor("R4", b, spice::kGround, 19.1e3);
+      },
+      5);
 }
 
 TEST(BatchDcSessionTest, FailedLaneDoesNotPerturbLaneMates) {

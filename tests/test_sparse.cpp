@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <random>
 
@@ -554,6 +556,145 @@ TEST(SparseLuTest, ConditionEstimateGrowsOnIllConditionedSystem) {
   EXPECT_GT(slu.condition_estimate(), 1e8);
   EXPECT_GT(slu.condition_estimate(), dlu.condition_estimate() / 10.0);
   EXPECT_LT(slu.condition_estimate(), dlu.condition_estimate() * 10.0);
+}
+
+// condition_estimate() computes |A|_1 when asked, from the values the
+// factors came from. Its columns are summed in CSR order, so the estimate
+// is bitwise |A|_1 (summed that way) times the probe's |A^-1| estimate --
+// here on a block-triangular matrix whose cross-block entries stay out of
+// the factor, with magnitudes spread so the summation order shows, after
+// the analysis and again after an incremental refactor.
+TEST(SparseLuTest, ConditionEstimateIsTheCsrOrderOneNormTimesTheProbe) {
+  const std::size_t n = 40;
+  const std::size_t half = n / 2;
+  std::mt19937 gen(5u);
+  std::uniform_real_distribution<double> dist(-1.0, 1.0);
+  std::uniform_real_distribution<double> decade(-8.0, 8.0);
+  std::uniform_int_distribution<std::size_t> pick(0, n - 1);
+  SparseMatrix s(n, n);
+  for (std::size_t i = 0; i < n; ++i) s.add(i, i, 0.0);
+  for (int e = 0; e < 160; ++e) {
+    const std::size_t r = pick(gen);
+    const std::size_t c = pick(gen);
+    // Rows of the first half reach every column, the second half only its
+    // own: block upper triangular, two diagonal blocks.
+    if (r != c && (r < half || c >= half)) s.add(r, c, 0.0);
+  }
+  s.freeze_pattern();
+  const auto restamp = [&] {
+    s.fill(0.0);
+    for (std::size_t r = 0; r < n; ++r) {
+      for (int i = s.row_ptr()[r]; i < s.row_ptr()[r + 1]; ++i) {
+        const std::size_t c = static_cast<std::size_t>(s.col_index()[i]);
+        const double v = dist(gen) * std::pow(10.0, decade(gen));
+        s.add(r, c, r == c ? 1e9 + std::abs(v) : v);
+      }
+    }
+  };
+  const auto reference = [&](const SparseLuFactorization& lu) {
+    std::vector<double> colsum(n, 0.0);
+    for (std::size_t r = 0; r < n; ++r) {
+      for (int i = s.row_ptr()[r]; i < s.row_ptr()[r + 1]; ++i) {
+        const auto e = static_cast<std::size_t>(i);
+        colsum[static_cast<std::size_t>(s.col_index()[e])] +=
+            std::abs(s.values()[e]);
+      }
+    }
+    double inv_norm = 0.0;
+    for (int probe = 0; probe < 2; ++probe) {
+      Vector e(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        e[i] = probe == 0 || i % 2 == 0 ? 1.0 : -1.0;
+      }
+      double sum = 0.0;
+      for (double v : lu.solve(e)) sum += std::abs(v);
+      inv_norm = std::max(inv_norm, sum / static_cast<double>(n));
+    }
+    return *std::max_element(colsum.begin(), colsum.end()) * inv_norm;
+  };
+
+  SparseLuFactorization lu;
+  restamp();
+  lu.refactor(s);
+  ASSERT_GT(lu.btf_block_count(), 1u);
+  double got = lu.condition_estimate();
+  double want = reference(lu);
+  EXPECT_EQ(std::memcmp(&got, &want, sizeof got), 0) << got << " vs " << want;
+
+  restamp();
+  lu.refactor(s);
+  ASSERT_EQ(lu.analysis_count(), 1);
+  got = lu.condition_estimate();
+  want = reference(lu);
+  EXPECT_EQ(std::memcmp(&got, &want, sizeof got), 0) << got << " vs " << want;
+}
+
+// The solves multiply by stored pivot reciprocals. A pivot too small to
+// invert (1/p overflows) must fail the pivot screen: a column whose only
+// entry is subnormal either throws NumericalError or solves to finite
+// values -- never inf or NaN -- whether the analysis or a frozen refactor
+// meets it, and in a batched lane it fails that lane only.
+TEST(SparseLuTest, SubnormalOnlyColumnEntryNeverSolvesToInf) {
+  for (const double tiny : {4.9e-324, 1e-310, 2e-309, 6e-309, 1e-308}) {
+    ASSERT_LT(tiny, std::numeric_limits<double>::min());
+    SparseMatrix m(2, 2);
+    m.add(0, 0, 1.0);
+    m.add(1, 0, 0.5);
+    m.add(1, 1, tiny);  // column 1's only entry
+    m.freeze_pattern();
+    const auto finite_or_throws = [&](SparseLuFactorization& lu) {
+      try {
+        lu.refactor(m);
+      } catch (const NumericalError&) {
+        return;
+      }
+      Vector b{1.0, 1.0};
+      lu.solve_in_place(b);
+      EXPECT_TRUE(std::isfinite(b[0]) && std::isfinite(b[1]))
+          << "pivot " << tiny << " solved to " << b[0] << ", " << b[1];
+    };
+    SparseLuFactorization fresh;
+    finite_or_throws(fresh);  // the analysis meets the tiny pivot
+
+    SparseLuFactorization warm;
+    m.fill(0.0);
+    m.add(0, 0, 1.0);
+    m.add(1, 0, 0.5);
+    m.add(1, 1, 1.0);
+    warm.refactor(m);
+    m.fill(0.0);
+    m.add(0, 0, 1.0);
+    m.add(1, 0, 0.5);
+    m.add(1, 1, tiny);
+    finite_or_throws(warm);  // a frozen pass meets it first
+
+    // Batched: lane 0 is the healthy matrix, lane 1 the tiny pivot.
+    m.fill(0.0);
+    m.add(0, 0, 1.0);
+    m.add(1, 0, 0.5);
+    m.add(1, 1, 1.0);
+    SparseLuFactorization blu;
+    blu.refactor(m);
+    SparseValueBatch batch;
+    batch.bind(m, 2);
+    for (std::size_t lane = 0; lane < 2; ++lane) {
+      batch.clear_lane(lane);
+      batch.add(0, 0, 1.0, lane);
+      batch.add(1, 0, 0.5, lane);
+      batch.add(1, 1, lane == 0 ? 1.0 : tiny, lane);
+    }
+    std::vector<unsigned char> ok{1, 1};
+    blu.refactor_batch(batch, ok);
+    EXPECT_EQ(ok[0], 1);
+    std::vector<double> rhs{1.0, 1.0, 1.0, 1.0};
+    blu.solve_batch(rhs);
+    EXPECT_EQ(rhs[0], 1.0);
+    EXPECT_EQ(rhs[2], 0.5);
+    if (ok[1] != 0) {
+      EXPECT_TRUE(std::isfinite(rhs[1]) && std::isfinite(rhs[3]))
+          << "lane pivot " << tiny;
+    }
+  }
 }
 
 // The transient engine restamps the same pattern with wildly different

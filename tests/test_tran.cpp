@@ -8,8 +8,10 @@
 
 #include <cmath>
 #include <sstream>
+#include <string>
 #include <vector>
 
+#include "icvbe/common/constants.hpp"
 #include "icvbe/spice/netlist.hpp"
 #include "icvbe/spice/netlist_gen.hpp"
 #include "icvbe/spice/plan.hpp"
@@ -340,20 +342,25 @@ TEST(TransientEngineTest, DenseAndSparseResultsAgreeOnRcLadderDeck) {
   }
 }
 
-TEST(TransientEngineTest, LadderWithPnpLoadRestampsNeverMissTheTape) {
-  // A 200-stage RC ladder driven by a pulse into a diode-connected PNP:
-  // every Newton iteration of the transient restamps the same add
-  // sequence, so after the first restamp records the tape no add searches,
-  // and the refactors replay only the steps the PNP's rows reach.
+/// The server benchmark's deck: a 200-stage RC ladder driven by a pulse
+/// into a diode-connected PNP, .TRAN 5u 500u at 27 C.
+std::string pnp_loaded_ladder_deck() {
   std::ostringstream d;
-  d << "V1 n0 0 PULSE(1 0.5 0 10u 10u 200u 400u)\n";
+  d << "V1 n0 0 PULSE(1 0.5 0 10u 10u 200u 400u) AC 1\n";
   for (int k = 1; k <= 200; ++k) {
     d << "R" << k << " n" << k - 1 << " n" << k << " " << 90 + (k * 37) % 21
       << "\nC" << k << " n" << k << " 0 100p\n";
   }
-  d << "Q1 0 0 n200 PMOD\n.MODEL PMOD PNP (IS=1e-16 BF=50)\n"
-    << ".TRAN 5u 500u\n.PROBE V(n200)\n.END\n";
-  auto parsed = parse_netlist(d.str());
+  d << "Q1 0 0 n200 PMOD\n.MODEL PMOD PNP (IS=1e-16 BF=50)\n.TEMP 27\n"
+    << ".TRAN 5u 500u\n.PROBE V(n200) V(n100) I(V1)\n.END\n";
+  return d.str();
+}
+
+TEST(TransientEngineTest, LadderWithPnpLoadRestampsNeverMissTheTape) {
+  // Every Newton iteration of the transient restamps the same add
+  // sequence, so after the first restamp records the tape no add searches,
+  // and the refactors replay only the steps the PNP's rows reach.
+  auto parsed = parse_netlist(pnp_loaded_ladder_deck());
   ASSERT_TRUE(parsed.plan.has_value());
   SimSession session(*parsed.circuit);
   const SweepResult r = session.run(*parsed.plan);
@@ -365,6 +372,31 @@ TEST(TransientEngineTest, LadderWithPnpLoadRestampsNeverMissTheTape) {
             (stats.full + stats.partial + stats.skipped) *
                 session.sparse_lu().size() / 2)
       << "replays should cover well under half the pivot steps";
+}
+
+TEST(TransientEngineTest, ServeDeckTranWorkIsPinnedAsCounts) {
+  // The server benchmark's deck, run once on a fresh session. Its step
+  // control and Newton work are pinned as counts, so a speed change in the
+  // linear kernels shows as cheaper iterations, never as fewer of them.
+  auto parsed = parse_netlist(pnp_loaded_ladder_deck());
+  ASSERT_TRUE(parsed.plan.has_value());
+  ASSERT_TRUE(parsed.plan->transient.has_value());
+  parsed.circuit->set_temperature(to_kelvin(parsed.temperature_celsius));
+  SimSession session(*parsed.circuit);
+  TransientSolver solver(session, *parsed.plan->transient);
+  const SweepResult r = solver.run(parsed.plan->probes);
+  EXPECT_EQ(solver.steps_accepted(), 163);
+  EXPECT_EQ(solver.steps_rejected(), 14);
+  EXPECT_EQ(solver.newton_iterations(), 490);
+  // 492 refactors: the one symbolic analysis (the DC operating point's
+  // first iteration), then only partial replays.
+  EXPECT_EQ(session.sparse_lu().analysis_count(), 1);
+  const linalg::RefactorStats& stats = session.sparse_lu().refactor_stats();
+  EXPECT_EQ(stats.full, 0u);
+  EXPECT_EQ(stats.partial, 491u);
+  EXPECT_EQ(stats.skipped, 0u);
+  EXPECT_EQ(stats.steps_replayed, 20882u);
+  EXPECT_GT(r.rows(), 100u);
 }
 
 TEST(TransientEngineTest, AdvanceIsAllocationFreeAfterSetup) {

@@ -43,6 +43,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <new>
 #include <optional>
 #include <string>
 #include <vector>
@@ -532,6 +533,9 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "icvbe: %s\n", e.what());
     print_usage(stderr);
     return 2;
+  } catch (const std::bad_alloc&) {
+    std::fprintf(stderr, "icvbe: out of memory\n");
+    return 1;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "icvbe: %s\n", e.what());
     return 1;
