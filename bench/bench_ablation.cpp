@@ -16,7 +16,7 @@
 #include "icvbe/common/constants.hpp"
 #include "icvbe/extract/meijer.hpp"
 #include "icvbe/lab/campaign.hpp"
-#include "icvbe/spice/dc_solver.hpp"
+#include "icvbe/spice/sim_session.hpp"
 
 namespace {
 
@@ -110,7 +110,7 @@ void ablate_solver() {
     // Warm-start path (what solve_cell_at does internally).
     const auto obs = bandgap::solve_cell_at(warm_c, h, to_kelvin(tc));
     (void)obs;
-    // Count iterations by re-running via solve_dc with the analytic guess.
+    // Count iterations by re-solving from the analytic guess.
     warm_c.set_temperature(to_kelvin(tc));
     const int n = warm_c.assign_unknowns();
     spice::Unknowns guess(static_cast<std::size_t>(n));
@@ -122,13 +122,13 @@ void ablate_solver() {
     set(h.btop, obs.vbe_qa);
     set(h.be, obs.vbe_qb);
     set(h.vref, obs.vref);
-    const auto warm = spice::solve_dc(warm_c, {}, &guess);
+    const spice::DcResult warm = spice::SimSession(warm_c).solve(&guess);
 
     spice::Circuit cold_c;
     auto h2 = bandgap::build_test_cell(cold_c, p);
     (void)h2;
     cold_c.set_temperature(to_kelvin(tc));
-    const auto cold = spice::solve_dc(cold_c);
+    const spice::DcResult cold = spice::SimSession(cold_c).solve();
     const double cold_vref =
         cold.converged ? cold.solution.node_voltage(h2.vref) : 0.0;
     t.add_row({format_fixed(tc, 0),
@@ -212,7 +212,7 @@ void ablate_opamp() {
     set(ct.node("oa.d2"), 0.8);
     spice::NewtonOptions nopt;
     nopt.max_iterations = 500;
-    const auto r = spice::solve_dc(ct, nopt, &guess);
+    const spice::DcResult r = spice::SimSession(ct, nopt).solve(&guess);
     const double v_cmos =
         r.converged ? r.solution.node_voltage(vref) : std::nan("");
     t.add_row({format_fixed(tc, 0), format_fixed(v_ideal, 4),
@@ -255,7 +255,7 @@ void bm_mosfet_opamp_solve(benchmark::State& state) {
     p.nmos = bandgap::default_nmos();
     p.pmos = bandgap::default_pmos();
     bandgap::build_cmos_opamp(c, "oa", out, inp, inn, p);
-    benchmark::DoNotOptimize(spice::solve_dc(c));
+    benchmark::DoNotOptimize(spice::SimSession(c).solve());
   }
 }
 BENCHMARK(bm_mosfet_opamp_solve)->Unit(benchmark::kMicrosecond);

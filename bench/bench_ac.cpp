@@ -117,7 +117,7 @@ std::vector<AcRow> run_study() {
     AcRow row;
     row.nodes = nodes;
     auto parsed = make_ac_deck(nodes);
-    const std::vector<double> freqs = parsed.plan->ac->frequencies();
+    const std::vector<double> freqs = parsed.plans.front().ac->frequencies();
     row.points = freqs.size();
     spice::SimSession session(*parsed.circuit);
     row.unknowns = session.unknown_count();
@@ -222,7 +222,7 @@ void BM_AcPlanRun(benchmark::State& state) {
   auto parsed = make_ac_deck(static_cast<int>(state.range(0)));
   spice::SimSession session(*parsed.circuit);
   for (auto _ : state) {
-    const spice::SweepResult r = session.run(*parsed.plan);
+    const spice::SweepResult r = session.run(parsed.plans.front());
     benchmark::DoNotOptimize(r.rows());
   }
 }

@@ -18,7 +18,7 @@
 #include "icvbe/bandgap/banba_cell.hpp"
 #include "icvbe/common/constants.hpp"
 #include "icvbe/lab/silicon.hpp"
-#include "icvbe/spice/analysis.hpp"
+#include "icvbe/spice/plan.hpp"
 #include "icvbe/spice/sim_session.hpp"
 #include "icvbe/testing/alloc_hook.hpp"
 
@@ -39,7 +39,8 @@ bandgap::BanbaCellParams nominal_banba() {
 }
 
 std::vector<double> sweep_grid() {
-  return spice::linspace(to_kelvin(-55.0), to_kelvin(125.0), kPoints);
+  return spice::SweepGrid::linear(to_kelvin(-55.0), to_kelvin(125.0), kPoints)
+      .points();
 }
 
 /// Legacy idiom: every point rebuilds the cell and solves with a one-shot

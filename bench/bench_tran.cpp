@@ -78,7 +78,7 @@ struct SettleRow {
 SettleRow run_settling(spice::ParsedNetlist parsed, int nodes) {
   parsed.circuit->set_temperature(273.15 + parsed.temperature_celsius);
   spice::SimSession session(*parsed.circuit);
-  spice::TransientSolver solver(session, *parsed.plan->transient);
+  spice::TransientSolver solver(session, *parsed.plans.front().transient);
   solver.begin();
   const auto t0 = Clock::now();
   while (solver.advance()) {
@@ -181,7 +181,7 @@ void report() {
 void bm_advance(benchmark::State& state, spice::IntegrationMethod method) {
   auto parsed = make_ladder(static_cast<int>(state.range(0)));
   spice::SimSession session(*parsed.circuit);
-  spice::TransientSpec spec = *parsed.plan->transient;
+  spice::TransientSpec spec = *parsed.plans.front().transient;
   spec.method = method;
   spec.tstop *= 1e3;  // effectively unbounded: the loop below sets the pace
   spice::TransientSolver solver(session, spec);

@@ -27,7 +27,7 @@ Q1 0 0 e PNP8
   auto& circuit = *parsed.circuit;
   circuit.set_temperature(to_kelvin(parsed.temperature_celsius));
 
-  spice::AnalysisPlan plan = *parsed.plan;  // present: deck has .STEP/.DC
+  spice::AnalysisPlan plan = parsed.plans.front();  // the .STEP/.DC plan
   std::cout << "deck plan: " << plan.axes.size() << " axes, "
             << plan.probes.size() << " probes ("
             << plan.probes.front().to_string() << ", "

@@ -66,7 +66,6 @@
 #include <iosfwd>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -102,9 +101,6 @@ struct ParsedNetlist {
   /// domain supports (see probe_supported_in). Card order in the deck
   /// never changes this ordering.
   std::vector<AnalysisPlan> plans;
-  /// First entry of `plans` (the whole story for single-analysis decks),
-  /// kept so existing callers read the deck's analysis unchanged.
-  std::optional<AnalysisPlan> plan;
 
   /// The deck's plan of one analysis family, or nullptr if absent.
   [[nodiscard]] const AnalysisPlan* find_plan(AnalysisKind kind)

@@ -105,9 +105,8 @@ class RunObserver {
 
 /// A typed, serialisable measurement: maps a solved operating point (or,
 /// for the AC kinds, one small-signal frequency point) to one scalar.
-/// Replaces the old capture-by-reference std::function probes -- a Probe
-/// can be printed, parsed, stored in a deck, and compiled once per run
-/// into an allocation-free evaluator.
+/// A Probe is a value: it can be printed, parsed, stored in a deck, and
+/// compiled once per run into an allocation-free evaluator.
 ///
 /// Grammar (parse_probe):
 ///   V(node)              node voltage
@@ -176,9 +175,9 @@ class Probe {
   [[nodiscard]] const Probe& rhs() const { return children_.at(1); }
 
   /// Evaluate against a solved operating point. Resolves names on every
-  /// call -- convenient for one-off use and as a drop-in SweepProbe
-  /// (operator() below); SimSession::run compiles plans instead so the
-  /// steady-state path does no lookups. AC probes (kAcVoltage) have no
+  /// call -- convenient for one-off use and the reference the compiled
+  /// probes are tested against; SimSession::run compiles plans instead so
+  /// the steady-state path does no lookups. AC probes (kAcVoltage) have no
   /// meaning at a DC point and throw PlanError here; they evaluate through
   /// the AC plan path instead.
   /// \pre every referenced node/device name exists in `circuit` (throws
@@ -186,12 +185,6 @@ class Probe {
   /// Allocation-free on the happy path; const and safe to share across
   /// threads (a Probe is an immutable value once built).
   [[nodiscard]] double eval(const Circuit& circuit, const Unknowns& x) const;
-
-  /// A Probe is directly usable wherever a SweepProbe std::function is
-  /// expected.
-  double operator()(const Circuit& circuit, const Unknowns& x) const {
-    return eval(circuit, x);
-  }
 
   /// Serialise in the parse_probe grammar; parse_probe(to_string()) yields
   /// a structurally identical probe.

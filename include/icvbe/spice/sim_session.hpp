@@ -10,14 +10,14 @@
 // inner loop performs zero heap allocations (asserted by the alloc-hook
 // test and the throughput bench).
 //
-// The legacy free functions in dc_solver.hpp / analysis.hpp remain as thin
-// wrappers over a temporary session.
+// Every analysis runs on a session: solve()/solve_or_throw() for one
+// operating point (a one-shot caller copies the result out of a temporary
+// session), run() on an AnalysisPlan (plan.hpp) for every sweep, transient
+// and AC analysis.
 
-#include <functional>
 #include <string>
 #include <vector>
 
-#include "icvbe/common/series.hpp"
 #include "icvbe/linalg/sparse.hpp"
 #include "icvbe/spice/circuit.hpp"
 
@@ -82,18 +82,8 @@ inline void stamp_gmin(Stamper& st, int node_unknowns, double gmin) {
   for (int i = 0; i < node_unknowns; ++i) st.add_entry(i, i, gmin);
 }
 
-/// Legacy function probe: maps a solved operating point to the scalar
-/// being recorded. New code should prefer the typed, serialisable
-/// spice::Probe (plan.hpp), which converts implicitly to a SweepProbe.
-using SweepProbe = std::function<double(const Circuit&, const Unknowns&)>;
-
-/// Setter: applies one sweep value to the circuit (source value,
-/// temperature, trim resistance, ...).
-using SweepSetter = std::function<void(double)>;
-
 // Declarative analysis values (plan.hpp); execution lives on the session.
 struct AnalysisPlan;
-class SweepAxis;
 class SweepResult;
 class RunObserver;
 
@@ -143,7 +133,7 @@ class SimSession {
   /// Solve the DC operating point at the current circuit state. The result
   /// references session-owned storage and is valid until the next solve.
   /// Start point priority: `initial` if given, else the previous solution
-  /// (warm-start continuation, on by default), else a cold start.
+  /// (warm-start continuation), else a cold start.
   /// If plain Newton fails it is retried once from the same start with
   /// fresh pivots every iteration, then falls back to gmin stepping, then
   /// source stepping, like the legacy solver.
@@ -204,8 +194,6 @@ class SimSession {
   /// values (ParamDeltaSet); value changes never alter the frozen pattern.
   void begin_variant();
 
-  /// Warm-start continuation across solves (default on).
-  void set_warm_start_enabled(bool on) noexcept { warm_start_enabled_ = on; }
   /// True if a previous (or seeded) solution is available to warm-start.
   [[nodiscard]] bool has_warm_start() const noexcept { return have_last_; }
   /// Forget the previous solution (next solve is cold unless seeded).
@@ -214,31 +202,18 @@ class SimSession {
   /// analytic guess). Ignored if the size does not match.
   void seed_warm_start(const Unknowns& x);
 
-  /// Batched sweep: for each value call setter(value), solve, and record
-  /// probe(circuit, solution). Points warm-start from their predecessor.
-  /// Throws NumericalError if any point fails to converge.
-  [[nodiscard]] Series sweep(const std::vector<double>& values,
-                             const SweepSetter& setter,
-                             const SweepProbe& probe,
-                             const std::string& name = "sweep");
-
-  /// Typed-axis sweep: bind `axis` to this circuit and sweep it, recording
-  /// `probe` at every point (legacy function-probe compatibility channel;
-  /// run() below is the fully typed path).
-  [[nodiscard]] Series sweep(const SweepAxis& axis, const SweepProbe& probe,
-                             const std::string& name = "sweep");
-
   /// Execute a declarative AnalysisPlan (defined in plan.hpp).
   ///
   /// Points along the innermost axis warm-start from their predecessor.
   /// 1-axis plans run in place and inherit the session's current
-  /// continuation state (exactly like sweep()). For 2-axis plans every
-  /// outer row starts from a deterministic state -- devices reset, warm
-  /// start re-seeded from whatever seed was live when run() was called
-  /// (e.g. .NODESET hints), or cold -- so rows are independent of
-  /// execution order; with plan.threads != 1 the outer rows are fanned
-  /// across a thread pool over per-thread circuit clones and the result is
-  /// bit-identical for any thread count (the LotCampaign discipline).
+  /// continuation state, exactly as successive solve() calls would. For
+  /// 2-axis plans every outer row starts from a deterministic state --
+  /// devices reset, warm start re-seeded from whatever seed was live when
+  /// run() was called (e.g. .NODESET hints), or cold -- so rows are
+  /// independent of execution order; with plan.threads != 1 the outer rows
+  /// are fanned across a thread pool over per-thread circuit clones and the
+  /// result is bit-identical for any thread count (the LotCampaign
+  /// discipline).
   /// Probes are compiled once per run: the steady-state per-point path
   /// performs no heap allocations and no name lookups.
   ///
@@ -248,8 +223,8 @@ class SimSession {
   /// \pre every probe/axis name resolves against the bound circuit.
   /// \post the session's NewtonOptions are restored on all exit paths
   ///       (the run executes under plan.options).
-  /// Throws PlanError on malformed plans, NumericalError if a point fails
-  /// to converge.
+  /// Throws PlanError on malformed plans, NumericalError naming the axis
+  /// value if a point fails to converge.
   ///
   /// A non-null `observer` streams the run incrementally: on_begin once
   /// with the grid shape, then on_row per completed point (see RunObserver
@@ -326,7 +301,6 @@ class SimSession {
   std::vector<double> vsource_base_;
   std::vector<double> isource_base_;
 
-  bool warm_start_enabled_ = true;
   bool have_last_ = false;
 };
 

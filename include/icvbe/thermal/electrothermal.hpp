@@ -15,7 +15,7 @@
 #include <string>
 #include <vector>
 
-#include "icvbe/spice/dc_solver.hpp"
+#include "icvbe/spice/sim_session.hpp"
 
 namespace icvbe::thermal {
 

@@ -3,7 +3,7 @@
 #include <cmath>
 
 #include "icvbe/common/error.hpp"
-#include "icvbe/spice/dc_solver.hpp"
+#include "icvbe/spice/sim_session.hpp"
 
 namespace icvbe::bandgap {
 
@@ -92,8 +92,7 @@ double measure_open_loop_gain(const CmosOpAmpParams& params) {
     build_cmos_opamp(c, "oa", out, inp, inn, params);
     spice::NewtonOptions opt;
     opt.max_iterations = 400;
-    const spice::Unknowns x = spice::solve_dc_or_throw(c, opt);
-    return x.node_voltage(out);
+    return spice::SimSession(c, opt).solve_or_throw().node_voltage(out);
   };
   // Find the input level (common mode ~ vdd/2 region) where the output
   // crosses vdd/2, by bisection on the differential input.

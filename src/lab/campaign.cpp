@@ -5,8 +5,6 @@
 #include "icvbe/common/constants.hpp"
 #include "icvbe/common/error.hpp"
 #include "icvbe/common/table.hpp"
-#include "icvbe/spice/analysis.hpp"
-#include "icvbe/spice/dc_solver.hpp"
 #include "icvbe/spice/plan.hpp"
 #include "icvbe/thermal/electrothermal.hpp"
 
@@ -84,7 +82,7 @@ std::vector<Series> Laboratory::icvbe_family(
   // the DUT collector current. The rig session carries warm-start
   // continuation across points and chambers exactly as before.
   const std::vector<double> setpoints =
-      spice::linspace(vbe_min, vbe_max, points);
+      spice::SweepGrid::linear(vbe_min, vbe_max, points).points();
   spice::AnalysisPlan plan;
   plan.name = "icvbe_family";
   plan.probes = {spice::Probe::bjt_current(

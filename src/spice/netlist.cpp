@@ -922,7 +922,6 @@ ParsedNetlist parse_netlist(std::string_view text) {
     plan.probes = domain_probes(ProbeDomain::kAc, ".AC");
     out.plans.push_back(std::move(plan));
   }
-  if (!out.plans.empty()) out.plan = out.plans.front();
   return out;
 }
 

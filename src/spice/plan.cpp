@@ -16,7 +16,6 @@
 #include "icvbe/common/constants.hpp"
 #include "icvbe/common/csv.hpp"
 #include "icvbe/common/thread_pool.hpp"
-#include "icvbe/spice/analysis.hpp"
 #include "icvbe/spice/netlist.hpp"
 #include "icvbe/spice/transient.hpp"
 
@@ -461,6 +460,37 @@ class ProbeParser {
 Probe parse_probe(std::string_view text) { return ProbeParser(text).parse(); }
 
 // ----------------------------------------------------------- SweepGrid ---
+
+namespace {
+
+/// n evenly spaced points over [first, last], n >= 2.
+std::vector<double> linspace(double first, double last, int n) {
+  std::vector<double> out(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    out[static_cast<std::size_t>(i)] =
+        first + (last - first) * static_cast<double>(i) /
+                    static_cast<double>(n - 1);
+  }
+  return out;
+}
+
+/// Logarithmic grid over [first, last] (0 < first < last), the decade span
+/// split into ceil(decades * per_decade) equal log steps.
+std::vector<double> logspace_decades(double first, double last,
+                                     int per_decade) {
+  std::vector<double> out;
+  const double lf = std::log10(first);
+  const double ll = std::log10(last);
+  const int steps = static_cast<int>(std::ceil((ll - lf) * per_decade));
+  out.reserve(static_cast<std::size_t>(steps + 1));
+  for (int i = 0; i <= steps; ++i) {
+    out.push_back(std::pow(10.0, lf + (ll - lf) * static_cast<double>(i) /
+                                           static_cast<double>(steps)));
+  }
+  return out;
+}
+
+}  // namespace
 
 SweepGrid SweepGrid::linear(double first, double last, int n) {
   if (n < 2) throw PlanError("SweepGrid::linear: need at least two points");
@@ -1228,49 +1258,14 @@ SweepResult SimSession::run_ac(const AnalysisPlan& plan,
   unsigned threads = common::resolve_thread_count(plan.threads);
   threads = std::min<unsigned>(threads, static_cast<unsigned>(freqs.size()));
 
-  if (threads <= 1) {
-    // Re-pin the session's cached sparse analysis to THIS plan's first
-    // frequency. A previous solve_ac (or a run over a different grid)
-    // may have pinned it elsewhere, and the parallel path's fresh
-    // workers always prime at freqs.front() -- without the re-pin the
-    // serial and parallel factorisations could use different pivot
-    // orders and the thread-count bit-identity promise would break.
-    ac_prime_omega_ = 2.0 * M_PI * freqs.front();
-    ac_pinned_analysis_ = -1;  // any live analysis re-pins on first use
-    const CompiledProbeSet probes(plan.probes, *circuit_, ProbeDomain::kAc);
-    std::vector<double> probe_row(plan.probes.size(), 0.0);
-    for (std::size_t i = 0; i < freqs.size(); ++i) {
-      const linalg::ComplexVector& xac = solve_ac(2.0 * M_PI * freqs[i]);
-      for (std::size_t p = 0; p < probes.size(); ++p) {
-        out.columns_[p][i] = probes.eval_ac(p, xac);
-      }
-      if (stream.active()) {
-        for (std::size_t p = 0; p < probes.size(); ++p) {
-          probe_row[p] = out.columns_[p][i];
-        }
-        stream.deliver(i, &freqs[i], 1, probe_row.data(), probe_row.size(),
-                       plan.name);
-      }
-    }
-    return out;
-  }
-
-  // Parallel frequency fanout over per-thread circuit clones. Every point
-  // is an independent linear solve about the shared OP, so workers pull
-  // indices from a counter and write their own preallocated slots.
-  // Bit-identity for any thread count needs two pins: the OP is the
-  // parent's (seeded, never re-solved), and every worker primes its
-  // sparse symbolic analysis at the sweep's FIRST frequency -- otherwise
-  // the threshold pivoting would run at whichever point a worker happened
-  // to draw first and the factor could differ across schedules.
+  // One frequency loop for every worker: pull the next index from a shared
+  // counter, solve, evaluate, deliver. Every point is an independent linear
+  // solve about the shared OP, so workers write their own preallocated
+  // slots; a lone worker walks the grid in order.
   std::atomic<std::size_t> next{0};
-  common::fan_out(threads, [&]() {
-    Circuit clone = circuit_->clone();
-    SimSession session(clone, plan.options);
-    session.seed_warm_start(op);
-    const CompiledProbeSet probes(plan.probes, clone, ProbeDomain::kAc);
+  const auto sweep_points = [&](SimSession& session, const Circuit& circuit) {
+    const CompiledProbeSet probes(plan.probes, circuit, ProbeDomain::kAc);
     std::vector<double> probe_row(plan.probes.size(), 0.0);
-    (void)session.solve_ac(2.0 * M_PI * freqs.front());  // prime analysis
     for (;;) {
       if (stream.cancelled.load(std::memory_order_relaxed)) break;
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
@@ -1288,17 +1283,38 @@ SweepResult SimSession::run_ac(const AnalysisPlan& plan,
                        plan.name);
       }
     }
+  };
+
+  if (threads <= 1) {
+    // Serial: the one worker is this session. Re-pin its cached sparse
+    // analysis to THIS plan's first frequency. A previous solve_ac (or a
+    // run over a different grid) may have pinned it elsewhere, and the
+    // parallel path's fresh workers always prime at freqs.front() --
+    // without the re-pin the serial and parallel factorisations could use
+    // different pivot orders and the thread-count bit-identity promise
+    // would break.
+    ac_prime_omega_ = 2.0 * M_PI * freqs.front();
+    ac_pinned_analysis_ = -1;  // any live analysis re-pins on first use
+    sweep_points(*this, *circuit_);
+    return out;
+  }
+
+  // Parallel frequency fanout over per-thread circuit clones. Bit-identity
+  // for any thread count needs two pins: the OP is the parent's (seeded,
+  // never re-solved), and every worker primes its sparse symbolic analysis
+  // at the sweep's FIRST frequency -- otherwise the threshold pivoting
+  // would run at whichever point a worker happened to draw first and the
+  // factor could differ across schedules.
+  common::fan_out(threads, [&]() {
+    Circuit clone = circuit_->clone();
+    SimSession session(clone, plan.options);
+    session.seed_warm_start(op);
+    (void)session.solve_ac(2.0 * M_PI * freqs.front());  // prime analysis
+    sweep_points(session, clone);
   });
   // A cancelling worker throws CancelledError from deliver(); fan_out
   // rethrows it here after every worker has stopped.
   return out;
-}
-
-Series SimSession::sweep(const SweepAxis& axis, const SweepProbe& probe,
-                         const std::string& name) {
-  const BoundAxis bound = bind_axis(axis, *circuit_);
-  return sweep(axis.grid().points(),
-               [&bound](double v) { bound.apply(v); }, probe, name);
 }
 
 SweepResult SimSession::run(const AnalysisPlan& plan, RunObserver* observer) {
@@ -1394,7 +1410,7 @@ SweepResult SimSession::run(const AnalysisPlan& plan, RunObserver* observer) {
 
   if (!two_axis) {
     // Single axis: run in place, inheriting the session's continuation
-    // state -- identical semantics to sweep().
+    // state -- each point is the solve() a hand-written loop would make.
     BoundPlan bound(plan, *circuit_);
     run_inner_sweep(*this, bound, plan, out.inner_, 0, seed, columns, stream);
     return out;

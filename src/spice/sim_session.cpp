@@ -204,7 +204,7 @@ const DcResult& SimSession::solve(const Unknowns* initial) {
     if (initial != nullptr &&
         initial->size() == static_cast<std::size_t>(n_unknowns_)) {
       x_ = *initial;
-    } else if (warm_start_enabled_ && have_last_) {
+    } else if (have_last_) {
       x_ = result_.solution;
     } else {
       std::fill(x_.raw().begin(), x_.raw().end(), 0.0);
@@ -360,23 +360,6 @@ const Unknowns& SimSession::solve_or_throw(const Unknowns* initial) {
                          std::to_string(r.iterations) + " iterations");
   }
   return r.solution;
-}
-
-Series SimSession::sweep(const std::vector<double>& values,
-                         const SweepSetter& setter, const SweepProbe& probe,
-                         const std::string& name) {
-  Series out(name);
-  out.reserve(values.size());
-  for (double v : values) {
-    setter(v);
-    const DcResult& r = solve();
-    if (!r.converged) {
-      throw NumericalError(name + ": DC solve failed at sweep value " +
-                           std::to_string(v));
-    }
-    out.push_back(v, probe(*circuit_, r.solution));
-  }
-  return out;
 }
 
 }  // namespace icvbe::spice

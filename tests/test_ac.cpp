@@ -261,12 +261,12 @@ TEST(AcAnalysis, DenseAndSparseAgreeOnGeneratedLadderDeck) {
   spec.seed = 11;
   spec.ac_analysis = true;
   auto parsed = parse_netlist(generate_netlist(spec));
-  ASSERT_TRUE(parsed.plan.has_value());
-  ASSERT_TRUE(parsed.plan->ac.has_value());
+  ASSERT_FALSE(parsed.plans.empty());
+  ASSERT_TRUE(parsed.plans.front().ac.has_value());
 
   // Compare the complex phasor (VR/VI) plus its magnitude at the far
   // node: the honest agreement metric is relative to the phasor size.
-  AnalysisPlan plan = *parsed.plan;
+  AnalysisPlan plan = parsed.plans.front();
   plan.probes.clear();
   const std::string far = generated_probe_node(spec);
   plan.probes.push_back(parse_probe("VR(" + far + ")"));
@@ -333,8 +333,8 @@ TEST(AcAnalysis, PlanIsBitIdenticalForAnyThreadCount) {
   std::vector<SweepResult> results;
   for (const unsigned threads : {1u, 2u, 5u}) {
     auto parsed = parse_netlist(generate_netlist(spec));
-    ASSERT_TRUE(parsed.plan.has_value());
-    AnalysisPlan plan = *parsed.plan;
+    ASSERT_FALSE(parsed.plans.empty());
+    AnalysisPlan plan = parsed.plans.front();
     plan.threads = threads;
     SimSession session(*parsed.circuit);
     results.push_back(session.run(plan));
@@ -403,13 +403,14 @@ TEST(AcDeck, AcCardAndSourceSpecParse) {
       ".PROBE VDB(in) VP(in)\n"
       ".END\n";
   auto parsed = parse_netlist(deck_text);
-  ASSERT_TRUE(parsed.plan.has_value());
-  ASSERT_TRUE(parsed.plan->ac.has_value());
-  EXPECT_EQ(parsed.plan->ac->spacing, AcSpec::Spacing::kOctave);
-  EXPECT_EQ(parsed.plan->ac->points, 3);
-  EXPECT_DOUBLE_EQ(parsed.plan->ac->fstart, 10.0);
-  EXPECT_DOUBLE_EQ(parsed.plan->ac->fstop, 80.0);
-  ASSERT_EQ(parsed.plan->probes.size(), 2u);
+  ASSERT_FALSE(parsed.plans.empty());
+  const AnalysisPlan& plan = parsed.plans.front();
+  ASSERT_TRUE(plan.ac.has_value());
+  EXPECT_EQ(plan.ac->spacing, AcSpec::Spacing::kOctave);
+  EXPECT_EQ(plan.ac->points, 3);
+  EXPECT_DOUBLE_EQ(plan.ac->fstart, 10.0);
+  EXPECT_DOUBLE_EQ(plan.ac->fstop, 80.0);
+  ASSERT_EQ(plan.probes.size(), 2u);
 
   const auto& v1 = parsed.circuit->get<VoltageSource>("V1");
   EXPECT_DOUBLE_EQ(v1.voltage(), 1.0);
@@ -429,8 +430,8 @@ TEST(AcDeck, MixedAnalysesBuildOnePlanPerFamily) {
   ASSERT_EQ(parsed.plans.size(), 2u);
   EXPECT_EQ(analysis_kind(parsed.plans[0]), AnalysisKind::kDcSweep);
   EXPECT_EQ(analysis_kind(parsed.plans[1]), AnalysisKind::kAc);
-  ASSERT_TRUE(parsed.plan.has_value());
-  EXPECT_EQ(analysis_kind(*parsed.plan), AnalysisKind::kDcSweep);
+  ASSERT_FALSE(parsed.plans.empty());
+  EXPECT_EQ(analysis_kind(parsed.plans.front()), AnalysisKind::kDcSweep);
 }
 
 TEST(AcDeck, BadFormsAreRejected) {

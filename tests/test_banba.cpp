@@ -9,7 +9,7 @@
 #include "icvbe/common/constants.hpp"
 #include "icvbe/common/error.hpp"
 #include "icvbe/lab/silicon.hpp"
-#include "icvbe/spice/dc_solver.hpp"
+#include "icvbe/spice/sim_session.hpp"
 
 namespace icvbe::bandgap {
 namespace {
@@ -97,7 +97,7 @@ TEST(BanbaCell, BranchPotentialsForcedEqual) {
   set(c2.node("bgb.n2e"), obs.v_branch - 0.05);
   set(h2.vref, obs.vref);
   set(h2.gate, 0.35);
-  const spice::Unknowns x = spice::solve_dc_or_throw(c2, {}, &guess);
+  const spice::Unknowns x = spice::SimSession(c2).solve_or_throw(&guess);
   EXPECT_NEAR(x.node_voltage(h2.n1), x.node_voltage(h2.n2), 50e-6);
 }
 

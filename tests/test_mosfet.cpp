@@ -10,7 +10,7 @@
 #include "icvbe/common/error.hpp"
 #include "icvbe/spice/circuit.hpp"
 #include "icvbe/lab/silicon.hpp"
-#include "icvbe/spice/dc_solver.hpp"
+#include "icvbe/spice/sim_session.hpp"
 
 namespace icvbe::spice {
 namespace {
@@ -30,7 +30,7 @@ TEST(MosfetTest, CutoffBelowThreshold) {
   c.add_vsource("VD", d, kGround, 2.0);
   c.add_vsource("VG", g, kGround, 0.3);  // below VTO = 0.7
   auto& m = c.add_mosfet("M1", d, g, kGround, nmos(), 10.0);
-  const Unknowns x = solve_dc_or_throw(c);
+  const Unknowns x = SimSession(c).solve_or_throw();
   EXPECT_NEAR(m.drain_current(x), 0.0, 1e-12);
 }
 
@@ -41,7 +41,7 @@ TEST(MosfetTest, SaturationSquareLaw) {
   c.add_vsource("VD", d, kGround, 3.0);
   c.add_vsource("VG", g, kGround, 1.2);  // VOV = 0.5, VDS = 3 > VOV
   auto& m = c.add_mosfet("M1", d, g, kGround, nmos(), 10.0);
-  const Unknowns x = solve_dc_or_throw(c);
+  const Unknowns x = SimSession(c).solve_or_throw();
   // ID = 0.5 * KP * W/L * VOV^2 = 0.5 * 50u * 10 * 0.25 = 62.5 uA.
   EXPECT_NEAR(m.drain_current(x), 62.5e-6, 1e-9);
 }
@@ -53,7 +53,7 @@ TEST(MosfetTest, TriodeRegion) {
   c.add_vsource("VD", d, kGround, 0.2);  // VDS = 0.2 < VOV = 0.5
   c.add_vsource("VG", g, kGround, 1.2);
   auto& m = c.add_mosfet("M1", d, g, kGround, nmos(), 10.0);
-  const Unknowns x = solve_dc_or_throw(c);
+  const Unknowns x = SimSession(c).solve_or_throw();
   // ID = KP W/L (VOV - VDS/2) VDS = 50u*10*(0.5-0.1)*0.2 = 40 uA.
   EXPECT_NEAR(m.drain_current(x), 40e-6, 1e-9);
 }
@@ -67,10 +67,10 @@ TEST(MosfetTest, ChannelLengthModulation) {
   auto& vd = c.add_vsource("VD", d, kGround, 2.0);
   c.add_vsource("VG", g, kGround, 1.2);
   auto& q = c.add_mosfet("M1", d, g, kGround, m, 10.0);
-  const Unknowns x1 = solve_dc_or_throw(c);
+  const Unknowns x1 = SimSession(c).solve_or_throw();
   const double i1 = q.drain_current(x1);
   vd.set_voltage(4.0);
-  const Unknowns x2 = solve_dc_or_throw(c);
+  const Unknowns x2 = SimSession(c).solve_or_throw();
   const double i2 = q.drain_current(x2);
   EXPECT_NEAR(i2 / i1, (1.0 + 0.1 * 4.0) / (1.0 + 0.1 * 2.0), 1e-9);
 }
@@ -89,7 +89,7 @@ TEST(MosfetTest, PmosMirrorsNmosBehaviour) {
   c.add_vsource("VG", g, kGround, 1.8);  // VSG = 1.2, VOV = 0.5
   c.add_vsource("VD", d, kGround, 0.0);  // VSD = 3
   auto& q = c.add_mosfet("M1", d, g, s, pm, 10.0);
-  const Unknowns x = solve_dc_or_throw(c);
+  const Unknowns x = SimSession(c).solve_or_throw();
   // PMOS: conventional current flows out of the drain: -62.5 uA into it.
   EXPECT_NEAR(q.drain_current(x), -62.5e-6, 1e-9);
 }
@@ -104,7 +104,7 @@ TEST(MosfetTest, ResistorLoadedInverterSolves) {
   c.add_vsource("VG", g, kGround, 1.0);
   c.add_resistor("RL", vdd, d, 1e5);
   auto& q = c.add_mosfet("M1", d, g, kGround, nmos(), 4.0);
-  const Unknowns x = solve_dc_or_throw(c);
+  const Unknowns x = SimSession(c).solve_or_throw();
   const double vd = x.node_voltage(d);
   // KCL: (3 - vd)/100k = id(vd).
   EXPECT_NEAR((3.0 - vd) / 1e5, q.drain_current(x), 1e-10);
@@ -120,10 +120,10 @@ TEST(MosfetTest, ThresholdDropsWithTemperature) {
   c.add_vsource("VG", g, kGround, 0.72);  // barely on at 25 C
   auto& q = c.add_mosfet("M1", d, g, kGround, nmos(), 10.0);
   c.set_temperature(298.15);
-  const Unknowns x_cold = solve_dc_or_throw(c);
+  const Unknowns x_cold = SimSession(c).solve_or_throw();
   const double i_cold = q.drain_current(x_cold);
   c.set_temperature(398.15);
-  const Unknowns x_hot = solve_dc_or_throw(c);
+  const Unknowns x_hot = SimSession(c).solve_or_throw();
   const double i_hot = q.drain_current(x_hot);
   // VTH dropped 0.2 V: much more overdrive beats the mobility loss here.
   EXPECT_GT(i_hot, 5.0 * std::max(i_cold, 1e-12));
@@ -153,7 +153,7 @@ TEST(CmosOpAmp, BiasLegConductsDesignCurrent) {
   p.nmos = default_nmos();
   p.pmos = default_pmos();
   build_cmos_opamp(c, "oa", out, inp, inn, p);
-  const spice::Unknowns x = solve_dc_or_throw(c);
+  const spice::Unknowns x = spice::SimSession(c).solve_or_throw();
   auto& rb = c.get<spice::Resistor>("oa.RB");
   const double i_bias = rb.current(x);
   EXPECT_GT(i_bias, 5e-6);
@@ -172,7 +172,7 @@ TEST(CmosOpAmp, OutputSwingsWithDifferentialInput) {
     p.nmos = default_nmos();
     p.pmos = default_pmos();
     build_cmos_opamp(c, "oa", out, inp, inn, p);
-    return solve_dc_or_throw(c).node_voltage(out);
+    return spice::SimSession(c).solve_or_throw().node_voltage(out);
   };
   // PMOS-input pair into NMOS mirror, then inverting CS stage: raising the
   // + input must move the output in one consistent direction by rail-scale
@@ -234,7 +234,7 @@ TEST(CmosOpAmp, ClosesTheBandgapLoopAtEveryChamberTemperature) {
     set(c.node("oa.d2"), 0.8);
     spice::NewtonOptions opt;
     opt.max_iterations = 500;
-    const spice::DcResult r = spice::solve_dc(c, opt, &guess);
+    const spice::DcResult r = spice::SimSession(c, opt).solve(&guess);
     ASSERT_TRUE(r.converged);
     EXPECT_EQ(r.strategy, "newton");
     EXPECT_NEAR(r.solution.node_voltage(vref), 1.18, 0.05);
@@ -256,7 +256,8 @@ TEST(CmosOpAmp, ThresholdMismatchCreatesOffset) {
     build_cmos_opamp(c, "oa", out, inp, out, p);  // unity follower
     spice::NewtonOptions opt;
     opt.max_iterations = 400;
-    return solve_dc_or_throw(c, opt).node_voltage(out) - 1.25;
+    return spice::SimSession(c, opt).solve_or_throw().node_voltage(out) -
+           1.25;
   };
   const double base = follower_error(0.0);
   const double skewed = follower_error(4e-3);

@@ -8,8 +8,8 @@
 #include <string>
 
 #include "icvbe/common/constants.hpp"
-#include "icvbe/spice/dc_solver.hpp"
 #include "icvbe/spice/netlist.hpp"
+#include "icvbe/spice/sim_session.hpp"
 
 namespace icvbe::spice {
 namespace {
@@ -85,7 +85,7 @@ R2 mid 0 3k
   EXPECT_DOUBLE_EQ(parsed.temperature_celsius, 27.0);
   auto& c = *parsed.circuit;
   c.set_temperature(to_kelvin(parsed.temperature_celsius));
-  const Unknowns x = solve_dc_or_throw(c);
+  const Unknowns x = SimSession(c).solve_or_throw();
   EXPECT_NEAR(x.node_voltage(c.node("mid")), 7.5, 1e-6);
 }
 
@@ -97,7 +97,7 @@ TEST(NetlistParser, CommentsAndContinuations) {
       "+ 0 2k\n";
   auto parsed = parse_netlist(deck);
   auto& c = *parsed.circuit;
-  const Unknowns x = solve_dc_or_throw(c);
+  const Unknowns x = SimSession(c).solve_or_throw();
   EXPECT_NEAR(c.get<VoltageSource>("V1").current(x), -0.5e-3, 1e-9);
 }
 
@@ -113,7 +113,7 @@ Q1 0 0 e PNP8 AREA=1
   EXPECT_DOUBLE_EQ(parsed.bjt_models.at("PNP8").eg, 1.132);
   auto& c = *parsed.circuit;
   c.set_temperature(298.15);
-  const Unknowns x = solve_dc_or_throw(c);
+  const Unknowns x = SimSession(c).solve_or_throw();
   // Diode-connected PNP at 10 uA: VEB ~ 0.62-0.68 V.
   EXPECT_GT(x.node_voltage(c.node("e")), 0.55);
   EXPECT_LT(x.node_voltage(c.node("e")), 0.75);
@@ -127,7 +127,7 @@ I1 0 a 1m
 )";
   auto parsed = parse_netlist(deck);
   auto& c = *parsed.circuit;
-  const Unknowns x = solve_dc_or_throw(c);
+  const Unknowns x = SimSession(c).solve_or_throw();
   EXPECT_NEAR(x.node_voltage(c.node("a")),
               thermal_voltage(300.15) * std::log(1e-3 / 1e-14), 1e-5);
 }
@@ -142,7 +142,7 @@ RL2 u_out 0 10k
 )";
   auto parsed = parse_netlist(deck);
   auto& c = *parsed.circuit;
-  const Unknowns x = solve_dc_or_throw(c);
+  const Unknowns x = SimSession(c).solve_or_throw();
   EXPECT_NEAR(x.node_voltage(c.node("e_out")), 2.0, 1e-6);
   EXPECT_NEAR(x.node_voltage(c.node("u_out")), 0.101, 1e-5);
 }
@@ -180,7 +180,7 @@ Q1 c b 0 N1 SUBSTRATE=s AREA=2
 )";
   auto parsed = parse_netlist(deck);
   auto& c = *parsed.circuit;
-  const Unknowns x = solve_dc_or_throw(c);
+  const Unknowns x = SimSession(c).solve_or_throw();
   auto& q = c.get<Bjt>("Q1");
   EXPECT_DOUBLE_EQ(q.area(), 2.0);
   // Saturated (VBC = +0.6): the BC-driven parasitic pushes current into
@@ -197,7 +197,7 @@ R1 n 0 1k TC1=2m
   auto parsed = parse_netlist(deck);
   auto& c = *parsed.circuit;
   c.set_temperature(to_kelvin(parsed.temperature_celsius));
-  const Unknowns x = solve_dc_or_throw(c);
+  const Unknowns x = SimSession(c).solve_or_throw();
   EXPECT_NEAR(x.node_voltage(c.node("n")), 1.2, 1e-4);
 }
 
@@ -250,8 +250,8 @@ R2 out 0 3k
 .PROBE V(out) I(V1)
 )";
   auto parsed = parse_netlist(deck);
-  ASSERT_TRUE(parsed.plan.has_value());
-  const AnalysisPlan& plan = *parsed.plan;
+  ASSERT_FALSE(parsed.plans.empty());
+  const AnalysisPlan& plan = parsed.plans.front();
   ASSERT_EQ(plan.axes.size(), 1u);
   EXPECT_EQ(plan.axes[0].kind(), SweepAxis::Kind::kVsource);
   EXPECT_EQ(plan.axes[0].device(), "V1");
@@ -271,8 +271,8 @@ R1 n 0 1k TC1=2m
 .PROBE V(n)
 )";
   auto parsed = parse_netlist(deck);
-  ASSERT_TRUE(parsed.plan.has_value());
-  const AnalysisPlan& plan = *parsed.plan;
+  ASSERT_FALSE(parsed.plans.empty());
+  const AnalysisPlan& plan = parsed.plans.front();
   // Second .DC spec is the outer axis; TEMP (first spec) is innermost.
   ASSERT_EQ(plan.axes.size(), 2u);
   EXPECT_EQ(plan.axes[0].kind(), SweepAxis::Kind::kIsource);
@@ -286,22 +286,23 @@ TEST(NetlistParser, StepDirectiveForms) {
   auto lst = parse_netlist(
       "V1 a 0 1\nR1 a 0 1k\n.STEP R1 LIST 1k 2k 4k\n.DC V1 0 1 1\n"
       ".PROBE V(a)\n");
-  ASSERT_TRUE(lst.plan.has_value());
-  ASSERT_EQ(lst.plan->axes.size(), 2u);
-  EXPECT_EQ(lst.plan->axes[0].kind(), SweepAxis::Kind::kResistor);
-  EXPECT_EQ(lst.plan->axes[0].grid().points().size(), 3u);
-  EXPECT_DOUBLE_EQ(lst.plan->axes[0].grid().points()[2], 4000.0);
+  ASSERT_FALSE(lst.plans.empty());
+  const std::vector<SweepAxis>& axes = lst.plans.front().axes;
+  ASSERT_EQ(axes.size(), 2u);
+  EXPECT_EQ(axes[0].kind(), SweepAxis::Kind::kResistor);
+  EXPECT_EQ(axes[0].grid().points().size(), 3u);
+  EXPECT_DOUBLE_EQ(axes[0].grid().points()[2], 4000.0);
 
   auto dec = parse_netlist(
       "I1 0 a 1m\nR1 a 0 1k\n.STEP I1 DEC 1u 1m 3\n.PROBE V(a)\n");
-  ASSERT_TRUE(dec.plan.has_value());
-  EXPECT_EQ(dec.plan->axes[0].grid().spacing(),
+  ASSERT_FALSE(dec.plans.empty());
+  EXPECT_EQ(dec.plans.front().axes[0].grid().spacing(),
             SweepGrid::Spacing::kLogDecades);
 
   auto lin = parse_netlist(
       "V1 a 0 1\nR1 a 0 1k\n.STEP TEMP -50 125 25\n.PROBE V(a)\n");
-  ASSERT_TRUE(lin.plan.has_value());
-  EXPECT_EQ(lin.plan->axes[0].grid().points().size(), 8u);
+  ASSERT_FALSE(lin.plans.empty());
+  EXPECT_EQ(lin.plans.front().axes[0].grid().points().size(), 8u);
 }
 
 TEST(NetlistParser, OversizedOrNonFiniteGridsFailFastWithLine) {
@@ -441,9 +442,10 @@ C1 out 0 1u
 .PROBE V(out) I(C1)
 .END
 )");
-  ASSERT_TRUE(parsed.plan.has_value());
-  ASSERT_TRUE(parsed.plan->transient.has_value());
-  const TransientSpec& spec = *parsed.plan->transient;
+  ASSERT_FALSE(parsed.plans.empty());
+  const AnalysisPlan& plan = parsed.plans.front();
+  ASSERT_TRUE(plan.transient.has_value());
+  const TransientSpec& spec = *plan.transient;
   EXPECT_DOUBLE_EQ(spec.tstep, 1e-6);
   EXPECT_DOUBLE_EQ(spec.tstop, 2e-3);
   EXPECT_DOUBLE_EQ(spec.tstart, 0.5e-3);
@@ -453,8 +455,8 @@ C1 out 0 1u
   ASSERT_EQ(spec.initial_conditions.size(), 1u);
   EXPECT_EQ(spec.initial_conditions[0].first, "out");
   EXPECT_DOUBLE_EQ(spec.initial_conditions[0].second, 0.25);
-  EXPECT_TRUE(parsed.plan->axes.empty());
-  ASSERT_EQ(parsed.plan->probes.size(), 2u);
+  EXPECT_TRUE(plan.axes.empty());
+  ASSERT_EQ(plan.probes.size(), 2u);
   ASSERT_EQ(parsed.ics.size(), 1u);
 }
 
@@ -501,9 +503,6 @@ C1 out 0 1u
   EXPECT_EQ(parsed.plans[0].name, "deck:DC");
   EXPECT_EQ(parsed.plans[1].name, "deck:TRAN");
   EXPECT_EQ(parsed.plans[2].name, "deck:AC");
-  // Legacy accessor stays the first plan.
-  ASSERT_TRUE(parsed.plan.has_value());
-  EXPECT_EQ(analysis_kind(*parsed.plan), AnalysisKind::kDcSweep);
   // find_plan resolves each family.
   ASSERT_NE(parsed.find_plan(AnalysisKind::kTransient), nullptr);
   EXPECT_TRUE(parsed.find_plan(AnalysisKind::kTransient)
@@ -555,8 +554,7 @@ TEST(MultiAnalysisDeck, SingleAnalysisDecksKeepTheLegacyShape) {
                               ".PROBE V(a) I(V1)\n");
   ASSERT_EQ(parsed.plans.size(), 1u);
   EXPECT_EQ(parsed.plans[0].name, "deck");
-  ASSERT_TRUE(parsed.plan.has_value());
-  EXPECT_EQ(parsed.plan->probes.size(), 2u);
+  EXPECT_EQ(parsed.plans[0].probes.size(), 2u);
   EXPECT_EQ(parsed.find_plan(AnalysisKind::kAc), nullptr);
 }
 

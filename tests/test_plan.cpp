@@ -1,6 +1,6 @@
 // Tests for the declarative analysis-plan API (spice/plan.hpp): probe
 // parse/print round-trips, grids, SimSession::run golden equivalence
-// against the legacy sweep paths, deterministic parallel 2-axis execution,
+// against hand-written solve() loops, deterministic parallel 2-axis execution,
 // and the zero-allocation-per-point guarantee (this binary links the
 // icvbe_alloc_hook counting operator new/delete).
 
@@ -19,7 +19,6 @@
 #include "icvbe/common/error.hpp"
 #include "icvbe/lab/campaign.hpp"
 #include "icvbe/lab/silicon.hpp"
-#include "icvbe/spice/analysis.hpp"
 #include "icvbe/spice/netlist.hpp"
 #include "icvbe/spice/netlist_gen.hpp"
 #include "icvbe/spice/plan.hpp"
@@ -134,6 +133,11 @@ TEST(SweepGridTest, MaterialiseAndValidate) {
   const auto log = SweepGrid::log_decades(1.0, 100.0, 2).points();
   EXPECT_DOUBLE_EQ(log.front(), 1.0);
   EXPECT_NEAR(log.back(), 100.0, 1e-9);
+  const auto tiny = SweepGrid::log_decades(1e-8, 1e-5, 3).points();
+  ASSERT_EQ(tiny.size(), 10u);
+  EXPECT_NEAR(tiny.front(), 1e-8, 1e-20);
+  EXPECT_NEAR(tiny.back(), 1e-5, 1e-12);
+  for (std::size_t i = 1; i < tiny.size(); ++i) EXPECT_GT(tiny[i], tiny[i - 1]);
 
   EXPECT_THROW((void)SweepGrid::linear(0.0, 1.0, 1), PlanError);
   EXPECT_THROW((void)SweepGrid::list({}), PlanError);
@@ -143,12 +147,19 @@ TEST(SweepGridTest, MaterialiseAndValidate) {
 // ----------------------------------------------------- run(): golden ---
 
 TEST(AnalysisPlanTest, RunMatchesLegacyVsourceSweep) {
-  const auto values = linspace(0.0, 2.0, 41);
+  // A 1-axis plan is the hand-written set/solve/probe loop, bit for bit.
+  const auto values = SweepGrid::linear(0.0, 2.0, 41).points();
 
-  Circuit legacy;
-  build_diode_rig(legacy);
-  const Series golden = dc_sweep_vsource(legacy, "V1", values,
-                                         probe_node_voltage(legacy, "a"));
+  Circuit ref;
+  build_diode_rig(ref);
+  SimSession ref_session(ref);
+  auto& v1 = ref.get<VoltageSource>("V1");
+  const NodeId a = ref.find_node("a");
+  std::vector<double> golden;
+  for (double v : values) {
+    v1.set_voltage(v);
+    golden.push_back(ref_session.solve_or_throw().node_voltage(a));
+  }
 
   Circuit c;
   build_diode_rig(c);
@@ -161,24 +172,30 @@ TEST(AnalysisPlanTest, RunMatchesLegacyVsourceSweep) {
 
   ASSERT_EQ(got.rows(), golden.size());
   for (std::size_t i = 0; i < golden.size(); ++i) {
-    EXPECT_NEAR(got.value(0, i), golden.y(i), 1e-12) << "point " << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.value(0, i)),
+              std::bit_cast<std::uint64_t>(golden[i]))
+        << "point " << i;
   }
 }
 
 TEST(AnalysisPlanTest, RunMatchesLegacyTemperatureSweepOnTestCell) {
-  // The full bandgap test cell over temperature: the declarative plan path
-  // must reproduce the legacy temperature_sweep free function to <= 1e-12.
+  // The full bandgap test cell over temperature, warm-started from the
+  // analytic guess: the declarative plan path must reproduce the
+  // hand-written loop over SimSession::solve() bit for bit.
   const auto params = nominal_cell_params();
-  const auto temps = linspace(to_kelvin(-40.0), to_kelvin(120.0), 9);
+  const auto temps =
+      SweepGrid::linear(to_kelvin(-40.0), to_kelvin(120.0), 9).points();
 
-  Circuit legacy;
-  const auto hl = bandgap::build_test_cell(legacy, params);
-  legacy.set_temperature(temps[0]);  // the guess reads temperature state
-  const Unknowns seed = bandgap::cell_initial_guess(legacy, hl, temps[0]);
-  const Series golden =
-      temperature_sweep(legacy, temps,
-                        probe_node_voltage(legacy, legacy.node_name(hl.vref)),
-                        {}, &seed);
+  Circuit ref;
+  const auto hr = bandgap::build_test_cell(ref, params);
+  SimSession ref_session(ref);
+  ref.set_temperature(temps[0]);  // the guess reads temperature state
+  ref_session.seed_warm_start(bandgap::cell_initial_guess(ref, hr, temps[0]));
+  std::vector<double> golden;
+  for (double t : temps) {
+    ref.set_temperature(t);
+    golden.push_back(ref_session.solve_or_throw().node_voltage(hr.vref));
+  }
 
   Circuit c;
   const auto h = bandgap::build_test_cell(c, params);
@@ -193,7 +210,9 @@ TEST(AnalysisPlanTest, RunMatchesLegacyTemperatureSweepOnTestCell) {
 
   ASSERT_EQ(got.rows(), golden.size());
   for (std::size_t i = 0; i < golden.size(); ++i) {
-    EXPECT_NEAR(got.value(0, i), golden.y(i), 1e-12) << "T=" << temps[i];
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.value(0, i)),
+              std::bit_cast<std::uint64_t>(golden[i]))
+        << "T=" << temps[i];
   }
 }
 
@@ -437,7 +456,7 @@ R1 n 0 1k TC1=2m
   auto& c = *parsed.circuit;
   c.set_temperature(to_kelvin(parsed.temperature_celsius));
   SimSession session(c);
-  const SweepResult r = session.run(*parsed.plan);
+  const SweepResult r = session.run(parsed.plans.front());
   ASSERT_EQ(r.rows(), 2u);
   EXPECT_NEAR(r.value(0, 0), 1.2, 1e-4);   // 1k * 1.2 * 1mA
   EXPECT_NEAR(r.value(0, 1), 2.4, 1e-4);   // 2k * 1.2 * 1mA
@@ -575,11 +594,11 @@ R2 out 0 3k
 .PROBE V(out) I(V1) V(in,out)
 )";
   auto parsed = parse_netlist(deck);
-  ASSERT_TRUE(parsed.plan.has_value());
+  ASSERT_FALSE(parsed.plans.empty());
   auto& c = *parsed.circuit;
   c.set_temperature(to_kelvin(parsed.temperature_celsius));
   SimSession session(c);
-  const SweepResult r = session.run(*parsed.plan);
+  const SweepResult r = session.run(parsed.plans.front());
 
   ASSERT_EQ(r.rows(), 2u * 5u);
   for (std::size_t o = 0; o < 2; ++o) {
@@ -755,7 +774,7 @@ C1 out 0 1n
   SimSession session(*parsed.circuit);
 
   RecordingObserver obs;
-  const SweepResult r = session.run(*parsed.plan, &obs);
+  const SweepResult r = session.run(parsed.plans.front(), &obs);
 
   EXPECT_EQ(obs.axis_labels_, std::vector<std::string>{"TIME"});
   EXPECT_EQ(obs.expected_rows_, 0u)
@@ -829,11 +848,11 @@ C1 out 0 1n
   SimSession session(*parsed.circuit);
 
   RecordingObserver obs(3);
-  EXPECT_THROW((void)session.run(*parsed.plan, &obs), CancelledError);
+  EXPECT_THROW((void)session.run(parsed.plans.front(), &obs), CancelledError);
 
   // The solver's destructor restored DC mode: a fresh full run succeeds
   // and matches an uncancelled session.
-  const SweepResult again = session.run(*parsed.plan);
+  const SweepResult again = session.run(parsed.plans.front());
   EXPECT_GT(again.rows(), 10u);
 }
 
@@ -846,9 +865,9 @@ TEST(AnalysisPlanTest, LinearGridSweepAnalysesOnceAndSkipsEveryRefactor) {
   gen.nodes = 400;
   gen.seed = 3;
   auto parsed = parse_netlist(generate_netlist(gen));
-  ASSERT_TRUE(parsed.plan.has_value());
+  ASSERT_FALSE(parsed.plans.empty());
   SimSession session(*parsed.circuit);
-  const SweepResult r = session.run(*parsed.plan);
+  const SweepResult r = session.run(parsed.plans.front());
   EXPECT_EQ(r.rows(), 7u);
   const linalg::SparseLuFactorization& lu = session.sparse_lu();
   EXPECT_EQ(lu.analysis_count(), 1);

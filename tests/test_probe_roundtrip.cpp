@@ -336,8 +336,8 @@ TEST_P(DeckRoundTrip, RandomAnalysisFragmentsParseToTheirPlan) {
 
     ParsedNetlist parsed;
     ASSERT_NO_THROW(parsed = parse_netlist(deck));
-    ASSERT_TRUE(parsed.plan.has_value());
-    const AnalysisPlan& plan = *parsed.plan;
+    ASSERT_FALSE(parsed.plans.empty());
+    const AnalysisPlan& plan = parsed.plans.front();
     ASSERT_EQ(plan.axes.size(), expected.size());
     for (std::size_t a = 0; a < expected.size(); ++a) {
       expect_axis(plan.axes[a], *expected[a]);
@@ -401,8 +401,8 @@ TEST_P(AcDeckRoundTrip, RandomAcFragmentsParseToTheirPlan) {
 
     ParsedNetlist parsed;
     ASSERT_NO_THROW(parsed = parse_netlist(deck));
-    ASSERT_TRUE(parsed.plan.has_value());
-    const AnalysisPlan& plan = *parsed.plan;
+    ASSERT_FALSE(parsed.plans.empty());
+    const AnalysisPlan& plan = parsed.plans.front();
     EXPECT_TRUE(plan.axes.empty());
     ASSERT_TRUE(plan.ac.has_value());
     EXPECT_EQ(static_cast<int>(plan.ac->spacing),

@@ -1,7 +1,7 @@
-// Tests for spice::SimSession: golden equivalence against the legacy
-// free-function path, warm-start continuation, topology-change guard, and
-// the zero-allocation guarantee of the Newton inner loop (this binary
-// links the icvbe_alloc_hook counting operator new/delete).
+// Tests for spice::SimSession: golden equivalence against the per-point
+// bandgap path, warm-start continuation, topology-change guard, and the
+// zero-allocation guarantee of the Newton inner loop (this binary links
+// the icvbe_alloc_hook counting operator new/delete).
 
 #include <gtest/gtest.h>
 
@@ -17,9 +17,8 @@
 #include "icvbe/common/constants.hpp"
 #include "icvbe/common/error.hpp"
 #include "icvbe/lab/silicon.hpp"
-#include "icvbe/spice/analysis.hpp"
 #include "icvbe/spice/circuit.hpp"
-#include "icvbe/spice/dc_solver.hpp"
+#include "icvbe/spice/plan.hpp"
 #include "icvbe/spice/sim_session.hpp"
 #include "icvbe/spice/transient.hpp"
 #include "icvbe/testing/alloc_hook.hpp"
@@ -45,49 +44,12 @@ bandgap::TestCellParams nominal_cell_params() {
   return p;
 }
 
-TEST(SimSessionTest, SolveMatchesLegacySolver) {
-  Circuit legacy;
-  build_diode_rig(legacy);
-  const Unknowns x_legacy = solve_dc_or_throw(legacy);
-
-  Circuit c;
-  build_diode_rig(c);
-  SimSession session(c);
-  const Unknowns& x_session = session.solve_or_throw();
-
-  ASSERT_EQ(x_legacy.size(), x_session.size());
-  for (std::size_t i = 0; i < x_legacy.size(); ++i) {
-    EXPECT_NEAR(x_legacy.raw()[i], x_session.raw()[i], 1e-12) << "i=" << i;
-  }
-}
-
-TEST(SimSessionTest, GoldenSweepMatchesLegacyVsourceSweep) {
-  const auto values = linspace(0.0, 2.0, 41);
-
-  Circuit legacy;
-  build_diode_rig(legacy);
-  const Series golden = dc_sweep_vsource(legacy, "V1", values,
-                                         probe_node_voltage(legacy, "a"));
-
-  Circuit c;
-  build_diode_rig(c);
-  auto& v1 = c.get<VoltageSource>("V1");
-  SimSession session(c);
-  const Series got =
-      session.sweep(values, [&](double v) { v1.set_voltage(v); },
-                    probe_node_voltage(c, "a"));
-
-  ASSERT_EQ(golden.size(), got.size());
-  for (std::size_t i = 0; i < golden.size(); ++i) {
-    EXPECT_NEAR(golden.y(i), got.y(i), 1e-12) << "point " << i;
-  }
-}
-
 TEST(SimSessionTest, GoldenTemperatureSweepOnTestCell) {
   // The full bandgap test cell over temperature: the session path must
   // reproduce the legacy per-point path to <= 1e-12.
   const auto params = nominal_cell_params();
-  const auto temps = linspace(to_kelvin(-40.0), to_kelvin(120.0), 9);
+  const auto temps =
+      SweepGrid::linear(to_kelvin(-40.0), to_kelvin(120.0), 9).points();
 
   // Legacy: fresh circuit + solve_cell_at(circuit, ...) per point.
   std::vector<double> golden;
@@ -154,18 +116,24 @@ TEST(SimSessionTest, TopologyChangeIsDetected) {
   EXPECT_TRUE(session.solve().converged);
 }
 
-TEST(SimSessionTest, SweepFailureThrowsWithContext) {
+TEST(SimSessionTest, RunFailureThrowsWithContext) {
   Circuit c;
   const NodeId a = c.node("a");
   c.add_vsource("V1", a, kGround, 1.0);
   c.add_vsource("V2", a, kGround, 2.0);  // conflicting ideal sources
-  auto& v1 = c.get<VoltageSource>("V1");
   SimSession session(c);
-  EXPECT_THROW((void)session.sweep({1.0}, [&](double v) { v1.set_voltage(v); },
-                                   [](const Circuit&, const Unknowns&) {
-                                     return 0.0;
-                                   }),
-               NumericalError);
+  AnalysisPlan plan;
+  plan.name = "conflict";
+  plan.axes = {SweepAxis::vsource("V1", SweepGrid::list({1.5}))};
+  plan.probes = {Probe::constant(0.0)};
+  try {
+    (void)session.run(plan);
+    FAIL() << "run() returned from a point that cannot converge";
+  } catch (const NumericalError& e) {
+    EXPECT_NE(std::string(e.what()).find("conflict: DC solve failed at V1=1.5"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(SimSessionTest, ConstCircuitAccessInProbes) {

@@ -112,9 +112,9 @@ TEST(SparseEquivalence, DeckPlanColumnsMatchDense) {
     SCOPED_TRACE(case_name(c));
     auto dense_deck = parse_case(c);
     auto sparse_deck = parse_case(c);
-    ASSERT_TRUE(dense_deck.plan.has_value());
+    ASSERT_FALSE(dense_deck.plans.empty());
 
-    AnalysisPlan plan = *dense_deck.plan;
+    AnalysisPlan plan = dense_deck.plans.front();
     plan.options = tight_options();
     SimSession sparse(*sparse_deck.circuit, plan.options);
     const SweepResult rs = sparse.run(plan);
@@ -267,8 +267,8 @@ TEST(SparseEquivalence, SymbolicAnalysisSurvivesAWholePlanRun) {
   // operating-point independent).
   auto deck = parse_case({SyntheticTopology::kDiodeLadder, 200});
   SimSession session(*deck.circuit, tight_options());
-  ASSERT_TRUE(deck.plan.has_value());
-  AnalysisPlan plan = *deck.plan;
+  ASSERT_FALSE(deck.plans.empty());
+  AnalysisPlan plan = deck.plans.front();
   plan.options = tight_options();
   const SweepResult r = session.run(plan);
   EXPECT_GT(r.rows(), 0u);

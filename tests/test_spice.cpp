@@ -1,5 +1,5 @@
 // Tests for icvbe/spice: MNA stamps, linear solves, diode/BJT Newton
-// convergence, temperature behaviour, and the sweep analyses.
+// convergence, and temperature behaviour.
 
 #include <gtest/gtest.h>
 
@@ -7,10 +7,10 @@
 
 #include "icvbe/common/constants.hpp"
 #include "icvbe/common/error.hpp"
-#include "icvbe/spice/analysis.hpp"
 #include "icvbe/spice/circuit.hpp"
-#include "icvbe/spice/dc_solver.hpp"
 #include "icvbe/spice/junction.hpp"
+#include "icvbe/spice/plan.hpp"
+#include "icvbe/spice/sim_session.hpp"
 
 namespace icvbe::spice {
 namespace {
@@ -66,7 +66,7 @@ TEST(DcSolver, ResistorDivider) {
   c.add_vsource("V1", in, kGround, 10.0);
   c.add_resistor("R1", in, mid, 1e3);
   c.add_resistor("R2", mid, kGround, 3e3);
-  const Unknowns x = solve_dc_or_throw(c);
+  const Unknowns x = SimSession(c).solve_or_throw();
   // gmin (1e-12 S to ground) leaks a few nA, so tolerances are ~1e-7.
   EXPECT_NEAR(x.node_voltage(mid), 7.5, 1e-7);
   // Source current: 10 V across 4k -> 2.5 mA drawn from the + terminal.
@@ -79,7 +79,7 @@ TEST(DcSolver, CurrentSourceIntoResistor) {
   // 1 mA from ground into n through the source, 2k to ground.
   c.add_isource("I1", kGround, n, 1e-3);
   c.add_resistor("R1", n, kGround, 2e3);
-  const Unknowns x = solve_dc_or_throw(c);
+  const Unknowns x = SimSession(c).solve_or_throw();
   EXPECT_NEAR(x.node_voltage(n), 2.0, 1e-7);
 }
 
@@ -90,7 +90,7 @@ TEST(DcSolver, VcvsAmplifies) {
   c.add_vsource("V1", in, kGround, 0.1);
   c.add_vcvs("E1", out, kGround, in, kGround, 20.0);
   c.add_resistor("RL", out, kGround, 1e4);
-  const Unknowns x = solve_dc_or_throw(c);
+  const Unknowns x = SimSession(c).solve_or_throw();
   EXPECT_NEAR(x.node_voltage(out), 2.0, 1e-9);
 }
 
@@ -102,7 +102,7 @@ TEST(DcSolver, OpAmpFollowerWithOffset) {
   c.add_vsource("V1", in, kGround, 1.0);
   c.add_opamp("U1", out, in, out, 1e7, 2e-3);
   c.add_resistor("RL", out, kGround, 1e5);
-  const Unknowns x = solve_dc_or_throw(c);
+  const Unknowns x = SimSession(c).solve_or_throw();
   EXPECT_NEAR(x.node_voltage(out), 1.002, 1e-6);
 }
 
@@ -112,7 +112,7 @@ TEST(DcSolver, ResistorTemperatureCoefficients) {
   c.add_isource("I1", kGround, n, 1e-3);
   auto& r = c.add_resistor("R1", n, kGround, 1e3, 2e-3, 0.0);
   c.set_temperature(to_kelvin(127.0));  // +100 K over tnom
-  const Unknowns x = solve_dc_or_throw(c);
+  const Unknowns x = SimSession(c).solve_or_throw();
   EXPECT_NEAR(r.resistance(), 1e3 * (1.0 + 2e-3 * 100.0), 1e-6);
   EXPECT_NEAR(x.node_voltage(n), 1.2, 1e-6);
 }
@@ -124,7 +124,7 @@ TEST(DcSolver, DiodeForwardDrop) {
   dm.is = 1e-14;
   c.add_isource("I1", kGround, a, 1e-3);
   c.add_diode("D1", a, kGround, dm);
-  const Unknowns x = solve_dc_or_throw(c);
+  const Unknowns x = SimSession(c).solve_or_throw();
   // v = VT ln(I/IS): ~0.65 V at 1 mA for IS = 1e-14 at 300.15 K.
   const double expected =
       thermal_voltage(300.15) * std::log(1e-3 / 1e-14);
@@ -138,7 +138,7 @@ TEST(DcSolver, DiodeReverseLeakage) {
   dm.is = 1e-14;
   c.add_vsource("V1", a, kGround, -5.0);
   auto& d = c.add_diode("D1", a, kGround, dm);
-  const Unknowns x = solve_dc_or_throw(c);
+  const Unknowns x = SimSession(c).solve_or_throw();
   EXPECT_NEAR(d.current(x), -1e-14, 1e-16);
 }
 
@@ -153,7 +153,7 @@ TEST(DcSolver, DiodeSeriesResistorAnalytic) {
   c.add_vsource("V1", in, kGround, 3.0);
   c.add_resistor("R1", in, a, 1e3);
   auto& d = c.add_diode("D1", a, kGround, dm);
-  const Unknowns x = solve_dc_or_throw(c);
+  const Unknowns x = SimSession(c).solve_or_throw();
   const double id = d.current(x);
   const double va = x.node_voltage(a);
   EXPECT_NEAR((3.0 - va) / 1e3, id, 1e-9);
@@ -184,7 +184,7 @@ TEST(BjtTest, ForwardActiveCollectorCurrent) {
   c.add_vsource("VB", b, kGround, 0.65);
   c.add_vsource("VC", col, kGround, 3.0);
   auto& q = c.add_bjt("Q1", col, b, kGround, npn_default());
-  const Unknowns x = solve_dc_or_throw(c);
+  const Unknowns x = SimSession(c).solve_or_throw();
   const auto tc = q.currents(x);
   const double expected =
       1e-16 * (std::exp(0.65 / thermal_voltage(300.15)) - 1.0);
@@ -203,7 +203,7 @@ TEST(BjtTest, AreaScalesCollectorCurrent) {
   c.add_vsource("VC2", c2, kGround, 2.0);
   auto& qa = c.add_bjt("QA", c1, b, kGround, npn_default(), 1.0);
   auto& qb = c.add_bjt("QB", c2, b, kGround, npn_default(), 8.0);
-  const Unknowns x = solve_dc_or_throw(c);
+  const Unknowns x = SimSession(c).solve_or_throw();
   EXPECT_NEAR(qb.currents(x).ic / qa.currents(x).ic, 8.0, 1e-6);
 }
 
@@ -219,7 +219,7 @@ TEST(BjtTest, DeltaVbeOfMatchedPairIsPtat) {
     c.add_bjt("QA", a1, a1, kGround, npn_default(), 1.0);
     c.add_bjt("QB", a2, a2, kGround, npn_default(), 8.0);
     c.set_temperature(to_kelvin(t_c));
-    const Unknowns x = solve_dc_or_throw(c);
+    const Unknowns x = SimSession(c).solve_or_throw();
     const double dvbe = x.node_voltage(a1) - x.node_voltage(a2);
     EXPECT_NEAR(dvbe, thermal_voltage(to_kelvin(t_c)) * std::log(8.0), 1e-7)
         << "at " << t_c << " C";
@@ -234,7 +234,7 @@ TEST(BjtTest, PnpForwardActive) {
   c.add_vsource("VE", e, kGround, 1.0);
   c.add_vsource("VB", b, kGround, 0.35);
   auto& q = c.add_bjt("Q1", kGround, b, e, pnp_default());
-  const Unknowns x = solve_dc_or_throw(c);
+  const Unknowns x = SimSession(c).solve_or_throw();
   const auto tc = q.currents(x);
   // PNP: conventional current flows out of the collector terminal.
   EXPECT_LT(tc.ic, 0.0);
@@ -252,10 +252,10 @@ TEST(BjtTest, EarlyEffectIncreasesIc) {
   c.add_vsource("VB", b, kGround, 0.6);
   auto& vc = c.add_vsource("VC", col, kGround, 1.0);
   auto& q = c.add_bjt("Q1", col, b, kGround, m);
-  const Unknowns x1 = solve_dc_or_throw(c);
+  const Unknowns x1 = SimSession(c).solve_or_throw();
   const double ic1 = q.currents(x1).ic;
   vc.set_voltage(10.0);
-  const Unknowns x2 = solve_dc_or_throw(c);
+  const Unknowns x2 = SimSession(c).solve_or_throw();
   const double ic2 = q.currents(x2).ic;
   // VBC goes from -0.4 to -9.4: (1 - vbc/VAF) ratio ~ (1+9.4/50)/(1+0.4/50).
   EXPECT_NEAR(ic2 / ic1, (1.0 + 9.4 / 50.0) / (1.0 + 0.4 / 50.0), 2e-3);
@@ -266,9 +266,12 @@ TEST(BjtTest, VbeDecreasesWithTemperatureAtConstantCurrent) {
   const NodeId a = c.node("a");
   c.add_isource("I1", kGround, a, 1e-5);
   c.add_bjt("Q1", a, a, kGround, npn_default());
-  auto series = temperature_sweep(
-      c, {to_kelvin(-50.0), to_kelvin(0.0), to_kelvin(50.0), to_kelvin(100.0)},
-      probe_node_voltage(c, "a"));
+  AnalysisPlan plan;
+  plan.axes = {SweepAxis::temperature_celsius(
+      SweepGrid::list({-50.0, 0.0, 50.0, 100.0}))};
+  plan.probes = {Probe::node_voltage("a")};
+  SimSession session(c);
+  const Series series = session.run(plan).series();
   for (std::size_t i = 1; i < series.size(); ++i) {
     EXPECT_LT(series.y(i), series.y(i - 1));
   }
@@ -288,11 +291,11 @@ TEST(BjtTest, SubstrateParasiticStealsCurrentInSaturation) {
   auto& vc = c.add_vsource("VC", col, kGround, 2.0);
   auto& q = c.add_bjt("Q1", col, b, kGround, m);
   // Forward active: substrate current negligible.
-  Unknowns x = solve_dc_or_throw(c);
+  Unknowns x = SimSession(c).solve_or_throw();
   EXPECT_LT(std::abs(q.currents(x).isub), 1e-12);
   // Saturation (VC = 0.05 -> VBC = +0.6): parasitic turns on.
   vc.set_voltage(0.05);
-  x = solve_dc_or_throw(c);
+  x = SimSession(c).solve_or_throw();
   EXPECT_GT(std::abs(q.currents(x).isub), 1e-9);
 }
 
@@ -303,47 +306,9 @@ TEST(BjtTest, PowerIsPositiveAndPlausible) {
   c.add_vsource("VB", b, kGround, 0.65);
   c.add_vsource("VC", col, kGround, 3.0);
   auto& q = c.add_bjt("Q1", col, b, kGround, npn_default());
-  const Unknowns x = solve_dc_or_throw(c);
+  const Unknowns x = SimSession(c).solve_or_throw();
   const double ic = q.currents(x).ic;
   EXPECT_NEAR(q.power(x), 3.0 * ic + 0.65 * q.currents(x).ib, 0.05 * 3 * ic);
-}
-
-TEST(Analysis, DcSweepVsourceWarmStarts) {
-  Circuit c;
-  const NodeId in = c.node("in");
-  const NodeId a = c.node("a");
-  DiodeModel dm;
-  c.add_vsource("V1", in, kGround, 0.0);
-  c.add_resistor("R1", in, a, 1e3);
-  c.add_diode("D1", a, kGround, dm);
-  auto vals = linspace(0.0, 2.0, 21);
-  auto series =
-      dc_sweep_vsource(c, "V1", vals, probe_node_voltage(c, "a"));
-  EXPECT_EQ(series.size(), 21u);
-  EXPECT_TRUE(series.x_strictly_increasing());
-  // Diode clamps near 0.7 V at the top of the sweep.
-  EXPECT_LT(series.max_y(), 0.85);
-}
-
-TEST(Analysis, LinspaceAndLogspace) {
-  auto l = linspace(0.0, 1.0, 5);
-  ASSERT_EQ(l.size(), 5u);
-  EXPECT_DOUBLE_EQ(l[1], 0.25);
-  auto g = logspace_decades(1e-8, 1e-5, 3);
-  EXPECT_NEAR(g.front(), 1e-8, 1e-20);
-  EXPECT_NEAR(g.back(), 1e-5, 1e-12);
-  for (std::size_t i = 1; i < g.size(); ++i) EXPECT_GT(g[i], g[i - 1]);
-}
-
-TEST(Analysis, ProbeVsourceCurrent) {
-  Circuit c;
-  const NodeId in = c.node("in");
-  c.add_vsource("V1", in, kGround, 1.0);
-  c.add_resistor("R1", in, kGround, 1e3);
-  auto series = dc_sweep_vsource(c, "V1", {1.0, 2.0},
-                                 probe_vsource_current("V1"));
-  EXPECT_NEAR(series.y(0), -1e-3, 1e-9);
-  EXPECT_NEAR(series.y(1), -2e-3, 1e-9);
 }
 
 TEST(DcSolver, FailsGracefullyOnSingularCircuit) {
@@ -353,7 +318,7 @@ TEST(DcSolver, FailsGracefullyOnSingularCircuit) {
   const NodeId a = c.node("a");
   c.add_vsource("V1", a, kGround, 1.0);
   c.add_vsource("V2", a, kGround, 2.0);
-  const DcResult r = solve_dc(c);
+  const DcResult r = SimSession(c).solve();
   EXPECT_FALSE(r.converged);
 }
 
@@ -362,7 +327,7 @@ TEST(DcSolver, StrategyReportedOnEasyCircuit) {
   const NodeId a = c.node("a");
   c.add_vsource("V1", a, kGround, 1.0);
   c.add_resistor("R1", a, kGround, 1.0e3);
-  const DcResult r = solve_dc(c);
+  const DcResult r = SimSession(c).solve();
   EXPECT_TRUE(r.converged);
   EXPECT_EQ(r.strategy, "newton");
 }

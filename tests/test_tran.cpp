@@ -312,9 +312,9 @@ TEST(TransientEngineTest, DenseAndSparseResultsAgreeOnRcLadderDeck) {
   const std::string deck = generate_netlist(gen);
 
   auto parsed = parse_netlist(deck);
-  ASSERT_TRUE(parsed.plan.has_value());
-  ASSERT_TRUE(parsed.plan->transient.has_value());
-  AnalysisPlan plan = *parsed.plan;
+  ASSERT_FALSE(parsed.plans.empty());
+  ASSERT_TRUE(parsed.plans.front().transient.has_value());
+  AnalysisPlan plan = parsed.plans.front();
   // Uniform grid so the session and the dense reference step through the
   // same timepoints, and tight Newton tolerances so solver slack stays
   // below the 1e-10 comparison.
@@ -361,9 +361,9 @@ TEST(TransientEngineTest, LadderWithPnpLoadRestampsNeverMissTheTape) {
   // sequence, so after the first restamp records the tape no add searches,
   // and the refactors replay only the steps the PNP's rows reach.
   auto parsed = parse_netlist(pnp_loaded_ladder_deck());
-  ASSERT_TRUE(parsed.plan.has_value());
+  ASSERT_FALSE(parsed.plans.empty());
   SimSession session(*parsed.circuit);
-  const SweepResult r = session.run(*parsed.plan);
+  const SweepResult r = session.run(parsed.plans.front());
   EXPECT_GT(r.rows(), 100u);
   EXPECT_EQ(session.sparse_matrix().tape().misses(), 0u);
   const linalg::RefactorStats& stats = session.sparse_lu().refactor_stats();
@@ -379,12 +379,12 @@ TEST(TransientEngineTest, ServeDeckTranWorkIsPinnedAsCounts) {
   // control and Newton work are pinned as counts, so a speed change in the
   // linear kernels shows as cheaper iterations, never as fewer of them.
   auto parsed = parse_netlist(pnp_loaded_ladder_deck());
-  ASSERT_TRUE(parsed.plan.has_value());
-  ASSERT_TRUE(parsed.plan->transient.has_value());
+  ASSERT_FALSE(parsed.plans.empty());
+  ASSERT_TRUE(parsed.plans.front().transient.has_value());
   parsed.circuit->set_temperature(to_kelvin(parsed.temperature_celsius));
   SimSession session(*parsed.circuit);
-  TransientSolver solver(session, *parsed.plan->transient);
-  const SweepResult r = solver.run(parsed.plan->probes);
+  TransientSolver solver(session, *parsed.plans.front().transient);
+  const SweepResult r = solver.run(parsed.plans.front().probes);
   EXPECT_EQ(solver.steps_accepted(), 163);
   EXPECT_EQ(solver.steps_rejected(), 14);
   EXPECT_EQ(solver.newton_iterations(), 490);
@@ -405,9 +405,9 @@ TEST(TransientEngineTest, AdvanceIsAllocationFreeAfterSetup) {
   gen.nodes = 30;
   gen.seed = 3;
   auto parsed = parse_netlist(generate_netlist(gen));
-  ASSERT_TRUE(parsed.plan->transient.has_value());
+  ASSERT_TRUE(parsed.plans.front().transient.has_value());
   SimSession session(*parsed.circuit);
-  TransientSolver solver(session, *parsed.plan->transient);
+  TransientSolver solver(session, *parsed.plans.front().transient);
   solver.begin();
   for (int i = 0; i < 20; ++i) ASSERT_TRUE(solver.advance());
 
@@ -456,10 +456,10 @@ C1 out 0 1u
 .END
 )";
   auto parsed = parse_netlist(deck);
-  ASSERT_TRUE(parsed.plan.has_value());
-  ASSERT_TRUE(parsed.plan->transient.has_value());
+  ASSERT_FALSE(parsed.plans.empty());
+  ASSERT_TRUE(parsed.plans.front().transient.has_value());
   SimSession session(*parsed.circuit);
-  const SweepResult result = session.run(*parsed.plan);
+  const SweepResult result = session.run(parsed.plans.front());
   ASSERT_EQ(result.axis_labels().size(), 1u);
   EXPECT_EQ(result.axis_labels()[0], "TIME");
   ASSERT_EQ(result.probe_count(), 2u);

@@ -55,8 +55,6 @@
 #include "icvbe/lab/campaign.hpp"
 #include "icvbe/lab/lot_campaign.hpp"
 #include "icvbe/server/sim_server.hpp"
-#include "icvbe/spice/analysis.hpp"
-#include "icvbe/spice/dc_solver.hpp"
 #include "icvbe/spice/netlist.hpp"
 #include "icvbe/spice/plan.hpp"
 
@@ -167,7 +165,7 @@ int cmd_simulate(const std::string& path) {
   auto& c = *parsed.circuit;
   c.set_temperature(to_kelvin(parsed.temperature_celsius));
   const spice::Unknowns guess = guess_from_nodesets(c, parsed);
-  const spice::Unknowns x = spice::solve_dc_or_throw(c, {}, &guess);
+  const spice::Unknowns x = spice::SimSession(c).solve_or_throw(&guess);
   std::printf("DC operating point at %.2f C (%d nodes, %zu devices)\n",
               parsed.temperature_celsius, c.node_count() - 1,
               c.devices().size());
@@ -315,10 +313,15 @@ int cmd_sweep(const std::string& path, const std::string& src, double from,
   auto& c = *parsed.circuit;
   c.set_temperature(to_kelvin(parsed.temperature_celsius));
   const spice::Unknowns guess = guess_from_nodesets(c, parsed);
-  const auto series = spice::dc_sweep_vsource(
-      c, src, spice::linspace(from, to, points),
-      spice::probe_node_voltage(c, node), {}, &guess);
-  csv::write_series(std::cout, series, src, "V(" + node + ")");
+  spice::SimSession session(c);
+  session.seed_warm_start(guess);
+  spice::AnalysisPlan plan;
+  plan.name = "sweep";
+  plan.axes = {spice::SweepAxis::vsource(
+      src, spice::SweepGrid::linear(from, to, points))};
+  plan.probes = {spice::Probe::node_voltage(node)};
+  csv::write_series(std::cout, session.run(plan).series(), src,
+                    "V(" + node + ")");
   return 0;
 }
 
@@ -327,7 +330,7 @@ int cmd_tempsweep(const std::string& path, double from_c, double to_c,
   auto parsed = load_deck(path);
   auto& c = *parsed.circuit;
   std::vector<double> temps;
-  for (double t : spice::linspace(from_c, to_c, points)) {
+  for (double t : spice::SweepGrid::linear(from_c, to_c, points).points()) {
     temps.push_back(to_kelvin(t));
   }
   // .NODESET hints are typically written for room temperature, so sweep
@@ -343,9 +346,19 @@ int cmd_tempsweep(const std::string& path, double from_c, double to_c,
   const std::vector<double> down(temps.rbegin() +
                                      static_cast<long>(temps.size() - mid - 1),
                                  temps.rend());
-  const auto probe = spice::probe_node_voltage(c, node);
-  const Series s_up = spice::temperature_sweep(c, up, probe, {}, &guess);
-  const Series s_down = spice::temperature_sweep(c, down, probe, {}, &guess);
+  spice::AnalysisPlan plan;
+  plan.name = "tempsweep";
+  plan.probes = {spice::Probe::node_voltage(node)};
+  // Both segments start from the hints with fresh device state.
+  const auto segment = [&](const std::vector<double>& kelvin) {
+    spice::SimSession session(c);
+    session.seed_warm_start(guess);
+    plan.axes = {spice::SweepAxis::temperature_kelvin(
+        spice::SweepGrid::list(kelvin))};
+    return session.run(plan).series();
+  };
+  const Series s_up = segment(up);
+  const Series s_down = segment(down);
   Series merged("tempsweep");
   for (std::size_t i = s_down.size(); i-- > 1;) {
     merged.push_back(s_down.x(i), s_down.y(i));
