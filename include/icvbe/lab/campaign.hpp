@@ -51,11 +51,14 @@ struct CellPoint {
   double t_die_true = 0.0; ///< ground truth [K] -- validation only
 };
 
+namespace protocol { struct Instruments; }
+
 /// A laboratory session bound to one die sample. Instruments are drawn at
 /// construction (one calibration cycle per session).
 class Laboratory {
  public:
   Laboratory(DieSample sample, CampaignConfig config = {});
+  ~Laboratory();
 
   /// Fig. 5: the IC(VBE) family of the single DUT. One Series per chamber
   /// temperature; x = VBE [V], y = IC [A]. VCB is held at 0 (the
@@ -84,14 +87,6 @@ class Laboratory {
   }
 
  private:
-  /// Die temperature for a chamber setting and chip power.
-  [[nodiscard]] double die_temperature(double chamber_kelvin,
-                                       double power_watts) const;
-
-  /// Build a fresh test-cell circuit for this sample.
-  [[nodiscard]] bandgap::TestCellHandles build_cell(spice::Circuit& circuit,
-                                                    double radja_ohms) const;
-
   // Persistent measurement rigs. Each circuit is built once per laboratory
   // session and re-biased between measurements; the SimSession keeps the
   // solver workspace and warm-start continuation alive across the whole
@@ -110,17 +105,18 @@ class Laboratory {
 
   /// Test cell with RADJA programmed to `radja_ohms` (built on first use).
   [[nodiscard]] CellRig& cell_rig(double radja_ohms);
-  /// Voltage-driven DUT (IC(VBE) families; built on first use).
-  [[nodiscard]] DutRig& vbias_rig();
-  /// Current-driven diode-connected DUT (VBE(T); built on first use).
-  [[nodiscard]] DutRig& ibias_rig();
+  /// The DUT rig in `rig`, built on first use: voltage-driven for IC(VBE)
+  /// families (vbias_), current-driven for VBE(T) (ibias_).
+  [[nodiscard]] DutRig& dut_rig(std::unique_ptr<DutRig>& rig,
+                                bool current_driven);
+
+  /// The die temperature the cell settles at (electro-thermal fixed point).
+  [[nodiscard]] double settle_die_temperature(CellRig& rig,
+                                              double chamber_kelvin);
 
   DieSample sample_;
   CampaignConfig config_;
-  Pt100Sensor sensor_;
-  SmuChannel smu_vbe_;   ///< channel on the DUT / pad P4
-  SmuChannel smu_pad_;   ///< channel on pad P5
-  SmuChannel smu_aux_;   ///< channel for VREF and currents
+  std::unique_ptr<protocol::Instruments> inst_;
   std::unique_ptr<CellRig> cell_;
   std::unique_ptr<DutRig> vbias_;
   std::unique_ptr<DutRig> ibias_;

@@ -4,14 +4,13 @@
 //
 // Every die's instrument streams are seeded deterministically from
 // (campaign seed, die index), so each die's result is a pure function of
-// the configuration. By default (lanes = 8) workers claim groups of
-// consecutive dies and carry each group through shared-analysis lane
-// circuits (run_batched); a die that leaves the lockstep, and every die
-// when lanes <= 1, runs through run_die, which gives the die its own
-// Laboratory (own circuits, solver sessions and instrument streams). Each
-// die writes its slot of a preallocated, index-ordered result vector, so
-// the output is bit-identical for any thread count and any lane count
-// (asserted by test_lot_campaign and test_lot_batch).
+// the configuration. run() is one die loop: workers claim groups of
+// `lanes` consecutive dies. A one-die group runs run_die, which gives the
+// die its own Laboratory (own circuits, sessions, instrument streams); a
+// wider group shares lane circuits, and a die that leaves their lockstep
+// falls back to run_die. Each die writes its slot of a preallocated,
+// index-ordered result vector, so the output is bit-identical for any
+// thread count and any lane count (test_lot_campaign, test_lot_batch).
 
 #include <cstdint>
 #include <string>
@@ -28,12 +27,13 @@ struct LotCampaignConfig {
   unsigned threads = 0;      ///< worker threads; 0 = hardware_concurrency
 
   /// Batched lot solver: lanes > 1 (the default) makes run() group dies
-  /// into lanes-wide batches per worker, sharing one sparse pattern +
-  /// symbolic analysis per rig and carrying all lanes through each LU
-  /// refactor/solve together (BatchDcSession) instead of building fresh
-  /// circuits and sessions per die. 0 or 1 = classic per-die path, the
-  /// reference. Results are bit-identical for any lanes value and any
-  /// thread count (asserted by test_lot_batch and bench_lot_statistics).
+  /// into lanes-wide batches per worker (clamped to the die count),
+  /// sharing one sparse pattern + symbolic analysis per rig and carrying
+  /// all lanes through each LU refactor/solve together (BatchDcSession)
+  /// instead of building fresh circuits and sessions per die. 0 or 1 =
+  /// classic per-die path, the reference. Results are bit-identical for
+  /// any lanes value and any thread count (asserted by test_lot_batch and
+  /// bench_lot_statistics).
   unsigned lanes = 8;
 
   /// Per-die instrument master seed is `seed_base + die index` (the same
@@ -106,20 +106,10 @@ class LotCampaign {
  public:
   explicit LotCampaign(SiliconLot lot, LotCampaignConfig config = {});
 
-  /// Characterise every die, fanning across the configured thread pool.
-  /// Results are ordered by die index and independent of thread count.
-  /// With config().lanes > 1, dispatches to run_batched().
+  /// Characterise every die, fanning groups of config().lanes dies across
+  /// the configured thread pool (see the header comment). Results are
+  /// ordered by die index and independent of thread and lane count.
   [[nodiscard]] std::vector<DieCharacterisation> run() const;
-
-  /// The batched lot path: workers claim groups of `lanes` consecutive
-  /// dies and drive them through shared-analysis BatchDcSessions (one
-  /// ibias rig batch, one cell rig batch per worker), re-programming the
-  /// lane circuits per die instead of rebuilding them. Any lane that
-  /// leaves the lockstep (pivot rejection, non-convergence in plain
-  /// Newton, any measurement error) falls back to the per-die run_die()
-  /// for that die, so every result is bit-identical to run() with
-  /// lanes == 0.
-  [[nodiscard]] std::vector<DieCharacterisation> run_batched() const;
 
   /// Characterise a single die (what each worker runs). Deterministic in
   /// (lot, config, die_offset).

@@ -68,15 +68,6 @@ class BatchDcSession {
   BatchDcSession(const BatchDcSession&) = delete;
   BatchDcSession& operator=(const BatchDcSession&) = delete;
 
-  [[nodiscard]] std::size_t lanes() const noexcept { return lanes_.size(); }
-  [[nodiscard]] int unknown_count() const noexcept { return n_unknowns_; }
-  [[nodiscard]] Circuit& lane_circuit(std::size_t lane) {
-    return *lanes_[lane];
-  }
-  [[nodiscard]] const NewtonOptions& options() const noexcept {
-    return options_;
-  }
-
   /// Pin the shared symbolic analysis: stamp `reference_lane`'s circuit at
   /// its current start state (warm seed if set, else cold) and run the
   /// scalar analysis on it. Call once with a group-independent reference
@@ -107,7 +98,6 @@ class BatchDcSession {
   [[nodiscard]] bool has_warm_start(std::size_t lane) const {
     return have_last_[lane] != 0;
   }
-  void invalidate_warm_start(std::size_t lane) { have_last_[lane] = 0; }
 
   /// Solve every active lane's DC operating point in lockstep plain
   /// Newton at gmin_floor (strategy 1 of SimSession::solve). Per lane the

@@ -420,8 +420,8 @@ struct AnalysisPlan {
   /// families): lanes > 1 groups outer rows into lanes-wide batches per
   /// worker, sharing one symbolic analysis and carrying all lanes through
   /// each LU refactor/solve together (BatchDcSession). A row whose lane
-  /// leaves the lockstep is re-run through the ordinary scalar row path
-  /// on its clone. Ignored (scalar path) unless the plan has two axes.
+  /// leaves the lockstep is re-run on the worker's scalar session.
+  /// Ignored (scalar path) unless the plan has two axes.
   /// Results are bit-identical for any lanes value and any thread count.
   unsigned lanes = 0;
 };

@@ -82,6 +82,15 @@ inline void stamp_gmin(Stamper& st, int node_unknowns, double gmin) {
   for (int i = 0; i < node_unknowns; ++i) st.add_entry(i, i, gmin);
 }
 
+/// Both sessions' prime(): stamp `circuit` at iterate `x` into `a`, `b` in
+/// a Newton iteration's order (linear prefix, gmin diagonal, the rest),
+/// wipe the devices' limiting state, and run a fresh analysis on `lu`.
+/// Throws NumericalError if singular there (`lu` is left invalidated).
+void pin_analysis(Circuit& circuit, std::size_t linear_prefix,
+                  int node_unknowns, double gmin, const Unknowns& x,
+                  linalg::SparseMatrix& a, linalg::Vector& b,
+                  linalg::SparseLuFactorization& lu);
+
 // Declarative analysis values (plan.hpp); execution lives on the session.
 struct AnalysisPlan;
 class SweepResult;
@@ -187,12 +196,16 @@ class SimSession {
 
   /// Start a new parameter variant (a Monte-Carlo die, a .STEP corner) on
   /// the *same* bound topology: forget the warm start and every device's
-  /// limiting state, so the next solve's trajectory is bit-identical to a
-  /// freshly-constructed session over a freshly-built circuit -- without
-  /// paying rebind's pattern discovery or invalidating the cached sparse
-  /// symbolic analysis. Call it after re-programming per-die parameter
-  /// values (ParamDeltaSet); value changes never alter the frozen pattern.
+  /// limiting state, without paying rebind's pattern discovery. The cached
+  /// sparse analysis is kept, so the next solve matches a fresh session's
+  /// bit for bit only if that analysis holds the pivots a fresh session
+  /// would pick at its first iterate; prime() pins it when that matters.
   void begin_variant();
+
+  /// Pin the sparse analysis at the start point the next solve() would
+  /// take (warm start, else cold), as BatchDcSession::prime does. If the
+  /// matrix is singular there, the next solve analyses at its own iterate.
+  void prime();
 
   /// True if a previous (or seeded) solution is available to warm-start.
   [[nodiscard]] bool has_warm_start() const noexcept { return have_last_; }
@@ -209,11 +222,11 @@ class SimSession {
   /// continuation state, exactly as successive solve() calls would. For
   /// 2-axis plans every outer row starts from a deterministic state --
   /// devices reset, warm start re-seeded from whatever seed was live when
-  /// run() was called (e.g. .NODESET hints), or cold -- so rows are
-  /// independent of execution order; with plan.threads != 1 the outer rows
-  /// are fanned across a thread pool over per-thread circuit clones and the
-  /// result is bit-identical for any thread count (the LotCampaign
-  /// discipline).
+  /// run() was called (e.g. .NODESET hints), or cold, and the sparse
+  /// analysis pinned at row 0's first point -- so rows are independent of
+  /// execution order: with plan.threads and plan.lanes they fan out over
+  /// circuit clones and the result is bit-identical for any thread and
+  /// lane count (the LotCampaign discipline).
   /// Probes are compiled once per run: the steady-state per-point path
   /// performs no heap allocations and no name lookups.
   ///

@@ -7,28 +7,96 @@
 #include "icvbe/common/table.hpp"
 #include "icvbe/spice/plan.hpp"
 #include "icvbe/thermal/electrothermal.hpp"
+#include "protocol.hpp"
 
 namespace icvbe::lab {
+
+namespace protocol {
+
+Instruments::Instruments(std::uint64_t seed, const CampaignConfig& cfg)
+    : ideal(cfg.ideal_instruments),
+      sensor(Rng::child(seed, 1), cfg.sensor_spec),
+      smu_vbe(Rng::child(seed, 2), cfg.smu_spec),
+      smu_pad(Rng::child(seed, 3), cfg.smu_spec),
+      smu_aux(Rng::child(seed, 4), cfg.smu_spec) {}
+
+double Instruments::forced_current(double amps) {
+  return ideal ? amps : smu_aux.force_current(amps);
+}
+
+VbePoint Instruments::record_vbe_point(double chamber_kelvin, double t_die,
+                                       double vbe_true, double ic_true) {
+  VbePoint p;
+  p.t_die_true = t_die;
+  p.t_sensor = ideal ? chamber_kelvin : sensor.read(chamber_kelvin);
+  p.vbe = ideal ? vbe_true : smu_vbe.measure_voltage(vbe_true);
+  p.ic = ideal ? ic_true : smu_aux.measure_current(ic_true);
+  return p;
+}
+
+CellPoint Instruments::record_cell_point(double chamber_kelvin,
+                                         const bandgap::CellObservation& obs,
+                                         double t_die) {
+  CellPoint p;
+  p.t_die_true = t_die;
+  p.t_sensor = ideal ? chamber_kelvin : sensor.read(chamber_kelvin);
+  p.vbe_qa = ideal ? obs.vbe_qa : smu_vbe.measure_voltage(obs.vbe_qa);
+  p.vbe_qb = ideal ? obs.vbe_qb : smu_pad.measure_voltage(obs.vbe_qb);
+  p.vref = ideal ? obs.vref : smu_aux.measure_voltage(obs.vref);
+  p.ic_qa = ideal ? obs.ic_qa : smu_aux.measure_current(obs.ic_qa);
+  p.ic_qb = ideal ? obs.ic_qb : smu_aux.measure_current(obs.ic_qb);
+  p.delta_vbe = p.vbe_qa - p.vbe_qb;
+  return p;
+}
+
+bandgap::TestCellParams cell_params(const DieSample& sample,
+                                    const CampaignConfig& cfg,
+                                    double radja_ohms) {
+  bandgap::TestCellParams p = cfg.cell;
+  p.qa_model = sample.qa;
+  p.qb_model = sample.qb;
+  p.opamp_offset = sample.opamp_offset;
+  p.radja = radja_ohms;
+  p.rx1 *= sample.resistor_scale;
+  p.rx2 *= sample.resistor_scale;
+  p.rb *= sample.resistor_scale;
+  return p;
+}
+
+spice::NodeId build_dut(spice::Circuit& c, const spice::BjtModel& qin,
+                        bool current_driven) {
+  const spice::NodeId e = c.node("e");
+  if (current_driven) {
+    c.add_isource("IE", spice::kGround, e, 1e-6);
+  } else {
+    c.add_vsource("VE", e, spice::kGround, 0.6);
+  }
+  c.add_bjt("DUT", spice::kGround, spice::kGround, e, qin, 1.0,
+            spice::kGround);
+  return e;
+}
+
+double die_temperature(const DieSample& sample, const CampaignConfig& cfg,
+                       double chamber_kelvin, double power_watts) {
+  if (cfg.ideal_thermal) return chamber_kelvin;
+  return sample.fixture.die_temperature(chamber_kelvin, power_watts);
+}
+
+}  // namespace protocol
 
 Laboratory::Laboratory(DieSample sample, CampaignConfig config)
     : sample_(std::move(sample)),
       config_(std::move(config)),
-      sensor_(Rng::child(config_.seed, 1), config_.sensor_spec),
-      smu_vbe_(Rng::child(config_.seed, 2), config_.smu_spec),
-      smu_pad_(Rng::child(config_.seed, 3), config_.smu_spec),
-      smu_aux_(Rng::child(config_.seed, 4), config_.smu_spec) {}
+      inst_(std::make_unique<protocol::Instruments>(config_.seed, config_)) {}
 
-double Laboratory::die_temperature(double chamber_kelvin,
-                                   double power_watts) const {
-  if (config_.ideal_thermal) return chamber_kelvin;
-  return sample_.fixture.die_temperature(chamber_kelvin, power_watts);
-}
+Laboratory::~Laboratory() = default;
 
 Laboratory::CellRig& Laboratory::cell_rig(double radja_ohms) {
   constexpr double kMinTrim = 1e-6;  // matches the build_test_cell clamp
   if (!cell_) {
     cell_ = std::make_unique<CellRig>();
-    cell_->handles = build_cell(cell_->circuit, radja_ohms);
+    cell_->handles = bandgap::build_test_cell(
+        cell_->circuit, protocol::cell_params(sample_, config_, radja_ohms));
     cell_->session.emplace(cell_->circuit, config_.newton);
   } else {
     cell_->circuit.get<spice::Resistor>(cell_->handles.radja)
@@ -37,30 +105,15 @@ Laboratory::CellRig& Laboratory::cell_rig(double radja_ohms) {
   return *cell_;
 }
 
-Laboratory::DutRig& Laboratory::vbias_rig() {
-  if (!vbias_) {
-    vbias_ = std::make_unique<DutRig>();
-    spice::Circuit& c = vbias_->circuit;
-    vbias_->emitter = c.node("e");
-    c.add_vsource("VE", vbias_->emitter, spice::kGround, 0.6);
-    c.add_bjt("DUT", spice::kGround, spice::kGround, vbias_->emitter,
-              sample_.qin, 1.0, spice::kGround);
-    vbias_->session.emplace(c, config_.newton);
+Laboratory::DutRig& Laboratory::dut_rig(std::unique_ptr<DutRig>& rig,
+                                        bool current_driven) {
+  if (!rig) {
+    rig = std::make_unique<DutRig>();
+    rig->emitter =
+        protocol::build_dut(rig->circuit, sample_.qin, current_driven);
+    rig->session.emplace(rig->circuit, config_.newton);
   }
-  return *vbias_;
-}
-
-Laboratory::DutRig& Laboratory::ibias_rig() {
-  if (!ibias_) {
-    ibias_ = std::make_unique<DutRig>();
-    spice::Circuit& c = ibias_->circuit;
-    ibias_->emitter = c.node("e");
-    c.add_isource("IE", spice::kGround, ibias_->emitter, 1e-6);
-    c.add_bjt("DUT", spice::kGround, spice::kGround, ibias_->emitter,
-              sample_.qin, 1.0, spice::kGround);
-    ibias_->session.emplace(c, config_.newton);
-  }
-  return *ibias_;
+  return *rig;
 }
 
 std::vector<Series> Laboratory::icvbe_family(
@@ -74,7 +127,7 @@ std::vector<Series> Laboratory::icvbe_family(
   // grounded -- the same junction configuration as the diode-connected
   // cell devices. The rig (circuit + solver session) is built once per
   // laboratory session and re-biased point to point.
-  DutRig& rig = vbias_rig();
+  DutRig& rig = dut_rig(vbias_, /*current_driven=*/false);
 
   // Each chamber setting is one declarative 1-axis plan: sweep VE over the
   // *forced* voltages (the SMU applies its systematic source error to the
@@ -92,12 +145,13 @@ std::vector<Series> Laboratory::icvbe_family(
     // The DUT dissipates microwatts at the currents of interest, so the
     // die temperature is the fixture value at zero chip power (the rest of
     // the chip is unpowered during single-device characterisation).
-    const double t_die = die_temperature(to_kelvin(tc), 0.0);
+    const double t_die =
+        protocol::die_temperature(sample_, config_, to_kelvin(tc), 0.0);
     rig.circuit.set_temperature(t_die);
 
     std::vector<double> forced = setpoints;
     if (!config_.ideal_instruments) {
-      for (double& v : forced) v = smu_vbe_.force_voltage(v);
+      for (double& v : forced) v = inst_->smu_vbe.force_voltage(v);
     }
     plan.axes = {spice::SweepAxis::vsource(
         "VE", spice::SweepGrid::list(std::move(forced)))};
@@ -115,7 +169,7 @@ std::vector<Series> Laboratory::icvbe_family(
       const double ic_true = std::abs(biased.value(0, i));
       const double ic_meas = config_.ideal_instruments
                                  ? ic_true
-                                 : smu_aux_.measure_current(ic_true);
+                                 : inst_->smu_aux.measure_current(ic_true);
       // Record the *programmed* VBE on x (that is how a real analyser
       // reports a forced sweep) and the measured current on y.
       family.push_back(setpoints[i], std::max(ic_meas, 1e-16));
@@ -133,46 +187,39 @@ std::vector<VbePoint> Laboratory::vbe_vs_temperature(
 
   // Forced emitter current into the diode-connected DUT; VBE read at the
   // emitter (VCB = 0). One rig for the whole temperature list.
-  DutRig& rig = ibias_rig();
+  DutRig& rig = dut_rig(ibias_, /*current_driven=*/true);
   auto& ie = rig.circuit.get<spice::CurrentSource>("IE");
   const auto& dut = rig.circuit.get<spice::Bjt>("DUT");
 
   for (double tc : chamber_celsius) {
-    const double t_die = die_temperature(to_kelvin(tc), 0.0);
-
-    const double forced = config_.ideal_instruments
-                              ? ic_amps
-                              : smu_aux_.force_current(ic_amps);
-    ie.set_current(forced);
+    const double chamber_k = to_kelvin(tc);
+    const double t_die =
+        protocol::die_temperature(sample_, config_, chamber_k, 0.0);
+    ie.set_current(inst_->forced_current(ic_amps));
     rig.circuit.set_temperature(t_die);
     const spice::Unknowns& x = rig.session->solve_or_throw();
-
-    VbePoint p;
-    p.t_die_true = t_die;
-    p.t_sensor = config_.ideal_instruments ? to_kelvin(tc)
-                                           : sensor_.read(to_kelvin(tc));
-    const double vbe_true = x.node_voltage(rig.emitter);
-    p.vbe = config_.ideal_instruments ? vbe_true
-                                      : smu_vbe_.measure_voltage(vbe_true);
-    const double ic_true = std::abs(dut.currents(x).ic);
-    p.ic = config_.ideal_instruments ? ic_true
-                                     : smu_aux_.measure_current(ic_true);
-    out.push_back(p);
+    out.push_back(inst_->record_vbe_point(chamber_k, t_die,
+                                          x.node_voltage(rig.emitter),
+                                          std::abs(dut.currents(x).ic)));
   }
   return out;
 }
 
-bandgap::TestCellHandles Laboratory::build_cell(spice::Circuit& circuit,
-                                                double radja_ohms) const {
-  bandgap::TestCellParams p = config_.cell;
-  p.qa_model = sample_.qa;
-  p.qb_model = sample_.qb;
-  p.opamp_offset = sample_.opamp_offset;
-  p.radja = radja_ohms;
-  p.rx1 *= sample_.resistor_scale;
-  p.rx2 *= sample_.resistor_scale;
-  p.rb *= sample_.resistor_scale;
-  return bandgap::build_test_cell(circuit, p);
+double Laboratory::settle_die_temperature(CellRig& rig,
+                                          double chamber_kelvin) {
+  double t_die =
+      protocol::die_temperature(sample_, config_, chamber_kelvin, 0.0);
+  for (int pass = 0; pass < protocol::kThermalPasses; ++pass) {
+    const bandgap::CellObservation obs =
+        bandgap::solve_cell_at(*rig.session, rig.handles, t_die);
+    const double t_new = protocol::die_temperature(sample_, config_,
+                                                   chamber_kelvin, obs.power);
+    const bool settled =
+        std::abs(t_new - t_die) < protocol::kThermalTolKelvin;
+    t_die = t_new;
+    if (settled) break;
+  }
+  return t_die;
 }
 
 std::vector<CellPoint> Laboratory::test_cell_sweep(
@@ -188,41 +235,10 @@ std::vector<CellPoint> Laboratory::test_cell_sweep(
     // Electro-thermal: the cell's own power plus the chip's auxiliary
     // circuitry heat the die above the fixture-leak-adjusted ambient.
     const double chamber_k = to_kelvin(tc);
-    double t_die = die_temperature(chamber_k, 0.0);
-    bandgap::CellObservation obs{};
-    for (int pass = 0; pass < 8; ++pass) {
-      obs = bandgap::solve_cell_at(*rig.session, rig.handles, t_die);
-      const double t_new =
-          config_.ideal_thermal
-              ? chamber_k
-              : die_temperature(chamber_k, obs.power);
-      if (std::abs(t_new - t_die) < 1e-4) {
-        t_die = t_new;
-        break;
-      }
-      t_die = t_new;
-    }
-    obs = bandgap::solve_cell_at(*rig.session, rig.handles, t_die);
-
-    CellPoint p;
-    p.t_die_true = t_die;
-    p.t_sensor = config_.ideal_instruments ? chamber_k
-                                           : sensor_.read(chamber_k);
-    if (config_.ideal_instruments) {
-      p.vbe_qa = obs.vbe_qa;
-      p.vbe_qb = obs.vbe_qb;
-      p.vref = obs.vref;
-      p.ic_qa = obs.ic_qa;
-      p.ic_qb = obs.ic_qb;
-    } else {
-      p.vbe_qa = smu_vbe_.measure_voltage(obs.vbe_qa);
-      p.vbe_qb = smu_pad_.measure_voltage(obs.vbe_qb);
-      p.vref = smu_aux_.measure_voltage(obs.vref);
-      p.ic_qa = smu_aux_.measure_current(obs.ic_qa);
-      p.ic_qb = smu_aux_.measure_current(obs.ic_qb);
-    }
-    p.delta_vbe = p.vbe_qa - p.vbe_qb;
-    out.push_back(p);
+    const double t_die = settle_die_temperature(rig, chamber_k);
+    out.push_back(inst_->record_cell_point(
+        chamber_k, bandgap::solve_cell_at(*rig.session, rig.handles, t_die),
+        t_die));
   }
   return out;
 }
@@ -243,21 +259,7 @@ Series Laboratory::vref_curve(const std::vector<double>& chamber_celsius,
   std::vector<double> die_temps;
   die_temps.reserve(chamber_celsius.size());
   for (double tc : chamber_celsius) {
-    const double chamber_k = to_kelvin(tc);
-    double t_die = die_temperature(chamber_k, 0.0);
-    for (int pass = 0; pass < 8; ++pass) {
-      const bandgap::CellObservation obs =
-          bandgap::solve_cell_at(*rig.session, rig.handles, t_die);
-      const double t_new = config_.ideal_thermal
-                               ? chamber_k
-                               : die_temperature(chamber_k, obs.power);
-      if (std::abs(t_new - t_die) < 1e-4) {
-        t_die = t_new;
-        break;
-      }
-      t_die = t_new;
-    }
-    die_temps.push_back(t_die);
+    die_temps.push_back(settle_die_temperature(rig, to_kelvin(tc)));
   }
 
   // ...the curve itself then is a declarative plan: sweep the resolved die
@@ -298,7 +300,7 @@ Series Laboratory::vref_curve(const std::vector<double>& chamber_celsius,
   for (std::size_t i = 0; i < chamber_celsius.size(); ++i) {
     const double vref = config_.ideal_instruments
                             ? vrefs[i]
-                            : smu_aux_.measure_voltage(vrefs[i]);
+                            : inst_->smu_aux.measure_voltage(vrefs[i]);
     s.push_back(chamber_celsius[i], vref);
   }
   return s;

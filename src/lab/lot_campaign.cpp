@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <optional>
 
 #include "icvbe/common/constants.hpp"
 #include "icvbe/common/thread_pool.hpp"
@@ -10,6 +11,7 @@
 #include "icvbe/extract/best_fit.hpp"
 #include "icvbe/extract/dataset.hpp"
 #include "icvbe/extract/meijer.hpp"
+#include "protocol.hpp"
 
 namespace icvbe::lab {
 
@@ -53,6 +55,38 @@ LotCampaign::LotCampaign(SiliconLot lot, LotCampaignConfig config)
   }
 }
 
+namespace protocol {
+
+void characterise(const LotCampaignConfig& cfg,
+                  const std::function<std::vector<VbePoint>()>& vbe,
+                  const std::function<std::vector<CellPoint>()>& cell,
+                  DieCharacterisation& out) {
+  if (cfg.run_classical) {
+    extract::BestFitOptions opt;
+    opt.t0 = to_kelvin(25.0);
+    out.eg_classical =
+        extract::best_fit_eg_xti(extract::samples_from_lab(vbe()), opt).eg;
+    out.has_classical = true;
+  }
+  if (cfg.run_meijer) {
+    out.cell = cell();
+    const auto m = extract::meijer_from_cell(out.cell, cfg.cell_celsius[0],
+                                             cfg.cell_celsius[1],
+                                             cfg.cell_celsius[2]);
+    out.eg_meijer = m.with_computed_t.eg;
+    out.xti_meijer = m.with_computed_t.xti;
+    out.eg_measured_t = m.with_measured_t.eg;
+    out.xti_measured_t = m.with_measured_t.xti;
+    const auto cmp = extract::compare_temperatures(m);
+    out.delta_t1 = cmp.delta_t1();
+    out.delta_t3 = cmp.delta_t3();
+    out.has_meijer = true;
+  }
+  out.ok = true;
+}
+
+}  // namespace protocol
+
 DieCharacterisation LotCampaign::run_die(int die_offset) const {
   DieCharacterisation out;
   out.index = config_.first_index + die_offset;
@@ -60,32 +94,14 @@ DieCharacterisation LotCampaign::run_die(int die_offset) const {
     CampaignConfig cfg = config_.lab;
     cfg.seed = config_.seed_base + static_cast<std::uint64_t>(out.index);
     Laboratory laboratory(lot_.sample(out.index), cfg);
-
-    if (config_.run_classical) {
-      const auto pts = laboratory.vbe_vs_temperature(
-          config_.classical_ic, config_.classical_celsius);
-      extract::BestFitOptions opt;
-      opt.t0 = to_kelvin(25.0);
-      out.eg_classical =
-          extract::best_fit_eg_xti(extract::samples_from_lab(pts), opt).eg;
-      out.has_classical = true;
-    }
-
-    if (config_.run_meijer) {
-      out.cell = laboratory.test_cell_sweep(config_.cell_celsius);
-      const auto m = extract::meijer_from_cell(
-          out.cell, config_.cell_celsius[0], config_.cell_celsius[1],
-          config_.cell_celsius[2]);
-      out.eg_meijer = m.with_computed_t.eg;
-      out.xti_meijer = m.with_computed_t.xti;
-      out.eg_measured_t = m.with_measured_t.eg;
-      out.xti_measured_t = m.with_measured_t.xti;
-      const auto cmp = extract::compare_temperatures(m);
-      out.delta_t1 = cmp.delta_t1();
-      out.delta_t3 = cmp.delta_t3();
-      out.has_meijer = true;
-    }
-    out.ok = true;
+    protocol::characterise(
+        config_,
+        [&] {
+          return laboratory.vbe_vs_temperature(config_.classical_ic,
+                                               config_.classical_celsius);
+        },
+        [&] { return laboratory.test_cell_sweep(config_.cell_celsius); },
+        out);
   } catch (const std::exception& e) {
     out.ok = false;
     out.error = e.what();
@@ -94,22 +110,31 @@ DieCharacterisation LotCampaign::run_die(int die_offset) const {
 }
 
 std::vector<DieCharacterisation> LotCampaign::run() const {
-  if (config_.lanes > 1) return run_batched();
   const auto n = static_cast<std::size_t>(config_.samples);
   std::vector<DieCharacterisation> results(n);
 
+  // One die loop: workers claim groups of `width` consecutive dies from one
+  // counter; a width-1 group is run_die, a wider one the worker's lanes.
+  // Dies write only their own slots: scheduling decides who, never what.
+  const std::size_t width =
+      std::min<std::size_t>(std::max(config_.lanes, 1u), n);
+  const std::size_t groups = (n + width - 1) / width;
   unsigned threads = common::resolve_thread_count(config_.threads);
-  threads = std::min<unsigned>(threads, static_cast<unsigned>(n));
+  threads = std::min<unsigned>(threads, static_cast<unsigned>(groups));
 
-  // Workers pull die offsets from a shared counter; every die writes only
-  // its own preallocated slot, so the result is identical for any thread
-  // count -- scheduling decides who computes a die, never what it yields.
-  std::atomic<int> next{0};
+  std::atomic<std::size_t> next{0};
   common::fan_out(threads, [&]() {
+    std::optional<protocol::LaneGroup> lanes;  // built on first use
     for (;;) {
-      const int i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= config_.samples) break;
-      results[static_cast<std::size_t>(i)] = run_die(i);
+      const std::size_t g = next.fetch_add(1, std::memory_order_relaxed);
+      if (g >= groups) break;
+      const std::size_t first = g * width;
+      if (width == 1) {
+        results[first] = run_die(static_cast<int>(first));
+        continue;
+      }
+      if (!lanes) lanes.emplace(*this, width, results);
+      lanes->run(first, std::min(width, n - first));
     }
   });
   return results;

@@ -599,12 +599,10 @@ struct SimServer::Impl::Connection {
       plan.threads = run.threads;
 
       // Deterministic start state: device state and warm seed reset to
-      // the deck-described start, exactly like a cold CLI run of the
-      // (patched) deck -- results are a pure function of (deck, patches,
-      // plan), bit-identical for any worker count or client interleaving.
+      // the deck-described start, like a cold CLI run of the (patched)
+      // deck; 2-axis rows also re-pin the sparse analysis themselves.
       auto& sim = *sess->sim;
-      for (const auto& dev : sim.circuit().devices()) dev->reset_state();
-      sim.invalidate_warm_start();
+      sim.begin_variant();
       if (!sess->parsed.nodesets.empty()) {
         sim.seed_warm_start(sess->nodeset_guess);
       }

@@ -78,7 +78,6 @@ BatchDcSession::BatchDcSession(std::vector<Circuit*> lanes,
 }
 
 void BatchDcSession::prime(std::size_t reference_lane) {
-  Circuit& ref = *lanes_[reference_lane];
   // The reference's start point, chosen like a solve would choose it.
   Unknowns& x = x_[reference_lane];
   if (have_last_[reference_lane]) {
@@ -86,21 +85,8 @@ void BatchDcSession::prime(std::size_t reference_lane) {
   } else {
     std::fill(x.raw().begin(), x.raw().end(), 0.0);
   }
-  linalg::MatrixView a(sa_);
-  a.fill(0.0);
-  std::fill(b_prime_.begin(), b_prime_.end(), 0.0);
-  Stamper st(a, b_prime_, node_unknowns_);
-  const auto& devs = ref.devices();
-  for (std::size_t d = 0; d < linear_prefix_; ++d) devs[d]->stamp(st, x);
-  stamp_gmin(st, node_unknowns_, options_.gmin_floor);
-  for (std::size_t d = linear_prefix_; d < devs.size(); ++d) {
-    devs[d]->stamp(st, x);
-  }
-  slu_.invalidate_analysis();
-  slu_.refactor(sa_);  // throws NumericalError if singular here
-  // The stamp ran device junction limiting; wipe it so priming leaves the
-  // reference lane's next real solve trajectory untouched.
-  for (const auto& dev : ref.devices()) dev->reset_state();
+  pin_analysis(*lanes_[reference_lane], linear_prefix_, node_unknowns_,
+               options_.gmin_floor, x, sa_, b_prime_, slu_);
 }
 
 void BatchDcSession::begin_variant(std::size_t lane) {

@@ -1071,6 +1071,28 @@ struct ObserverStream {
   }
 };
 
+/// Evaluate every probe at solution `x` into result row `r` and stream
+/// the row (`outer_value` is null for a 1-axis plan).
+void record_row(BoundPlan& bound, const AnalysisPlan& plan, const Unknowns& x,
+                std::size_t r, const double* outer_value, double inner_value,
+                std::vector<std::vector<double>>& columns,
+                ObserverStream& stream) {
+  for (std::size_t p = 0; p < bound.probes.size(); ++p) {
+    columns[p][r] = eval_compiled(bound.probes[p], x, bound.stack);
+  }
+  if (stream.active()) {
+    double axes[2];
+    std::size_t axis_count = 0;
+    if (outer_value != nullptr) axes[axis_count++] = *outer_value;
+    axes[axis_count++] = inner_value;
+    for (std::size_t p = 0; p < bound.probes.size(); ++p) {
+      bound.probe_row[p] = columns[p][r];
+    }
+    stream.deliver(r, axes, axis_count, bound.probe_row.data(),
+                   bound.probe_row.size(), plan.name);
+  }
+}
+
 /// Sweep the inner axis once, filling rows [row_base, row_base + n) of the
 /// result columns. Allocation-free per point on the happy path.
 ///
@@ -1092,8 +1114,7 @@ void run_inner_sweep(SimSession& session, BoundPlan& bound,
     bound.inner.apply(inner_values[j]);
     const DcResult* r = &session.solve();
     if (!r->converged && seed != nullptr) {
-      for (const auto& dev : session.circuit().devices()) dev->reset_state();
-      session.invalidate_warm_start();
+      session.begin_variant();
       session.seed_warm_start(*seed);
       bound.inner.apply(inner_values[j]);
       r = &session.solve();
@@ -1103,44 +1124,19 @@ void run_inner_sweep(SimSession& session, BoundPlan& bound,
                            plan.axes.back().label() + "=" +
                            format_sig(inner_values[j], 6));
     }
-    for (std::size_t p = 0; p < bound.probes.size(); ++p) {
-      columns[p][row_base + j] =
-          eval_compiled(bound.probes[p], r->solution, bound.stack);
-    }
-    if (stream.active()) {
-      double axes[2];
-      std::size_t axis_count = 0;
-      if (outer_value != nullptr) axes[axis_count++] = *outer_value;
-      axes[axis_count++] = inner_values[j];
-      for (std::size_t p = 0; p < bound.probes.size(); ++p) {
-        bound.probe_row[p] = columns[p][row_base + j];
-      }
-      stream.deliver(row_base + j, axes, axis_count, bound.probe_row.data(),
-                     bound.probe_row.size(), plan.name);
-    }
+    record_row(bound, plan, r->solution, row_base + j, outer_value,
+               inner_values[j], columns, stream);
   }
 }
 
-/// One outer row from its deterministic start state: devices reset, warm
-/// start re-seeded from `seed` (or cold). Row results therefore depend
-/// only on (circuit, plan, outer index), never on which executor computed
-/// the previous row -- the property that makes any thread count
-/// bit-identical.
-void run_outer_row(SimSession& session, BoundPlan& bound,
-                   const AnalysisPlan& plan,
-                   const std::vector<double>& inner_values,
-                   std::size_t outer_idx, double outer_value,
-                   const Unknowns* seed,
-                   std::vector<std::vector<double>>& columns,
-                   ObserverStream& stream) {
-  for (const auto& dev : session.circuit().devices()) dev->reset_state();
-  session.invalidate_warm_start();
-  if (seed != nullptr) session.seed_warm_start(*seed);
-  bound.outer.apply(outer_value);
-  run_inner_sweep(session, bound, plan, inner_values,
-                  outer_idx * inner_values.size(), seed, columns, stream,
-                  &outer_value);
-}
+/// A BatchDcSession lane behind SimSession's row-start calls (start_row).
+struct BatchLane {
+  BatchDcSession& batch;
+  std::size_t lane;
+  void begin_variant() { batch.begin_variant(lane); }
+  void seed_warm_start(const Unknowns& x) { batch.seed_warm_start(lane, x); }
+  void prime() { batch.prime(lane); }
+};
 
 }  // namespace
 
@@ -1416,133 +1412,114 @@ SweepResult SimSession::run(const AnalysisPlan& plan, RunObserver* observer) {
     return out;
   }
 
+  // One scheduler over (rows, lanes, threads): workers claim groups of
+  // `width` consecutive rows from one counter. A width-1 group is a scalar
+  // row; a wider group runs in lockstep through the worker's batched lanes
+  // (one K-wide refactor/solve per Newton iteration), and a row that
+  // leaves the lockstep reruns on the worker's scalar executor. Rows write
+  // only their own slots: scheduling decides who computes a row, not what.
+  const std::size_t width =
+      std::min<std::size_t>(std::max(plan.lanes, 1u), outer_n);
+  const std::size_t groups = (outer_n + width - 1) / width;
   unsigned threads = common::resolve_thread_count(plan.threads);
-  threads = std::min<unsigned>(threads, static_cast<unsigned>(outer_n));
+  threads = std::min<unsigned>(threads, static_cast<unsigned>(groups));
 
-  // Batched outer-row fanout (.STEP corner families): workers claim
-  // lanes-wide groups of rows and drive them through one BatchDcSession --
-  // one symbolic analysis and one K-wide LU refactor/solve per Newton
-  // iteration instead of per-row scalar factorisations. A row whose lane
-  // leaves the lockstep is re-run through the ordinary scalar row path on
-  // its clone, which is exactly what the per-row fallback ladder would
-  // have done.
-  if (plan.lanes > 1) {
-    const auto lane_w = std::min<std::size_t>(plan.lanes, outer_n);
-    const std::size_t groups = (outer_n + lane_w - 1) / lane_w;
-    unsigned lane_threads = common::resolve_thread_count(plan.threads);
-    lane_threads =
-        std::min<unsigned>(lane_threads, static_cast<unsigned>(groups));
-    const std::size_t inner_n2 = out.inner_.size();
-    std::atomic<std::size_t> next_group{0};
-    common::fan_out(lane_threads, [&]() {
-      std::vector<Circuit> clones;
-      clones.reserve(lane_w);
-      std::vector<Circuit*> ptrs;
-      std::vector<BoundPlan> bounds;
-      bounds.reserve(lane_w);
-      for (std::size_t l = 0; l < lane_w; ++l) {
-        clones.push_back(circuit_->clone());
-      }
-      for (std::size_t l = 0; l < lane_w; ++l) {
-        ptrs.push_back(&clones[l]);
-        bounds.emplace_back(plan, clones[l]);
-      }
-      BatchDcSession batch(std::move(ptrs), plan.options);
-      // Deterministic prime: row 0's first point start state -- a pure
-      // function of (circuit, plan), so the pinned pivot sequence never
-      // depends on which worker claims which group.
-      batch.begin_variant(0);
-      if (seed != nullptr) batch.seed_warm_start(0, *seed);
-      bounds[0].outer.apply(out.outer_[0]);
-      bounds[0].inner.apply(out.inner_[0]);
-      batch.prime(0);
-
-      std::vector<std::size_t> row(lane_w, 0);
-      std::vector<unsigned char> solo(lane_w, 0);
-      for (;;) {
-        if (stream.cancelled.load(std::memory_order_relaxed)) break;
-        const std::size_t g =
-            next_group.fetch_add(1, std::memory_order_relaxed);
-        if (g >= groups) break;
-        const std::size_t first = g * lane_w;
-        const std::size_t group_size = std::min(lane_w, outer_n - first);
-        for (std::size_t l = 0; l < lane_w; ++l) {
-          if (l >= group_size) {
-            batch.set_lane_active(l, false);
-            continue;
-          }
-          row[l] = first + l;
-          solo[l] = 0;
-          // The deterministic row start of run_outer_row: devices reset,
-          // warm re-seeded (or cold), outer value applied.
-          batch.begin_variant(l);
-          if (seed != nullptr) batch.seed_warm_start(l, *seed);
-          bounds[l].outer.apply(out.outer_[row[l]]);
-          batch.set_lane_active(l, true);
-        }
-        for (std::size_t j = 0; j < inner_n2; ++j) {
-          for (std::size_t l = 0; l < group_size; ++l) {
-            if (batch.lane_active(l)) bounds[l].inner.apply(out.inner_[j]);
-          }
-          batch.solve_active();
-          for (std::size_t l = 0; l < group_size; ++l) {
-            if (!batch.lane_active(l)) continue;
-            if (!batch.status(l).converged) {
-              solo[l] = 1;  // scalar rerun replays the full fallback ladder
-              batch.set_lane_active(l, false);
-              continue;
-            }
-            const Unknowns& x = batch.solution(l);
-            const std::size_t r = row[l] * inner_n2 + j;
-            for (std::size_t p = 0; p < bounds[l].probes.size(); ++p) {
-              columns[p][r] = eval_compiled(bounds[l].probes[p], x,
-                                            bounds[l].stack);
-            }
-            if (stream.active()) {
-              double axes[2] = {out.outer_[row[l]], out.inner_[j]};
-              for (std::size_t p = 0; p < bounds[l].probes.size(); ++p) {
-                bounds[l].probe_row[p] = columns[p][r];
-              }
-              stream.deliver(r, axes, 2, bounds[l].probe_row.data(),
-                             bounds[l].probe_row.size(), plan.name);
-            }
-          }
-        }
-        for (std::size_t l = 0; l < group_size; ++l) {
-          if (!solo[l]) continue;
-          SimSession solo_session(clones[l], plan.options);
-          run_outer_row(solo_session, bounds[l], plan, out.inner_, row[l],
-                        out.outer_[row[l]], seed, columns, stream);
-        }
-      }
-    });
-    return out;
-  }
-
-  if (threads <= 1) {
-    BoundPlan bound(plan, *circuit_);
-    for (std::size_t o = 0; o < outer_n; ++o) {
-      run_outer_row(*this, bound, plan, out.inner_, o, out.outer_[o], seed,
-                    columns, stream);
+  // The start of row `o` on an executor (a SimSession or a BatchLane), the
+  // one definition all rows use: devices reset, the warm start re-seeded
+  // (or cold), the outer value applied. With `pin`, the executor's sparse
+  // analysis is first pinned at the reference state, row 0's first point;
+  // the repivot retry and the growth guard re-analyse inside a row, so
+  // unpinned, a row would inherit pivots from its executor's earlier rows.
+  const auto start_row = [&](auto&& ex, BoundPlan& bound, std::size_t o,
+                             bool pin) {
+    const auto reset = [&](std::size_t row) {
+      ex.begin_variant();
+      if (seed != nullptr) ex.seed_warm_start(*seed);
+      bound.outer.apply(out.outer_[row]);
+    };
+    if (pin) {
+      reset(0);
+      bound.inner.apply(out.inner_.front());
+      ex.prime();
     }
-    return out;
-  }
+    reset(o);
+  };
 
-  // Parallel outer fanout over per-thread circuit clones: workers pull row
-  // indices from a shared counter and write only their own preallocated
-  // slots (the LotCampaign discipline) -- scheduling decides who computes
-  // a row, never what it yields.
   std::atomic<std::size_t> next{0};
   common::fan_out(threads, [&]() {
-    Circuit clone = circuit_->clone();
-    SimSession session(clone, plan.options);
-    BoundPlan bound(plan, clone);
+    // The scalar executor (this session on one thread, a private clone's
+    // otherwise), built on first use: it pins before its first row, then
+    // again at a row start only if an analysis ran during the previous row.
+    std::optional<Circuit> clone;
+    std::optional<SimSession> own;
+    std::optional<BoundPlan> bound;
+    int pinned = -1;  // analysis_count() after the last row start
+    const auto scalar_row = [&](std::size_t o) {
+      if (!bound) {
+        if (threads > 1) {
+          own.emplace(clone.emplace(circuit_->clone()), plan.options);
+        }
+        bound.emplace(plan, own ? own->circuit() : *circuit_);
+      }
+      SimSession& session = own ? *own : *this;
+      start_row(session, *bound, o,
+                session.sparse_lu().analysis_count() != pinned);
+      pinned = session.sparse_lu().analysis_count();
+      run_inner_sweep(session, *bound, plan, out.inner_, o * inner_n, seed,
+                      columns, stream, &out.outer_[o]);
+    };
+    // The batched lanes: `width` clones in one BatchDcSession, pinned once.
+    std::vector<Circuit> lane_circuits;
+    std::vector<BoundPlan> lane_bounds;
+    std::optional<BatchDcSession> batch;
     for (;;) {
       if (stream.cancelled.load(std::memory_order_relaxed)) break;
-      const std::size_t o = next.fetch_add(1, std::memory_order_relaxed);
-      if (o >= outer_n) break;
-      run_outer_row(session, bound, plan, out.inner_, o, out.outer_[o], seed,
-                    columns, stream);
+      const std::size_t g = next.fetch_add(1, std::memory_order_relaxed);
+      if (g >= groups) break;
+      const std::size_t first = g * width;
+      if (width == 1) {
+        scalar_row(first);
+        continue;
+      }
+      if (!batch) {
+        lane_circuits.reserve(width);
+        lane_bounds.reserve(width);
+        std::vector<Circuit*> ptrs;
+        for (std::size_t l = 0; l < width; ++l) {
+          ptrs.push_back(&lane_circuits.emplace_back(circuit_->clone()));
+          lane_bounds.emplace_back(plan, lane_circuits.back());
+        }
+        batch.emplace(std::move(ptrs), plan.options);
+        start_row(BatchLane{*batch, 0}, lane_bounds[0], 0, /*pin=*/true);
+      }
+      const std::size_t count = std::min(width, outer_n - first);
+      for (std::size_t l = 0; l < width; ++l) {
+        batch->set_lane_active(l, l < count);
+        if (l < count) {
+          start_row(BatchLane{*batch, l}, lane_bounds[l], first + l, false);
+        }
+      }
+      for (std::size_t j = 0; j < inner_n; ++j) {
+        for (std::size_t l = 0; l < count; ++l) {
+          if (batch->lane_active(l)) lane_bounds[l].inner.apply(out.inner_[j]);
+        }
+        batch->solve_active();
+        for (std::size_t l = 0; l < count; ++l) {
+          if (!batch->lane_active(l)) continue;
+          if (!batch->status(l).converged) {  // left the lockstep
+            batch->set_lane_active(l, false);
+            continue;
+          }
+          record_row(lane_bounds[l], plan, batch->solution(l),
+                     (first + l) * inner_n + j, &out.outer_[first + l],
+                     out.inner_[j], columns, stream);
+        }
+      }
+      // A row that left the lockstep keeps its failed status; its scalar
+      // rerun replays the full fallback ladder.
+      for (std::size_t l = 0; l < count; ++l) {
+        if (!batch->status(l).converged) scalar_row(first + l);
+      }
     }
   });
   // A cancelling worker throws CancelledError from deliver(); fan_out

@@ -75,6 +75,35 @@ void SimSession::begin_variant() {
   for (auto& d : circuit_->devices()) d->reset_state();
 }
 
+void SimSession::prime() {
+  std::fill(x_.raw().begin(), x_.raw().end(), 0.0);
+  try {
+    pin_analysis(*circuit_, linear_prefix_, node_unknowns_,
+                 options_.gmin_floor, have_last_ ? result_.solution : x_, sa_,
+                 b_, slu_);
+  } catch (const NumericalError&) {
+    // Left invalidated: deterministic too (see the declaration).
+  }
+}
+
+void pin_analysis(Circuit& circuit, std::size_t linear_prefix,
+                  int node_unknowns, double gmin, const Unknowns& x,
+                  linalg::SparseMatrix& a, linalg::Vector& b,
+                  linalg::SparseLuFactorization& lu) {
+  a.fill(0.0);
+  std::fill(b.begin(), b.end(), 0.0);
+  Stamper st(a, b, node_unknowns);
+  const auto& devices = circuit.devices();
+  for (std::size_t d = 0; d < linear_prefix; ++d) devices[d]->stamp(st, x);
+  stamp_gmin(st, node_unknowns, gmin);
+  for (std::size_t d = linear_prefix; d < devices.size(); ++d) {
+    devices[d]->stamp(st, x);
+  }
+  for (const auto& dev : devices) dev->reset_state();
+  lu.invalidate_analysis();
+  lu.refactor(a);
+}
+
 void SimSession::seed_warm_start(const Unknowns& x) {
   if (x.size() == static_cast<std::size_t>(n_unknowns_)) {
     x_ = x;  // same-size copy, no reallocation

@@ -286,7 +286,8 @@ TEST(AnalysisPlanTest, TwoAxisParallelIsBitIdenticalForAnyThreadCount) {
     ASSERT_EQ(results[k].rows(), results[0].rows());
     for (std::size_t p = 0; p < results[0].probe_count(); ++p) {
       for (std::size_t r = 0; r < results[0].rows(); ++r) {
-        EXPECT_DOUBLE_EQ(results[k].value(p, r), results[0].value(p, r))
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(results[k].value(p, r)),
+                  std::bit_cast<std::uint64_t>(results[0].value(p, r)))
             << "threads=" << thread_counts[k] << " probe=" << p
             << " row=" << r;
       }
@@ -338,6 +339,85 @@ TEST(AnalysisPlanTest, TwoAxisLanedFanoutIsBitIdenticalToScalar) {
       }
     }
   }
+}
+
+TEST(AnalysisPlanTest, TwoAxisRowsAreBitIdenticalForAnySchedule) {
+  // A self-biased NPN driven far above its design supply: a cold solve at
+  // V1 = 40 V needs gmin stepping, so rows leave the batched lockstep and
+  // the scalar fallback re-analyses mid-row. Every row must still start
+  // from the same pinned analysis, whichever executor ran what before it:
+  // any thread count, any lane count, any repetition, and a second run()
+  // on the same session all print the first serial run's bits.
+  const char* deck = R"(
+V1 vcc 0 2
+Q1 c b 0 NPN1
+R1 vcc c 10k
+R2 c b 87.3k
+R3 b 0 1.27MEG
+.MODEL NPN1 NPN (IS=1e-16 BF=100)
+.STEP R1 5k 40k 5k
+.DC V1 40 100 10
+.PROBE V(c) V(b) I(V1)
+)";
+  const auto run_deck = [&](unsigned threads, unsigned lanes) {
+    auto parsed = parse_netlist(deck);
+    auto& c = *parsed.circuit;
+    c.set_temperature(to_kelvin(parsed.temperature_celsius));
+    SimSession session(c);
+    AnalysisPlan plan = parsed.plans.front();
+    plan.threads = threads;
+    plan.lanes = lanes;
+    return session.run(plan);
+  };
+  const auto expect_bitwise = [](const SweepResult& got,
+                                 const SweepResult& ref,
+                                 const std::string& what) {
+    ASSERT_EQ(got.rows(), ref.rows()) << what;
+    for (std::size_t p = 0; p < ref.probe_count(); ++p) {
+      for (std::size_t r = 0; r < ref.rows(); ++r) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(got.value(p, r)),
+                  std::bit_cast<std::uint64_t>(ref.value(p, r)))
+            << what << " probe=" << p << " row=" << r;
+      }
+    }
+  };
+
+  {
+    // The deck reaches the solo path: a cold scalar solve at the first
+    // inner point falls down the ladder to gmin stepping.
+    auto parsed = parse_netlist(deck);
+    auto& c = *parsed.circuit;
+    c.set_temperature(to_kelvin(parsed.temperature_celsius));
+    c.get<VoltageSource>("V1").set_voltage(40.0);
+    SimSession session(c);
+    const DcResult& cold = session.solve();
+    ASSERT_TRUE(cold.converged);
+    EXPECT_EQ(cold.strategy, "gmin");
+  }
+
+  const SweepResult reference = run_deck(1, 0);
+  ASSERT_EQ(reference.rows(), 8u * 7u);
+
+  for (unsigned lanes : {0u, 4u}) {
+    for (unsigned threads : {1u, 2u, 4u, 8u}) {
+      for (int rep = 0; rep < 20; ++rep) {
+        expect_bitwise(run_deck(threads, lanes), reference,
+                       "threads=" + std::to_string(threads) +
+                           " lanes=" + std::to_string(lanes) +
+                           " rep=" + std::to_string(rep));
+      }
+    }
+  }
+
+  // A warm session re-running the plan (a server's repeated RUN).
+  auto parsed = parse_netlist(deck);
+  auto& c = *parsed.circuit;
+  c.set_temperature(to_kelvin(parsed.temperature_celsius));
+  SimSession session(c);
+  const AnalysisPlan& plan = parsed.plans.front();
+  expect_bitwise(session.run(plan), reference, "first run");
+  session.begin_variant();
+  expect_bitwise(session.run(plan), reference, "second run");
 }
 
 /// V1 -> R1 -> collector of Q1, R2 collector -> base, R3 base -> ground,
