@@ -51,7 +51,29 @@ struct CellPoint {
   double t_die_true = 0.0; ///< ground truth [K] -- validation only
 };
 
-namespace protocol { struct Instruments; }
+/// The lab's measurement rigs, shared by Laboratory and the batched lot
+/// body, and public so a test can drive one chamber point by itself (the
+/// rest of the procedure is private to the lab).
+namespace protocol {
+struct Instruments;
+
+/// The diode-connected DUT rig (VCB = 0): BJT "DUT" of model `qin`, its
+/// emitter "e" (returned) driven by source "IE" or "VE".
+spice::NodeId build_dut(spice::Circuit& c, const spice::BjtModel& qin,
+                        bool current_driven);
+
+/// The analytic start point of the current-driven DUT rig at its present
+/// IE and temperature, from the ideal-diode law:
+/// V(e) = NF Vt(T) ln(|IE| / IS(T) + 1). Every VBE(T) chamber point starts
+/// here, as a cell's first thermal pass starts from cell_initial_guess.
+[[nodiscard]] spice::Unknowns dut_initial_guess(spice::Circuit& c,
+                                                spice::NodeId emitter);
+
+/// The test-cell electricals of `die`, RADJA programmed to `radja_ohms`.
+[[nodiscard]] bandgap::TestCellParams cell_params(const DieSample& die,
+                                                  const CampaignConfig& cfg,
+                                                  double radja_ohms);
+}  // namespace protocol
 
 /// A laboratory session bound to one die sample. Instruments are drawn at
 /// construction (one calibration cycle per session).
@@ -89,9 +111,8 @@ class Laboratory {
  private:
   // Persistent measurement rigs. Each circuit is built once per laboratory
   // session and re-biased between measurements; the SimSession keeps the
-  // solver workspace and warm-start continuation alive across the whole
-  // campaign. unique_ptr keeps the circuit address stable (the session
-  // holds a reference into it).
+  // solver workspace alive across the whole campaign. unique_ptr keeps the
+  // circuit address stable (the session holds a reference into it).
   struct CellRig {
     spice::Circuit circuit;
     bandgap::TestCellHandles handles;

@@ -95,9 +95,6 @@ class BatchDcSession {
 
   // Per-lane warm-start continuation, mirroring SimSession.
   void seed_warm_start(std::size_t lane, const Unknowns& x);
-  [[nodiscard]] bool has_warm_start(std::size_t lane) const {
-    return have_last_[lane] != 0;
-  }
 
   /// Solve every active lane's DC operating point in lockstep plain
   /// Newton at gmin_floor (strategy 1 of SimSession::solve). Per lane the
@@ -110,8 +107,7 @@ class BatchDcSession {
   [[nodiscard]] const BatchLaneStatus& status(std::size_t lane) const {
     return status_[lane];
   }
-  /// Last converged solution of `lane` (valid when status().converged or
-  /// has_warm_start()).
+  /// Last converged solution of `lane` (valid when status().converged).
   [[nodiscard]] const Unknowns& solution(std::size_t lane) const {
     return last_solution_[lane];
   }

@@ -76,6 +76,16 @@ spice::NodeId build_dut(spice::Circuit& c, const spice::BjtModel& qin,
   return e;
 }
 
+spice::Unknowns dut_initial_guess(spice::Circuit& c, spice::NodeId emitter) {
+  const auto& dut = c.get<spice::Bjt>("DUT");
+  const double ie = c.get<spice::CurrentSource>("IE").current();
+  spice::Unknowns guess(static_cast<std::size_t>(c.assign_unknowns()));
+  guess.raw()[static_cast<std::size_t>(emitter - 1)] =
+      dut.model().nf * thermal_voltage(dut.temperature()) *
+      std::log(std::abs(ie) / dut.is_at_temperature() + 1.0);
+  return guess;
+}
+
 double die_temperature(const DieSample& sample, const CampaignConfig& cfg,
                        double chamber_kelvin, double power_watts) {
   if (cfg.ideal_thermal) return chamber_kelvin;
@@ -186,7 +196,8 @@ std::vector<VbePoint> Laboratory::vbe_vs_temperature(
   out.reserve(chamber_celsius.size());
 
   // Forced emitter current into the diode-connected DUT; VBE read at the
-  // emitter (VCB = 0). One rig for the whole temperature list.
+  // emitter (VCB = 0). One rig for the whole temperature list; each point
+  // starts from the ideal-diode guess at its own IE and temperature.
   DutRig& rig = dut_rig(ibias_, /*current_driven=*/true);
   auto& ie = rig.circuit.get<spice::CurrentSource>("IE");
   const auto& dut = rig.circuit.get<spice::Bjt>("DUT");
@@ -197,6 +208,8 @@ std::vector<VbePoint> Laboratory::vbe_vs_temperature(
         protocol::die_temperature(sample_, config_, chamber_k, 0.0);
     ie.set_current(inst_->forced_current(ic_amps));
     rig.circuit.set_temperature(t_die);
+    rig.session->seed_warm_start(
+        protocol::dut_initial_guess(rig.circuit, rig.emitter));
     const spice::Unknowns& x = rig.session->solve_or_throw();
     out.push_back(inst_->record_vbe_point(chamber_k, t_die,
                                           x.node_voltage(rig.emitter),
@@ -209,6 +222,10 @@ double Laboratory::settle_die_temperature(CellRig& rig,
                                           double chamber_kelvin) {
   double t_die =
       protocol::die_temperature(sample_, config_, chamber_kelvin, 0.0);
+  // Pass 0 starts from the cell's analytic guess at this setting (which
+  // solve_cell_at seeds when there is no warm start); later passes
+  // continue warm.
+  rig.session->invalidate_warm_start();
   for (int pass = 0; pass < protocol::kThermalPasses; ++pass) {
     const bandgap::CellObservation obs =
         bandgap::solve_cell_at(*rig.session, rig.handles, t_die);
@@ -227,8 +244,9 @@ std::vector<CellPoint> Laboratory::test_cell_sweep(
   std::vector<CellPoint> out;
   out.reserve(chamber_celsius.size());
 
-  // One persistent cell rig: circuit assembled once, RADJA re-programmed,
-  // every solve of the electro-thermal loop warm-started in the session.
+  // One persistent cell rig: circuit assembled once, RADJA re-programmed;
+  // each setting's electro-thermal loop starts from the analytic guess and
+  // continues warm in the session.
   CellRig& rig = cell_rig(radja_ohms);
 
   for (double tc : chamber_celsius) {

@@ -42,12 +42,16 @@ LaneGroup::LaneGroup(const LotCampaign& owner, std::size_t lanes,
     }
     ibias.emplace(std::move(ptrs), cfg.lab.newton);
     // Deterministic prime: the reference die at the first chamber
-    // setting and the nominal forced current, cold start -- a pure
-    // function of (lot, config), so every worker pins identical pivots.
+    // setting and the nominal forced current, seeded from the DUT's
+    // ideal-diode guess -- the state every VBE(T) point starts from, and a
+    // pure function of (lot, config), so every worker pins identical
+    // pivots.
     const double chamber_k = to_kelvin(cfg.classical_celsius.front());
     const double t_ref = die_temperature(ref, cfg.lab, chamber_k, 0.0);
     ibias_ie[0]->set_current(cfg.classical_ic);
     ibias_circuit[0]->set_temperature(t_ref);
+    ibias->seed_warm_start(0,
+                           dut_initial_guess(*ibias_circuit[0], ibias_emitter));
     ibias->prime(0);
   }
 
@@ -79,7 +83,6 @@ LaneGroup::LaneGroup(const LotCampaign& owner, std::size_t lanes,
         0, bandgap::cell_initial_guess(*cell_circuit[0], cell_handles[0],
                                        t_ref));
     cell->prime(0);
-    cell->begin_variant(0);  // wipe the priming seed before real dies
   }
 }
 
@@ -147,6 +150,8 @@ void LaneGroup::run(std::size_t first_offset, std::size_t group_size) {
           ibias_ie[l]->set_current(
               inst[l]->forced_current(config.classical_ic));
           ibias_circuit[l]->set_temperature(t_die[l]);
+          ibias->seed_warm_start(
+              l, dut_initial_guess(*ibias_circuit[l], ibias_emitter));
         }
         ibias->solve_active();
         for (std::size_t l = 0; l < group_size; ++l) {
@@ -177,13 +182,14 @@ void LaneGroup::run(std::size_t first_offset, std::size_t group_size) {
         }
         // Electro-thermal fixed point, masked per lane: each lane runs
         // exactly the passes Laboratory's scalar loop would, lanes sitting
-        // out once settled.
+        // out once settled. Pass 0 starts from the cell's analytic guess
+        // at this setting; later passes continue warm.
         for (int pass = 0; pass < kThermalPasses && n_iterating > 0; ++pass) {
           for (std::size_t l = 0; l < group_size; ++l) {
             cell->set_lane_active(l, iterating[l] != 0);
             if (!iterating[l]) continue;
             cell_circuit[l]->set_temperature(t_die[l]);
-            if (!cell->has_warm_start(l)) {
+            if (pass == 0) {
               cell->seed_warm_start(
                   l, bandgap::cell_initial_guess(*cell_circuit[l],
                                                  cell_handles[l],

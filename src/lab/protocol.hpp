@@ -3,6 +3,10 @@
 // scalar sessions; LotCampaign's batched group body measures K dies in
 // lanes. Both call these functions in the same per-die order, and each
 // instrument stream belongs to one die, so both record the same bits.
+// Every chamber point starts from the analytic guess at its own setting
+// (dut_initial_guess, and cell_initial_guess for a cell's first thermal
+// pass), so a point depends only on (die, setting). The rig builders are
+// declared in campaign.hpp.
 
 #include <cstdint>
 #include <functional>
@@ -44,14 +48,6 @@ struct Instruments {
   SmuChannel smu_aux;  ///< channel for VREF and currents
 };
 
-/// The test-cell electricals of `die`, RADJA programmed to `radja_ohms`.
-[[nodiscard]] bandgap::TestCellParams cell_params(const DieSample& die,
-                                                  const CampaignConfig& cfg,
-                                                  double radja_ohms);
-/// The diode-connected DUT rig (VCB = 0): BJT "DUT" of model `qin`, its
-/// emitter "e" (returned) driven by source "IE" or "VE".
-spice::NodeId build_dut(spice::Circuit& c, const spice::BjtModel& qin,
-                        bool current_driven);
 /// Die temperature [K] for a chamber setting and a chip power.
 [[nodiscard]] double die_temperature(const DieSample& die,
                                      const CampaignConfig& cfg,

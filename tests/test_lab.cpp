@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
+#include "icvbe/bandgap/test_cell.hpp"
 #include "icvbe/common/constants.hpp"
 #include "icvbe/lab/campaign.hpp"
 #include "icvbe/lab/instruments.hpp"
+#include "icvbe/lab/lot_campaign.hpp"
 #include "icvbe/lab/silicon.hpp"
 
 namespace icvbe::lab {
@@ -211,6 +214,83 @@ TEST_F(LabCampaignTest, InstrumentNoiseVisibleButSmall) {
   const double dv = std::abs(pi[0].vbe - pr[0].vbe);
   EXPECT_GT(dv, 0.0);
   EXPECT_LT(dv, 1e-3);
+}
+
+// Every chamber point starts from the analytic guess at its own setting,
+// so what a full sweep records at a setting is bit for bit what a fresh
+// laboratory records there alone: a point depends only on (die, setting),
+// never on the setting measured before it.
+TEST_F(LabCampaignTest, ChamberPointDependsOnlyOnDieAndSetting) {
+  const LotCampaignConfig lot_cfg;
+  CampaignConfig cfg;
+  cfg.ideal_instruments = true;
+  // Both point types are plain doubles: compare every field's bits.
+  const auto same = [](const auto& a, const auto& b) {
+    return std::memcmp(&a, &b, sizeof a) == 0;
+  };
+  int vbe_differ = 0;
+  int cell_differ = 0;
+  for (int die = 1; die <= 30; ++die) {
+    const DieSample s = lot_.sample(die);
+    Laboratory sweep(s, cfg);
+    const auto vbe =
+        sweep.vbe_vs_temperature(lot_cfg.classical_ic,
+                                 lot_cfg.classical_celsius);
+    const auto cell = sweep.test_cell_sweep(lot_cfg.cell_celsius);
+    ASSERT_EQ(vbe.size(), lot_cfg.classical_celsius.size());
+    ASSERT_EQ(cell.size(), lot_cfg.cell_celsius.size());
+    for (std::size_t i = 0; i < vbe.size(); ++i) {
+      Laboratory alone(s, cfg);
+      const VbePoint p = alone.vbe_vs_temperature(
+          lot_cfg.classical_ic, {lot_cfg.classical_celsius[i]})[0];
+      if (!same(p, vbe[i])) ++vbe_differ;
+    }
+    for (std::size_t i = 0; i < cell.size(); ++i) {
+      Laboratory alone(s, cfg);
+      const CellPoint p =
+          alone.test_cell_sweep({lot_cfg.cell_celsius[i]})[0];
+      if (!same(p, cell[i])) ++cell_differ;
+    }
+  }
+  EXPECT_EQ(vbe_differ, 0) << "of 240 VBE(T) points";
+  EXPECT_EQ(cell_differ, 0) << "of 90 cell points";
+}
+
+// The start points make chamber points cheap: from the ideal-diode guess a
+// VBE(T) point converges in a few Newton iterations (a cold start at
+// -50 C takes 39), and a cell's first thermal pass from its analytic guess
+// in a few more.
+TEST_F(LabCampaignTest, ChamberPointsConvergeFromTheirGuess) {
+  const LotCampaignConfig lot_cfg;
+  const CampaignConfig cfg;
+  for (int die = 1; die <= 50; ++die) {
+    const DieSample s = lot_.sample(die);
+
+    spice::Circuit dut;
+    const spice::NodeId e = protocol::build_dut(dut, s.qin, true);
+    spice::SimSession dut_session(dut, cfg.newton);
+    for (double tc : lot_cfg.classical_celsius) {
+      dut.get<spice::CurrentSource>("IE").set_current(lot_cfg.classical_ic);
+      dut.set_temperature(s.fixture.die_temperature(to_kelvin(tc), 0.0));
+      const spice::Unknowns guess = protocol::dut_initial_guess(dut, e);
+      const spice::DcResult& r = dut_session.solve(&guess);
+      ASSERT_TRUE(r.converged) << "die " << die << " at " << tc << " C";
+      EXPECT_LE(r.iterations, 4) << "die " << die << " at " << tc << " C";
+    }
+
+    spice::Circuit cell;
+    const bandgap::TestCellHandles h =
+        bandgap::build_test_cell(cell, protocol::cell_params(s, cfg, 0.0));
+    spice::SimSession cell_session(cell, cfg.newton);
+    for (double tc : lot_cfg.cell_celsius) {
+      const double t_die = s.fixture.die_temperature(to_kelvin(tc), 0.0);
+      cell.set_temperature(t_die);
+      const spice::Unknowns guess = bandgap::cell_initial_guess(cell, h, t_die);
+      const spice::DcResult& r = cell_session.solve(&guess);
+      ASSERT_TRUE(r.converged) << "die " << die << " at " << tc << " C";
+      EXPECT_LE(r.iterations, 5) << "die " << die << " at " << tc << " C";
+    }
+  }
 }
 
 TEST_F(LabCampaignTest, RejectsBadRequests) {
