@@ -42,13 +42,6 @@ constexpr double kSolverSpeedupGate = 5.0;  // lot-solver throughput
 // the batched path degenerating to (or below) per-die cost, not the last
 // 10%.
 constexpr double kCampaignSpeedupGate = 1.15;
-// SIMD value-plane kernel A/B: the same batched loop with the pack
-// kernel (set_batch_simd(true), the default) vs the scalar per-lane
-// reference kernel. Only its bit-identity is a gate. The speed ratio is
-// printed, not asserted: on an unchanged kernel it read 0.97-1.50x across
-// runs on a shared 4-vCPU host, so a threshold on it flips on noise. The
-// deterministic guard of the pack kernel is test_sparse_ordering's
-// SIMD-vs-scalar lane-kernel bit-identity case.
 
 void run_lot_study() {
   bench::banner(
@@ -305,124 +298,6 @@ SolverTimings time_lot_solver() {
   return out;
 }
 
-// ---------------------------------------------- SIMD kernel A/B gate ---
-//
-// The value-plane kernel A/B needs a system where the lane arithmetic --
-// not lane loading or pattern bookkeeping -- is the cost, so it runs the
-// same 1000-die / K-lane loop on a 20x20 conductance mesh (n = 400, dense
-// trailing supernode engaged) and times only refactor_batch + solve_batch.
-// The n = 7 cell above is stamp-bound: both kernels tie there by design.
-
-struct SimdAbTimings {
-  double pack_ms = 0.0;    // refactor+solve, pack kernel (default)
-  double scalar_ms = 0.0;  // refactor+solve, scalar lane reference kernel
-  std::size_t n = 0;
-  std::size_t supernode = 0;
-  bool bit_identical = false;
-};
-
-SimdAbTimings time_simd_kernel_ab() {
-  constexpr int kG = 20;
-  const std::size_t n = static_cast<std::size_t>(kG) * kG;
-  const std::size_t k = kGateLanes;
-
-  // Deterministic mesh values (no RNG: reproducible across runs/builds).
-  linalg::SparseMatrix mesh(n, n);
-  std::vector<double> diag(n, 1e-3);
-  auto idx = [](int x, int y) {
-    return static_cast<std::size_t>(x * kG + y);
-  };
-  auto weight = [](std::size_t a, std::size_t b) {
-    return 1.0 + 0.5 * std::sin(0.37 * static_cast<double>(a) +
-                                0.73 * static_cast<double>(b));
-  };
-  for (int x = 0; x < kG; ++x) {
-    for (int y = 0; y < kG; ++y) {
-      const std::size_t i = idx(x, y);
-      if (x + 1 < kG) {
-        const std::size_t j = idx(x + 1, y);
-        const double c = weight(i, j);
-        mesh.add(i, j, -c);
-        mesh.add(j, i, -c);
-        diag[i] += c;
-        diag[j] += c;
-      }
-      if (y + 1 < kG) {
-        const std::size_t j = idx(x, y + 1);
-        const double c = weight(i, j);
-        mesh.add(i, j, -c);
-        mesh.add(j, i, -c);
-        diag[i] += c;
-        diag[j] += c;
-      }
-    }
-  }
-  for (std::size_t i = 0; i < n; ++i) mesh.add(i, i, diag[i]);
-  mesh.freeze_pattern();
-
-  SimdAbTimings out;
-  out.n = n;
-  std::vector<double> x_pack(static_cast<std::size_t>(kGateDies) * n);
-  std::vector<double> x_scalar(static_cast<std::size_t>(kGateDies) * n);
-
-  constexpr int kReps = 3;
-  // Interleave the kernels and keep each one's best rep: on a shared
-  // runner the minimum is the truer kernel cost, and the ratio of two
-  // minima is far more stable than the ratio of two medians.
-  for (int rep = 0; rep < kReps; ++rep) {
-    for (int pack = 1; pack >= 0; --pack) {
-      linalg::SparseLuFactorization lu;
-      linalg::SparseOptions o;  // force the dense trailing supernode in
-      o.supernode_min = 8;      // (the mesh tail is dense under AMD)
-      o.supernode_density = 0.3;
-      lu.set_options(o);
-      lu.set_batch_simd(pack != 0);
-      lu.refactor(mesh);
-      if (rep == 0 && pack == 1) out.supernode = lu.supernode_size();
-      linalg::SparseValueBatch batch;
-      batch.bind(mesh, k);
-      // Lanes load once; each group then nudges the corner diagonal in
-      // place (refactor_batch never writes the value planes, and add()
-      // accumulates). Reloading 8 full planes per group would stream
-      // ~150 KB through the cache between refactors and measure the
-      // memcpy, not the kernel; the nudge keeps per-die values distinct
-      // at kernel-only cost. Both legs run the same sequence, so the
-      // bit-compare still covers every die.
-      for (std::size_t l = 0; l < k; ++l) {
-        batch.load_lane(l, mesh);
-        batch.add(0, 0, 1e-4 * static_cast<double>(l), l);
-      }
-      std::vector<unsigned char> lane_ok(k);
-      std::vector<double> rhs(n * k);
-      std::vector<double>& x_out = pack != 0 ? x_pack : x_scalar;
-      double kernel_ms = 0.0;
-      for (int first = 0; first < kGateDies;
-           first += static_cast<int>(k)) {
-        const std::size_t lanes_now =
-            std::min(k, static_cast<std::size_t>(kGateDies - first));
-        for (std::size_t l = 0; l < k; ++l) {
-          batch.add(0, 0, 1e-6, l);  // per-group spread, never moves a pivot
-          lane_ok[l] = l < lanes_now ? 1 : 0;
-        }
-        for (std::size_t i = 0; i < n; ++i)
-          for (std::size_t l = 0; l < k; ++l) rhs[i * k + l] = 1.0;
-        const auto t0 = Clock::now();
-        lu.refactor_batch(batch, lane_ok);
-        lu.solve_batch(rhs);
-        kernel_ms += ms_since(t0);
-        for (std::size_t l = 0; l < lanes_now; ++l)
-          for (std::size_t i = 0; i < n; ++i)
-            x_out[(static_cast<std::size_t>(first) + l) * n + i] =
-                rhs[i * k + l];
-      }
-      double& best = pack != 0 ? out.pack_ms : out.scalar_ms;
-      if (rep == 0 || kernel_ms < best) best = kernel_ms;
-    }
-  }
-  out.bit_identical = x_pack == x_scalar;  // both kernels, every die
-  return out;
-}
-
 struct CampaignTimings {
   double per_die_ms = 0.0;
   double batched_ms = 0.0;
@@ -480,13 +355,10 @@ CampaignTimings time_campaign() {
 }
 
 void write_gate_json(const SolverTimings& solver, bool solver_passed,
-                     const SimdAbTimings& ab, bool simd_passed,
                      const CampaignTimings& campaign, bool campaign_passed,
                      const std::string& path) {
   const double solver_speedup =
       solver.batched_ms > 0.0 ? solver.per_die_ms / solver.batched_ms : 0.0;
-  const double simd_speedup =
-      ab.pack_ms > 0.0 ? ab.scalar_ms / ab.pack_ms : 0.0;
   const double campaign_speedup =
       campaign.batched_ms > 0.0 ? campaign.per_die_ms / campaign.batched_ms
                                 : 0.0;
@@ -498,6 +370,7 @@ void write_gate_json(const SolverTimings& solver, bool solver_passed,
      << "  \"dies\": " << kGateDies << ",\n"
      << "  \"lanes\": " << kGateLanes << ",\n"
      << "  \"threads\": " << campaign.threads << ",\n"
+     << "  \"simd\": " << (common::kSimdEnabled ? "true" : "false") << ",\n"
      << "  \"solver\": {\n"
      << "    \"per_die_ms\": " << solver.per_die_ms << ",\n"
      << "    \"batched_ms\": " << solver.batched_ms << ",\n"
@@ -512,18 +385,6 @@ void write_gate_json(const SolverTimings& solver, bool solver_passed,
      << "    \"bit_identical\": "
      << (solver.bit_identical ? "true" : "false") << ",\n"
      << "    \"passed\": " << (solver_passed ? "true" : "false") << "\n"
-     << "  },\n"
-     << "  \"simd_kernel\": {\n"
-     << "    \"enabled\": "
-     << (common::kSimdEnabled ? "true" : "false") << ",\n"
-     << "    \"system\": \"mesh n=" << ab.n << ", supernode " << ab.supernode
-     << ", refactor_batch+solve_batch only\",\n"
-     << "    \"pack_kernel_ms\": " << ab.pack_ms << ",\n"
-     << "    \"scalar_kernel_ms\": " << ab.scalar_ms << ",\n"
-     << "    \"speedup\": " << simd_speedup << ",\n"
-     << "    \"bit_identical\": "
-     << (ab.bit_identical ? "true" : "false") << ",\n"
-     << "    \"passed\": " << (simd_passed ? "true" : "false") << "\n"
      << "  },\n"
      << "  \"campaign\": {\n"
      << "    \"per_die_ms\": " << campaign.per_die_ms << ",\n"
@@ -549,11 +410,6 @@ bool run_batched_gate() {
   const bool solver_passed =
       solver.bit_identical && solver_speedup >= kSolverSpeedupGate;
 
-  const SimdAbTimings ab = time_simd_kernel_ab();
-  const double simd_speedup =
-      ab.pack_ms > 0.0 ? ab.scalar_ms / ab.pack_ms : 0.0;
-  const bool simd_passed = ab.bit_identical;
-
   const CampaignTimings campaign = time_campaign();
   const double campaign_speedup =
       campaign.batched_ms > 0.0 ? campaign.per_die_ms / campaign.batched_ms
@@ -566,9 +422,6 @@ bool run_batched_gate() {
              format_sig(solver.batched_ms, 4),
              format_sig(solver_speedup, 3),
              ">= " + format_sig(kSolverSpeedupGate, 2)});
-  t.add_row({"SIMD vs scalar lane kernel", format_sig(ab.scalar_ms, 4),
-             format_sig(ab.pack_ms, 4), format_sig(simd_speedup, 3),
-             "(printed)"});
   t.add_row({"campaign end-to-end", format_sig(campaign.per_die_ms, 4),
              format_sig(campaign.batched_ms, 4),
              format_sig(campaign_speedup, 3),
@@ -584,12 +437,6 @@ bool run_batched_gate() {
               "reduce %.2f\n",
               solver.stamp_ms, solver.refactor_ms, solver.solve_ms,
               solver.reduce_ms);
-  std::printf("simd kernel (%s build, n=%zu mesh, supernode %zu): %.2fx vs "
-              "scalar lane kernel (not gated), bit-identical: %s -- %s\n",
-              common::kSimdEnabled ? "SIMD" : "scalar-fallback", ab.n,
-              ab.supernode, simd_speedup,
-              ab.bit_identical ? "yes" : "NO",
-              simd_passed ? "PASS" : "FAIL");
   std::printf("campaign: %.2fx (gate >= %.2fx, %u threads), LotSummary "
               "bit-identical: %s -- %s\n",
               campaign_speedup, kCampaignSpeedupGate, campaign.threads,
@@ -597,10 +444,10 @@ bool run_batched_gate() {
               campaign_passed ? "PASS" : "FAIL");
 
   const std::string json_path = bench::results_dir() + "/BENCH_lot.json";
-  write_gate_json(solver, solver_passed, ab, simd_passed, campaign,
-                  campaign_passed, json_path);
+  write_gate_json(solver, solver_passed, campaign, campaign_passed,
+                  json_path);
   std::printf("[json] %s\n", json_path.c_str());
-  return solver_passed && simd_passed && campaign_passed;
+  return solver_passed && campaign_passed;
 }
 
 void bm_one_sample_both_methods(benchmark::State& state) {

@@ -109,22 +109,10 @@ using ComplexMatrix = MatrixT<Complex>;
 extern template class MatrixT<double>;
 extern template class MatrixT<Complex>;
 
-/// Euclidean norm.
-[[nodiscard]] double norm2(const Vector& v);
-
-/// Infinity norm.
-[[nodiscard]] double norm_inf(const Vector& v);
-
-/// Infinity norm of a complex vector (max modulus).
-[[nodiscard]] double norm_inf(const ComplexVector& v);
-
 /// Dot product (dimension-checked).
 [[nodiscard]] double dot(const Vector& a, const Vector& b);
 
 /// a - b element-wise (dimension-checked).
 [[nodiscard]] Vector subtract(const Vector& a, const Vector& b);
-
-/// a + s*b (dimension-checked).
-[[nodiscard]] Vector axpy(const Vector& a, double s, const Vector& b);
 
 }  // namespace icvbe::linalg

@@ -18,6 +18,8 @@
 // nor sessions ever see a permuted index, which is what lets the ordering
 // default change (SparseOptions) without touching any stamping code.
 
+#include <type_traits>
+
 #include "icvbe/common/error.hpp"
 #include "icvbe/linalg/matrix.hpp"
 #include "icvbe/linalg/sparse.hpp"
@@ -32,9 +34,10 @@ class MatrixViewT {
   /*implicit*/ MatrixViewT(SparseMatrixT<Scalar>& sparse)   // NOLINT
       : sparse_(&sparse) {}
   /// View over one lane of a K-wide value batch: the same device stamp()
-  /// code fills lane planes for the batched lot solver. The batch must be
-  /// bound to a frozen pattern.
-  MatrixViewT(SparseValueBatchT<Scalar>& batch, std::size_t lane)
+  /// code fills lane planes for the batched lot solver (real systems
+  /// only). The batch must be bound to a frozen pattern.
+  MatrixViewT(SparseValueBatch& batch, std::size_t lane)
+    requires std::is_same_v<Scalar, double>
       : batch_(&batch), lane_(lane) {}
 
   [[nodiscard]] std::size_t rows() const noexcept {
@@ -54,7 +57,7 @@ class MatrixViewT {
       (*dense_)(r, c) += v;
     } else if (sparse_ != nullptr) {
       sparse_->add(r, c, v);
-    } else {
+    } else if constexpr (std::is_same_v<Scalar, double>) {
       batch_->add(r, c, v, lane_);
     }
   }
@@ -76,7 +79,7 @@ class MatrixViewT {
  private:
   MatrixT<Scalar>* dense_ = nullptr;
   SparseMatrixT<Scalar>* sparse_ = nullptr;
-  SparseValueBatchT<Scalar>* batch_ = nullptr;
+  SparseValueBatch* batch_ = nullptr;
   std::size_t lane_ = 0;
 };
 

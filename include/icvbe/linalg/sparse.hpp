@@ -44,6 +44,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "icvbe/linalg/matrix.hpp"
@@ -260,10 +261,11 @@ using ComplexSparseMatrix = SparseMatrixT<Complex>;
 extern template class SparseMatrixT<double>;
 extern template class SparseMatrixT<Complex>;
 
-/// K value planes over one frozen sparse pattern -- the SoA side of the
-/// batched lot solver. Lane l of a lot/corner group stamps its own matrix
-/// values into plane l; all K planes share the pattern (and therefore the
-/// factorisation's one cached symbolic analysis and pivot sequence).
+/// K value planes over one frozen real sparse pattern -- the SoA side of
+/// the batched lot solver. Lane l of a lot/corner group stamps its own
+/// matrix values into plane l; all K planes share the pattern (and
+/// therefore the factorisation's one cached symbolic analysis and pivot
+/// sequence).
 ///
 /// Layout is lane-fastest: the K values of pattern slot i are contiguous
 /// at values()[i * lanes() + l], so the batched refactor/solve inner loops
@@ -272,15 +274,14 @@ extern template class SparseMatrixT<Complex>;
 /// The bound pattern matrix is referenced, not copied -- it must outlive
 /// the batch and stay frozen (re-freezing changes the pattern stamp and
 /// the batch must be re-bound).
-template <typename Scalar>
-class SparseValueBatchT {
+class SparseValueBatch {
  public:
-  SparseValueBatchT() = default;
+  SparseValueBatch() = default;
 
   /// Bind to a frozen pattern with `lanes` zeroed value planes.
   /// Allocation happens here (and only here): the per-die steady state --
   /// clear_lane / add / load_lane -- is allocation-free.
-  void bind(const SparseMatrixT<Scalar>& pattern, std::size_t lanes);
+  void bind(const SparseMatrix& pattern, std::size_t lanes);
 
   [[nodiscard]] bool bound() const noexcept { return pattern_ != nullptr; }
   [[nodiscard]] std::size_t lanes() const noexcept { return lanes_; }
@@ -293,7 +294,7 @@ class SparseValueBatchT {
   [[nodiscard]] std::uint64_t pattern_stamp() const noexcept {
     return pattern_ != nullptr ? pattern_->pattern_stamp() : 0;
   }
-  [[nodiscard]] const SparseMatrixT<Scalar>& pattern() const;
+  [[nodiscard]] const SparseMatrix& pattern() const;
 
   /// Zero every value of one lane (the per-Newton-iteration restamp reset
   /// of that lane) and rewind the stamp tape. Strided by lanes();
@@ -304,32 +305,26 @@ class SparseValueBatchT {
   /// (lanes stamp one after another, each after its clear_lane). Slot must
   /// be inside the frozen pattern (throws Error otherwise, like frozen
   /// SparseMatrixT::add).
-  void add(std::size_t r, std::size_t c, Scalar v, std::size_t lane) {
+  void add(std::size_t r, std::size_t c, double v, std::size_t lane) {
     values_[tape_.next(*pattern_, r, c) * lanes_ + lane] += v;
   }
 
   /// Copy a scalar matrix's values into one lane. The matrix must share
   /// the bound pattern (same pattern stamp).
-  void load_lane(std::size_t lane, const SparseMatrixT<Scalar>& m);
+  void load_lane(std::size_t lane, const SparseMatrix& m);
 
-  [[nodiscard]] const std::vector<Scalar>& values() const noexcept {
+  [[nodiscard]] const std::vector<double>& values() const noexcept {
     return values_;
   }
 
   [[nodiscard]] const StampTape& tape() const noexcept { return tape_; }
 
  private:
-  const SparseMatrixT<Scalar>* pattern_ = nullptr;
+  const SparseMatrix* pattern_ = nullptr;
   std::size_t lanes_ = 0;
-  std::vector<Scalar> values_;  ///< nnz * lanes, lane-fastest
+  std::vector<double> values_;  ///< nnz * lanes, lane-fastest
   StampTape tape_;
 };
-
-using SparseValueBatch = SparseValueBatchT<double>;
-using ComplexSparseValueBatch = SparseValueBatchT<Complex>;
-
-extern template class SparseValueBatchT<double>;
-extern template class SparseValueBatchT<Complex>;
 
 /// Symbolic pre-order family for SparseLuFactorizationT (structural only,
 /// shared by both scalar instantiations; every choice is deterministic).
@@ -543,11 +538,12 @@ class SparseLuFactorizationT {
   }
 
   /// Numeric refactorisation of K value lanes along the one cached pivot
-  /// order -- the batched lot kernel. Each lane runs exactly the frozen
-  /// numeric pass refactor() would run on its values (bit-identical
-  /// factors, same column-relative pivot screen, same growth guard), but
-  /// the inner loops carry all K lanes together through each elimination
-  /// step (unit-stride across the lane, vectorisable).
+  /// order -- the batched lot kernel, for real systems only. Each lane
+  /// runs exactly the frozen numeric pass refactor() would run on its
+  /// values (bit-identical factors, same column-relative pivot screen,
+  /// same growth guard), but the inner loops carry all K lanes together
+  /// through each elimination step (unit-stride across the lane, in DPack
+  /// packs).
   ///
   /// \pre a cached analysis for batch.pattern() exists: refactor() a
   ///      reference matrix sharing the pattern first. The analysis is
@@ -562,9 +558,10 @@ class SparseLuFactorizationT {
   ///        scalar path (which may re-analyse with fresh pivoting).
   /// Allocation-free once called with a given (analysis, lane-count)
   /// shape; the scalar factors from refactor() are left untouched.
-  void refactor_batch(const SparseValueBatchT<Scalar>& batch,
+  void refactor_batch(const SparseValueBatch& batch,
                       std::vector<unsigned char>& lane_ok,
-                      double pivot_tol = 1e-14);
+                      double pivot_tol = 1e-14)
+    requires std::is_same_v<Scalar, double>;
 
   /// Solve A_l x_l = rhs_l for all K lanes of the last refactor_batch().
   /// rhs is lane-fastest (entry i of lane l at rhs[i * K + l], K * size()
@@ -573,22 +570,13 @@ class SparseLuFactorizationT {
   /// arithmetic still runs branch-free across all lanes, and the
   /// reciprocal of a rejected pivot stays confined to its own lane.
   /// Allocation-free.
-  void solve_batch(std::vector<Scalar>& rhs) const;
+  void solve_batch(std::vector<double>& rhs) const
+    requires std::is_same_v<Scalar, double>;
 
   /// Lane count of the last refactor_batch() (0 before the first).
   [[nodiscard]] std::size_t batch_lanes() const noexcept {
     return batch_lanes_;
   }
-
-  /// Toggle the explicit-SIMD batched kernels at runtime (double scalar
-  /// only; Complex always runs the scalar-lane loops). Defaults to on. The
-  /// off position replays the original runtime-K scalar-lane kernel
-  /// verbatim -- results are bit-identical either way, so this is purely a
-  /// measurement hook: bench_lot_statistics flips it for the same-build
-  /// SIMD-vs-scalar A/B gate, and the equivalence tests pin the bitwise
-  /// agreement.
-  void set_batch_simd(bool on) noexcept { batch_simd_ = on; }
-  [[nodiscard]] bool batch_simd() const noexcept { return batch_simd_; }
 
   /// Rough 1-norm condition estimate via |A|_1 * |A^-1 e|_1 probing --
   /// the same +/-1-vector probe the dense LuFactorizationT uses, so the
@@ -628,17 +616,17 @@ class SparseLuFactorizationT {
   void record_growth();
   [[nodiscard]] bool pattern_matches(const SparseMatrixT<Scalar>& a) const;
 
-  /// Batched kernel bodies, parameterised over the lane-op policy (the
-  /// scalar-lane baseline or the DPack policies -- see sparse.cpp). Every
-  /// policy performs the same elementwise FP sequence per lane, so the
-  /// instantiations produce bit-identical value planes; refactor_batch /
-  /// solve_batch dispatch on batch_simd_ and the lane count.
-  template <typename Ops>
-  void refactor_batch_kernel(const SparseValueBatchT<Scalar>& batch,
+  /// Batched kernel bodies over the DPack lane policy (see sparse.cpp).
+  /// KC pins the lane count at compile time (0 serves any K); every KC
+  /// performs the same elementwise FP sequence per lane, so the
+  /// instantiations produce bit-identical value planes. refactor_batch /
+  /// solve_batch dispatch on the lane count.
+  template <std::size_t KC>
+  void refactor_batch_kernel(const SparseValueBatch& batch,
                              std::vector<unsigned char>& lane_ok,
                              double pivot_tol);
-  template <typename Ops>
-  void solve_batch_kernel(std::vector<Scalar>& rhs) const;
+  template <std::size_t KC>
+  void solve_batch_kernel(std::vector<double>& rhs) const;
 
   std::size_t n_ = 0;
   bool analyzed_ = false;
@@ -722,22 +710,21 @@ class SparseLuFactorizationT {
   std::vector<int> sn_u_pos_;   ///< ...and their dense positions
 
   // Batched (K-lane) numeric state, lane-fastest planes mirroring the
-  // scalar factor arrays. Sized by refactor_batch on shape change only;
-  // independent of the scalar factors so reference refactor() and batch
-  // passes coexist.
+  // scalar factor arrays (real systems only; empty under Complex). Sized
+  // by refactor_batch on shape change only; independent of the scalar
+  // factors so reference refactor() and batch passes coexist.
   std::size_t batch_lanes_ = 0;
-  bool batch_simd_ = true;  ///< runtime kernel toggle (see set_batch_simd)
-  std::vector<Scalar> l_val_b_;
-  std::vector<Scalar> u_val_b_;
-  std::vector<Scalar> udiag_b_;
-  std::vector<Scalar> rdiag_b_;
-  std::vector<Scalar> sn_val_b_;          ///< B x B x K dense block planes
-  std::vector<Scalar> work_b_;            ///< step space * K
-  std::vector<Scalar> off_val_b_;         ///< off entries * K, raw copies
+  std::vector<double> l_val_b_;
+  std::vector<double> u_val_b_;
+  std::vector<double> udiag_b_;
+  std::vector<double> rdiag_b_;
+  std::vector<double> sn_val_b_;          ///< B x B x K dense block planes
+  std::vector<double> work_b_;            ///< step space * K
+  std::vector<double> off_val_b_;         ///< off entries * K, raw copies
   std::vector<double> colmax_b_;          ///< cols * K
   std::vector<double> amax_b_;            ///< per-lane max|A|
   std::vector<double> gmax_b_;            ///< per-lane growth tracker
-  mutable std::vector<Scalar> perm_b_;    ///< batched solve buffer
+  mutable std::vector<double> perm_b_;    ///< batched solve buffer
 };
 
 using SparseLuFactorization = SparseLuFactorizationT<double>;

@@ -1,7 +1,6 @@
 #include "icvbe/linalg/matrix.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "icvbe/common/error.hpp"
 
@@ -101,24 +100,6 @@ double MatrixT<Scalar>::max_abs() const {
 template class MatrixT<double>;
 template class MatrixT<Complex>;
 
-double norm2(const Vector& v) {
-  double acc = 0.0;
-  for (double x : v) acc += x * x;
-  return std::sqrt(acc);
-}
-
-double norm_inf(const Vector& v) {
-  double m = 0.0;
-  for (double x : v) m = std::max(m, std::abs(x));
-  return m;
-}
-
-double norm_inf(const ComplexVector& v) {
-  double m = 0.0;
-  for (const Complex& x : v) m = std::max(m, std::abs(x));
-  return m;
-}
-
 double dot(const Vector& a, const Vector& b) {
   ICVBE_REQUIRE(a.size() == b.size(), "dot: size mismatch");
   double acc = 0.0;
@@ -130,13 +111,6 @@ Vector subtract(const Vector& a, const Vector& b) {
   ICVBE_REQUIRE(a.size() == b.size(), "subtract: size mismatch");
   Vector out(a.size());
   for (std::size_t i = 0; i < a.size(); ++i) out[i] = a[i] - b[i];
-  return out;
-}
-
-Vector axpy(const Vector& a, double s, const Vector& b) {
-  ICVBE_REQUIRE(a.size() == b.size(), "axpy: size mismatch");
-  Vector out(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) out[i] = a[i] + s * b[i];
   return out;
 }
 

@@ -223,55 +223,49 @@ double SparseMatrixT<Scalar>::max_abs() const {
 template class SparseMatrixT<double>;
 template class SparseMatrixT<Complex>;
 
-// ------------------------------------------------- SparseValueBatchT ---
+// -------------------------------------------------- SparseValueBatch ---
 
-template <typename Scalar>
-void SparseValueBatchT<Scalar>::bind(const SparseMatrixT<Scalar>& pattern,
-                                     std::size_t lanes) {
+void SparseValueBatch::bind(const SparseMatrix& pattern, std::size_t lanes) {
   ICVBE_REQUIRE(pattern.frozen(),
                 "SparseValueBatch: freeze_pattern() before binding");
   ICVBE_REQUIRE(lanes > 0, "SparseValueBatch: need at least one lane");
   pattern_ = &pattern;
   lanes_ = lanes;
-  values_.assign(pattern.nonzeros() * lanes, Scalar{});
+  values_.assign(pattern.nonzeros() * lanes, 0.0);
   tape_.reset(pattern.tape().size());
 }
 
-template <typename Scalar>
-const SparseMatrixT<Scalar>& SparseValueBatchT<Scalar>::pattern() const {
+const SparseMatrix& SparseValueBatch::pattern() const {
   ICVBE_REQUIRE(pattern_ != nullptr, "SparseValueBatch: bind() first");
   return *pattern_;
 }
 
-template <typename Scalar>
-void SparseValueBatchT<Scalar>::clear_lane(std::size_t lane) {
+void SparseValueBatch::clear_lane(std::size_t lane) {
   ICVBE_REQUIRE(lane < lanes_, "SparseValueBatch: lane out of range");
   // Blocked walk: one running pointer, four slots per trip. The naive
   // v[i * lanes_] form re-derives the address every element and carries a
   // loop-length dependency the compiler cannot break at runtime K; this
   // shape is measurably faster at campaign nnz (K = 8, ~4e5 entries).
-  Scalar* v = values_.data() + lane;
+  double* v = values_.data() + lane;
   const std::size_t nnz = values_.size() / lanes_;
   const std::size_t k = lanes_;
   std::size_t i = 0;
   for (; i + 4 <= nnz; i += 4, v += 4 * k) {
-    v[0] = Scalar{};
-    v[k] = Scalar{};
-    v[2 * k] = Scalar{};
-    v[3 * k] = Scalar{};
+    v[0] = 0.0;
+    v[k] = 0.0;
+    v[2 * k] = 0.0;
+    v[3 * k] = 0.0;
   }
-  for (; i < nnz; ++i, v += k) *v = Scalar{};
+  for (; i < nnz; ++i, v += k) *v = 0.0;
   tape_.rewind();
 }
 
-template <typename Scalar>
-void SparseValueBatchT<Scalar>::load_lane(std::size_t lane,
-                                          const SparseMatrixT<Scalar>& m) {
+void SparseValueBatch::load_lane(std::size_t lane, const SparseMatrix& m) {
   ICVBE_REQUIRE(lane < lanes_, "SparseValueBatch: lane out of range");
   ICVBE_REQUIRE(pattern_ != nullptr && m.pattern_stamp() == pattern_stamp(),
                 "SparseValueBatch::load_lane: pattern mismatch");
-  const std::vector<Scalar>& src = m.values();
-  Scalar* v = values_.data() + lane;
+  const std::vector<double>& src = m.values();
+  double* v = values_.data() + lane;
   const std::size_t k = lanes_;
   std::size_t i = 0;
   for (; i + 4 <= src.size(); i += 4, v += 4 * k) {  // blocked, as above
@@ -282,9 +276,6 @@ void SparseValueBatchT<Scalar>::load_lane(std::size_t lane,
   }
   for (; i < src.size(); ++i, v += k) *v = src[i];
 }
-
-template class SparseValueBatchT<double>;
-template class SparseValueBatchT<Complex>;
 
 // -------------------------------------------- SparseLuFactorizationT ---
 
@@ -1515,109 +1506,13 @@ bool SparseLuFactorizationT<Scalar>::refactor_frozen(
 
 namespace {
 
-/// Lane-op policy: the original runtime-K scalar-lane loops of the batched
-/// kernel, preserved verbatim. This is the measurable baseline the
-/// explicit-SIMD policy is gated against (set_batch_simd(false) routes the
-/// batched kernels through it), and the only policy the Complex
-/// instantiation uses. Each op is one of the batched kernel's inner loops.
-template <typename Scalar>
-struct ScalarLaneOps {
-  /// Straight row-major supernode replay (no register tiling).
-  static constexpr bool kTiled = false;
-
-  static void copy(Scalar* dst, const Scalar* src, std::size_t K) noexcept {
-    for (std::size_t l = 0; l < K; ++l) dst[l] = src[l];
-  }
-  /// dst[l] += src[l] -- the scatter accumulation.
-  static void add(Scalar* dst, const Scalar* src, std::size_t K) noexcept {
-    for (std::size_t l = 0; l < K; ++l) dst[l] += src[l];
-  }
-  /// dst[t] = src[t]; src[t] = 0 over a flat range (the supernode row
-  /// harvest, length bdim * K).
-  static void take_flat(Scalar* dst, Scalar* src, std::size_t len) noexcept {
-    for (std::size_t t = 0; t < len; ++t) {
-      dst[t] = src[t];
-      src[t] = Scalar{};
-    }
-  }
-  /// lv[l] = wj[l] / dj[l]; wj[l] = 0 -- multiplier harvest.
-  static void div_take(Scalar* lv, Scalar* wj, const Scalar* dj,
-                       std::size_t K) noexcept {
-    for (std::size_t l = 0; l < K; ++l) {
-      lv[l] = wj[l] / dj[l];
-      wj[l] = Scalar{};
-    }
-  }
-  /// w[l] -= lv[l] * uv[l] -- the elimination update.
-  static void submul(Scalar* w, const Scalar* lv, const Scalar* uv,
-                     std::size_t K) noexcept {
-    for (std::size_t l = 0; l < K; ++l) w[l] -= lv[l] * uv[l];
-  }
-  static void div_inplace(Scalar* p, const Scalar* d,
-                          std::size_t K) noexcept {
-    for (std::size_t l = 0; l < K; ++l) p[l] /= d[l];
-  }
-  /// p[l] *= r[l] -- the back-substitution's reciprocal-pivot scaling.
-  static void mul_inplace(Scalar* p, const Scalar* r,
-                          std::size_t K) noexcept {
-    for (std::size_t l = 0; l < K; ++l) p[l] *= r[l];
-  }
-  /// dst[l] = src[l]; src[l] = 0; g[l] = max(g[l], |dst[l]|) -- diagonal
-  /// and U-row harvest with the growth tracker.
-  static void take_absmax(Scalar* dst, Scalar* src, double* g,
-                          std::size_t K) noexcept {
-    for (std::size_t l = 0; l < K; ++l) {
-      dst[l] = src[l];
-      src[l] = Scalar{};
-      g[l] = std::max(g[l], scalar_abs(dst[l]));
-    }
-  }
-  static void copy_absmax(Scalar* dst, const Scalar* src, double* g,
-                          std::size_t K) noexcept {
-    for (std::size_t l = 0; l < K; ++l) {
-      dst[l] = src[l];
-      g[l] = std::max(g[l], scalar_abs(dst[l]));
-    }
-  }
-  static void absmax(double* g, const Scalar* x, std::size_t K) noexcept {
-    for (std::size_t l = 0; l < K; ++l) {
-      g[l] = std::max(g[l], scalar_abs(x[l]));
-    }
-  }
-  /// Input screen: finiteness into ok, magnitude maxima into amax / cm.
-  static void screen_input(unsigned char* ok, const Scalar* v, double* amax,
-                           double* cm, std::size_t K) noexcept {
-    for (std::size_t l = 0; l < K; ++l) {
-      ok[l] = static_cast<unsigned char>(
-          ok[l] & static_cast<unsigned char>(scalar_is_finite(v[l])));
-      const double m = scalar_abs(v[l]);
-      amax[l] = std::max(amax[l], m);
-      cm[l] = std::max(cm[l], m);
-    }
-  }
-  /// Per-step acceptance, storing the pivot reciprocals rd: the scalar
-  /// pass's pivot_ok screen against the lane's column scale, growth
-  /// bounded.
-  static void screen_pivot(unsigned char* ok, const Scalar* dk, Scalar* rd,
-                           const double* cm, const double* g,
-                           const double* cap, double pivot_tol,
-                           std::size_t K) noexcept {
-    for (std::size_t l = 0; l < K; ++l) {
-      rd[l] = Scalar(1.0) / dk[l];
-      ok[l] = static_cast<unsigned char>(
-          ok[l] &
-          static_cast<unsigned char>(
-              pivot_ok(dk[l], rd[l], pivot_tol * cm[l])) &
-          static_cast<unsigned char>(!(g[l] > cap[l])));
-    }
-  }
-};
-
-/// Lane-op policy: explicit SIMD over the lane-fastest planes, double
-/// scalar only. Each op walks the lane dimension in DPack packs with a
-/// scalar tail; all pack arithmetic is elementwise and FMA-free (see
-/// simd.hpp), so every lane's FP sequence is exactly ScalarLaneOps' and
-/// the planes come out bit-identical.
+/// Lane-op policy of the batched kernels: explicit SIMD over the
+/// lane-fastest planes. Each op is one of the kernels' inner loops and
+/// walks the lane dimension in DPack packs with a scalar tail; all pack
+/// arithmetic is elementwise and FMA-free (see simd.hpp; under
+/// ICVBE_SIMD=OFF DPack is the plain-array fallback), so every lane's FP
+/// sequence is exactly the scalar refactor_frozen / solve_in_place one
+/// and the planes come out bit-identical to scalar factors.
 ///
 /// KC > 0 pins the lane count at compile time: refactor_batch dispatches
 /// the common K = 4 / 8 / 16 shapes so these loops fully unroll. At
@@ -1628,8 +1523,6 @@ struct ScalarLaneOps {
 /// serves any other lane count.
 template <std::size_t KC>
 struct PackLaneOps {
-  /// Supernode rows run the register-tiled phase-split replay.
-  static constexpr bool kTiled = true;
   using P = common::DPack;
   static constexpr std::size_t W = common::kPackWidth;
 
@@ -1862,8 +1755,10 @@ struct PackLaneOps {
 
 template <typename Scalar>
 void SparseLuFactorizationT<Scalar>::refactor_batch(
-    const SparseValueBatchT<Scalar>& batch,
-    std::vector<unsigned char>& lane_ok, double pivot_tol) {
+    const SparseValueBatch& batch, std::vector<unsigned char>& lane_ok,
+    double pivot_tol)
+  requires std::is_same_v<Scalar, double>
+{
   ICVBE_REQUIRE(batch.bound(), "sparse LU batch: bind the value batch first");
   ICVBE_REQUIRE(analyzed_ && pattern_stamp_ == batch.pattern_stamp() &&
                     n_ == batch.rows(),
@@ -1895,52 +1790,45 @@ void SparseLuFactorizationT<Scalar>::refactor_batch(
   // Failed lanes may have left garbage in the scatter planes last call
   // (the scalar pass keeps work_ clean by construction; an aborted lane
   // cannot).
-  std::fill(work_b_.begin(), work_b_.end(), Scalar{});
+  std::fill(work_b_.begin(), work_b_.end(), 0.0);
   std::fill(colmax_b_.begin(), colmax_b_.end(), 0.0);
   std::fill(amax_b_.begin(), amax_b_.end(), 0.0);
   std::fill(gmax_b_.begin(), gmax_b_.end(), 0.0);
 
-  // Kernel selection. Real-valued batches take the pack policy (explicit
-  // SIMD across the lane planes) with the common lane counts pinned at
-  // compile time so the per-slot K-loops unroll flat -- at bandgap-cell
-  // row sizes the loop control would otherwise cost as much as the
-  // arithmetic. Complex batches and the runtime A/B baseline
-  // (set_batch_simd(false)) take the scalar-lane policy, which is the
-  // pre-SIMD kernel verbatim. Both policies run the identical per-lane FP
-  // sequence, so the choice never changes a bit of the factors.
-  if constexpr (std::is_same_v<Scalar, double>) {
-    if (batch_simd_) {
-      switch (K) {
-        case 4:
-          refactor_batch_kernel<PackLaneOps<4>>(batch, lane_ok, pivot_tol);
-          return;
-        case 8:
-          refactor_batch_kernel<PackLaneOps<8>>(batch, lane_ok, pivot_tol);
-          return;
-        case 16:
-          refactor_batch_kernel<PackLaneOps<16>>(batch, lane_ok, pivot_tol);
-          return;
-        default:
-          refactor_batch_kernel<PackLaneOps<0>>(batch, lane_ok, pivot_tol);
-          return;
-      }
-    }
+  // Kernel selection: the common lane counts are pinned at compile time
+  // so the per-slot K-loops unroll flat -- at bandgap-cell row sizes the
+  // loop control would otherwise cost as much as the arithmetic. Every
+  // instantiation runs the identical per-lane FP sequence, so the choice
+  // never changes a bit of the factors.
+  switch (K) {
+    case 4:
+      refactor_batch_kernel<4>(batch, lane_ok, pivot_tol);
+      return;
+    case 8:
+      refactor_batch_kernel<8>(batch, lane_ok, pivot_tol);
+      return;
+    case 16:
+      refactor_batch_kernel<16>(batch, lane_ok, pivot_tol);
+      return;
+    default:
+      refactor_batch_kernel<0>(batch, lane_ok, pivot_tol);
+      return;
   }
-  refactor_batch_kernel<ScalarLaneOps<Scalar>>(batch, lane_ok, pivot_tol);
 }
 
 template <typename Scalar>
-template <typename Ops>
+template <std::size_t KC>
 void SparseLuFactorizationT<Scalar>::refactor_batch_kernel(
-    const SparseValueBatchT<Scalar>& batch,
-    std::vector<unsigned char>& lane_ok, double pivot_tol) {
+    const SparseValueBatch& batch, std::vector<unsigned char>& lane_ok,
+    double pivot_tol) {
+  using Ops = PackLaneOps<KC>;
   const std::size_t K = batch.lanes();
   // Per-lane input screen: the batched twin of refactor()'s prologue.
   // Non-finite values or an all-zero matrix fail the lane (where the
   // scalar path throws); the same pass fills the per-lane column maxima
   // for the column-relative pivot test.
   const std::vector<int>& cols = batch.pattern().col_index();
-  const std::vector<Scalar>& vals = batch.values();
+  const std::vector<double>& vals = batch.values();
   const std::size_t nnz = vals.size() / K;
   for (std::size_t i = 0; i < nnz; ++i) {
     Ops::screen_input(
@@ -1976,12 +1864,12 @@ void SparseLuFactorizationT<Scalar>::refactor_batch_kernel(
       Ops::add(work_b_.data() + static_cast<std::size_t>(s) * K,
                vals.data() + static_cast<std::size_t>(i) * K, K);
     }
-    Scalar* dk = udiag_b_.data() + k * K;
+    double* dk = udiag_b_.data() + k * K;
     if (k < sn) {
       for (int li = l_ptr_[k]; li < l_ptr_[k + 1]; ++li) {
         const std::size_t j =
             static_cast<std::size_t>(l_step_[static_cast<std::size_t>(li)]);
-        Scalar* lv = l_val_b_.data() + static_cast<std::size_t>(li) * K;
+        double* lv = l_val_b_.data() + static_cast<std::size_t>(li) * K;
         Ops::div_take(lv, work_b_.data() + j * K, udiag_b_.data() + j * K,
                       K);
         for (int ui = u_ptr_[j]; ui < u_ptr_[j + 1]; ++ui) {
@@ -2012,7 +1900,7 @@ void SparseLuFactorizationT<Scalar>::refactor_batch_kernel(
         const std::size_t j =
             static_cast<std::size_t>(l_step_[static_cast<std::size_t>(li)]);
         if (j >= sn) break;
-        Scalar* lv = l_val_b_.data() + static_cast<std::size_t>(li) * K;
+        double* lv = l_val_b_.data() + static_cast<std::size_t>(li) * K;
         Ops::div_take(lv, work_b_.data() + j * K, udiag_b_.data() + j * K,
                       K);
         for (int ui = u_ptr_[j]; ui < u_ptr_[j + 1]; ++ui) {
@@ -2024,31 +1912,20 @@ void SparseLuFactorizationT<Scalar>::refactor_batch_kernel(
               lv, u_val_b_.data() + static_cast<std::size_t>(ui) * K, K);
         }
       }
-      Scalar* drow = sn_val_b_.data() + kb * bdim * K;
+      double* drow = sn_val_b_.data() + kb * bdim * K;
       Ops::take_flat(drow, work_b_.data() + sn * K, bdim * K);
-      if constexpr (Ops::kTiled) {
-        // Phase-split replay: multipliers and the leading (t < kb) updates
-        // j-outer as before, then the trailing block register-tiled
-        // t-outer (see supernode_trailing for the bit-identity argument).
-        for (std::size_t jb = 0; jb < kb; ++jb) {
-          Scalar* lv = drow + jb * K;
-          Ops::div_inplace(lv, sn_val_b_.data() + (jb * bdim + jb) * K, K);
-          const Scalar* urow = sn_val_b_.data() + jb * bdim * K;
-          for (std::size_t t = jb + 1; t < kb; ++t) {
-            Ops::submul(drow + t * K, lv, urow + t * K, K);
-          }
-        }
-        Ops::supernode_trailing(drow, sn_val_b_.data(), kb, bdim, K);
-      } else {
-        for (std::size_t jb = 0; jb < kb; ++jb) {
-          Scalar* lv = drow + jb * K;
-          Ops::div_inplace(lv, sn_val_b_.data() + (jb * bdim + jb) * K, K);
-          const Scalar* urow = sn_val_b_.data() + jb * bdim * K;
-          for (std::size_t t = jb + 1; t < bdim; ++t) {
-            Ops::submul(drow + t * K, lv, urow + t * K, K);
-          }
+      // Phase-split replay: multipliers and the leading (t < kb) updates
+      // j-outer, then the trailing block register-tiled t-outer (see
+      // supernode_trailing for the bit-identity argument).
+      for (std::size_t jb = 0; jb < kb; ++jb) {
+        double* lv = drow + jb * K;
+        Ops::div_inplace(lv, sn_val_b_.data() + (jb * bdim + jb) * K, K);
+        const double* urow = sn_val_b_.data() + jb * bdim * K;
+        for (std::size_t t = jb + 1; t < kb; ++t) {
+          Ops::submul(drow + t * K, lv, urow + t * K, K);
         }
       }
+      Ops::supernode_trailing(drow, sn_val_b_.data(), kb, bdim, K);
       Ops::copy_absmax(dk, drow + kb * K, gmax_b_.data(), K);
       for (std::size_t t = kb + 1; t < bdim; ++t) {
         Ops::absmax(gmax_b_.data(), drow + t * K, K);
@@ -2077,37 +1954,34 @@ void SparseLuFactorizationT<Scalar>::refactor_batch_kernel(
 }
 
 template <typename Scalar>
-void SparseLuFactorizationT<Scalar>::solve_batch(
-    std::vector<Scalar>& rhs) const {
+void SparseLuFactorizationT<Scalar>::solve_batch(std::vector<double>& rhs) const
+  requires std::is_same_v<Scalar, double>
+{
   ICVBE_REQUIRE(batch_lanes_ > 0, "sparse LU batch: refactor_batch() first");
   ICVBE_REQUIRE(rhs.size() == n_ * batch_lanes_,
                 "sparse LU batch solve: rhs size mismatch");
   // Same kernel selection as refactor_batch (see the comment there).
-  if constexpr (std::is_same_v<Scalar, double>) {
-    if (batch_simd_) {
-      switch (batch_lanes_) {
-        case 4:
-          solve_batch_kernel<PackLaneOps<4>>(rhs);
-          return;
-        case 8:
-          solve_batch_kernel<PackLaneOps<8>>(rhs);
-          return;
-        case 16:
-          solve_batch_kernel<PackLaneOps<16>>(rhs);
-          return;
-        default:
-          solve_batch_kernel<PackLaneOps<0>>(rhs);
-          return;
-      }
-    }
+  switch (batch_lanes_) {
+    case 4:
+      solve_batch_kernel<4>(rhs);
+      return;
+    case 8:
+      solve_batch_kernel<8>(rhs);
+      return;
+    case 16:
+      solve_batch_kernel<16>(rhs);
+      return;
+    default:
+      solve_batch_kernel<0>(rhs);
+      return;
   }
-  solve_batch_kernel<ScalarLaneOps<Scalar>>(rhs);
 }
 
 template <typename Scalar>
-template <typename Ops>
+template <std::size_t KC>
 void SparseLuFactorizationT<Scalar>::solve_batch_kernel(
-    std::vector<Scalar>& rhs) const {
+    std::vector<double>& rhs) const {
+  using Ops = PackLaneOps<KC>;
   const std::size_t K = batch_lanes_;
   // Per lane this is exactly solve_in_place's operation sequence (the
   // running accumulator becomes in-place updates applied in the same
@@ -2121,7 +1995,7 @@ void SparseLuFactorizationT<Scalar>::solve_batch_kernel(
     const std::size_t lo = static_cast<std::size_t>(bstep_ptr_[b]);
     const std::size_t hi = static_cast<std::size_t>(bstep_ptr_[b + 1]);
     for (std::size_t k = lo; k < hi; ++k) {
-      Scalar* pk = perm_b_.data() + k * K;
+      double* pk = perm_b_.data() + k * K;
       for (int t = off_ptr_[k]; t < off_ptr_[k + 1]; ++t) {
         Ops::submul(
             pk, off_val_b_.data() + static_cast<std::size_t>(t) * K,
@@ -2133,7 +2007,7 @@ void SparseLuFactorizationT<Scalar>::solve_batch_kernel(
       }
     }
     for (std::size_t k = lo; k < hi; ++k) {
-      Scalar* pk = perm_b_.data() + k * K;
+      double* pk = perm_b_.data() + k * K;
       for (int li = l_ptr_[k]; li < l_ptr_[k + 1]; ++li) {
         Ops::submul(
             pk, l_val_b_.data() + static_cast<std::size_t>(li) * K,
@@ -2145,7 +2019,7 @@ void SparseLuFactorizationT<Scalar>::solve_batch_kernel(
       }
     }
     for (std::size_t ki = hi; ki-- > lo;) {
-      Scalar* pk = perm_b_.data() + ki * K;
+      double* pk = perm_b_.data() + ki * K;
       for (int ui = u_ptr_[ki]; ui < u_ptr_[ki + 1]; ++ui) {
         Ops::submul(
             pk, u_val_b_.data() + static_cast<std::size_t>(ui) * K,

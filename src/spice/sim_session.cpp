@@ -136,7 +136,10 @@ NewtonStep newton_update(const NewtonOptions& opt, int node_unknowns,
     scale = opt.max_step_volts / max_node_dx;
   }
 
+  // Finiteness is tested on every entry: a NaN fails no max() and no
+  // `dx > tol`, so neither the step scale nor the tolerance test sees it.
   bool converged = !first_iteration;
+  bool finite = true;
   for (std::size_t i = 0; i < n_unknowns; ++i) {
     const double xi = xv[i];
     const double xn = xi + scale * (x_new[i * stride] - xi);
@@ -145,9 +148,10 @@ NewtonStep newton_update(const NewtonOptions& opt, int node_unknowns,
     const double tol =
         abstol + opt.reltol * std::max(std::abs(xi), std::abs(xn));
     if (dx > tol) converged = false;
+    finite &= std::isfinite(xn);
     xv[i] = xn;
   }
-  if (!std::isfinite(linalg::norm_inf(x.raw()))) return NewtonStep::kDiverged;
+  if (!finite) return NewtonStep::kDiverged;
   return converged && scale == 1.0 ? NewtonStep::kConverged
                                    : NewtonStep::kContinue;
 }

@@ -1,4 +1,4 @@
-// Tests for icvbe/fit: linear least squares, polynomial fit, LM.
+// Tests for icvbe/fit: linear least squares and polynomial fit.
 
 #include <gtest/gtest.h>
 
@@ -7,7 +7,6 @@
 
 #include "icvbe/common/error.hpp"
 #include "icvbe/fit/least_squares.hpp"
-#include "icvbe/fit/levenberg_marquardt.hpp"
 
 namespace icvbe::fit {
 namespace {
@@ -103,87 +102,6 @@ TEST(DesignMatrix, BuildsFromBasisFunctions) {
       x, {[](double) { return 1.0; }, [](double v) { return v * v; }});
   EXPECT_DOUBLE_EQ(a(0, 0), 1.0);
   EXPECT_DOUBLE_EQ(a(1, 1), 4.0);
-}
-
-TEST(LevenbergMarquardt, ExponentialDecayFit) {
-  // y = A exp(-k x) with A = 2, k = 1.3.
-  std::vector<double> xs, ys;
-  for (int i = 0; i < 40; ++i) {
-    const double x = i * 0.1;
-    xs.push_back(x);
-    ys.push_back(2.0 * std::exp(-1.3 * x));
-  }
-  ResidualFn res = [&](const linalg::Vector& p, linalg::Vector& r) {
-    for (std::size_t i = 0; i < xs.size(); ++i) {
-      r[i] = p[0] * std::exp(-p[1] * xs[i]) - ys[i];
-    }
-  };
-  LmResult out = levenberg_marquardt(res, xs.size(), {1.0, 0.5});
-  EXPECT_TRUE(out.converged) << out.stop_reason;
-  EXPECT_NEAR(out.parameters[0], 2.0, 1e-6);
-  EXPECT_NEAR(out.parameters[1], 1.3, 1e-6);
-  EXPECT_LT(out.cost, 1e-12);
-}
-
-TEST(LevenbergMarquardt, RosenbrockConverges) {
-  // Classic banana valley as residuals: r1 = 10(y - x^2), r2 = 1 - x.
-  ResidualFn res = [](const linalg::Vector& p, linalg::Vector& r) {
-    r[0] = 10.0 * (p[1] - p[0] * p[0]);
-    r[1] = 1.0 - p[0];
-  };
-  LmResult out = levenberg_marquardt(res, 2, {-1.2, 1.0});
-  EXPECT_TRUE(out.converged) << out.stop_reason;
-  EXPECT_NEAR(out.parameters[0], 1.0, 1e-5);
-  EXPECT_NEAR(out.parameters[1], 1.0, 1e-5);
-}
-
-TEST(LevenbergMarquardt, AnalyticJacobianMatchesNumeric) {
-  std::vector<double> xs{0.0, 0.5, 1.0, 1.5, 2.0};
-  std::vector<double> ys;
-  for (double x : xs) ys.push_back(3.0 * x + 1.0);
-  ResidualFn res = [&](const linalg::Vector& p, linalg::Vector& r) {
-    for (std::size_t i = 0; i < xs.size(); ++i) {
-      r[i] = p[0] + p[1] * xs[i] - ys[i];
-    }
-  };
-  JacobianFn jac = [&](const linalg::Vector&, linalg::Matrix& j) {
-    for (std::size_t i = 0; i < xs.size(); ++i) {
-      j(i, 0) = 1.0;
-      j(i, 1) = xs[i];
-    }
-  };
-  LmResult with_jac = levenberg_marquardt(res, xs.size(), {0.0, 0.0}, {}, jac);
-  LmResult without = levenberg_marquardt(res, xs.size(), {0.0, 0.0});
-  EXPECT_TRUE(with_jac.converged);
-  EXPECT_NEAR(with_jac.parameters[0], without.parameters[0], 1e-8);
-  EXPECT_NEAR(with_jac.parameters[1], without.parameters[1], 1e-8);
-}
-
-TEST(LevenbergMarquardt, RejectsUnderdetermined) {
-  ResidualFn res = [](const linalg::Vector&, linalg::Vector& r) {
-    r[0] = 0.0;
-  };
-  EXPECT_THROW((void)levenberg_marquardt(res, 1, {1.0, 2.0}), Error);
-}
-
-TEST(LevenbergMarquardt, CovarianceScalesWithNoise) {
-  std::mt19937 gen(3);
-  std::normal_distribution<double> noise(0.0, 0.05);
-  std::vector<double> xs, ys;
-  for (int i = 0; i < 100; ++i) {
-    xs.push_back(i * 0.1);
-    ys.push_back(2.0 * xs.back() + noise(gen));
-  }
-  ResidualFn res = [&](const linalg::Vector& p, linalg::Vector& r) {
-    for (std::size_t i = 0; i < xs.size(); ++i) r[i] = p[0] * xs[i] - ys[i];
-  };
-  LmResult out = levenberg_marquardt(res, xs.size(), {1.0});
-  EXPECT_TRUE(out.converged);
-  // Parameter sigma should be small but nonzero, consistent with the noise.
-  const double sigma = std::sqrt(out.covariance(0, 0));
-  EXPECT_GT(sigma, 1e-4);
-  EXPECT_LT(sigma, 1e-1);
-  EXPECT_NEAR(out.parameters[0], 2.0, 5.0 * sigma);
 }
 
 // Parameterised property: polynomial_fit of degree d reproduces any

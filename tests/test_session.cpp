@@ -1,7 +1,8 @@
 // Tests for spice::SimSession: golden equivalence against the per-point
-// bandgap path, warm-start continuation, topology-change guard, and the
+// bandgap path, warm-start continuation, topology-change guard, the
 // zero-allocation guarantee of the Newton inner loop (this binary links
-// the icvbe_alloc_hook counting operator new/delete).
+// the icvbe_alloc_hook counting operator new/delete), and newton_update's
+// rejection of a non-finite iterate.
 
 #include <gtest/gtest.h>
 
@@ -9,6 +10,7 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -440,6 +442,37 @@ TEST(SimSessionTest, TransientStampsLinearDevicesOncePerStepAttempt) {
   EXPECT_EQ(rig.diode_stamps, tran.newton_iterations());
   EXPECT_GT(tran.newton_iterations(),
             tran.steps_accepted() + tran.steps_rejected());
+}
+
+TEST(NewtonUpdateTest, NonFiniteIterateDiverges) {
+  // Every entry of the next iterate is tested, node or aux: a NaN slips
+  // through max()-based norms and `dx > tol` tests alike, and an infinite
+  // node step scales the whole step to zero (0 * inf = NaN).
+  const NewtonOptions opt;
+  const int nodes = 2;
+  const std::vector<double> x0{1.0, 2.0, 1e-3};
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(), kInf,
+                           -kInf}) {
+    for (const std::size_t stride : {std::size_t{1}, std::size_t{4}}) {
+      for (std::size_t at = 0; at < x0.size(); ++at) {
+        SCOPED_TRACE("bad " + std::to_string(bad) + " stride " +
+                     std::to_string(stride) + " at " + std::to_string(at));
+        // Lane-fastest planes: unknown i at x_new[i * stride]; the other
+        // lanes hold garbage the update must not read.
+        std::vector<double> x_new(x0.size() * stride, -7.0);
+        for (std::size_t i = 0; i < x0.size(); ++i) {
+          x_new[i * stride] = x0[i];
+        }
+        x_new[at * stride] = bad;
+        Unknowns x(x0.size());
+        x.raw() = x0;
+        EXPECT_EQ(newton_update(opt, nodes, /*first_iteration=*/false,
+                                x_new.data(), stride, x),
+                  NewtonStep::kDiverged);
+      }
+    }
+  }
 }
 
 }  // namespace

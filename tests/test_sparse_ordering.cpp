@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <numeric>
 #include <random>
 #include <vector>
@@ -704,71 +705,16 @@ TEST(SparseOrderingHarness, NegativeZeroInputIsNotReplayedFromTheAnalysis) {
 }
 
 TEST(SparseOrderingHarness, BatchLanesBitIdenticalUnderNewPath) {
-  std::mt19937_64 rng(7u);
-  for (int rep = 0; rep < 6; ++rep) {
-    TestSystem sys = (rep % 2 == 0)
-                         ? make_mesh(rng, 6 + rep, /*with_aux=*/true)
-                         : make_random_mna(rng, 40 + 10 * rep, 2);
-    const std::size_t n = sys.n;
-    const std::size_t K = 3;
-
-    SparseLuFactorization f;
-    if (rep < 4) {
-      SparseOptions o;  // force supernode coverage on most reps
-      o.supernode_min = 8;
-      o.supernode_density = 0.3;
-      f.set_options(o);
-    }
-    f.refactor(sys.sparse);
-    if (rep < 4) {
-      ASSERT_GT(f.supernode_size(), 0u)
-          << "forced supernode did not engage; test would not cover the "
-             "dense batch kernel";
-    }
-
-    SparseValueBatch batch;
-    batch.bind(sys.sparse, K);
-    std::vector<SparseMatrix> lanes;
-    for (std::size_t l = 0; l < K; ++l) {
-      lanes.push_back(sys.sparse);
-      // Perturb each lane's values deterministically (pattern fixed).
-      lanes[l].add(0, 0, 1e-3 * static_cast<double>(l));
-      batch.load_lane(l, lanes[l]);
-    }
-    std::vector<unsigned char> ok(K, 1);
-    f.refactor_batch(batch, ok);
-    for (std::size_t l = 0; l < K; ++l) ASSERT_TRUE(ok[l]);
-
-    const Vector b = random_rhs(rng, n);
-    std::vector<double> rhs(n * K);
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t l = 0; l < K; ++l) rhs[i * K + l] = b[i];
-    }
-    f.solve_batch(rhs);
-
-    for (std::size_t l = 0; l < K; ++l) {
-      f.refactor(lanes[l]);
-      const Vector x = f.solve(b);
-      for (std::size_t i = 0; i < n; ++i) {
-        const double batched = rhs[i * K + l];
-        EXPECT_EQ(std::memcmp(&x[i], &batched, sizeof(double)), 0)
-            << "lane " << l << " row " << i
-            << " not bit-identical to scalar refactor";
-      }
-    }
-    EXPECT_EQ(f.analysis_count(), 1) << "lane refactors must reuse analysis";
-  }
-}
-
-TEST(SparseOrderingHarness, BatchSimdKernelBitIdenticalToScalarLaneKernel) {
-  // A/B the two runtime batch kernels: the pack-vectorized lane kernel
-  // (set_batch_simd(true), the default; K = 4/8 hit the compile-time-K
-  // specializations, K = 3 the generic pack path) against the scalar
-  // per-lane reference kernel (set_batch_simd(false), the PR-9 loops).
-  // The contract is bitwise equality of the ok masks and every solution
-  // bit, over the same pattern families the main harness uses. The
-  // steady-state calls must also stay allocation-free (this binary links
-  // icvbe_alloc_hook).
+  // Each batched lane against the scalar factorization of that lane's
+  // values: a fresh factorization pinned on the reference matrix refactors
+  // the lane. The lane's ok bit must equal "the scalar refactor kept the
+  // analysis" (neither re-pivoted nor threw), and an ok lane must solve to
+  // the scalar solution bit for bit. K = 4 / 8 / 16 reach the compile-time
+  // lane counts of the DPack kernel, K = 3 its runtime-K path; the
+  // supernode is forced on, since the tiled trailing update is the
+  // riskiest code path. From K = 4 on, the last lane carries a NaN, which
+  // must fail that lane alone. The steady-state batch calls must also
+  // stay allocation-free (this binary links icvbe_alloc_hook).
   std::mt19937_64 rng(20260808u ^ 0x51u);
   for (int rep = 0; rep < 8; ++rep) {
     TestSystem sys;
@@ -787,69 +733,81 @@ TEST(SparseOrderingHarness, BatchSimdKernelBitIdenticalToScalarLaneKernel) {
         break;
     }
     const std::size_t n = sys.n;
-    for (std::size_t K : {std::size_t{3}, std::size_t{4}, std::size_t{8}}) {
+    SparseOptions o;
+    o.supernode_min = 8;
+    o.supernode_density = 0.3;
+    for (std::size_t K : {std::size_t{3}, std::size_t{4}, std::size_t{8},
+                          std::size_t{16}}) {
       SCOPED_TRACE("rep " + std::to_string(rep) + " K = " + std::to_string(K));
 
-      SparseOptions o;  // force supernode coverage: the tiled kernel's
-      o.supernode_min = 8;  // trailing update is the riskiest code path
-      o.supernode_density = 0.3;
+      SparseLuFactorization f;
+      f.set_options(o);
+      f.refactor(sys.sparse);
+      ASSERT_GT(f.supernode_size(), 0u)
+          << "forced supernode did not engage; test would not cover the "
+             "dense batch kernel";
 
-      SparseLuFactorization fs;  // SIMD lane kernel (default on)
-      SparseLuFactorization fr;  // scalar reference lane kernel
-      fr.set_batch_simd(false);
-      fs.set_options(o);
-      fr.set_options(o);
-      fs.refactor(sys.sparse);
-      fr.refactor(sys.sparse);
-
-      SparseValueBatch bs;
-      SparseValueBatch br;
-      bs.bind(sys.sparse, K);
-      br.bind(sys.sparse, K);
+      SparseValueBatch batch;
+      batch.bind(sys.sparse, K);
       std::vector<SparseMatrix> lanes;
       for (std::size_t l = 0; l < K; ++l) {
         lanes.push_back(sys.sparse);
+        // Perturb each lane's values deterministically (pattern fixed).
         lanes[l].add(0, 0, 1e-3 * static_cast<double>(l));
-        bs.load_lane(l, lanes[l]);
-        br.load_lane(l, lanes[l]);
+        if (K >= 4 && l == K - 1) {
+          lanes[l].add(0, 0, std::numeric_limits<double>::quiet_NaN());
+        }
+        batch.load_lane(l, lanes[l]);
       }
-      std::vector<unsigned char> ok_s(K, 1);
-      std::vector<unsigned char> ok_r(K, 1);
-      fs.refactor_batch(bs, ok_s);
-      fr.refactor_batch(br, ok_r);
-      ASSERT_EQ(ok_s, ok_r) << "pivot screening diverged between kernels";
+      std::vector<unsigned char> ok(K, 1);
+      f.refactor_batch(batch, ok);
+      if (K >= 4) {
+        ASSERT_EQ(ok[K - 1], 0) << "the NaN lane factored";
+      }
 
       const Vector b = random_rhs(rng, n);
-      std::vector<double> rhs_s(n * K);
+      std::vector<double> rhs(n * K);
       for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t l = 0; l < K; ++l) rhs_s[i * K + l] = b[i];
+        for (std::size_t l = 0; l < K; ++l) rhs[i * K + l] = b[i];
       }
-      std::vector<double> rhs_r = rhs_s;
-      fs.solve_batch(rhs_s);
-      fr.solve_batch(rhs_r);
+      f.solve_batch(rhs);
+
       bool any_ok = false;
       for (std::size_t l = 0; l < K; ++l) {
-        if (!ok_s[l]) continue;
+        SparseLuFactorization g;
+        g.set_options(o);
+        g.refactor(sys.sparse);
+        bool kept = true;
+        try {
+          g.refactor(lanes[l]);
+          kept = g.analysis_count() == 1;
+        } catch (const NumericalError&) {
+          kept = false;
+        }
+        ASSERT_EQ(ok[l] != 0, kept)
+            << "lane " << l << " ok bit disagrees with the scalar refactor";
+        if (!kept) continue;
         any_ok = true;
+        const Vector x = g.solve(b);
         for (std::size_t i = 0; i < n; ++i) {
-          ASSERT_EQ(std::memcmp(&rhs_s[i * K + l], &rhs_r[i * K + l],
-                                sizeof(double)),
-                    0)
+          const double batched = rhs[i * K + l];
+          ASSERT_EQ(std::memcmp(&x[i], &batched, sizeof(double)), 0)
               << "lane " << l << " row " << i
-              << " SIMD kernel not bit-identical to scalar lane kernel";
+              << " not bit-identical to scalar refactor";
         }
       }
       if (rep % 4 != 3) {
         ASSERT_TRUE(any_ok);
       }
+      EXPECT_EQ(f.analysis_count(), 1) << "the batch never re-analyses";
 
       // Steady state: re-running the batch at the same shape allocates
-      // nothing on either kernel path.
-      for (std::size_t l = 0; l < K; ++l) bs.load_lane(l, lanes[l]);
-      std::fill(ok_s.begin(), ok_s.end(), 1);
+      // nothing.
+      for (std::size_t l = 0; l < K; ++l) batch.load_lane(l, lanes[l]);
+      std::fill(ok.begin(), ok.end(), 1);
       const std::uint64_t a0 = testing::allocation_count();
-      fs.refactor_batch(bs, ok_s);
-      fs.solve_batch(rhs_s);
+      f.refactor_batch(batch, ok);
+      f.solve_batch(rhs);
       const std::uint64_t a1 = testing::allocation_count();
       EXPECT_EQ(a1 - a0, 0u)
           << "batched refactor/solve steady state allocated on the heap";
