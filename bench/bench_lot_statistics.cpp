@@ -421,11 +421,11 @@ bool run_batched_gate() {
   t.add_row({"lot solver (1000 dies)", format_sig(solver.per_die_ms, 4),
              format_sig(solver.batched_ms, 4),
              format_sig(solver_speedup, 3),
-             ">= " + format_sig(kSolverSpeedupGate, 2)});
+             ">= " + format_sig(kSolverSpeedupGate, 3)});
   t.add_row({"campaign end-to-end", format_sig(campaign.per_die_ms, 4),
              format_sig(campaign.batched_ms, 4),
              format_sig(campaign_speedup, 3),
-             ">= " + format_sig(kCampaignSpeedupGate, 2)});
+             ">= " + format_sig(kCampaignSpeedupGate, 3)});
   bench::emit(t, "lot_batched_gate.csv");
 
   std::printf("solver: %.2fx (gate >= %.1fx), solutions bit-identical: %s "

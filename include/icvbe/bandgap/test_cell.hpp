@@ -31,7 +31,7 @@
 #include <vector>
 
 #include "icvbe/spice/circuit.hpp"
-#include "icvbe/thermal/electrothermal.hpp"
+#include "icvbe/spice/sim_session.hpp"
 
 namespace icvbe::bandgap {
 

@@ -3,13 +3,13 @@
 // ("lanes") sharing one frozen sparse pattern and one cached symbolic
 // analysis -- the solver half of the batched lot engine.
 //
-// A lot of dies (or a .STEP corner family) is thousands of solves of the
-// *same* topology where only parameter values differ: every die shares the
-// sparse pattern and, in practice, the pivot sequence. The per-die path
-// pays pattern discovery + symbolic analysis + a scalar refactor/solve per
-// die; this session pays them once, then carries K dies per Newton
-// iteration through SparseLuFactorizationT::refactor_batch/solve_batch
-// (SoA value planes, lane-fastest inner loops).
+// A lot of dies is thousands of solves of the *same* topology where only
+// parameter values differ: every die shares the sparse pattern and, in
+// practice, the pivot sequence. The per-die path pays pattern discovery +
+// symbolic analysis + a scalar refactor/solve per die; this session pays
+// them once, then carries K dies per Newton iteration through
+// SparseLuFactorizationT::refactor_batch/solve_batch (SoA value planes,
+// lane-fastest inner loops).
 //
 // Determinism contract (what makes batched results bit-identical to the
 // per-die scalar path, for any thread count and any lane count):
@@ -18,8 +18,8 @@
 //    newton_update() call for damping and tolerance checks; the batched
 //    refactor/solve produce bit-identical factors/solutions to the scalar
 //    sparse engine under the same pivot sequence;
-//  * the analysis is primed once from a caller-chosen reference state
-//    (prime()), never re-pivoted mid-flight, so no lane's values can
+//  * the analysis is primed once from a reference state (prime(), lane
+//    0's start), never re-pivoted mid-flight, so no lane's values can
 //    perturb another lane's factors;
 //  * a lane whose values reject the frozen pivots, fail to converge in
 //    plain Newton, or go non-finite is *flagged* (needs_solo) and the
@@ -68,15 +68,15 @@ class BatchDcSession {
   BatchDcSession(const BatchDcSession&) = delete;
   BatchDcSession& operator=(const BatchDcSession&) = delete;
 
-  /// Pin the shared symbolic analysis: stamp `reference_lane`'s circuit at
-  /// its current start state (warm seed if set, else cold) and run the
-  /// scalar analysis on it. Call once with a group-independent reference
-  /// (e.g. the campaign's nominal die) so the pivot sequence -- and hence
-  /// every result bit -- is independent of lane grouping, thread count,
-  /// and K. solve_active() primes from the first active lane if the
-  /// caller never did. Throws NumericalError if the reference matrix is
-  /// singular at that state.
-  void prime(std::size_t reference_lane = 0);
+  /// Pin the shared symbolic analysis: stamp lane 0's circuit at its
+  /// current start state (warm seed if set, else cold) and run the scalar
+  /// analysis on it. Call once with a group-independent reference in lane
+  /// 0 (e.g. the campaign's nominal die) so the pivot sequence -- and
+  /// hence every result bit -- is independent of lane grouping, thread
+  /// count, and K. solve_active() primes from the first active lane if
+  /// the caller never did. Throws NumericalError if the reference matrix
+  /// is singular at that state.
+  void prime() { prime_from(0); }
   [[nodiscard]] bool primed() const noexcept {
     return slu_.analysis_count() > 0;
   }
@@ -89,9 +89,6 @@ class BatchDcSession {
 
   /// Lanes excluded from solve_active() (default: all active).
   void set_lane_active(std::size_t lane, bool active);
-  [[nodiscard]] bool lane_active(std::size_t lane) const {
-    return active_[lane] != 0;
-  }
 
   // Per-lane warm-start continuation, mirroring SimSession.
   void seed_warm_start(std::size_t lane, const Unknowns& x);
@@ -113,6 +110,9 @@ class BatchDcSession {
   }
 
  private:
+  /// prime() with `lane` as the reference.
+  void prime_from(std::size_t lane);
+
   std::vector<Circuit*> lanes_;
   NewtonOptions options_;
   int n_unknowns_ = 0;

@@ -119,10 +119,6 @@ class Circuit {
   }
   [[nodiscard]] double temperature() const noexcept { return temperature_; }
 
-  /// Per-device temperature override on top of set_temperature (used by the
-  /// electro-thermal loop to give each BJT its own junction temperature).
-  void set_device_temperature(std::string_view name, double t_kelvin);
-
   /// Sum of device power at a solution [W].
   [[nodiscard]] double total_power(const Unknowns& x) const;
 

@@ -416,14 +416,6 @@ struct AnalysisPlan {
   /// N = N workers over per-thread circuit clones. Results are
   /// bit-identical for any value.
   unsigned threads = 1;
-  /// Batched outer-row fanout for 2-axis DC plans (.STEP corner
-  /// families): lanes > 1 groups outer rows into lanes-wide batches per
-  /// worker, sharing one symbolic analysis and carrying all lanes through
-  /// each LU refactor/solve together (BatchDcSession). A row whose lane
-  /// leaves the lockstep is re-run on the worker's scalar session.
-  /// Ignored (scalar path) unless the plan has two axes.
-  /// Results are bit-identical for any lanes value and any thread count.
-  unsigned lanes = 0;
 };
 
 /// The analysis family a plan describes -- the selector decks, the CLI,

@@ -224,9 +224,9 @@ class SimSession {
   /// devices reset, warm start re-seeded from whatever seed was live when
   /// run() was called (e.g. .NODESET hints), or cold, and the sparse
   /// analysis pinned at row 0's first point -- so rows are independent of
-  /// execution order: with plan.threads and plan.lanes they fan out over
-  /// circuit clones and the result is bit-identical for any thread and
-  /// lane count (the LotCampaign discipline).
+  /// execution order: with plan.threads they fan out one row at a time
+  /// over circuit clones and the result is bit-identical for any thread
+  /// count (the LotCampaign discipline).
   /// Probes are compiled once per run: the steady-state per-point path
   /// performs no heap allocations and no name lookups.
   ///

@@ -6,7 +6,6 @@
 #include "icvbe/common/error.hpp"
 #include "icvbe/common/table.hpp"
 #include "icvbe/spice/plan.hpp"
-#include "icvbe/thermal/electrothermal.hpp"
 #include "protocol.hpp"
 
 namespace icvbe::lab {

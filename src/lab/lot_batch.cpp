@@ -52,7 +52,7 @@ LaneGroup::LaneGroup(const LotCampaign& owner, std::size_t lanes,
     ibias_circuit[0]->set_temperature(t_ref);
     ibias->seed_warm_start(0,
                            dut_initial_guess(*ibias_circuit[0], ibias_emitter));
-    ibias->prime(0);
+    ibias->prime();
   }
 
   if (cfg.run_meijer && !cfg.cell_celsius.empty()) {
@@ -82,7 +82,7 @@ LaneGroup::LaneGroup(const LotCampaign& owner, std::size_t lanes,
     cell->seed_warm_start(
         0, bandgap::cell_initial_guess(*cell_circuit[0], cell_handles[0],
                                        t_ref));
-    cell->prime(0);
+    cell->prime();
   }
 }
 

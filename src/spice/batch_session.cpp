@@ -77,15 +77,15 @@ BatchDcSession::BatchDcSession(std::vector<Circuit*> lanes,
   exp_vals_.assign(exp_stride_ * k, 0.0);
 }
 
-void BatchDcSession::prime(std::size_t reference_lane) {
+void BatchDcSession::prime_from(std::size_t lane) {
   // The reference's start point, chosen like a solve would choose it.
-  Unknowns& x = x_[reference_lane];
-  if (have_last_[reference_lane]) {
-    x = last_solution_[reference_lane];
+  Unknowns& x = x_[lane];
+  if (have_last_[lane]) {
+    x = last_solution_[lane];
   } else {
     std::fill(x.raw().begin(), x.raw().end(), 0.0);
   }
-  pin_analysis(*lanes_[reference_lane], linear_prefix_, node_unknowns_,
+  pin_analysis(*lanes_[lane], linear_prefix_, node_unknowns_,
                options_.gmin_floor, x, sa_, b_prime_, slu_);
 }
 
@@ -133,7 +133,7 @@ void BatchDcSession::solve_active() {
     }
   }
   if (live_count == 0) return;
-  if (!primed()) prime(first_active);
+  if (!primed()) prime_from(first_active);
 
   for (int iter = 0; iter < opt.max_iterations && live_count > 0; ++iter) {
     // Stamp every live lane's value plane and RHS at its own iterate,

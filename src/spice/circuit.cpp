@@ -141,16 +141,6 @@ void Circuit::set_temperature(double t_kelvin) {
   }
 }
 
-void Circuit::set_device_temperature(std::string_view name, double t_kelvin) {
-  Device* d = find(name);
-  if (d == nullptr) {
-    throw CircuitError("set_device_temperature: no device named '" +
-                       std::string(name) + "'");
-  }
-  d->set_temperature(t_kelvin);
-  d->reset_state();
-}
-
 double Circuit::total_power(const Unknowns& x) const {
   double p = 0.0;
   for (const auto& dev : devices_) p += dev->power(x);

@@ -1,7 +1,5 @@
 #include "icvbe/spice/plan.hpp"
 
-#include "icvbe/spice/batch_session.hpp"
-
 #include <algorithm>
 #include <atomic>
 #include <cmath>
@@ -1071,28 +1069,6 @@ struct ObserverStream {
   }
 };
 
-/// Evaluate every probe at solution `x` into result row `r` and stream
-/// the row (`outer_value` is null for a 1-axis plan).
-void record_row(BoundPlan& bound, const AnalysisPlan& plan, const Unknowns& x,
-                std::size_t r, const double* outer_value, double inner_value,
-                std::vector<std::vector<double>>& columns,
-                ObserverStream& stream) {
-  for (std::size_t p = 0; p < bound.probes.size(); ++p) {
-    columns[p][r] = eval_compiled(bound.probes[p], x, bound.stack);
-  }
-  if (stream.active()) {
-    double axes[2];
-    std::size_t axis_count = 0;
-    if (outer_value != nullptr) axes[axis_count++] = *outer_value;
-    axes[axis_count++] = inner_value;
-    for (std::size_t p = 0; p < bound.probes.size(); ++p) {
-      bound.probe_row[p] = columns[p][r];
-    }
-    stream.deliver(r, axes, axis_count, bound.probe_row.data(),
-                   bound.probe_row.size(), plan.name);
-  }
-}
-
 /// Sweep the inner axis once, filling rows [row_base, row_base + n) of the
 /// result columns. Allocation-free per point on the happy path.
 ///
@@ -1124,19 +1100,49 @@ void run_inner_sweep(SimSession& session, BoundPlan& bound,
                            plan.axes.back().label() + "=" +
                            format_sig(inner_values[j], 6));
     }
-    record_row(bound, plan, r->solution, row_base + j, outer_value,
-               inner_values[j], columns, stream);
+    const std::size_t row = row_base + j;
+    for (std::size_t p = 0; p < bound.probes.size(); ++p) {
+      columns[p][row] = eval_compiled(bound.probes[p], r->solution,
+                                      bound.stack);
+    }
+    if (stream.active()) {
+      double axes[2];
+      std::size_t axis_count = 0;
+      if (outer_value != nullptr) axes[axis_count++] = *outer_value;
+      axes[axis_count++] = inner_values[j];
+      for (std::size_t p = 0; p < bound.probes.size(); ++p) {
+        bound.probe_row[p] = columns[p][row];
+      }
+      stream.deliver(row, axes, axis_count, bound.probe_row.data(),
+                     bound.probe_row.size(), plan.name);
+    }
   }
 }
 
-/// A BatchDcSession lane behind SimSession's row-start calls (start_row).
-struct BatchLane {
-  BatchDcSession& batch;
-  std::size_t lane;
-  void begin_variant() { batch.begin_variant(lane); }
-  void seed_warm_start(const Unknowns& x) { batch.seed_warm_start(lane, x); }
-  void prime() { batch.prime(lane); }
-};
+/// The start of outer row `o` on `session`, the one definition all rows
+/// use: devices reset, the warm start re-seeded from `seed` (or cold), the
+/// outer value applied. The sparse analysis is first pinned at the
+/// reference state, row 0's first point, whenever one ran since the last
+/// row start (`pinned` holds analysis_count() after it; -1 before the
+/// first row): the repivot retry and the growth guard re-analyse inside a
+/// row, so unpinned, a row would inherit pivots from the session's
+/// earlier rows.
+void start_row(SimSession& session, BoundPlan& bound, const Unknowns* seed,
+               const std::vector<double>& outer, double inner_first,
+               std::size_t o, int& pinned) {
+  const auto reset = [&](std::size_t row) {
+    session.begin_variant();
+    if (seed != nullptr) session.seed_warm_start(*seed);
+    bound.outer.apply(outer[row]);
+  };
+  if (session.sparse_lu().analysis_count() != pinned) {
+    reset(0);
+    bound.inner.apply(inner_first);
+    session.prime();
+  }
+  reset(o);
+  pinned = session.sparse_lu().analysis_count();
+}
 
 }  // namespace
 
@@ -1412,49 +1418,23 @@ SweepResult SimSession::run(const AnalysisPlan& plan, RunObserver* observer) {
     return out;
   }
 
-  // One scheduler over (rows, lanes, threads): workers claim groups of
-  // `width` consecutive rows from one counter. A width-1 group is a scalar
-  // row; a wider group runs in lockstep through the worker's batched lanes
-  // (one K-wide refactor/solve per Newton iteration), and a row that
-  // leaves the lockstep reruns on the worker's scalar executor. Rows write
-  // only their own slots: scheduling decides who computes a row, not what.
-  const std::size_t width =
-      std::min<std::size_t>(std::max(plan.lanes, 1u), outer_n);
-  const std::size_t groups = (outer_n + width - 1) / width;
+  // One scheduler over (rows, threads): workers claim single outer rows
+  // from one counter and sweep each on their own session -- this one on
+  // one thread, a private clone's otherwise, built on first use. Rows
+  // write only their own slots: scheduling decides who computes a row,
+  // not what.
   unsigned threads = common::resolve_thread_count(plan.threads);
-  threads = std::min<unsigned>(threads, static_cast<unsigned>(groups));
-
-  // The start of row `o` on an executor (a SimSession or a BatchLane), the
-  // one definition all rows use: devices reset, the warm start re-seeded
-  // (or cold), the outer value applied. With `pin`, the executor's sparse
-  // analysis is first pinned at the reference state, row 0's first point;
-  // the repivot retry and the growth guard re-analyse inside a row, so
-  // unpinned, a row would inherit pivots from its executor's earlier rows.
-  const auto start_row = [&](auto&& ex, BoundPlan& bound, std::size_t o,
-                             bool pin) {
-    const auto reset = [&](std::size_t row) {
-      ex.begin_variant();
-      if (seed != nullptr) ex.seed_warm_start(*seed);
-      bound.outer.apply(out.outer_[row]);
-    };
-    if (pin) {
-      reset(0);
-      bound.inner.apply(out.inner_.front());
-      ex.prime();
-    }
-    reset(o);
-  };
-
+  threads = std::min<unsigned>(threads, static_cast<unsigned>(outer_n));
   std::atomic<std::size_t> next{0};
   common::fan_out(threads, [&]() {
-    // The scalar executor (this session on one thread, a private clone's
-    // otherwise), built on first use: it pins before its first row, then
-    // again at a row start only if an analysis ran during the previous row.
     std::optional<Circuit> clone;
     std::optional<SimSession> own;
     std::optional<BoundPlan> bound;
-    int pinned = -1;  // analysis_count() after the last row start
-    const auto scalar_row = [&](std::size_t o) {
+    int pinned = -1;  // see start_row
+    for (;;) {
+      if (stream.cancelled.load(std::memory_order_relaxed)) break;
+      const std::size_t o = next.fetch_add(1, std::memory_order_relaxed);
+      if (o >= outer_n) break;
       if (!bound) {
         if (threads > 1) {
           own.emplace(clone.emplace(circuit_->clone()), plan.options);
@@ -1462,64 +1442,10 @@ SweepResult SimSession::run(const AnalysisPlan& plan, RunObserver* observer) {
         bound.emplace(plan, own ? own->circuit() : *circuit_);
       }
       SimSession& session = own ? *own : *this;
-      start_row(session, *bound, o,
-                session.sparse_lu().analysis_count() != pinned);
-      pinned = session.sparse_lu().analysis_count();
+      start_row(session, *bound, seed, out.outer_, out.inner_.front(), o,
+                pinned);
       run_inner_sweep(session, *bound, plan, out.inner_, o * inner_n, seed,
                       columns, stream, &out.outer_[o]);
-    };
-    // The batched lanes: `width` clones in one BatchDcSession, pinned once.
-    std::vector<Circuit> lane_circuits;
-    std::vector<BoundPlan> lane_bounds;
-    std::optional<BatchDcSession> batch;
-    for (;;) {
-      if (stream.cancelled.load(std::memory_order_relaxed)) break;
-      const std::size_t g = next.fetch_add(1, std::memory_order_relaxed);
-      if (g >= groups) break;
-      const std::size_t first = g * width;
-      if (width == 1) {
-        scalar_row(first);
-        continue;
-      }
-      if (!batch) {
-        lane_circuits.reserve(width);
-        lane_bounds.reserve(width);
-        std::vector<Circuit*> ptrs;
-        for (std::size_t l = 0; l < width; ++l) {
-          ptrs.push_back(&lane_circuits.emplace_back(circuit_->clone()));
-          lane_bounds.emplace_back(plan, lane_circuits.back());
-        }
-        batch.emplace(std::move(ptrs), plan.options);
-        start_row(BatchLane{*batch, 0}, lane_bounds[0], 0, /*pin=*/true);
-      }
-      const std::size_t count = std::min(width, outer_n - first);
-      for (std::size_t l = 0; l < width; ++l) {
-        batch->set_lane_active(l, l < count);
-        if (l < count) {
-          start_row(BatchLane{*batch, l}, lane_bounds[l], first + l, false);
-        }
-      }
-      for (std::size_t j = 0; j < inner_n; ++j) {
-        for (std::size_t l = 0; l < count; ++l) {
-          if (batch->lane_active(l)) lane_bounds[l].inner.apply(out.inner_[j]);
-        }
-        batch->solve_active();
-        for (std::size_t l = 0; l < count; ++l) {
-          if (!batch->lane_active(l)) continue;
-          if (!batch->status(l).converged) {  // left the lockstep
-            batch->set_lane_active(l, false);
-            continue;
-          }
-          record_row(lane_bounds[l], plan, batch->solution(l),
-                     (first + l) * inner_n + j, &out.outer_[first + l],
-                     out.inner_[j], columns, stream);
-        }
-      }
-      // A row that left the lockstep keeps its failed status; its scalar
-      // rerun replays the full fallback ladder.
-      for (std::size_t l = 0; l < count; ++l) {
-        if (!batch->status(l).converged) scalar_row(first + l);
-      }
     }
   });
   // A cancelling worker throws CancelledError from deliver(); fan_out

@@ -12,6 +12,7 @@
 
 #include <cmath>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "icvbe/bandgap/test_cell.hpp"
@@ -344,6 +345,73 @@ TEST(BatchDcSessionTest, LinearOnlyRigLanesBitIdentical) {
         c.add_resistor("R4", b, spice::kGround, 19.1e3);
       },
       5);
+}
+
+TEST(BatchDcSessionTest, LanesMatchScalarSessionWhenNonlinearDevicesComeFirst) {
+  // V1 -> R1 -> collector of Q1, R2 collector -> base, R3 base -> ground,
+  // with Q1 added before the resistors: a scalar session's checkpoint
+  // holds only V1 and it restamps Q1 and the resistors every iteration,
+  // while the batched lanes restamp every device. Both add each slot's
+  // contributions in device order, so along a warm-started V1 sweep every
+  // lane must match its own scalar session bit for bit.
+  NewtonOptions tight;
+  tight.v_abstol = 1e-11;
+  tight.i_abstol = 1e-14;
+  tight.reltol = 1e-12;
+  Circuit rig;
+  const spice::NodeId vcc = rig.node("vcc");
+  const spice::NodeId col = rig.node("c");
+  const spice::NodeId base = rig.node("b");
+  rig.add_vsource("V1", vcc, spice::kGround, 2.0);
+  rig.add_bjt("Q1", col, base, spice::kGround, spice::BjtModel{});
+  rig.add_resistor("R1", vcc, col, 10e3);
+  rig.add_resistor("R2", col, base, 100e3);
+  rig.add_resistor("R3", base, spice::kGround, 1e6);
+  rig.set_temperature(300.15);
+  ASSERT_EQ(spice::linear_prefix(rig), 1u);
+
+  const std::vector<double> r1 = {5e3, 10e3, 15e3, 20e3};
+  const std::size_t k = r1.size();
+  std::vector<Circuit> scalar_circuits, lane_circuits;
+  for (std::size_t l = 0; l < k; ++l) {
+    for (auto* set : {&scalar_circuits, &lane_circuits}) {
+      set->push_back(rig.clone());
+      set->back().get<spice::Resistor>("R1").set_nominal_resistance(r1[l]);
+    }
+  }
+  std::vector<std::unique_ptr<SimSession>> scalar;
+  std::vector<Circuit*> ptrs;
+  for (std::size_t l = 0; l < k; ++l) {
+    scalar.push_back(std::make_unique<SimSession>(scalar_circuits[l], tight));
+    ptrs.push_back(&lane_circuits[l]);
+  }
+  BatchDcSession batch(std::move(ptrs), tight);
+
+  for (int j = 0; j <= 10; ++j) {
+    const double v1 = 0.5 + 0.25 * j;
+    for (std::size_t l = 0; l < k; ++l) {
+      scalar_circuits[l].get<spice::VoltageSource>("V1").set_voltage(v1);
+      lane_circuits[l].get<spice::VoltageSource>("V1").set_voltage(v1);
+    }
+    batch.solve_active();
+    for (std::size_t l = 0; l < k; ++l) {
+      const auto& want = scalar[l]->solve();
+      ASSERT_TRUE(want.converged) << "lane " << l << " V1=" << v1;
+      ASSERT_EQ(want.strategy, "newton") << "lane " << l << " V1=" << v1;
+      ASSERT_TRUE(batch.status(l).converged) << "lane " << l << " V1=" << v1;
+      EXPECT_EQ(batch.status(l).iterations, want.iterations)
+          << "lane " << l << " V1=" << v1;
+      const auto& x = batch.solution(l);
+      ASSERT_EQ(x.size(), want.solution.size());
+      for (std::size_t i = 0; i < x.size(); ++i) {
+        EXPECT_EQ(x.raw()[i], want.solution.raw()[i])
+            << "lane " << l << " V1=" << v1 << " unknown " << i;
+      }
+    }
+  }
+  // The load is on: Q1 pulls the collector well below the open-circuit
+  // divider at the top of the sweep.
+  EXPECT_LT(batch.solution(0).node_voltage(col), 2.0);
 }
 
 TEST(BatchDcSessionTest, FailedLaneDoesNotPerturbLaneMates) {

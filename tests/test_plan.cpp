@@ -295,59 +295,13 @@ TEST(AnalysisPlanTest, TwoAxisParallelIsBitIdenticalForAnyThreadCount) {
   }
 }
 
-TEST(AnalysisPlanTest, TwoAxisLanedFanoutIsBitIdenticalToScalar) {
-  // plan.lanes > 1 routes the outer-axis fanout through BatchDcSession on
-  // the sparse engine: whole lane groups of outer rows share one symbolic
-  // analysis and go through each refactor/solve together. The recorded
-  // probes must be bit-identical to the scalar path for any lane count
-  // and any thread count.
-  AnalysisPlan plan;
-  plan.name = "laned_grid";
-  plan.axes = {SweepAxis::temperature_kelvin(SweepGrid::linear(250.0, 400.0,
-                                                               7)),
-               SweepAxis::vsource("V1", SweepGrid::linear(0.0, 2.0, 9))};
-  plan.probes = {Probe::node_voltage("a"), Probe::branch_current("V1")};
-
-  SweepResult reference;
-  {
-    Circuit c;
-    build_diode_rig(c);
-    SimSession session(c);
-    plan.threads = 1;
-    plan.lanes = 0;
-    reference = session.run(plan);
-  }
-  ASSERT_EQ(reference.rows(), 7u * 9u);
-
-  const unsigned lane_counts[] = {2, 4, 16};
-  const unsigned thread_counts[] = {1, 3};
-  for (unsigned lanes : lane_counts) {
-    for (unsigned threads : thread_counts) {
-      Circuit c;
-      build_diode_rig(c);
-      SimSession session(c);
-      plan.threads = threads;
-      plan.lanes = lanes;
-      const SweepResult got = session.run(plan);
-      ASSERT_EQ(got.rows(), reference.rows());
-      for (std::size_t p = 0; p < reference.probe_count(); ++p) {
-        for (std::size_t r = 0; r < reference.rows(); ++r) {
-          EXPECT_EQ(got.value(p, r), reference.value(p, r))
-              << "lanes=" << lanes << " threads=" << threads
-              << " probe=" << p << " row=" << r;
-        }
-      }
-    }
-  }
-}
-
 TEST(AnalysisPlanTest, TwoAxisRowsAreBitIdenticalForAnySchedule) {
   // A self-biased NPN driven far above its design supply: a cold solve at
-  // V1 = 40 V needs gmin stepping, so rows leave the batched lockstep and
-  // the scalar fallback re-analyses mid-row. Every row must still start
-  // from the same pinned analysis, whichever executor ran what before it:
-  // any thread count, any lane count, any repetition, and a second run()
-  // on the same session all print the first serial run's bits.
+  // V1 = 40 V needs gmin stepping, so the fallback ladder re-analyses
+  // mid-row. Every row must still start from the same pinned analysis,
+  // whichever session ran what before it: any thread count, any
+  // repetition, and a second run() on the same session all print the
+  // first serial run's bits.
   const char* deck = R"(
 V1 vcc 0 2
 Q1 c b 0 NPN1
@@ -359,14 +313,13 @@ R3 b 0 1.27MEG
 .DC V1 40 100 10
 .PROBE V(c) V(b) I(V1)
 )";
-  const auto run_deck = [&](unsigned threads, unsigned lanes) {
+  const auto run_deck = [&](unsigned threads) {
     auto parsed = parse_netlist(deck);
     auto& c = *parsed.circuit;
     c.set_temperature(to_kelvin(parsed.temperature_celsius));
     SimSession session(c);
     AnalysisPlan plan = parsed.plans.front();
     plan.threads = threads;
-    plan.lanes = lanes;
     return session.run(plan);
   };
   const auto expect_bitwise = [](const SweepResult& got,
@@ -383,8 +336,8 @@ R3 b 0 1.27MEG
   };
 
   {
-    // The deck reaches the solo path: a cold scalar solve at the first
-    // inner point falls down the ladder to gmin stepping.
+    // The deck reaches the fallback ladder: a cold solve at the first
+    // inner point falls down it to gmin stepping.
     auto parsed = parse_netlist(deck);
     auto& c = *parsed.circuit;
     c.set_temperature(to_kelvin(parsed.temperature_celsius));
@@ -395,17 +348,14 @@ R3 b 0 1.27MEG
     EXPECT_EQ(cold.strategy, "gmin");
   }
 
-  const SweepResult reference = run_deck(1, 0);
+  const SweepResult reference = run_deck(1);
   ASSERT_EQ(reference.rows(), 8u * 7u);
 
-  for (unsigned lanes : {0u, 4u}) {
-    for (unsigned threads : {1u, 2u, 4u, 8u}) {
-      for (int rep = 0; rep < 20; ++rep) {
-        expect_bitwise(run_deck(threads, lanes), reference,
-                       "threads=" + std::to_string(threads) +
-                           " lanes=" + std::to_string(lanes) +
-                           " rep=" + std::to_string(rep));
-      }
+  for (unsigned threads : {1u, 2u, 4u, 8u}) {
+    for (int rep = 0; rep < 20; ++rep) {
+      expect_bitwise(run_deck(threads), reference,
+                     "threads=" + std::to_string(threads) +
+                         " rep=" + std::to_string(rep));
     }
   }
 
@@ -436,12 +386,11 @@ void build_bjt_first_rig(Circuit& c) {
   c.set_temperature(300.15);
 }
 
-TEST(AnalysisPlanTest, LanesMatchPerDieWhenNonlinearDevicesComeFirst) {
-  // Q1 is added before R1..R3, so the per-die session's checkpoint holds
-  // only V1 and it restamps Q1 and the resistors on every iteration,
-  // while the batched lanes restamp every device. Both add each slot's
-  // contributions in device order, so they must agree bit for bit, and
-  // both must agree with a dense LU.
+TEST(AnalysisPlanTest, NonlinearFirstRigMatchesDenseOracle) {
+  // Q1 is added before R1..R3, so the session's checkpoint holds only V1
+  // and it restamps Q1 and the resistors on every iteration. Every row
+  // must agree with a dense LU. (The batched lanes on this rig are pinned
+  // against the scalar session by test_lot_batch.)
   NewtonOptions tight;
   tight.v_abstol = 1e-11;
   tight.i_abstol = 1e-14;
@@ -454,43 +403,32 @@ TEST(AnalysisPlanTest, LanesMatchPerDieWhenNonlinearDevicesComeFirst) {
                  Probe::branch_current("V1")};
   plan.options = tight;
 
-  const auto run_lanes = [&](unsigned lanes) {
+  SweepResult got;
+  {
     Circuit c;
     build_bjt_first_rig(c);
     SimSession session(c, tight);
-    AnalysisPlan p = plan;
-    p.lanes = lanes;
-    return session.run(p);
-  };
-  const SweepResult per_die = run_lanes(0);
-  const SweepResult laned = run_lanes(3);
-  ASSERT_EQ(per_die.rows(), 4u * 11u);
-  ASSERT_EQ(laned.rows(), per_die.rows());
-  for (std::size_t p = 0; p < per_die.probe_count(); ++p) {
-    for (std::size_t r = 0; r < per_die.rows(); ++r) {
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(laned.value(p, r)),
-                std::bit_cast<std::uint64_t>(per_die.value(p, r)))
-          << "probe=" << p << " row=" << r;
-    }
+    got = session.run(plan);
   }
+  ASSERT_EQ(got.rows(), 4u * 11u);
 
   Circuit c;
   build_bjt_first_rig(c);
   oracle::DenseOracle dense(c, tight);
-  for (std::size_t r = 0; r < per_die.rows(); ++r) {
+  for (std::size_t r = 0; r < got.rows(); ++r) {
     auto& r1 = c.get<Resistor>("R1");
-    r1.set_nominal_resistance(per_die.axis_value(0, r));
+    r1.set_nominal_resistance(got.axis_value(0, r));
     r1.set_temperature(c.temperature());
-    c.get<VoltageSource>("V1").set_voltage(per_die.axis_value(1, r));
+    c.get<VoltageSource>("V1").set_voltage(got.axis_value(1, r));
     const Unknowns& x = dense.solve();
-    for (std::size_t p = 0; p < per_die.probe_count(); ++p) {
-      EXPECT_NEAR(plan.probes[p].eval(c, x), per_die.value(p, r), 1e-10)
+    for (std::size_t p = 0; p < got.probe_count(); ++p) {
+      EXPECT_NEAR(plan.probes[p].eval(c, x), got.value(p, r), 1e-10)
           << "probe=" << p << " row=" << r;
     }
   }
   // The load is on: Q1 pulls the collector well below the open-circuit
   // divider at the top of the sweep.
-  EXPECT_LT(per_die.value(0, per_die.rows() - 1), 2.0);
+  EXPECT_LT(got.value(0, got.rows() - 1), 2.0);
 }
 
 TEST(AnalysisPlanTest, TwoAxisResistorStepMatchesManualReprogramming) {

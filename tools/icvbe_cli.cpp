@@ -2,7 +2,7 @@
 //
 //   icvbe simulate <deck.cir>            solve the DC operating point of a
 //                                        SPICE-like netlist at its .TEMP
-//   icvbe run <deck.cir> [threads] [--lanes=K]
+//   icvbe run <deck.cir> [threads]
 //                                        execute the deck's .DC/.STEP/.PROBE
 //                                        analysis plan, CSV out
 //   icvbe tran <deck.cir> [--method=be|trap]
@@ -80,11 +80,7 @@ void print_usage(std::FILE* out) {
                "  ac <deck.cir> [threads]\n"
                "      executes the deck's .AC/.PROBE small-signal analysis\n"
                "      about the DC operating point, CSV out\n"
-               "  run <deck.cir> [threads] [--lanes=K]\n"
-               "      --lanes=K batches .STEP corner fanout K rows at a "
-               "time through the\n"
-               "      lane-batched solver (results bit-identical to "
-               "--lanes=1)\n"
+               "  run <deck.cir> [threads]\n"
                "  sweep <deck.cir> <vsrc> <from> <to> <points> <node>\n"
                "  tempsweep <deck.cir> <fromC> <toC> <points> <node>\n"
                "  extract [sample-index]\n"
@@ -186,17 +182,14 @@ int cmd_simulate(const std::string& path) {
 }
 
 /// The flag vocabulary shared by the deck-executing subcommands. One
-/// scanner instead of three copy-pasted loops: `--method=` and `--lanes=`
-/// only where the subcommand allows them; unknown `--options` are usage
-/// errors.
+/// scanner instead of three copy-pasted loops: `--method=` only where the
+/// subcommand allows it; unknown `--options` are usage errors.
 struct DeckArgs {
   std::vector<std::string> positional;
   std::optional<spice::IntegrationMethod> method;
-  unsigned lanes = 0;
 };
 
-/// Parse a `--lanes=K` value: the lane count of the batched solver paths
-/// (.STEP fanout for `run`, dies-per-refactor for `lot`).
+/// Parse a `--lanes=K` value: the lot's dies per LU refactor/solve.
 unsigned parse_lanes_value(const std::string& text) {
   const int lanes = parse_int_arg("--lanes", text);
   if (lanes < 1 || lanes > 1024) {
@@ -206,13 +199,10 @@ unsigned parse_lanes_value(const std::string& text) {
 }
 
 DeckArgs scan_deck_args(const std::vector<std::string>& args,
-                        bool allow_method, bool allow_lanes = false) {
+                        bool allow_method) {
   DeckArgs out;
   for (std::size_t i = 1; i < args.size(); ++i) {
-    if (allow_lanes && args[i].rfind("--lanes=", 0) == 0) {
-      out.lanes = parse_lanes_value(
-          args[i].substr(std::string("--lanes=").size()));
-    } else if (allow_method && args[i].rfind("--method=", 0) == 0) {
+    if (allow_method && args[i].rfind("--method=", 0) == 0) {
       const std::string m = args[i].substr(std::string("--method=").size());
       if (m == "be" || m == "euler") {
         out.method = spice::IntegrationMethod::kBackwardEuler;
@@ -235,8 +225,7 @@ DeckArgs scan_deck_args(const std::vector<std::string>& args,
 /// warm session, CSV to stdout.
 int run_deck_analysis(const std::string& path, spice::AnalysisKind kind,
                       unsigned threads,
-                      std::optional<spice::IntegrationMethod> method,
-                      unsigned lanes = 0) {
+                      std::optional<spice::IntegrationMethod> method) {
   auto parsed = load_deck(path);
   const spice::AnalysisPlan* deck_plan = parsed.find_plan(kind);
   if (deck_plan == nullptr) {
@@ -248,7 +237,6 @@ int run_deck_analysis(const std::string& path, spice::AnalysisKind kind,
   c.set_temperature(to_kelvin(parsed.temperature_celsius));
   spice::AnalysisPlan plan = *deck_plan;
   plan.threads = threads;
-  if (lanes > 0) plan.lanes = lanes;
   if (method.has_value()) plan.transient->method = *method;
   spice::SimSession session(c);
   // .NODESET hints seed the first operating-point solve -- and, for
@@ -458,9 +446,7 @@ int dispatch(const std::vector<std::string>& args) {
     return cmd_simulate(args[1]);
   }
   if (cmd == "run" || cmd == "ac") {
-    const DeckArgs deck =
-        scan_deck_args(args, /*allow_method=*/false,
-                       /*allow_lanes=*/cmd == "run");
+    const DeckArgs deck = scan_deck_args(args, /*allow_method=*/false);
     if (deck.positional.size() != 1 && deck.positional.size() != 2) {
       throw UsageError(cmd + ": want <deck.cir> [threads]");
     }
@@ -471,8 +457,7 @@ int dispatch(const std::vector<std::string>& args) {
     return run_deck_analysis(deck.positional[0],
                              cmd == "run" ? spice::AnalysisKind::kDcSweep
                                           : spice::AnalysisKind::kAc,
-                             static_cast<unsigned>(threads), std::nullopt,
-                             deck.lanes);
+                             static_cast<unsigned>(threads), std::nullopt);
   }
   if (cmd == "tran") {
     const DeckArgs deck = scan_deck_args(args, /*allow_method=*/true);
