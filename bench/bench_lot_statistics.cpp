@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -33,7 +34,7 @@ constexpr int kSamples = 25;
 
 // Batched-lot gate configuration (see run_batched_gate below).
 constexpr int kGateDies = 1000;
-constexpr unsigned kGateLanes = 8;
+constexpr std::size_t kGateLanes = linalg::kBatchLanes;
 constexpr double kSolverSpeedupGate = 5.0;  // lot-solver throughput
 // End-to-end campaign speedup is bounded by per-die BJT stamping and
 // instrument modelling (pinned per die by the bit-identity contract):
@@ -206,7 +207,7 @@ SolverTimings time_lot_solver() {
     linalg::SparseLuFactorization lu;
     lu.refactor(pattern);  // pins the shared symbolic analysis
     linalg::SparseValueBatch batch;
-    batch.bind(pattern, k);
+    batch.bind(pattern);
     std::vector<unsigned char> lane_ok(k);
     std::vector<double> rhs(n * k);
     for (int first = 0; first < kGateDies;
@@ -305,36 +306,39 @@ struct CampaignTimings {
   unsigned threads = 0;
 };
 
-/// Run the real 1000-die campaign through both paths (same thread pool)
-/// and bit-compare the LotSummary.
+/// Run the real 1000-die campaign batched (LotCampaign::run) and per die
+/// (run_die over the same dies, one die per claim on the same thread
+/// count), and bit-compare the LotSummary.
 CampaignTimings time_campaign() {
   lab::LotCampaignConfig cfg;
   cfg.samples = kGateDies;
   cfg.seed_base = 9000;
-  const lab::SiliconLot lot;
+  const lab::LotCampaign campaign(lab::SiliconLot{}, cfg);
 
   CampaignTimings out;
   out.threads = common::resolve_thread_count(0);
 
   // Best of two runs per path: one 1000-die campaign is long enough to
   // catch scheduler noise, and the faster run is the truer cost.
-  cfg.lanes = 0;
-  const lab::LotCampaign per_die(lot, cfg);
-  std::vector<lab::DieCharacterisation> dies_ref;
+  std::vector<lab::DieCharacterisation> dies_ref(kGateDies);
   out.per_die_ms = std::numeric_limits<double>::infinity();
   for (int rep = 0; rep < 2; ++rep) {
     const auto t0 = Clock::now();
-    dies_ref = per_die.run();
+    std::atomic<int> next{0};
+    common::fan_out(out.threads, [&] {
+      for (int i; (i = next.fetch_add(1, std::memory_order_relaxed)) <
+                  kGateDies;) {
+        dies_ref[static_cast<std::size_t>(i)] = campaign.run_die(i);
+      }
+    });
     out.per_die_ms = std::min(out.per_die_ms, ms_since(t0));
   }
 
-  cfg.lanes = kGateLanes;
-  const lab::LotCampaign batched(lot, cfg);
   std::vector<lab::DieCharacterisation> dies_batched;
   out.batched_ms = std::numeric_limits<double>::infinity();
   for (int rep = 0; rep < 2; ++rep) {
     const auto t1 = Clock::now();
-    dies_batched = batched.run();
+    dies_batched = campaign.run();
     out.batched_ms = std::min(out.batched_ms, ms_since(t1));
   }
 

@@ -5,12 +5,14 @@
 // Every die's instrument streams are seeded deterministically from
 // (campaign seed, die index), so each die's result is a pure function of
 // the configuration. run() is one die loop: workers claim groups of
-// `lanes` consecutive dies. A one-die group runs run_die, which gives the
-// die its own Laboratory (own circuits, sessions, instrument streams); a
-// wider group shares lane circuits, and a die that leaves their lockstep
-// falls back to run_die. Each die writes its slot of a preallocated,
-// index-ordered result vector, so the output is bit-identical for any
-// thread count and any lane count (test_lot_campaign, test_lot_batch).
+// linalg::kBatchLanes consecutive dies and carry each group through
+// shared lane circuits (a short lot or the last group leaves the spare
+// lanes inactive). A die that leaves their lockstep falls back to
+// run_die, which gives the die its own Laboratory (own circuits,
+// sessions, instrument streams). Each die writes its slot of a
+// preallocated, index-ordered result vector, so the output is
+// bit-identical to run_die for any thread count (test_lot_campaign,
+// test_lot_batch).
 
 #include <cstdint>
 #include <string>
@@ -25,16 +27,6 @@ struct LotCampaignConfig {
   int samples = 25;          ///< number of dies characterised
   int first_index = 1;       ///< lot index of the first die
   unsigned threads = 0;      ///< worker threads; 0 = hardware_concurrency
-
-  /// Batched lot solver: lanes > 1 (the default) makes run() group dies
-  /// into lanes-wide batches per worker (clamped to the die count),
-  /// sharing one sparse pattern + symbolic analysis per rig and carrying
-  /// all lanes through each LU refactor/solve together (BatchDcSession)
-  /// instead of building fresh circuits and sessions per die. 0 or 1 =
-  /// classic per-die path, the reference. Results are bit-identical for
-  /// any lanes value and any thread count (asserted by test_lot_batch and
-  /// bench_lot_statistics).
-  unsigned lanes = 8;
 
   /// Per-die instrument master seed is `seed_base + die index` (the same
   /// convention the serial lot studies used).
@@ -106,13 +98,15 @@ class LotCampaign {
  public:
   explicit LotCampaign(SiliconLot lot, LotCampaignConfig config = {});
 
-  /// Characterise every die, fanning groups of config().lanes dies across
-  /// the configured thread pool (see the header comment). Results are
-  /// ordered by die index and independent of thread and lane count.
+  /// Characterise every die, fanning groups of linalg::kBatchLanes dies
+  /// across the configured thread pool (see the header comment). Results
+  /// are ordered by die index, equal run_die's bit for bit and are
+  /// independent of thread count.
   [[nodiscard]] std::vector<DieCharacterisation> run() const;
 
-  /// Characterise a single die (what each worker runs). Deterministic in
-  /// (lot, config, die_offset).
+  /// Characterise a single die on its own rigs: the reference run()
+  /// matches, and its fallback for a die that leaves the lockstep.
+  /// Deterministic in (lot, config, die_offset).
   [[nodiscard]] DieCharacterisation run_die(int die_offset) const;
 
   /// Aggregate statistics over the ok dies.

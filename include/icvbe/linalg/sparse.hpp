@@ -261,15 +261,20 @@ using ComplexSparseMatrix = SparseMatrixT<Complex>;
 extern template class SparseMatrixT<double>;
 extern template class SparseMatrixT<Complex>;
 
-/// K value planes over one frozen real sparse pattern -- the SoA side of
-/// the batched lot solver. Lane l of a lot/corner group stamps its own
-/// matrix values into plane l; all K planes share the pattern (and
+/// Dies per batched refactor/solve: two DPacks of lanes (sparse.cpp
+/// checks the pack width). The lot engine's one batch width.
+inline constexpr std::size_t kBatchLanes = 8;
+
+/// kBatchLanes value planes over one frozen real sparse pattern -- the SoA
+/// side of the batched lot solver. Lane l of a lot group stamps its own
+/// matrix values into plane l; all planes share the pattern (and
 /// therefore the factorisation's one cached symbolic analysis and pivot
 /// sequence).
 ///
-/// Layout is lane-fastest: the K values of pattern slot i are contiguous
-/// at values()[i * lanes() + l], so the batched refactor/solve inner loops
-/// walk unit-stride across the die lane and vectorise.
+/// Layout is lane-fastest: the kBatchLanes values of pattern slot i are
+/// contiguous at values()[i * kBatchLanes + l], so the batched
+/// refactor/solve inner loops walk unit-stride across the die lane and
+/// vectorise.
 ///
 /// The bound pattern matrix is referenced, not copied -- it must outlive
 /// the batch and stay frozen (re-freezing changes the pattern stamp and
@@ -278,13 +283,12 @@ class SparseValueBatch {
  public:
   SparseValueBatch() = default;
 
-  /// Bind to a frozen pattern with `lanes` zeroed value planes.
+  /// Bind to a frozen pattern with kBatchLanes zeroed value planes.
   /// Allocation happens here (and only here): the per-die steady state --
   /// clear_lane / add / load_lane -- is allocation-free.
-  void bind(const SparseMatrix& pattern, std::size_t lanes);
+  void bind(const SparseMatrix& pattern);
 
   [[nodiscard]] bool bound() const noexcept { return pattern_ != nullptr; }
-  [[nodiscard]] std::size_t lanes() const noexcept { return lanes_; }
   [[nodiscard]] std::size_t rows() const noexcept {
     return pattern_ != nullptr ? pattern_->rows() : 0;
   }
@@ -297,7 +301,7 @@ class SparseValueBatch {
   [[nodiscard]] const SparseMatrix& pattern() const;
 
   /// Zero every value of one lane (the per-Newton-iteration restamp reset
-  /// of that lane) and rewind the stamp tape. Strided by lanes();
+  /// of that lane) and rewind the stamp tape. Strided by kBatchLanes;
   /// allocation-free.
   void clear_lane(std::size_t lane);
 
@@ -306,7 +310,7 @@ class SparseValueBatch {
   /// be inside the frozen pattern (throws Error otherwise, like frozen
   /// SparseMatrixT::add).
   void add(std::size_t r, std::size_t c, double v, std::size_t lane) {
-    values_[tape_.next(*pattern_, r, c) * lanes_ + lane] += v;
+    values_[tape_.next(*pattern_, r, c) * kBatchLanes + lane] += v;
   }
 
   /// Copy a scalar matrix's values into one lane. The matrix must share
@@ -321,8 +325,7 @@ class SparseValueBatch {
 
  private:
   const SparseMatrix* pattern_ = nullptr;
-  std::size_t lanes_ = 0;
-  std::vector<double> values_;  ///< nnz * lanes, lane-fastest
+  std::vector<double> values_;  ///< nnz * kBatchLanes, lane-fastest
   StampTape tape_;
 };
 
@@ -537,46 +540,45 @@ class SparseLuFactorizationT {
     return analyzed_ ? n_ - sn_start_ : 0;
   }
 
-  /// Numeric refactorisation of K value lanes along the one cached pivot
-  /// order -- the batched lot kernel, for real systems only. Each lane
-  /// runs exactly the frozen numeric pass refactor() would run on its
-  /// values (bit-identical factors, same column-relative pivot screen,
-  /// same growth guard), but the inner loops carry all K lanes together
-  /// through each elimination step (unit-stride across the lane, in DPack
-  /// packs).
+  /// Numeric refactorisation of the kBatchLanes value lanes along the one
+  /// cached pivot order -- the batched lot kernel, for real systems only.
+  /// Each lane runs exactly the frozen numeric pass refactor() would run
+  /// on its values (bit-identical factors, same column-relative pivot
+  /// screen, same growth guard), but the inner loops carry all lanes
+  /// together through each elimination step (unit-stride across the lane,
+  /// in DPack packs).
   ///
   /// \pre a cached analysis for batch.pattern() exists: refactor() a
   ///      reference matrix sharing the pattern first. The analysis is
   ///      never redone here -- a lane whose values reject the frozen
   ///      pivots is *flagged*, not re-pivoted, so one bad die can never
   ///      perturb its lane mates' factors.
+  /// \pre the analysis has no dense supernode (supernode_size() == 0):
+  ///      the batch runs the sparse replay only. Lot rigs are far below
+  ///      the default supernode_min; options that force a supernode throw
+  ///      here, and the lot recomputes that group's dies one by one.
   /// \param lane_ok in: lanes to factor (non-zero entries); out: 1 iff
   ///        that lane factored cleanly -- finite values, non-zero matrix,
   ///        every frozen pivot above pivot_tol times the lane's own
   ///        column max, bounded element growth. Size must equal
-  ///        batch.lanes(). The caller re-runs failed lanes through the
+  ///        kBatchLanes. The caller re-runs failed lanes through the
   ///        scalar path (which may re-analyse with fresh pivoting).
-  /// Allocation-free once called with a given (analysis, lane-count)
-  /// shape; the scalar factors from refactor() are left untouched.
+  /// Allocation-free once called with a given analysis; the scalar
+  /// factors from refactor() are left untouched.
   void refactor_batch(const SparseValueBatch& batch,
                       std::vector<unsigned char>& lane_ok,
                       double pivot_tol = 1e-14)
     requires std::is_same_v<Scalar, double>;
 
-  /// Solve A_l x_l = rhs_l for all K lanes of the last refactor_batch().
-  /// rhs is lane-fastest (entry i of lane l at rhs[i * K + l], K * size()
-  /// total) and is overwritten by the solutions. Lanes that failed (or
-  /// were inactive in) refactor_batch() receive unspecified values -- the
-  /// arithmetic still runs branch-free across all lanes, and the
-  /// reciprocal of a rejected pivot stays confined to its own lane.
-  /// Allocation-free.
+  /// Solve A_l x_l = rhs_l for every lane of the last refactor_batch().
+  /// rhs is lane-fastest (entry i of lane l at rhs[i * kBatchLanes + l],
+  /// kBatchLanes * size() total) and is overwritten by the solutions.
+  /// Lanes that failed (or were inactive in) refactor_batch() receive
+  /// unspecified values -- the arithmetic still runs branch-free across
+  /// all lanes, and the reciprocal of a rejected pivot stays confined to
+  /// its own lane. Allocation-free.
   void solve_batch(std::vector<double>& rhs) const
     requires std::is_same_v<Scalar, double>;
-
-  /// Lane count of the last refactor_batch() (0 before the first).
-  [[nodiscard]] std::size_t batch_lanes() const noexcept {
-    return batch_lanes_;
-  }
 
   /// Rough 1-norm condition estimate via |A|_1 * |A^-1 e|_1 probing --
   /// the same +/-1-vector probe the dense LuFactorizationT uses, so the
@@ -615,18 +617,6 @@ class SparseLuFactorizationT {
   /// refactor_frozen would have recorded for them).
   void record_growth();
   [[nodiscard]] bool pattern_matches(const SparseMatrixT<Scalar>& a) const;
-
-  /// Batched kernel bodies over the DPack lane policy (see sparse.cpp).
-  /// KC pins the lane count at compile time (0 serves any K); every KC
-  /// performs the same elementwise FP sequence per lane, so the
-  /// instantiations produce bit-identical value planes. refactor_batch /
-  /// solve_batch dispatch on the lane count.
-  template <std::size_t KC>
-  void refactor_batch_kernel(const SparseValueBatch& batch,
-                             std::vector<unsigned char>& lane_ok,
-                             double pivot_tol);
-  template <std::size_t KC>
-  void solve_batch_kernel(std::vector<double>& rhs) const;
 
   std::size_t n_ = 0;
   bool analyzed_ = false;
@@ -709,19 +699,18 @@ class SparseLuFactorizationT {
   std::vector<int> sn_u_idx_;   ///< u_val_ slots inside the block...
   std::vector<int> sn_u_pos_;   ///< ...and their dense positions
 
-  // Batched (K-lane) numeric state, lane-fastest planes mirroring the
-  // scalar factor arrays (real systems only; empty under Complex). Sized
-  // by refactor_batch on shape change only; independent of the scalar
-  // factors so reference refactor() and batch passes coexist.
-  std::size_t batch_lanes_ = 0;
+  // Batched numeric state, kBatchLanes-wide lane-fastest planes
+  // mirroring the scalar factor arrays (real systems only; empty under
+  // Complex). Sized by refactor_batch on shape change only; independent
+  // of the scalar factors so reference refactor() and batch passes
+  // coexist.
   std::vector<double> l_val_b_;
   std::vector<double> u_val_b_;
   std::vector<double> udiag_b_;
   std::vector<double> rdiag_b_;
-  std::vector<double> sn_val_b_;          ///< B x B x K dense block planes
-  std::vector<double> work_b_;            ///< step space * K
-  std::vector<double> off_val_b_;         ///< off entries * K, raw copies
-  std::vector<double> colmax_b_;          ///< cols * K
+  std::vector<double> work_b_;            ///< step space * lanes
+  std::vector<double> off_val_b_;         ///< off entries * lanes, raw copies
+  std::vector<double> colmax_b_;          ///< cols * lanes
   std::vector<double> amax_b_;            ///< per-lane max|A|
   std::vector<double> gmax_b_;            ///< per-lane growth tracker
   mutable std::vector<double> perm_b_;    ///< batched solve buffer

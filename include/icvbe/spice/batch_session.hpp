@@ -1,18 +1,19 @@
 #pragma once
-// BatchDcSession: lockstep DC Newton solver for K same-topology circuits
-// ("lanes") sharing one frozen sparse pattern and one cached symbolic
-// analysis -- the solver half of the batched lot engine.
+// BatchDcSession: lockstep DC Newton solver for linalg::kBatchLanes
+// same-topology circuits ("lanes") sharing one frozen sparse pattern and
+// one cached symbolic analysis -- the solver half of the batched lot
+// engine.
 //
 // A lot of dies is thousands of solves of the *same* topology where only
 // parameter values differ: every die shares the sparse pattern and, in
 // practice, the pivot sequence. The per-die path pays pattern discovery +
 // symbolic analysis + a scalar refactor/solve per die; this session pays
-// them once, then carries K dies per Newton iteration through
+// them once, then carries kBatchLanes dies per Newton iteration through
 // SparseLuFactorizationT::refactor_batch/solve_batch (SoA value planes,
 // lane-fastest inner loops).
 //
 // Determinism contract (what makes batched results bit-identical to the
-// per-die scalar path, for any thread count and any lane count):
+// per-die scalar path, for any thread count and any lane grouping):
 //  * each lane's per-iteration arithmetic is exactly
 //    SimSession::newton_attempt's: the same stamps, and the same
 //    newton_update() call for damping and tolerance checks; the batched
@@ -59,8 +60,9 @@ struct BatchLaneStatus {
 /// each own a private BatchDcSession over private circuit lanes.
 class BatchDcSession {
  public:
-  /// Bind to `lanes` circuits. Runs one pattern-discovery stamp pass on
-  /// lane 0 and preallocates every buffer.
+  /// Bind to exactly kBatchLanes circuits (a caller with fewer dies
+  /// leaves the spare lanes inactive). Runs one pattern-discovery stamp
+  /// pass on lane 0 and preallocates every buffer.
   /// \pre all lanes share the topology of lane 0 and outlive the session.
   explicit BatchDcSession(std::vector<Circuit*> lanes,
                           NewtonOptions options = {});
@@ -72,8 +74,8 @@ class BatchDcSession {
   /// current start state (warm seed if set, else cold) and run the scalar
   /// analysis on it. Call once with a group-independent reference in lane
   /// 0 (e.g. the campaign's nominal die) so the pivot sequence -- and
-  /// hence every result bit -- is independent of lane grouping, thread
-  /// count, and K. solve_active() primes from the first active lane if
+  /// hence every result bit -- is independent of lane grouping and
+  /// thread count. solve_active() primes from the first active lane if
   /// the caller never did. Throws NumericalError if the reference matrix
   /// is singular at that state.
   void prime() { prime_from(0); }
@@ -122,7 +124,7 @@ class BatchDcSession {
   std::size_t linear_prefix_ = 0;
 
   linalg::SparseMatrix sa_;          ///< shared pattern + prime/reference values
-  linalg::SparseValueBatch batch_;   ///< K value planes over sa_'s pattern
+  linalg::SparseValueBatch batch_;   ///< lane value planes over sa_'s pattern
   linalg::SparseLuFactorization slu_;
 
   std::vector<Unknowns> x_;              ///< per-lane working iterate

@@ -30,7 +30,9 @@
 //                          TNOM=... ISS=... NS=... EGS=... XTIS=...
 //                          ISSE=... NSE=... EGSE=... XTISE=... BFS=...)
 //   .TEMP <celsius>
-//   .NODESET V(<node>)=<value> [V(<node>)=<value> ...]  (initial guess)
+//   .NODESET V(<node>)=<value> [V(<node>)=<value> ...]  (initial guess;
+//                                                        every node must
+//                                                        exist in the deck)
 //   .IC V(<node>)=<value> [V(<node>)=<value> ...]       (transient ICs)
 //   .END                                                (optional)
 //
@@ -72,6 +74,7 @@
 
 #include "icvbe/spice/circuit.hpp"
 #include "icvbe/spice/plan.hpp"
+#include "icvbe/spice/unknowns.hpp"
 
 namespace icvbe::spice {
 
@@ -105,6 +108,11 @@ struct ParsedNetlist {
   /// The deck's plan of one analysis family, or nullptr if absent.
   [[nodiscard]] const AnalysisPlan* find_plan(AnalysisKind kind)
       const noexcept;
+
+  /// Initial guess from the .NODESET hints: each hinted node at its
+  /// voltage, every other unknown 0. Sized by assigning the circuit's
+  /// unknowns; never creates a node.
+  [[nodiscard]] Unknowns nodeset_guess();
 };
 
 /// Parse a netlist from text. Throws NetlistError with line context.

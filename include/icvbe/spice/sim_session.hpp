@@ -59,11 +59,11 @@ enum class NewtonStep {
 /// max_step_volts (junction limiting inside the devices already handles
 /// the exponentials), move `x` to the damped iterate, then test
 /// convergence and finiteness. The linear solve's result for unknown i is
-/// read at `x_new[i * stride]`: stride 1 for a scalar solve buffer, K for
-/// lane-fastest RHS planes of a K-lane batch. Both sessions run this one
-/// function, so a lane's trajectory is bit-identical to the scalar one by
-/// construction. `first_iteration` is never converged (two iterations
-/// are required).
+/// read at `x_new[i * stride]`: stride 1 for a scalar solve buffer,
+/// linalg::kBatchLanes for a batch's lane-fastest RHS planes. Both
+/// sessions run this one function, so a lane's trajectory is
+/// bit-identical to the scalar one by construction. `first_iteration` is
+/// never converged (two iterations are required).
 [[nodiscard]] NewtonStep newton_update(const NewtonOptions& opt,
                                        int node_unknowns,
                                        bool first_iteration,

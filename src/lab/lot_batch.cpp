@@ -1,12 +1,12 @@
 // LotCampaign's batched group body: the lane mechanics, nothing else. A
-// worker's LaneGroup keeps one set of K lane circuits per rig, re-programs
-// each die's values in place (ParamDeltaSet + begin_variant) and carries
-// all K dies through every LU refactor/solve (BatchDcSession). Results
-// equal run_die's bit for bit: the lab procedure is protocol.hpp's, called
-// in per-die order; each rig's batch is primed at a campaign-fixed
-// reference die, whichever worker claims which group; and a die that
-// leaves the lockstep (pivot rejection, plain-Newton non-convergence, any
-// exception) is recomputed by run_die.
+// worker's LaneGroup keeps one set of kBatchLanes lane circuits per rig,
+// re-programs each die's values in place (ParamDeltaSet + begin_variant)
+// and carries the group's dies through every LU refactor/solve
+// (BatchDcSession). Results equal run_die's bit for bit: the lab procedure
+// is protocol.hpp's, called in per-die order; each rig's batch is primed
+// at a campaign-fixed reference die, whichever worker claims which group;
+// and a die that leaves the lockstep (pivot rejection, plain-Newton
+// non-convergence, any exception) is recomputed by run_die.
 
 #include <cmath>
 #include <cstdint>
@@ -23,9 +23,9 @@
 
 namespace icvbe::lab::protocol {
 
-LaneGroup::LaneGroup(const LotCampaign& owner, std::size_t lanes,
+LaneGroup::LaneGroup(const LotCampaign& owner,
                      std::vector<DieCharacterisation>& out)
-    : campaign(owner), results(out), k(lanes), sample(k), inst(k),
+    : campaign(owner), results(out), sample(k), inst(k),
       good(k), iterating(k), t_die(k), vbe_pts(k), cell_pts(k) {
   const LotCampaignConfig& cfg = owner.config();
   const DieSample ref = owner.lot().sample(cfg.first_index);

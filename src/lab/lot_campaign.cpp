@@ -113,11 +113,10 @@ std::vector<DieCharacterisation> LotCampaign::run() const {
   const auto n = static_cast<std::size_t>(config_.samples);
   std::vector<DieCharacterisation> results(n);
 
-  // One die loop: workers claim groups of `width` consecutive dies from one
-  // counter; a width-1 group is run_die, a wider one the worker's lanes.
-  // Dies write only their own slots: scheduling decides who, never what.
-  const std::size_t width =
-      std::min<std::size_t>(std::max(config_.lanes, 1u), n);
+  // One die loop: workers claim groups of kBatchLanes consecutive dies
+  // from one counter and run them on their own lanes. Dies write only
+  // their own slots: scheduling decides who, never what.
+  constexpr std::size_t width = linalg::kBatchLanes;
   const std::size_t groups = (n + width - 1) / width;
   unsigned threads = common::resolve_thread_count(config_.threads);
   threads = std::min<unsigned>(threads, static_cast<unsigned>(groups));
@@ -129,11 +128,7 @@ std::vector<DieCharacterisation> LotCampaign::run() const {
       const std::size_t g = next.fetch_add(1, std::memory_order_relaxed);
       if (g >= groups) break;
       const std::size_t first = g * width;
-      if (width == 1) {
-        results[first] = run_die(static_cast<int>(first));
-        continue;
-      }
-      if (!lanes) lanes.emplace(*this, width, results);
+      if (!lanes) lanes.emplace(*this, results);
       lanes->run(first, std::min(width, n - first));
     }
   });

@@ -63,14 +63,17 @@ void characterise(const LotCampaignConfig& cfg,
                   const std::function<std::vector<CellPoint>()>& cell,
                   DieCharacterisation& out);
 
-/// One worker's batched group body (lot_batch.cpp): K lane circuits per
-/// rig, each rig's batch sharing one pattern and one pinned symbolic
-/// analysis, plus per-lane scratch -- reused by every group it runs.
+/// One worker's batched group body (lot_batch.cpp): kBatchLanes lane
+/// circuits per rig, each rig's batch sharing one pattern and one pinned
+/// symbolic analysis, plus per-lane scratch -- reused by every group it
+/// runs.
 struct LaneGroup {
-  LaneGroup(const LotCampaign& owner, std::size_t lanes,
-            std::vector<DieCharacterisation>& out);
+  static constexpr std::size_t k = linalg::kBatchLanes;
+
+  LaneGroup(const LotCampaign& owner, std::vector<DieCharacterisation>& out);
   /// Characterise dies [first_offset, first_offset + group_size) into
-  /// `results`; a die that leaves the lockstep falls back to run_die.
+  /// `results` (group_size <= k; the lanes beyond it sit out); a die that
+  /// leaves the lockstep falls back to run_die.
   void run(std::size_t first_offset, std::size_t group_size);
   /// Re-program lane `l` to `die` and reset it to fresh-rig state.
   void program_die(std::size_t l, const DieSample& die);
@@ -78,7 +81,6 @@ struct LaneGroup {
 
   const LotCampaign& campaign;
   std::vector<DieCharacterisation>& results;
-  std::size_t k = 0;
 
   // Classical-method rig (forced-current diode-connected DUT, n = 1).
   std::vector<std::unique_ptr<spice::Circuit>> ibias_circuit;

@@ -225,13 +225,14 @@ template class SparseMatrixT<Complex>;
 
 // -------------------------------------------------- SparseValueBatch ---
 
-void SparseValueBatch::bind(const SparseMatrix& pattern, std::size_t lanes) {
+static_assert(kBatchLanes % common::kPackWidth == 0,
+              "the batch width is a whole number of DPacks");
+
+void SparseValueBatch::bind(const SparseMatrix& pattern) {
   ICVBE_REQUIRE(pattern.frozen(),
                 "SparseValueBatch: freeze_pattern() before binding");
-  ICVBE_REQUIRE(lanes > 0, "SparseValueBatch: need at least one lane");
   pattern_ = &pattern;
-  lanes_ = lanes;
-  values_.assign(pattern.nonzeros() * lanes, 0.0);
+  values_.assign(pattern.nonzeros() * kBatchLanes, 0.0);
   tape_.reset(pattern.tape().size());
 }
 
@@ -241,14 +242,13 @@ const SparseMatrix& SparseValueBatch::pattern() const {
 }
 
 void SparseValueBatch::clear_lane(std::size_t lane) {
-  ICVBE_REQUIRE(lane < lanes_, "SparseValueBatch: lane out of range");
-  // Blocked walk: one running pointer, four slots per trip. The naive
-  // v[i * lanes_] form re-derives the address every element and carries a
-  // loop-length dependency the compiler cannot break at runtime K; this
-  // shape is measurably faster at campaign nnz (K = 8, ~4e5 entries).
+  ICVBE_REQUIRE(lane < kBatchLanes, "SparseValueBatch: lane out of range");
+  // Blocked walk: one running pointer, four slots per trip, which is
+  // measurably faster than re-deriving v[i * K] per element at campaign
+  // nnz (~4e5 entries).
+  constexpr std::size_t k = kBatchLanes;
   double* v = values_.data() + lane;
-  const std::size_t nnz = values_.size() / lanes_;
-  const std::size_t k = lanes_;
+  const std::size_t nnz = values_.size() / k;
   std::size_t i = 0;
   for (; i + 4 <= nnz; i += 4, v += 4 * k) {
     v[0] = 0.0;
@@ -261,12 +261,12 @@ void SparseValueBatch::clear_lane(std::size_t lane) {
 }
 
 void SparseValueBatch::load_lane(std::size_t lane, const SparseMatrix& m) {
-  ICVBE_REQUIRE(lane < lanes_, "SparseValueBatch: lane out of range");
+  ICVBE_REQUIRE(lane < kBatchLanes, "SparseValueBatch: lane out of range");
   ICVBE_REQUIRE(pattern_ != nullptr && m.pattern_stamp() == pattern_stamp(),
                 "SparseValueBatch::load_lane: pattern mismatch");
+  constexpr std::size_t k = kBatchLanes;
   const std::vector<double>& src = m.values();
   double* v = values_.data() + lane;
-  const std::size_t k = lanes_;
   std::size_t i = 0;
   for (; i + 4 <= src.size(); i += 4, v += 4 * k) {  // blocked, as above
     v[0] = src[i];
@@ -290,8 +290,8 @@ namespace {
 constexpr double kPivotRelThreshold = 0.5;
 
 /// Hard cap on the dense supernode edge: a B x B Scalar block is
-/// materialised (and the batched kernel multiplies that by K lanes), so
-/// the kernel stays within a few MB per instance no matter the matrix.
+/// materialised, so the kernel stays within a few MB per instance no
+/// matter the matrix.
 constexpr std::size_t kSupernodeMaxDim = 1024;
 
 /// Symmetrised pattern as sorted, deduplicated adjacency lists (no self
@@ -1250,7 +1250,6 @@ void SparseLuFactorizationT<Scalar>::analyze(const SparseMatrixT<Scalar>& a,
   // U row (steps > s), and every L entry *at* step s (their rows are > s).
   sn_start_ = n;
   sn_val_.clear();
-  sn_val_b_.clear();
   sn_l_idx_.clear();
   sn_l_pos_.clear();
   sn_u_idx_.clear();
@@ -1507,146 +1506,57 @@ bool SparseLuFactorizationT<Scalar>::refactor_frozen(
 namespace {
 
 /// Lane-op policy of the batched kernels: explicit SIMD over the
-/// lane-fastest planes. Each op is one of the kernels' inner loops and
-/// walks the lane dimension in DPack packs with a scalar tail; all pack
-/// arithmetic is elementwise and FMA-free (see simd.hpp; under
+/// lane-fastest planes. Each op is one of the kernels' inner loops over
+/// one slot's kBatchLanes values, a fixed count of DPack packs that the
+/// compiler unrolls flat -- at bandgap-cell sizes (n ~ 7, rows of 2-3
+/// entries) runtime loop control would cost as much as the arithmetic.
+/// All pack arithmetic is elementwise and FMA-free (see simd.hpp; under
 /// ICVBE_SIMD=OFF DPack is the plain-array fallback), so every lane's FP
 /// sequence is exactly the scalar refactor_frozen / solve_in_place one
 /// and the planes come out bit-identical to scalar factors.
-///
-/// KC > 0 pins the lane count at compile time: refactor_batch dispatches
-/// the common K = 4 / 8 / 16 shapes so these loops fully unroll. At
-/// bandgap-cell sizes (n ~ 7, rows of 2-3 entries) the runtime-K loop
-/// control -- counter, compare, and the alias versioning the
-/// auto-vectorizer has to emit -- costs as much as the arithmetic, and
-/// unrolling is where most of the batched SIMD win comes from. KC == 0
-/// serves any other lane count.
-template <std::size_t KC>
 struct PackLaneOps {
   using P = common::DPack;
   static constexpr std::size_t W = common::kPackWidth;
+  static constexpr std::size_t K = kBatchLanes;
 
-  static constexpr std::size_t lanes(std::size_t K) noexcept {
-    return KC != 0 ? KC : K;
+  static void copy(double* dst, const double* src) noexcept {
+    for (std::size_t p = 0; p < K; p += W) P::load(src + p).store(dst + p);
   }
-  static constexpr std::size_t packed(std::size_t K) noexcept {
-    return lanes(K) & ~(W - 1);
-  }
-
-  static void copy(double* dst, const double* src, std::size_t K) noexcept {
-    const std::size_t n = lanes(K);
-    const std::size_t m = packed(K);
-    for (std::size_t p = 0; p < m; p += W) P::load(src + p).store(dst + p);
-    for (std::size_t l = m; l < n; ++l) dst[l] = src[l];
-  }
-  static void add(double* dst, const double* src, std::size_t K) noexcept {
-    const std::size_t n = lanes(K);
-    const std::size_t m = packed(K);
-    for (std::size_t p = 0; p < m; p += W) {
+  static void add(double* dst, const double* src) noexcept {
+    for (std::size_t p = 0; p < K; p += W) {
       (P::load(dst + p) + P::load(src + p)).store(dst + p);
     }
-    for (std::size_t l = m; l < n; ++l) dst[l] += src[l];
   }
-  static void take_flat(double* dst, double* src, std::size_t len) noexcept {
-    const std::size_t m = len & ~(W - 1);
+  static void div_take(double* lv, double* wj, const double* dj) noexcept {
     const P z = P::zero();
-    for (std::size_t t = 0; t < m; t += W) {
-      P::load(src + t).store(dst + t);
-      z.store(src + t);
-    }
-    for (std::size_t t = m; t < len; ++t) {
-      dst[t] = src[t];
-      src[t] = 0.0;
-    }
-  }
-  static void div_take(double* lv, double* wj, const double* dj,
-                       std::size_t K) noexcept {
-    const std::size_t n = lanes(K);
-    const std::size_t m = packed(K);
-    const P z = P::zero();
-    for (std::size_t p = 0; p < m; p += W) {
+    for (std::size_t p = 0; p < K; p += W) {
       (P::load(wj + p) / P::load(dj + p)).store(lv + p);
       z.store(wj + p);
     }
-    for (std::size_t l = m; l < n; ++l) {
-      lv[l] = wj[l] / dj[l];
-      wj[l] = 0.0;
-    }
   }
-  static void submul(double* w, const double* lv, const double* uv,
-                     std::size_t K) noexcept {
-    const std::size_t n = lanes(K);
-    const std::size_t m = packed(K);
-    for (std::size_t p = 0; p < m; p += W) {
+  static void submul(double* w, const double* lv, const double* uv) noexcept {
+    for (std::size_t p = 0; p < K; p += W) {
       (P::load(w + p) - P::load(lv + p) * P::load(uv + p)).store(w + p);
     }
-    for (std::size_t l = m; l < n; ++l) w[l] -= lv[l] * uv[l];
   }
-  static void div_inplace(double* p, const double* d,
-                          std::size_t K) noexcept {
-    const std::size_t n = lanes(K);
-    const std::size_t m = packed(K);
-    for (std::size_t q = 0; q < m; q += W) {
-      (P::load(p + q) / P::load(d + q)).store(p + q);
-    }
-    for (std::size_t l = m; l < n; ++l) p[l] /= d[l];
-  }
-  static void mul_inplace(double* p, const double* r,
-                          std::size_t K) noexcept {
-    const std::size_t n = lanes(K);
-    const std::size_t m = packed(K);
-    for (std::size_t q = 0; q < m; q += W) {
+  static void mul_inplace(double* p, const double* r) noexcept {
+    for (std::size_t q = 0; q < K; q += W) {
       (P::load(p + q) * P::load(r + q)).store(p + q);
     }
-    for (std::size_t l = m; l < n; ++l) p[l] *= r[l];
   }
-  static void take_absmax(double* dst, double* src, double* g,
-                          std::size_t K) noexcept {
-    const std::size_t n = lanes(K);
-    const std::size_t m = packed(K);
+  static void take_absmax(double* dst, double* src, double* g) noexcept {
     const P z = P::zero();
-    for (std::size_t p = 0; p < m; p += W) {
+    for (std::size_t p = 0; p < K; p += W) {
       const P v = P::load(src + p);
       v.store(dst + p);
       z.store(src + p);
       P::max(P::load(g + p), P::abs(v)).store(g + p);
     }
-    for (std::size_t l = m; l < n; ++l) {
-      dst[l] = src[l];
-      src[l] = 0.0;
-      g[l] = std::max(g[l], std::abs(dst[l]));
-    }
-  }
-  static void copy_absmax(double* dst, const double* src, double* g,
-                          std::size_t K) noexcept {
-    const std::size_t n = lanes(K);
-    const std::size_t m = packed(K);
-    for (std::size_t p = 0; p < m; p += W) {
-      const P v = P::load(src + p);
-      v.store(dst + p);
-      P::max(P::load(g + p), P::abs(v)).store(g + p);
-    }
-    for (std::size_t l = m; l < n; ++l) {
-      dst[l] = src[l];
-      g[l] = std::max(g[l], std::abs(dst[l]));
-    }
-  }
-  static void absmax(double* g, const double* x, std::size_t K) noexcept {
-    const std::size_t n = lanes(K);
-    const std::size_t m = packed(K);
-    for (std::size_t p = 0; p < m; p += W) {
-      P::max(P::load(g + p), P::abs(P::load(x + p))).store(g + p);
-    }
-    for (std::size_t l = m; l < n; ++l) {
-      g[l] = std::max(g[l], std::abs(x[l]));
-    }
   }
   static void screen_input(unsigned char* ok, const double* v, double* amax,
-                           double* cm, std::size_t K) noexcept {
-    const std::size_t n = lanes(K);
-    const std::size_t m = packed(K);
+                           double* cm) noexcept {
     constexpr double kInf = std::numeric_limits<double>::infinity();
-    for (std::size_t p = 0; p < m; p += W) {
+    for (std::size_t p = 0; p < K; p += W) {
       const P a = P::abs(P::load(v + p));
       P::max(P::load(amax + p), a).store(amax + p);
       P::max(P::load(cm + p), a).store(cm + p);
@@ -1656,97 +1566,22 @@ struct PackLaneOps {
             ok[p + i] & static_cast<unsigned char>(a[i] < kInf));
       }
     }
-    for (std::size_t l = m; l < n; ++l) {
-      ok[l] = static_cast<unsigned char>(
-          ok[l] & static_cast<unsigned char>(std::isfinite(v[l])));
-      const double x = std::abs(v[l]);
-      amax[l] = std::max(amax[l], x);
-      cm[l] = std::max(cm[l], x);
-    }
   }
   static void screen_pivot(unsigned char* ok, const double* dk, double* rd,
                            const double* cm, const double* g,
-                           const double* cap, double pivot_tol,
-                           std::size_t K) noexcept {
+                           const double* cap, double pivot_tol) noexcept {
     // The reciprocals in packs; the byte-valued screen once per elimination
     // step, where scalar is the right tool.
-    const std::size_t n = lanes(K);
-    const std::size_t m = packed(K);
     const P one = P::broadcast(1.0);
-    for (std::size_t p = 0; p < m; p += W) {
+    for (std::size_t p = 0; p < K; p += W) {
       (one / P::load(dk + p)).store(rd + p);
     }
-    for (std::size_t l = m; l < n; ++l) rd[l] = 1.0 / dk[l];
-    for (std::size_t l = 0; l < n; ++l) {
+    for (std::size_t l = 0; l < K; ++l) {
       ok[l] = static_cast<unsigned char>(
           ok[l] &
           static_cast<unsigned char>(
               pivot_ok(dk[l], rd[l], pivot_tol * cm[l])) &
           static_cast<unsigned char>(!(g[l] > cap[l])));
-    }
-  }
-
-  /// Register-tiled trailing supernode update (t >= kb), the BLAS-3-style
-  /// half of the phase-split replay: t-outer / jb-inner with the row kept
-  /// in pack accumulators across the whole jb sweep, so each element is
-  /// loaded and stored once instead of once per jb. Per element the
-  /// subtraction sequence is jb ascending -- exactly the j-outer loop's
-  /// order -- so the phase split does not move a single rounding.
-  static void supernode_trailing(double* drow, const double* snb,
-                                 std::size_t kb, std::size_t bdim,
-                                 std::size_t K) noexcept {
-    if constexpr (KC != 0) {
-      static_assert(KC % W == 0);
-      constexpr std::size_t Q = KC / W;
-      // 2-wide t-tile: each multiplier pack serves two output elements, so
-      // the jb sweep loads lv once instead of twice. Lanes stay elementwise
-      // and each element's jb order is still ascending -- no rounding moves.
-      std::size_t t = kb;
-      for (; t + 2 <= bdim; t += 2) {
-        double* w0 = drow + t * KC;
-        double* w1 = w0 + KC;
-        P a0[Q];
-        P a1[Q];
-        for (std::size_t q = 0; q < Q; ++q) {
-          a0[q] = P::load(w0 + q * W);
-          a1[q] = P::load(w1 + q * W);
-        }
-        for (std::size_t jb = 0; jb < kb; ++jb) {
-          const double* lv = drow + jb * KC;
-          const double* uv = snb + (jb * bdim + t) * KC;
-          for (std::size_t q = 0; q < Q; ++q) {
-            const P m = P::load(lv + q * W);
-            a0[q] = a0[q] - m * P::load(uv + q * W);
-            a1[q] = a1[q] - m * P::load(uv + KC + q * W);
-          }
-        }
-        for (std::size_t q = 0; q < Q; ++q) {
-          a0[q].store(w0 + q * W);
-          a1[q].store(w1 + q * W);
-        }
-      }
-      for (; t < bdim; ++t) {
-        double* wt = drow + t * KC;
-        P acc[Q];
-        for (std::size_t q = 0; q < Q; ++q) acc[q] = P::load(wt + q * W);
-        for (std::size_t jb = 0; jb < kb; ++jb) {
-          const double* lv = drow + jb * KC;
-          const double* uv = snb + (jb * bdim + t) * KC;
-          for (std::size_t q = 0; q < Q; ++q) {
-            acc[q] = acc[q] - P::load(lv + q * W) * P::load(uv + q * W);
-          }
-        }
-        for (std::size_t q = 0; q < Q; ++q) acc[q].store(wt + q * W);
-      }
-    } else {
-      // Runtime K: no compile-time accumulator count, so accumulate in
-      // place -- same per-element op order, one extra load/store per jb.
-      for (std::size_t t = kb; t < bdim; ++t) {
-        double* wt = drow + t * K;
-        for (std::size_t jb = 0; jb < kb; ++jb) {
-          submul(wt, drow + jb * K, snb + (jb * bdim + t) * K, K);
-        }
-      }
     }
   }
 };
@@ -1759,27 +1594,28 @@ void SparseLuFactorizationT<Scalar>::refactor_batch(
     double pivot_tol)
   requires std::is_same_v<Scalar, double>
 {
+  using Ops = PackLaneOps;
+  constexpr std::size_t K = kBatchLanes;
   ICVBE_REQUIRE(batch.bound(), "sparse LU batch: bind the value batch first");
   ICVBE_REQUIRE(analyzed_ && pattern_stamp_ == batch.pattern_stamp() &&
                     n_ == batch.rows(),
                 "sparse LU batch: refactor() a reference matrix sharing the "
                 "batch's pattern before refactor_batch()");
-  const std::size_t K = batch.lanes();
+  ICVBE_REQUIRE(sn_start_ == n_,
+                "sparse LU batch: the analysis has a dense supernode; the "
+                "batch runs the sparse replay only");
   ICVBE_REQUIRE(lane_ok.size() == K,
-                "sparse LU batch: lane_ok size must equal the lane count");
+                "sparse LU batch: lane_ok size must equal kBatchLanes");
 
   // (Re)shape the lane planes; steady state re-enters with the same
-  // (analysis, K) and never allocates.
-  if (batch_lanes_ != K || l_val_b_.size() != l_val_.size() * K ||
+  // analysis and never allocates.
+  if (l_val_b_.size() != l_val_.size() * K ||
       u_val_b_.size() != u_val_.size() * K || udiag_b_.size() != n_ * K ||
-      sn_val_b_.size() != sn_val_.size() * K ||
       off_val_b_.size() != off_val_.size() * K) {
-    batch_lanes_ = K;
     l_val_b_.resize(l_val_.size() * K);
     u_val_b_.resize(u_val_.size() * K);
     udiag_b_.resize(n_ * K);
     rdiag_b_.resize(n_ * K);
-    sn_val_b_.resize(sn_val_.size() * K);
     off_val_b_.resize(off_val_.size() * K);
     work_b_.resize(n_ * K);
     colmax_b_.resize(n_ * K);
@@ -1795,34 +1631,6 @@ void SparseLuFactorizationT<Scalar>::refactor_batch(
   std::fill(amax_b_.begin(), amax_b_.end(), 0.0);
   std::fill(gmax_b_.begin(), gmax_b_.end(), 0.0);
 
-  // Kernel selection: the common lane counts are pinned at compile time
-  // so the per-slot K-loops unroll flat -- at bandgap-cell row sizes the
-  // loop control would otherwise cost as much as the arithmetic. Every
-  // instantiation runs the identical per-lane FP sequence, so the choice
-  // never changes a bit of the factors.
-  switch (K) {
-    case 4:
-      refactor_batch_kernel<4>(batch, lane_ok, pivot_tol);
-      return;
-    case 8:
-      refactor_batch_kernel<8>(batch, lane_ok, pivot_tol);
-      return;
-    case 16:
-      refactor_batch_kernel<16>(batch, lane_ok, pivot_tol);
-      return;
-    default:
-      refactor_batch_kernel<0>(batch, lane_ok, pivot_tol);
-      return;
-  }
-}
-
-template <typename Scalar>
-template <std::size_t KC>
-void SparseLuFactorizationT<Scalar>::refactor_batch_kernel(
-    const SparseValueBatch& batch, std::vector<unsigned char>& lane_ok,
-    double pivot_tol) {
-  using Ops = PackLaneOps<KC>;
-  const std::size_t K = batch.lanes();
   // Per-lane input screen: the batched twin of refactor()'s prologue.
   // Non-finite values or an all-zero matrix fail the lane (where the
   // scalar path throws); the same pass fills the per-lane column maxima
@@ -1833,7 +1641,7 @@ void SparseLuFactorizationT<Scalar>::refactor_batch_kernel(
   for (std::size_t i = 0; i < nnz; ++i) {
     Ops::screen_input(
         lane_ok.data(), vals.data() + i * K, amax_b_.data(),
-        colmax_b_.data() + static_cast<std::size_t>(cols[i]) * K, K);
+        colmax_b_.data() + static_cast<std::size_t>(cols[i]) * K);
   }
   for (std::size_t l = 0; l < K; ++l) {
     lane_ok[l] =
@@ -1843,18 +1651,17 @@ void SparseLuFactorizationT<Scalar>::refactor_batch_kernel(
     amax_b_[l] *= 1e8;  // kGrowthLimit, as in refactor_frozen
   }
 
-  // Frozen numeric pass, all K lanes per elimination step. Each lane's
-  // per-slot operation sequence is exactly refactor_frozen's, so a lane
-  // that passes produces bit-identical factors to a scalar refactor of
-  // the same values under this analysis. Lanes are arithmetically
-  // independent: a rejected pivot only poisons its own plane.
+  // Frozen numeric pass, all lanes per elimination step. Each lane's
+  // per-slot operation sequence is exactly refactor_frozen's sparse
+  // replay, so a lane that passes produces bit-identical factors to a
+  // scalar refactor of the same values under this analysis. Lanes are
+  // arithmetically independent: a rejected pivot only poisons its own
+  // plane.
   const std::vector<int>& row_ptr = batch.pattern().row_ptr();
-  const std::size_t sn = sn_start_;
-  const std::size_t bdim = n_ - sn;
   // Raw per-lane copies of the unfactored cross-block entries.
   for (std::size_t t = 0; t < off_a_idx_.size(); ++t) {
     Ops::copy(off_val_b_.data() + t * K,
-              vals.data() + static_cast<std::size_t>(off_a_idx_[t]) * K, K);
+              vals.data() + static_cast<std::size_t>(off_a_idx_[t]) * K);
   }
   for (std::size_t k = 0; k < n_; ++k) {
     const std::size_t r = static_cast<std::size_t>(rperm_[k]);
@@ -1862,74 +1669,30 @@ void SparseLuFactorizationT<Scalar>::refactor_batch_kernel(
       const int s = astep_[static_cast<std::size_t>(i)];
       if (s < 0) continue;
       Ops::add(work_b_.data() + static_cast<std::size_t>(s) * K,
-               vals.data() + static_cast<std::size_t>(i) * K, K);
+               vals.data() + static_cast<std::size_t>(i) * K);
     }
     double* dk = udiag_b_.data() + k * K;
-    if (k < sn) {
-      for (int li = l_ptr_[k]; li < l_ptr_[k + 1]; ++li) {
-        const std::size_t j =
-            static_cast<std::size_t>(l_step_[static_cast<std::size_t>(li)]);
-        double* lv = l_val_b_.data() + static_cast<std::size_t>(li) * K;
-        Ops::div_take(lv, work_b_.data() + j * K, udiag_b_.data() + j * K,
-                      K);
-        for (int ui = u_ptr_[j]; ui < u_ptr_[j + 1]; ++ui) {
-          Ops::submul(
-              work_b_.data() +
-                  static_cast<std::size_t>(
-                      u_step_[static_cast<std::size_t>(ui)]) *
-                      K,
-              lv, u_val_b_.data() + static_cast<std::size_t>(ui) * K, K);
-        }
+    for (int li = l_ptr_[k]; li < l_ptr_[k + 1]; ++li) {
+      const std::size_t j =
+          static_cast<std::size_t>(l_step_[static_cast<std::size_t>(li)]);
+      double* lv = l_val_b_.data() + static_cast<std::size_t>(li) * K;
+      Ops::div_take(lv, work_b_.data() + j * K, udiag_b_.data() + j * K);
+      for (int ui = u_ptr_[j]; ui < u_ptr_[j + 1]; ++ui) {
+        Ops::submul(work_b_.data() +
+                        static_cast<std::size_t>(
+                            u_step_[static_cast<std::size_t>(ui)]) *
+                            K,
+                    lv, u_val_b_.data() + static_cast<std::size_t>(ui) * K);
       }
-      Ops::take_absmax(dk, work_b_.data() + k * K, gmax_b_.data(), K);
-      for (int ui = u_ptr_[k]; ui < u_ptr_[k + 1]; ++ui) {
-        Ops::take_absmax(
-            u_val_b_.data() + static_cast<std::size_t>(ui) * K,
-            work_b_.data() +
-                static_cast<std::size_t>(
-                    u_step_[static_cast<std::size_t>(ui)]) *
-                    K,
-            gmax_b_.data(), K);
-      }
-    } else {
-      // Dense supernode row, K lanes in lockstep -- per lane this is
-      // exactly the scalar dense path's operation sequence, which is what
-      // keeps batch factors bit-identical to scalar refactors.
-      const std::size_t kb = k - sn;
-      for (int li = l_ptr_[k]; li < l_ptr_[k + 1]; ++li) {
-        const std::size_t j =
-            static_cast<std::size_t>(l_step_[static_cast<std::size_t>(li)]);
-        if (j >= sn) break;
-        double* lv = l_val_b_.data() + static_cast<std::size_t>(li) * K;
-        Ops::div_take(lv, work_b_.data() + j * K, udiag_b_.data() + j * K,
-                      K);
-        for (int ui = u_ptr_[j]; ui < u_ptr_[j + 1]; ++ui) {
-          Ops::submul(
-              work_b_.data() +
-                  static_cast<std::size_t>(
-                      u_step_[static_cast<std::size_t>(ui)]) *
-                      K,
-              lv, u_val_b_.data() + static_cast<std::size_t>(ui) * K, K);
-        }
-      }
-      double* drow = sn_val_b_.data() + kb * bdim * K;
-      Ops::take_flat(drow, work_b_.data() + sn * K, bdim * K);
-      // Phase-split replay: multipliers and the leading (t < kb) updates
-      // j-outer, then the trailing block register-tiled t-outer (see
-      // supernode_trailing for the bit-identity argument).
-      for (std::size_t jb = 0; jb < kb; ++jb) {
-        double* lv = drow + jb * K;
-        Ops::div_inplace(lv, sn_val_b_.data() + (jb * bdim + jb) * K, K);
-        const double* urow = sn_val_b_.data() + jb * bdim * K;
-        for (std::size_t t = jb + 1; t < kb; ++t) {
-          Ops::submul(drow + t * K, lv, urow + t * K, K);
-        }
-      }
-      Ops::supernode_trailing(drow, sn_val_b_.data(), kb, bdim, K);
-      Ops::copy_absmax(dk, drow + kb * K, gmax_b_.data(), K);
-      for (std::size_t t = kb + 1; t < bdim; ++t) {
-        Ops::absmax(gmax_b_.data(), drow + t * K, K);
-      }
+    }
+    Ops::take_absmax(dk, work_b_.data() + k * K, gmax_b_.data());
+    for (int ui = u_ptr_[k]; ui < u_ptr_[k + 1]; ++ui) {
+      Ops::take_absmax(
+          u_val_b_.data() + static_cast<std::size_t>(ui) * K,
+          work_b_.data() +
+              static_cast<std::size_t>(u_step_[static_cast<std::size_t>(ui)]) *
+                  K,
+          gmax_b_.data());
     }
     // Same acceptance as the scalar frozen pass: pivot above its own
     // column's scale with a finite reciprocal, growth bounded (amax_b_ now
@@ -1937,19 +1700,7 @@ void SparseLuFactorizationT<Scalar>::refactor_batch_kernel(
     Ops::screen_pivot(lane_ok.data(), dk, rdiag_b_.data() + k * K,
                       colmax_b_.data() +
                           static_cast<std::size_t>(cperm_[k]) * K,
-                      gmax_b_.data(), amax_b_.data(), pivot_tol, K);
-  }
-  // Mirror the dense block planes back into the flat factor planes, as
-  // the scalar frozen pass does for its factor arrays.
-  for (std::size_t t = 0; t < sn_l_idx_.size(); ++t) {
-    Ops::copy(l_val_b_.data() + static_cast<std::size_t>(sn_l_idx_[t]) * K,
-              sn_val_b_.data() + static_cast<std::size_t>(sn_l_pos_[t]) * K,
-              K);
-  }
-  for (std::size_t t = 0; t < sn_u_idx_.size(); ++t) {
-    Ops::copy(u_val_b_.data() + static_cast<std::size_t>(sn_u_idx_[t]) * K,
-              sn_val_b_.data() + static_cast<std::size_t>(sn_u_pos_[t]) * K,
-              K);
+                      gmax_b_.data(), amax_b_.data(), pivot_tol);
   }
 }
 
@@ -1957,40 +1708,20 @@ template <typename Scalar>
 void SparseLuFactorizationT<Scalar>::solve_batch(std::vector<double>& rhs) const
   requires std::is_same_v<Scalar, double>
 {
-  ICVBE_REQUIRE(batch_lanes_ > 0, "sparse LU batch: refactor_batch() first");
-  ICVBE_REQUIRE(rhs.size() == n_ * batch_lanes_,
+  using Ops = PackLaneOps;
+  constexpr std::size_t K = kBatchLanes;
+  ICVBE_REQUIRE(analyzed_ && udiag_b_.size() == n_ * K,
+                "sparse LU batch: refactor_batch() first");
+  ICVBE_REQUIRE(rhs.size() == n_ * K,
                 "sparse LU batch solve: rhs size mismatch");
-  // Same kernel selection as refactor_batch (see the comment there).
-  switch (batch_lanes_) {
-    case 4:
-      solve_batch_kernel<4>(rhs);
-      return;
-    case 8:
-      solve_batch_kernel<8>(rhs);
-      return;
-    case 16:
-      solve_batch_kernel<16>(rhs);
-      return;
-    default:
-      solve_batch_kernel<0>(rhs);
-      return;
-  }
-}
-
-template <typename Scalar>
-template <std::size_t KC>
-void SparseLuFactorizationT<Scalar>::solve_batch_kernel(
-    std::vector<double>& rhs) const {
-  using Ops = PackLaneOps<KC>;
-  const std::size_t K = batch_lanes_;
   // Per lane this is exactly solve_in_place's operation sequence (the
   // running accumulator becomes in-place updates applied in the same
   // order, which is the same FP sequence).
   for (std::size_t k = 0; k < n_; ++k) {
     Ops::copy(perm_b_.data() + k * K,
-              rhs.data() + static_cast<std::size_t>(rperm_[k]) * K, K);
+              rhs.data() + static_cast<std::size_t>(rperm_[k]) * K);
   }
-  // Block back-substitution mirroring solve_in_place, K lanes per step.
+  // Block back-substitution mirroring solve_in_place, all lanes per step.
   for (std::size_t b = bstep_ptr_.size() - 1; b-- > 0;) {
     const std::size_t lo = static_cast<std::size_t>(bstep_ptr_[b]);
     const std::size_t hi = static_cast<std::size_t>(bstep_ptr_[b + 1]);
@@ -2002,8 +1733,7 @@ void SparseLuFactorizationT<Scalar>::solve_batch_kernel(
             perm_b_.data() +
                 static_cast<std::size_t>(
                     off_step_[static_cast<std::size_t>(t)]) *
-                    K,
-            K);
+                    K);
       }
     }
     for (std::size_t k = lo; k < hi; ++k) {
@@ -2014,8 +1744,7 @@ void SparseLuFactorizationT<Scalar>::solve_batch_kernel(
             perm_b_.data() +
                 static_cast<std::size_t>(
                     l_step_[static_cast<std::size_t>(li)]) *
-                    K,
-            K);
+                    K);
       }
     }
     for (std::size_t ki = hi; ki-- > lo;) {
@@ -2026,15 +1755,14 @@ void SparseLuFactorizationT<Scalar>::solve_batch_kernel(
             perm_b_.data() +
                 static_cast<std::size_t>(
                     u_step_[static_cast<std::size_t>(ui)]) *
-                    K,
-            K);
+                    K);
       }
-      Ops::mul_inplace(pk, rdiag_b_.data() + ki * K, K);
+      Ops::mul_inplace(pk, rdiag_b_.data() + ki * K);
     }
   }
   for (std::size_t k = 0; k < n_; ++k) {
     Ops::copy(rhs.data() + static_cast<std::size_t>(cperm_[k]) * K,
-              perm_b_.data() + k * K, K);
+              perm_b_.data() + k * K);
   }
 }
 

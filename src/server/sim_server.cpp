@@ -59,21 +59,6 @@ bool write_all(int fd, std::string_view data) {
   return true;
 }
 
-/// Initial-guess vector from a deck's .NODESET hints (the CLI's seeding,
-/// reproduced so server runs start from the same bits).
-spice::Unknowns guess_from_nodesets(spice::Circuit& c,
-                                    const spice::ParsedNetlist& deck) {
-  const int n = c.assign_unknowns();
-  spice::Unknowns guess(static_cast<std::size_t>(n));
-  for (const auto& [node, value] : deck.nodesets) {
-    const spice::NodeId id = c.node(node);
-    if (id != spice::kGround) {
-      guess.raw()[static_cast<std::size_t>(id - 1)] = value;
-    }
-  }
-  return guess;
-}
-
 /// One warm circuit: parsed once, session bound once (pattern + symbolic
 /// LU cached there), .NODESET seed precomputed.
 struct Session {
@@ -304,7 +289,7 @@ struct SimServer::Impl::Connection {
       fresh.parsed = spice::parse_netlist(f.body);
       auto& c = *fresh.parsed.circuit;
       c.set_temperature(to_kelvin(fresh.parsed.temperature_celsius));
-      fresh.nodeset_guess = guess_from_nodesets(c, fresh.parsed);
+      fresh.nodeset_guess = fresh.parsed.nodeset_guess();
       fresh.sim = std::make_unique<spice::SimSession>(c);
     } catch (const Error& e) {
       return send_err("LOAD", e.what());

@@ -12,8 +12,9 @@ namespace icvbe::spice {
 BatchDcSession::BatchDcSession(std::vector<Circuit*> lanes,
                                NewtonOptions options)
     : lanes_(std::move(lanes)), options_(options) {
-  ICVBE_REQUIRE(!lanes_.empty(), "BatchDcSession: need at least one lane");
-  const std::size_t k = lanes_.size();
+  ICVBE_REQUIRE(lanes_.size() == linalg::kBatchLanes,
+                "BatchDcSession: want exactly kBatchLanes lane circuits");
+  constexpr std::size_t k = linalg::kBatchLanes;
 
   n_unknowns_ = lanes_[0]->assign_unknowns();
   node_unknowns_ = lanes_[0]->node_count() - 1;
@@ -52,7 +53,7 @@ BatchDcSession::BatchDcSession(std::vector<Circuit*> lanes,
   std::fill(b_prime_.begin(), b_prime_.end(), 0.0);
 
   slu_.set_options(options_.sparse_options);
-  batch_.bind(sa_, k);
+  batch_.bind(sa_);
 
   // Offsets for the lane-batched exponential sweep, from lane 0's device
   // order; the same-topology contract extends to every lane's device
@@ -106,7 +107,7 @@ void BatchDcSession::seed_warm_start(std::size_t lane, const Unknowns& x) {
 }
 
 void BatchDcSession::solve_active() {
-  const std::size_t k = lanes_.size();
+  constexpr std::size_t k = linalg::kBatchLanes;
   const int n_unknowns = n_unknowns_;
   const int node_unknowns = node_unknowns_;
   const NewtonOptions& opt = options_;

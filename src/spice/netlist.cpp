@@ -9,6 +9,7 @@
 #include <istream>
 #include <limits>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "icvbe/common/error.hpp"
@@ -308,9 +309,12 @@ SourceAcSpec extract_source_ac(std::vector<std::string>& tokens,
 
 /// Shared body of .NODESET and .IC: "V node = value" groups (the tokenizer
 /// splits 'V(n)=x' into 'V', 'n', '=', 'x') or bare "node = value" pairs.
-void parse_node_value_pairs(const std::vector<std::string>& tokens, int line,
-                            const char* directive,
-                            std::map<std::string, double>& out) {
+/// Each node named is also appended to `named` (if given) with the card's
+/// line.
+void parse_node_value_pairs(
+    const std::vector<std::string>& tokens, int line, const char* directive,
+    std::map<std::string, double>& out,
+    std::vector<std::pair<std::string, int>>* named = nullptr) {
   std::size_t i = 1;
   while (i < tokens.size()) {
     if (to_upper(tokens[i]) == "V") ++i;
@@ -318,6 +322,7 @@ void parse_node_value_pairs(const std::vector<std::string>& tokens, int line,
       fail(line, std::string(directive) + " expects V(node)=value groups");
     }
     out[tokens[i]] = parse_spice_number(tokens[i + 2]);
+    if (named != nullptr) named->emplace_back(tokens[i], line);
     i += 3;
   }
 }
@@ -428,6 +433,8 @@ ParsedNetlist parse_netlist(std::string_view text) {
   std::vector<PendingBjt> bjts;
   std::vector<PendingDiode> diodes;
   std::vector<PendingMosfet> mosfets;
+  // Nodes named by .NODESET cards, with their lines.
+  std::vector<std::pair<std::string, int>> nodeset_nodes;
 
   // Analysis directives: .DC specs in deck order (first spec = innermost
   // axis), at most one .STEP (always the outermost axis), .PROBE exprs.
@@ -653,7 +660,8 @@ ParsedNetlist parse_netlist(std::string_view text) {
       continue;
     }
     if (head == ".NODESET") {
-      parse_node_value_pairs(tokens, lineno, ".NODESET", out.nodesets);
+      parse_node_value_pairs(tokens, lineno, ".NODESET", out.nodesets,
+                             &nodeset_nodes);
       continue;
     }
     if (head == ".MODEL") {
@@ -850,6 +858,14 @@ ParsedNetlist parse_netlist(std::string_view text) {
     }
   }
 
+  // A hint may precede the cards that create its node, so the check waits
+  // for the complete circuit.
+  for (const auto& [node, line] : nodeset_nodes) {
+    if (c.find_node(node) < 0) {
+      fail(line, ".NODESET V(" + node + "): no node named '" + node + "'");
+    }
+  }
+
   // Assemble the deck-described analyses. A deck may carry any
   // combination of the three families; the canonical execution order is
   // pinned to [DC/.STEP sweep, .TRAN, .AC] regardless of card order, and
@@ -931,6 +947,15 @@ const AnalysisPlan* ParsedNetlist::find_plan(AnalysisKind kind)
     if (analysis_kind(p) == kind) return &p;
   }
   return nullptr;
+}
+
+Unknowns ParsedNetlist::nodeset_guess() {
+  Unknowns guess(static_cast<std::size_t>(circuit->assign_unknowns()));
+  for (const auto& [node, value] : nodesets) {
+    const NodeId id = circuit->find_node(node);
+    if (id > 0) guess.raw()[static_cast<std::size_t>(id - 1)] = value;
+  }
+  return guess;
 }
 
 ParsedNetlist parse_netlist(std::istream& in) {

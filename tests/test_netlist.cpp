@@ -235,6 +235,27 @@ TEST(NetlistParser, DuplicateDeviceNameRejectedWithLine) {
   }
 }
 
+TEST(NetlistParser, NodesetOfAMissingNodeRejectedWithLine) {
+  // A hint may name a node created by a later card, but not one no card
+  // creates: the parser names the card's line and the node.
+  try {
+    (void)parse_netlist("I1 0 a 1m\nR1 a 0 1k\n.NODESET V(zz)=1\n.END\n");
+    FAIL() << "should have thrown";
+  } catch (const NetlistError& e) {
+    EXPECT_STREQ(e.what(),
+                 "netlist line 3: .NODESET V(zz): no node named 'zz'");
+  }
+  auto parsed = parse_netlist(
+      ".NODESET V(b)=0.5 V(0)=0\nV1 a 0 1\nR1 a b 1k\nR2 b 0 1k\n");
+  auto& c = *parsed.circuit;
+  const int nodes = c.node_count();
+  const Unknowns guess = parsed.nodeset_guess();
+  EXPECT_EQ(c.node_count(), nodes) << "nodeset_guess created a node";
+  ASSERT_EQ(guess.size(), static_cast<std::size_t>(c.assign_unknowns()));
+  EXPECT_EQ(guess.node_voltage(c.find_node("b")), 0.5);
+  EXPECT_EQ(guess.node_voltage(c.find_node("a")), 0.0);
+}
+
 TEST(NetlistParser, MalformedNodesetVariantsRejected) {
   EXPECT_THROW((void)parse_netlist(".NODESET V(b)\n"), NetlistError);
   EXPECT_THROW((void)parse_netlist(".NODESET V(b)=\n"), NetlistError);

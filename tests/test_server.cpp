@@ -376,6 +376,27 @@ TEST_F(ServerTest, CommandErrorsAreReportedAndTheConnectionSurvives) {
   EXPECT_GT(got.rows_.size(), 0u);
 }
 
+TEST_F(ServerTest, LoadRejectsANodesetOfAMissingNode) {
+  start();
+  Client client = connect();
+  // No card creates node zz: LOAD answers ERR with the parser's
+  // line-numbered message and no session is created.
+  try {
+    (void)client.load("s", "I1 0 a 1m\nR1 a 0 1k\n.NODESET V(zz)=1\n.END\n");
+    FAIL() << "expected CommandError";
+  } catch (const CommandError& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "netlist line 3: .NODESET V(zz): no node named 'zz'"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW((void)client.run("s", "DC"), CommandError);
+  // The connection survives.
+  (void)client.load("s", kLongTranDeck);
+  const RunResult r = client.run("s", "TRAN");
+  EXPECT_EQ(r.outcome, RunOutcome::kDone);
+}
+
 TEST_F(ServerTest, TwoSessionsOfOneConnectionRunConcurrently) {
   start(/*workers=*/2);
   Client client = connect();

@@ -169,7 +169,7 @@ TEST(StampTapeTest, OutOfOrderDeviceMatchesTheSearchPathBitwise) {
 
   SparseMatrix taped = pattern;
   SparseValueBatch batch;
-  batch.bind(pattern, 2);
+  batch.bind(pattern);
   SparseLuFactorization lu_taped;
   SparseLuFactorization lu_search;
   Vector ones(n, 1.0);
@@ -188,7 +188,8 @@ TEST(StampTapeTest, OutOfOrderDeviceMatchesTheSearchPathBitwise) {
 
     for (std::size_t i = 0; i < pattern.nonzeros(); ++i) {
       ASSERT_TRUE(same_bits(taped.values()[i], search.values()[i])) << i;
-      ASSERT_TRUE(same_bits(batch.values()[i * 2 + 1], search.values()[i]))
+      ASSERT_TRUE(same_bits(batch.values()[i * kBatchLanes + 1],
+                            search.values()[i]))
           << i;
     }
     lu_taped.refactor(taped);
@@ -668,7 +669,8 @@ TEST(SparseLuTest, SubnormalOnlyColumnEntryNeverSolvesToInf) {
     m.add(1, 1, tiny);
     finite_or_throws(warm);  // a frozen pass meets it first
 
-    // Batched: lane 0 is the healthy matrix, lane 1 the tiny pivot.
+    // Batched: lane 0 is the healthy matrix, lane 1 the tiny pivot, the
+    // other lanes inactive.
     m.fill(0.0);
     m.add(0, 0, 1.0);
     m.add(1, 0, 0.5);
@@ -676,22 +678,23 @@ TEST(SparseLuTest, SubnormalOnlyColumnEntryNeverSolvesToInf) {
     SparseLuFactorization blu;
     blu.refactor(m);
     SparseValueBatch batch;
-    batch.bind(m, 2);
+    batch.bind(m);
     for (std::size_t lane = 0; lane < 2; ++lane) {
       batch.clear_lane(lane);
       batch.add(0, 0, 1.0, lane);
       batch.add(1, 0, 0.5, lane);
       batch.add(1, 1, lane == 0 ? 1.0 : tiny, lane);
     }
-    std::vector<unsigned char> ok{1, 1};
+    std::vector<unsigned char> ok(kBatchLanes, 0);
+    ok[0] = ok[1] = 1;
     blu.refactor_batch(batch, ok);
     EXPECT_EQ(ok[0], 1);
-    std::vector<double> rhs{1.0, 1.0, 1.0, 1.0};
+    std::vector<double> rhs(2 * kBatchLanes, 1.0);
     blu.solve_batch(rhs);
     EXPECT_EQ(rhs[0], 1.0);
-    EXPECT_EQ(rhs[2], 0.5);
+    EXPECT_EQ(rhs[kBatchLanes], 0.5);
     if (ok[1] != 0) {
-      EXPECT_TRUE(std::isfinite(rhs[1]) && std::isfinite(rhs[3]))
+      EXPECT_TRUE(std::isfinite(rhs[1]) && std::isfinite(rhs[kBatchLanes + 1]))
           << "lane pivot " << tiny;
     }
   }

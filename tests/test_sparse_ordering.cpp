@@ -10,7 +10,7 @@
 //  * refactor/solve under the new default path matches the legacy path
 //    and the dense LU to <= 1e-10 (residual-checked when near-singular);
 //  * batched lanes are bit-identical to scalar refactors per lane under
-//    the new symbolic path (forced supernode coverage included);
+//    the new symbolic path;
 //  * structurally/numerically singular systems throw NumericalError on
 //    every path;
 //  * the incremental refactor (replay from the first changed pivot step,
@@ -21,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -709,12 +710,12 @@ TEST(SparseOrderingHarness, BatchLanesBitIdenticalUnderNewPath) {
   // values: a fresh factorization pinned on the reference matrix refactors
   // the lane. The lane's ok bit must equal "the scalar refactor kept the
   // analysis" (neither re-pivoted nor threw), and an ok lane must solve to
-  // the scalar solution bit for bit. K = 4 / 8 / 16 reach the compile-time
-  // lane counts of the DPack kernel, K = 3 its runtime-K path; the
-  // supernode is forced on, since the tiled trailing update is the
-  // riskiest code path. From K = 4 on, the last lane carries a NaN, which
-  // must fail that lane alone. The steady-state batch calls must also
-  // stay allocation-free (this binary links icvbe_alloc_hook).
+  // the scalar solution bit for bit. The batch runs the sparse replay, so
+  // the supernode is off. With every lane active the last one carries a
+  // NaN, which must fail that lane alone; with three active the others
+  // sit out and must come back not ok. The steady-state batch calls must
+  // also stay allocation-free (this binary links icvbe_alloc_hook).
+  constexpr std::size_t K = kBatchLanes;
   std::mt19937_64 rng(20260808u ^ 0x51u);
   for (int rep = 0; rep < 8; ++rep) {
     TestSystem sys;
@@ -734,35 +735,36 @@ TEST(SparseOrderingHarness, BatchLanesBitIdenticalUnderNewPath) {
     }
     const std::size_t n = sys.n;
     SparseOptions o;
-    o.supernode_min = 8;
-    o.supernode_density = 0.3;
-    for (std::size_t K : {std::size_t{3}, std::size_t{4}, std::size_t{8},
-                          std::size_t{16}}) {
-      SCOPED_TRACE("rep " + std::to_string(rep) + " K = " + std::to_string(K));
+    o.supernode_min = 0;
+    for (std::size_t active : {std::size_t{3}, K}) {
+      SCOPED_TRACE("rep " + std::to_string(rep) + " active lanes " +
+                   std::to_string(active));
 
       SparseLuFactorization f;
       f.set_options(o);
       f.refactor(sys.sparse);
-      ASSERT_GT(f.supernode_size(), 0u)
-          << "forced supernode did not engage; test would not cover the "
-             "dense batch kernel";
+      ASSERT_EQ(f.supernode_size(), 0u);
 
       SparseValueBatch batch;
-      batch.bind(sys.sparse, K);
+      batch.bind(sys.sparse);
       std::vector<SparseMatrix> lanes;
-      for (std::size_t l = 0; l < K; ++l) {
+      for (std::size_t l = 0; l < active; ++l) {
         lanes.push_back(sys.sparse);
         // Perturb each lane's values deterministically (pattern fixed).
         lanes[l].add(0, 0, 1e-3 * static_cast<double>(l));
-        if (K >= 4 && l == K - 1) {
+        if (l == K - 1) {
           lanes[l].add(0, 0, std::numeric_limits<double>::quiet_NaN());
         }
         batch.load_lane(l, lanes[l]);
       }
-      std::vector<unsigned char> ok(K, 1);
+      std::vector<unsigned char> ok(K, 0);
+      std::fill(ok.begin(), ok.begin() + static_cast<long>(active), 1);
       f.refactor_batch(batch, ok);
-      if (K >= 4) {
+      if (active == K) {
         ASSERT_EQ(ok[K - 1], 0) << "the NaN lane factored";
+      }
+      for (std::size_t l = active; l < K; ++l) {
+        ASSERT_EQ(ok[l], 0) << "inactive lane " << l << " came back ok";
       }
 
       const Vector b = random_rhs(rng, n);
@@ -773,7 +775,7 @@ TEST(SparseOrderingHarness, BatchLanesBitIdenticalUnderNewPath) {
       f.solve_batch(rhs);
 
       bool any_ok = false;
-      for (std::size_t l = 0; l < K; ++l) {
+      for (std::size_t l = 0; l < active; ++l) {
         SparseLuFactorization g;
         g.set_options(o);
         g.refactor(sys.sparse);
@@ -803,8 +805,8 @@ TEST(SparseOrderingHarness, BatchLanesBitIdenticalUnderNewPath) {
 
       // Steady state: re-running the batch at the same shape allocates
       // nothing.
-      for (std::size_t l = 0; l < K; ++l) batch.load_lane(l, lanes[l]);
-      std::fill(ok.begin(), ok.end(), 1);
+      for (std::size_t l = 0; l < active; ++l) batch.load_lane(l, lanes[l]);
+      std::fill(ok.begin(), ok.begin() + static_cast<long>(active), 1);
       const std::uint64_t a0 = testing::allocation_count();
       f.refactor_batch(batch, ok);
       f.solve_batch(rhs);

@@ -22,7 +22,7 @@
 //   icvbe extract [sample]               run the paper's analytical method
 //                                        on a virtual-lot sample and print
 //                                        the extracted .MODEL card
-//   icvbe lot [samples] [threads] [--lanes=K]
+//   icvbe lot [samples] [threads]
 //                                        characterise a Monte-Carlo lot in
 //                                        parallel and print the statistics
 //   icvbe table1                         reproduce the paper's Table 1
@@ -84,10 +84,7 @@ void print_usage(std::FILE* out) {
                "  sweep <deck.cir> <vsrc> <from> <to> <points> <node>\n"
                "  tempsweep <deck.cir> <fromC> <toC> <points> <node>\n"
                "  extract [sample-index]\n"
-               "  lot [samples] [threads] [--lanes=K]\n"
-               "      --lanes=K carries K dies per LU refactor/solve "
-               "(default 8;\n"
-               "      --lanes=1 is the per-die path; bit-identical)\n"
+               "  lot [samples] [threads]\n"
                "  table1\n"
                "  truthcard\n"
                "  serve [--socket <path>|--port <p>] [--workers N]\n"
@@ -142,25 +139,11 @@ spice::ParsedNetlist load_deck(const std::string& path) {
   return spice::parse_netlist(f);
 }
 
-/// Build an initial-guess vector from the deck's .NODESET hints.
-spice::Unknowns guess_from_nodesets(spice::Circuit& c,
-                                    const spice::ParsedNetlist& deck) {
-  const int n = c.assign_unknowns();
-  spice::Unknowns guess(static_cast<std::size_t>(n));
-  for (const auto& [node, value] : deck.nodesets) {
-    const spice::NodeId id = c.node(node);
-    if (id != spice::kGround) {
-      guess.raw()[static_cast<std::size_t>(id - 1)] = value;
-    }
-  }
-  return guess;
-}
-
 int cmd_simulate(const std::string& path) {
   auto parsed = load_deck(path);
   auto& c = *parsed.circuit;
   c.set_temperature(to_kelvin(parsed.temperature_celsius));
-  const spice::Unknowns guess = guess_from_nodesets(c, parsed);
+  const spice::Unknowns guess = parsed.nodeset_guess();
   const spice::Unknowns x = spice::SimSession(c).solve_or_throw(&guess);
   std::printf("DC operating point at %.2f C (%d nodes, %zu devices)\n",
               parsed.temperature_celsius, c.node_count() - 1,
@@ -189,14 +172,6 @@ struct DeckArgs {
   std::optional<spice::IntegrationMethod> method;
 };
 
-/// Parse a `--lanes=K` value: the lot's dies per LU refactor/solve.
-unsigned parse_lanes_value(const std::string& text) {
-  const int lanes = parse_int_arg("--lanes", text);
-  if (lanes < 1 || lanes > 1024) {
-    throw Error("--lanes: want 1..1024, got " + text);
-  }
-  return static_cast<unsigned>(lanes);
-}
 
 DeckArgs scan_deck_args(const std::vector<std::string>& args,
                         bool allow_method) {
@@ -242,7 +217,7 @@ int run_deck_analysis(const std::string& path, spice::AnalysisKind kind,
   // .NODESET hints seed the first operating-point solve -- and, for
   // 2-axis plans, the deterministic start of every outer row.
   if (!parsed.nodesets.empty()) {
-    session.seed_warm_start(guess_from_nodesets(c, parsed));
+    session.seed_warm_start(parsed.nodeset_guess());
   }
   const spice::SweepResult result = session.run(plan);
   result.write_csv(std::cout);
@@ -300,7 +275,7 @@ int cmd_sweep(const std::string& path, const std::string& src, double from,
   auto parsed = load_deck(path);
   auto& c = *parsed.circuit;
   c.set_temperature(to_kelvin(parsed.temperature_celsius));
-  const spice::Unknowns guess = guess_from_nodesets(c, parsed);
+  const spice::Unknowns guess = parsed.nodeset_guess();
   spice::SimSession session(c);
   session.seed_warm_start(guess);
   spice::AnalysisPlan plan;
@@ -324,7 +299,7 @@ int cmd_tempsweep(const std::string& path, double from_c, double to_c,
   // .NODESET hints are typically written for room temperature, so sweep
   // outward from the grid point nearest 25 C in two warm-started segments
   // and merge -- every point then inherits a close-by predecessor.
-  const spice::Unknowns guess = guess_from_nodesets(c, parsed);
+  const spice::Unknowns guess = parsed.nodeset_guess();
   std::size_t mid = 0;
   for (std::size_t i = 1; i < temps.size(); ++i) {
     if (std::abs(temps[i] - 298.15) < std::abs(temps[mid] - 298.15)) mid = i;
@@ -384,12 +359,11 @@ int cmd_extract(int sample_index) {
   return 0;
 }
 
-int cmd_lot(int samples, unsigned threads, std::optional<unsigned> lanes) {
+int cmd_lot(int samples, unsigned threads) {
   lab::SiliconLot lot;
   lab::LotCampaignConfig cfg;
   cfg.samples = samples;
   cfg.threads = threads;
-  if (lanes.has_value()) cfg.lanes = *lanes;
   const lab::LotCampaign campaign(lot, cfg);
   const auto dies = campaign.run();
   const lab::LotSummary s = lab::LotCampaign::summarise(dies);
@@ -493,19 +467,14 @@ int dispatch(const std::vector<std::string>& args) {
   }
   if (cmd == "lot") {
     std::vector<std::string> positional;
-    std::optional<unsigned> lanes;
     for (std::size_t i = 1; i < args.size(); ++i) {
-      if (args[i].rfind("--lanes=", 0) == 0) {
-        lanes = parse_lanes_value(
-            args[i].substr(std::string("--lanes=").size()));
-      } else if (args[i].rfind("--", 0) == 0) {
+      if (args[i].rfind("--", 0) == 0) {
         throw UsageError("lot: unknown option '" + args[i] + "'");
-      } else {
-        positional.push_back(args[i]);
       }
+      positional.push_back(args[i]);
     }
     if (positional.size() > 2) {
-      throw UsageError("lot: want [samples] [threads] [--lanes=K]");
+      throw UsageError("lot: want [samples] [threads]");
     }
     const int samples =
         !positional.empty() ? parse_int_arg("samples", positional[0]) : 25;
@@ -513,7 +482,7 @@ int dispatch(const std::vector<std::string>& args) {
     const int threads =
         positional.size() > 1 ? parse_int_arg("threads", positional[1]) : 0;
     if (threads < 0) throw Error("threads: must be >= 0");
-    return cmd_lot(samples, static_cast<unsigned>(threads), lanes);
+    return cmd_lot(samples, static_cast<unsigned>(threads));
   }
   if (cmd == "table1") return cmd_table1();
   if (cmd == "truthcard") return cmd_truthcard();
