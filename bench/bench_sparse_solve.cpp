@@ -8,7 +8,7 @@
 // usual CSV).
 //
 // Stage 2 (ordering A/B): legacy set-based minimum degree vs the AMD +
-// BTF/supernode default (SparseOptions) at 1000-node ladder/mesh --
+// BTF default (SparseOptions) at 1000-node ladder/mesh --
 // symbolic-analysis time, steady refactor+solve time, and factor fill.
 // Gate: the new default's steady refactor+solve is no slower than legacy
 // within 1.25x noise slack.
@@ -378,10 +378,10 @@ void write_json(const std::vector<CrossoverRow>& rows, int crossover,
     }
   }
 
-  // Stage 2: ordering A/B. Gate: the AMD+BTF+supernode default must not
+  // Stage 2: ordering A/B. Gate: the AMD+BTF default must not
   // slow the steady refactor+solve path at existing sizes (1.25x slack
   // absorbs timer noise on shared runners).
-  bench::banner("Ordering A/B: legacy min-degree vs AMD+BTF+supernode");
+  bench::banner("Ordering A/B: legacy min-degree vs AMD+BTF");
   const std::vector<OrderingRow> ordering = run_ordering_study();
   Table ot({"topology", "unknowns", "legacy analysis [us]", "amd analysis [us]",
             "legacy steady [us]", "amd steady [us]", "legacy nnz", "amd nnz"});

@@ -37,10 +37,12 @@
 //
 // Symbolic scale-up (SparseOptions): the default pre-order is approximate
 // minimum degree (AMD) on a quotient graph composed with a block-triangular
-// (BTF) permutation, and the trailing fill-dense columns of the factor are
-// solved through a dense supernode microkernel. The original exact
-// set-based minimum-degree path survives behind SparseOptions::legacy()
-// for A/B gating (bench_sparse_solve, test_sparse_ordering).
+// (BTF) permutation. Every numeric pass is the one sparse replay along the
+// cached pattern: circuit factors stay too sparse for a dense trailing
+// kernel to pay (KLU leaves supernodes out for the same reason). The
+// original exact set-based minimum-degree path survives behind
+// SparseOptions::legacy() for A/B gating (bench_sparse_solve,
+// test_sparse_ordering).
 
 #include <cstddef>
 #include <cstdint>
@@ -340,9 +342,8 @@ enum class SparseOrdering {
 };
 
 /// Symbolic-path configuration. The default is the scaled-up path: AMD
-/// pre-ordering inside a block-triangular (BTF) permutation with the
-/// fill-dense trailing columns routed through a dense supernode
-/// microkernel. legacy() reproduces the pre-AMD engine exactly.
+/// pre-ordering inside a block-triangular (BTF) permutation. legacy()
+/// reproduces the pre-AMD engine exactly.
 struct SparseOptions {
   SparseOrdering ordering = SparseOrdering::kAmd;
   /// Permute to block-triangular form first (maximum transversal + SCC
@@ -350,20 +351,10 @@ struct SparseOptions {
   /// pivoting is confined to the current block. Structurally singular
   /// matrices are rejected at the matching, before any numeric work.
   bool btf = true;
-  /// Route the trailing dense part of the factor through the supernode
-  /// microkernel when at least this many step-space columns qualify
-  /// (0 disables the dense kernel entirely).
-  int supernode_min = 32;
-  /// Factor density (stored entries / B^2) a trailing block must reach to
-  /// qualify as the dense supernode. Below ~0.7 the dense kernel's
-  /// structural-zero arithmetic outweighs its locality win over the
-  /// indexed sparse replay (measured on 1000-node meshes, where 0.5
-  /// admitted a block ~40% slower than just replaying it sparse).
-  double supernode_density = 0.8;
 
-  /// The original engine: exact minimum degree, no BTF, no supernodes.
+  /// The original engine: exact minimum degree, no BTF.
   [[nodiscard]] static SparseOptions legacy() noexcept {
-    return SparseOptions{SparseOrdering::kMinDegree, false, 0, 0.0};
+    return SparseOptions{SparseOrdering::kMinDegree, false};
   }
 
   friend bool operator==(const SparseOptions&,
@@ -432,9 +423,8 @@ struct RefactorStats {
 ///    minimum-degree path behind SparseOptions), then an up-looking row
 ///    factorisation with threshold column pivoting (Markowitz-flavoured:
 ///    among numerically acceptable pivots the sparsest column wins),
-///    pivots confined to the current BTF block. The pivot order, the
-///    complete fill-in pattern of L and U, and the trailing dense
-///    supernode (if one qualifies) are cached. Pivot acceptability
+///    pivots confined to the current BTF block. The pivot order and the
+///    complete fill-in pattern of L and U are cached. Pivot acceptability
 ///    compares magnitudes, so the analysis decisions are real-valued for
 ///    both scalar instantiations.
 ///  * refactor() per Newton iteration / AC frequency point: if the matrix
@@ -517,7 +507,7 @@ class SparseLuFactorizationT {
     replay_ok_ = false;
   }
 
-  /// Select the symbolic path (ordering / BTF / supernode thresholds).
+  /// Select the symbolic path (ordering / BTF).
   /// Changing the options drops the cached analysis -- the next refactor()
   /// re-analyses under the new configuration. Same-value calls are no-ops,
   /// so sessions may set options unconditionally at rebind.
@@ -534,11 +524,9 @@ class SparseLuFactorizationT {
   [[nodiscard]] std::size_t btf_block_count() const noexcept {
     return btf_blocks_;
   }
-  /// Step-space columns the dense supernode microkernel covers (0 when no
-  /// trailing block qualified; diagnostic, valid after a refactor()).
-  [[nodiscard]] std::size_t supernode_size() const noexcept {
-    return analyzed_ ? n_ - sn_start_ : 0;
-  }
+  /// Always 0: the factorisation has no dense supernode kernel. Kept only
+  /// for the benchmark harness's `linalg.supernode_cols` counter.
+  [[nodiscard]] std::size_t supernode_size() const noexcept { return 0; }
 
   /// Numeric refactorisation of the kBatchLanes value lanes along the one
   /// cached pivot order -- the batched lot kernel, for real systems only.
@@ -553,10 +541,6 @@ class SparseLuFactorizationT {
   ///      never redone here -- a lane whose values reject the frozen
   ///      pivots is *flagged*, not re-pivoted, so one bad die can never
   ///      perturb its lane mates' factors.
-  /// \pre the analysis has no dense supernode (supernode_size() == 0):
-  ///      the batch runs the sparse replay only. Lot rigs are far below
-  ///      the default supernode_min; options that force a supernode throw
-  ///      here, and the lot recomputes that group's dies one by one.
   /// \param lane_ok in: lanes to factor (non-zero entries); out: 1 iff
   ///        that lane factored cleanly -- finite values, non-zero matrix,
   ///        every frozen pivot above pivot_tol times the lane's own
@@ -594,25 +578,18 @@ class SparseLuFactorizationT {
   /// acceptability is column-relative: pivot_tol * colmax_ (filled by
   /// refactor()).
   void analyze(const SparseMatrixT<Scalar>& a, double pivot_tol);
-  /// Numeric-only pass along the cached order/pattern (sparse replay up to
-  /// sn_start_, dense supernode microkernel beyond), replaying pivot steps
-  /// [from, n) and keeping the stored factors of steps < from. Returns
-  /// false on pivot breakdown (column-relative, via colmax_) or runaway
-  /// element growth -- the frozen pivots were chosen for different
+  /// Numeric-only sparse replay along the cached order/pattern, replaying
+  /// pivot steps [from, n) and keeping the stored factors of steps < from.
+  /// Returns false on pivot breakdown (column-relative, via colmax_) or
+  /// runaway element growth -- the frozen pivots were chosen for different
   /// numerics, e.g. a transient restamp whose companion conductances
   /// dwarf the values the analysis saw (caller re-analyses). The kept
   /// steps face the same two screens, judged on their stored pivots and
   /// growth_ against the current colmax_ and cap, so a pass fails exactly
   /// where a full pass would. `amax` = max|A| of the current matrix.
-  /// `enforce_screens = false` skips both failure checks: the
-  /// post-analysis value pass uses it to rewrite the factors through the
-  /// very kernel every later refactor runs, making the stored values
-  /// (down to the sign of zero) independent of whether the analysis or a
-  /// frozen pass produced them.
   [[nodiscard]] bool refactor_frozen(const SparseMatrixT<Scalar>& a,
                                      double pivot_tol, double amax,
-                                     std::size_t from,
-                                     bool enforce_screens = true);
+                                     std::size_t from);
   /// Fill growth_ from factors the analysis produced (the running max
   /// refactor_frozen would have recorded for them).
   void record_growth();
@@ -684,20 +661,6 @@ class SparseLuFactorizationT {
   std::vector<int> off_a_idx_;  ///< CSR value slot of each off entry
   std::vector<int> off_step_;   ///< pivot step of the entry's column
   std::vector<Scalar> off_val_;
-
-  // Trailing dense supernode: steps [sn_start_, n_) of the factor are
-  // dense enough that the numeric pass runs them through a row-major
-  // B x B dense microkernel (B = n_ - sn_start_) instead of the sparse
-  // replay, then mirrors the pattern positions back into the flat factor
-  // arrays so every solve/estimate path is oblivious to it. sn_start_ ==
-  // n_ means no block qualified. The mirror maps are built once per
-  // analysis.
-  std::size_t sn_start_ = 0;
-  std::vector<Scalar> sn_val_;  ///< B x B dense block, row-major
-  std::vector<int> sn_l_idx_;   ///< l_val_ slots inside the block...
-  std::vector<int> sn_l_pos_;   ///< ...and their dense positions
-  std::vector<int> sn_u_idx_;   ///< u_val_ slots inside the block...
-  std::vector<int> sn_u_pos_;   ///< ...and their dense positions
 
   // Batched numeric state, kBatchLanes-wide lane-fastest planes
   // mirroring the scalar factor arrays (real systems only; empty under

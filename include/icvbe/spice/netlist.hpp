@@ -33,7 +33,9 @@
 //   .NODESET V(<node>)=<value> [V(<node>)=<value> ...]  (initial guess;
 //                                                        every node must
 //                                                        exist in the deck)
-//   .IC V(<node>)=<value> [V(<node>)=<value> ...]       (transient ICs)
+//   .IC V(<node>)=<value> [V(<node>)=<value> ...]       (transient ICs;
+//                                                        every node must
+//                                                        exist in the deck)
 //   .END                                                (optional)
 //
 // Analysis directives parse straight into a declarative AnalysisPlan

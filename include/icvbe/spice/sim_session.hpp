@@ -32,9 +32,9 @@ struct NewtonOptions {
   double gmin_floor = 1e-12;     ///< final gmin left in the matrix
   int gmin_steps = 8;            ///< decades of gmin ramp when needed
   int source_steps = 10;         ///< source-stepping ramp points when needed
-  /// Symbolic-path knobs for the sparse engine (ordering, BTF, supernode
-  /// thresholds). Applied to every sparse factorization the session owns
-  /// (real DC/TRAN, complex AC, batched lanes) at bind/rebind time.
+  /// Symbolic-path knobs for the sparse engine (ordering, BTF). Applied to
+  /// every sparse factorization the session owns (real DC/TRAN, complex
+  /// AC, batched lanes) at bind/rebind time.
   /// Defaults select AMD + BTF; `linalg::SparseOptions::legacy()` restores
   /// the original set-based minimum-degree path for A/B comparisons.
   linalg::SparseOptions sparse_options{};

@@ -289,11 +289,6 @@ namespace {
 /// which the tight-tolerance equivalence suite relies on.
 constexpr double kPivotRelThreshold = 0.5;
 
-/// Hard cap on the dense supernode edge: a B x B Scalar block is
-/// materialised, so the kernel stays within a few MB per instance no
-/// matter the matrix.
-constexpr std::size_t kSupernodeMaxDim = 1024;
-
 /// Symmetrised pattern as sorted, deduplicated adjacency lists (no self
 /// loops) -- the graph both fill-reducing orderings run on.
 std::vector<std::vector<int>> symmetrized_adjacency(
@@ -916,27 +911,14 @@ void SparseLuFactorizationT<Scalar>::refactor(const SparseMatrixT<Scalar>& a,
     // recompute, under the same screens), so there is no full pass to
     // retry first.
     analyze(a, pivot_tol);
-    if (sn_start_ < n_) {
-      // Rewrite the factors through the frozen kernel so the stored
-      // values never depend on which pass produced them: the dense
-      // supernode's structural-zero arithmetic can flip the sign of an
-      // exact zero relative to the analysis's sparse pass, and the batch
-      // bit-identity contract compares lanes against frozen-kernel
-      // output. Magnitudes are identical by construction, so the screens
-      // the analysis just passed are not re-judged.
-      (void)refactor_frozen(a, pivot_tol, amax, 0, /*enforce_screens=*/false);
-      replay_ok_ = true;
-    } else {
-      // The analysis's sparse pass is the frozen kernel's arithmetic
-      // step for step, except that it copies A's values where the kernel
-      // adds them to zero: a -0.0 entry would make the two differ in the
-      // sign of a zero, so such a matrix is not replayed from.
-      record_growth();
-      replay_ok_ = std::none_of(vals.begin(), vals.end(),
-                                [](const Scalar& v) {
-                                  return is_negative_zero(v);
-                                });
-    }
+    // The analysis's pass is the frozen kernel's arithmetic step for
+    // step, except that it copies A's values where the kernel adds them
+    // to zero: a -0.0 entry would make the two differ in the sign of a
+    // zero, so such a matrix is not replayed from.
+    record_growth();
+    replay_ok_ = std::none_of(vals.begin(), vals.end(), [](const Scalar& v) {
+      return is_negative_zero(v);
+    });
   }
 }
 
@@ -1239,64 +1221,6 @@ void SparseLuFactorizationT<Scalar>::analyze(const SparseMatrixT<Scalar>& a,
     }
   }
 
-  // --- trailing dense supernode -----------------------------------------
-  // Factors of fill-heavy systems end dense: the last columns of the
-  // elimination accumulate nearly every remaining position. Find the
-  // largest trailing step range [s, n) whose factor density qualifies and
-  // route it through the dense microkernel; mirror maps let the numeric
-  // passes copy the pattern positions back so solve / condition paths
-  // never know. D(s) counts factor entries with both coordinates >= s,
-  // accumulated by suffix scan: row s contributes its diagonal, its whole
-  // U row (steps > s), and every L entry *at* step s (their rows are > s).
-  sn_start_ = n;
-  sn_val_.clear();
-  sn_l_idx_.clear();
-  sn_l_pos_.clear();
-  sn_u_idx_.clear();
-  sn_u_pos_.clear();
-  if (options_.supernode_min > 0) {
-    const std::size_t min_b =
-        std::max<std::size_t>(static_cast<std::size_t>(options_.supernode_min),
-                              2);
-    std::vector<long long> l_hist(n, 0);
-    for (int j : l_step_) ++l_hist[static_cast<std::size_t>(j)];
-    long long inblk = 0;
-    std::size_t best = n;
-    for (std::size_t s = n; s-- > 0;) {
-      inblk += 1 + (u_ptr_[s + 1] - u_ptr_[s]) + l_hist[s];
-      const std::size_t b = n - s;
-      if (b > kSupernodeMaxDim) break;
-      if (b < min_b) continue;
-      if (static_cast<double>(inblk) >= options_.supernode_density *
-                                            static_cast<double>(b) *
-                                            static_cast<double>(b)) {
-        best = s;  // keep scanning: prefer the largest qualifying block
-      }
-    }
-    if (best < n) {
-      sn_start_ = best;
-      const std::size_t bdim = n - best;
-      sn_val_.assign(bdim * bdim, Scalar{});
-      for (std::size_t k = best; k < n; ++k) {
-        const std::size_t kb = k - best;
-        for (int li = l_ptr_[k]; li < l_ptr_[k + 1]; ++li) {
-          const int j = l_step_[static_cast<std::size_t>(li)];
-          if (j < static_cast<int>(best)) continue;
-          sn_l_idx_.push_back(li);
-          sn_l_pos_.push_back(static_cast<int>(
-              kb * bdim + (static_cast<std::size_t>(j) - best)));
-        }
-        for (int ui = u_ptr_[k]; ui < u_ptr_[k + 1]; ++ui) {
-          sn_u_idx_.push_back(ui);
-          sn_u_pos_.push_back(static_cast<int>(
-              kb * bdim +
-              (static_cast<std::size_t>(u_step_[static_cast<std::size_t>(ui)]) -
-               best)));
-        }
-      }
-    }
-  }
-
   work_.assign(n, Scalar{});
   perm_.assign(n, Scalar{});
   rstep_.assign(n, 0);
@@ -1313,10 +1237,8 @@ void SparseLuFactorizationT<Scalar>::analyze(const SparseMatrixT<Scalar>& a,
 template <typename Scalar>
 bool SparseLuFactorizationT<Scalar>::refactor_frozen(
     const SparseMatrixT<Scalar>& a, double pivot_tol, double amax,
-    std::size_t from, bool enforce_screens) {
+    std::size_t from) {
   const std::size_t n = n_;
-  const std::size_t sn = sn_start_;
-  const std::size_t bdim = n - sn;
   const std::vector<int>& row_ptr = a.row_ptr();
   const std::vector<Scalar>& values = a.values();
 
@@ -1346,159 +1268,57 @@ bool SparseLuFactorizationT<Scalar>::refactor_frozen(
   // for every kept step.
   if (from > 0) {
     gmax = growth_[from - 1];
-    if (enforce_screens) {
-      if (gmax > growth_cap) return false;
-      for (std::size_t k = 0; k < from; ++k) {
-        const double tol =
-            pivot_tol * colmax_[static_cast<std::size_t>(cperm_[k])];
-        if (!(scalar_abs(udiag_[k]) > tol)) return false;
-      }
+    if (gmax > growth_cap) return false;
+    for (std::size_t k = 0; k < from; ++k) {
+      const double tol =
+          pivot_tol * colmax_[static_cast<std::size_t>(cperm_[k])];
+      if (!(scalar_abs(udiag_[k]) > tol)) return false;
     }
   }
 
+  // Sparse replay along the cached pattern.
   for (std::size_t k = from; k < n; ++k) {
     const std::size_t r = static_cast<std::size_t>(rperm_[k]);
     for (int i = row_ptr[r]; i < row_ptr[r + 1]; ++i) {
       const int s = astep_[static_cast<std::size_t>(i)];
       if (s >= 0) work_[static_cast<std::size_t>(s)] += values[static_cast<std::size_t>(i)];
     }
-    if (k < sn) {
-      // Sparse replay along the cached pattern.
-      for (int li = l_ptr_[k]; li < l_ptr_[k + 1]; ++li) {
-        const std::size_t j =
-            static_cast<std::size_t>(l_step_[static_cast<std::size_t>(li)]);
-        const Scalar lv = work_[j] / udiag_[j];
-        l_val_[static_cast<std::size_t>(li)] = lv;
-        work_[j] = Scalar{};
-        for (int ui = u_ptr_[j]; ui < u_ptr_[j + 1]; ++ui) {
-          work_[static_cast<std::size_t>(
-              u_step_[static_cast<std::size_t>(ui)])] -=
-              lv * u_val_[static_cast<std::size_t>(ui)];
-        }
+    for (int li = l_ptr_[k]; li < l_ptr_[k + 1]; ++li) {
+      const std::size_t j =
+          static_cast<std::size_t>(l_step_[static_cast<std::size_t>(li)]);
+      const Scalar lv = work_[j] / udiag_[j];
+      l_val_[static_cast<std::size_t>(li)] = lv;
+      work_[j] = Scalar{};
+      for (int ui = u_ptr_[j]; ui < u_ptr_[j + 1]; ++ui) {
+        work_[static_cast<std::size_t>(
+            u_step_[static_cast<std::size_t>(ui)])] -=
+            lv * u_val_[static_cast<std::size_t>(ui)];
       }
-      const Scalar d = work_[k];
-      work_[k] = Scalar{};
-      gmax = std::max(gmax, scalar_abs(d));
-      for (int ui = u_ptr_[k]; ui < u_ptr_[k + 1]; ++ui) {
-        const std::size_t us =
-            static_cast<std::size_t>(u_step_[static_cast<std::size_t>(ui)]);
-        const Scalar uv = work_[us];
-        u_val_[static_cast<std::size_t>(ui)] = uv;
-        gmax = std::max(gmax, scalar_abs(uv));
-        work_[us] = Scalar{};
-      }
-      growth_[k] = gmax;
-      const double tol =
-          pivot_tol * colmax_[static_cast<std::size_t>(cperm_[k])];
-      const Scalar rd = Scalar(1.0) / d;
-      if (enforce_screens && (!pivot_ok(d, rd, tol) || gmax > growth_cap)) {
-        // Frozen pivot collapsed (judged against its own column's current
-        // scale) or the factors are blowing up (the matrix may still be
-        // fine under a different order); work_ is already clean for the
-        // re-analysis -- both checks run after this row's gather.
-        return false;
-      }
-      udiag_[k] = d;
-      rdiag_[k] = rd;
-    } else {
-      // Dense supernode row: replay the out-of-block L prefix sparsely
-      // (ascending steps, so the prefix ends at the first in-block entry),
-      // then eliminate inside the B x B block with contiguous loops. The
-      // per-position arithmetic matches the sparse replay exactly except
-      // on structural zeros, where only the sign of an exact zero can
-      // differ -- which is why every stored factor value comes from this
-      // kernel (see the post-analysis pass in refactor()).
-      const std::size_t kb = k - sn;
-      for (int li = l_ptr_[k]; li < l_ptr_[k + 1]; ++li) {
-        const std::size_t j =
-            static_cast<std::size_t>(l_step_[static_cast<std::size_t>(li)]);
-        if (j >= sn) break;
-        const Scalar lv = work_[j] / udiag_[j];
-        l_val_[static_cast<std::size_t>(li)] = lv;
-        work_[j] = Scalar{};
-        for (int ui = u_ptr_[j]; ui < u_ptr_[j + 1]; ++ui) {
-          work_[static_cast<std::size_t>(
-              u_step_[static_cast<std::size_t>(ui)])] -=
-              lv * u_val_[static_cast<std::size_t>(ui)];
-        }
-      }
-      Scalar* drow = sn_val_.data() + kb * bdim;
-      for (std::size_t t = 0; t < bdim; ++t) {
-        drow[t] = work_[sn + t];
-        work_[sn + t] = Scalar{};
-      }
-      if constexpr (std::is_same_v<Scalar, double>) {
-        // Phase-split replay: multipliers and the leading (t < kb) updates
-        // stay j-outer, then the trailing columns run t-outer with the
-        // element kept in pack registers across the whole jb sweep -- each
-        // element's subtractions remain in ascending-jb order, so the tiled
-        // kernel is bit-identical to the plain j-outer loop while touching
-        // each trailing element once instead of once per jb.
-        for (std::size_t jb = 0; jb < kb; ++jb) {
-          const double lv = drow[jb] / sn_val_[jb * bdim + jb];
-          drow[jb] = lv;
-          const double* urow = sn_val_.data() + jb * bdim;
-          for (std::size_t t = jb + 1; t < kb; ++t) drow[t] -= lv * urow[t];
-        }
-        using P = common::DPack;
-        constexpr std::size_t W = common::kPackWidth;
-        std::size_t t = kb;
-        for (; t + 2 * W <= bdim; t += 2 * W) {
-          P a0 = P::load(drow + t);
-          P a1 = P::load(drow + t + W);
-          for (std::size_t jb = 0; jb < kb; ++jb) {
-            const P lv = P::broadcast(drow[jb]);
-            const double* urow = sn_val_.data() + jb * bdim;
-            a0 = a0 - lv * P::load(urow + t);
-            a1 = a1 - lv * P::load(urow + t + W);
-          }
-          a0.store(drow + t);
-          a1.store(drow + t + W);
-        }
-        for (; t < bdim; ++t) {
-          double acc = drow[t];
-          for (std::size_t jb = 0; jb < kb; ++jb) {
-            acc -= drow[jb] * sn_val_[jb * bdim + t];
-          }
-          drow[t] = acc;
-        }
-      } else {
-        for (std::size_t jb = 0; jb < kb; ++jb) {
-          const Scalar lv = drow[jb] / sn_val_[jb * bdim + jb];
-          drow[jb] = lv;
-          const Scalar* urow = sn_val_.data() + jb * bdim;
-          for (std::size_t t = jb + 1; t < bdim; ++t) {
-            drow[t] -= lv * urow[t];
-          }
-        }
-      }
-      const Scalar d = drow[kb];
-      gmax = std::max(gmax, scalar_abs(d));
-      for (std::size_t t = kb + 1; t < bdim; ++t) {
-        gmax = std::max(gmax, scalar_abs(drow[t]));
-      }
-      growth_[k] = gmax;
-      const double tol =
-          pivot_tol * colmax_[static_cast<std::size_t>(cperm_[k])];
-      const Scalar rd = Scalar(1.0) / d;
-      if (enforce_screens && (!pivot_ok(d, rd, tol) || gmax > growth_cap)) {
-        return false;  // work_ is clean: the block's dirt lives in sn_val_
-      }
-      udiag_[k] = d;
-      rdiag_[k] = rd;
     }
-  }
-  // Mirror the dense block's pattern positions back into the flat factor
-  // arrays: the solve / condition / diagnostic paths stay oblivious to
-  // the supernode.
-  if (from == n) return true;
-  for (std::size_t t = 0; t < sn_l_idx_.size(); ++t) {
-    l_val_[static_cast<std::size_t>(sn_l_idx_[t])] =
-        sn_val_[static_cast<std::size_t>(sn_l_pos_[t])];
-  }
-  for (std::size_t t = 0; t < sn_u_idx_.size(); ++t) {
-    u_val_[static_cast<std::size_t>(sn_u_idx_[t])] =
-        sn_val_[static_cast<std::size_t>(sn_u_pos_[t])];
+    const Scalar d = work_[k];
+    work_[k] = Scalar{};
+    gmax = std::max(gmax, scalar_abs(d));
+    for (int ui = u_ptr_[k]; ui < u_ptr_[k + 1]; ++ui) {
+      const std::size_t us =
+          static_cast<std::size_t>(u_step_[static_cast<std::size_t>(ui)]);
+      const Scalar uv = work_[us];
+      u_val_[static_cast<std::size_t>(ui)] = uv;
+      gmax = std::max(gmax, scalar_abs(uv));
+      work_[us] = Scalar{};
+    }
+    growth_[k] = gmax;
+    const double tol =
+        pivot_tol * colmax_[static_cast<std::size_t>(cperm_[k])];
+    const Scalar rd = Scalar(1.0) / d;
+    if (!pivot_ok(d, rd, tol) || gmax > growth_cap) {
+      // Frozen pivot collapsed (judged against its own column's current
+      // scale) or the factors are blowing up (the matrix may still be
+      // fine under a different order); work_ is already clean for the
+      // re-analysis -- both checks run after this row's gather.
+      return false;
+    }
+    udiag_[k] = d;
+    rdiag_[k] = rd;
   }
   return true;
 }
@@ -1601,9 +1421,6 @@ void SparseLuFactorizationT<Scalar>::refactor_batch(
                     n_ == batch.rows(),
                 "sparse LU batch: refactor() a reference matrix sharing the "
                 "batch's pattern before refactor_batch()");
-  ICVBE_REQUIRE(sn_start_ == n_,
-                "sparse LU batch: the analysis has a dense supernode; the "
-                "batch runs the sparse replay only");
   ICVBE_REQUIRE(lane_ok.size() == K,
                 "sparse LU batch: lane_ok size must equal kBatchLanes");
 

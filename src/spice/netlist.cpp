@@ -307,14 +307,21 @@ SourceAcSpec extract_source_ac(std::vector<std::string>& tokens,
   return {};
 }
 
+/// A node a .NODESET or .IC card names, checked once the circuit is
+/// complete.
+struct NamedNode {
+  const char* directive;
+  std::string node;
+  int line;
+};
+
 /// Shared body of .NODESET and .IC: "V node = value" groups (the tokenizer
 /// splits 'V(n)=x' into 'V', 'n', '=', 'x') or bare "node = value" pairs.
-/// Each node named is also appended to `named` (if given) with the card's
-/// line.
-void parse_node_value_pairs(
-    const std::vector<std::string>& tokens, int line, const char* directive,
-    std::map<std::string, double>& out,
-    std::vector<std::pair<std::string, int>>* named = nullptr) {
+/// Each node named is also appended to `named` with the card's line.
+void parse_node_value_pairs(const std::vector<std::string>& tokens, int line,
+                            const char* directive,
+                            std::map<std::string, double>& out,
+                            std::vector<NamedNode>& named) {
   std::size_t i = 1;
   while (i < tokens.size()) {
     if (to_upper(tokens[i]) == "V") ++i;
@@ -322,7 +329,7 @@ void parse_node_value_pairs(
       fail(line, std::string(directive) + " expects V(node)=value groups");
     }
     out[tokens[i]] = parse_spice_number(tokens[i + 2]);
-    if (named != nullptr) named->emplace_back(tokens[i], line);
+    named.push_back({directive, tokens[i], line});
     i += 3;
   }
 }
@@ -433,8 +440,8 @@ ParsedNetlist parse_netlist(std::string_view text) {
   std::vector<PendingBjt> bjts;
   std::vector<PendingDiode> diodes;
   std::vector<PendingMosfet> mosfets;
-  // Nodes named by .NODESET cards, with their lines.
-  std::vector<std::pair<std::string, int>> nodeset_nodes;
+  // Nodes named by .NODESET and .IC cards, with their lines.
+  std::vector<NamedNode> named_nodes;
 
   // Analysis directives: .DC specs in deck order (first spec = innermost
   // axis), at most one .STEP (always the outermost axis), .PROBE exprs.
@@ -650,7 +657,7 @@ ParsedNetlist parse_netlist(std::string_view text) {
       continue;
     }
     if (head == ".IC") {
-      parse_node_value_pairs(tokens, lineno, ".IC", out.ics);
+      parse_node_value_pairs(tokens, lineno, ".IC", out.ics, named_nodes);
       continue;
     }
     if (head == ".TEMP") {
@@ -661,7 +668,7 @@ ParsedNetlist parse_netlist(std::string_view text) {
     }
     if (head == ".NODESET") {
       parse_node_value_pairs(tokens, lineno, ".NODESET", out.nodesets,
-                             &nodeset_nodes);
+                             named_nodes);
       continue;
     }
     if (head == ".MODEL") {
@@ -858,11 +865,12 @@ ParsedNetlist parse_netlist(std::string_view text) {
     }
   }
 
-  // A hint may precede the cards that create its node, so the check waits
-  // for the complete circuit.
-  for (const auto& [node, line] : nodeset_nodes) {
-    if (c.find_node(node) < 0) {
-      fail(line, ".NODESET V(" + node + "): no node named '" + node + "'");
+  // A hint or initial condition may precede the cards that create its
+  // node, so the check waits for the complete circuit.
+  for (const NamedNode& n : named_nodes) {
+    if (c.find_node(n.node) < 0) {
+      fail(n.line, std::string(n.directive) + " V(" + n.node +
+                       "): no node named '" + n.node + "'");
     }
   }
 

@@ -20,7 +20,6 @@
 
 #include "icvbe/bandgap/test_cell.hpp"
 #include "icvbe/common/constants.hpp"
-#include "icvbe/common/error.hpp"
 #include "icvbe/lab/lot_campaign.hpp"
 #include "icvbe/linalg/sparse.hpp"
 #include "icvbe/spice/batch_session.hpp"
@@ -169,27 +168,6 @@ TEST(SparseBatchKernelTest, SingularLaneIsFlaggedLaneMatesUnaffected) {
     EXPECT_EQ(rhs[i * kLanes + 0], scalar_x[0][i]) << "unknown " << i;
     EXPECT_EQ(rhs[i * kLanes + 2], scalar_x[2][i]) << "unknown " << i;
   }
-}
-
-TEST(SparseBatchKernelTest, RefactorBatchRejectsAnAnalysisWithASupernode) {
-  // The batch runs the sparse replay only; an analysis that routed its
-  // trailing block through the dense supernode kernel is refused before
-  // any lane is touched, so the caller falls back to scalar solves.
-  const std::size_t n = 12;
-  linalg::SparseMatrix m = make_pattern(n);
-  fill_lane_values(m, n, 0);
-  linalg::SparseLuFactorization lu;
-  linalg::SparseOptions o;
-  o.supernode_min = 4;
-  o.supernode_density = 0.3;
-  lu.set_options(o);
-  lu.refactor(m);
-  ASSERT_GT(lu.supernode_size(), 0u);
-  linalg::SparseValueBatch batch;
-  batch.bind(m);
-  batch.load_lane(0, m);
-  std::vector<unsigned char> lane_ok(kLanes, 1);
-  EXPECT_THROW(lu.refactor_batch(batch, lane_ok), Error);
 }
 
 // ------------------------------------------------ session level ---
@@ -753,36 +731,28 @@ TEST(LotBatchTest, RunEqualsRunDieForShortLotsAndAnyThreads) {
   }
 }
 
-TEST(LotBatchTest, ForcedSupernodeLotEqualsRunDie) {
-  // supernode_min = 4 at density 0.3 gives the 7-unknown cell rig a dense
-  // supernode, which the batch refuses: every group falls back to
-  // run_die, so the lot still equals the per-die path bit for bit.
+TEST(LotBatchTest, GroupThatThrowsFallsBackToRunDie) {
+  // A zero classical bias current throws inside the group body, before any
+  // lane is solved: the whole group falls back to run_die, so every die
+  // (one full group and one with a single die) carries run_die's result,
+  // error text included.
   lab::LotCampaignConfig cfg = lot_config();
-  cfg.samples = 9;  // one full group and one with a single die
-  cfg.threads = 2;
-  cfg.lab.newton.sparse_options.supernode_min = 4;
-  cfg.lab.newton.sparse_options.supernode_density = 0.3;
-
-  bandgap::TestCellParams p = lane_params(0);
-  Circuit c;
-  const bandgap::TestCellHandles h = bandgap::build_test_cell(c, p);
-  const double t = to_kelvin(25.0);
-  c.set_temperature(t);
-  SimSession session(c, cfg.lab.newton);
-  const spice::Unknowns guess = bandgap::cell_initial_guess(c, h, t);
-  ASSERT_TRUE(session.solve(&guess).converged);
-  ASSERT_GT(session.sparse_lu().supernode_size(), 0u)
-      << "the forced supernode no longer engages on the cell rig; the "
-         "test would not reach the fallback";
-
-  const lab::LotCampaign campaign(lab::SiliconLot{}, cfg);
-  const auto ref = per_die(campaign);
-  const auto got = campaign.run();
-  ASSERT_EQ(got.size(), ref.size());
-  for (std::size_t i = 0; i < ref.size(); ++i) {
-    SCOPED_TRACE(::testing::Message() << "die=" << i);
-    EXPECT_TRUE(ref[i].ok) << ref[i].error;
-    expect_die_bit_identical(ref[i], got[i]);
+  cfg.samples = 9;
+  cfg.classical_ic = 0.0;
+  const auto ref = per_die(lab::LotCampaign(lab::SiliconLot{}, cfg));
+  for (const auto& die : ref) {
+    ASSERT_FALSE(die.ok) << "a zero bias current no longer fails the die; "
+                            "the test would not reach the group fallback";
+  }
+  for (unsigned threads : {1u, 2u}) {
+    cfg.threads = threads;
+    const auto got = lab::LotCampaign(lab::SiliconLot{}, cfg).run();
+    ASSERT_EQ(got.size(), ref.size());
+    for (std::size_t i = 0; i < ref.size(); ++i) {
+      SCOPED_TRACE(::testing::Message()
+                   << "threads=" << threads << " die=" << i);
+      expect_die_bit_identical(ref[i], got[i]);
+    }
   }
 }
 

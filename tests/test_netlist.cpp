@@ -256,6 +256,27 @@ TEST(NetlistParser, NodesetOfAMissingNodeRejectedWithLine) {
   EXPECT_EQ(guess.node_voltage(c.find_node("a")), 0.0);
 }
 
+TEST(NetlistParser, IcOfAMissingNodeRejectedWithLine) {
+  // .IC faces the same post-circuit check as .NODESET: a node no card
+  // creates is a parse error naming the card's line, whatever analysis the
+  // deck carries, while a node created by a later card is accepted.
+  for (const char* analysis : {".TRAN 1n 10n\n", ".DC V1 0 1 0.5\n"}) {
+    SCOPED_TRACE(analysis);
+    try {
+      (void)parse_netlist(std::string("V1 a 0 1\nR1 a b 1k\nC1 b 0 1n\n"
+                                      ".IC V(zz)=1\n") +
+                          analysis + ".PROBE V(b)\n");
+      FAIL() << "should have thrown";
+    } catch (const NetlistError& e) {
+      EXPECT_STREQ(e.what(), "netlist line 4: .IC V(zz): no node named 'zz'");
+    }
+  }
+  auto parsed = parse_netlist(
+      ".IC V(b)=0.5\nV1 a 0 1\nR1 a b 1k\nC1 b 0 1n\n.TRAN 1n 10n\n"
+      ".PROBE V(b)\n");
+  EXPECT_EQ(parsed.ics.at("b"), 0.5);
+}
+
 TEST(NetlistParser, MalformedNodesetVariantsRejected) {
   EXPECT_THROW((void)parse_netlist(".NODESET V(b)\n"), NetlistError);
   EXPECT_THROW((void)parse_netlist(".NODESET V(b)=\n"), NetlistError);

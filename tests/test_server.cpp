@@ -391,6 +391,18 @@ TEST_F(ServerTest, LoadRejectsANodesetOfAMissingNode) {
         << e.what();
   }
   EXPECT_THROW((void)client.run("s", "DC"), CommandError);
+  // An .IC of a missing node is refused the same way.
+  try {
+    (void)client.load("s", "V1 a 0 1\nR1 a b 1k\nC1 b 0 1n\n.IC V(zz)=1\n"
+                           ".TRAN 1n 10n\n.PROBE V(b)\n");
+    FAIL() << "expected CommandError";
+  } catch (const CommandError& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "netlist line 4: .IC V(zz): no node named 'zz'"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW((void)client.run("s", "TRAN"), CommandError);
   // The connection survives.
   (void)client.load("s", kLongTranDeck);
   const RunResult r = client.run("s", "TRAN");

@@ -488,14 +488,13 @@ TEST(SparseLuTest, ConditionEstimateMatchesDenseWithin10x) {
   }
 }
 
-// The fill-heavy counterpart: a 2-D conductance mesh is where the AMD
-// ordering leaves a dense trailing region and the supernode kernel takes
-// over the tail of the factor. The condition probe walks that mixed
-// sparse/supernodal factor, so pin it to the dense engine's number on the
-// same system -- a divergence here means the supernodal triangular solves
-// drifted from the reference factorisation.
+// The fill-heavy counterpart: a 2-D conductance mesh, where the AMD
+// ordering leaves a fill-dense trailing region in the factor. The
+// condition probe walks that factor, so pin it to the dense engine's
+// number on the same system -- a divergence here means the triangular
+// solves drifted from the reference factorisation.
 TEST(SparseLuTest, ConditionEstimateMatchesDenseOnFillHeavyMesh) {
-  const int g = 14;  // 196 unknowns, enough elimination fill to supernode
+  const int g = 14;  // 196 unknowns, a fill-dense trailing factor
   const std::size_t n = static_cast<std::size_t>(g) * g;
   std::mt19937 gen(7u);
   std::uniform_real_distribution<double> dist(0.5, 2.0);
@@ -525,14 +524,7 @@ TEST(SparseLuTest, ConditionEstimateMatchesDenseOnFillHeavyMesh) {
   s.freeze_pattern();
 
   SparseLuFactorization slu;
-  SparseOptions opts;  // force the supernode at this size (the production
-  opts.supernode_min = 8;       // 0.8-density cut keeps 196 unknowns fully
-  opts.supernode_density = 0.3;  // sparse -- here we want the mixed walk)
-  slu.set_options(opts);
   slu.refactor(s);
-  ASSERT_GT(slu.supernode_size(), 0u)
-      << "mesh did not engage the supernode kernel; the case would not "
-         "cover the mixed factor walk";
   const LuFactorization dlu(d);
   const double cs = slu.condition_estimate();
   const double cd = dlu.condition_estimate();

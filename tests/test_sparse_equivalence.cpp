@@ -172,20 +172,16 @@ TEST(SparseEquivalence, TwoAxisPlanBitIdenticalAcrossThreadCounts) {
 
 TEST(SparseEquivalence, OrderingSweepMatchesDenseAndLegacy) {
   // The ordering dimension of the equivalence matrix: the legacy exact
-  // minimum-degree path (pre-AMD default, kept behind SparseOptions), the
-  // new AMD+BTF default, and a forced-supernode AMD variant must all land
-  // on the dense reference's answer on every deck shape.
+  // minimum-degree path (pre-AMD default, kept behind SparseOptions) and
+  // the new AMD+BTF default must both land on the dense reference's answer
+  // on every deck shape.
   struct Variant {
     const char* name;
     linalg::SparseOptions options;
   };
-  linalg::SparseOptions forced_sn;
-  forced_sn.supernode_min = 8;
-  forced_sn.supernode_density = 0.3;
   const std::vector<Variant> variants = {
       {"legacy-md", linalg::SparseOptions::legacy()},
       {"amd-btf-default", linalg::SparseOptions{}},
-      {"amd-forced-supernode", forced_sn},
   };
   for (const EquivalenceCase& c : equivalence_cases()) {
     SCOPED_TRACE(case_name(c));

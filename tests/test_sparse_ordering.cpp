@@ -1,6 +1,6 @@
-// Randomized property harness for the symbolic scale-up: AMD ordering,
-// BTF decomposition, and the supernodal numeric kernel, checked against
-// the legacy min-degree path and the dense LU on ~200 seeded patterns.
+// Randomized property harness for the symbolic scale-up: AMD ordering
+// and BTF decomposition, checked against the legacy min-degree path and
+// the dense LU on ~200 seeded patterns.
 //
 // Families: resistor-ladder shapes, 2-D meshes, random MNA shapes with
 // zero-diagonal aux rows (voltage-source style), singular and
@@ -15,8 +15,7 @@
 //    every path;
 //  * the incremental refactor (replay from the first changed pivot step,
 //    none when nothing changed) solves bit-identically to a full frozen
-//    pass on the same analysis, cross-block BTF entries and forced
-//    supernodes included.
+//    pass on the same analysis, cross-block BTF entries included.
 // A 1e4-node subset runs when ICVBE_SPARSE_STRESS=1 (CI stress job).
 
 #include <gtest/gtest.h>
@@ -282,8 +281,7 @@ double rel_residual(const TestSystem& sys, const Vector& x, const Vector& b) {
 }
 
 /// One property check: orders valid, fill within slack, solutions agree.
-void check_system(const TestSystem& sys, std::mt19937_64& rng,
-                  bool force_supernode) {
+void check_system(const TestSystem& sys, std::mt19937_64& rng) {
   const std::size_t n = sys.n;
 
   // amd_order is a valid permutation on every pattern, singular or not.
@@ -301,12 +299,6 @@ void check_system(const TestSystem& sys, std::mt19937_64& rng,
   SparseLuFactorization legacy;
   legacy.set_options(SparseOptions::legacy());
   SparseLuFactorization amd;
-  if (force_supernode) {
-    SparseOptions o;
-    o.supernode_min = 8;
-    o.supernode_density = 0.3;
-    amd.set_options(o);
-  }
 
   if (sys.expect_singular) {
     EXPECT_THROW(amd.refactor(sys.sparse), NumericalError);
@@ -359,51 +351,50 @@ TEST(SparseOrderingHarness, TwoHundredSeededPatterns) {
   std::mt19937_64 rng(20260808u);
   int case_id = 0;
   for (int rep = 0; rep < 25; ++rep) {
-    const bool force_sn = (rep % 2) == 0;
     {
       SCOPED_TRACE("ladder case " + std::to_string(case_id++));
       TestSystem s = make_ladder(rng, 8 + static_cast<int>(rng() % 90));
-      check_system(s, rng, force_sn);
+      check_system(s, rng);
     }
     {
       SCOPED_TRACE("mesh case " + std::to_string(case_id++));
       TestSystem s =
           make_mesh(rng, 3 + static_cast<int>(rng() % 8), (rep % 3) == 0);
-      check_system(s, rng, force_sn);
+      check_system(s, rng);
     }
     {
       SCOPED_TRACE("random MNA case " + std::to_string(case_id++));
       TestSystem s = make_random_mna(rng, 10 + static_cast<int>(rng() % 80),
                                      static_cast<int>(rng() % 4));
-      check_system(s, rng, force_sn);
+      check_system(s, rng);
     }
     {
       SCOPED_TRACE("random MNA (aux-heavy) case " + std::to_string(case_id++));
       TestSystem s = make_random_mna(rng, 10 + static_cast<int>(rng() % 40),
                                      2 + static_cast<int>(rng() % 5));
-      check_system(s, rng, force_sn);
+      check_system(s, rng);
     }
     {
       SCOPED_TRACE("numerically singular case " + std::to_string(case_id++));
       TestSystem s =
           make_numerically_singular(rng, 12 + static_cast<int>(rng() % 30));
-      check_system(s, rng, force_sn);
+      check_system(s, rng);
     }
     {
       SCOPED_TRACE("structurally singular case " + std::to_string(case_id++));
       TestSystem s =
           make_structurally_singular(rng, 12 + static_cast<int>(rng() % 30));
-      check_system(s, rng, force_sn);
+      check_system(s, rng);
     }
     {
       SCOPED_TRACE("near-singular case " + std::to_string(case_id++));
       TestSystem s = make_near_singular(rng, 4 + static_cast<int>(rng() % 5));
-      check_system(s, rng, force_sn);
+      check_system(s, rng);
     }
     {
       SCOPED_TRACE("tiny case " + std::to_string(case_id++));
       TestSystem s = make_random_mna(rng, 4 + static_cast<int>(rng() % 5), 0);
-      check_system(s, rng, force_sn);
+      check_system(s, rng);
     }
   }
   EXPECT_EQ(case_id, 200);
@@ -470,16 +461,9 @@ struct IncrementalCoverage {
 /// values doubled: exact, and invisible to the scale-free pivot and growth
 /// screens), so it replays every step.
 void check_incremental(const TestSystem& sys, std::mt19937_64& rng,
-                       bool force_supernode, IncrementalCoverage& cov) {
-  SparseOptions o;
-  if (force_supernode) {
-    o.supernode_min = 8;
-    o.supernode_density = 0.3;
-  }
+                       IncrementalCoverage& cov) {
   SparseLuFactorization inc;
   SparseLuFactorization full;
-  inc.set_options(o);
-  full.set_options(o);
   ASSERT_NO_THROW(inc.refactor(sys.sparse));
   full.refactor(sys.sparse);
 
@@ -559,7 +543,6 @@ TEST(SparseOrderingHarness, IncrementalRefactorMatchesAFullPass) {
   IncrementalCoverage cov;
   int case_id = 0;
   for (int rep = 0; rep < 25; ++rep) {
-    const bool force_sn = (rep % 2) == 0;
     std::vector<TestSystem> systems;
     systems.push_back(make_ladder(rng, 8 + static_cast<int>(rng() % 90)));
     systems.push_back(
@@ -578,7 +561,7 @@ TEST(SparseOrderingHarness, IncrementalRefactorMatchesAFullPass) {
     systems.push_back(make_random_mna(rng, 4 + static_cast<int>(rng() % 5), 0));
     for (const TestSystem& s : systems) {
       SCOPED_TRACE("incremental case " + std::to_string(case_id++));
-      check_incremental(s, rng, force_sn, cov);
+      check_incremental(s, rng, cov);
     }
   }
   EXPECT_EQ(case_id, 200);
@@ -710,11 +693,10 @@ TEST(SparseOrderingHarness, BatchLanesBitIdenticalUnderNewPath) {
   // values: a fresh factorization pinned on the reference matrix refactors
   // the lane. The lane's ok bit must equal "the scalar refactor kept the
   // analysis" (neither re-pivoted nor threw), and an ok lane must solve to
-  // the scalar solution bit for bit. The batch runs the sparse replay, so
-  // the supernode is off. With every lane active the last one carries a
-  // NaN, which must fail that lane alone; with three active the others
-  // sit out and must come back not ok. The steady-state batch calls must
-  // also stay allocation-free (this binary links icvbe_alloc_hook).
+  // the scalar solution bit for bit. With every lane active the last one
+  // carries a NaN, which must fail that lane alone; with three active the
+  // others sit out and must come back not ok. The steady-state batch calls
+  // must also stay allocation-free (this binary links icvbe_alloc_hook).
   constexpr std::size_t K = kBatchLanes;
   std::mt19937_64 rng(20260808u ^ 0x51u);
   for (int rep = 0; rep < 8; ++rep) {
@@ -734,16 +716,12 @@ TEST(SparseOrderingHarness, BatchLanesBitIdenticalUnderNewPath) {
         break;
     }
     const std::size_t n = sys.n;
-    SparseOptions o;
-    o.supernode_min = 0;
     for (std::size_t active : {std::size_t{3}, K}) {
       SCOPED_TRACE("rep " + std::to_string(rep) + " active lanes " +
                    std::to_string(active));
 
       SparseLuFactorization f;
-      f.set_options(o);
       f.refactor(sys.sparse);
-      ASSERT_EQ(f.supernode_size(), 0u);
 
       SparseValueBatch batch;
       batch.bind(sys.sparse);
@@ -777,7 +755,6 @@ TEST(SparseOrderingHarness, BatchLanesBitIdenticalUnderNewPath) {
       bool any_ok = false;
       for (std::size_t l = 0; l < active; ++l) {
         SparseLuFactorization g;
-        g.set_options(o);
         g.refactor(sys.sparse);
         bool kept = true;
         try {
