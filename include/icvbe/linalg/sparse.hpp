@@ -153,10 +153,6 @@ class SparseMatrixT {
   /// registration. No-op if already frozen.
   void freeze_pattern();
 
-  /// Thaw back to the building phase, keeping the current entries as
-  /// coordinates (topology changed: new devices stamp new positions).
-  void unfreeze();
-
   /// Set every stored value (frozen only); the pattern is untouched.
   /// fill(0.0) is the per-Newton-iteration / per-frequency re-stamp reset,
   /// so it also rewinds the stamp tape.

@@ -30,16 +30,14 @@
 // The implicit assumption -- every die's own symbolic analysis would have
 // chosen the same pivot sequence as the reference -- holds for lot-scale
 // parameter spreads (percent-level value changes against a 0.5 relative
-// pivot threshold) and is asserted bit-exactly by test_lot_batch and the
-// bench gate over thousands of dies.
+// pivot threshold) and is asserted bit-exactly by test_lot_batch, over
+// 1000 dies in its stress variant.
 
 #include <cstddef>
 #include <vector>
 
 #include "icvbe/linalg/sparse.hpp"
-#include "icvbe/spice/bjt.hpp"
 #include "icvbe/spice/circuit.hpp"
-#include "icvbe/spice/linear_devices.hpp"
 #include "icvbe/spice/sim_session.hpp"
 
 namespace icvbe::spice {
@@ -54,7 +52,8 @@ struct BatchLaneStatus {
 /// See header comment. Lanes are bound once (same topology required:
 /// equal unknown/node/device counts, and devices stamping the same
 /// pattern); per-die parameter values are then re-programmed between
-/// solves (ParamDeltaSet + begin_variant) without any rebinding.
+/// solves (the devices' own setters + begin_variant) without any
+/// rebinding: values never change the frozen pattern or the analysis.
 ///
 /// Thread-safety: single-threaded, like SimSession; parallel lot workers
 /// each own a private BatchDcSession over private circuit lanes.
@@ -148,44 +147,6 @@ class BatchDcSession {
   std::vector<unsigned char> live_;      ///< still iterating this solve
   std::vector<unsigned char> lane_ok_;   ///< refactor_batch in/out mask
   std::vector<BatchLaneStatus> status_;
-};
-
-/// A compiled set of per-die parameter bindings against one circuit: the
-/// name lookups and type checks happen once at bind time, so a lot driver
-/// re-programs its lane circuits between dies allocation-free. Parameter
-/// *value* changes never require a session rebind -- the frozen pattern
-/// and symbolic analysis only depend on topology -- which is exactly why
-/// the batched path can amortise them across a whole lot.
-class ParamDeltaSet {
- public:
-  explicit ParamDeltaSet(Circuit& circuit) : circuit_(&circuit) {}
-
-  /// Each bind resolves a device by name (throws CircuitError if absent
-  /// or of the wrong type) and returns the slot for the matching set_*.
-  [[nodiscard]] std::size_t bind_resistor(std::string_view name);
-  [[nodiscard]] std::size_t bind_bjt(std::string_view name);
-  [[nodiscard]] std::size_t bind_opamp(std::string_view name);
-  [[nodiscard]] std::size_t bind_isource(std::string_view name);
-
-  void set_resistance(std::size_t slot, double ohms) {
-    resistors_[slot]->set_nominal_resistance(ohms);
-  }
-  void set_bjt_model(std::size_t slot, const BjtModel& model) {
-    bjts_[slot]->set_model(model);
-  }
-  void set_opamp_offset(std::size_t slot, double volts) {
-    opamps_[slot]->set_offset(volts);
-  }
-  void set_current(std::size_t slot, double amps) {
-    isources_[slot]->set_current(amps);
-  }
-
- private:
-  Circuit* circuit_;
-  std::vector<Resistor*> resistors_;
-  std::vector<Bjt*> bjts_;
-  std::vector<OpAmp*> opamps_;
-  std::vector<CurrentSource*> isources_;
 };
 
 }  // namespace icvbe::spice

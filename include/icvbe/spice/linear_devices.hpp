@@ -30,7 +30,8 @@ class Resistor final : public Device {
   [[nodiscard]] double resistance() const noexcept { return r_now_; }
   [[nodiscard]] double nominal_resistance() const noexcept { return r0_; }
 
-  /// Re-program the nominal value (used for the RadjA trim sweeps).
+  /// Re-program the nominal value R0. The tempco scaling of the last
+  /// set_temperature() carries over: R becomes R0 (1 + tc1 dT + tc2 dT^2).
   void set_nominal_resistance(double ohms);
 
  private:
@@ -40,6 +41,7 @@ class Resistor final : public Device {
   double tc1_;
   double tc2_;
   double tnom_;
+  double factor_ = 1.0;  ///< tempco factor of the last set_temperature()
   double r_now_;
 };
 

@@ -1,6 +1,6 @@
 // LotCampaign's batched group body: the lane mechanics, nothing else. A
 // worker's LaneGroup keeps one set of kBatchLanes lane circuits per rig,
-// re-programs each die's values in place (ParamDeltaSet + begin_variant)
+// re-programs each die's values in place (device setters + begin_variant)
 // and carries the group's dies through every LU refactor/solve
 // (BatchDcSession). Results equal run_die's bit for bit: the lab procedure
 // is protocol.hpp's, called in per-die order; each rig's batch is primed
@@ -63,13 +63,11 @@ LaneGroup::LaneGroup(const LotCampaign& owner,
           *cell_circuit.emplace_back(std::make_unique<spice::Circuit>());
       const auto& h =
           cell_handles.emplace_back(bandgap::build_test_cell(c, ref_params));
-      spice::ParamDeltaSet& d = cell_delta.emplace_back(c);
-      slot_qa = d.bind_bjt(h.qa);
-      slot_qb = d.bind_bjt(h.qb);
-      slot_u1 = d.bind_opamp("U1");
-      slot_rx1 = d.bind_resistor("RX1");
-      slot_rx2 = d.bind_resistor("RX2");
-      slot_rb = d.bind_resistor("RB");
+      cell_dev.push_back({&c.get<spice::Bjt>(h.qa), &c.get<spice::Bjt>(h.qb),
+                          &c.get<spice::OpAmp>("U1"),
+                          &c.get<spice::Resistor>("RX1"),
+                          &c.get<spice::Resistor>("RX2"),
+                          &c.get<spice::Resistor>("RB")});
       ptrs.push_back(&c);
     }
     cell.emplace(std::move(ptrs), cfg.lab.newton);
@@ -95,13 +93,13 @@ void LaneGroup::program_die(std::size_t l, const DieSample& die) {
   if (cell) {
     const bandgap::TestCellParams p =
         cell_params(die, campaign.config().lab, 0.0);
-    auto& d = cell_delta[l];
-    d.set_bjt_model(slot_qa, p.qa_model);
-    d.set_bjt_model(slot_qb, p.qb_model);
-    d.set_opamp_offset(slot_u1, p.opamp_offset);
-    d.set_resistance(slot_rx1, p.rx1);
-    d.set_resistance(slot_rx2, p.rx2);
-    d.set_resistance(slot_rb, p.rb);
+    const CellDevices& d = cell_dev[l];
+    d.qa->set_model(p.qa_model);
+    d.qb->set_model(p.qb_model);
+    d.u1->set_offset(p.opamp_offset);
+    d.rx1->set_nominal_resistance(p.rx1);
+    d.rx2->set_nominal_resistance(p.rx2);
+    d.rb->set_nominal_resistance(p.rb);
     cell->begin_variant(l);
     cell->set_lane_active(l, true);
   }

@@ -17,6 +17,8 @@
 #include "icvbe/lab/campaign.hpp"
 #include "icvbe/lab/lot_campaign.hpp"
 #include "icvbe/spice/batch_session.hpp"
+#include "icvbe/spice/bjt.hpp"
+#include "icvbe/spice/linear_devices.hpp"
 
 namespace icvbe::lab::protocol {
 
@@ -92,9 +94,16 @@ struct LaneGroup {
   // Meijer-method rig (the full test cell).
   std::vector<std::unique_ptr<spice::Circuit>> cell_circuit;
   std::vector<bandgap::TestCellHandles> cell_handles;
-  std::vector<spice::ParamDeltaSet> cell_delta;
-  std::size_t slot_qa = 0, slot_qb = 0, slot_u1 = 0;
-  std::size_t slot_rx1 = 0, slot_rx2 = 0, slot_rb = 0;
+  /// The devices a die re-programs in one lane's cell.
+  struct CellDevices {
+    spice::Bjt* qa = nullptr;
+    spice::Bjt* qb = nullptr;
+    spice::OpAmp* u1 = nullptr;
+    spice::Resistor* rx1 = nullptr;
+    spice::Resistor* rx2 = nullptr;
+    spice::Resistor* rb = nullptr;
+  };
+  std::vector<CellDevices> cell_dev;
   std::optional<spice::BatchDcSession> cell;
 
   std::vector<DieSample> sample;

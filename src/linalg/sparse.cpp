@@ -126,28 +126,6 @@ void SparseMatrixT<Scalar>::freeze_pattern() {
 }
 
 template <typename Scalar>
-void SparseMatrixT<Scalar>::unfreeze() {
-  if (!frozen_) return;
-  coo_coords_.clear();
-  coo_values_.clear();
-  coo_coords_.reserve(values_.size());
-  coo_values_.reserve(values_.size());
-  for (std::size_t r = 0; r < rows_; ++r) {
-    for (int i = row_ptr_[r]; i < row_ptr_[r + 1]; ++i) {
-      coo_coords_.emplace_back(static_cast<int>(r),
-                               col_index_[static_cast<std::size_t>(i)]);
-      coo_values_.push_back(values_[static_cast<std::size_t>(i)]);
-    }
-  }
-  row_ptr_.clear();
-  col_index_.clear();
-  values_.clear();
-  checkpoint_values_.clear();
-  tape_.reset(0);
-  frozen_ = false;
-}
-
-template <typename Scalar>
 void SparseMatrixT<Scalar>::fill(Scalar value) {
   ICVBE_REQUIRE(frozen_, "SparseMatrix::fill: freeze_pattern() first");
   std::fill(values_.begin(), values_.end(), value);

@@ -430,15 +430,9 @@ struct SimServer::Impl::Connection {
     auto& c = *sess.parsed.circuit;
     for (const PatchCommand& p : patches) {
       switch (p.target) {
-        case PatchCommand::Target::kResistor: {
-          auto& r = c.get<spice::Resistor>(p.name);
-          r.set_nominal_resistance(p.value);
-          // set_nominal_resistance resets to the raw nominal; re-apply
-          // the circuit temperature or the patch silently drops the
-          // tempco scaling (the BoundAxis discipline).
-          if (c.has_temperature()) r.set_temperature(c.temperature());
+        case PatchCommand::Target::kResistor:
+          c.get<spice::Resistor>(p.name).set_nominal_resistance(p.value);
           break;
-        }
         case PatchCommand::Target::kCapacitor:
           c.get<spice::Capacitor>(p.name).set_capacitance(p.value);
           break;

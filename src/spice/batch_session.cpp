@@ -239,24 +239,4 @@ void BatchDcSession::solve_active() {
   }
 }
 
-std::size_t ParamDeltaSet::bind_resistor(std::string_view name) {
-  resistors_.push_back(&circuit_->get<Resistor>(name));
-  return resistors_.size() - 1;
-}
-
-std::size_t ParamDeltaSet::bind_bjt(std::string_view name) {
-  bjts_.push_back(&circuit_->get<Bjt>(name));
-  return bjts_.size() - 1;
-}
-
-std::size_t ParamDeltaSet::bind_opamp(std::string_view name) {
-  opamps_.push_back(&circuit_->get<OpAmp>(name));
-  return opamps_.size() - 1;
-}
-
-std::size_t ParamDeltaSet::bind_isource(std::string_view name) {
-  isources_.push_back(&circuit_->get<CurrentSource>(name));
-  return isources_.size() - 1;
-}
-
 }  // namespace icvbe::spice

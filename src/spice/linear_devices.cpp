@@ -33,17 +33,19 @@ void Resistor::set_temperature(double t_kelvin) {
   const double dt = t_kelvin - tnom_;
   const double factor = 1.0 + tc1_ * dt + tc2_ * dt * dt;
   ICVBE_REQUIRE(factor > 0.0, "Resistor: temperature model gives R <= 0");
-  r_now_ = r0_ * factor;
+  factor_ = factor;
+  r_now_ = r0_ * factor_;
 }
 
 void Resistor::set_nominal_resistance(double ohms) {
   ICVBE_REQUIRE(ohms > 0.0, "Resistor: resistance must be > 0");
   r0_ = ohms;
-  r_now_ = ohms;  // callers re-run set_temperature before solving
+  r_now_ = r0_ * factor_;
 }
 
 std::unique_ptr<Device> Resistor::clone() const {
   auto d = std::make_unique<Resistor>(name(), a_, b_, r0_, tc1_, tc2_, tnom_);
+  d->factor_ = factor_;
   d->r_now_ = r_now_;
   return d;
 }

@@ -715,11 +715,6 @@ struct BoundAxis {
         break;
       case SweepAxis::Kind::kResistor:
         resistor->set_nominal_resistance(value);
-        // set_nominal_resistance resets R to the raw nominal; re-apply the
-        // circuit temperature so the tempco scaling survives the sweep.
-        if (circuit->has_temperature()) {
-          resistor->set_temperature(circuit->temperature());
-        }
         break;
     }
   }
@@ -937,7 +932,7 @@ void compile_into(const Probe& p, const Circuit& circuit, ProbeDomain domain,
 }
 
 CompiledProbe compile_probe(const Probe& p, const Circuit& circuit,
-                            ProbeDomain domain = ProbeDomain::kDc) {
+                            ProbeDomain domain) {
   CompiledProbe c;
   std::size_t depth = 0;
   compile_into(p, circuit, domain, c.program, depth, c.max_depth);
@@ -1023,22 +1018,15 @@ double eval_compiled_ac(const CompiledProbe& probe,
 struct BoundPlan {
   BoundAxis outer;  ///< unused for 1-axis plans
   BoundAxis inner;
-  std::vector<CompiledProbe> probes;
-  std::vector<double> stack;
+  CompiledProbeSet probes;
   std::vector<double> probe_row;  ///< staging row for RunObserver delivery
 
-  BoundPlan(const AnalysisPlan& plan, Circuit& circuit) {
-    if (plan.axes.size() == 2) outer = bind_axis(plan.axes.front(), circuit);
-    inner = bind_axis(plan.axes.back(), circuit);
-    probes.reserve(plan.probes.size());
-    std::size_t max_depth = 1;
-    for (const Probe& p : plan.probes) {
-      probes.push_back(compile_probe(p, circuit));
-      max_depth = std::max(max_depth, probes.back().max_depth);
-    }
-    stack.assign(max_depth, 0.0);
-    probe_row.assign(plan.probes.size(), 0.0);
-  }
+  BoundPlan(const AnalysisPlan& plan, Circuit& circuit)
+      : outer(plan.axes.size() == 2 ? bind_axis(plan.axes.front(), circuit)
+                                    : BoundAxis{}),
+        inner(bind_axis(plan.axes.back(), circuit)),
+        probes(plan.probes, circuit),
+        probe_row(plan.probes.size(), 0.0) {}
 };
 
 /// Shared streaming state of one run() execution: the observer (may be
@@ -1102,8 +1090,7 @@ void run_inner_sweep(SimSession& session, BoundPlan& bound,
     }
     const std::size_t row = row_base + j;
     for (std::size_t p = 0; p < bound.probes.size(); ++p) {
-      columns[p][row] = eval_compiled(bound.probes[p], r->solution,
-                                      bound.stack);
+      columns[p][row] = bound.probes.eval(p, r->solution);
     }
     if (stream.active()) {
       double axes[2];

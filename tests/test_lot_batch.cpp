@@ -2,8 +2,11 @@
 // kernel must be bit-identical to scalar frozen refactor/solve, the
 // BatchDcSession lockstep Newton must be bit-identical to SimSession per
 // lane, a failed or inactive lane must not perturb its lane mates, the
-// per-die steady state must be allocation-free, and LotCampaign::run()
-// must be bit-identical to run_die for any lot size and thread count.
+// per-die steady state must be allocation-free, LotCampaign::run() must
+// be bit-identical to run_die for any lot size and thread count, and no
+// die of a lot-sized spread may leave the lockstep for the per-die path.
+// ICVBE_SPARSE_STRESS=1 (test_lot_batch_stress) takes those two lot
+// checks to 1000 dies.
 // Every batch is linalg::kBatchLanes wide; cases that need fewer dies
 // leave the spare lanes inactive, as a short lot does.
 //
@@ -14,15 +17,19 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <functional>
 #include <memory>
 #include <vector>
 
 #include "icvbe/bandgap/test_cell.hpp"
 #include "icvbe/common/constants.hpp"
+#include "icvbe/lab/campaign.hpp"
 #include "icvbe/lab/lot_campaign.hpp"
 #include "icvbe/linalg/sparse.hpp"
 #include "icvbe/spice/batch_session.hpp"
+#include "icvbe/spice/bjt.hpp"
+#include "icvbe/spice/linear_devices.hpp"
 #include "icvbe/spice/sim_session.hpp"
 #include "icvbe/testing/alloc_hook.hpp"
 
@@ -196,6 +203,15 @@ bandgap::TestCellParams lane_params(std::size_t l) {
   return p;
 }
 
+/// Re-program a test-cell lane to `p`'s resistors and amplifier offset
+/// through the device setters (the transistor models stay as built).
+void program_cell(Circuit& c, const bandgap::TestCellParams& p) {
+  c.get<spice::Resistor>("RX1").set_nominal_resistance(p.rx1);
+  c.get<spice::Resistor>("RX2").set_nominal_resistance(p.rx2);
+  c.get<spice::Resistor>("RB").set_nominal_resistance(p.rb);
+  c.get<spice::OpAmp>("U1").set_offset(p.opamp_offset);
+}
+
 /// The lane bit-identity contract under a given set of sparse engine
 /// options: scalar SimSessions per lane vs one shared-analysis
 /// BatchDcSession must agree to the bit. Parameterised by SparseOptions so
@@ -223,7 +239,7 @@ void check_cell_lanes_bit_identical(const NewtonOptions& opt) {
   }
 
   // Batch: the k dies through one shared-analysis session. The lanes are
-  // built nominal and re-programmed through ParamDeltaSet, the lot
+  // built nominal and re-programmed through the device setters, the lot
   // driver's own path.
   std::vector<CellLane> lanes(kLanes);
   std::vector<Circuit*> ptrs;
@@ -234,12 +250,7 @@ void check_cell_lanes_bit_identical(const NewtonOptions& opt) {
   BatchDcSession batch(std::move(ptrs), opt);
   for (std::size_t l = k; l < kLanes; ++l) batch.set_lane_active(l, false);
   for (std::size_t l = 0; l < k; ++l) {
-    const bandgap::TestCellParams p = lane_params(l);
-    spice::ParamDeltaSet d(lanes[l].circuit);
-    d.set_resistance(d.bind_resistor("RX1"), p.rx1);
-    d.set_resistance(d.bind_resistor("RX2"), p.rx2);
-    d.set_resistance(d.bind_resistor("RB"), p.rb);
-    d.set_opamp_offset(d.bind_opamp("U1"), p.opamp_offset);
+    program_cell(lanes[l].circuit, lane_params(l));
     lanes[l].circuit.set_temperature(t);
     batch.begin_variant(l);
     batch.seed_warm_start(
@@ -305,8 +316,7 @@ void check_rig_lanes_bit_identical(
   BatchDcSession batch(std::move(ptrs), opt);
   for (std::size_t l = k; l < kLanes; ++l) batch.set_lane_active(l, false);
   for (std::size_t l = 0; l < k; ++l) {
-    spice::ParamDeltaSet d(lanes[l]);
-    d.set_resistance(d.bind_resistor("R1"), r1(l));
+    lanes[l].get<spice::Resistor>("R1").set_nominal_resistance(r1(l));
     batch.begin_variant(l);
   }
   batch.solve_active();
@@ -456,11 +466,7 @@ TEST(BatchDcSessionTest, FailedLaneDoesNotPerturbLaneMates) {
   for (std::size_t l = 0; l < k; ++l) {
     bandgap::TestCellParams p = lane_params(l);
     if (l == 1) p.opamp_offset = 1e6;  // a die that cannot converge
-    spice::ParamDeltaSet d(lanes[l].circuit);
-    d.set_resistance(d.bind_resistor("RX1"), p.rx1);
-    d.set_resistance(d.bind_resistor("RX2"), p.rx2);
-    d.set_resistance(d.bind_resistor("RB"), p.rb);
-    d.set_opamp_offset(d.bind_opamp("U1"), p.opamp_offset);
+    program_cell(lanes[l].circuit, p);
     lanes[l].circuit.set_temperature(t);
     batch.begin_variant(l);
     batch.seed_warm_start(
@@ -492,13 +498,11 @@ TEST(BatchDcSessionTest, PerDieSteadyStateIsAllocationFree) {
   }
   BatchDcSession batch(std::move(ptrs));
   for (std::size_t l = k; l < kLanes; ++l) batch.set_lane_active(l, false);
-  std::vector<spice::ParamDeltaSet> delta;
-  std::vector<std::size_t> slot_rx1, slot_u1;
+  std::vector<spice::Resistor*> rx1;
+  std::vector<spice::OpAmp*> u1;
   for (std::size_t l = 0; l < k; ++l) {
-    spice::ParamDeltaSet d(lanes[l].circuit);
-    slot_rx1.push_back(d.bind_resistor("RX1"));
-    slot_u1.push_back(d.bind_opamp("U1"));
-    delta.push_back(std::move(d));
+    rx1.push_back(&lanes[l].circuit.get<spice::Resistor>("RX1"));
+    u1.push_back(&lanes[l].circuit.get<spice::OpAmp>("U1"));
   }
   // Warm-up die: first solve allocates (analysis, factor planes, buffers)
   // and pins the shape. Seed each lane once so the steady state below can
@@ -527,9 +531,9 @@ TEST(BatchDcSessionTest, PerDieSteadyStateIsAllocationFree) {
     }
     const std::uint64_t before = testing::allocation_count();
     for (std::size_t l = 0; l < k; ++l) {
-      delta[l].set_resistance(slot_rx1[l],
-                              lane_params(l).rx1 * (1.0 + 0.001 * die));
-      delta[l].set_opamp_offset(slot_u1[l], 1e-4 * static_cast<double>(die));
+      rx1[l]->set_nominal_resistance(lane_params(l).rx1 *
+                                     (1.0 + 0.001 * die));
+      u1[l]->set_offset(1e-4 * static_cast<double>(die));
       batch.begin_variant(l);
       batch.seed_warm_start(l, guess[l]);
     }
@@ -563,16 +567,8 @@ TEST(BatchDcSessionTest, SparseActiveLanesBitIdenticalAndAllocationFree) {
     ptrs.push_back(&lane.circuit);
   }
   BatchDcSession batch(std::move(ptrs));
-  std::vector<spice::ParamDeltaSet> delta;
-  std::vector<std::size_t> slot_rx1;
   for (std::size_t l = 0; l < k; ++l) {
-    const bandgap::TestCellParams p = lane_params(l);
-    spice::ParamDeltaSet d(lanes[l].circuit);
-    slot_rx1.push_back(d.bind_resistor("RX1"));
-    d.set_resistance(d.bind_resistor("RX2"), p.rx2);
-    d.set_resistance(d.bind_resistor("RB"), p.rb);
-    d.set_opamp_offset(d.bind_opamp("U1"), p.opamp_offset);
-    delta.push_back(std::move(d));
+    program_cell(lanes[l].circuit, lane_params(l));
     batch.set_lane_active(l, false);
   }
 
@@ -606,7 +602,8 @@ TEST(BatchDcSessionTest, SparseActiveLanesBitIdenticalAndAllocationFree) {
     const std::uint64_t before = testing::allocation_count();
     for (std::size_t a = 0; a < 3; ++a) {
       const std::size_t l = active[a];
-      delta[l].set_resistance(slot_rx1[l], rx1[a]);
+      lanes[l].circuit.get<spice::Resistor>("RX1").set_nominal_resistance(
+          rx1[a]);
       lanes[l].circuit.set_temperature(t);
       batch.begin_variant(l);
       batch.set_lane_active(l, true);
@@ -695,15 +692,21 @@ void expect_stat_bit_identical(const lab::LotStatistic& a,
   EXPECT_EQ(a.q90, b.q90);
 }
 
+/// True in the ICVBE_SPARSE_STRESS=1 ctest variant (test_lot_batch_stress).
+bool stress_run() { return std::getenv("ICVBE_SPARSE_STRESS") != nullptr; }
+
 TEST(LotBatchTest, RunEqualsRunDieForShortLotsAndAnyThreads) {
   // 1 and 6 dies fill one group partly; 13 dies leave the second group
-  // with 5 inactive lanes. Thread counts above the group count idle.
+  // with 5 inactive lanes. Thread counts above the group count idle. The
+  // stress variant adds a 1000-die lot.
+  std::vector<int> lot_sizes = {1, 6, 13};
+  if (stress_run()) lot_sizes.push_back(1000);
   lab::LotCampaignConfig ref_cfg = lot_config();
-  ref_cfg.samples = 13;
+  ref_cfg.samples = lot_sizes.back();
   const auto ref = per_die(lab::LotCampaign(lab::SiliconLot{}, ref_cfg));
   for (const auto& die : ref) ASSERT_TRUE(die.ok) << die.error;
 
-  for (int samples : {1, 6, 13}) {
+  for (int samples : lot_sizes) {
     const std::vector<lab::DieCharacterisation> want(
         ref.begin(), ref.begin() + samples);
     const lab::LotSummary want_sum = lab::LotCampaign::summarise(want);
@@ -782,6 +785,145 @@ TEST(LotBatchTest, FailingDiesFallBackBitIdentically) {
     SCOPED_TRACE(::testing::Message() << "die=" << i);
     expect_die_bit_identical(ref[i], got[i]);
   }
+}
+
+/// Carry `dies` dies of the default lot (`dies` a multiple of kLanes)
+/// through both of the lot's rigs the way LotCampaign's group body does
+/// (src/lab/lot_batch.cpp): one BatchDcSession per rig, primed once at the
+/// reference die; each group re-programmed through the device setters;
+/// every chamber point seeded from its analytic guess; the cell's
+/// electro-thermal passes run to the lab's tolerance, then the committed
+/// solve. The instruments' draws are left out: they move a forced current
+/// by ppm, where the lot spread moves every device value by percent.
+/// Returns the lane solves that left the lockstep (needs_solo, or not
+/// converged): each sends its die back to the per-die path.
+int count_lockstep_exits(int dies) {
+  const lab::LotCampaignConfig cfg;
+  const lab::SiliconLot lot;
+  const lab::DieSample ref = lot.sample(cfg.first_index);
+  const auto die_kelvin = [](const lab::DieSample& die, double celsius,
+                             double watts) {
+    return die.fixture.die_temperature(to_kelvin(celsius), watts);
+  };
+  int exits = 0;
+  const auto tally = [&](const BatchDcSession& rig,
+                         const std::vector<unsigned char>& solved) {
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      const spice::BatchLaneStatus& st = rig.status(l);
+      if (solved[l] && (st.needs_solo || !st.converged)) ++exits;
+    }
+  };
+  const std::vector<unsigned char> all(kLanes, 1);
+
+  // The classical rig: the current-driven DUT.
+  std::vector<Circuit> dut(kLanes);
+  std::vector<Circuit*> dut_ptrs;
+  spice::NodeId emitter = spice::kGround;
+  for (Circuit& c : dut) {
+    emitter = lab::protocol::build_dut(c, ref.qin, /*current_driven=*/true);
+    c.get<spice::CurrentSource>("IE").set_current(cfg.classical_ic);
+    dut_ptrs.push_back(&c);
+  }
+  BatchDcSession ibias(std::move(dut_ptrs), cfg.lab.newton);
+  dut[0].set_temperature(die_kelvin(ref, cfg.classical_celsius.front(), 0.0));
+  ibias.seed_warm_start(0, lab::protocol::dut_initial_guess(dut[0], emitter));
+  ibias.prime();
+
+  // The Meijer rig: the full test cell.
+  std::vector<CellLane> cells(kLanes);
+  std::vector<Circuit*> cell_ptrs;
+  for (CellLane& lane : cells) {
+    lane.handles = bandgap::build_test_cell(
+        lane.circuit, lab::protocol::cell_params(ref, cfg.lab, 0.0));
+    cell_ptrs.push_back(&lane.circuit);
+  }
+  BatchDcSession cell(std::move(cell_ptrs), cfg.lab.newton);
+  const double t_ref = die_kelvin(ref, cfg.cell_celsius.front(), 0.0);
+  cells[0].circuit.set_temperature(t_ref);
+  cell.seed_warm_start(
+      0, bandgap::cell_initial_guess(cells[0].circuit, cells[0].handles,
+                                     t_ref));
+  cell.prime();
+
+  std::vector<lab::DieSample> die(kLanes);
+  std::vector<double> t_die(kLanes);
+  std::vector<unsigned char> iterating(kLanes);
+  for (int first = 0; first < dies; first += static_cast<int>(kLanes)) {
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      die[l] = lot.sample(cfg.first_index + first + static_cast<int>(l));
+      dut[l].get<spice::Bjt>("DUT").set_model(die[l].qin);
+      ibias.begin_variant(l);
+      const bandgap::TestCellParams p =
+          lab::protocol::cell_params(die[l], cfg.lab, 0.0);
+      Circuit& c = cells[l].circuit;
+      c.get<spice::Bjt>(cells[l].handles.qa).set_model(p.qa_model);
+      c.get<spice::Bjt>(cells[l].handles.qb).set_model(p.qb_model);
+      program_cell(c, p);
+      cell.begin_variant(l);
+    }
+
+    for (double tc : cfg.classical_celsius) {
+      for (std::size_t l = 0; l < kLanes; ++l) {
+        dut[l].set_temperature(die_kelvin(die[l], tc, 0.0));
+        ibias.seed_warm_start(
+            l, lab::protocol::dut_initial_guess(dut[l], emitter));
+      }
+      ibias.solve_active();
+      tally(ibias, all);
+    }
+
+    for (double tc : cfg.cell_celsius) {
+      for (std::size_t l = 0; l < kLanes; ++l) {
+        t_die[l] = die_kelvin(die[l], tc, 0.0);
+        iterating[l] = 1;
+      }
+      // The lab's electro-thermal fixed point: at most 8 passes, until
+      // the die moves less than 1e-4 K.
+      for (int pass = 0; pass < 8; ++pass) {
+        bool any = false;
+        for (std::size_t l = 0; l < kLanes; ++l) {
+          cell.set_lane_active(l, iterating[l] != 0);
+          if (!iterating[l]) continue;
+          any = true;
+          cells[l].circuit.set_temperature(t_die[l]);
+          if (pass == 0) {
+            cell.seed_warm_start(
+                l, bandgap::cell_initial_guess(cells[l].circuit,
+                                               cells[l].handles, t_die[l]));
+          }
+        }
+        if (!any) break;
+        cell.solve_active();
+        tally(cell, iterating);
+        for (std::size_t l = 0; l < kLanes; ++l) {
+          if (!iterating[l]) continue;
+          const double t_new = die_kelvin(
+              die[l], tc,
+              bandgap::observe_cell(cells[l].circuit, cells[l].handles,
+                                    cell.solution(l), t_die[l])
+                  .power);
+          if (std::abs(t_new - t_die[l]) < 1e-4) iterating[l] = 0;
+          t_die[l] = t_new;
+        }
+      }
+      for (std::size_t l = 0; l < kLanes; ++l) {
+        cell.set_lane_active(l, true);
+        cells[l].circuit.set_temperature(t_die[l]);
+      }
+      cell.solve_active();
+      tally(cell, all);
+    }
+  }
+  return exits;
+}
+
+TEST(LotBatchTest, NoDieOfALotSizedSpreadLeavesTheLockstep) {
+  // The batched lot pays one symbolic analysis per rig only while every
+  // die accepts the reference pivots and converges in plain Newton; a die
+  // that leaves the lockstep is re-run by run_die at per-die cost. So the
+  // work count of a healthy batched lot is zero exits, on both rigs: over
+  // 64 dies here, over 1000 in the stress variant.
+  EXPECT_EQ(count_lockstep_exits(stress_run() ? 1000 : 64), 0);
 }
 
 }  // namespace

@@ -460,9 +460,9 @@ TEST(AnalysisPlanTest, TwoAxisResistorStepMatchesManualReprogramming) {
 }
 
 TEST(AnalysisPlanTest, ResistorAxisHonoursTemperatureCoefficient) {
-  // set_nominal_resistance resets R to the raw nominal; the axis must
-  // re-apply the circuit temperature or every point silently loses the
-  // tempco scaling (1k TC1=2m at 127 C is 1.2k, not 1k).
+  // Every axis point keeps the tempco scaling of the circuit temperature
+  // (1k TC1=2m at 127 C is 1.2k, not 1k): set_nominal_resistance carries
+  // the resistor's last temperature factor.
   const char* deck = R"(
 I1 0 n 1m
 R1 n 0 1k TC1=2m

@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <cstddef>
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -21,7 +22,10 @@
 #include "icvbe/server/client.hpp"
 #include "icvbe/server/sim_server.hpp"
 #include "icvbe/spice/circuit.hpp"
+#include "icvbe/spice/dynamic_devices.hpp"
+#include "icvbe/spice/linear_devices.hpp"
 #include "icvbe/spice/netlist.hpp"
+#include "icvbe/spice/netlist_gen.hpp"
 #include "icvbe/spice/plan.hpp"
 #include "icvbe/spice/sim_session.hpp"
 
@@ -243,6 +247,92 @@ TEST_F(ServerTest, PatchedWarmRerunMatchesAColdRunOfThePatchedDeck) {
   // And the patch genuinely changed the answer.
   ASSERT_EQ(before.rows_.size(), got.rows_.size());
   EXPECT_NE(before.rows_.at(5).second[0], got.rows_.at(5).second[0]);
+}
+
+/// A warm PATCH+RUN cycle of `deck` without the socket: LOAD's setup,
+/// then per cycle one of `patches` through the setters PATCH uses, and a
+/// RUN of the next kind in `kinds` (begin_variant + run, as execute_run
+/// does). After the first RUN, no cycle may repeat the setup a cold LOAD
+/// pays: the symbolic analysis stays the first RUN's, and every restamp
+/// follows the recorded stamp tape (no slot searches).
+void expect_warm_cycles_skip_setup(
+    const std::string& deck, const std::vector<spice::AnalysisKind>& kinds,
+    const std::vector<std::function<void(spice::Circuit&, int)>>& patches) {
+  auto parsed = spice::parse_netlist(deck);
+  auto& c = *parsed.circuit;
+  c.set_temperature(to_kelvin(parsed.temperature_celsius));
+  spice::SimSession sim(c);
+  const auto run = [&](spice::AnalysisKind kind) {
+    sim.begin_variant();
+    return sim.run(*parsed.find_plan(kind));
+  };
+  const spice::SweepResult first = run(kinds.front());
+  const int analyses = sim.sparse_lu().analysis_count();
+  ASSERT_EQ(analyses, 1);
+  ASSERT_EQ(sim.sparse_matrix().tape().misses(), 0u);
+
+  constexpr int kCycles = 24;
+  for (int i = 0; i < kCycles; ++i) {
+    patches[static_cast<std::size_t>(i) % patches.size()](c, i);
+    const spice::AnalysisKind kind =
+        kinds[static_cast<std::size_t>(i + 1) % kinds.size()];
+    const spice::SweepResult r = run(kind);
+    ASSERT_GT(r.rows(), 0u);
+    EXPECT_EQ(sim.sparse_lu().analysis_count(), analyses)
+        << "cycle " << i << " (" << spice::to_token(kind)
+        << ") re-ran the symbolic analysis";
+    EXPECT_EQ(sim.sparse_matrix().tape().misses(), 0u)
+        << "cycle " << i << " (" << spice::to_token(kind)
+        << ") searched for stamp slots";
+  }
+  // The patches reached the solves: the first kind's answer moved.
+  const spice::SweepResult last = run(kinds.front());
+  ASSERT_EQ(last.rows(), first.rows());
+  EXPECT_NE(last.value(0, last.rows() - 1), first.value(0, first.rows() - 1));
+  EXPECT_EQ(sim.sparse_lu().analysis_count(), analyses);
+}
+
+TEST(WarmSessionTest, PatchRunOnALadderKeepsTheAnalysisAndTheStampTape) {
+  // A setup-dominated deck: a 400-node ladder with a 7-point DC sweep.
+  spice::SyntheticNetlistSpec spec;
+  spec.topology = spice::SyntheticTopology::kResistorLadder;
+  spec.nodes = 400;
+  spec.seed = 7;
+  expect_warm_cycles_skip_setup(
+      spice::generate_netlist(spec), {spice::AnalysisKind::kDcSweep},
+      {[](spice::Circuit& c, int i) {
+         c.get<spice::Resistor>("RS5").set_nominal_resistance(500.0 +
+                                                              10.0 * i);
+       },
+       [](spice::Circuit& c, int i) {
+         c.get<spice::Resistor>("RG200").set_nominal_resistance(
+             9e3 + 100.0 * i);
+       },
+       [](spice::Circuit& c, int i) {
+         c.set_temperature(to_kelvin(25.0 + i));
+       }});
+}
+
+TEST(WarmSessionTest, PatchRunRotatingDcTranAcKeepsTheAnalysisAndTape) {
+  // Every analysis family on one session, every PATCH target the deck
+  // has: R, C, the AC-stimulus source, and TEMP.
+  expect_warm_cycles_skip_setup(
+      kComboDeck,
+      {spice::AnalysisKind::kTransient, spice::AnalysisKind::kDcSweep,
+       spice::AnalysisKind::kAc},
+      {[](spice::Circuit& c, int i) {
+         c.get<spice::Resistor>("R1").set_nominal_resistance(1e3 +
+                                                             50.0 * i);
+       },
+       [](spice::Circuit& c, int i) {
+         c.get<spice::Capacitor>("C1").set_capacitance(1e-6 * (1.0 + 0.1 * i));
+       },
+       [](spice::Circuit& c, int i) {
+         c.get<spice::VoltageSource>("V1").set_voltage(0.5 + 0.05 * i);
+       },
+       [](spice::Circuit& c, int i) {
+         c.set_temperature(to_kelvin(-20.0 + 5.0 * i));
+       }});
 }
 
 TEST_F(ServerTest, AcAfterADcSweepOnTheSameSessionMatchesAColdAcRun) {

@@ -67,21 +67,6 @@ TEST(SparseMatrixTest, ZeroValueRegistersPatternEntry) {
   EXPECT_DOUBLE_EQ(m.at(0, 1), 5.0);
 }
 
-TEST(SparseMatrixTest, UnfreezeReopensPattern) {
-  SparseMatrix m(2, 2);
-  m.add(0, 0, 1.0);
-  m.add(1, 1, 2.0);
-  m.freeze_pattern();
-  const auto stamp = m.pattern_stamp();
-  m.unfreeze();
-  m.add(0, 1, 3.0);
-  m.freeze_pattern();
-  EXPECT_EQ(m.nonzeros(), 3u);
-  EXPECT_DOUBLE_EQ(m.at(0, 0), 1.0);
-  EXPECT_DOUBLE_EQ(m.at(0, 1), 3.0);
-  EXPECT_NE(m.pattern_stamp(), stamp);
-}
-
 TEST(SparseMatrixTest, MultiplyMatchesDense) {
   SparseMatrix m(3, 3);
   m.add(0, 0, 2.0);

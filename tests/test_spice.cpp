@@ -117,6 +117,25 @@ TEST(DcSolver, ResistorTemperatureCoefficients) {
   EXPECT_NEAR(x.node_voltage(n), 1.2, 1e-6);
 }
 
+TEST(DcSolver, NominalResistanceKeepsTheTemperatureScaling) {
+  // A new R0 after set_temperature takes the same tempco factor, so
+  // callers never re-apply the temperature after re-programming R0.
+  const double tc1 = 2e-3;
+  const double tc2 = 1.5e-5;
+  const double tnom = 300.15;
+  Resistor r("R1", 1, kGround, 1e3, tc1, tc2, tnom);
+  const double t = to_kelvin(77.0);
+  r.set_temperature(t);
+  r.set_nominal_resistance(2.2e3);
+  const double dt = t - tnom;
+  EXPECT_EQ(r.resistance(), 2.2e3 * (1.0 + tc1 * dt + tc2 * dt * dt));
+  EXPECT_EQ(r.nominal_resistance(), 2.2e3);
+  // The carried factor is the one set_temperature computes afresh.
+  Resistor fresh("R2", 1, kGround, 2.2e3, tc1, tc2, tnom);
+  fresh.set_temperature(t);
+  EXPECT_EQ(r.resistance(), fresh.resistance());
+}
+
 TEST(DcSolver, DiodeForwardDrop) {
   Circuit c;
   const NodeId a = c.node("a");
