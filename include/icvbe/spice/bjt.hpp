@@ -99,6 +99,9 @@ class Bjt final : public Device {
     double isub = 0.0;
   };
   [[nodiscard]] TerminalCurrents currents(const Unknowns& x) const;
+  /// currents(x) as collector, base, emitter, substrate: IC/IB/IE/ISUB.
+  [[nodiscard]] Terminals terminals(const Unknowns& x) const override;
+  [[nodiscard]] bool named_terminals() const override { return true; }
   /// power(x) from currents already evaluated at x (tc == currents(x)), so
   /// a probe that needs both evaluates the model once.
   [[nodiscard]] double power(const Unknowns& x,

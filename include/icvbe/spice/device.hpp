@@ -9,6 +9,7 @@
 //      (SimSession checkpoints the linear devices before the first
 //      nonlinear one; the devices from there on restamp every iteration)
 //   4. power(solution)      -- dissipation for the electro-thermal loop
+// terminals(x), outside the solve, reads the terminal currents at any x.
 //
 // Small-signal contract (AC analysis): after a DC operating point has been
 // committed, stamp_ac(ac, op) writes the device's *linearised* complex
@@ -20,6 +21,7 @@
 // serves a whole frequency sweep, and parallel sweep workers may share the
 // circuit read-only.
 
+#include <array>
 #include <memory>
 #include <string>
 
@@ -27,6 +29,22 @@
 #include "icvbe/spice/unknowns.hpp"
 
 namespace icvbe::spice {
+
+/// Each terminal's node and the current flowing from that node into the
+/// device [A], at one solution; no device has more than 4 terminals.
+struct Terminals {
+  struct Pin {
+    NodeId node = kGround;
+    double amps = 0.0;
+  };
+  std::array<Pin, 4> pin{};
+  int count = 0;
+
+  /// Two terminals: `amps` flows from node a through the device to b.
+  [[nodiscard]] static Terminals branch(NodeId a, NodeId b, double amps) {
+    return {{{{a, amps}, {b, -amps}}}, 2};
+  }
+};
 
 class Device {
  public:
@@ -102,6 +120,14 @@ class Device {
                                const double* /*exps*/) {
     stamp(stamper, prev);
   }
+
+  /// Terminal currents at `x`, with no stamp and no junction limiting.
+  /// Terminal 0 carries the branch current I(dev) reads.
+  [[nodiscard]] virtual Terminals terminals(const Unknowns& x) const = 0;
+
+  /// True if probes name this device's terminals (IC/IB/IE/ISUB of a BJT)
+  /// rather than reading one branch current with I(dev).
+  [[nodiscard]] virtual bool named_terminals() const { return false; }
 
   /// Clear iteration state before a fresh solve.
   virtual void reset_state() {}

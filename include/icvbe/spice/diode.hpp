@@ -38,7 +38,7 @@ class Diode final : public Device {
                        const double* exps) override;
 
   /// Diode current anode -> cathode at solution x.
-  [[nodiscard]] double current(const Unknowns& x) const;
+  [[nodiscard]] Terminals terminals(const Unknowns& x) const override;
 
   /// Effective IS(T) after the last set_temperature.
   [[nodiscard]] double is_at_temperature() const noexcept { return is_t_; }

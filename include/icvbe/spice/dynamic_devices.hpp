@@ -104,7 +104,7 @@ class Capacitor final : public DynamicDevice {
   /// Current flowing a -> b: the committed companion current of the last
   /// accepted timepoint in transient mode (probes are evaluated at
   /// accepted points, after commit), 0 in DC mode (a capacitor blocks DC).
-  [[nodiscard]] double current(const Unknowns& x) const;
+  [[nodiscard]] Terminals terminals(const Unknowns& x) const override;
 
   [[nodiscard]] double capacitance() const noexcept { return farads_; }
   /// Re-program the value (a server PATCH). Touches only the coefficient
@@ -154,7 +154,7 @@ class Inductor final : public DynamicDevice {
   void imprint_ic(Unknowns& x) const override;
 
   /// Branch current p -> m (the aux unknown).
-  [[nodiscard]] double current(const Unknowns& x) const;
+  [[nodiscard]] Terminals terminals(const Unknowns& x) const override;
 
   [[nodiscard]] double inductance() const noexcept { return henries_; }
   /// Re-program the value (a server PATCH); pattern-preserving like

@@ -23,9 +23,8 @@ class Resistor final : public Device {
   void stamp(Stamper& stamper, const Unknowns& prev) override;
   void stamp_ac(AcStamper& ac, const Unknowns& op) const override;
   [[nodiscard]] double power(const Unknowns& x) const override;
-
-  /// Current flowing a -> b at the given solution.
-  [[nodiscard]] double current(const Unknowns& x) const;
+  /// Current flowing a -> b.
+  [[nodiscard]] Terminals terminals(const Unknowns& x) const override;
 
   [[nodiscard]] double resistance() const noexcept { return r_now_; }
   [[nodiscard]] double nominal_resistance() const noexcept { return r0_; }
@@ -62,8 +61,8 @@ class VoltageSource final : public Device {
   [[nodiscard]] double power(const Unknowns& x) const override;
 
   /// Branch current p -> m (positive = conventional current out of the +
-  /// terminal through the external circuit is -current()).
-  [[nodiscard]] double current(const Unknowns& x) const;
+  /// terminal through the external circuit is negative).
+  [[nodiscard]] Terminals terminals(const Unknowns& x) const override;
 
   void set_voltage(double volts) { volts_ = volts; }
   [[nodiscard]] double voltage() const noexcept { return volts_; }
@@ -109,6 +108,8 @@ class CurrentSource final : public Device {
   /// stimulus phasor (p -> m through the source, like the DC convention).
   void stamp_ac(AcStamper& ac, const Unknowns& op) const override;
 
+  [[nodiscard]] Terminals terminals(const Unknowns& x) const override;
+
   void set_current(double amps) { amps_ = amps; }
   [[nodiscard]] double current() const noexcept { return amps_; }
 
@@ -146,8 +147,8 @@ class Vcvs final : public Device {
   [[nodiscard]] std::unique_ptr<Device> clone() const override;
   void stamp(Stamper& stamper, const Unknowns& prev) override;
   void stamp_ac(AcStamper& ac, const Unknowns& op) const override;
+  [[nodiscard]] Terminals terminals(const Unknowns& x) const override;
 
-  [[nodiscard]] double current(const Unknowns& x) const;
   void set_gain(double gain) { gain_ = gain; }
   [[nodiscard]] double gain() const noexcept { return gain_; }
 
@@ -173,6 +174,8 @@ class OpAmp final : public Device {
   /// AC: the same gain-normalised constraint row without the offset (an
   /// input offset is bias, not signal).
   void stamp_ac(AcStamper& ac, const Unknowns& op) const override;
+  /// Output current out -> ground; ground is the fourth terminal.
+  [[nodiscard]] Terminals terminals(const Unknowns& x) const override;
 
   void set_offset(double volts) { offset_ = volts; }
   [[nodiscard]] double offset() const noexcept { return offset_; }

@@ -39,8 +39,9 @@ class Mosfet final : public Device {
   [[nodiscard]] bool is_nonlinear() const override { return true; }
   [[nodiscard]] double power(const Unknowns& x) const override;
 
-  /// Drain current (positive into the drain for NMOS, out for PMOS).
-  [[nodiscard]] double drain_current(const Unknowns& x) const;
+  /// Drain, gate, source. The drain current is positive into the drain
+  /// for NMOS, out of it for PMOS; the gate draws none.
+  [[nodiscard]] Terminals terminals(const Unknowns& x) const override;
 
   /// Gate overdrive VGS - VTH in the type-normalised frame at solution x.
   [[nodiscard]] double overdrive(const Unknowns& x) const;

@@ -115,9 +115,9 @@ class RunObserver {
 ///                        analysis (kept as one typed pair, not desugared
 ///                        to real arithmetic, exactly so the AC reading is
 ///                        |V(a)-V(b)| and not |V(a)|-|V(b)|)
-///   I(dev)               branch current of a V-source, resistor, diode,
-///                        VCVS, MOSFET (drain) or I-source
-///   IC(q) IB(q) IE(q)    BJT terminal currents (ISUB(q) for substrate)
+///   I(dev)               terminal 0 of any device but a BJT: a branch
+///                        current, or a MOSFET's drain current
+///   IC(q) IB(q) IE(q)    BJT terminals 0-2 (ISUB(q): 3, the substrate)
 ///   VM(n) VDB(n) VP(n)   AC node phasor: magnitude, dB (20 log10 |V|),
 ///   VR(n) VI(n)          phase [deg], real, imaginary part; all accept a
 ///                        node pair (VDB(a,b) = of the differential

@@ -332,6 +332,11 @@ Bjt::TerminalCurrents Bjt::currents(const Unknowns& x) const {
   return tc;
 }
 
+Terminals Bjt::terminals(const Unknowns& x) const {
+  const TerminalCurrents i = currents(x);
+  return {{{{c_, i.ic}, {b_, i.ib}, {e_, i.ie}, {s_node_, i.isub}}}, 4};
+}
+
 double Bjt::vbe(const Unknowns& x) const {
   return sign_ * (x.node_voltage(b_) - x.node_voltage(e_));
 }

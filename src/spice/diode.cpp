@@ -86,14 +86,15 @@ void Diode::stamp_ac(AcStamper& ac, const Unknowns& op) const {
                      linalg::Complex(conductance_from_exp(safe_exp(v / vt_))));
 }
 
-double Diode::current(const Unknowns& x) const {
+Terminals Diode::terminals(const Unknowns& x) const {
   const double v = x.node_voltage(anode_) - x.node_voltage(cathode_);
-  return is_t_ * (safe_exp(v / vt_) - 1.0);
+  return Terminals::branch(anode_, cathode_,
+                           is_t_ * (safe_exp(v / vt_) - 1.0));
 }
 
 double Diode::power(const Unknowns& x) const {
   const double v = x.node_voltage(anode_) - x.node_voltage(cathode_);
-  return std::abs(v * current(x));
+  return std::abs(v * terminals(x).pin[0].amps);
 }
 
 }  // namespace icvbe::spice

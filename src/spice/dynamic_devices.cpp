@@ -38,10 +38,10 @@ void Capacitor::stamp_ac(AcStamper& ac, const Unknowns& /*op*/) const {
   ac.add_conductance(a_, b_, linalg::Complex(0.0, ac.omega() * farads_));
 }
 
-double Capacitor::current(const Unknowns& /*x*/) const {
+Terminals Capacitor::terminals(const Unknowns& /*x*/) const {
   // The committed companion current of the last accepted timepoint --
   // what a probe evaluated at that point should read. DC blocks.
-  return transient_ ? i_prev_ : 0.0;
+  return Terminals::branch(a_, b_, transient_ ? i_prev_ : 0.0);
 }
 
 void Capacitor::commit(const Unknowns& x) {
@@ -124,8 +124,8 @@ void Inductor::stamp_ac(AcStamper& ac, const Unknowns& /*op*/) const {
   ac.add_entry(k, k, linalg::Complex(0.0, -ac.omega() * henries_));
 }
 
-double Inductor::current(const Unknowns& x) const {
-  return x.aux(first_aux());
+Terminals Inductor::terminals(const Unknowns& x) const {
+  return Terminals::branch(p_, m_, x.aux(first_aux()));
 }
 
 void Inductor::commit(const Unknowns& x) {

@@ -58,8 +58,9 @@ void Resistor::stamp_ac(AcStamper& ac, const Unknowns& /*op*/) const {
   ac.add_conductance(a_, b_, linalg::Complex(1.0 / r_now_));
 }
 
-double Resistor::current(const Unknowns& x) const {
-  return (x.node_voltage(a_) - x.node_voltage(b_)) / r_now_;
+Terminals Resistor::terminals(const Unknowns& x) const {
+  return Terminals::branch(
+      a_, b_, (x.node_voltage(a_) - x.node_voltage(b_)) / r_now_);
 }
 
 double Resistor::power(const Unknowns& x) const {
@@ -98,8 +99,8 @@ void VoltageSource::stamp_ac(AcStamper& ac, const Unknowns& /*op*/) const {
   ac.add_rhs(k, ac_phasor(ac_magnitude_, ac_phase_deg_));
 }
 
-double VoltageSource::current(const Unknowns& x) const {
-  return x.aux(first_aux());
+Terminals VoltageSource::terminals(const Unknowns& x) const {
+  return Terminals::branch(p_, m_, x.aux(first_aux()));
 }
 
 double VoltageSource::power(const Unknowns& /*x*/) const {
@@ -133,6 +134,10 @@ void CurrentSource::stamp_ac(AcStamper& ac, const Unknowns& /*op*/) const {
   const linalg::Complex j = ac_phasor(ac_magnitude_, ac_phase_deg_);
   ac.add_current_into(p_, -j);
   ac.add_current_into(m_, j);
+}
+
+Terminals CurrentSource::terminals(const Unknowns& /*x*/) const {
+  return Terminals::branch(p_, m_, amps_);
 }
 
 std::unique_ptr<Device> CurrentSource::clone() const {
@@ -177,7 +182,10 @@ void Vcvs::stamp_ac(AcStamper& ac, const Unknowns& /*op*/) const {
   ac.add_entry(k, ac.node_index(cm_), linalg::Complex(gain_));
 }
 
-double Vcvs::current(const Unknowns& x) const { return x.aux(first_aux()); }
+Terminals Vcvs::terminals(const Unknowns& x) const {
+  const double i = x.aux(first_aux());
+  return {{{{p_, i}, {m_, -i}, {cp_, 0.0}, {cm_, 0.0}}}, 4};
+}
 
 std::unique_ptr<Device> Vcvs::clone() const {
   return std::make_unique<Vcvs>(name(), p_, m_, cp_, cm_, gain_);
@@ -220,6 +228,11 @@ void OpAmp::stamp_ac(AcStamper& ac, const Unknowns& /*op*/) const {
   ac.add_entry(k, io, linalg::Complex(1.0 / gain_));
   ac.add_entry(k, ac.node_index(inp_), -one);
   ac.add_entry(k, ac.node_index(inn_), one);
+}
+
+Terminals OpAmp::terminals(const Unknowns& x) const {
+  const double i = x.aux(first_aux());
+  return {{{{out_, i}, {inp_, 0.0}, {inn_, 0.0}, {kGround, -i}}}, 4};
 }
 
 std::unique_ptr<Device> OpAmp::clone() const {

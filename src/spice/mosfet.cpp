@@ -134,11 +134,12 @@ void Mosfet::stamp_ac(AcStamper& ac, const Unknowns& op) const {
   ac.add_entry(is, is, linalg::Complex(ev.gm + ev.gds));
 }
 
-double Mosfet::drain_current(const Unknowns& x) const {
+Terminals Mosfet::terminals(const Unknowns& x) const {
   const double s = sign_;
   const double vgs = s * (x.node_voltage(g_) - x.node_voltage(s_));
   const double vds = s * (x.node_voltage(d_) - x.node_voltage(s_));
-  return s * evaluate(vgs, vds).id;
+  const double id = s * evaluate(vgs, vds).id;
+  return {{{{d_, id}, {g_, 0.0}, {s_, -id}}}, 3};
 }
 
 double Mosfet::overdrive(const Unknowns& x) const {
@@ -148,7 +149,7 @@ double Mosfet::overdrive(const Unknowns& x) const {
 
 double Mosfet::power(const Unknowns& x) const {
   const double vds = x.node_voltage(d_) - x.node_voltage(s_);
-  return std::abs(vds * drain_current(x));
+  return std::abs(vds * terminals(x).pin[0].amps);
 }
 
 }  // namespace icvbe::spice

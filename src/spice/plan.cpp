@@ -73,67 +73,29 @@ Probe Probe::expression(Op op, Probe lhs, Probe rhs) {
 
 namespace {
 
-/// Device classification for I(dev): resolved once (by eval or at probe
-/// compile time), then dispatched without RTTI.
-enum class BranchKind { kVsource, kResistor, kDiode, kVcvs, kMosfet,
-                        kIsource, kCapacitor, kInductor };
+/// The device and terminal a current leaf reads: I(dev) is terminal 0 of
+/// any device whose terminals are not probed by name (every device but a
+/// BJT); IC/IB/IE/ISUB(q) are terminals 0-3 of a BJT.
+struct CurrentLeaf {
+  const Device* dev = nullptr;
+  int terminal = 0;
+};
 
-std::optional<BranchKind> classify_branch(const Device& dev) {
-  if (dynamic_cast<const VoltageSource*>(&dev)) return BranchKind::kVsource;
-  if (dynamic_cast<const Resistor*>(&dev)) return BranchKind::kResistor;
-  if (dynamic_cast<const Diode*>(&dev)) return BranchKind::kDiode;
-  if (dynamic_cast<const Vcvs*>(&dev)) return BranchKind::kVcvs;
-  if (dynamic_cast<const Mosfet*>(&dev)) return BranchKind::kMosfet;
-  if (dynamic_cast<const CurrentSource*>(&dev)) return BranchKind::kIsource;
-  if (dynamic_cast<const Capacitor*>(&dev)) return BranchKind::kCapacitor;
-  if (dynamic_cast<const Inductor*>(&dev)) return BranchKind::kInductor;
-  return std::nullopt;
-}
-
-double branch_current_of(BranchKind kind, const Device& dev,
-                         const Unknowns& x) {
-  switch (kind) {
-    case BranchKind::kVsource:
-      return static_cast<const VoltageSource&>(dev).current(x);
-    case BranchKind::kResistor:
-      return static_cast<const Resistor&>(dev).current(x);
-    case BranchKind::kDiode:
-      return static_cast<const Diode&>(dev).current(x);
-    case BranchKind::kVcvs:
-      return static_cast<const Vcvs&>(dev).current(x);
-    case BranchKind::kMosfet:
-      return static_cast<const Mosfet&>(dev).drain_current(x);
-    case BranchKind::kIsource:
-      return static_cast<const CurrentSource&>(dev).current();
-    case BranchKind::kCapacitor:
-      return static_cast<const Capacitor&>(dev).current(x);
-    case BranchKind::kInductor:
-      return static_cast<const Inductor&>(dev).current(x);
+CurrentLeaf resolve_current(const Probe& p, const Circuit& circuit) {
+  const std::string& name = p.target();
+  const bool branch = p.kind() == Probe::Kind::kBranchCurrent;
+  const Device* d = circuit.find(name);
+  if (d == nullptr) {
+    throw CircuitError(branch ? "I(" + name + "): no device with that name"
+                              : "no device named '" + name + "'");
   }
-  return 0.0;  // unreachable
-}
-
-/// Branch current of any two-terminal-ish device for I(dev).
-double device_branch_current(const Device& dev, const Unknowns& x) {
-  const std::optional<BranchKind> kind = classify_branch(dev);
-  if (!kind.has_value()) {
-    throw CircuitError("I(" + dev.name() +
-                       "): device has no branch current (use IC/IB/IE for "
-                       "BJTs)");
+  if (d->named_terminals() == branch) {
+    throw CircuitError(branch ? "I(" + name +
+                                    "): device has no branch current (use "
+                                    "IC/IB/IE for BJTs)"
+                              : "device '" + name + "' has unexpected type");
   }
-  return branch_current_of(*kind, dev, x);
-}
-
-double bjt_terminal_current(const Bjt& q, Probe::BjtTerminal t,
-                            const Unknowns& x) {
-  const Bjt::TerminalCurrents i = q.currents(x);
-  switch (t) {
-    case Probe::BjtTerminal::kCollector: return i.ic;
-    case Probe::BjtTerminal::kBase: return i.ib;
-    case Probe::BjtTerminal::kEmitter: return i.ie;
-    case Probe::BjtTerminal::kSubstrate: return i.isub;
-  }
-  return 0.0;  // unreachable
+  return {d, branch ? 0 : static_cast<int>(p.terminal())};
 }
 
 const char* bjt_terminal_name(Probe::BjtTerminal t) {
@@ -210,15 +172,11 @@ double Probe::eval(const Circuit& circuit, const Unknowns& x) const {
       }
       return x.node_voltage(n) - x.node_voltage(n2);
     }
-    case Kind::kBranchCurrent: {
-      const Device* d = circuit.find(target_);
-      if (d == nullptr) {
-        throw CircuitError("I(" + target_ + "): no device with that name");
-      }
-      return device_branch_current(*d, x);
+    case Kind::kBranchCurrent:
+    case Kind::kBjtCurrent: {
+      const CurrentLeaf leaf = resolve_current(*this, circuit);
+      return leaf.dev->terminals(x).pin[leaf.terminal].amps;
     }
-    case Kind::kBjtCurrent:
-      return bjt_terminal_current(circuit.get<Bjt>(target_), terminal_, x);
     case Kind::kAcVoltage:
       throw PlanError(to_string() +
                       ": AC probes have no value at a DC operating point "
@@ -787,8 +745,7 @@ struct ProbeInstr {
   enum class Code {
     kConst,
     kNode,
-    kBranch,  ///< dispatch resolved at compile time via `sub`
-    kBjt,
+    kCurrent,  ///< terminal `terminal` of `dev`
     kAcNode,  ///< AC domain: scalarised (differential) node phasor
     kAdd,
     kSub,
@@ -802,8 +759,7 @@ struct ProbeInstr {
   /// kNode / kAcNode differential reference (0 = ground / single-ended).
   NodeId node2 = kGround;
   const Device* dev = nullptr;
-  BranchKind sub = BranchKind::kVsource;
-  Probe::BjtTerminal terminal = Probe::BjtTerminal::kCollector;
+  int terminal = 0;
   Probe::AcQuantity quantity = Probe::AcQuantity::kMagnitude;
 };
 
@@ -856,30 +812,13 @@ void compile_into(const Probe& p, const Circuit& circuit, ProbeDomain domain,
       max_depth = std::max(max_depth, ++depth);
       return;
     }
-    case Probe::Kind::kBranchCurrent: {
+    case Probe::Kind::kBranchCurrent:
       if (domain == ProbeDomain::kAc) {
         throw PlanError("I(" + p.target() +
                         "): branch-current probes are not available in an "
                         ".AC analysis (probe V/VM/VDB/VP quantities)");
       }
-      const Device* d = circuit.find(p.target());
-      if (d == nullptr) {
-        throw CircuitError("I(" + p.target() + "): no device with that name");
-      }
-      const std::optional<BranchKind> kind = classify_branch(*d);
-      if (!kind.has_value()) {
-        throw CircuitError("I(" + p.target() +
-                           "): device has no branch current (use IC/IB/IE "
-                           "for BJTs)");
-      }
-      ProbeInstr i;
-      i.code = ProbeInstr::Code::kBranch;
-      i.dev = d;
-      i.sub = *kind;
-      out.push_back(i);
-      max_depth = std::max(max_depth, ++depth);
-      return;
-    }
+      [[fallthrough]];
     case Probe::Kind::kBjtCurrent: {
       if (domain == ProbeDomain::kAc) {
         throw PlanError(std::string(bjt_terminal_name(p.terminal())) + "(" +
@@ -887,10 +826,11 @@ void compile_into(const Probe& p, const Circuit& circuit, ProbeDomain domain,
                         "): BJT terminal probes are not available in an "
                         ".AC analysis");
       }
+      const CurrentLeaf leaf = resolve_current(p, circuit);
       ProbeInstr i;
-      i.code = ProbeInstr::Code::kBjt;
-      i.dev = &circuit.get<Bjt>(p.target());
-      i.terminal = p.terminal();
+      i.code = ProbeInstr::Code::kCurrent;
+      i.dev = leaf.dev;
+      i.terminal = leaf.terminal;
       out.push_back(i);
       max_depth = std::max(max_depth, ++depth);
       return;
@@ -988,11 +928,8 @@ double eval_compiled(const CompiledProbe& probe, const Unknowns& x,
     switch (i.code) {
       case ProbeInstr::Code::kNode:
         return x.node_voltage(i.node) - x.node_voltage(i.node2);
-      case ProbeInstr::Code::kBranch:
-        return branch_current_of(i.sub, *i.dev, x);
-      case ProbeInstr::Code::kBjt:
-        return bjt_terminal_current(*static_cast<const Bjt*>(i.dev),
-                                    i.terminal, x);
+      case ProbeInstr::Code::kCurrent:
+        return i.dev->terminals(x).pin[i.terminal].amps;
       default:
         // kAcNode is unreachable: kDc compilation rejects AC leaves.
         return 0.0;

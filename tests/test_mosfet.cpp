@@ -31,7 +31,7 @@ TEST(MosfetTest, CutoffBelowThreshold) {
   c.add_vsource("VG", g, kGround, 0.3);  // below VTO = 0.7
   auto& m = c.add_mosfet("M1", d, g, kGround, nmos(), 10.0);
   const Unknowns x = SimSession(c).solve_or_throw();
-  EXPECT_NEAR(m.drain_current(x), 0.0, 1e-12);
+  EXPECT_NEAR(m.terminals(x).pin[0].amps, 0.0, 1e-12);
 }
 
 TEST(MosfetTest, SaturationSquareLaw) {
@@ -43,7 +43,7 @@ TEST(MosfetTest, SaturationSquareLaw) {
   auto& m = c.add_mosfet("M1", d, g, kGround, nmos(), 10.0);
   const Unknowns x = SimSession(c).solve_or_throw();
   // ID = 0.5 * KP * W/L * VOV^2 = 0.5 * 50u * 10 * 0.25 = 62.5 uA.
-  EXPECT_NEAR(m.drain_current(x), 62.5e-6, 1e-9);
+  EXPECT_NEAR(m.terminals(x).pin[0].amps, 62.5e-6, 1e-9);
 }
 
 TEST(MosfetTest, TriodeRegion) {
@@ -55,7 +55,7 @@ TEST(MosfetTest, TriodeRegion) {
   auto& m = c.add_mosfet("M1", d, g, kGround, nmos(), 10.0);
   const Unknowns x = SimSession(c).solve_or_throw();
   // ID = KP W/L (VOV - VDS/2) VDS = 50u*10*(0.5-0.1)*0.2 = 40 uA.
-  EXPECT_NEAR(m.drain_current(x), 40e-6, 1e-9);
+  EXPECT_NEAR(m.terminals(x).pin[0].amps, 40e-6, 1e-9);
 }
 
 TEST(MosfetTest, ChannelLengthModulation) {
@@ -68,10 +68,10 @@ TEST(MosfetTest, ChannelLengthModulation) {
   c.add_vsource("VG", g, kGround, 1.2);
   auto& q = c.add_mosfet("M1", d, g, kGround, m, 10.0);
   const Unknowns x1 = SimSession(c).solve_or_throw();
-  const double i1 = q.drain_current(x1);
+  const double i1 = q.terminals(x1).pin[0].amps;
   vd.set_voltage(4.0);
   const Unknowns x2 = SimSession(c).solve_or_throw();
-  const double i2 = q.drain_current(x2);
+  const double i2 = q.terminals(x2).pin[0].amps;
   EXPECT_NEAR(i2 / i1, (1.0 + 0.1 * 4.0) / (1.0 + 0.1 * 2.0), 1e-9);
 }
 
@@ -91,7 +91,7 @@ TEST(MosfetTest, PmosMirrorsNmosBehaviour) {
   auto& q = c.add_mosfet("M1", d, g, s, pm, 10.0);
   const Unknowns x = SimSession(c).solve_or_throw();
   // PMOS: conventional current flows out of the drain: -62.5 uA into it.
-  EXPECT_NEAR(q.drain_current(x), -62.5e-6, 1e-9);
+  EXPECT_NEAR(q.terminals(x).pin[0].amps, -62.5e-6, 1e-9);
 }
 
 TEST(MosfetTest, ResistorLoadedInverterSolves) {
@@ -107,7 +107,7 @@ TEST(MosfetTest, ResistorLoadedInverterSolves) {
   const Unknowns x = SimSession(c).solve_or_throw();
   const double vd = x.node_voltage(d);
   // KCL: (3 - vd)/100k = id(vd).
-  EXPECT_NEAR((3.0 - vd) / 1e5, q.drain_current(x), 1e-10);
+  EXPECT_NEAR((3.0 - vd) / 1e5, q.terminals(x).pin[0].amps, 1e-10);
   EXPECT_GT(vd, 0.0);
   EXPECT_LT(vd, 3.0);
 }
@@ -121,10 +121,10 @@ TEST(MosfetTest, ThresholdDropsWithTemperature) {
   auto& q = c.add_mosfet("M1", d, g, kGround, nmos(), 10.0);
   c.set_temperature(298.15);
   const Unknowns x_cold = SimSession(c).solve_or_throw();
-  const double i_cold = q.drain_current(x_cold);
+  const double i_cold = q.terminals(x_cold).pin[0].amps;
   c.set_temperature(398.15);
   const Unknowns x_hot = SimSession(c).solve_or_throw();
-  const double i_hot = q.drain_current(x_hot);
+  const double i_hot = q.terminals(x_hot).pin[0].amps;
   // VTH dropped 0.2 V: much more overdrive beats the mobility loss here.
   EXPECT_GT(i_hot, 5.0 * std::max(i_cold, 1e-12));
 }
@@ -155,7 +155,7 @@ TEST(CmosOpAmp, BiasLegConductsDesignCurrent) {
   build_cmos_opamp(c, "oa", out, inp, inn, p);
   const spice::Unknowns x = spice::SimSession(c).solve_or_throw();
   auto& rb = c.get<spice::Resistor>("oa.RB");
-  const double i_bias = rb.current(x);
+  const double i_bias = rb.terminals(x).pin[0].amps;
   EXPECT_GT(i_bias, 5e-6);
   EXPECT_LT(i_bias, 60e-6);
 }

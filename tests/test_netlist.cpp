@@ -98,7 +98,8 @@ TEST(NetlistParser, CommentsAndContinuations) {
   auto parsed = parse_netlist(deck);
   auto& c = *parsed.circuit;
   const Unknowns x = SimSession(c).solve_or_throw();
-  EXPECT_NEAR(c.get<VoltageSource>("V1").current(x), -0.5e-3, 1e-9);
+  EXPECT_NEAR(c.get<VoltageSource>("V1").terminals(x).pin[0].amps, -0.5e-3,
+              1e-9);
 }
 
 TEST(NetlistParser, ModelCardAndBjt) {

@@ -12,7 +12,9 @@
 #include <cstdint>
 #include <mutex>
 #include <sstream>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "icvbe/bandgap/test_cell.hpp"
 #include "icvbe/common/constants.hpp"
@@ -108,13 +110,62 @@ TEST(ProbeTest, EvalAgainstSolvedCircuit) {
   EXPECT_DOUBLE_EQ(parse_probe("V(a)").eval(c, x), v_a);
   EXPECT_DOUBLE_EQ(parse_probe("V(in,a)").eval(c, x), v_in - v_a);
   EXPECT_DOUBLE_EQ(parse_probe("I(R1)").eval(c, x),
-                   c.get<Resistor>("R1").current(x));
+                   c.get<Resistor>("R1").terminals(x).pin[0].amps);
   EXPECT_DOUBLE_EQ(parse_probe("I(V1)").eval(c, x),
-                   c.get<VoltageSource>("V1").current(x));
+                   c.get<VoltageSource>("V1").terminals(x).pin[0].amps);
   EXPECT_DOUBLE_EQ(parse_probe("V(a)*2+1").eval(c, x), v_a * 2.0 + 1.0);
   EXPECT_THROW((void)parse_probe("V(nope)").eval(c, x), CircuitError);
   EXPECT_THROW((void)parse_probe("I(nope)").eval(c, x), CircuitError);
   EXPECT_THROW((void)parse_probe("IC(R1)").eval(c, x), CircuitError);
+}
+
+/// what() of the CircuitError `f` throws ("" if it throws none).
+template <typename F>
+std::string circuit_error_of(F&& f) {
+  try {
+    f();
+  } catch (const CircuitError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(ProbeTest, CurrentLeavesReadTerminalsByOneRule) {
+  // An op-amp follower into a load, and a diode-connected NPN.
+  ParsedNetlist parsed = parse_netlist(
+      "V1 in 0 1\n"
+      "U1 out in out\n"
+      "RL out 0 1k\n"
+      "RQ in q 10k\n"
+      "Q1 q q 0 NPN1\n"
+      ".MODEL NPN1 NPN (IS=1e-16 BF=100)\n");
+  Circuit& c = *parsed.circuit;
+  SimSession session(c);
+  const Unknowns& x = session.solve_or_throw();
+
+  // I(U1) is the op-amp's terminal 0, its output current: the follower
+  // sources V(out)/RL into the load, so the current into it is negative.
+  const CompiledProbeSet set({parse_probe("I(U1)"), parse_probe("IB(Q1)")}, c);
+  const double i_u1 = c.find("U1")->terminals(x).pin[0].amps;
+  EXPECT_EQ(parse_probe("I(U1)").eval(c, x), i_u1);
+  EXPECT_EQ(set.eval(0, x), i_u1);
+  EXPECT_NEAR(i_u1, -x.node_voltage(c.find_node("out")) / 1e3, 1e-9);
+  EXPECT_EQ(set.eval(1, x), c.get<Bjt>("Q1").currents(x).ib);
+
+  // The error messages of the current leaves, through eval and compile.
+  const std::vector<std::pair<std::string, std::string>> errors = {
+      {"I(Q1)", "I(Q1): device has no branch current (use IC/IB/IE for "
+                "BJTs)"},
+      {"I(nope)", "I(nope): no device with that name"},
+      {"IC(RL)", "device 'RL' has unexpected type"},
+      {"IC(nope)", "no device named 'nope'"},
+  };
+  for (const auto& [text, message] : errors) {
+    const Probe p = parse_probe(text);
+    EXPECT_EQ(circuit_error_of([&] { (void)p.eval(c, x); }), message);
+    EXPECT_EQ(circuit_error_of([&] { CompiledProbeSet bad({p}, c); }),
+              message);
+  }
 }
 
 // -------------------------------------------------------------- grids ---

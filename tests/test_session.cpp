@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "icvbe/bandgap/banba_cell.hpp"
 #include "icvbe/bandgap/test_cell.hpp"
 #include "icvbe/common/constants.hpp"
 #include "icvbe/common/error.hpp"
@@ -149,7 +150,7 @@ TEST(SimSessionTest, ConstCircuitAccessInProbes) {
   EXPECT_NE(cc.find("R1"), nullptr);
   EXPECT_EQ(cc.find("nope"), nullptr);
   const auto& r1 = cc.get<Resistor>("R1");
-  EXPECT_GT(std::abs(r1.current(x)), 0.0);
+  EXPECT_GT(std::abs(r1.terminals(x).pin[0].amps), 0.0);
   EXPECT_THROW((void)cc.get<VoltageSource>("R1"), CircuitError);
 }
 
@@ -183,6 +184,35 @@ TEST(SimSessionTest, NewtonLoopIsAllocationFreeAfterSetup) {
   EXPECT_GT(std::abs(vref_sum), 0.0);
   EXPECT_EQ(after - before, 0u)
       << "SimSession::solve() allocated on the steady-state path";
+}
+
+TEST(SimSessionTest, BanbaSweepIsAllocationFreeAfterWarmUp) {
+  // The sub-1-V cell (PMOS mirror, op-amp, PNPs): 100 points from -55 to
+  // 125 C through solve_banba_at on one session warmed at the first point.
+  const lab::SiliconLot lot;
+  bandgap::BanbaCellParams p;
+  p.qa_model = lot.truth().pnp;
+  p.qb_model = lot.truth().pnp;
+  p.pmos = bandgap::banba_default_pmos();
+  Circuit c;
+  const bandgap::BanbaHandles h = bandgap::build_banba_cell(c, p);
+  NewtonOptions opt;
+  opt.max_iterations = 400;
+  SimSession session(c, opt);
+  const std::vector<double> temps =
+      SweepGrid::linear(to_kelvin(-55.0), to_kelvin(125.0), 100).points();
+  (void)bandgap::solve_banba_at(session, h, p, temps.front());
+
+  const std::uint64_t before = icvbe::testing::allocation_count();
+  double vref_sum = 0.0;
+  for (double t : temps) {
+    vref_sum += bandgap::solve_banba_at(session, h, p, t).vref;
+  }
+  const std::uint64_t after = icvbe::testing::allocation_count();
+
+  EXPECT_GT(vref_sum, 0.0);
+  EXPECT_EQ(after - before, 0u)
+      << "solve_banba_at allocated on a warmed session";
 }
 
 // ---------------------------------------------------------------------------
@@ -360,6 +390,9 @@ class CountingDevice final : public Device {
     return inner_->is_nonlinear();
   }
   void reset_state() override { inner_->reset_state(); }
+  [[nodiscard]] Terminals terminals(const Unknowns& x) const override {
+    return inner_->terminals(x);
+  }
 
  private:
   std::unique_ptr<Device> inner_;

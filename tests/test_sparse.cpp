@@ -119,6 +119,11 @@ class ScrambledConductances final : public spice::Device {
     }
   }
   void stamp_ac(spice::AcStamper&, const spice::Unknowns&) const override {}
+  /// Never probed: the ring has more terminals than Terminals holds.
+  [[nodiscard]] spice::Terminals terminals(
+      const spice::Unknowns&) const override {
+    return {};
+  }
 
   int phase = 0;
 

@@ -1,16 +1,25 @@
 // Tests for icvbe/spice: MNA stamps, linear solves, diode/BJT Newton
-// convergence, and temperature behaviour.
+// convergence, temperature behaviour, and the independent KCL check of
+// returned operating points.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <filesystem>
+#include <fstream>
+#include <string>
+#include <vector>
 
 #include "icvbe/common/constants.hpp"
 #include "icvbe/common/error.hpp"
 #include "icvbe/spice/circuit.hpp"
 #include "icvbe/spice/junction.hpp"
+#include "icvbe/spice/netlist.hpp"
+#include "icvbe/spice/netlist_gen.hpp"
 #include "icvbe/spice/plan.hpp"
 #include "icvbe/spice/sim_session.hpp"
+#include "kcl_check.hpp"
 
 namespace icvbe::spice {
 namespace {
@@ -70,7 +79,8 @@ TEST(DcSolver, ResistorDivider) {
   // gmin (1e-12 S to ground) leaks a few nA, so tolerances are ~1e-7.
   EXPECT_NEAR(x.node_voltage(mid), 7.5, 1e-7);
   // Source current: 10 V across 4k -> 2.5 mA drawn from the + terminal.
-  EXPECT_NEAR(c.get<VoltageSource>("V1").current(x), -2.5e-3, 1e-8);
+  EXPECT_NEAR(c.get<VoltageSource>("V1").terminals(x).pin[0].amps, -2.5e-3,
+              1e-8);
 }
 
 TEST(DcSolver, CurrentSourceIntoResistor) {
@@ -158,7 +168,7 @@ TEST(DcSolver, DiodeReverseLeakage) {
   c.add_vsource("V1", a, kGround, -5.0);
   auto& d = c.add_diode("D1", a, kGround, dm);
   const Unknowns x = SimSession(c).solve_or_throw();
-  EXPECT_NEAR(d.current(x), -1e-14, 1e-16);
+  EXPECT_NEAR(d.terminals(x).pin[0].amps, -1e-14, 1e-16);
 }
 
 TEST(DcSolver, DiodeSeriesResistorAnalytic) {
@@ -173,7 +183,7 @@ TEST(DcSolver, DiodeSeriesResistorAnalytic) {
   c.add_resistor("R1", in, a, 1e3);
   auto& d = c.add_diode("D1", a, kGround, dm);
   const Unknowns x = SimSession(c).solve_or_throw();
-  const double id = d.current(x);
+  const double id = d.terminals(x).pin[0].amps;
   const double va = x.node_voltage(a);
   EXPECT_NEAR((3.0 - va) / 1e3, id, 1e-9);
   EXPECT_NEAR(va, thermal_voltage(300.15) * std::log(id / 1e-14), 1e-6);
@@ -349,6 +359,82 @@ TEST(DcSolver, StrategyReportedOnEasyCircuit) {
   const DcResult r = SimSession(c).solve();
   EXPECT_TRUE(r.converged);
   EXPECT_EQ(r.strategy, "newton");
+}
+
+// ------------------------------------------------------------ KCL check ---
+
+/// The DC operating point of a parsed deck, solved as `icvbe simulate`
+/// does: at the deck temperature, from its .NODESET guess.
+::testing::AssertionResult operating_point_passes_kcl(ParsedNetlist parsed) {
+  Circuit& c = *parsed.circuit;
+  c.set_temperature(to_kelvin(parsed.temperature_celsius));
+  const Unknowns guess = parsed.nodeset_guess();
+  const Unknowns x = SimSession(c).solve_or_throw(&guess);
+  const kcl::KclResult r = kcl::check_kcl(c, x);
+  if (r.ok) return ::testing::AssertionSuccess();
+  return ::testing::AssertionFailure()
+         << "KCL fails at node " << c.node_name(r.worst_node) << ": |sum I| = "
+         << r.residual << " A > " << r.bound << " A";
+}
+
+TEST(KclCheck, EveryExampleDeckOperatingPointPasses) {
+  std::vector<std::filesystem::path> decks;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(ICVBE_EXAMPLE_DECKS)) {
+    if (entry.path().extension() == ".cir") decks.push_back(entry.path());
+  }
+  std::sort(decks.begin(), decks.end());
+  ASSERT_GE(decks.size(), 8u);
+  for (const auto& deck : decks) {
+    std::ifstream in(deck);
+    EXPECT_TRUE(operating_point_passes_kcl(parse_netlist(in)))
+        << deck.filename();
+  }
+}
+
+TEST(KclCheck, GeneratedDeckOperatingPointsPass) {
+  for (SyntheticTopology topology :
+       {SyntheticTopology::kResistorLadder, SyntheticTopology::kDiodeLadder,
+        SyntheticTopology::kBjtLadder, SyntheticTopology::kMesh}) {
+    for (int nodes : {20, 100}) {
+      for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        SyntheticNetlistSpec spec;
+        spec.topology = topology;
+        spec.nodes = nodes;
+        spec.seed = seed;
+        EXPECT_TRUE(
+            operating_point_passes_kcl(parse_netlist(generate_netlist(spec))))
+            << topology_name(topology) << " " << nodes << " nodes, seed "
+            << seed;
+      }
+    }
+  }
+}
+
+TEST(KclCheck, NonconPointOfTheSaturatedNpnFails) {
+  // The point a cold solve of this deck returns, as `icvbe simulate`
+  // printed it: V(b) sits 1.86 V above ground, so the base junction would
+  // carry ~1e13 A that no other device at node b returns.
+  ParsedNetlist parsed = parse_netlist(
+      "V1 vcc 0 2\n"
+      "Q1 c b 0 NPN1\n"
+      "R1 vcc c 10k\n"
+      "R2 c b 87.3k\n"
+      "R3 b 0 1.27MEG\n"
+      ".MODEL NPN1 NPN (IS=1e-16 BF=100)\n");
+  Circuit& c = *parsed.circuit;
+  c.set_temperature(to_kelvin(parsed.temperature_celsius));
+  Unknowns x(static_cast<std::size_t>(c.assign_unknowns()));
+  x.raw()[static_cast<std::size_t>(c.find_node("vcc") - 1)] = 2.0;
+  x.raw()[static_cast<std::size_t>(c.find_node("c") - 1)] = 1.98537;
+  x.raw()[static_cast<std::size_t>(c.find_node("b") - 1)] = 1.85768;
+  x.raw()[static_cast<std::size_t>(c.get<VoltageSource>("V1").first_aux())] =
+      -1.4627e-6;
+
+  const kcl::KclResult r = kcl::check_kcl(c, x);
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.worst_node, c.find_node("b"));
+  EXPECT_GT(r.residual, 1e12);
 }
 
 }  // namespace

@@ -156,7 +156,7 @@ int cmd_simulate(const std::string& path) {
   for (const auto& dev : c.devices()) {
     if (auto* v = dynamic_cast<spice::VoltageSource*>(dev.get())) {
       std::printf("I(%s) = %s A\n", v->name().c_str(),
-                  format_sig(v->current(x), 5).c_str());
+                  format_sig(v->terminals(x).pin[0].amps, 5).c_str());
     }
   }
   std::printf("total dissipation: %s W\n",
