@@ -485,7 +485,7 @@ void BM_SparseSessionDcSolve(benchmark::State& state) {
   (void)session.solve_or_throw();
   double dv = 0.0;
   for (auto _ : state) {
-    v1.set_voltage(5.0 + 0.01 * (dv = 0.01 - dv));  // nudge, stay warm
+    v1.set_value(5.0 + 0.01 * (dv = 0.01 - dv));  // nudge, stay warm
     const spice::DcResult& r = session.solve();
     benchmark::DoNotOptimize(r.converged);
   }

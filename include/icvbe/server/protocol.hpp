@@ -44,6 +44,7 @@
 //   V <name> <value>     voltage source DC volts
 //   I <name> <value>     current source DC amps
 //   TEMP <celsius>       circuit temperature
+// A PATCH is all or nothing: when any line is rejected, none applies.
 //
 // Numbers in DATA frames are printed with enough digits to round-trip
 // bit-exactly (format_value), so a client can compare streamed values
@@ -56,6 +57,7 @@
 #include <vector>
 
 #include "icvbe/common/error.hpp"
+#include "icvbe/spice/param.hpp"
 
 namespace icvbe::server {
 
@@ -111,19 +113,11 @@ class FrameDecoder {
 /// Print a double with enough digits to strtod back to the same bits.
 [[nodiscard]] std::string format_value(double v);
 
-/// One parsed PATCH body line.
+/// One parsed PATCH body line: what to set, and to what (ohms, farads,
+/// henries, volts, amps, or degrees C for TEMP).
 struct PatchCommand {
-  enum class Target {
-    kResistor,
-    kCapacitor,
-    kInductor,
-    kVsource,
-    kIsource,
-    kTemperature,
-  };
-  Target target = Target::kResistor;
-  std::string name;    ///< device name; empty for kTemperature
-  double value = 0.0;  ///< ohms/farads/henries/volts/amps/celsius
+  spice::ParamRef param;
+  double value = 0.0;
 };
 
 /// Parse a PATCH body (one command per line, blank lines ignored).

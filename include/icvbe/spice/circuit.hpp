@@ -6,6 +6,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "icvbe/common/error.hpp"
@@ -66,16 +67,7 @@ class Circuit {
   /// wrong type.
   template <typename T>
   [[nodiscard]] T& get(std::string_view name) {
-    Device* d = find(name);
-    if (d == nullptr) {
-      throw CircuitError("no device named '" + std::string(name) + "'");
-    }
-    T* t = dynamic_cast<T*>(d);
-    if (t == nullptr) {
-      throw CircuitError("device '" + std::string(name) +
-                         "' has unexpected type");
-    }
-    return *t;
+    return const_cast<T&>(std::as_const(*this).get<T>(name));
   }
 
   /// Const lookup, for probes and read-only inspection of a solved circuit.
@@ -109,7 +101,10 @@ class Circuit {
   /// Total unknown count (non-ground nodes + aux); assigns aux indices.
   [[nodiscard]] int assign_unknowns();
 
-  /// Broadcast a new device temperature and clear iteration state.
+  /// Broadcast a new device temperature and clear iteration state. If a
+  /// device rejects it, the devices already set go back to the last
+  /// temperature (when there is one) and the error propagates; the value
+  /// is recorded only once every device accepts it.
   void set_temperature(double t_kelvin);
 
   /// Last set_temperature value, if any (devices added later, or

@@ -51,7 +51,6 @@ class Device {
   explicit Device(std::string name) : name_(std::move(name)) {}
   virtual ~Device() = default;
 
-  Device(const Device&) = delete;
   Device& operator=(const Device&) = delete;
 
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
@@ -137,6 +136,11 @@ class Device {
   [[nodiscard]] virtual double power(const Unknowns& /*x*/) const {
     return 0.0;
   }
+
+ protected:
+  /// Copies the name only: a copy's aux index is assigned by its own
+  /// circuit (see clone()).
+  Device(const Device& other) : name_(other.name_) {}
 
  private:
   std::string name_;

@@ -44,31 +44,21 @@ class Resistor final : public Device {
   double r_now_;
 };
 
-/// Independent DC voltage source; positive terminal p. Uses one aux
-/// unknown (the branch current flowing p -> m through the source).
-class VoltageSource final : public Device {
+/// What the independent V and I sources share, and clone() copies: the DC
+/// value a DC analysis uses, an optional time-domain waveform, and the
+/// small-signal AC stimulus. The value is volts for a V source, amps for
+/// an I source. power() stays 0: sources deliver power into the circuit,
+/// they do not heat the die.
+class IndependentSource : public Device {
  public:
-  VoltageSource(std::string name, NodeId p, NodeId m, double volts);
+  IndependentSource(std::string name, NodeId p, NodeId m, double value)
+      : Device(std::move(name)), p_(p), m_(m), value_(value) {}
 
-  [[nodiscard]] int aux_count() const override { return 1; }
-  [[nodiscard]] std::unique_ptr<Device> clone() const override;
-  void stamp(Stamper& stamper, const Unknowns& prev) override;
-  /// AC: the branch is a short for small signals (V = AC phasor, 0 without
-  /// an AC spec) -- the DC bias never appears in the small-signal system.
-  void stamp_ac(AcStamper& ac, const Unknowns& op) const override;
-
-  /// Always 0: sources deliver power, they do not heat the die.
-  [[nodiscard]] double power(const Unknowns& x) const override;
-
-  /// Branch current p -> m (positive = conventional current out of the +
-  /// terminal through the external circuit is negative).
-  [[nodiscard]] Terminals terminals(const Unknowns& x) const override;
-
-  void set_voltage(double volts) { volts_ = volts; }
-  [[nodiscard]] double voltage() const noexcept { return volts_; }
+  void set_value(double value) { value_ = value; }
+  [[nodiscard]] double value() const noexcept { return value_; }
 
   /// Optional time-domain stimulus. DC analyses ignore it (the DC value
-  /// stays whatever set_voltage programmed -- parsers use the waveform's
+  /// stays whatever set_value programmed -- parsers use the waveform's
   /// dc_value(), its initial/offset value); TransientSolver re-applies
   /// value_at(t) while stepping.
   void set_waveform(Waveform w) { waveform_ = std::move(w); }
@@ -78,8 +68,8 @@ class VoltageSource final : public Device {
   [[nodiscard]] const Waveform& waveform() const { return *waveform_; }
 
   /// Small-signal stimulus ("AC <mag> [phase]" on the card): magnitude in
-  /// volts, phase in degrees. A magnitude of 0 (the default) makes the
-  /// source an AC short.
+  /// the value's unit, phase in degrees. A magnitude of 0 (the default)
+  /// makes a V source an AC short and an I source an AC open.
   void set_ac(double magnitude, double phase_deg = 0.0) {
     ac_magnitude_ = magnitude;
     ac_phase_deg_ = phase_deg;
@@ -87,54 +77,55 @@ class VoltageSource final : public Device {
   [[nodiscard]] double ac_magnitude() const noexcept { return ac_magnitude_; }
   [[nodiscard]] double ac_phase_deg() const noexcept { return ac_phase_deg_; }
 
- private:
+ protected:
+  /// The AC stimulus as a phasor.
+  [[nodiscard]] linalg::Complex ac_phasor() const;
+
   NodeId p_;
   NodeId m_;
-  double volts_;
+  double value_;
+
+ private:
   double ac_magnitude_ = 0.0;
   double ac_phase_deg_ = 0.0;
   std::optional<Waveform> waveform_;
 };
 
-/// Independent DC current source driving current `amps` from node p to
+/// Independent voltage source; positive terminal p. Uses one aux unknown
+/// (the branch current flowing p -> m through the source).
+class VoltageSource final : public IndependentSource {
+ public:
+  VoltageSource(std::string name, NodeId p, NodeId m, double volts);
+
+  [[nodiscard]] int aux_count() const override { return 1; }
+  [[nodiscard]] std::unique_ptr<Device> clone() const override {
+    return std::make_unique<VoltageSource>(*this);
+  }
+  void stamp(Stamper& stamper, const Unknowns& prev) override;
+  /// AC: the branch is a short for small signals (V = AC phasor, 0 without
+  /// an AC spec) -- the DC bias never appears in the small-signal system.
+  void stamp_ac(AcStamper& ac, const Unknowns& op) const override;
+
+  /// Branch current p -> m (positive = conventional current out of the +
+  /// terminal through the external circuit is negative).
+  [[nodiscard]] Terminals terminals(const Unknowns& x) const override;
+};
+
+/// Independent current source driving current `amps` from node p to
 /// node m through the source (i.e. injecting into m, extracting from p).
-class CurrentSource final : public Device {
+class CurrentSource final : public IndependentSource {
  public:
   CurrentSource(std::string name, NodeId p, NodeId m, double amps);
 
-  [[nodiscard]] std::unique_ptr<Device> clone() const override;
+  [[nodiscard]] std::unique_ptr<Device> clone() const override {
+    return std::make_unique<CurrentSource>(*this);
+  }
   void stamp(Stamper& stamper, const Unknowns& prev) override;
   /// AC: an open circuit for small signals; with an AC spec it injects the
   /// stimulus phasor (p -> m through the source, like the DC convention).
   void stamp_ac(AcStamper& ac, const Unknowns& op) const override;
 
   [[nodiscard]] Terminals terminals(const Unknowns& x) const override;
-
-  void set_current(double amps) { amps_ = amps; }
-  [[nodiscard]] double current() const noexcept { return amps_; }
-
-  /// Optional time-domain stimulus (see VoltageSource::set_waveform).
-  void set_waveform(Waveform w) { waveform_ = std::move(w); }
-  [[nodiscard]] bool has_waveform() const noexcept {
-    return waveform_.has_value();
-  }
-  [[nodiscard]] const Waveform& waveform() const { return *waveform_; }
-
-  /// Small-signal stimulus ("AC <mag> [phase]"): amps / degrees.
-  void set_ac(double magnitude, double phase_deg = 0.0) {
-    ac_magnitude_ = magnitude;
-    ac_phase_deg_ = phase_deg;
-  }
-  [[nodiscard]] double ac_magnitude() const noexcept { return ac_magnitude_; }
-  [[nodiscard]] double ac_phase_deg() const noexcept { return ac_phase_deg_; }
-
- private:
-  NodeId p_;
-  NodeId m_;
-  double amps_;
-  double ac_magnitude_ = 0.0;
-  double ac_phase_deg_ = 0.0;
-  std::optional<Waveform> waveform_;
 };
 
 /// Voltage-controlled voltage source: V(p) - V(m) = gain (V(cp) - V(cm)).

@@ -33,6 +33,7 @@
 #include "icvbe/common/error.hpp"
 #include "icvbe/common/series.hpp"
 #include "icvbe/common/table.hpp"
+#include "icvbe/spice/param.hpp"
 #include "icvbe/spice/sim_session.hpp"
 
 namespace icvbe::spice {
@@ -287,12 +288,16 @@ class SweepGrid {
 
 // ----------------------------------------------------------- SweepAxis ---
 
-/// What one axis sweeps. Temperature axes carry their unit so deck-level
-/// Celsius directives and engine-level Kelvin sweeps both round-trip; the
+/// What one axis sweeps: a parameter (ParamRef, spice/param.hpp) and its
+/// grid. Temperature axes carry their unit so deck-level Celsius
+/// directives and engine-level Kelvin sweeps both round-trip; the
 /// *recorded* axis value is always the grid value as given.
 class SweepAxis {
  public:
-  enum class Kind { kVsource, kIsource, kTemperature, kResistor };
+  using Kind = ParamRef::Kind;
+
+  SweepAxis(ParamRef param, SweepGrid grid)
+      : param_(std::move(param)), grid_(std::move(grid)) {}
 
   [[nodiscard]] static SweepAxis vsource(std::string device, SweepGrid grid);
   [[nodiscard]] static SweepAxis isource(std::string device, SweepGrid grid);
@@ -301,27 +306,22 @@ class SweepAxis {
   /// Sweep a resistor's nominal value (trim curves). Values in ohms.
   [[nodiscard]] static SweepAxis resistor(std::string device, SweepGrid grid);
 
-  [[nodiscard]] Kind kind() const noexcept { return kind_; }
+  [[nodiscard]] const ParamRef& param() const noexcept { return param_; }
+  [[nodiscard]] Kind kind() const noexcept { return param_.kind; }
   /// Swept device name; empty for temperature axes.
-  [[nodiscard]] const std::string& device() const noexcept { return device_; }
+  [[nodiscard]] const std::string& device() const noexcept {
+    return param_.device;
+  }
   /// True if a temperature axis is in Celsius.
-  [[nodiscard]] bool celsius() const noexcept { return celsius_; }
+  [[nodiscard]] bool celsius() const noexcept { return param_.celsius; }
   [[nodiscard]] const SweepGrid& grid() const noexcept { return grid_; }
 
   /// Column label: device name, "TEMP" (Celsius) or "TEMP_K" (Kelvin).
   [[nodiscard]] std::string label() const;
 
  private:
-  SweepAxis(Kind kind, std::string device, SweepGrid grid, bool celsius)
-      : kind_(kind),
-        device_(std::move(device)),
-        grid_(std::move(grid)),
-        celsius_(celsius) {}
-
-  Kind kind_ = Kind::kTemperature;
-  std::string device_;
-  SweepGrid grid_ = SweepGrid::list({0.0});
-  bool celsius_ = false;
+  ParamRef param_;
+  SweepGrid grid_;
 };
 
 // ------------------------------------------------------- TransientSpec ---

@@ -249,13 +249,9 @@ class SimSession {
                                 RunObserver* observer = nullptr);
 
   /// Cached independent sources (discovered once at bind time).
-  [[nodiscard]] const std::vector<VoltageSource*>& voltage_sources()
+  [[nodiscard]] const std::vector<IndependentSource*>& sources()
       const noexcept {
-    return vsources_;
-  }
-  [[nodiscard]] const std::vector<CurrentSource*>& current_sources()
-      const noexcept {
-    return isources_;
+    return sources_;
   }
 
  private:
@@ -270,10 +266,9 @@ class SimSession {
   [[nodiscard]] SweepResult run_ac(const AnalysisPlan& plan,
                                    RunObserver* observer);
 
-  /// Scale every cached independent source by lambda (source stepping).
+  /// Set every cached source to lambda times its nominal value in
+  /// source_base_ (source stepping; 1 restores it).
   void scale_sources(double lambda);
-  /// Snapshot / restore the nominal source values around source stepping.
-  void snapshot_sources();
 
   Circuit* circuit_;
   NewtonOptions options_;
@@ -309,10 +304,8 @@ class SimSession {
   Unknowns x_stage_;  ///< gmin / source stepping iterate
   DcResult result_;
 
-  std::vector<VoltageSource*> vsources_;
-  std::vector<CurrentSource*> isources_;
-  std::vector<double> vsource_base_;
-  std::vector<double> isource_base_;
+  std::vector<IndependentSource*> sources_;
+  std::vector<double> source_base_;
 
   bool have_last_ = false;
 };

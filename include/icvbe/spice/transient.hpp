@@ -112,10 +112,8 @@ class TransientSolver {
   bool restart_ = true;
 
   std::vector<DynamicDevice*> dynamic_;
-  std::vector<std::pair<VoltageSource*, const Waveform*>> vwaves_;
-  std::vector<std::pair<CurrentSource*, const Waveform*>> iwaves_;
-  std::vector<double> vsource_t0_;  ///< restore values (every V source)
-  std::vector<double> isource_t0_;
+  std::vector<IndependentSource*> waves_;  ///< sources with a waveform
+  std::vector<double> source_t0_;  ///< restore values (every source)
 
   std::vector<double> breakpoints_;
   std::size_t bp_index_ = 0;

@@ -77,7 +77,7 @@ spice::NodeId build_dut(spice::Circuit& c, const spice::BjtModel& qin,
 
 spice::Unknowns dut_initial_guess(spice::Circuit& c, spice::NodeId emitter) {
   const auto& dut = c.get<spice::Bjt>("DUT");
-  const double ie = c.get<spice::CurrentSource>("IE").current();
+  const double ie = c.get<spice::CurrentSource>("IE").value();
   spice::Unknowns guess(static_cast<std::size_t>(c.assign_unknowns()));
   guess.raw()[static_cast<std::size_t>(emitter - 1)] =
       dut.model().nf * thermal_voltage(dut.temperature()) *
@@ -205,7 +205,7 @@ std::vector<VbePoint> Laboratory::vbe_vs_temperature(
     const double chamber_k = to_kelvin(tc);
     const double t_die =
         protocol::die_temperature(sample_, config_, chamber_k, 0.0);
-    ie.set_current(inst_->forced_current(ic_amps));
+    ie.set_value(inst_->forced_current(ic_amps));
     rig.circuit.set_temperature(t_die);
     rig.session->seed_warm_start(
         protocol::dut_initial_guess(rig.circuit, rig.emitter));

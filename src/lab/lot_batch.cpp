@@ -48,7 +48,7 @@ LaneGroup::LaneGroup(const LotCampaign& owner,
     // pivots.
     const double chamber_k = to_kelvin(cfg.classical_celsius.front());
     const double t_ref = die_temperature(ref, cfg.lab, chamber_k, 0.0);
-    ibias_ie[0]->set_current(cfg.classical_ic);
+    ibias_ie[0]->set_value(cfg.classical_ic);
     ibias_circuit[0]->set_temperature(t_ref);
     ibias->seed_warm_start(0,
                            dut_initial_guess(*ibias_circuit[0], ibias_emitter));
@@ -145,7 +145,7 @@ void LaneGroup::run(std::size_t first_offset, std::size_t group_size) {
         for (std::size_t l = 0; l < group_size; ++l) {
           if (!good[l]) continue;
           t_die[l] = die_temperature(sample[l], lab, chamber_k, 0.0);
-          ibias_ie[l]->set_current(
+          ibias_ie[l]->set_value(
               inst[l]->forced_current(config.classical_ic));
           ibias_circuit[l]->set_temperature(t_die[l]);
           ibias->seed_warm_start(

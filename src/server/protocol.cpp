@@ -145,7 +145,7 @@ std::vector<PatchCommand> parse_patch_body(std::string_view body) {
         throw ProtocolError("PATCH: expected 'TEMP <celsius>', got '" +
                             std::string(line) + "'");
       }
-      cmd.target = PatchCommand::Target::kTemperature;
+      cmd.param.celsius = true;  // a default ParamRef is the temperature
       cmd.value = value_of(toks[1]);
     } else {
       if (toks.size() != 3) {
@@ -153,21 +153,13 @@ std::vector<PatchCommand> parse_patch_body(std::string_view body) {
             "PATCH: expected '<R|C|L|V|I> <name> <value>', got '" +
             std::string(line) + "'");
       }
-      if (kind == "R") {
-        cmd.target = PatchCommand::Target::kResistor;
-      } else if (kind == "C") {
-        cmd.target = PatchCommand::Target::kCapacitor;
-      } else if (kind == "L") {
-        cmd.target = PatchCommand::Target::kInductor;
-      } else if (kind == "V") {
-        cmd.target = PatchCommand::Target::kVsource;
-      } else if (kind == "I") {
-        cmd.target = PatchCommand::Target::kIsource;
-      } else {
-        throw ProtocolError("PATCH: unknown target '" + toks[0] +
-                            "' in '" + std::string(line) + "'");
+      const auto target =
+          kind.size() == 1 ? spice::ParamRef::kind_of(kind[0]) : std::nullopt;
+      if (!target) {
+        throw ProtocolError("PATCH: unknown target '" + toks[0] + "' in '" +
+                            std::string(line) + "'");
       }
-      cmd.name = toks[1];
+      cmd.param = {*target, toks[1]};
       cmd.value = value_of(toks[2]);
     }
     out.push_back(std::move(cmd));

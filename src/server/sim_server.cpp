@@ -24,8 +24,6 @@
 #include "icvbe/common/thread_pool.hpp"
 #include "icvbe/server/protocol.hpp"
 #include "icvbe/spice/circuit.hpp"
-#include "icvbe/spice/dynamic_devices.hpp"
-#include "icvbe/spice/linear_devices.hpp"
 #include "icvbe/spice/netlist.hpp"
 #include "icvbe/spice/plan.hpp"
 #include "icvbe/spice/sim_session.hpp"
@@ -415,41 +413,25 @@ struct SimServer::Impl::Connection {
         return send_err("PATCH", "session '" + name + "' busy");
       }
       // Applying under the state mutex is safe: only non-busy sessions
-      // get here, so no worker is touching this circuit.
+      // get here, so no worker is touching this circuit. Every line binds
+      // before any applies, and the guard puts back what a failing line
+      // left applied: a PATCH is all or nothing.
       try {
-        apply_patches(it->second, patches);
+        spice::ParamGuard guard(*it->second.parsed.circuit);
+        std::vector<spice::BoundParam> bound;
+        bound.reserve(patches.size());
+        for (const PatchCommand& p : patches) {
+          bound.push_back(guard.save(p.param));
+        }
+        for (std::size_t i = 0; i < patches.size(); ++i) {
+          bound[i].apply(patches[i].value);
+        }
+        guard.dismiss();
       } catch (const Error& e) {
         return send_err("PATCH", e.what());
       }
     }
     send_ok({"PATCHED", name, std::to_string(patches.size())});
-  }
-
-  static void apply_patches(Session& sess,
-                            const std::vector<PatchCommand>& patches) {
-    auto& c = *sess.parsed.circuit;
-    for (const PatchCommand& p : patches) {
-      switch (p.target) {
-        case PatchCommand::Target::kResistor:
-          c.get<spice::Resistor>(p.name).set_nominal_resistance(p.value);
-          break;
-        case PatchCommand::Target::kCapacitor:
-          c.get<spice::Capacitor>(p.name).set_capacitance(p.value);
-          break;
-        case PatchCommand::Target::kInductor:
-          c.get<spice::Inductor>(p.name).set_inductance(p.value);
-          break;
-        case PatchCommand::Target::kVsource:
-          c.get<spice::VoltageSource>(p.name).set_voltage(p.value);
-          break;
-        case PatchCommand::Target::kIsource:
-          c.get<spice::CurrentSource>(p.name).set_current(p.value);
-          break;
-        case PatchCommand::Target::kTemperature:
-          c.set_temperature(to_kelvin(p.value));
-          break;
-      }
-    }
   }
 
   void cmd_close(const Frame& f) {

@@ -133,12 +133,21 @@ int Circuit::assign_unknowns() {
 }
 
 void Circuit::set_temperature(double t_kelvin) {
+  for (std::size_t i = 0; i < devices_.size(); ++i) {
+    try {
+      devices_[i]->set_temperature(t_kelvin);
+    } catch (...) {
+      // A rejected temperature is recorded nowhere: the devices already
+      // set go back to the last one.
+      for (std::size_t j = 0; has_temperature_ && j < i; ++j) {
+        devices_[j]->set_temperature(temperature_);
+      }
+      throw;
+    }
+    devices_[i]->reset_state();
+  }
   temperature_ = t_kelvin;
   has_temperature_ = true;
-  for (auto& dev : devices_) {
-    dev->set_temperature(t_kelvin);
-    dev->reset_state();
-  }
 }
 
 double Circuit::total_power(const Unknowns& x) const {

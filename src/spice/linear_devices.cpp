@@ -6,15 +6,6 @@
 
 namespace icvbe::spice {
 
-namespace {
-
-/// "AC <mag> <phase_deg>" as a phasor.
-linalg::Complex ac_phasor(double magnitude, double phase_deg) {
-  return std::polar(magnitude, phase_deg * M_PI / 180.0);
-}
-
-}  // namespace
-
 Resistor::Resistor(std::string name, NodeId a, NodeId b, double ohms,
                    double tc1, double tc2, double tnom_kelvin)
     : Device(std::move(name)),
@@ -68,9 +59,13 @@ double Resistor::power(const Unknowns& x) const {
   return v * v / r_now_;
 }
 
+linalg::Complex IndependentSource::ac_phasor() const {
+  return std::polar(ac_magnitude_, ac_phase_deg_ * M_PI / 180.0);
+}
+
 VoltageSource::VoltageSource(std::string name, NodeId p, NodeId m,
                              double volts)
-    : Device(std::move(name)), p_(p), m_(m), volts_(volts) {
+    : IndependentSource(std::move(name), p, m, volts) {
   ICVBE_REQUIRE(p != m, "VoltageSource: terminals must differ");
 }
 
@@ -83,7 +78,7 @@ void VoltageSource::stamp(Stamper& stamper, const Unknowns& /*prev*/) {
   stamper.add_entry(im, k, -1.0);
   stamper.add_entry(k, ip, 1.0);
   stamper.add_entry(k, im, -1.0);
-  stamper.add_rhs(k, volts_);
+  stamper.add_rhs(k, value_);
 }
 
 void VoltageSource::stamp_ac(AcStamper& ac, const Unknowns& /*op*/) const {
@@ -96,56 +91,34 @@ void VoltageSource::stamp_ac(AcStamper& ac, const Unknowns& /*op*/) const {
   ac.add_entry(im, k, -one);
   ac.add_entry(k, ip, one);
   ac.add_entry(k, im, -one);
-  ac.add_rhs(k, ac_phasor(ac_magnitude_, ac_phase_deg_));
+  ac.add_rhs(k, ac_phasor());
 }
 
 Terminals VoltageSource::terminals(const Unknowns& x) const {
   return Terminals::branch(p_, m_, x.aux(first_aux()));
 }
 
-double VoltageSource::power(const Unknowns& /*x*/) const {
-  // Sources deliver power into the circuit; they do not dissipate it on
-  // the die, so they contribute nothing to the self-heating budget.
-  return 0.0;
-}
-
-std::unique_ptr<Device> VoltageSource::clone() const {
-  auto d = std::make_unique<VoltageSource>(name(), p_, m_, volts_);
-  d->waveform_ = waveform_;
-  d->ac_magnitude_ = ac_magnitude_;
-  d->ac_phase_deg_ = ac_phase_deg_;
-  return d;
-}
-
 CurrentSource::CurrentSource(std::string name, NodeId p, NodeId m,
                              double amps)
-    : Device(std::move(name)), p_(p), m_(m), amps_(amps) {
+    : IndependentSource(std::move(name), p, m, amps) {
   ICVBE_REQUIRE(p != m, "CurrentSource: terminals must differ");
 }
 
 void CurrentSource::stamp(Stamper& stamper, const Unknowns& /*prev*/) {
-  // amps_ flows p -> m inside the source: extracted from p, injected at m.
-  stamper.add_current_into(p_, -amps_);
-  stamper.add_current_into(m_, amps_);
+  // value_ flows p -> m inside the source: extracted from p, injected at m.
+  stamper.add_current_into(p_, -value_);
+  stamper.add_current_into(m_, value_);
 }
 
 void CurrentSource::stamp_ac(AcStamper& ac, const Unknowns& /*op*/) const {
   // The AC stimulus flows p -> m inside the source, like the DC value.
-  const linalg::Complex j = ac_phasor(ac_magnitude_, ac_phase_deg_);
+  const linalg::Complex j = ac_phasor();
   ac.add_current_into(p_, -j);
   ac.add_current_into(m_, j);
 }
 
 Terminals CurrentSource::terminals(const Unknowns& /*x*/) const {
-  return Terminals::branch(p_, m_, amps_);
-}
-
-std::unique_ptr<Device> CurrentSource::clone() const {
-  auto d = std::make_unique<CurrentSource>(name(), p_, m_, amps_);
-  d->waveform_ = waveform_;
-  d->ac_magnitude_ = ac_magnitude_;
-  d->ac_phase_deg_ = ac_phase_deg_;
-  return d;
+  return Terminals::branch(p_, m_, value_);
 }
 
 Vcvs::Vcvs(std::string name, NodeId p, NodeId m, NodeId cp, NodeId cm,

@@ -339,17 +339,18 @@ void parse_node_value_pairs(const std::vector<std::string>& tokens, int line,
 /// cards preserve case too).
 SweepAxis axis_for_target(const std::string& target, SweepGrid grid,
                           int line) {
-  const std::string upper = to_upper(target);
-  if (upper == "TEMP") return SweepAxis::temperature_celsius(std::move(grid));
-  if (upper.empty()) fail(line, "missing sweep target");
-  switch (upper[0]) {
-    case 'V': return SweepAxis::vsource(target, std::move(grid));
-    case 'I': return SweepAxis::isource(target, std::move(grid));
-    case 'R': return SweepAxis::resistor(target, std::move(grid));
-    default:
-      fail(line, "cannot sweep '" + target +
-                     "' (V/I sources, R resistors, or TEMP)");
+  if (to_upper(target) == "TEMP") {
+    return SweepAxis::temperature_celsius(std::move(grid));
   }
+  if (target.empty()) fail(line, "missing sweep target");
+  using Kind = ParamRef::Kind;
+  const std::optional<Kind> kind = ParamRef::kind_of(target[0]);
+  if (kind != Kind::kVsource && kind != Kind::kIsource &&
+      kind != Kind::kResistor) {
+    fail(line, "cannot sweep '" + target +
+                   "' (V/I sources, R resistors, or TEMP)");
+  }
+  return {{*kind, target}, std::move(grid)};
 }
 
 }  // namespace
@@ -708,8 +709,11 @@ ParsedNetlist parse_netlist(std::string_view text) {
                        param_or(params, "TC2", 0.0));
         break;
       }
-      case 'V': {
-        if (tokens.size() < 4) fail(lineno, "V: need name, 2 nodes, value");
+      case 'V':
+      case 'I': {
+        if (tokens.size() < 4) {
+          fail(lineno, std::string(1, kind) + ": need name, 2 nodes, value");
+        }
         std::vector<std::string> value_tokens = tokens;
         const SourceAcSpec acs = extract_source_ac(value_tokens, 3, lineno);
         // A pure "V1 a b AC 1" stimulus source biases to DC 0.
@@ -717,22 +721,13 @@ ParsedNetlist parse_netlist(std::string_view text) {
             value_tokens.size() == 3
                 ? Waveform::dc(0.0)
                 : parse_source_waveform(value_tokens, 3, lineno);
-        VoltageSource& v = c.add_vsource(tokens[0], c.node(tokens[1]),
-                                         c.node(tokens[2]), wf.dc_value());
-        if (wf.kind() != Waveform::Kind::kDc) v.set_waveform(wf);
-        if (acs.present) v.set_ac(acs.magnitude, acs.phase_deg);
-        break;
-      }
-      case 'I': {
-        if (tokens.size() < 4) fail(lineno, "I: need name, 2 nodes, value");
-        std::vector<std::string> value_tokens = tokens;
-        const SourceAcSpec acs = extract_source_ac(value_tokens, 3, lineno);
-        const Waveform wf =
-            value_tokens.size() == 3
-                ? Waveform::dc(0.0)
-                : parse_source_waveform(value_tokens, 3, lineno);
-        CurrentSource& src = c.add_isource(tokens[0], c.node(tokens[1]),
-                                           c.node(tokens[2]), wf.dc_value());
+        IndependentSource& src =
+            kind == 'V'
+                ? static_cast<IndependentSource&>(
+                      c.add_vsource(tokens[0], c.node(tokens[1]),
+                                    c.node(tokens[2]), wf.dc_value()))
+                : c.add_isource(tokens[0], c.node(tokens[1]),
+                                c.node(tokens[2]), wf.dc_value());
         if (wf.kind() != Waveform::Kind::kDc) src.set_waveform(wf);
         if (acs.present) src.set_ac(acs.magnitude, acs.phase_deg);
         break;

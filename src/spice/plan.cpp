@@ -210,7 +210,7 @@ std::string Probe::to_string() const {
       return std::string(ac_quantity_name(quantity_)) + "(" + target_ +
              (target2_.empty() ? "" : "," + target2_) + ")";
     case Kind::kExpression:
-      return "(" + lhs().to_string() + op_char(op_) + rhs().to_string() + ")";
+      return '(' + lhs().to_string() + op_char(op_) + rhs().to_string() + ')';
   }
   return "0";  // unreachable
 }
@@ -541,29 +541,28 @@ std::vector<double> AcSpec::frequencies() const {
 // ----------------------------------------------------------- SweepAxis ---
 
 SweepAxis SweepAxis::vsource(std::string device, SweepGrid grid) {
-  return SweepAxis(Kind::kVsource, std::move(device), std::move(grid), false);
+  return {{Kind::kVsource, std::move(device)}, std::move(grid)};
 }
 
 SweepAxis SweepAxis::isource(std::string device, SweepGrid grid) {
-  return SweepAxis(Kind::kIsource, std::move(device), std::move(grid), false);
+  return {{Kind::kIsource, std::move(device)}, std::move(grid)};
 }
 
 SweepAxis SweepAxis::temperature_kelvin(SweepGrid grid) {
-  return SweepAxis(Kind::kTemperature, {}, std::move(grid), false);
+  return {{Kind::kTemperature, {}, false}, std::move(grid)};
 }
 
 SweepAxis SweepAxis::temperature_celsius(SweepGrid grid) {
-  return SweepAxis(Kind::kTemperature, {}, std::move(grid), true);
+  return {{Kind::kTemperature, {}, true}, std::move(grid)};
 }
 
 SweepAxis SweepAxis::resistor(std::string device, SweepGrid grid) {
-  return SweepAxis(Kind::kResistor, std::move(device), std::move(grid),
-                   false);
+  return {{Kind::kResistor, std::move(device)}, std::move(grid)};
 }
 
 std::string SweepAxis::label() const {
-  if (kind_ == Kind::kTemperature) return celsius_ ? "TEMP" : "TEMP_K";
-  return device_;
+  if (kind() == Kind::kTemperature) return celsius() ? "TEMP" : "TEMP_K";
+  return device();
 }
 
 // --------------------------------------------------------- SweepResult ---
@@ -649,96 +648,6 @@ void SweepResult::write_csv(std::ostream& os) const {
 // ----------------------------------------------------- plan execution ---
 
 namespace {
-
-/// A sweep axis resolved against one concrete circuit: applying a value is
-/// a pointer call, no lookups.
-struct BoundAxis {
-  SweepAxis::Kind kind = SweepAxis::Kind::kTemperature;
-  bool celsius = false;
-  Circuit* circuit = nullptr;
-  VoltageSource* vsource = nullptr;
-  CurrentSource* isource = nullptr;
-  Resistor* resistor = nullptr;
-
-  void apply(double value) const {
-    switch (kind) {
-      case SweepAxis::Kind::kVsource:
-        vsource->set_voltage(value);
-        break;
-      case SweepAxis::Kind::kIsource:
-        isource->set_current(value);
-        break;
-      case SweepAxis::Kind::kTemperature:
-        circuit->set_temperature(celsius ? to_kelvin(value) : value);
-        break;
-      case SweepAxis::Kind::kResistor:
-        resistor->set_nominal_resistance(value);
-        break;
-    }
-  }
-
-  /// The value apply() last set (temperature in kelvin).
-  [[nodiscard]] double value() const {
-    switch (kind) {
-      case SweepAxis::Kind::kVsource: return vsource->voltage();
-      case SweepAxis::Kind::kIsource: return isource->current();
-      case SweepAxis::Kind::kTemperature: return circuit->temperature();
-      case SweepAxis::Kind::kResistor: return resistor->nominal_resistance();
-    }
-    return 0.0;  // unreachable
-  }
-};
-
-BoundAxis bind_axis(const SweepAxis& axis, Circuit& circuit) {
-  BoundAxis b;
-  b.kind = axis.kind();
-  b.celsius = axis.celsius();
-  b.circuit = &circuit;
-  switch (axis.kind()) {
-    case SweepAxis::Kind::kVsource:
-      b.vsource = &circuit.get<VoltageSource>(axis.device());
-      break;
-    case SweepAxis::Kind::kIsource:
-      b.isource = &circuit.get<CurrentSource>(axis.device());
-      break;
-    case SweepAxis::Kind::kTemperature:
-      break;
-    case SweepAxis::Kind::kResistor:
-      b.resistor = &circuit.get<Resistor>(axis.device());
-      break;
-  }
-  return b;
-}
-
-/// Puts the devices (and the temperature) a plan sweeps back to their
-/// pre-run values when the run ends, however it ends: on a warm session
-/// the next run -- an AC operating point after a DC sweep, say -- must see
-/// the deck's values, not the last grid point's. Only values that moved
-/// are re-applied (a temperature re-broadcast also resets device state).
-/// A circuit that never had a temperature keeps a swept one: there is no
-/// value to go back to.
-class AxisRestore {
- public:
-  AxisRestore(const std::vector<SweepAxis>& axes, Circuit& circuit) {
-    for (const SweepAxis& a : axes) {
-      BoundAxis bound = bind_axis(a, circuit);
-      bound.celsius = false;  // value() reads kelvin back
-      const bool known = a.kind() != SweepAxis::Kind::kTemperature ||
-                         circuit.has_temperature();
-      if (known) saved_.push_back({bound, bound.value()});
-    }
-  }
-  AxisRestore(const AxisRestore&) = delete;
-  AxisRestore& operator=(const AxisRestore&) = delete;
-  ~AxisRestore() {
-    for (auto it = saved_.rbegin(); it != saved_.rend(); ++it) {
-      if (it->first.value() != it->second) it->first.apply(it->second);
-    }
-  }
-
- private:
-  std::vector<std::pair<BoundAxis, double>> saved_;
-};
 
 /// One postfix instruction of a compiled probe.
 struct ProbeInstr {
@@ -953,15 +862,14 @@ double eval_compiled_ac(const CompiledProbe& probe,
 /// Everything one executor (the session itself or a per-thread clone)
 /// needs to run rows of a plan.
 struct BoundPlan {
-  BoundAxis outer;  ///< unused for 1-axis plans
-  BoundAxis inner;
+  BoundParam outer;  ///< 1-axis plans: the inner axis again, unused
+  BoundParam inner;
   CompiledProbeSet probes;
   std::vector<double> probe_row;  ///< staging row for RunObserver delivery
 
   BoundPlan(const AnalysisPlan& plan, Circuit& circuit)
-      : outer(plan.axes.size() == 2 ? bind_axis(plan.axes.front(), circuit)
-                                    : BoundAxis{}),
-        inner(bind_axis(plan.axes.back(), circuit)),
+      : outer(plan.axes.front().param(), circuit),
+        inner(plan.axes.back().param(), circuit),
         probes(plan.probes, circuit),
         probe_row(plan.probes.size(), 0.0) {}
 };
@@ -1325,7 +1233,9 @@ SweepResult SimSession::run(const AnalysisPlan& plan, RunObserver* observer) {
     observer->on_begin(out.axis_labels_, out.probe_labels_, out.rows_);
   }
 
-  const AxisRestore restore(plan.axes, *circuit_);
+  // However the run ends, the swept values go back to their pre-run ones.
+  ParamGuard restore(*circuit_);
+  for (const SweepAxis& axis : plan.axes) (void)restore.save(axis.param());
 
   // The warm start live at run() entry (e.g. .NODESET hints or an
   // analytic startup guess) doubles as the deterministic seed: 2-axis

@@ -57,17 +57,13 @@ void SimSession::rebind() {
   cslu_ = linalg::ComplexSparseLuFactorization();
   cslu_.set_options(options_.sparse_options);
 
-  vsources_.clear();
-  isources_.clear();
+  sources_.clear();
   for (const auto& dev : circuit_->devices()) {
-    if (auto* v = dynamic_cast<VoltageSource*>(dev.get())) {
-      vsources_.push_back(v);
-    } else if (auto* i = dynamic_cast<CurrentSource*>(dev.get())) {
-      isources_.push_back(i);
+    if (auto* s = dynamic_cast<IndependentSource*>(dev.get())) {
+      sources_.push_back(s);
     }
   }
-  vsource_base_.assign(vsources_.size(), 0.0);
-  isource_base_.assign(isources_.size(), 0.0);
+  source_base_.assign(sources_.size(), 0.0);
 }
 
 void SimSession::begin_variant() {
@@ -204,21 +200,9 @@ bool SimSession::newton_attempt(double gmin, Unknowns& x, int& iterations,
   return false;
 }
 
-void SimSession::snapshot_sources() {
-  for (std::size_t i = 0; i < vsources_.size(); ++i) {
-    vsource_base_[i] = vsources_[i]->voltage();
-  }
-  for (std::size_t i = 0; i < isources_.size(); ++i) {
-    isource_base_[i] = isources_[i]->current();
-  }
-}
-
 void SimSession::scale_sources(double lambda) {
-  for (std::size_t i = 0; i < vsources_.size(); ++i) {
-    vsources_[i]->set_voltage(lambda * vsource_base_[i]);
-  }
-  for (std::size_t i = 0; i < isources_.size(); ++i) {
-    isources_[i]->set_current(lambda * isource_base_[i]);
+  for (std::size_t i = 0; i < sources_.size(); ++i) {
+    sources_[i]->set_value(lambda * source_base_[i]);
   }
 }
 
@@ -291,7 +275,9 @@ const DcResult& SimSession::solve(const Unknowns* initial) {
 
   // Strategy 3: source stepping at floor gmin.
   {
-    snapshot_sources();
+    for (std::size_t i = 0; i < sources_.size(); ++i) {
+      source_base_[i] = sources_[i]->value();
+    }
     // Restore the nominal source values on every exit path, including an
     // exception escaping the loop (the guarantee the legacy RAII
     // SourceScaler gave): a long-lived session must never leak a scaled

@@ -29,20 +29,15 @@ TransientSolver::TransientSolver(SimSession& session, TransientSpec spec)
 TransientSolver::~TransientSolver() {
   if (!began_ || restored_) return;
   for (DynamicDevice* d : dynamic_) d->set_dc_mode();
-  const auto& vs = session_.voltage_sources();
-  for (std::size_t i = 0; i < vs.size(); ++i) {
-    vs[i]->set_voltage(vsource_t0_[i]);
-  }
-  const auto& is = session_.current_sources();
-  for (std::size_t i = 0; i < is.size(); ++i) {
-    is[i]->set_current(isource_t0_[i]);
+  const auto& sources = session_.sources();
+  for (std::size_t i = 0; i < sources.size(); ++i) {
+    sources[i]->set_value(source_t0_[i]);
   }
   restored_ = true;
 }
 
 void TransientSolver::apply_sources(double t) {
-  for (const auto& [src, wf] : vwaves_) src->set_voltage(wf->value_at(t));
-  for (const auto& [src, wf] : iwaves_) src->set_current(wf->value_at(t));
+  for (IndependentSource* s : waves_) s->set_value(s->waveform().value_at(t));
 }
 
 void TransientSolver::begin() {
@@ -57,27 +52,18 @@ void TransientSolver::begin() {
       dynamic_.push_back(d);
     }
   }
-  vwaves_.clear();
-  iwaves_.clear();
-  vsource_t0_.clear();
-  isource_t0_.clear();
-  for (VoltageSource* v : session_.voltage_sources()) {
-    vsource_t0_.push_back(v->voltage());
-    if (v->has_waveform()) vwaves_.emplace_back(v, &v->waveform());
-  }
-  for (CurrentSource* i : session_.current_sources()) {
-    isource_t0_.push_back(i->current());
-    if (i->has_waveform()) iwaves_.emplace_back(i, &i->waveform());
+  waves_.clear();
+  source_t0_.clear();
+  for (IndependentSource* s : session_.sources()) {
+    source_t0_.push_back(s->value());
+    if (s->has_waveform()) waves_.push_back(s);
   }
   began_ = true;  // from here on the destructor restores
 
   // Breakpoints: waveform corners, deduplicated within teps_.
   breakpoints_.clear();
-  for (const auto& [src, wf] : vwaves_) {
-    wf->append_breakpoints(spec_.tstop, breakpoints_);
-  }
-  for (const auto& [src, wf] : iwaves_) {
-    wf->append_breakpoints(spec_.tstop, breakpoints_);
+  for (IndependentSource* s : waves_) {
+    s->waveform().append_breakpoints(spec_.tstop, breakpoints_);
   }
   std::sort(breakpoints_.begin(), breakpoints_.end());
   breakpoints_.erase(

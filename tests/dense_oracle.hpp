@@ -72,17 +72,19 @@ class DenseOracle {
   [[nodiscard]] std::vector<Unknowns> fixed_step_transient(
       const TransientSpec& spec) {
     std::vector<DynamicDevice*> dynamic;
-    std::vector<VoltageSource*> vwaves;
+    std::vector<IndependentSource*> waves;
     for (const auto& dev : c_.devices()) {
       if (auto* d = dynamic_cast<DynamicDevice*>(dev.get())) {
         d->set_dc_mode();
         dynamic.push_back(d);
-      } else if (auto* v = dynamic_cast<VoltageSource*>(dev.get())) {
-        if (v->has_waveform()) vwaves.push_back(v);
+      } else if (auto* s = dynamic_cast<IndependentSource*>(dev.get())) {
+        if (s->has_waveform()) waves.push_back(s);
       }
     }
     const auto apply_sources = [&](double t) {
-      for (VoltageSource* v : vwaves) v->set_voltage(v->waveform().value_at(t));
+      for (IndependentSource* s : waves) {
+        s->set_value(s->waveform().value_at(t));
+      }
     };
     const double tmax = spec.tmax > 0.0 ? spec.tmax : spec.tstep;
     const double teps = 1e-9 * std::max(spec.tstop, tmax);

@@ -243,7 +243,7 @@ TEST(AcAnalysis, LowFrequencySmallSignalGainEqualsDcDerivative) {
   const double ac_gain = session.run(plan).value(0, 0);
 
   auto solve_mid = [&](double vin) {
-    c.get<VoltageSource>("V1").set_voltage(vin);
+    c.get<VoltageSource>("V1").set_value(vin);
     const Unknowns& x = session.solve_or_throw();
     return x.node_voltage(c.find_node("mid"));
   };
@@ -413,12 +413,12 @@ TEST(AcDeck, AcCardAndSourceSpecParse) {
   ASSERT_EQ(plan.probes.size(), 2u);
 
   const auto& v1 = parsed.circuit->get<VoltageSource>("V1");
-  EXPECT_DOUBLE_EQ(v1.voltage(), 1.0);
+  EXPECT_DOUBLE_EQ(v1.value(), 1.0);
   EXPECT_DOUBLE_EQ(v1.ac_magnitude(), 2.0);
   EXPECT_DOUBLE_EQ(v1.ac_phase_deg(), 45.0);
   // A stand-alone AC group biases to DC 0.
   const auto& i1 = parsed.circuit->get<CurrentSource>("I1");
-  EXPECT_DOUBLE_EQ(i1.current(), 0.0);
+  EXPECT_DOUBLE_EQ(i1.value(), 0.0);
   EXPECT_DOUBLE_EQ(i1.ac_magnitude(), 1.0e-3);
 }
 
@@ -487,7 +487,7 @@ TEST(DcValue, ParserBiasesSourcesWithTheInitialValue) {
       "R2 out 0 1k\n";
   auto parsed = parse_netlist(deck_text);
   const auto& v1 = parsed.circuit->get<VoltageSource>("V1");
-  EXPECT_DOUBLE_EQ(v1.voltage(), 2.0);  // not the 1.0 a value_at(0) gives
+  EXPECT_DOUBLE_EQ(v1.value(), 2.0);  // not the 1.0 a value_at(0) gives
   SimSession session(*parsed.circuit);
   const Unknowns& x = session.solve_or_throw();
   EXPECT_NEAR(x.node_voltage(parsed.circuit->find_node("out")), 1.0, 1e-9);

@@ -270,7 +270,7 @@ TEST_F(LabCampaignTest, ChamberPointsConvergeFromTheirGuess) {
     const spice::NodeId e = protocol::build_dut(dut, s.qin, true);
     spice::SimSession dut_session(dut, cfg.newton);
     for (double tc : lot_cfg.classical_celsius) {
-      dut.get<spice::CurrentSource>("IE").set_current(lot_cfg.classical_ic);
+      dut.get<spice::CurrentSource>("IE").set_value(lot_cfg.classical_ic);
       dut.set_temperature(s.fixture.die_temperature(to_kelvin(tc), 0.0));
       const spice::Unknowns guess = protocol::dut_initial_guess(dut, e);
       const spice::DcResult& r = dut_session.solve(&guess);

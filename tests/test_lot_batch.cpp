@@ -413,8 +413,8 @@ TEST(BatchDcSessionTest, LanesMatchScalarSessionWhenNonlinearDevicesComeFirst) {
   for (int j = 0; j <= 10; ++j) {
     const double v1 = 0.5 + 0.25 * j;
     for (std::size_t l = 0; l < k; ++l) {
-      scalar_circuits[l].get<spice::VoltageSource>("V1").set_voltage(v1);
-      lane_circuits[l].get<spice::VoltageSource>("V1").set_voltage(v1);
+      scalar_circuits[l].get<spice::VoltageSource>("V1").set_value(v1);
+      lane_circuits[l].get<spice::VoltageSource>("V1").set_value(v1);
     }
     batch.solve_active();
     for (std::size_t l = 0; l < k; ++l) {
@@ -821,7 +821,7 @@ int count_lockstep_exits(int dies) {
   spice::NodeId emitter = spice::kGround;
   for (Circuit& c : dut) {
     emitter = lab::protocol::build_dut(c, ref.qin, /*current_driven=*/true);
-    c.get<spice::CurrentSource>("IE").set_current(cfg.classical_ic);
+    c.get<spice::CurrentSource>("IE").set_value(cfg.classical_ic);
     dut_ptrs.push_back(&c);
   }
   BatchDcSession ibias(std::move(dut_ptrs), cfg.lab.newton);

@@ -69,7 +69,7 @@ TEST(MosfetTest, ChannelLengthModulation) {
   auto& q = c.add_mosfet("M1", d, g, kGround, m, 10.0);
   const Unknowns x1 = SimSession(c).solve_or_throw();
   const double i1 = q.terminals(x1).pin[0].amps;
-  vd.set_voltage(4.0);
+  vd.set_value(4.0);
   const Unknowns x2 = SimSession(c).solve_or_throw();
   const double i2 = q.terminals(x2).pin[0].amps;
   EXPECT_NEAR(i2 / i1, (1.0 + 0.1 * 4.0) / (1.0 + 0.1 * 2.0), 1e-9);

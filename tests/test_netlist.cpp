@@ -392,10 +392,21 @@ TEST(NetlistParser, AnalysisDirectiveErrors) {
                           ".STEP TEMP 0 100 50\n.DC V1 0 1 1 V2 0 1 1\n"
                           ".PROBE V(b)\n"),
       NetlistError);
-  // Unsweepable target.
-  EXPECT_THROW((void)parse_netlist("V1 a 0 1\nR1 a 0 1k\n.DC Q1 0 1 1\n"
-                                   ".PROBE V(a)\n"),
-               NetlistError);
+  // Unsweepable targets: PATCH sets C and L values through the same
+  // binder, but a sweep still takes only V, I, R and TEMP.
+  for (const char* sweep : {".DC Q1 0 1 1\n", ".DC C1 0 1 1\n",
+                            ".STEP L1 1u 2u 1u\n.DC V1 0 1 1\n"}) {
+    try {
+      (void)parse_netlist(std::string("V1 a 0 1\nR1 a 0 1k\nC1 a 0 1n\n"
+                                      "L1 a b 1u\nR2 b 0 1k\n") +
+                          sweep + ".PROBE V(a)\n");
+      FAIL() << "expected NetlistError for " << sweep;
+    } catch (const NetlistError& e) {
+      EXPECT_NE(std::string(e.what()).find("cannot sweep"),
+                std::string::npos)
+          << e.what();
+    }
+  }
   // Increment pointing away from stop.
   EXPECT_THROW((void)parse_netlist("V1 a 0 1\nR1 a 0 1k\n.DC V1 0 1 -1\n"
                                    ".PROBE V(a)\n"),
@@ -448,14 +459,14 @@ R4 d 0 1k
 )");
   const auto& v1 = parsed.circuit->get<VoltageSource>("V1");
   ASSERT_TRUE(v1.has_waveform());
-  EXPECT_DOUBLE_EQ(v1.voltage(), 0.0);  // DC value = waveform at t = 0
+  EXPECT_DOUBLE_EQ(v1.value(), 0.0);  // DC value = waveform at t = 0
   EXPECT_DOUBLE_EQ(v1.waveform().value_at(2e-6), 0.9);
   const auto& v2 = parsed.circuit->get<VoltageSource>("V2");
   EXPECT_FALSE(v2.has_waveform());
-  EXPECT_DOUBLE_EQ(v2.voltage(), 0.75);
+  EXPECT_DOUBLE_EQ(v2.value(), 0.75);
   const auto& i1 = parsed.circuit->get<CurrentSource>("I1");
   ASSERT_TRUE(i1.has_waveform());
-  EXPECT_DOUBLE_EQ(i1.current(), 1e-6);
+  EXPECT_DOUBLE_EQ(i1.value(), 1e-6);
   const auto& v3 = parsed.circuit->get<VoltageSource>("V3");
   ASSERT_TRUE(v3.has_waveform());
   EXPECT_DOUBLE_EQ(v3.waveform().value_at(0.5e-3), 0.5);

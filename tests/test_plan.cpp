@@ -101,7 +101,7 @@ TEST(ProbeTest, ParseRejectsGarbage) {
 TEST(ProbeTest, EvalAgainstSolvedCircuit) {
   Circuit c;
   build_diode_rig(c);
-  c.get<VoltageSource>("V1").set_voltage(1.0);
+  c.get<VoltageSource>("V1").set_value(1.0);
   SimSession session(c);
   const Unknowns& x = session.solve_or_throw();
 
@@ -208,7 +208,7 @@ TEST(AnalysisPlanTest, RunMatchesLegacyVsourceSweep) {
   const NodeId a = ref.find_node("a");
   std::vector<double> golden;
   for (double v : values) {
-    v1.set_voltage(v);
+    v1.set_value(v);
     golden.push_back(ref_session.solve_or_throw().node_voltage(a));
   }
 
@@ -299,7 +299,7 @@ TEST(AnalysisPlanTest, LabIcvbeFamilyMatchesHandRolledLoop) {
       const double setpoint =
           vbe_min + (vbe_max - vbe_min) * static_cast<double>(i) /
                         static_cast<double>(points - 1);
-      ve.set_voltage(setpoint);
+      ve.set_value(setpoint);
       const DcResult& r = session.solve();
       ASSERT_TRUE(r.converged);
       const double ic =
@@ -392,7 +392,7 @@ R3 b 0 1.27MEG
     auto parsed = parse_netlist(deck);
     auto& c = *parsed.circuit;
     c.set_temperature(to_kelvin(parsed.temperature_celsius));
-    c.get<VoltageSource>("V1").set_voltage(40.0);
+    c.get<VoltageSource>("V1").set_value(40.0);
     SimSession session(c);
     const DcResult& cold = session.solve();
     ASSERT_TRUE(cold.converged);
@@ -470,7 +470,7 @@ TEST(AnalysisPlanTest, NonlinearFirstRigMatchesDenseOracle) {
     auto& r1 = c.get<Resistor>("R1");
     r1.set_nominal_resistance(got.axis_value(0, r));
     r1.set_temperature(c.temperature());
-    c.get<VoltageSource>("V1").set_voltage(got.axis_value(1, r));
+    c.get<VoltageSource>("V1").set_value(got.axis_value(1, r));
     const Unknowns& x = dense.solve();
     for (std::size_t p = 0; p < got.probe_count(); ++p) {
       EXPECT_NEAR(plan.probes[p].eval(c, x), got.value(p, r), 1e-10)
@@ -536,7 +536,7 @@ TEST(AnalysisPlanTest, RunPutsSweptValuesBack) {
   // temperature go back to their pre-run values however the run ends.
   Circuit c;
   build_diode_rig(c);
-  c.get<VoltageSource>("V1").set_voltage(0.3);
+  c.get<VoltageSource>("V1").set_value(0.3);
   c.set_temperature(300.0);
   SimSession session(c);
   AnalysisPlan plan;
@@ -544,7 +544,7 @@ TEST(AnalysisPlanTest, RunPutsSweptValuesBack) {
                SweepAxis::vsource("V1", SweepGrid::linear(0.0, 1.2, 4))};
   plan.probes = {Probe::node_voltage("a")};
   (void)session.run(plan);
-  EXPECT_EQ(c.get<VoltageSource>("V1").voltage(), 0.3);
+  EXPECT_EQ(c.get<VoltageSource>("V1").value(), 0.3);
   EXPECT_EQ(c.temperature(), 300.0);
 
   // A run cancelled after its first point unwinds the same way.

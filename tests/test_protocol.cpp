@@ -213,27 +213,28 @@ TEST(PatchBody, ParsesEveryTargetKind) {
       "TEMP 85\n"
       "\n");  // blank lines are ignored
   ASSERT_EQ(cmds.size(), 6u);
-  EXPECT_EQ(cmds[0].target, PatchCommand::Target::kResistor);
-  EXPECT_EQ(cmds[0].name, "R1");
+  EXPECT_EQ(cmds[0].param.kind, spice::ParamRef::Kind::kResistor);
+  EXPECT_EQ(cmds[0].param.device, "R1");
   EXPECT_DOUBLE_EQ(cmds[0].value, 2e3);
-  EXPECT_EQ(cmds[1].target, PatchCommand::Target::kCapacitor);
+  EXPECT_EQ(cmds[1].param.kind, spice::ParamRef::Kind::kCapacitor);
   EXPECT_DOUBLE_EQ(cmds[1].value, 10e-9);
-  EXPECT_EQ(cmds[2].target, PatchCommand::Target::kInductor);
+  EXPECT_EQ(cmds[2].param.kind, spice::ParamRef::Kind::kInductor);
   EXPECT_DOUBLE_EQ(cmds[2].value, 1e-6);
-  EXPECT_EQ(cmds[3].target, PatchCommand::Target::kVsource);
+  EXPECT_EQ(cmds[3].param.kind, spice::ParamRef::Kind::kVsource);
   EXPECT_DOUBLE_EQ(cmds[3].value, 3.3);
-  EXPECT_EQ(cmds[4].target, PatchCommand::Target::kIsource);
+  EXPECT_EQ(cmds[4].param.kind, spice::ParamRef::Kind::kIsource);
   EXPECT_DOUBLE_EQ(cmds[4].value, 1e-3);
-  EXPECT_EQ(cmds[5].target, PatchCommand::Target::kTemperature);
-  EXPECT_TRUE(cmds[5].name.empty());
+  EXPECT_EQ(cmds[5].param.kind, spice::ParamRef::Kind::kTemperature);
+  EXPECT_TRUE(cmds[5].param.device.empty());
+  EXPECT_TRUE(cmds[5].param.celsius);
   EXPECT_DOUBLE_EQ(cmds[5].value, 85.0);
 }
 
 TEST(PatchBody, TargetsAreCaseInsensitive) {
   const auto cmds = parse_patch_body("r R1 1k\ntemp 27\n");
   ASSERT_EQ(cmds.size(), 2u);
-  EXPECT_EQ(cmds[0].target, PatchCommand::Target::kResistor);
-  EXPECT_EQ(cmds[1].target, PatchCommand::Target::kTemperature);
+  EXPECT_EQ(cmds[0].param.kind, spice::ParamRef::Kind::kResistor);
+  EXPECT_EQ(cmds[1].param.kind, spice::ParamRef::Kind::kTemperature);
 }
 
 TEST(PatchBody, MalformedLinesNameTheOffendingText) {

@@ -249,6 +249,61 @@ TEST_F(ServerTest, PatchedWarmRerunMatchesAColdRunOfThePatchedDeck) {
   EXPECT_NE(before.rows_.at(5).second[0], got.rows_.at(5).second[0]);
 }
 
+TEST_F(ServerTest, RejectedPatchLeavesTheSessionUnchanged) {
+  // Each body's first line is valid; a partial apply would print
+  // V(b) = 0.25 instead of 0.5.
+  const char* deck = R"(
+V1 a 0 1
+R1 a b 1k
+R2 b 0 1k
+.DC V1 1 1 1
+.PROBE V(b)
+)";
+  start();
+  Client client = connect();
+  (void)client.load("d", deck);
+  const spice::SweepResult want =
+      local_run(deck, spice::AnalysisKind::kDcSweep);
+  const std::pair<const char*, const char*> rejected[] = {
+      {"R R1 3k\nR RX 1k\n", "PATCH: no device named 'RX'"},
+      {"R R1 3k\nV R2 1\n", "has unexpected type"},
+  };
+  for (const auto& [body, error] : rejected) {
+    try {
+      (void)client.patch("d", body);
+      FAIL() << "expected CommandError for " << body;
+    } catch (const CommandError& e) {
+      EXPECT_NE(std::string(e.what()).find(error), std::string::npos)
+          << e.what();
+    }
+    Collector got;
+    ASSERT_EQ(client.run("d", "DC", &got).outcome, RunOutcome::kDone);
+    expect_stream_matches(got, want);
+  }
+}
+
+TEST_F(ServerTest, RejectedTemperaturePatchKeepsTheDaemonAlive) {
+  // -100 C puts R1's tempco factor at 1 - 0.01 * 127 <= 0, so the
+  // resistor rejects the temperature. A sweep run afterwards must neither
+  // see nor restore that temperature.
+  const char* deck = R"(
+V1 in 0 1
+R1 in out 1k TC1=0.01
+R2 out 0 1k
+.TEMP 27
+.DC TEMP 0 50 25
+.PROBE V(out)
+)";
+  start();
+  Client client = connect();
+  (void)client.load("t", deck);
+  EXPECT_THROW((void)client.patch("t", "TEMP -100\n"), CommandError);
+  Collector got;
+  ASSERT_EQ(client.run("t", "DC", &got).outcome, RunOutcome::kDone);
+  expect_stream_matches(got, local_run(deck, spice::AnalysisKind::kDcSweep));
+  EXPECT_NE(client.status().find("SESSIONS 1\n"), std::string::npos);
+}
+
 /// A warm PATCH+RUN cycle of `deck` without the socket: LOAD's setup,
 /// then per cycle one of `patches` through the setters PATCH uses, and a
 /// RUN of the next kind in `kinds` (begin_variant + run, as execute_run
@@ -328,7 +383,7 @@ TEST(WarmSessionTest, PatchRunRotatingDcTranAcKeepsTheAnalysisAndTape) {
          c.get<spice::Capacitor>("C1").set_capacitance(1e-6 * (1.0 + 0.1 * i));
        },
        [](spice::Circuit& c, int i) {
-         c.get<spice::VoltageSource>("V1").set_voltage(0.5 + 0.05 * i);
+         c.get<spice::VoltageSource>("V1").set_value(0.5 + 0.05 * i);
        },
        [](spice::Circuit& c, int i) {
          c.set_temperature(to_kelvin(-20.0 + 5.0 * i));

@@ -142,7 +142,7 @@ TEST(SimSessionTest, RunFailureThrowsWithContext) {
 TEST(SimSessionTest, ConstCircuitAccessInProbes) {
   Circuit c;
   build_diode_rig(c);
-  c.get<VoltageSource>("V1").set_voltage(1.0);
+  c.get<VoltageSource>("V1").set_value(1.0);
   SimSession session(c);
   const Unknowns& x = session.solve_or_throw();
 
@@ -444,7 +444,7 @@ TEST(SimSessionTest, LinearDevicesStampOncePerNewtonAttempt) {
   long solves = 0;
   long iterations = 0;
   for (const double v : {0.2, 0.7, 1.1, 1.6, 2.4, 3.0}) {
-    rig.v1->set_voltage(v);
+    rig.v1->set_value(v);
     const DcResult& r = session.solve();
     ASSERT_TRUE(r.converged);
     ASSERT_EQ(r.strategy, "newton");

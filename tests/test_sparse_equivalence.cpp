@@ -127,7 +127,7 @@ TEST(SparseEquivalence, DeckPlanColumnsMatchDense) {
     oracle::DenseOracle dense(*dense_deck.circuit, plan.options);
     ASSERT_EQ(rs.rows(), rs.inner_values().size());
     for (std::size_t r = 0; r < rs.rows(); ++r) {
-      source.set_voltage(rs.inner_values()[r]);
+      source.set_value(rs.inner_values()[r]);
       const Unknowns& xd = dense.solve();
       for (std::size_t p = 0; p < rs.probe_count(); ++p) {
         EXPECT_NEAR(plan.probes[p].eval(*dense_deck.circuit, xd),
@@ -215,7 +215,7 @@ TEST(SparseEquivalence, SparseSolveIsAllocationFreeAfterSetup) {
   auto& v1 = deck.circuit->get<VoltageSource>("V1");
   const std::uint64_t a0 = testing::allocation_count();
   for (int i = 0; i < 5; ++i) {
-    v1.set_voltage(5.0 + 0.05 * i);
+    v1.set_value(5.0 + 0.05 * i);
     (void)session.solve_or_throw();
   }
   const std::uint64_t a1 = testing::allocation_count();

@@ -283,7 +283,7 @@ TEST(BjtTest, EarlyEffectIncreasesIc) {
   auto& q = c.add_bjt("Q1", col, b, kGround, m);
   const Unknowns x1 = SimSession(c).solve_or_throw();
   const double ic1 = q.currents(x1).ic;
-  vc.set_voltage(10.0);
+  vc.set_value(10.0);
   const Unknowns x2 = SimSession(c).solve_or_throw();
   const double ic2 = q.currents(x2).ic;
   // VBC goes from -0.4 to -9.4: (1 - vbc/VAF) ratio ~ (1+9.4/50)/(1+0.4/50).
@@ -323,7 +323,7 @@ TEST(BjtTest, SubstrateParasiticStealsCurrentInSaturation) {
   Unknowns x = SimSession(c).solve_or_throw();
   EXPECT_LT(std::abs(q.currents(x).isub), 1e-12);
   // Saturation (VC = 0.05 -> VBC = +0.6): parasitic turns on.
-  vc.set_voltage(0.05);
+  vc.set_value(0.05);
   x = SimSession(c).solve_or_throw();
   EXPECT_GT(std::abs(q.currents(x).isub), 1e-9);
 }

@@ -342,6 +342,51 @@ TEST(TransientEngineTest, DenseAndSparseResultsAgreeOnRcLadderDeck) {
   }
 }
 
+TEST(TransientEngineTest, DenseAndSparseResultsAgreeOnCurrentDrivenRcLadder) {
+  // The generated ladder with its PULSE voltage source swapped for a PULSE
+  // current source (1.8 mA into n1, loaded by 1k): a current-source
+  // waveform through a transient, session against the dense reference.
+  SyntheticNetlistSpec gen;
+  gen.topology = SyntheticTopology::kRcLadder;
+  gen.nodes = 80;
+  gen.seed = 11;
+  std::string deck = generate_netlist(gen);
+  const auto swap = [&deck](const std::string& from, const std::string& to) {
+    const std::size_t at = deck.find(from);
+    ASSERT_NE(at, std::string::npos) << from;
+    deck.replace(at, from.size(), to);
+  };
+  swap("V1 n1 0 PULSE(0 1.8 ", "RL n1 0 1k\nI1 0 n1 PULSE(0 1.8m ");
+  swap("I(V1)", "V(n1)");
+
+  auto parsed = parse_netlist(deck);
+  AnalysisPlan plan = parsed.plans.front();
+  plan.transient->adaptive = false;
+  plan.transient->tstep = plan.transient->tstop / 100.0;
+  NewtonOptions options;
+  options.v_abstol = 1e-11;
+  options.i_abstol = 1e-14;
+  options.reltol = 1e-12;
+  plan.options = options;
+  SimSession session(*parsed.circuit, options);
+  const SweepResult sparse = session.run(plan);
+
+  auto reference = parse_netlist(deck);
+  oracle::DenseOracle dense(*reference.circuit, options);
+  const std::vector<Unknowns> xd =
+      dense.fixed_step_transient(*plan.transient);
+  ASSERT_EQ(sparse.rows(), xd.size());
+  for (std::size_t p = 0; p < sparse.probe_count(); ++p) {
+    for (std::size_t r = 0; r < sparse.rows(); ++r) {
+      EXPECT_NEAR(plan.probes[p].eval(*reference.circuit, xd[r]),
+                  sparse.value(p, r), 1e-10)
+          << "probe " << p << " row " << r;
+    }
+  }
+  // The source drove the ladder: V(n1) settles at 1.8 mA * 1k.
+  EXPECT_NEAR(sparse.value(1, sparse.rows() - 1), 1.8, 0.1);
+}
+
 /// The server benchmark's deck: a 200-stage RC ladder driven by a pulse
 /// into a diode-connected PNP, .TRAN 5u 500u at 27 C.
 std::string pnp_loaded_ladder_deck() {
