@@ -12,11 +12,11 @@
 // frozen sparse pattern per engine, stamped through the identical path.
 //
 // Coordinate contract: `add(r, c, v)` always addresses the *original* MNA
-// coordinates. Row/column permutations -- AMD/min-degree pre-ordering, the
-// BTF block permutation, threshold-pivoting column swaps -- live entirely
-// inside SparseLuFactorizationT's cached symbolic analysis; neither devices
-// nor sessions ever see a permuted index, which is what lets the ordering
-// default change (SparseOptions) without touching any stamping code.
+// coordinates. Row/column permutations -- the BTF block permutation, the
+// AMD pre-ordering inside each block, threshold-pivoting column swaps --
+// live entirely inside SparseLuFactorizationT's cached symbolic analysis;
+// neither devices nor sessions ever see a permuted index, so the ordering
+// can change without touching any stamping code.
 
 #include <type_traits>
 

@@ -35,14 +35,15 @@
 // at its first stamped frequency and re-factors allocation-free at every
 // further point, exactly like a Newton loop.
 //
-// Symbolic scale-up (SparseOptions): the default pre-order is approximate
-// minimum degree (AMD) on a quotient graph composed with a block-triangular
-// (BTF) permutation. Every numeric pass is the one sparse replay along the
-// cached pattern: circuit factors stay too sparse for a dense trailing
-// kernel to pay (KLU leaves supernodes out for the same reason). The
-// original exact set-based minimum-degree path survives behind
-// SparseOptions::legacy() for A/B gating (bench_sparse_solve,
-// test_sparse_ordering).
+// Symbolic path: one, KLU's default shape. A block-triangular (BTF)
+// permutation first, then approximate minimum degree (AMD) on a quotient
+// graph inside each diagonal block. Every numeric pass is the one sparse
+// replay along the cached pattern: circuit factors stay too sparse for a
+// dense trailing kernel to pay (KLU leaves supernodes out for the same
+// reason). BTF stays because the serve deck's warm PATCH+RUN history is
+// bit-identical to cold runs only with its block fences: without them the
+// history runs a second analysis and 7 of its 60 runs print other bytes
+// (test_server's WarmHistoryMatchesColdRunsOfThePatchedDeck).
 
 #include <cstddef>
 #include <cstdint>
@@ -327,47 +328,14 @@ class SparseValueBatch {
   StampTape tape_;
 };
 
-/// Symbolic pre-order family for SparseLuFactorizationT (structural only,
-/// shared by both scalar instantiations; every choice is deterministic).
-enum class SparseOrdering {
-  kMinDegree,  ///< exact set-based minimum degree (the original O(n^2)-ish
-               ///< path; kept for A/B gating and as a fill reference)
-  kAmd,        ///< approximate minimum degree on a quotient graph
-               ///< (supervariables + external-degree approximation);
-               ///< near-linear analysis, the default
-};
-
-/// Symbolic-path configuration. The default is the scaled-up path: AMD
-/// pre-ordering inside a block-triangular (BTF) permutation. legacy()
-/// reproduces the pre-AMD engine exactly.
-struct SparseOptions {
-  SparseOrdering ordering = SparseOrdering::kAmd;
-  /// Permute to block-triangular form first (maximum transversal + SCC
-  /// condensation) and order/factor each diagonal block independently;
-  /// pivoting is confined to the current block. Structurally singular
-  /// matrices are rejected at the matching, before any numeric work.
-  bool btf = true;
-
-  /// The original engine: exact minimum degree, no BTF.
-  [[nodiscard]] static SparseOptions legacy() noexcept {
-    return SparseOptions{SparseOrdering::kMinDegree, false};
-  }
-
-  friend bool operator==(const SparseOptions&,
-                         const SparseOptions&) = default;
-};
-
-/// Exact set-based minimum-degree row pre-ordering over the symmetrised
-/// pattern (the original default; O(n^2)-ish). Deterministic: ties break
-/// on the smallest node index. Exposed for the ordering test harness.
-[[nodiscard]] std::vector<int> minimum_degree_order(
-    const std::vector<int>& row_ptr, const std::vector<int>& col_index,
-    std::size_t n);
+/// Kept only for the benchmark harness, which hands one to set_options():
+/// the symbolic path has nothing to configure.
+struct SparseOptions {};
 
 /// Approximate minimum degree on a quotient graph over the symmetrised
 /// pattern: supervariable detection (indistinguishable-node merging),
-/// element absorption, and the external-degree approximation -- the
-/// near-linear replacement for minimum_degree_order. Deterministic:
+/// element absorption, and the external-degree approximation. It orders
+/// each BTF block of the factorisation. Deterministic:
 /// (degree, index) min-selection and index-ordered supervariable
 /// emission. Exposed for the ordering test harness.
 [[nodiscard]] std::vector<int> amd_order(const std::vector<int>& row_ptr,
@@ -415,8 +383,7 @@ struct RefactorStats {
 /// shape (Nagel's SPICE2 reordering, KLU-style refactorisation):
 ///
 ///  * analyse once: a block-triangular permutation plus a fill-reducing
-///    row pre-ordering per diagonal block (AMD by default; the exact
-///    minimum-degree path behind SparseOptions), then an up-looking row
+///    row pre-ordering (AMD) per diagonal block, then an up-looking row
 ///    factorisation with threshold column pivoting (Markowitz-flavoured:
 ///    among numerically acceptable pivots the sparsest column wins),
 ///    pivots confined to the current BTF block. The pivot order and the
@@ -503,20 +470,12 @@ class SparseLuFactorizationT {
     replay_ok_ = false;
   }
 
-  /// Select the symbolic path (ordering / BTF).
-  /// Changing the options drops the cached analysis -- the next refactor()
-  /// re-analyses under the new configuration. Same-value calls are no-ops,
-  /// so sessions may set options unconditionally at rebind.
-  void set_options(const SparseOptions& options) noexcept {
-    if (!(options == options_)) invalidate_analysis();
-    options_ = options;
-  }
-  [[nodiscard]] const SparseOptions& options() const noexcept {
-    return options_;
-  }
+  /// A no-op: there is one symbolic path. Kept only for the benchmark
+  /// harness's call.
+  void set_options(const SparseOptions&) noexcept {}
 
-  /// Diagonal-block count of the analysed pattern (1 when BTF is off or
-  /// the pattern is irreducible; diagnostic, valid after a refactor()).
+  /// Diagonal-block count of the analysed pattern (1 when the pattern is
+  /// irreducible; diagnostic, valid after a refactor()).
   [[nodiscard]] std::size_t btf_block_count() const noexcept {
     return btf_blocks_;
   }
@@ -594,7 +553,6 @@ class SparseLuFactorizationT {
   std::size_t n_ = 0;
   bool analyzed_ = false;
   int analysis_count_ = 0;
-  SparseOptions options_{};
   std::size_t btf_blocks_ = 0;  ///< diagonal blocks of the analysed pattern
   /// Per-column max|A| of the matrix being refactored (the pivot test's
   /// column-relative scale); refilled by every refactor(), allocation-free
@@ -615,8 +573,8 @@ class SparseLuFactorizationT {
   // Incremental refactor state. While replay_ok_ holds, the stored
   // factors are exactly what a full frozen pass over last_values_ yields,
   // and growth_[k] is that pass's running growth max after step k. Sized
-  // by analyze(); cleared by analyze(), invalidate_analysis(),
-  // set_options() and any failed pass.
+  // by analyze(); cleared by analyze(), invalidate_analysis() and any
+  // failed pass.
   bool replay_ok_ = false;
   std::vector<Scalar> last_values_;
   std::vector<double> growth_;
@@ -650,8 +608,8 @@ class SparseLuFactorizationT {
   // off_a_idx_[t], astep_ is negative there so the scatter skips them) and
   // applied during block back-substitution in solve (x of later blocks is
   // final by then). That is what makes BTF a fill *win*: cross-block
-  // columns never join any elimination pattern. Without blocks,
-  // bstep_ptr_ = {0, n} and the off arrays are empty.
+  // columns never join any elimination pattern. An irreducible pattern
+  // is one block: bstep_ptr_ = {0, n} and the off arrays are empty.
   std::vector<int> bstep_ptr_;
   std::vector<int> off_ptr_;    ///< per step: range into the off arrays
   std::vector<int> off_a_idx_;  ///< CSR value slot of each off entry

@@ -32,11 +32,8 @@ struct NewtonOptions {
   double gmin_floor = 1e-12;     ///< final gmin left in the matrix
   int gmin_steps = 8;            ///< decades of gmin ramp when needed
   int source_steps = 10;         ///< source-stepping ramp points when needed
-  /// Symbolic-path knobs for the sparse engine (ordering, BTF). Applied to
-  /// every sparse factorization the session owns (real DC/TRAN, complex
-  /// AC, batched lanes) at bind/rebind time.
-  /// Defaults select AMD + BTF; `linalg::SparseOptions::legacy()` restores
-  /// the original set-based minimum-degree path for A/B comparisons.
+  /// Empty: the sparse engine has one symbolic path (AMD inside BTF).
+  /// Kept only for the benchmark harness, which reads it.
   linalg::SparseOptions sparse_options{};
 };
 
@@ -133,6 +130,11 @@ class SimSession {
   [[nodiscard]] const linalg::SparseLuFactorization& sparse_lu()
       const noexcept {
     return slu_;
+  }
+  /// The complex AC factorisation, for the same diagnostics.
+  [[nodiscard]] const linalg::ComplexSparseLuFactorization&
+  complex_sparse_lu() const noexcept {
+    return cslu_;
   }
   [[nodiscard]] NewtonOptions& options() noexcept { return options_; }
   [[nodiscard]] const NewtonOptions& options() const noexcept {

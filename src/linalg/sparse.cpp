@@ -6,7 +6,6 @@
 #include <cstring>
 #include <limits>
 #include <queue>
-#include <set>
 #include <string>
 #include <type_traits>
 
@@ -268,7 +267,7 @@ namespace {
 constexpr double kPivotRelThreshold = 0.5;
 
 /// Symmetrised pattern as sorted, deduplicated adjacency lists (no self
-/// loops) -- the graph both fill-reducing orderings run on.
+/// loops) -- the graph amd_order runs on.
 std::vector<std::vector<int>> symmetrized_adjacency(
     const std::vector<int>& row_ptr, const std::vector<int>& col_index,
     std::size_t n) {
@@ -289,52 +288,6 @@ std::vector<std::vector<int>> symmetrized_adjacency(
   return adj;
 }
 
-/// Exact minimum degree over explicit adjacency sets (the original
-/// default's algorithm body, unchanged: one-time cost, so clarity beats
-/// the quotient-graph refinements -- which is exactly why it is now the
-/// legacy path). Ties break on the smallest node index, keeping the order
-/// fully deterministic.
-std::vector<int> md_order_core(std::size_t n, std::vector<std::set<int>> adj) {
-  std::vector<char> eliminated(n, 0);
-  std::vector<int> order;
-  order.reserve(n);
-  std::vector<int> clique;
-  for (std::size_t step = 0; step < n; ++step) {
-    int best = -1;
-    std::size_t best_deg = n + 1;
-    for (std::size_t v = 0; v < n; ++v) {
-      if (!eliminated[v] && adj[v].size() < best_deg) {
-        best = static_cast<int>(v);
-        best_deg = adj[v].size();
-      }
-    }
-    eliminated[static_cast<std::size_t>(best)] = 1;
-    order.push_back(best);
-
-    // Eliminating `best` couples its remaining neighbours into a clique.
-    clique.assign(adj[static_cast<std::size_t>(best)].begin(),
-                  adj[static_cast<std::size_t>(best)].end());
-    for (int u : clique) adj[static_cast<std::size_t>(u)].erase(best);
-    for (std::size_t i = 0; i < clique.size(); ++i) {
-      for (std::size_t j = i + 1; j < clique.size(); ++j) {
-        adj[static_cast<std::size_t>(clique[i])].insert(clique[j]);
-        adj[static_cast<std::size_t>(clique[j])].insert(clique[i]);
-      }
-    }
-    adj[static_cast<std::size_t>(best)].clear();
-  }
-  return order;
-}
-
-std::vector<int> md_order_graph(std::size_t n,
-                                const std::vector<std::vector<int>>& vadj) {
-  std::vector<std::set<int>> adj(n);
-  for (std::size_t v = 0; v < n; ++v) {
-    adj[v].insert(vadj[v].begin(), vadj[v].end());
-  }
-  return md_order_core(n, std::move(adj));
-}
-
 /// Approximate minimum degree on a quotient graph (Amestoy/Davis/Duff
 /// shape): eliminated pivots survive as *elements* (their neighbourhood
 /// clique represented implicitly), indistinguishable variables merge into
@@ -348,7 +301,7 @@ std::vector<int> md_order_graph(std::size_t n,
 /// (hash, index) order, and each supervariable emits its members in
 /// ascending index order. Input adjacency must be sorted/deduplicated
 /// (symmetrized_adjacency's output); it is consumed in place.
-std::vector<int> amd_order_graph(std::size_t n,
+std::vector<int> amd_graph_order(std::size_t n,
                                  std::vector<std::vector<int>> vadj) {
   std::vector<int> order;
   order.reserve(n);
@@ -603,25 +556,9 @@ std::vector<int> amd_order_graph(std::size_t n,
 
 }  // namespace
 
-std::vector<int> minimum_degree_order(const std::vector<int>& row_ptr,
-                                      const std::vector<int>& col_index,
-                                      std::size_t n) {
-  std::vector<std::set<int>> adj(n);
-  for (std::size_t r = 0; r < n; ++r) {
-    for (int i = row_ptr[r]; i < row_ptr[r + 1]; ++i) {
-      const int c = col_index[static_cast<std::size_t>(i)];
-      if (static_cast<std::size_t>(c) != r) {
-        adj[r].insert(c);
-        adj[static_cast<std::size_t>(c)].insert(static_cast<int>(r));
-      }
-    }
-  }
-  return md_order_core(n, std::move(adj));
-}
-
 std::vector<int> amd_order(const std::vector<int>& row_ptr,
                            const std::vector<int>& col_index, std::size_t n) {
-  return amd_order_graph(n, symmetrized_adjacency(row_ptr, col_index, n));
+  return amd_graph_order(n, symmetrized_adjacency(row_ptr, col_index, n));
 }
 
 BtfDecomposition btf_decompose(const std::vector<int>& row_ptr,
@@ -925,84 +862,65 @@ void SparseLuFactorizationT<Scalar>::analyze(const SparseMatrixT<Scalar>& a,
   n_ = n;
 
   // --- symbolic pre-order ------------------------------------------------
-  // With BTF on, the matching rejects structurally singular patterns
-  // before any numeric work, rows are grouped block by block (so LU never
-  // fills across blocks), and the fill-reducing order runs per diagonal
-  // block on the matched row<->column identification. With BTF off, one
-  // global order over the whole symmetrised pattern (the original path).
-  std::vector<int> row_block;  // block id per row (pivot confinement)
-  std::vector<int> col_block;  // block id per column
-  bool use_blocks = false;
-  if (options_.btf) {
-    const BtfDecomposition btf = btf_decompose(row_ptr, col_index, n);
-    btf_blocks_ = btf.block_count();
-    use_blocks = btf_blocks_ > 1;
-    row_block = btf.row_block;
-    col_block.assign(n, 0);
-    for (std::size_t r = 0; r < n; ++r) {
-      col_block[static_cast<std::size_t>(btf.match_col[r])] =
-          btf.row_block[r];
+  // The matching rejects structurally singular patterns before any
+  // numeric work, rows are grouped block by block (so LU never fills
+  // across blocks), and AMD runs per diagonal block on the matched
+  // row<->column identification.
+  const BtfDecomposition btf = btf_decompose(row_ptr, col_index, n);
+  btf_blocks_ = btf.block_count();
+  const std::vector<int>& row_block = btf.row_block;  // pivot confinement
+  std::vector<int> col_block(n, 0);                    // block id per column
+  for (std::size_t r = 0; r < n; ++r) {
+    col_block[static_cast<std::size_t>(btf.match_col[r])] = btf.row_block[r];
+  }
+  rperm_.clear();
+  rperm_.reserve(n);
+  std::vector<int> local_of_col(n, -1);
+  std::vector<std::vector<int>> adj;
+  std::vector<int> block_rows;
+  for (std::size_t b = 0; b < btf.block_count(); ++b) {
+    const int lo = btf.block_ptr[b];
+    const int hi = btf.block_ptr[b + 1];
+    const std::size_t m = static_cast<std::size_t>(hi - lo);
+    if (m == 1) {
+      rperm_.push_back(btf.row_order[static_cast<std::size_t>(lo)]);
+      continue;
     }
-    rperm_.clear();
-    rperm_.reserve(n);
-    std::vector<int> local_of_col(n, -1);
-    std::vector<std::vector<int>> adj;
-    std::vector<int> block_rows;
-    for (std::size_t b = 0; b < btf.block_count(); ++b) {
-      const int lo = btf.block_ptr[b];
-      const int hi = btf.block_ptr[b + 1];
-      const std::size_t m = static_cast<std::size_t>(hi - lo);
-      if (m == 1) {
-        rperm_.push_back(btf.row_order[static_cast<std::size_t>(lo)]);
-        continue;
-      }
-      block_rows.assign(btf.row_order.begin() + lo,
-                        btf.row_order.begin() + hi);
-      for (std::size_t k = 0; k < m; ++k) {
-        local_of_col[static_cast<std::size_t>(
-            btf.match_col[static_cast<std::size_t>(block_rows[k])])] =
-            static_cast<int>(k);
-      }
-      // Local symmetrised graph: row k of the block is identified with
-      // its matched column (the vertex the elimination merges them into).
-      adj.assign(m, {});
-      for (std::size_t k = 0; k < m; ++k) {
-        const std::size_t r = static_cast<std::size_t>(block_rows[k]);
-        for (int i = row_ptr[r]; i < row_ptr[r + 1]; ++i) {
-          const int lc =
-              local_of_col[static_cast<std::size_t>(col_index[i])];
-          if (lc >= 0 && lc != static_cast<int>(k)) {
-            adj[k].push_back(lc);
-            adj[static_cast<std::size_t>(lc)].push_back(static_cast<int>(k));
-          }
+    block_rows.assign(btf.row_order.begin() + lo, btf.row_order.begin() + hi);
+    for (std::size_t k = 0; k < m; ++k) {
+      local_of_col[static_cast<std::size_t>(
+          btf.match_col[static_cast<std::size_t>(block_rows[k])])] =
+          static_cast<int>(k);
+    }
+    // Local symmetrised graph: row k of the block is identified with
+    // its matched column (the vertex the elimination merges them into).
+    adj.assign(m, {});
+    for (std::size_t k = 0; k < m; ++k) {
+      const std::size_t r = static_cast<std::size_t>(block_rows[k]);
+      for (int i = row_ptr[r]; i < row_ptr[r + 1]; ++i) {
+        const int lc = local_of_col[static_cast<std::size_t>(col_index[i])];
+        if (lc >= 0 && lc != static_cast<int>(k)) {
+          adj[k].push_back(lc);
+          adj[static_cast<std::size_t>(lc)].push_back(static_cast<int>(k));
         }
       }
-      for (auto& al : adj) {
-        std::sort(al.begin(), al.end());
-        al.erase(std::unique(al.begin(), al.end()), al.end());
-      }
-      const std::vector<int> local =
-          options_.ordering == SparseOrdering::kAmd
-              ? amd_order_graph(m, std::move(adj))
-              : md_order_graph(m, adj);
-      for (int v : local) {
-        rperm_.push_back(block_rows[static_cast<std::size_t>(v)]);
-      }
-      for (std::size_t k = 0; k < m; ++k) {
-        local_of_col[static_cast<std::size_t>(
-            btf.match_col[static_cast<std::size_t>(block_rows[k])])] = -1;
-      }
     }
-    // Blocks occupy contiguous step ranges (rperm_ was emitted block by
-    // block), so the BTF block offsets are the solve-time step fences.
-    bstep_ptr_.assign(btf.block_ptr.begin(), btf.block_ptr.end());
-  } else {
-    btf_blocks_ = 1;
-    rperm_ = options_.ordering == SparseOrdering::kAmd
-                 ? amd_order(row_ptr, col_index, n)
-                 : minimum_degree_order(row_ptr, col_index, n);
-    bstep_ptr_ = {0, static_cast<int>(n)};
+    for (auto& al : adj) {
+      std::sort(al.begin(), al.end());
+      al.erase(std::unique(al.begin(), al.end()), al.end());
+    }
+    const std::vector<int> local = amd_graph_order(m, std::move(adj));
+    for (int v : local) {
+      rperm_.push_back(block_rows[static_cast<std::size_t>(v)]);
+    }
+    for (std::size_t k = 0; k < m; ++k) {
+      local_of_col[static_cast<std::size_t>(
+          btf.match_col[static_cast<std::size_t>(block_rows[k])])] = -1;
+    }
   }
+  // Blocks occupy contiguous step ranges (rperm_ was emitted block by
+  // block), so the BTF block offsets are the solve-time step fences.
+  bstep_ptr_.assign(btf.block_ptr.begin(), btf.block_ptr.end());
 
   cstep_.assign(n, -1);
   cperm_.assign(n, -1);
@@ -1026,21 +944,18 @@ void SparseLuFactorizationT<Scalar>::analyze(const SparseMatrixT<Scalar>& a,
 
   for (std::size_t k = 0; k < n; ++k) {
     const std::size_t r = static_cast<std::size_t>(rperm_[k]);
-    // With blocks, only the row's own BTF block participates: its columns
-    // are exactly what its rows can eliminate (earlier blocks are fully
-    // pivoted, later blocks belong to later rows), so filtering the
-    // scatter below confines the pattern -- and hence the pivot search --
-    // to the block.
-    const int cur_block = use_blocks ? row_block[r] : 0;
+    // Only the row's own BTF block participates: its columns are exactly
+    // what its rows can eliminate (earlier blocks are fully pivoted, later
+    // blocks belong to later rows), so filtering the scatter below
+    // confines the pattern -- and hence the pivot search -- to the block.
+    const int cur_block = row_block[r];
     // Scatter row r of A. Entries whose column belongs to a *later* BTF
     // block stay out of the elimination entirely (block-diagonal factor;
     // they are applied raw during block back-substitution), so neither
     // they nor any fill they would cascade ever enter the pattern.
     for (int i = row_ptr[r]; i < row_ptr[r + 1]; ++i) {
       const int c = col_index[static_cast<std::size_t>(i)];
-      if (use_blocks && col_block[static_cast<std::size_t>(c)] != cur_block) {
-        continue;
-      }
+      if (col_block[static_cast<std::size_t>(c)] != cur_block) continue;
       inpat[static_cast<std::size_t>(c)] = 1;
       pattern.push_back(c);
       w[static_cast<std::size_t>(c)] = values[static_cast<std::size_t>(i)];
@@ -1183,20 +1098,18 @@ void SparseLuFactorizationT<Scalar>::analyze(const SparseMatrixT<Scalar>& a,
   off_a_idx_.clear();
   off_step_.clear();
   off_val_.clear();
-  if (use_blocks) {
-    for (std::size_t k = 0; k < n; ++k) {
-      const std::size_t r = static_cast<std::size_t>(rperm_[k]);
-      const int b = row_block[r];
-      for (int i = row_ptr[r]; i < row_ptr[r + 1]; ++i) {
-        const std::size_t c = static_cast<std::size_t>(col_index[i]);
-        if (col_block[c] == b) continue;
-        astep_[static_cast<std::size_t>(i)] = ~cstep_[c];
-        off_a_idx_.push_back(i);
-        off_step_.push_back(cstep_[c]);
-        off_val_.push_back(values[static_cast<std::size_t>(i)]);
-      }
-      off_ptr_[k + 1] = static_cast<int>(off_a_idx_.size());
+  for (std::size_t k = 0; k < n; ++k) {
+    const std::size_t r = static_cast<std::size_t>(rperm_[k]);
+    const int b = row_block[r];
+    for (int i = row_ptr[r]; i < row_ptr[r + 1]; ++i) {
+      const std::size_t c = static_cast<std::size_t>(col_index[i]);
+      if (col_block[c] == b) continue;
+      astep_[static_cast<std::size_t>(i)] = ~cstep_[c];
+      off_a_idx_.push_back(i);
+      off_step_.push_back(cstep_[c]);
+      off_val_.push_back(values[static_cast<std::size_t>(i)]);
     }
+    off_ptr_[k + 1] = static_cast<int>(off_a_idx_.size());
   }
 
   work_.assign(n, Scalar{});

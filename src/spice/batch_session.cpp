@@ -52,7 +52,6 @@ BatchDcSession::BatchDcSession(std::vector<Circuit*> lanes,
   for (const auto& dev : lanes_[0]->devices()) dev->reset_state();
   std::fill(b_prime_.begin(), b_prime_.end(), 0.0);
 
-  slu_.set_options(options_.sparse_options);
   batch_.bind(sa_);
 
   // Offsets for the lane-batched exponential sweep, from lane 0's device

@@ -34,7 +34,6 @@ void SimSession::rebind() {
   have_last_ = false;
 
   slu_ = linalg::SparseLuFactorization();
-  slu_.set_options(options_.sparse_options);
   // Pattern discovery: one stamp pass registers every (row, col) a device
   // can touch -- stamped values are irrelevant (a zero value still
   // registers its slot), so the zero iterate works. The gmin diagonal
@@ -55,7 +54,6 @@ void SimSession::rebind() {
   cb_ = linalg::ComplexVector();
   csa_ = linalg::ComplexSparseMatrix();
   cslu_ = linalg::ComplexSparseLuFactorization();
-  cslu_.set_options(options_.sparse_options);
 
   sources_.clear();
   for (const auto& dev : circuit_->devices()) {

@@ -295,6 +295,24 @@ TEST(AcAnalysis, DenseAndSparseAgreeOnGeneratedLadderDeck) {
   }
 }
 
+TEST(AcAnalysis, GeneratedLadderSweepRunsOneComplexAnalysis) {
+  // The deck above: the whole .AC sweep factors every point along the one
+  // complex analysis of its first point, and that factor stays under 3
+  // entries per unknown (600 for 201 unknowns).
+  SyntheticNetlistSpec spec;
+  spec.topology = SyntheticTopology::kRcLadder;
+  spec.nodes = 200;
+  spec.seed = 11;
+  spec.ac_analysis = true;
+  auto parsed = parse_netlist(generate_netlist(spec));
+  SimSession session(*parsed.circuit);
+  const SweepResult r = session.run(parsed.plans.front());
+  ASSERT_EQ(r.rows(), parsed.plans.front().ac->frequencies().size());
+  ASSERT_EQ(session.unknown_count(), 201);
+  EXPECT_EQ(session.complex_sparse_lu().analysis_count(), 1);
+  EXPECT_EQ(session.complex_sparse_lu().factor_nonzeros(), 600u);
+}
+
 // ------------------------------- allocation and thread-count guarantees ---
 
 TEST(AcAnalysis, SweepIsAllocationFreePerPointAfterSetup) {

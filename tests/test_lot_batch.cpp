@@ -212,13 +212,10 @@ void program_cell(Circuit& c, const bandgap::TestCellParams& p) {
   c.get<spice::OpAmp>("U1").set_offset(p.opamp_offset);
 }
 
-/// The lane bit-identity contract under a given set of sparse engine
-/// options: scalar SimSessions per lane vs one shared-analysis
-/// BatchDcSession must agree to the bit. Parameterised by SparseOptions so
-/// the same contract is asserted along the ordering dimension (legacy
-/// min-degree vs the AMD+BTF default). Three dies ride the batch; the
-/// other lanes sit out.
-void check_cell_lanes_bit_identical(const NewtonOptions& opt) {
+TEST(BatchDcSessionTest, CellLanesBitIdenticalToScalarSessions) {
+  // Scalar SimSessions per lane vs one shared-analysis BatchDcSession must
+  // agree to the bit. Three dies ride the batch; the other lanes sit out.
+  const NewtonOptions opt;
   const std::size_t k = 3;
   const double t = to_kelvin(25.0);
 
@@ -266,16 +263,6 @@ void check_cell_lanes_bit_identical(const NewtonOptions& opt) {
       EXPECT_EQ(x.raw()[i], scalar_x[l].raw()[i])
           << "lane " << l << " unknown " << i;
   }
-}
-
-TEST(BatchDcSessionTest, CellLanesBitIdenticalToScalarSessions) {
-  check_cell_lanes_bit_identical(NewtonOptions{});
-}
-
-TEST(BatchDcSessionTest, CellLanesBitIdenticalUnderLegacyOrdering) {
-  NewtonOptions opt;
-  opt.sparse_options = linalg::SparseOptions::legacy();
-  check_cell_lanes_bit_identical(opt);
 }
 
 /// The gmin diagonal sits right after the linear prefix in both sessions.

@@ -12,7 +12,9 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <random>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -20,14 +22,18 @@
 
 #include "icvbe/common/constants.hpp"
 #include "icvbe/server/client.hpp"
+#include "icvbe/server/protocol.hpp"
 #include "icvbe/server/sim_server.hpp"
 #include "icvbe/spice/circuit.hpp"
 #include "icvbe/spice/dynamic_devices.hpp"
 #include "icvbe/spice/linear_devices.hpp"
 #include "icvbe/spice/netlist.hpp"
 #include "icvbe/spice/netlist_gen.hpp"
+#include "icvbe/spice/param.hpp"
 #include "icvbe/spice/plan.hpp"
 #include "icvbe/spice/sim_session.hpp"
+
+#include "serve_deck.hpp"
 
 namespace icvbe::server {
 namespace {
@@ -388,6 +394,49 @@ TEST(WarmSessionTest, PatchRunRotatingDcTranAcKeepsTheAnalysisAndTape) {
        [](spice::Circuit& c, int i) {
          c.set_temperature(to_kelvin(-20.0 + 5.0 * i));
        }});
+}
+
+TEST(WarmSessionTest, WarmHistoryMatchesColdRunsOfThePatchedDeck) {
+  // The serve_mixed traffic on one session: 60 seeded ops, each a PATCH of
+  // R100 or TEMP through the binder PATCH uses, then a RUN of DC, TRAN or
+  // AC on 2 threads, started as execute_run starts it. Every run must
+  // print the CSV a cold run of the patched deck prints, and the history
+  // must keep the first run's symbolic analysis.
+  const char* const resistances[] = {"90", "95", "100", "105", "110"};
+  const char* const celsius[] = {"0", "12.5", "25", "37.5", "50"};
+  const spice::AnalysisKind kinds[] = {spice::AnalysisKind::kDcSweep,
+                                       spice::AnalysisKind::kTransient,
+                                       spice::AnalysisKind::kAc};
+  const auto csv = [](const spice::SweepResult& r) {
+    std::ostringstream os;
+    r.write_csv(os);
+    return os.str();
+  };
+  auto parsed = spice::parse_netlist(spice::testdeck::serve_deck());
+  auto& c = *parsed.circuit;
+  c.set_temperature(to_kelvin(parsed.temperature_celsius));
+  spice::SimSession sim(c);
+  std::mt19937 rng(20261019u);
+  std::string r100;
+  std::string temp;
+  for (int op = 0; op < 60; ++op) {
+    const bool patch_r = rng() % 2 == 0;
+    std::string& value = patch_r ? r100 : temp;
+    value = patch_r ? resistances[rng() % 5] : celsius[rng() % 5];
+    const PatchCommand patch =
+        parse_patch_body((patch_r ? "R R100 " : "TEMP ") + value).at(0);
+    spice::BoundParam(patch.param, c).apply(patch.value);
+
+    const spice::AnalysisKind kind = kinds[rng() % 3];
+    spice::AnalysisPlan plan = *parsed.find_plan(kind);
+    plan.threads = 2;
+    sim.begin_variant();
+    EXPECT_EQ(csv(sim.run(plan)),
+              csv(local_run(spice::testdeck::serve_deck(r100, temp), kind, 2)))
+        << "op " << op << ": " << spice::to_token(kind) << " after R100="
+        << r100 << " TEMP=" << temp;
+  }
+  EXPECT_EQ(sim.sparse_lu().analysis_count(), 1);
 }
 
 TEST_F(ServerTest, AcAfterADcSweepOnTheSameSessionMatchesAColdAcRun) {

@@ -170,41 +170,6 @@ TEST(SparseEquivalence, TwoAxisPlanBitIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(SparseEquivalence, OrderingSweepMatchesDenseAndLegacy) {
-  // The ordering dimension of the equivalence matrix: the legacy exact
-  // minimum-degree path (pre-AMD default, kept behind SparseOptions) and
-  // the new AMD+BTF default must both land on the dense reference's answer
-  // on every deck shape.
-  struct Variant {
-    const char* name;
-    linalg::SparseOptions options;
-  };
-  const std::vector<Variant> variants = {
-      {"legacy-md", linalg::SparseOptions::legacy()},
-      {"amd-btf-default", linalg::SparseOptions{}},
-  };
-  for (const EquivalenceCase& c : equivalence_cases()) {
-    SCOPED_TRACE(case_name(c));
-    auto dense_deck = parse_case(c);
-    oracle::DenseOracle dense(*dense_deck.circuit, tight_options());
-    const Unknowns& xd = dense.solve();
-
-    for (const Variant& v : variants) {
-      SCOPED_TRACE(v.name);
-      auto deck = parse_case(c);
-      NewtonOptions opt = tight_options();
-      opt.sparse_options = v.options;
-      SimSession sparse(*deck.circuit, opt);
-      const Unknowns& xs = sparse.solve_or_throw();
-      ASSERT_EQ(xd.size(), xs.size());
-      for (std::size_t i = 0; i < xd.size(); ++i) {
-        EXPECT_NEAR(xd.raw()[i], xs.raw()[i], kAgreeTol)
-            << "unknown " << i << " under ordering variant " << v.name;
-      }
-    }
-  }
-}
-
 TEST(SparseEquivalence, SparseSolveIsAllocationFreeAfterSetup) {
   auto deck = parse_case({SyntheticTopology::kMesh, 500});
   SimSession session(*deck.circuit, tight_options());

@@ -1,16 +1,17 @@
-// Randomized property harness for the symbolic scale-up: AMD ordering
-// and BTF decomposition, checked against the legacy min-degree path and
-// the dense LU on ~200 seeded patterns.
+// Randomized property harness for the symbolic path: AMD ordering inside
+// a BTF decomposition, checked against the dense LU on ~200 seeded
+// patterns.
 //
 // Families: resistor-ladder shapes, 2-D meshes, random MNA shapes with
 // zero-diagonal aux rows (voltage-source style), singular and
 // near-singular value sets. Properties:
 //  * amd_order() returns a valid permutation on every pattern;
-//  * AMD fill stays within a slack factor of the legacy ordering's fill;
-//  * refactor/solve under the new default path matches the legacy path
-//    and the dense LU to <= 1e-10 (residual-checked when near-singular);
-//  * batched lanes are bit-identical to scalar refactors per lane under
-//    the new symbolic path;
+//  * factor fill and BTF block counts equal committed values -- summed
+//    over the seeded patterns, per generated netlist family, and on the
+//    serve_mixed deck -- so an ordering change shows as a moved count;
+//  * refactor/solve matches the dense LU to <= 1e-10 (residual-checked
+//    when near-singular);
+//  * batched lanes are bit-identical to scalar refactors per lane;
 //  * structurally/numerically singular systems throw NumericalError on
 //    every path;
 //  * the incremental refactor (replay from the first changed pivot step,
@@ -28,13 +29,21 @@
 #include <limits>
 #include <numeric>
 #include <random>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "icvbe/common/constants.hpp"
 #include "icvbe/common/error.hpp"
 #include "icvbe/linalg/matrix.hpp"
 #include "icvbe/linalg/solve.hpp"
 #include "icvbe/linalg/sparse.hpp"
+#include "icvbe/spice/netlist.hpp"
+#include "icvbe/spice/netlist_gen.hpp"
+#include "icvbe/spice/sim_session.hpp"
 #include "icvbe/testing/alloc_hook.hpp"
+
+#include "serve_deck.hpp"
 
 namespace icvbe::linalg {
 namespace {
@@ -280,8 +289,15 @@ double rel_residual(const TestSystem& sys, const Vector& x, const Vector& b) {
   return rmax / (anorm * xmax + 1.0 + std::abs(b[0]));
 }
 
-/// One property check: orders valid, fill within slack, solutions agree.
-void check_system(const TestSystem& sys, std::mt19937_64& rng) {
+/// Factor entries and BTF blocks summed over the nonsingular systems.
+struct FillTotals {
+  std::size_t factor_nonzeros = 0;
+  std::size_t blocks = 0;
+};
+
+/// One property check: order valid, solution agrees; fill is added up.
+void check_system(const TestSystem& sys, std::mt19937_64& rng,
+                  FillTotals& totals) {
   const std::size_t n = sys.n;
 
   // amd_order is a valid permutation on every pattern, singular or not.
@@ -296,33 +312,20 @@ void check_system(const TestSystem& sys, std::mt19937_64& rng) {
     seen[static_cast<std::size_t>(v)] = 1;
   }
 
-  SparseLuFactorization legacy;
-  legacy.set_options(SparseOptions::legacy());
-  SparseLuFactorization amd;
-
+  SparseLuFactorization f;
   if (sys.expect_singular) {
-    EXPECT_THROW(amd.refactor(sys.sparse), NumericalError);
-    EXPECT_THROW(legacy.refactor(sys.sparse), NumericalError);
+    EXPECT_THROW(f.refactor(sys.sparse), NumericalError);
     return;
   }
-
-  ASSERT_NO_THROW(amd.refactor(sys.sparse));
-  ASSERT_NO_THROW(legacy.refactor(sys.sparse));
-
-  // Fill: AMD within slack of the legacy exact-minimum-degree order.
-  EXPECT_LE(amd.factor_nonzeros(),
-            static_cast<std::size_t>(
-                1.5 * static_cast<double>(legacy.factor_nonzeros()) +
-                4.0 * static_cast<double>(n)))
-      << "AMD fill blew past the legacy ordering";
+  ASSERT_NO_THROW(f.refactor(sys.sparse));
+  totals.factor_nonzeros += f.factor_nonzeros();
+  totals.blocks += f.btf_block_count();
 
   const Vector b = random_rhs(rng, n);
-  const Vector xa = amd.solve(b);
-  const Vector xl = legacy.solve(b);
+  const Vector x = f.solve(b);
 
-  // Residuals hold even when near-singular.
-  EXPECT_LT(rel_residual(sys, xa, b), kAgreeTol);
-  EXPECT_LT(rel_residual(sys, xl, b), kAgreeTol);
+  // The residual holds even when near-singular.
+  EXPECT_LT(rel_residual(sys, x, b), kAgreeTol);
 
   if (!sys.near_singular) {
     LuFactorization dl;
@@ -333,71 +336,109 @@ void check_system(const TestSystem& sys, std::mt19937_64& rng) {
     for (std::size_t i = 0; i < n; ++i) {
       scale = std::max(scale, std::abs(xd[i]));
     }
-    EXPECT_LT(max_abs_diff(xa, xd) / scale, kAgreeTol)
-        << "AMD path diverged from dense LU";
-    EXPECT_LT(max_abs_diff(xl, xd) / scale, kAgreeTol)
-        << "legacy path diverged from dense LU";
-    EXPECT_LT(max_abs_diff(xa, xl) / scale, kAgreeTol)
-        << "AMD path diverged from legacy ordering";
+    EXPECT_LT(max_abs_diff(x, xd) / scale, kAgreeTol)
+        << "sparse LU diverged from dense LU";
   }
 
   // Cached analysis is reused across same-pattern refactors.
-  const int analyses = amd.analysis_count();
-  amd.refactor(sys.sparse);
-  EXPECT_EQ(amd.analysis_count(), analyses);
+  const int analyses = f.analysis_count();
+  f.refactor(sys.sparse);
+  EXPECT_EQ(f.analysis_count(), analyses);
 }
 
-TEST(SparseOrderingHarness, TwoHundredSeededPatterns) {
+TEST(OrderingHarness, TwoHundredSeededPatterns) {
   std::mt19937_64 rng(20260808u);
+  FillTotals totals;
   int case_id = 0;
   for (int rep = 0; rep < 25; ++rep) {
     {
       SCOPED_TRACE("ladder case " + std::to_string(case_id++));
       TestSystem s = make_ladder(rng, 8 + static_cast<int>(rng() % 90));
-      check_system(s, rng);
+      check_system(s, rng, totals);
     }
     {
       SCOPED_TRACE("mesh case " + std::to_string(case_id++));
       TestSystem s =
           make_mesh(rng, 3 + static_cast<int>(rng() % 8), (rep % 3) == 0);
-      check_system(s, rng);
+      check_system(s, rng, totals);
     }
     {
       SCOPED_TRACE("random MNA case " + std::to_string(case_id++));
       TestSystem s = make_random_mna(rng, 10 + static_cast<int>(rng() % 80),
                                      static_cast<int>(rng() % 4));
-      check_system(s, rng);
+      check_system(s, rng, totals);
     }
     {
       SCOPED_TRACE("random MNA (aux-heavy) case " + std::to_string(case_id++));
       TestSystem s = make_random_mna(rng, 10 + static_cast<int>(rng() % 40),
                                      2 + static_cast<int>(rng() % 5));
-      check_system(s, rng);
+      check_system(s, rng, totals);
     }
     {
       SCOPED_TRACE("numerically singular case " + std::to_string(case_id++));
       TestSystem s =
           make_numerically_singular(rng, 12 + static_cast<int>(rng() % 30));
-      check_system(s, rng);
+      check_system(s, rng, totals);
     }
     {
       SCOPED_TRACE("structurally singular case " + std::to_string(case_id++));
       TestSystem s =
           make_structurally_singular(rng, 12 + static_cast<int>(rng() % 30));
-      check_system(s, rng);
+      check_system(s, rng, totals);
     }
     {
       SCOPED_TRACE("near-singular case " + std::to_string(case_id++));
       TestSystem s = make_near_singular(rng, 4 + static_cast<int>(rng() % 5));
-      check_system(s, rng);
+      check_system(s, rng, totals);
     }
     {
       SCOPED_TRACE("tiny case " + std::to_string(case_id++));
       TestSystem s = make_random_mna(rng, 4 + static_cast<int>(rng() % 5), 0);
-      check_system(s, rng);
+      check_system(s, rng, totals);
     }
   }
   EXPECT_EQ(case_id, 200);
+  EXPECT_EQ(totals.factor_nonzeros, 36597u);
+  EXPECT_EQ(totals.blocks, 538u);
+}
+
+/// Factor entries and BTF blocks of a session's own factorization after a
+/// cold operating-point solve of `deck`.
+std::pair<std::size_t, std::size_t> session_fill(const std::string& deck) {
+  auto parsed = spice::parse_netlist(deck);
+  parsed.circuit->set_temperature(to_kelvin(parsed.temperature_celsius));
+  spice::SimSession session(*parsed.circuit);
+  (void)session.solve_or_throw();
+  return {session.sparse_lu().factor_nonzeros(),
+          session.sparse_lu().btf_block_count()};
+}
+
+TEST(OrderingHarness, FillIsPinnedPerGeneratedFamily) {
+  // Every generated family at 1000 nodes (seed 42), and the serve_mixed
+  // deck, whose factor holds no fill at all: its 603 matrix entries. BTF
+  // finds 3 blocks on each.
+  const std::pair<spice::SyntheticTopology, std::size_t> pins[] = {
+      {spice::SyntheticTopology::kResistorLadder, 3000},
+      {spice::SyntheticTopology::kDiodeLadder, 3000},
+      {spice::SyntheticTopology::kBjtLadder, 3000},
+      {spice::SyntheticTopology::kMesh, 26577},
+      {spice::SyntheticTopology::kRcLadder, 3000},
+      {spice::SyntheticTopology::kGrid, 26577},
+      {spice::SyntheticTopology::kClockTree, 3689},
+  };
+  for (const auto& [topology, factor_nonzeros] : pins) {
+    SCOPED_TRACE(spice::topology_name(topology));
+    spice::SyntheticNetlistSpec spec;
+    spec.topology = topology;
+    spec.nodes = 1000;
+    spec.seed = 42;
+    const auto [nnz, blocks] = session_fill(spice::generate_netlist(spec));
+    EXPECT_EQ(nnz, factor_nonzeros);
+    EXPECT_EQ(blocks, 3u);
+  }
+  const auto [nnz, blocks] = session_fill(spice::testdeck::serve_deck());
+  EXPECT_EQ(nnz, 603u);
+  EXPECT_EQ(blocks, 3u);
 }
 
 /// Block upper-triangular system: two random MNA blocks plus entries from
@@ -538,7 +579,7 @@ void check_incremental(const TestSystem& sys, std::mt19937_64& rng,
   EXPECT_EQ(full.refactor_stats().skipped, 0u);
 }
 
-TEST(SparseOrderingHarness, IncrementalRefactorMatchesAFullPass) {
+TEST(OrderingHarness, IncrementalRefactorMatchesAFullPass) {
   std::mt19937_64 rng(20261017u);
   IncrementalCoverage cov;
   int case_id = 0;
@@ -570,15 +611,14 @@ TEST(SparseOrderingHarness, IncrementalRefactorMatchesAFullPass) {
   EXPECT_GT(cov.off_block_only, 0);
 }
 
-TEST(SparseOrderingHarness, KeptPivotFailingOnARaisedColumnMaxReanalyses) {
-  // BTF off, so both rows share one block: step 0 takes row 0 and pivots
-  // on column 0 (value 1), step 1 takes row 1. Raising row 1's column-0
-  // entry to 1e20 leaves the kept step 0 untouched, but its pivot now
-  // sits below pivot_tol (1e-14) x the column max: the replay from step 1
-  // must fail over to a fresh analysis -- exactly what a full pass does --
-  // which pivots row 0 on column 1 instead.
-  SparseOptions o;
-  o.btf = false;
+TEST(OrderingHarness, KeptPivotFailingOnARaisedColumnMaxReanalyses) {
+  // A full 2x2 pattern is irreducible, so both rows share one BTF block:
+  // step 0 takes row 0 and pivots on column 0 (value 1), step 1 takes
+  // row 1. Raising row 1's column-0 entry to 1e20 leaves the kept step 0
+  // untouched, but its pivot now sits below pivot_tol (1e-14) x the
+  // column max: the replay from step 1 must fail over to a fresh analysis
+  // -- exactly what a full pass does -- which pivots row 0 on column 1
+  // instead.
   SparseMatrix a(2, 2);
   a.add(0, 0, 1.0);
   a.add(0, 1, 1.0);
@@ -586,9 +626,9 @@ TEST(SparseOrderingHarness, KeptPivotFailingOnARaisedColumnMaxReanalyses) {
   a.add(1, 1, 3.0);
   a.freeze_pattern();
   SparseLuFactorization f;
-  f.set_options(o);
   f.refactor(a);
   ASSERT_EQ(f.analysis_count(), 1);
+  ASSERT_EQ(f.btf_block_count(), 1u);
 
   const SparseMatrix raised =
       map_values(a, [](std::size_t r, std::size_t c, double v) {
@@ -599,7 +639,6 @@ TEST(SparseOrderingHarness, KeptPivotFailingOnARaisedColumnMaxReanalyses) {
   EXPECT_EQ(f.analysis_count(), 2);
 
   SparseLuFactorization fresh;
-  fresh.set_options(o);
   fresh.refactor(raised);
   Vector b(2);
   b[0] = 1.0;
@@ -615,7 +654,7 @@ TEST(SparseOrderingHarness, KeptPivotFailingOnARaisedColumnMaxReanalyses) {
   EXPECT_EQ(f.analysis_count(), 2);
 }
 
-TEST(SparseOrderingHarness, KeptGrowthOverALoweredCapReanalyses) {
+TEST(OrderingHarness, KeptGrowthOverALoweredCapReanalyses) {
   // Rows 0-2 form one BTF block, row 3 another; (0, 3) is a cross-block
   // entry, outside the elimination. Step 1 is pinned to the column-1
   // pivot while it is benign; shrinking it to ~1e-11 then makes step 2
@@ -666,7 +705,7 @@ TEST(SparseOrderingHarness, KeptGrowthOverALoweredCapReanalyses) {
   }
 }
 
-TEST(SparseOrderingHarness, NegativeZeroInputIsNotReplayedFromTheAnalysis) {
+TEST(OrderingHarness, NegativeZeroInputIsNotReplayedFromTheAnalysis) {
   // The analysis copies A's values where the frozen kernel adds them to
   // +0.0, so with a -0.0 entry the two may differ in the sign of a zero:
   // the refactor after such an analysis runs a full pass, and only the
@@ -688,7 +727,7 @@ TEST(SparseOrderingHarness, NegativeZeroInputIsNotReplayedFromTheAnalysis) {
   EXPECT_EQ(f.analysis_count(), 1);
 }
 
-TEST(SparseOrderingHarness, BatchLanesBitIdenticalUnderNewPath) {
+TEST(OrderingHarness, BatchLanesBitIdenticalToScalarRefactors) {
   // Each batched lane against the scalar factorization of that lane's
   // values: a fresh factorization pinned on the reference matrix refactors
   // the lane. The lane's ok bit must equal "the scalar refactor kept the
@@ -794,7 +833,7 @@ TEST(SparseOrderingHarness, BatchLanesBitIdenticalUnderNewPath) {
   }
 }
 
-TEST(SparseOrderingHarness, BtfDecomposeBlockTriangularPattern) {
+TEST(OrderingHarness, BtfDecomposeBlockTriangularPattern) {
   // Hand-built 6x6 with two coupled pairs feeding a trailing pair:
   // rows {0,1} <-> cols {0,1}, rows {2,3} <-> cols {2,3} with a
   // dependency on block one, rows {4,5} close the chain.
@@ -852,7 +891,7 @@ TEST(SparseOrderingHarness, BtfDecomposeBlockTriangularPattern) {
   EXPECT_LT(max_abs_diff(xs, xd), kAgreeTol);
 }
 
-TEST(SparseOrderingHarness, StructurallySingularThrowsBeforeNumericWork) {
+TEST(OrderingHarness, StructurallySingularThrowsBeforeNumericWork) {
   // A free column: no row ever touches column 2.
   SparseMatrix m(3, 3);
   m.add(0, 0, 1.0);
@@ -866,14 +905,13 @@ TEST(SparseOrderingHarness, StructurallySingularThrowsBeforeNumericWork) {
   EXPECT_THROW(f.refactor(m), NumericalError);
 }
 
-TEST(SparseOrderingHarness, StressSubsetAt1e4Nodes) {
+TEST(OrderingHarness, StressSubsetAt1e4Nodes) {
   const char* env = std::getenv("ICVBE_SPARSE_STRESS");
   if (env == nullptr || env[0] == '\0' || env[0] == '0') {
     GTEST_SKIP() << "set ICVBE_SPARSE_STRESS=1 for the 1e4-node subset";
   }
   std::mt19937_64 rng(99u);
-  // 100 x 100 grid (10k nodes): AMD-only (legacy analysis takes ~seconds
-  // here, which is the point of this PR). Build without the dense mirror.
+  // 100 x 100 grid (10k nodes). Build without the dense mirror.
   const int g = 100;
   const std::size_t n = static_cast<std::size_t>(g) * g;
   SparseMatrix m(n, n);

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -20,6 +19,7 @@
 #include "icvbe/testing/alloc_hook.hpp"
 
 #include "dense_oracle.hpp"
+#include "serve_deck.hpp"
 
 namespace {
 
@@ -387,28 +387,14 @@ TEST(TransientEngineTest, DenseAndSparseResultsAgreeOnCurrentDrivenRcLadder) {
   EXPECT_NEAR(sparse.value(1, sparse.rows() - 1), 1.8, 0.1);
 }
 
-/// The server benchmark's deck: a 200-stage RC ladder driven by a pulse
-/// into a diode-connected PNP, .TRAN 5u 500u at 27 C.
-std::string pnp_loaded_ladder_deck() {
-  std::ostringstream d;
-  d << "V1 n0 0 PULSE(1 0.5 0 10u 10u 200u 400u) AC 1\n";
-  for (int k = 1; k <= 200; ++k) {
-    d << "R" << k << " n" << k - 1 << " n" << k << " " << 90 + (k * 37) % 21
-      << "\nC" << k << " n" << k << " 0 100p\n";
-  }
-  d << "Q1 0 0 n200 PMOD\n.MODEL PMOD PNP (IS=1e-16 BF=50)\n.TEMP 27\n"
-    << ".TRAN 5u 500u\n.PROBE V(n200) V(n100) I(V1)\n.END\n";
-  return d.str();
-}
-
 TEST(TransientEngineTest, LadderWithPnpLoadRestampsNeverMissTheTape) {
   // Every Newton iteration of the transient restamps the same add
   // sequence, so after the first restamp records the tape no add searches,
   // and the refactors replay only the steps the PNP's rows reach.
-  auto parsed = parse_netlist(pnp_loaded_ladder_deck());
-  ASSERT_FALSE(parsed.plans.empty());
+  auto parsed = parse_netlist(testdeck::serve_deck());
   SimSession session(*parsed.circuit);
-  const SweepResult r = session.run(parsed.plans.front());
+  const SweepResult r =
+      session.run(*parsed.find_plan(AnalysisKind::kTransient));
   EXPECT_GT(r.rows(), 100u);
   EXPECT_EQ(session.sparse_matrix().tape().misses(), 0u);
   const linalg::RefactorStats& stats = session.sparse_lu().refactor_stats();
@@ -423,13 +409,12 @@ TEST(TransientEngineTest, ServeDeckTranWorkIsPinnedAsCounts) {
   // The server benchmark's deck, run once on a fresh session. Its step
   // control and Newton work are pinned as counts, so a speed change in the
   // linear kernels shows as cheaper iterations, never as fewer of them.
-  auto parsed = parse_netlist(pnp_loaded_ladder_deck());
-  ASSERT_FALSE(parsed.plans.empty());
-  ASSERT_TRUE(parsed.plans.front().transient.has_value());
+  auto parsed = parse_netlist(testdeck::serve_deck());
+  const AnalysisPlan& plan = *parsed.find_plan(AnalysisKind::kTransient);
   parsed.circuit->set_temperature(to_kelvin(parsed.temperature_celsius));
   SimSession session(*parsed.circuit);
-  TransientSolver solver(session, *parsed.plans.front().transient);
-  const SweepResult r = solver.run(parsed.plans.front().probes);
+  TransientSolver solver(session, *plan.transient);
+  const SweepResult r = solver.run(plan.probes);
   EXPECT_EQ(solver.steps_accepted(), 163);
   EXPECT_EQ(solver.steps_rejected(), 14);
   EXPECT_EQ(solver.newton_iterations(), 490);
