@@ -27,8 +27,6 @@ struct CampaignConfig {
   bool ideal_thermal = false;      ///< true: die temperature == chamber
   bandgap::TestCellParams cell;    ///< cell electricals (models overwritten
                                    ///< from the DieSample)
-  /// Solver options for every measurement rig the laboratory builds.
-  spice::NewtonOptions newton;
 };
 
 /// One VBE(T) observation on the single DUT (classical-method input).

@@ -23,9 +23,14 @@
 
 namespace icvbe::lab {
 
+/// Lot index of a campaign's first die; die k of a run is lot index
+/// kFirstDieIndex + k.
+inline constexpr int kFirstDieIndex = 1;
+
+/// A lot campaign: the classical method (optional) and the analytical
+/// (Meijer) method, which every campaign runs.
 struct LotCampaignConfig {
   int samples = 25;          ///< number of dies characterised
-  int first_index = 1;       ///< lot index of the first die
   unsigned threads = 0;      ///< worker threads; 0 = hardware_concurrency
 
   /// Per-die instrument master seed is `seed_base + die index` (the same
@@ -41,7 +46,6 @@ struct LotCampaignConfig {
   std::vector<double> cell_celsius{-25.0, 25.0, 75.0};
 
   bool run_classical = true;  ///< classical best-fit EG
-  bool run_meijer = true;     ///< analytical EG/XTI + temperature check
 
   CampaignConfig lab;  ///< base lab config (its seed is overridden per die)
 };
@@ -54,12 +58,11 @@ struct DieCharacterisation {
   bool ok = false;
   std::string error;
   bool has_classical = false;  ///< classical fields below are populated
-  bool has_meijer = false;     ///< analytical fields below are populated
 
   // Classical method (run_classical).
   double eg_classical = 0.0;
 
-  // Analytical method (run_meijer), with computed (C3) and sensor-measured
+  // Analytical method (always run), with computed (C3) and sensor-measured
   // (C2) temperatures.
   double eg_meijer = 0.0;      ///< C3
   double xti_meijer = 0.0;     ///< C3

@@ -92,8 +92,6 @@ class MatrixT {
   /// this * v; dimension-checked.
   [[nodiscard]] VectorT<Scalar> multiply(const VectorT<Scalar>& v) const;
 
-  [[nodiscard]] static MatrixT identity(std::size_t n);
-
   /// Max element magnitude (infinity norm of vec(A)); always a double.
   [[nodiscard]] double max_abs() const;
 

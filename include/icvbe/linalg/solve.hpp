@@ -1,7 +1,8 @@
 #pragma once
-// Direct dense solvers: LU with partial pivoting (square systems, MNA --
-// scalar-generic, double for DC/transient and complex for AC) and
-// Householder QR (least squares, fitting -- real-only).
+// Direct dense solvers: LU with partial pivoting (square systems --
+// scalar-generic: the fitting code's normal equations, and the tests'
+// dense reference for the sparse engine's DC and AC systems), Householder
+// QR (least squares, fitting -- real-only) and the Meijer 2x2 solve.
 
 #include "icvbe/linalg/matrix.hpp"
 
@@ -22,8 +23,7 @@ namespace icvbe::linalg {
 ///  * workspace reuse: default-construct (or keep an instance around) and
 ///    call refactor() with each new matrix of the same size -- after the
 ///    first call all storage is reused and refactor()/solve_in_place()
-///    perform no heap allocation. This is what SimSession's Newton loop
-///    (and its AC frequency sweep) relies on.
+///    perform no heap allocation.
 template <typename Scalar>
 class LuFactorizationT {
  public:
@@ -51,9 +51,6 @@ class LuFactorizationT {
   /// Solve A x = rhs with the solution overwriting `rhs`; allocation-free.
   void solve_in_place(VectorT<Scalar>& rhs) const;
 
-  /// Determinant (from U diagonal and pivot sign).
-  [[nodiscard]] Scalar determinant() const;
-
   /// Rough 1-norm condition estimate via |A|_1 * |A^-1 e|_1 probing.
   [[nodiscard]] double condition_estimate() const;
 
@@ -66,7 +63,6 @@ class LuFactorizationT {
   MatrixT<Scalar> lu_;            // packed L (unit diag) and U
   std::vector<std::size_t> piv_;  // row permutation
   std::vector<double> colmax_;    // per-column max|A| for the pivot test
-  int pivot_sign_ = 1;
   double a_norm1_ = 0.0;          // 1-norm of original A for cond estimate
 };
 
@@ -75,12 +71,6 @@ using ComplexLuFactorization = LuFactorizationT<Complex>;
 
 extern template class LuFactorizationT<double>;
 extern template class LuFactorizationT<Complex>;
-
-/// Convenience: solve A x = b once.
-[[nodiscard]] Vector lu_solve(Matrix a, const Vector& b);
-
-/// Complex convenience overload (AC systems).
-[[nodiscard]] ComplexVector lu_solve(ComplexMatrix a, const ComplexVector& b);
 
 /// Householder QR of an m x n matrix (m >= n), for least squares.
 class QrFactorization {
@@ -92,10 +82,6 @@ class QrFactorization {
   /// Minimise |A x - b|_2; returns x of length n.
   [[nodiscard]] Vector solve_least_squares(const Vector& b,
                                            double rank_tol = 1e-12) const;
-
-  /// Diagonal of R -- used for conditioning diagnostics of the normal
-  /// equations (the (EG, XTI) collinearity shows up here).
-  [[nodiscard]] Vector r_diagonal() const;
 
   /// Upper-triangular solve R x = y for the leading n x n block of R.
   [[nodiscard]] Vector solve_r(const Vector& y, double rank_tol) const;
@@ -110,9 +96,6 @@ class QrFactorization {
   Matrix qr_;           // Householder vectors below diagonal, R on/above
   Vector beta_;         // Householder scalars
 };
-
-/// Convenience: least-squares solve min |A x - b|.
-[[nodiscard]] Vector qr_least_squares(Matrix a, const Vector& b);
 
 /// Solve a 2x2 system (used for the Meijer two-equation extraction). Throws
 /// NumericalError if the determinant is ~0.

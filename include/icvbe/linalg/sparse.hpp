@@ -198,9 +198,6 @@ class SparseMatrixT {
   /// this * v (frozen only; dimension-checked).
   [[nodiscard]] VectorT<Scalar> multiply(const VectorT<Scalar>& v) const;
 
-  /// Max stored value magnitude (frozen only; 0.0 for an empty pattern).
-  [[nodiscard]] double max_abs() const;
-
   /// CSR slot of (r, c) (frozen only); throws Error if outside the
   /// pattern. Binary search over the (short, sorted) row -- the stamp
   /// tape's fallback.
@@ -405,8 +402,6 @@ struct RefactorStats {
 ///    (allocates; rare), and NumericalError is thrown only if the matrix
 ///    is genuinely singular to working precision.
 ///
-/// API mirrors the dense LuFactorizationT so SimSession can hold either.
-///
 /// Thread-safety: refactor() mutates the cached factors; solve_in_place()
 /// is const but uses an internal permutation buffer, so concurrent solves
 /// on ONE instance are racy. One instance per thread (the plan-worker
@@ -518,15 +513,6 @@ class SparseLuFactorizationT {
   /// its own lane. Allocation-free.
   void solve_batch(std::vector<double>& rhs) const
     requires std::is_same_v<Scalar, double>;
-
-  /// Rough 1-norm condition estimate via |A|_1 * |A^-1 e|_1 probing --
-  /// the same +/-1-vector probe the dense LuFactorizationT uses, so the
-  /// two engines report comparable numbers on the same system (held to
-  /// within 10x by test_sparse). |A|_1 is computed here, from the values
-  /// the factors came from, summing each column in CSR order; no refactor
-  /// pays for it.
-  /// \pre refactor() has succeeded. Allocates temporary vectors.
-  [[nodiscard]] double condition_estimate() const;
 
  private:
   /// Full factorisation with pivot search; caches order + pattern. Pivot

@@ -107,11 +107,9 @@ class Bjt final : public Device {
   [[nodiscard]] double power(const Unknowns& x,
                              const TerminalCurrents& tc) const;
 
-  /// Junction voltages at solution x in the forward (type-normalised)
-  /// frame: vbe = s (Vb - Ve), vbc = s (Vb - Vc), with s = +1 for NPN and
-  /// -1 for PNP.
+  /// Base-emitter voltage at solution x in the forward (type-normalised)
+  /// frame: vbe = s (Vb - Ve), with s = +1 for NPN and -1 for PNP.
   [[nodiscard]] double vbe(const Unknowns& x) const;
-  [[nodiscard]] double vbc(const Unknowns& x) const;
 
   /// Swap the model card in place (same validation as the constructor) and
   /// re-derive every temperature-dependent quantity at the current device

@@ -55,8 +55,6 @@ class DynamicDevice : public Device {
     h_ = h;
   }
 
-  [[nodiscard]] bool transient_mode() const noexcept { return transient_; }
-
   /// Advance the companion state to the accepted solution `x` (called once
   /// per *accepted* timestep; rejected Newton solves never commit).
   virtual void commit(const Unknowns& x) = 0;
@@ -112,8 +110,6 @@ class Capacitor final : public DynamicDevice {
   /// a sparse session's cached symbolic analysis -- stays valid.
   /// \pre farads > 0; not while in transient mode.
   void set_capacitance(double farads);
-  /// Committed branch voltage of the previous accepted timepoint.
-  [[nodiscard]] double state_voltage() const noexcept { return v_prev_; }
 
  private:
   /// Companion coefficients for the current method/step.
@@ -161,8 +157,6 @@ class Inductor final : public DynamicDevice {
   /// Capacitor::set_capacitance.
   /// \pre henries > 0; not while in transient mode.
   void set_inductance(double henries);
-  /// Committed branch current of the previous accepted timepoint.
-  [[nodiscard]] double state_current() const noexcept { return i_prev_; }
 
  private:
   NodeId p_;

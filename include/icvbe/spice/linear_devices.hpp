@@ -140,7 +140,6 @@ class Vcvs final : public Device {
   void stamp_ac(AcStamper& ac, const Unknowns& op) const override;
   [[nodiscard]] Terminals terminals(const Unknowns& x) const override;
 
-  void set_gain(double gain) { gain_ = gain; }
   [[nodiscard]] double gain() const noexcept { return gain_; }
 
  private:

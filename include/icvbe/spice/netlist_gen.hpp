@@ -4,7 +4,7 @@
 //
 // These are the stress workloads for the sparse linear engine -- the
 // paper's bandgap cells top out at tens of nodes, so scaling claims
-// (dense/sparse crossover, zero-alloc large-plan runs, CI stress jobs)
+// (fill and analysis counts, zero-alloc large-plan runs, CI stress jobs)
 // need circuits the repository can manufacture on demand. Generating deck
 // *text* rather than Circuit objects means every stress test also
 // exercises the parser end to end, and `icvbe gen` can hand the same

@@ -8,7 +8,7 @@
 //                constants, and arithmetic expressions of those
 //   SweepGrid    the point set of one axis: linear, log-decade, or list
 //   SweepAxis    what is swept: source value, temperature, resistance
-//   AnalysisPlan 1-2 nested axes + N probes + NewtonOptions
+//   AnalysisPlan 1-2 nested axes (or a .TRAN/.AC spec) + N probes
 //   SweepResult  the filled grid: axis values + one column per probe
 //
 // Because an analysis is a value rather than a set of capture-by-reference
@@ -351,8 +351,6 @@ struct TransientSpec {
   /// Local-truncation-error step control. When false every step is
   /// exactly tstep (uniform grid -- what the closed-form tests use).
   bool adaptive = true;
-  double lte_reltol = 1e-3;  ///< per-node LTE: rel part of the tolerance
-  double lte_abstol = 1e-6;  ///< per-node LTE: abs part [V]
   /// .IC directives: node name -> initial voltage. Without UIC these
   /// override the solved operating point; with UIC they seed the start
   /// vector directly.
@@ -394,10 +392,11 @@ struct AcSpec {
 // -------------------------------------------------------- AnalysisPlan ---
 
 /// A complete declarative analysis: either 1-2 nested sweep axes
-/// (axes.front() is the outer loop), a transient spec, or an AC spec, at
-/// least one probe, and the solver options to run under. Plans are plain
-/// values: build them in C++, parse them from deck directives, or
-/// generate them programmatically.
+/// (axes.front() is the outer loop), a transient spec, or an AC spec, and
+/// at least one probe. A plan carries no solver settings: it runs under
+/// the NewtonOptions of the session that runs it. Plans are plain values:
+/// build them in C++, parse them from deck directives, or generate them
+/// programmatically.
 struct AnalysisPlan {
   std::string name = "analysis";
   std::vector<SweepAxis> axes;
@@ -410,7 +409,6 @@ struct AnalysisPlan {
   /// phasors, arithmetic and constants as usual.
   std::optional<AcSpec> ac;
   std::vector<Probe> probes;
-  NewtonOptions options{};
   /// Worker threads for 2-axis plans (outer rows) and AC plans (frequency
   /// points): 1 = serial in-place (default), 0 = hardware_concurrency,
   /// N = N workers over per-thread circuit clones. Results are
@@ -460,10 +458,7 @@ class SweepResult {
     return outer_.empty() ? 1 : 2;
   }
 
-  /// Grid values of the outer / inner axis (outer empty for 1-axis plans).
-  [[nodiscard]] const std::vector<double>& outer_values() const noexcept {
-    return outer_;
-  }
+  /// Grid values of the inner axis (the only one of a 1-axis plan).
   [[nodiscard]] const std::vector<double>& inner_values() const noexcept {
     return inner_;
   }
@@ -480,9 +475,6 @@ class SweepResult {
   /// Probe column value at a row.
   [[nodiscard]] double value(std::size_t probe, std::size_t row) const {
     return columns_.at(probe).at(row);
-  }
-  [[nodiscard]] const std::vector<double>& column(std::size_t probe) const {
-    return columns_.at(probe);
   }
 
   /// 1-axis plans: Series of one probe over the axis.

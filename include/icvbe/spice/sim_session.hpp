@@ -7,8 +7,8 @@
 // preallocated MNA matrix / RHS / LU workspace, caches the independent
 // sources (no dynamic_cast scans per solve), and carries warm-start
 // continuation from solve to solve. After the first solve, the Newton
-// inner loop performs zero heap allocations (asserted by the alloc-hook
-// test and the throughput bench).
+// inner loop performs zero heap allocations (asserted by test_session's
+// alloc-hook tests).
 //
 // Every analysis runs on a session: solve()/solve_or_throw() for one
 // operating point (a one-shot caller copies the result out of a temporary
@@ -23,15 +23,23 @@
 
 namespace icvbe::spice {
 
+/// Damping: the most any node voltage moves in one Newton iteration [V].
+inline constexpr double kMaxStepVolts = 2.0;
+/// Steps of the gmin ramp after its 1e-2 start (25x smaller per step,
+/// floored at NewtonOptions::gmin_floor).
+inline constexpr int kGminSteps = 8;
+/// Points of the source-stepping ramp (sources at k / kSourceSteps).
+inline constexpr int kSourceSteps = 10;
+
+/// A session's solver settings. They are given once, to the session's
+/// constructor; every solve and every AnalysisPlan run on that session
+/// (its per-thread clones included) uses them.
 struct NewtonOptions {
   int max_iterations = 200;      ///< per Newton attempt
   double v_abstol = 1e-9;        ///< node voltage absolute tolerance [V]
   double i_abstol = 1e-12;       ///< aux current absolute tolerance [A]
   double reltol = 1e-6;          ///< relative tolerance on all unknowns
-  double max_step_volts = 2.0;   ///< damping: max node-voltage change/iter
   double gmin_floor = 1e-12;     ///< final gmin left in the matrix
-  int gmin_steps = 8;            ///< decades of gmin ramp when needed
-  int source_steps = 10;         ///< source-stepping ramp points when needed
   /// Empty: the sparse engine has one symbolic path (AMD inside BTF).
   /// Kept only for the benchmark harness, which reads it.
   linalg::SparseOptions sparse_options{};
@@ -53,7 +61,7 @@ enum class NewtonStep {
 
 /// The epilogue of one Newton iteration, shared by SimSession and
 /// BatchDcSession: damp the step so no node voltage moves more than
-/// max_step_volts (junction limiting inside the devices already handles
+/// kMaxStepVolts (junction limiting inside the devices already handles
 /// the exponentials), move `x` to the damped iterate, then test
 /// convergence and finiteness. The linear solve's result for unknown i is
 /// read at `x_new[i * stride]`: stride 1 for a scalar solve buffer,
@@ -135,10 +143,6 @@ class SimSession {
   [[nodiscard]] const linalg::ComplexSparseLuFactorization&
   complex_sparse_lu() const noexcept {
     return cslu_;
-  }
-  [[nodiscard]] NewtonOptions& options() noexcept { return options_; }
-  [[nodiscard]] const NewtonOptions& options() const noexcept {
-    return options_;
   }
 
   /// Solve the DC operating point at the current circuit state. The result
@@ -235,9 +239,9 @@ class SimSession {
   /// Plans with `plan.transient` set run the time-domain path instead
   /// (TransientSolver; axes must be empty, the result's single axis is
   /// TIME at the accepted timepoints).
+  /// Every point solves under the session's NewtonOptions; the
+  /// per-thread clones of a fanned-out run copy them.
   /// \pre every probe/axis name resolves against the bound circuit.
-  /// \post the session's NewtonOptions are restored on all exit paths
-  ///       (the run executes under plan.options).
   /// Throws PlanError on malformed plans, NumericalError naming the axis
   /// value if a point fails to converge.
   ///

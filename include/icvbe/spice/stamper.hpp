@@ -22,10 +22,9 @@ template <typename Scalar>
 class StamperT {
  public:
   /// `node_unknowns` = number of non-ground nodes; aux rows follow.
-  /// `a` views either a dense matrix or the sparse CSR one (implicitly
-  /// constructible from MatrixT& or SparseMatrixT&): devices stamp through
-  /// the same MatrixViewT contract either way, so the sessions' CSR engine
-  /// and a dense reference solve share one device model.
+  /// `a` views a SparseMatrixT (implicitly constructible from one) or one
+  /// lane of a SparseValueBatch: every stamp goes through the same
+  /// MatrixViewT contract (see matrix_view.hpp).
   StamperT(linalg::MatrixViewT<Scalar> a, linalg::VectorT<Scalar>& b,
            int node_unknowns);
 
@@ -54,20 +53,6 @@ class StamperT {
     add_rhs(node_index(m), ieq);
   }
 
-  /// Transconductance: current leaving node `out_p` (entering `out_m`)
-  /// controlled by V(in_p) - V(in_m) with gain gm.
-  void add_transconductance(NodeId out_p, NodeId out_m, NodeId in_p,
-                            NodeId in_m, Scalar gm) {
-    const int op = node_index(out_p);
-    const int om = node_index(out_m);
-    const int ip = node_index(in_p);
-    const int im = node_index(in_m);
-    add_entry(op, ip, gm);
-    add_entry(op, im, -gm);
-    add_entry(om, ip, -gm);
-    add_entry(om, im, gm);
-  }
-
   /// Raw matrix access for aux rows/columns. Row/col indices are unknown
   /// indices: nodes occupy [0, node_unknowns), aux rows follow. Negative
   /// index (ground) contributions are dropped.
@@ -83,12 +68,9 @@ class StamperT {
   /// Unknown index of a node (-1 for ground).
   [[nodiscard]] int node_index(NodeId n) const { return n - 1; }
 
-  [[nodiscard]] int node_unknowns() const noexcept { return node_unknowns_; }
-
  private:
   linalg::MatrixViewT<Scalar> a_;
   linalg::VectorT<Scalar>& b_;
-  int node_unknowns_;
 };
 
 using Stamper = StamperT<double>;

@@ -30,6 +30,11 @@
 
 namespace icvbe::spice {
 
+/// Per-node LTE tolerance of the step control: an accepted step's error
+/// estimate stays below kLteAbstol + kLteReltol * max(|x|) [V].
+inline constexpr double kLteReltol = 1e-3;
+inline constexpr double kLteAbstol = 1e-6;
+
 class TransientSolver {
  public:
   /// Bind to a session. The spec is validated here (tstep > 0,
@@ -62,16 +67,12 @@ class TransientSolver {
   [[nodiscard]] double time() const noexcept { return t_; }
   /// Solution at the current time (valid after begin()).
   [[nodiscard]] const Unknowns& solution() const noexcept { return x_now_; }
-  /// Size of the last accepted step [s].
-  [[nodiscard]] double last_step() const noexcept { return h_last_; }
 
   [[nodiscard]] long steps_accepted() const noexcept { return accepted_; }
   [[nodiscard]] long steps_rejected() const noexcept { return rejected_; }
   [[nodiscard]] long newton_iterations() const noexcept {
     return newton_iterations_;
   }
-
-  [[nodiscard]] const TransientSpec& spec() const noexcept { return spec_; }
 
   /// Drive the whole run and record `probes` at every accepted timepoint
   /// with t >= tstart (plus the initial point when tstart == 0). The
@@ -120,7 +121,6 @@ class TransientSolver {
 
   double t_ = 0.0;
   double h_next_ = 0.0;
-  double h_last_ = 0.0;
   Unknowns x_now_;
 
   // Accepted-solution ring for the divided-difference LTE estimate:

@@ -106,7 +106,7 @@ Laboratory::CellRig& Laboratory::cell_rig(double radja_ohms) {
     cell_ = std::make_unique<CellRig>();
     cell_->handles = bandgap::build_test_cell(
         cell_->circuit, protocol::cell_params(sample_, config_, radja_ohms));
-    cell_->session.emplace(cell_->circuit, config_.newton);
+    cell_->session.emplace(cell_->circuit);
   } else {
     cell_->circuit.get<spice::Resistor>(cell_->handles.radja)
         .set_nominal_resistance(std::max(radja_ohms, kMinTrim));
@@ -120,7 +120,7 @@ Laboratory::DutRig& Laboratory::dut_rig(std::unique_ptr<DutRig>& rig,
     rig = std::make_unique<DutRig>();
     rig->emitter =
         protocol::build_dut(rig->circuit, sample_.qin, current_driven);
-    rig->session.emplace(rig->circuit, config_.newton);
+    rig->session.emplace(rig->circuit);
   }
   return *rig;
 }

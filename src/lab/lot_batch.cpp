@@ -28,7 +28,7 @@ LaneGroup::LaneGroup(const LotCampaign& owner,
     : campaign(owner), results(out), sample(k), inst(k),
       good(k), iterating(k), t_die(k), vbe_pts(k), cell_pts(k) {
   const LotCampaignConfig& cfg = owner.config();
-  const DieSample ref = owner.lot().sample(cfg.first_index);
+  const DieSample ref = owner.lot().sample(kFirstDieIndex);
 
   if (cfg.run_classical && !cfg.classical_celsius.empty()) {
     std::vector<spice::Circuit*> ptrs;
@@ -40,7 +40,7 @@ LaneGroup::LaneGroup(const LotCampaign& owner,
       ibias_dut.push_back(&c.get<spice::Bjt>("DUT"));
       ptrs.push_back(&c);
     }
-    ibias.emplace(std::move(ptrs), cfg.lab.newton);
+    ibias.emplace(std::move(ptrs));
     // Deterministic prime: the reference die at the first chamber
     // setting and the nominal forced current, seeded from the DUT's
     // ideal-diode guess -- the state every VBE(T) point starts from, and a
@@ -55,33 +55,32 @@ LaneGroup::LaneGroup(const LotCampaign& owner,
     ibias->prime();
   }
 
-  if (cfg.run_meijer && !cfg.cell_celsius.empty()) {
-    const bandgap::TestCellParams ref_params = cell_params(ref, cfg.lab, 0.0);
-    std::vector<spice::Circuit*> ptrs;
-    for (std::size_t l = 0; l < k; ++l) {
-      spice::Circuit& c =
-          *cell_circuit.emplace_back(std::make_unique<spice::Circuit>());
-      const auto& h =
-          cell_handles.emplace_back(bandgap::build_test_cell(c, ref_params));
-      cell_dev.push_back({&c.get<spice::Bjt>(h.qa), &c.get<spice::Bjt>(h.qb),
-                          &c.get<spice::OpAmp>("U1"),
-                          &c.get<spice::Resistor>("RX1"),
-                          &c.get<spice::Resistor>("RX2"),
-                          &c.get<spice::Resistor>("RB")});
-      ptrs.push_back(&c);
-    }
-    cell.emplace(std::move(ptrs), cfg.lab.newton);
-    // Deterministic prime: reference die, first cell chamber setting,
-    // warm-seeded from the cell's analytic startup guess -- the same
-    // state the per-die session analyses at its first Newton iterate.
-    const double chamber_k = to_kelvin(cfg.cell_celsius.front());
-    const double t_ref = die_temperature(ref, cfg.lab, chamber_k, 0.0);
-    cell_circuit[0]->set_temperature(t_ref);
-    cell->seed_warm_start(
-        0, bandgap::cell_initial_guess(*cell_circuit[0], cell_handles[0],
-                                       t_ref));
-    cell->prime();
+  // Meijer-method rig: every campaign runs it.
+  const bandgap::TestCellParams ref_params = cell_params(ref, cfg.lab, 0.0);
+  std::vector<spice::Circuit*> ptrs;
+  for (std::size_t l = 0; l < k; ++l) {
+    spice::Circuit& c =
+        *cell_circuit.emplace_back(std::make_unique<spice::Circuit>());
+    const auto& h =
+        cell_handles.emplace_back(bandgap::build_test_cell(c, ref_params));
+    cell_dev.push_back({&c.get<spice::Bjt>(h.qa), &c.get<spice::Bjt>(h.qb),
+                        &c.get<spice::OpAmp>("U1"),
+                        &c.get<spice::Resistor>("RX1"),
+                        &c.get<spice::Resistor>("RX2"),
+                        &c.get<spice::Resistor>("RB")});
+    ptrs.push_back(&c);
   }
+  cell.emplace(std::move(ptrs));
+  // Deterministic prime: reference die, first cell chamber setting,
+  // warm-seeded from the cell's analytic startup guess -- the same
+  // state the per-die session analyses at its first Newton iterate.
+  const double chamber_k = to_kelvin(cfg.cell_celsius.front());
+  const double t_ref = die_temperature(ref, cfg.lab, chamber_k, 0.0);
+  cell_circuit[0]->set_temperature(t_ref);
+  cell->seed_warm_start(
+      0, bandgap::cell_initial_guess(*cell_circuit[0], cell_handles[0],
+                                     t_ref));
+  cell->prime();
 }
 
 void LaneGroup::program_die(std::size_t l, const DieSample& die) {
@@ -90,24 +89,22 @@ void LaneGroup::program_die(std::size_t l, const DieSample& die) {
     ibias->begin_variant(l);
     ibias->set_lane_active(l, true);
   }
-  if (cell) {
-    const bandgap::TestCellParams p =
-        cell_params(die, campaign.config().lab, 0.0);
-    const CellDevices& d = cell_dev[l];
-    d.qa->set_model(p.qa_model);
-    d.qb->set_model(p.qb_model);
-    d.u1->set_offset(p.opamp_offset);
-    d.rx1->set_nominal_resistance(p.rx1);
-    d.rx2->set_nominal_resistance(p.rx2);
-    d.rb->set_nominal_resistance(p.rb);
-    cell->begin_variant(l);
-    cell->set_lane_active(l, true);
-  }
+  const bandgap::TestCellParams p =
+      cell_params(die, campaign.config().lab, 0.0);
+  const CellDevices& d = cell_dev[l];
+  d.qa->set_model(p.qa_model);
+  d.qb->set_model(p.qb_model);
+  d.u1->set_offset(p.opamp_offset);
+  d.rx1->set_nominal_resistance(p.rx1);
+  d.rx2->set_nominal_resistance(p.rx2);
+  d.rb->set_nominal_resistance(p.rb);
+  cell->begin_variant(l);
+  cell->set_lane_active(l, true);
 }
 
 void LaneGroup::drop_lane(std::size_t l) {
   if (ibias) ibias->set_lane_active(l, false);
-  if (cell) cell->set_lane_active(l, false);
+  cell->set_lane_active(l, false);
 }
 
 void LaneGroup::run(std::size_t first_offset, std::size_t group_size) {
@@ -123,7 +120,7 @@ void LaneGroup::run(std::size_t first_offset, std::size_t group_size) {
         good[l] = 0;
         continue;
       }
-      const int index = config.first_index + static_cast<int>(first_offset + l);
+      const int index = kFirstDieIndex + static_cast<int>(first_offset + l);
       sample[l] = campaign.lot().sample(index);
       inst[l].emplace(config.seed_base + static_cast<std::uint64_t>(index),
                       lab);
@@ -168,74 +165,72 @@ void LaneGroup::run(std::size_t first_offset, std::size_t group_size) {
     }
 
     // ---- Meijer method: the test-cell sweep ----
-    if (config.run_meijer) {
-      for (double tc : config.cell_celsius) {
-        const double chamber_k = to_kelvin(tc);
-        std::size_t n_iterating = 0;
+    for (double tc : config.cell_celsius) {
+      const double chamber_k = to_kelvin(tc);
+      std::size_t n_iterating = 0;
+      for (std::size_t l = 0; l < group_size; ++l) {
+        iterating[l] = good[l];
+        if (!good[l]) continue;
+        t_die[l] = die_temperature(sample[l], lab, chamber_k, 0.0);
+        ++n_iterating;
+      }
+      // Electro-thermal fixed point, masked per lane: each lane runs
+      // exactly the passes Laboratory's scalar loop would, lanes sitting
+      // out once settled. Pass 0 starts from the cell's analytic guess
+      // at this setting; later passes continue warm.
+      for (int pass = 0; pass < kThermalPasses && n_iterating > 0; ++pass) {
         for (std::size_t l = 0; l < group_size; ++l) {
-          iterating[l] = good[l];
-          if (!good[l]) continue;
-          t_die[l] = die_temperature(sample[l], lab, chamber_k, 0.0);
-          ++n_iterating;
-        }
-        // Electro-thermal fixed point, masked per lane: each lane runs
-        // exactly the passes Laboratory's scalar loop would, lanes sitting
-        // out once settled. Pass 0 starts from the cell's analytic guess
-        // at this setting; later passes continue warm.
-        for (int pass = 0; pass < kThermalPasses && n_iterating > 0; ++pass) {
-          for (std::size_t l = 0; l < group_size; ++l) {
-            cell->set_lane_active(l, iterating[l] != 0);
-            if (!iterating[l]) continue;
-            cell_circuit[l]->set_temperature(t_die[l]);
-            if (pass == 0) {
-              cell->seed_warm_start(
-                  l, bandgap::cell_initial_guess(*cell_circuit[l],
-                                                 cell_handles[l],
-                                                 t_die[l]));
-            }
-          }
-          cell->solve_active();
-          for (std::size_t l = 0; l < group_size; ++l) {
-            if (!iterating[l]) continue;
-            if (!cell->status(l).converged) {
-              good[l] = 0;
-              iterating[l] = 0;
-              --n_iterating;
-              drop_lane(l);
-              continue;
-            }
-            const bandgap::CellObservation obs = bandgap::observe_cell(
-                *cell_circuit[l], cell_handles[l],
-                cell->solution(l), t_die[l]);
-            const double t_new =
-                die_temperature(sample[l], lab, chamber_k, obs.power);
-            if (std::abs(t_new - t_die[l]) < kThermalTolKelvin) {
-              iterating[l] = 0;
-              --n_iterating;
-            }
-            t_die[l] = t_new;
-          }
-        }
-        // The committed observation at the resolved die temperature.
-        for (std::size_t l = 0; l < group_size; ++l) {
-          cell->set_lane_active(l, good[l] != 0);
-          if (!good[l]) continue;
+          cell->set_lane_active(l, iterating[l] != 0);
+          if (!iterating[l]) continue;
           cell_circuit[l]->set_temperature(t_die[l]);
+          if (pass == 0) {
+            cell->seed_warm_start(
+                l, bandgap::cell_initial_guess(*cell_circuit[l],
+                                               cell_handles[l],
+                                               t_die[l]));
+          }
         }
         cell->solve_active();
         for (std::size_t l = 0; l < group_size; ++l) {
-          if (!good[l]) continue;
+          if (!iterating[l]) continue;
           if (!cell->status(l).converged) {
             good[l] = 0;
+            iterating[l] = 0;
+            --n_iterating;
             drop_lane(l);
             continue;
           }
-          cell_pts[l].push_back(inst[l]->record_cell_point(
-              chamber_k,
-              bandgap::observe_cell(*cell_circuit[l], cell_handles[l],
-                                    cell->solution(l), t_die[l]),
-              t_die[l]));
+          const bandgap::CellObservation obs = bandgap::observe_cell(
+              *cell_circuit[l], cell_handles[l],
+              cell->solution(l), t_die[l]);
+          const double t_new =
+              die_temperature(sample[l], lab, chamber_k, obs.power);
+          if (std::abs(t_new - t_die[l]) < kThermalTolKelvin) {
+            iterating[l] = 0;
+            --n_iterating;
+          }
+          t_die[l] = t_new;
         }
+      }
+      // The committed observation at the resolved die temperature.
+      for (std::size_t l = 0; l < group_size; ++l) {
+        cell->set_lane_active(l, good[l] != 0);
+        if (!good[l]) continue;
+        cell_circuit[l]->set_temperature(t_die[l]);
+      }
+      cell->solve_active();
+      for (std::size_t l = 0; l < group_size; ++l) {
+        if (!good[l]) continue;
+        if (!cell->status(l).converged) {
+          good[l] = 0;
+          drop_lane(l);
+          continue;
+        }
+        cell_pts[l].push_back(inst[l]->record_cell_point(
+            chamber_k,
+            bandgap::observe_cell(*cell_circuit[l], cell_handles[l],
+                                  cell->solution(l), t_die[l]),
+            t_die[l]));
       }
     }
   } catch (const std::exception&) {
@@ -247,7 +242,7 @@ void LaneGroup::run(std::size_t first_offset, std::size_t group_size) {
     DieCharacterisation& slot = results[first_offset + l];
     if (!group_failed && good[l]) {
       DieCharacterisation out;
-      out.index = config.first_index + offset;
+      out.index = kFirstDieIndex + offset;
       try {
         characterise(
             config, [&] { return vbe_pts[l]; }, [&] { return cell_pts[l]; },

@@ -48,11 +48,9 @@ LotStatistic LotStatistic::of(std::vector<double> values) {
 LotCampaign::LotCampaign(SiliconLot lot, LotCampaignConfig config)
     : lot_(std::move(lot)), config_(std::move(config)) {
   ICVBE_REQUIRE(config_.samples > 0, "LotCampaign: need >= 1 sample");
-  if (config_.run_meijer) {
-    ICVBE_REQUIRE(config_.cell_celsius.size() == 3,
-                  "LotCampaign: the Meijer method needs exactly three "
-                  "chamber temperatures");
-  }
+  ICVBE_REQUIRE(config_.cell_celsius.size() == 3,
+                "LotCampaign: the Meijer method needs exactly three "
+                "chamber temperatures");
 }
 
 namespace protocol {
@@ -68,20 +66,17 @@ void characterise(const LotCampaignConfig& cfg,
         extract::best_fit_eg_xti(extract::samples_from_lab(vbe()), opt).eg;
     out.has_classical = true;
   }
-  if (cfg.run_meijer) {
-    out.cell = cell();
-    const auto m = extract::meijer_from_cell(out.cell, cfg.cell_celsius[0],
-                                             cfg.cell_celsius[1],
-                                             cfg.cell_celsius[2]);
-    out.eg_meijer = m.with_computed_t.eg;
-    out.xti_meijer = m.with_computed_t.xti;
-    out.eg_measured_t = m.with_measured_t.eg;
-    out.xti_measured_t = m.with_measured_t.xti;
-    const auto cmp = extract::compare_temperatures(m);
-    out.delta_t1 = cmp.delta_t1();
-    out.delta_t3 = cmp.delta_t3();
-    out.has_meijer = true;
-  }
+  out.cell = cell();
+  const auto m = extract::meijer_from_cell(out.cell, cfg.cell_celsius[0],
+                                           cfg.cell_celsius[1],
+                                           cfg.cell_celsius[2]);
+  out.eg_meijer = m.with_computed_t.eg;
+  out.xti_meijer = m.with_computed_t.xti;
+  out.eg_measured_t = m.with_measured_t.eg;
+  out.xti_measured_t = m.with_measured_t.xti;
+  const auto cmp = extract::compare_temperatures(m);
+  out.delta_t1 = cmp.delta_t1();
+  out.delta_t3 = cmp.delta_t3();
   out.ok = true;
 }
 
@@ -89,7 +84,7 @@ void characterise(const LotCampaignConfig& cfg,
 
 DieCharacterisation LotCampaign::run_die(int die_offset) const {
   DieCharacterisation out;
-  out.index = config_.first_index + die_offset;
+  out.index = kFirstDieIndex + die_offset;
   try {
     CampaignConfig cfg = config_.lab;
     cfg.seed = config_.seed_base + static_cast<std::uint64_t>(out.index);
@@ -146,12 +141,10 @@ LotSummary LotCampaign::summarise(
     }
     ++s.dies_ok;
     if (die.has_classical) eg_c.push_back(die.eg_classical);
-    if (die.has_meijer) {
-      eg_m.push_back(die.eg_meijer);
-      xti_m.push_back(die.xti_meijer);
-      d1.push_back(die.delta_t1);
-      d3.push_back(die.delta_t3);
-    }
+    eg_m.push_back(die.eg_meijer);
+    xti_m.push_back(die.xti_meijer);
+    d1.push_back(die.delta_t1);
+    d3.push_back(die.delta_t3);
   }
   s.eg_classical = LotStatistic::of(std::move(eg_c));
   s.eg_meijer = LotStatistic::of(std::move(eg_m));

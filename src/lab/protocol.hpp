@@ -57,9 +57,9 @@ struct Instruments {
                                      double power_watts);
 
 /// Extraction and assembly of one die's result in the per-die order: the
-/// VBE(T) records (`vbe()`) and the classical EG, then the cell records
-/// (`cell()`) and the Meijer EG/XTI, asking only for enabled methods;
-/// `out.ok` is set last. A throw leaves `out` filled as far as it got.
+/// VBE(T) records (`vbe()`) and the classical EG if run_classical is set,
+/// then the cell records (`cell()`) and the Meijer EG/XTI; `out.ok` is
+/// set last. A throw leaves `out` filled as far as it got.
 void characterise(const LotCampaignConfig& cfg,
                   const std::function<std::vector<VbePoint>()>& vbe,
                   const std::function<std::vector<CellPoint>()>& cell,

@@ -84,13 +84,6 @@ VectorT<Scalar> MatrixT<Scalar>::multiply(const VectorT<Scalar>& v) const {
 }
 
 template <typename Scalar>
-MatrixT<Scalar> MatrixT<Scalar>::identity(std::size_t n) {
-  MatrixT m(n, n);
-  for (std::size_t i = 0; i < n; ++i) m(i, i) = Scalar(1.0);
-  return m;
-}
-
-template <typename Scalar>
 double MatrixT<Scalar>::max_abs() const {
   double m = 0.0;
   for (const Scalar& v : data_) m = std::max(m, scalar_abs(v));

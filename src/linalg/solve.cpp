@@ -21,7 +21,6 @@ void LuFactorizationT<Scalar>::refactor(const MatrixT<Scalar>& a,
   lu_ = a;              // same-size assignment reuses the existing storage
   piv_.resize(lu_.rows());
   a_norm1_ = 0.0;
-  pivot_sign_ = 1;
   factor_in_place(pivot_tol);
 }
 
@@ -89,7 +88,6 @@ void LuFactorizationT<Scalar>::factor_in_place(double pivot_tol) {
     }
     piv_[k] = p;
     if (p != k) {
-      pivot_sign_ = -pivot_sign_;
       for (std::size_t c = 0; c < n; ++c) std::swap(lu_(k, c), lu_(p, c));
     }
     const Scalar pivot = lu_(k, k);
@@ -133,13 +131,6 @@ void LuFactorizationT<Scalar>::solve_in_place(VectorT<Scalar>& rhs) const {
 }
 
 template <typename Scalar>
-Scalar LuFactorizationT<Scalar>::determinant() const {
-  Scalar det = Scalar(static_cast<double>(pivot_sign_));
-  for (std::size_t i = 0; i < lu_.rows(); ++i) det *= lu_(i, i);
-  return det;
-}
-
-template <typename Scalar>
 double LuFactorizationT<Scalar>::condition_estimate() const {
   // Probe |A^-1| by solving against a handful of +/-1 vectors and taking
   // the largest column-sum growth. Cheap and adequate for diagnostics.
@@ -161,14 +152,6 @@ double LuFactorizationT<Scalar>::condition_estimate() const {
 
 template class LuFactorizationT<double>;
 template class LuFactorizationT<Complex>;
-
-Vector lu_solve(Matrix a, const Vector& b) {
-  return LuFactorization(std::move(a)).solve(b);
-}
-
-ComplexVector lu_solve(ComplexMatrix a, const ComplexVector& b) {
-  return ComplexLuFactorization(std::move(a)).solve(b);
-}
 
 QrFactorization::QrFactorization(Matrix a) : qr_(std::move(a)) {
   const std::size_t m = qr_.rows();
@@ -236,17 +219,6 @@ Vector QrFactorization::solve_r(const Vector& y, double rank_tol) const {
 Vector QrFactorization::solve_least_squares(const Vector& b,
                                             double rank_tol) const {
   return solve_r(apply_qt(b), rank_tol);
-}
-
-Vector QrFactorization::r_diagonal() const {
-  const std::size_t n = qr_.cols();
-  Vector d(n);
-  for (std::size_t i = 0; i < n; ++i) d[i] = qr_(i, i);
-  return d;
-}
-
-Vector qr_least_squares(Matrix a, const Vector& b) {
-  return QrFactorization(std::move(a)).solve_least_squares(b);
 }
 
 std::pair<double, double> solve2x2(double a11, double a12, double a21,

@@ -189,14 +189,6 @@ VectorT<Scalar> SparseMatrixT<Scalar>::multiply(
   return out;
 }
 
-template <typename Scalar>
-double SparseMatrixT<Scalar>::max_abs() const {
-  ICVBE_REQUIRE(frozen_, "SparseMatrix::max_abs: freeze_pattern() first");
-  double m = 0.0;
-  for (const Scalar& v : values_) m = std::max(m, scalar_abs(v));
-  return m;
-}
-
 template class SparseMatrixT<double>;
 template class SparseMatrixT<Complex>;
 
@@ -1087,9 +1079,8 @@ void SparseLuFactorizationT<Scalar>::analyze(const SparseMatrixT<Scalar>& a,
   }
 
   // Scatter map: A entry i lands in step-space slot astep_[i]. Cross-block
-  // entries get ~step, negative (the scatter skips them, and
-  // condition_estimate still finds their column), and are indexed per
-  // step for the raw copy + solve-time application instead.
+  // entries get ~step, negative (the scatter skips them), and are indexed
+  // per step for the raw copy + solve-time application instead.
   astep_.resize(col_index.size());
   for (std::size_t i = 0; i < col_index.size(); ++i) {
     astep_[i] = cstep_[static_cast<std::size_t>(col_index[i])];
@@ -1532,36 +1523,6 @@ VectorT<Scalar> SparseLuFactorizationT<Scalar>::solve(
   VectorT<Scalar> x = b;
   solve_in_place(x);
   return x;
-}
-
-template <typename Scalar>
-double SparseLuFactorizationT<Scalar>::condition_estimate() const {
-  ICVBE_REQUIRE(analyzed_, "sparse LU: refactor() before condition_estimate");
-  // Probe |A^-1| by solving against the same +/-1 vectors the dense
-  // LuFactorizationT uses and taking the largest column-sum growth; cheap
-  // and adequate for diagnostics, and directly comparable across engines.
-  double inv_norm = 0.0;
-  VectorT<Scalar> e(n_, Scalar(1.0));
-  for (int probe = 0; probe < 2; ++probe) {
-    for (std::size_t i = 0; i < n_; ++i) {
-      e[i] = (probe == 0) ? Scalar(1.0)
-                          : ((i % 2) ? Scalar(-1.0) : Scalar(1.0));
-    }
-    const VectorT<Scalar> x = solve(e);
-    double s = 0.0;
-    for (const Scalar& v : x) s += scalar_abs(v);
-    inv_norm = std::max(inv_norm, s / static_cast<double>(n_));
-  }
-  // |A|_1 of the values the factors came from. Each column is summed in
-  // CSR order (a cross-block entry's astep_ holds ~step), the order a
-  // refactor-time accumulation would use.
-  std::vector<double> colsum(n_, 0.0);
-  for (std::size_t i = 0; i < last_values_.size(); ++i) {
-    const int s = astep_[i];
-    colsum[static_cast<std::size_t>(s >= 0 ? s : ~s)] +=
-        scalar_abs(last_values_[i]);
-  }
-  return *std::max_element(colsum.begin(), colsum.end()) * inv_norm;
 }
 
 template class SparseLuFactorizationT<double>;

@@ -341,10 +341,6 @@ double Bjt::vbe(const Unknowns& x) const {
   return sign_ * (x.node_voltage(b_) - x.node_voltage(e_));
 }
 
-double Bjt::vbc(const Unknowns& x) const {
-  return sign_ * (x.node_voltage(b_) - x.node_voltage(c_));
-}
-
 double Bjt::power(const Unknowns& x) const { return power(x, currents(x)); }
 
 double Bjt::power(const Unknowns& x, const TerminalCurrents& tc) const {

@@ -1141,7 +1141,7 @@ SweepResult SimSession::run_ac(const AnalysisPlan& plan,
   // factor could differ across schedules.
   common::fan_out(threads, [&]() {
     Circuit clone = circuit_->clone();
-    SimSession session(clone, plan.options);
+    SimSession session(clone, options_);
     session.seed_warm_start(op);
     (void)session.solve_ac(2.0 * M_PI * freqs.front());  // prime analysis
     sweep_points(session, clone);
@@ -1152,15 +1152,6 @@ SweepResult SimSession::run_ac(const AnalysisPlan& plan,
 }
 
 SweepResult SimSession::run(const AnalysisPlan& plan, RunObserver* observer) {
-  // Run under the plan's solver options; restore the session's own on all
-  // exit paths (shared by the transient and sweep branches).
-  struct OptionsGuard {
-    SimSession* session;
-    NewtonOptions saved;
-    ~OptionsGuard() { session->options() = saved; }
-  } guard{this, options_};
-  options_ = plan.options;
-
   if (plan.transient.has_value() && plan.ac.has_value()) {
     throw PlanError(plan.name +
                     ": a plan carries either a transient or an AC spec, "
@@ -1271,7 +1262,7 @@ SweepResult SimSession::run(const AnalysisPlan& plan, RunObserver* observer) {
       if (o >= outer_n) break;
       if (!bound) {
         if (threads > 1) {
-          own.emplace(clone.emplace(circuit_->clone()), plan.options);
+          own.emplace(clone.emplace(circuit_->clone()), options_);
         }
         bound.emplace(plan, own ? own->circuit() : *circuit_);
       }

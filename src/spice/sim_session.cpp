@@ -126,8 +126,8 @@ NewtonStep newton_update(const NewtonOptions& opt, int node_unknowns,
     max_node_dx = std::max(max_node_dx, std::abs(x_new[i * stride] - xv[i]));
   }
   double scale = 1.0;
-  if (max_node_dx > opt.max_step_volts) {
-    scale = opt.max_step_volts / max_node_dx;
+  if (max_node_dx > kMaxStepVolts) {
+    scale = kMaxStepVolts / max_node_dx;
   }
 
   // Finiteness is tested on every entry: a NaN fails no max() and no
@@ -253,7 +253,7 @@ const DcResult& SimSession::solve(const Unknowns* initial) {
     std::fill(x_stage_.raw().begin(), x_stage_.raw().end(), 0.0);
     bool ok = true;
     double gmin = 1e-2;
-    for (int step = 0; step <= options_.gmin_steps; ++step) {
+    for (int step = 0; step <= kGminSteps; ++step) {
       for (const auto& dev : circuit_->devices()) dev->reset_state();
       if (!newton_attempt(gmin, x_stage_, result_.iterations)) {
         ok = false;
@@ -286,9 +286,9 @@ const DcResult& SimSession::solve(const Unknowns* initial) {
     } restore{this};
     std::fill(x_stage_.raw().begin(), x_stage_.raw().end(), 0.0);
     bool ok = true;
-    for (int step = 1; step <= options_.source_steps; ++step) {
-      const double lambda = static_cast<double>(step) /
-                            static_cast<double>(options_.source_steps);
+    for (int step = 1; step <= kSourceSteps; ++step) {
+      const double lambda =
+          static_cast<double>(step) / static_cast<double>(kSourceSteps);
       scale_sources(lambda);
       for (const auto& dev : circuit_->devices()) dev->reset_state();
       if (!newton_attempt(options_.gmin_floor, x_stage_,

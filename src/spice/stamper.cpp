@@ -7,7 +7,7 @@ namespace icvbe::spice {
 template <typename Scalar>
 StamperT<Scalar>::StamperT(linalg::MatrixViewT<Scalar> a,
                            linalg::VectorT<Scalar>& b, int node_unknowns)
-    : a_(a), b_(b), node_unknowns_(node_unknowns) {
+    : a_(a), b_(b) {
   ICVBE_REQUIRE(a_.rows() == a_.cols() && a_.rows() == b.size(),
                 "Stamper: inconsistent system dimensions");
   ICVBE_REQUIRE(node_unknowns >= 0 &&

@@ -18,8 +18,6 @@ TransientSolver::TransientSolver(SimSession& session, TransientSpec spec)
   // line.
   ICVBE_REQUIRE(spec_.grid_points() <= kMaxGridPoints,
                 "TransientSolver: time grid of more than 1e7 steps");
-  ICVBE_REQUIRE(spec_.lte_reltol > 0.0 && spec_.lte_abstol > 0.0,
-                "TransientSolver: LTE tolerances must be > 0");
   tmax_ = spec_.tmax > 0.0 ? spec_.tmax : spec_.tstep;
   teps_ = 1e-9 * std::max(spec_.tstop, tmax_);
   h0_ = spec_.adaptive ? std::min(spec_.tstep, tmax_) / 10.0 : spec_.tstep;
@@ -94,7 +92,6 @@ void TransientSolver::begin() {
 
   t_ = 0.0;
   h_next_ = h0_;
-  h_last_ = 0.0;
   for (auto& h : hist_x_) h = Unknowns(n);
   hist_head_ = 0;
   hist_count_ = 0;
@@ -144,8 +141,8 @@ double TransientSolver::lte_ratio(const Unknowns& candidate, double h) const {
       // Backward Euler: LTE ~ (h^2 / 2) |x''|, x'' ~ 2 * dd2.
       err = h * h * std::abs(dd2);
     }
-    const double tol = spec_.lte_abstol +
-                       spec_.lte_reltol * std::max(std::abs(xc), std::abs(x0));
+    const double tol =
+        kLteAbstol + kLteReltol * std::max(std::abs(xc), std::abs(x0));
     worst = std::max(worst, err / tol);
   }
   return worst;
@@ -218,7 +215,6 @@ bool TransientSolver::advance() {
     x_now_ = r.solution;  // same-size copy
     for (DynamicDevice* d : dynamic_) d->commit(x_now_);
     push_history(t_, x_now_);
-    h_last_ = h;
     ++accepted_;
     restart_ = hit_breakpoint;
     if (!spec_.adaptive) {

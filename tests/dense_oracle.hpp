@@ -1,9 +1,10 @@
 #pragma once
 // Dense reference solver for the engine tests: stamps a circuit through the
-// ordinary Stamper into a dense linalg::Matrix (a complex one for AC) and
-// solves with linalg::LuFactorization -- an independent linear-algebra path
-// the sessions' sparse engine is checked against. Plain damped Newton with
-// a gmin-ramp fallback; speed and allocations do not matter here.
+// ordinary Stamper into a building-mode linalg::SparseMatrix (a complex one
+// for AC), densifies it with to_dense() and solves with the dense
+// linalg::LuFactorizationT -- an independent linear-algebra path the
+// sessions' sparse engine is checked against. Plain damped Newton with a
+// gmin-ramp fallback; speed and allocations do not matter here.
 //
 // Bind the oracle to its own parse of the deck under test: unknown
 // numbering is deterministic, so its solution vectors compare index by
@@ -15,6 +16,7 @@
 
 #include "icvbe/common/error.hpp"
 #include "icvbe/linalg/solve.hpp"
+#include "icvbe/linalg/sparse.hpp"
 #include "icvbe/spice/dynamic_devices.hpp"
 #include "icvbe/spice/linear_devices.hpp"
 #include "icvbe/spice/plan.hpp"
@@ -51,15 +53,16 @@ class DenseOracle {
 
   /// Small-signal phasors at angular frequency `omega` about solution().
   [[nodiscard]] linalg::ComplexVector solve_ac(double omega) const {
-    linalg::ComplexMatrix a(n_, n_);
+    linalg::ComplexSparseMatrix a(n_, n_);
     linalg::ComplexVector b(n_, linalg::Complex{});
     AcStamper st(a, b, nodes_, omega);
     for (const auto& dev : c_.devices()) dev->stamp_ac(st, x_);
     for (int i = 0; i < nodes_; ++i) {
       st.add_entry(i, i, linalg::Complex(opt_.gmin_floor));
     }
+    a.freeze_pattern();
     linalg::ComplexLuFactorization lu;
-    lu.refactor(a);
+    lu.refactor(a.to_dense());
     lu.solve_in_place(b);
     return b;
   }
@@ -108,14 +111,15 @@ class DenseOracle {
   /// Damped Newton at fixed gmin from `x` (in/out); true on convergence.
   bool newton(double gmin, Unknowns& x) {
     for (int iter = 0; iter < opt_.max_iterations; ++iter) {
-      linalg::Matrix a(n_, n_);
+      linalg::SparseMatrix a(n_, n_);
       linalg::Vector b(n_, 0.0);
       Stamper st(a, b, nodes_);
       for (const auto& dev : c_.devices()) dev->stamp(st, x);
       for (int i = 0; i < nodes_; ++i) st.add_entry(i, i, gmin);
+      a.freeze_pattern();
       linalg::LuFactorization lu;
       try {
-        lu.refactor(a);
+        lu.refactor(a.to_dense());
       } catch (const NumericalError&) {
         return false;
       }
@@ -126,9 +130,8 @@ class DenseOracle {
         const auto k = static_cast<std::size_t>(i);
         max_node_dx = std::max(max_node_dx, std::abs(b[k] - x.raw()[k]));
       }
-      const double scale = max_node_dx > opt_.max_step_volts
-                               ? opt_.max_step_volts / max_node_dx
-                               : 1.0;
+      const double scale =
+          max_node_dx > kMaxStepVolts ? kMaxStepVolts / max_node_dx : 1.0;
       bool converged = iter > 0 && scale == 1.0;
       for (std::size_t i = 0; i < n_; ++i) {
         const double xi = x.raw()[i];

@@ -90,15 +90,21 @@ TEST(AcSpec, DegenerateSpecsThrow) {
 
 // ------------------------------------------- analytic transfer functions ---
 
-/// AC plan over the probes, gmin_floor 0 so the analytic comparisons are
-/// exact (the default 1e-12 diagonal perturbs a 1 kOhm divider at 1e-9).
+/// AC plan over the probes.
 AnalysisPlan ac_plan(AcSpec spec, const std::vector<std::string>& probes) {
   AnalysisPlan plan;
   plan.name = "ac-test";
   plan.ac = spec;
   for (const std::string& p : probes) plan.probes.push_back(parse_probe(p));
-  plan.options.gmin_floor = 0.0;
   return plan;
+}
+
+/// Session options for the analytic comparisons: gmin_floor 0 so they are
+/// exact (the default 1e-12 diagonal perturbs a 1 kOhm divider at 1e-9).
+NewtonOptions exact_options() {
+  NewtonOptions options;
+  options.gmin_floor = 0.0;
+  return options;
 }
 
 TEST(AcAnalysis, RcLowpassMatchesAnalyticTransfer) {
@@ -110,7 +116,7 @@ TEST(AcAnalysis, RcLowpassMatchesAnalyticTransfer) {
   c.add_resistor("R1", in, out, 1.0e3);
   c.add_capacitor("C1", out, kGround, 1.0e-6);
 
-  SimSession session(c);
+  SimSession session(c, exact_options());
   AcSpec spec;
   spec.spacing = AcSpec::Spacing::kDecade;
   spec.points = 10;
@@ -141,7 +147,7 @@ TEST(AcAnalysis, RlHighpassMatchesAnalyticTransfer) {
   c.add_resistor("R1", in, out, 50.0);
   c.add_inductor("L1", out, kGround, 1.0e-3);
 
-  SimSession session(c);
+  SimSession session(c, exact_options());
   AcSpec spec;
   spec.spacing = AcSpec::Spacing::kDecade;
   spec.points = 7;
@@ -169,7 +175,7 @@ TEST(AcAnalysis, DifferentialAcProbeReadsThePhasorDifference) {
   c.add_resistor("R1", in, out, 1.0e3);
   c.add_capacitor("C1", out, kGround, 1.0e-6);
 
-  SimSession session(c);
+  SimSession session(c, exact_options());
   AcSpec spec;
   spec.spacing = AcSpec::Spacing::kLinear;
   spec.points = 3;
@@ -204,7 +210,7 @@ TEST(AcAnalysis, OpAmpFollowerHasUnityGain) {
   v1.set_ac(1.0);
   c.add_opamp("U1", out, in, out, 1.0e6, 0.01);  // offset must not leak in
 
-  SimSession session(c);
+  SimSession session(c, exact_options());
   AcSpec spec;
   spec.spacing = AcSpec::Spacing::kLinear;
   spec.points = 1;

@@ -268,7 +268,7 @@ TEST_F(LabCampaignTest, ChamberPointsConvergeFromTheirGuess) {
 
     spice::Circuit dut;
     const spice::NodeId e = protocol::build_dut(dut, s.qin, true);
-    spice::SimSession dut_session(dut, cfg.newton);
+    spice::SimSession dut_session(dut);
     for (double tc : lot_cfg.classical_celsius) {
       dut.get<spice::CurrentSource>("IE").set_value(lot_cfg.classical_ic);
       dut.set_temperature(s.fixture.die_temperature(to_kelvin(tc), 0.0));
@@ -281,7 +281,7 @@ TEST_F(LabCampaignTest, ChamberPointsConvergeFromTheirGuess) {
     spice::Circuit cell;
     const bandgap::TestCellHandles h =
         bandgap::build_test_cell(cell, protocol::cell_params(s, cfg, 0.0));
-    spice::SimSession cell_session(cell, cfg.newton);
+    spice::SimSession cell_session(cell);
     for (double tc : lot_cfg.cell_celsius) {
       const double t_die = s.fixture.die_temperature(to_kelvin(tc), 0.0);
       cell.set_temperature(t_die);

@@ -39,14 +39,11 @@ TEST(MatrixTest, MultiplyMatrixAndVector) {
   EXPECT_DOUBLE_EQ(v[1], 7.0);
 }
 
-TEST(MatrixTest, TransposeIdentityMaxAbs) {
+TEST(MatrixTest, TransposeAndMaxAbs) {
   Matrix a{{1.0, -5.0}, {2.0, 3.0}};
   Matrix t = a.transposed();
   EXPECT_DOUBLE_EQ(t(0, 1), 2.0);
   EXPECT_DOUBLE_EQ(a.max_abs(), 5.0);
-  Matrix i = Matrix::identity(3);
-  EXPECT_DOUBLE_EQ(i(2, 2), 1.0);
-  EXPECT_DOUBLE_EQ(i(0, 2), 0.0);
 }
 
 TEST(VectorOps, Dot) {
@@ -57,7 +54,7 @@ TEST(VectorOps, Dot) {
 
 TEST(LuTest, SolvesKnownSystem) {
   Matrix a{{2.0, 1.0}, {1.0, 3.0}};
-  Vector x = lu_solve(a, Vector{3.0, 5.0});
+  Vector x = LuFactorization(a).solve(Vector{3.0, 5.0});
   EXPECT_NEAR(x[0], 0.8, 1e-12);
   EXPECT_NEAR(x[1], 1.4, 1e-12);
 }
@@ -65,7 +62,7 @@ TEST(LuTest, SolvesKnownSystem) {
 TEST(LuTest, PivotingHandlesZeroDiagonal) {
   // Leading zero forces a row swap; solution is x = (1, 1).
   Matrix a{{0.0, 1.0}, {1.0, 0.0}};
-  Vector x = lu_solve(a, Vector{1.0, 1.0});
+  Vector x = LuFactorization(a).solve(Vector{1.0, 1.0});
   EXPECT_NEAR(x[0], 1.0, 1e-14);
   EXPECT_NEAR(x[1], 1.0, 1e-14);
 }
@@ -73,12 +70,6 @@ TEST(LuTest, PivotingHandlesZeroDiagonal) {
 TEST(LuTest, SingularMatrixThrows) {
   Matrix a{{1.0, 2.0}, {2.0, 4.0}};
   EXPECT_THROW(LuFactorization{a}, NumericalError);
-}
-
-TEST(LuTest, DeterminantWithPermutationSign) {
-  Matrix a{{0.0, 1.0}, {1.0, 0.0}};
-  LuFactorization lu(a);
-  EXPECT_NEAR(lu.determinant(), -1.0, 1e-14);
 }
 
 TEST(LuTest, SolveManyRhsAfterOneFactor) {
@@ -153,7 +144,7 @@ TEST(LuTest, ConditionEstimateLargeForNearSingular) {
 
 TEST(QrTest, ExactSolveSquare) {
   Matrix a{{2.0, 1.0}, {1.0, 3.0}};
-  Vector x = qr_least_squares(a, Vector{3.0, 5.0});
+  Vector x = QrFactorization(a).solve_least_squares(Vector{3.0, 5.0});
   EXPECT_NEAR(x[0], 0.8, 1e-12);
   EXPECT_NEAR(x[1], 1.4, 1e-12);
 }
@@ -162,7 +153,7 @@ TEST(QrTest, OverdeterminedLeastSquares) {
   // y = 2x + 1 with exact data: residual must vanish.
   Matrix a{{1.0, 0.0}, {1.0, 1.0}, {1.0, 2.0}, {1.0, 3.0}};
   Vector y{1.0, 3.0, 5.0, 7.0};
-  Vector x = qr_least_squares(a, y);
+  Vector x = QrFactorization(a).solve_least_squares(y);
   EXPECT_NEAR(x[0], 1.0, 1e-12);
   EXPECT_NEAR(x[1], 2.0, 1e-12);
 }
@@ -171,7 +162,7 @@ TEST(QrTest, LeastSquaresMinimisesResidual) {
   // Inconsistent system: projection of b onto col(A).
   Matrix a{{1.0, 0.0}, {1.0, 0.0}, {0.0, 1.0}};
   Vector y{1.0, 3.0, 5.0};
-  Vector x = qr_least_squares(a, y);
+  Vector x = QrFactorization(a).solve_least_squares(y);
   EXPECT_NEAR(x[0], 2.0, 1e-12);  // mean of 1 and 3
   EXPECT_NEAR(x[1], 5.0, 1e-12);
 }
@@ -181,16 +172,6 @@ TEST(QrTest, RankDeficientThrows) {
   QrFactorization qr(a);
   EXPECT_THROW((void)qr.solve_least_squares(Vector{1.0, 2.0, 3.0}),
                NumericalError);
-}
-
-TEST(QrTest, RDiagonalReflectsConditioning) {
-  // Nearly collinear columns give a tiny trailing R diagonal -- exactly the
-  // mechanism behind the paper's EG/XTI correlation.
-  Matrix a{{1.0, 1.0}, {1.0, 1.0 + 1e-8}, {1.0, 1.0 + 2e-8}};
-  QrFactorization qr(a);
-  Vector d = qr.r_diagonal();
-  EXPECT_GT(std::abs(d[0]), 1.0);
-  EXPECT_LT(std::abs(d[1]) / std::abs(d[0]), 1e-7);
 }
 
 TEST(Solve2x2Test, SolvesAndValidates) {
@@ -217,8 +198,8 @@ TEST_P(RandomSystemTest, LuAndQrAgree) {
   }
   Vector b(n);
   for (int i = 0; i < n; ++i) b[static_cast<std::size_t>(i)] = dist(gen);
-  Vector xl = lu_solve(a, b);
-  Vector xq = qr_least_squares(a, b);
+  Vector xl = LuFactorization(a).solve(b);
+  Vector xq = QrFactorization(a).solve_least_squares(b);
   for (int i = 0; i < n; ++i) {
     EXPECT_NEAR(xl[static_cast<std::size_t>(i)],
                 xq[static_cast<std::size_t>(i)], 1e-10);

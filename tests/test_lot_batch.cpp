@@ -630,7 +630,6 @@ TEST(BatchDcSessionTest, SparseActiveLanesBitIdenticalAndAllocationFree) {
 lab::LotCampaignConfig lot_config() {
   lab::LotCampaignConfig cfg;
   cfg.samples = 10;
-  cfg.first_index = 1;
   cfg.seed_base = 9000;
   cfg.classical_celsius = {-25.0, 25.0, 75.0, 125.0};
   return cfg;
@@ -649,7 +648,6 @@ void expect_die_bit_identical(const lab::DieCharacterisation& a,
   EXPECT_EQ(a.ok, b.ok);
   EXPECT_EQ(a.error, b.error);
   EXPECT_EQ(a.has_classical, b.has_classical);
-  EXPECT_EQ(a.has_meijer, b.has_meijer);
   EXPECT_EQ(a.eg_classical, b.eg_classical);
   EXPECT_EQ(a.eg_meijer, b.eg_meijer);
   EXPECT_EQ(a.xti_meijer, b.xti_meijer);
@@ -787,7 +785,7 @@ TEST(LotBatchTest, FailingDiesFallBackBitIdentically) {
 int count_lockstep_exits(int dies) {
   const lab::LotCampaignConfig cfg;
   const lab::SiliconLot lot;
-  const lab::DieSample ref = lot.sample(cfg.first_index);
+  const lab::DieSample ref = lot.sample(lab::kFirstDieIndex);
   const auto die_kelvin = [](const lab::DieSample& die, double celsius,
                              double watts) {
     return die.fixture.die_temperature(to_kelvin(celsius), watts);
@@ -811,7 +809,7 @@ int count_lockstep_exits(int dies) {
     c.get<spice::CurrentSource>("IE").set_value(cfg.classical_ic);
     dut_ptrs.push_back(&c);
   }
-  BatchDcSession ibias(std::move(dut_ptrs), cfg.lab.newton);
+  BatchDcSession ibias(std::move(dut_ptrs));
   dut[0].set_temperature(die_kelvin(ref, cfg.classical_celsius.front(), 0.0));
   ibias.seed_warm_start(0, lab::protocol::dut_initial_guess(dut[0], emitter));
   ibias.prime();
@@ -824,7 +822,7 @@ int count_lockstep_exits(int dies) {
         lane.circuit, lab::protocol::cell_params(ref, cfg.lab, 0.0));
     cell_ptrs.push_back(&lane.circuit);
   }
-  BatchDcSession cell(std::move(cell_ptrs), cfg.lab.newton);
+  BatchDcSession cell(std::move(cell_ptrs));
   const double t_ref = die_kelvin(ref, cfg.cell_celsius.front(), 0.0);
   cells[0].circuit.set_temperature(t_ref);
   cell.seed_warm_start(
@@ -837,7 +835,7 @@ int count_lockstep_exits(int dies) {
   std::vector<unsigned char> iterating(kLanes);
   for (int first = 0; first < dies; first += static_cast<int>(kLanes)) {
     for (std::size_t l = 0; l < kLanes; ++l) {
-      die[l] = lot.sample(cfg.first_index + first + static_cast<int>(l));
+      die[l] = lot.sample(lab::kFirstDieIndex + first + static_cast<int>(l));
       dut[l].get<spice::Bjt>("DUT").set_model(die[l].qin);
       ibias.begin_variant(l);
       const bandgap::TestCellParams p =

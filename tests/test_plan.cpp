@@ -346,6 +346,67 @@ TEST(AnalysisPlanTest, TwoAxisParallelIsBitIdenticalForAnyThreadCount) {
   }
 }
 
+// A plan carries no solver settings: every point solves under the
+// NewtonOptions of the session that runs it, on this session and on every
+// per-thread clone. One Newton iteration never converges (the first
+// iteration is never accepted), so each run must fail.
+TEST(AnalysisPlanTest, RunsUnderTheSessionsOptionsOnEveryThreadCount) {
+  NewtonOptions one_iteration;
+  one_iteration.max_iterations = 1;
+
+  AnalysisPlan dc;
+  dc.name = "grid";
+  dc.axes = {SweepAxis::resistor("R1", SweepGrid::linear(1e3, 4e3, 4)),
+             SweepAxis::vsource("V1", SweepGrid::linear(0.5, 2.0, 4))};
+  dc.probes = {Probe::node_voltage("a")};
+
+  AnalysisPlan ac;
+  ac.name = "ac";
+  AcSpec spec;
+  spec.spacing = AcSpec::Spacing::kLinear;
+  spec.points = 4;
+  spec.fstart = 1e3;
+  spec.fstop = 4e3;
+  ac.ac = spec;
+  ac.probes = {parse_probe("VM(a)")};
+
+  for (const unsigned threads : {1u, 2u}) {
+    for (AnalysisPlan* plan : {&dc, &ac}) {
+      Circuit c;
+      build_diode_rig(c);
+      c.get<VoltageSource>("V1").set_value(2.0);
+      c.get<VoltageSource>("V1").set_ac(1.0);
+      SimSession session(c, one_iteration);
+      plan->threads = threads;
+      EXPECT_THROW((void)session.run(*plan), NumericalError)
+          << plan->name << " threads=" << threads;
+    }
+  }
+
+  // The AC workers stamp the session's gmin_floor too: a raised floor
+  // moves every point, identically on one thread and on two.
+  NewtonOptions leaky;
+  leaky.gmin_floor = 1e-3;
+  SweepResult results[3];
+  const NewtonOptions options[] = {NewtonOptions{}, leaky, leaky};
+  const unsigned thread_counts[] = {1, 1, 2};
+  for (int k = 0; k < 3; ++k) {
+    Circuit c;
+    build_diode_rig(c);
+    c.get<VoltageSource>("V1").set_value(2.0);
+    c.get<VoltageSource>("V1").set_ac(1.0);
+    SimSession session(c, options[k]);
+    ac.threads = thread_counts[k];
+    results[k] = session.run(ac);
+  }
+  for (std::size_t r = 0; r < results[0].rows(); ++r) {
+    EXPECT_NE(results[1].value(0, r), results[0].value(0, r)) << "row=" << r;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(results[2].value(0, r)),
+              std::bit_cast<std::uint64_t>(results[1].value(0, r)))
+        << "row=" << r;
+  }
+}
+
 TEST(AnalysisPlanTest, TwoAxisRowsAreBitIdenticalForAnySchedule) {
   // A self-biased NPN driven far above its design supply: a cold solve at
   // V1 = 40 V needs gmin stepping, so the fallback ladder re-analyses
@@ -452,7 +513,6 @@ TEST(AnalysisPlanTest, NonlinearFirstRigMatchesDenseOracle) {
                SweepAxis::vsource("V1", SweepGrid::linear(0.5, 3.0, 11))};
   plan.probes = {Probe::node_voltage("c"), Probe::node_voltage("b"),
                  Probe::branch_current("V1")};
-  plan.options = tight;
 
   SweepResult got;
   {

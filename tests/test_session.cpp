@@ -13,6 +13,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "icvbe/bandgap/banba_cell.hpp"
@@ -224,7 +225,7 @@ TEST(SimSessionTest, BanbaSweepIsAllocationFreeAfterWarmUp) {
 
 /// One stamp of `dev` at `x` into a fresh dense system.
 struct DenseStamp {
-  linalg::Matrix a;
+  linalg::Matrix a;  ///< the building-mode stamp, densified
   linalg::Vector b;
 };
 
@@ -232,10 +233,12 @@ constexpr int kContractNodes = 4;  // nodes 1..4; one aux row follows
 
 DenseStamp stamp_alone(Device& dev, const Unknowns& x) {
   const std::size_t n = x.size();
-  DenseStamp out{linalg::Matrix(n, n), linalg::Vector(n, 0.0)};
-  Stamper st(out.a, out.b, kContractNodes);
+  linalg::SparseMatrix a(n, n);
+  linalg::Vector b(n, 0.0);
+  Stamper st(a, b, kContractNodes);
   dev.stamp(st, x);
-  return out;
+  a.freeze_pattern();
+  return {a.to_dense(), std::move(b)};
 }
 
 bool bitwise_equal(const DenseStamp& p, const DenseStamp& q) {

@@ -443,175 +443,6 @@ TEST_P(RandomSparseTest, AgreesWithDenseLu) {
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomSparseTest,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
 
-// ROADMAP sparse follow-up (c): the dense engine's condition_estimate()
-// now has a sparse counterpart using the same +/-1 probe, so the two must
-// report comparable numbers on identical systems.
-TEST(SparseLuTest, ConditionEstimateMatchesDenseWithin10x) {
-  for (const unsigned seed : {11u, 22u, 33u, 44u}) {
-    const std::size_t n = 24;
-    std::mt19937 gen(seed);
-    std::uniform_real_distribution<double> dist(-1.0, 1.0);
-    std::uniform_int_distribution<std::size_t> pick(0, n - 1);
-    SparseMatrix s(n, n);
-    Matrix d(n, n, 0.0);
-    auto put = [&](std::size_t r, std::size_t c, double v) {
-      s.add(r, c, v);
-      d(r, c) += v;
-    };
-    for (std::size_t i = 0; i < n; ++i) put(i, i, 4.0 + dist(gen));
-    for (int e = 0; e < 80; ++e) {
-      const std::size_t r = pick(gen);
-      const std::size_t c = pick(gen);
-      if (r != c) put(r, c, dist(gen));
-    }
-    s.freeze_pattern();
-    SparseLuFactorization slu;
-    slu.refactor(s);
-    const LuFactorization dlu(d);
-    const double cs = slu.condition_estimate();
-    const double cd = dlu.condition_estimate();
-    ASSERT_GT(cd, 0.0);
-    EXPECT_GT(cs, cd / 10.0) << "seed " << seed;
-    EXPECT_LT(cs, cd * 10.0) << "seed " << seed;
-    // Both see a well-conditioned system as such.
-    EXPECT_LT(cs, 1e4);
-  }
-}
-
-// The fill-heavy counterpart: a 2-D conductance mesh, where the AMD
-// ordering leaves a fill-dense trailing region in the factor. The
-// condition probe walks that factor, so pin it to the dense engine's
-// number on the same system -- a divergence here means the triangular
-// solves drifted from the reference factorisation.
-TEST(SparseLuTest, ConditionEstimateMatchesDenseOnFillHeavyMesh) {
-  const int g = 14;  // 196 unknowns, a fill-dense trailing factor
-  const std::size_t n = static_cast<std::size_t>(g) * g;
-  std::mt19937 gen(7u);
-  std::uniform_real_distribution<double> dist(0.5, 2.0);
-  SparseMatrix s(n, n);
-  Matrix d(n, n, 0.0);
-  std::vector<double> diag(n, 1e-3);
-  auto idx = [g](int x, int y) { return static_cast<std::size_t>(x * g + y); };
-  auto couple = [&](std::size_t a, std::size_t b) {
-    const double c = dist(gen);
-    s.add(a, b, -c);
-    s.add(b, a, -c);
-    d(a, b) -= c;
-    d(b, a) -= c;
-    diag[a] += c;
-    diag[b] += c;
-  };
-  for (int x = 0; x < g; ++x) {
-    for (int y = 0; y < g; ++y) {
-      if (x + 1 < g) couple(idx(x, y), idx(x + 1, y));
-      if (y + 1 < g) couple(idx(x, y), idx(x, y + 1));
-    }
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    s.add(i, i, diag[i]);
-    d(i, i) += diag[i];
-  }
-  s.freeze_pattern();
-
-  SparseLuFactorization slu;
-  slu.refactor(s);
-  const LuFactorization dlu(d);
-  const double cs = slu.condition_estimate();
-  const double cd = dlu.condition_estimate();
-  ASSERT_GT(cd, 0.0);
-  EXPECT_GT(cs, cd / 10.0);
-  EXPECT_LT(cs, cd * 10.0);
-}
-
-TEST(SparseLuTest, ConditionEstimateGrowsOnIllConditionedSystem) {
-  const std::size_t n = 8;
-  SparseMatrix s(n, n);
-  Matrix d(n, n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double v = i + 1 == n ? 1e-9 : 2.0;  // one nearly-dependent row
-    s.add(i, i, v);
-    d(i, i) = v;
-  }
-  s.freeze_pattern();
-  SparseLuFactorization slu;
-  slu.refactor(s);
-  const LuFactorization dlu(d);
-  EXPECT_GT(slu.condition_estimate(), 1e8);
-  EXPECT_GT(slu.condition_estimate(), dlu.condition_estimate() / 10.0);
-  EXPECT_LT(slu.condition_estimate(), dlu.condition_estimate() * 10.0);
-}
-
-// condition_estimate() computes |A|_1 when asked, from the values the
-// factors came from. Its columns are summed in CSR order, so the estimate
-// is bitwise |A|_1 (summed that way) times the probe's |A^-1| estimate --
-// here on a block-triangular matrix whose cross-block entries stay out of
-// the factor, with magnitudes spread so the summation order shows, after
-// the analysis and again after an incremental refactor.
-TEST(SparseLuTest, ConditionEstimateIsTheCsrOrderOneNormTimesTheProbe) {
-  const std::size_t n = 40;
-  const std::size_t half = n / 2;
-  std::mt19937 gen(5u);
-  std::uniform_real_distribution<double> dist(-1.0, 1.0);
-  std::uniform_real_distribution<double> decade(-8.0, 8.0);
-  std::uniform_int_distribution<std::size_t> pick(0, n - 1);
-  SparseMatrix s(n, n);
-  for (std::size_t i = 0; i < n; ++i) s.add(i, i, 0.0);
-  for (int e = 0; e < 160; ++e) {
-    const std::size_t r = pick(gen);
-    const std::size_t c = pick(gen);
-    // Rows of the first half reach every column, the second half only its
-    // own: block upper triangular, two diagonal blocks.
-    if (r != c && (r < half || c >= half)) s.add(r, c, 0.0);
-  }
-  s.freeze_pattern();
-  const auto restamp = [&] {
-    s.fill(0.0);
-    for (std::size_t r = 0; r < n; ++r) {
-      for (int i = s.row_ptr()[r]; i < s.row_ptr()[r + 1]; ++i) {
-        const std::size_t c = static_cast<std::size_t>(s.col_index()[i]);
-        const double v = dist(gen) * std::pow(10.0, decade(gen));
-        s.add(r, c, r == c ? 1e9 + std::abs(v) : v);
-      }
-    }
-  };
-  const auto reference = [&](const SparseLuFactorization& lu) {
-    std::vector<double> colsum(n, 0.0);
-    for (std::size_t r = 0; r < n; ++r) {
-      for (int i = s.row_ptr()[r]; i < s.row_ptr()[r + 1]; ++i) {
-        const auto e = static_cast<std::size_t>(i);
-        colsum[static_cast<std::size_t>(s.col_index()[e])] +=
-            std::abs(s.values()[e]);
-      }
-    }
-    double inv_norm = 0.0;
-    for (int probe = 0; probe < 2; ++probe) {
-      Vector e(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        e[i] = probe == 0 || i % 2 == 0 ? 1.0 : -1.0;
-      }
-      double sum = 0.0;
-      for (double v : lu.solve(e)) sum += std::abs(v);
-      inv_norm = std::max(inv_norm, sum / static_cast<double>(n));
-    }
-    return *std::max_element(colsum.begin(), colsum.end()) * inv_norm;
-  };
-
-  SparseLuFactorization lu;
-  restamp();
-  lu.refactor(s);
-  ASSERT_GT(lu.btf_block_count(), 1u);
-  double got = lu.condition_estimate();
-  double want = reference(lu);
-  EXPECT_EQ(std::memcmp(&got, &want, sizeof got), 0) << got << " vs " << want;
-
-  restamp();
-  lu.refactor(s);
-  ASSERT_EQ(lu.analysis_count(), 1);
-  got = lu.condition_estimate();
-  want = reference(lu);
-  EXPECT_EQ(std::memcmp(&got, &want, sizeof got), 0) << got << " vs " << want;
-}
-
 // The solves multiply by stored pivot reciprocals. A pivot too small to
 // invert (1/p overflows) must fail the pivot screen: a column whose only
 // entry is subnormal either throws NumericalError or solves to finite

@@ -114,9 +114,8 @@ TEST(SparseEquivalence, DeckPlanColumnsMatchDense) {
     auto sparse_deck = parse_case(c);
     ASSERT_FALSE(dense_deck.plans.empty());
 
-    AnalysisPlan plan = dense_deck.plans.front();
-    plan.options = tight_options();
-    SimSession sparse(*sparse_deck.circuit, plan.options);
+    const AnalysisPlan& plan = dense_deck.plans.front();
+    SimSession sparse(*sparse_deck.circuit, tight_options());
     const SweepResult rs = sparse.run(plan);
 
     // The reference walks the same single source axis point by point.
@@ -124,7 +123,7 @@ TEST(SparseEquivalence, DeckPlanColumnsMatchDense) {
     ASSERT_EQ(plan.axes[0].kind(), SweepAxis::Kind::kVsource);
     auto& source =
         dense_deck.circuit->get<VoltageSource>(plan.axes[0].device());
-    oracle::DenseOracle dense(*dense_deck.circuit, plan.options);
+    oracle::DenseOracle dense(*dense_deck.circuit, tight_options());
     ASSERT_EQ(rs.rows(), rs.inner_values().size());
     for (std::size_t r = 0; r < rs.rows(); ++r) {
       source.set_value(rs.inner_values()[r]);
@@ -229,9 +228,7 @@ TEST(SparseEquivalence, SymbolicAnalysisSurvivesAWholePlanRun) {
   auto deck = parse_case({SyntheticTopology::kDiodeLadder, 200});
   SimSession session(*deck.circuit, tight_options());
   ASSERT_FALSE(deck.plans.empty());
-  AnalysisPlan plan = deck.plans.front();
-  plan.options = tight_options();
-  const SweepResult r = session.run(plan);
+  const SweepResult r = session.run(deck.plans.front());
   EXPECT_GT(r.rows(), 0u);
 }
 

@@ -571,9 +571,6 @@ void check_incremental(const TestSystem& sys, std::mt19937_64& rng,
                "a full pass";
       }
     }
-    const double ci = inc.condition_estimate();
-    const double cf = full.condition_estimate();
-    EXPECT_EQ(std::memcmp(&ci, &cf, sizeof(double)), 0);
   }
   EXPECT_EQ(full.refactor_stats().partial, 0u);
   EXPECT_EQ(full.refactor_stats().skipped, 0u);

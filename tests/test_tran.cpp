@@ -324,7 +324,6 @@ TEST(TransientEngineTest, DenseAndSparseResultsAgreeOnRcLadderDeck) {
   options.v_abstol = 1e-11;
   options.i_abstol = 1e-14;
   options.reltol = 1e-12;
-  plan.options = options;
   SimSession session(*parsed.circuit, options);
   const SweepResult sparse = session.run(plan);
 
@@ -367,7 +366,6 @@ TEST(TransientEngineTest, DenseAndSparseResultsAgreeOnCurrentDrivenRcLadder) {
   options.v_abstol = 1e-11;
   options.i_abstol = 1e-14;
   options.reltol = 1e-12;
-  plan.options = options;
   SimSession session(*parsed.circuit, options);
   const SweepResult sparse = session.run(plan);
 
