@@ -115,6 +115,10 @@ class Client {
   /// Read the next frame off the socket, whatever it is (blocking).
   /// Throws Error on EOF.
   Frame read_frame();
+  /// On an AF_UNIX connection: bytes this client wrote that the server
+  /// has not read off the socket yet (SIOCOUTQ). 0 means every command
+  /// sent so far has reached the server's reader.
+  [[nodiscard]] std::size_t unread_by_server() const;
 
  private:
   explicit Client(int fd);

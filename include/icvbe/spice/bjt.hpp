@@ -86,7 +86,7 @@ class Bjt final : public Device {
   /// through the session's vectorized safe_exp sweep.
   static constexpr int kExpArgs = 6;
   [[nodiscard]] int exp_arg_count() const override { return kExpArgs; }
-  void collect_exp_args(const Unknowns& prev, double* out) override;
+  bool collect_exp_args(const Unknowns& prev, double* out) override;
   void stamp_with_exps(Stamper& stamper, const Unknowns& prev,
                        const double* exps) override;
 
@@ -142,6 +142,10 @@ class Bjt final : public Device {
   /// scalar and batched paths share one model body.
   [[nodiscard]] Eval evaluate_from_exps(double v1, double v2,
                                         const double* e) const;
+  /// Junction limiting of both junctions at `prev` into v1_state_ /
+  /// v2_state_ (stamp()'s and collect_exp_args()'s prologue); true if it
+  /// moved either voltage.
+  bool limit(const Unknowns& prev);
   /// Everything stamp() does after junction limiting and evaluation --
   /// shared by stamp() and stamp_with_exps().
   void stamp_core(Stamper& stamper, double v1, double v2, const Eval& ev);

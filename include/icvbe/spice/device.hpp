@@ -100,8 +100,10 @@ class Device {
   // split one stamp into three phases so the exp() arguments of every live
   // lane can run through one vectorized safe_exp_many sweep:
   //   A. collect_exp_args(prev, out) -- run junction limiting against
-  //      `prev` (updating limiting state exactly as stamp() would) and
-  //      write exp_arg_count() exponent arguments to `out`;
+  //      `prev` (updating limiting state exactly as stamp() would), write
+  //      exp_arg_count() exponent arguments to `out`, and return true if
+  //      the limiting moved a junction voltage (what stamp() reports
+  //      through Stamper::note_limited);
   //   B. the session evaluates safe_exp over every collected argument;
   //   C. stamp_with_exps(stamper, prev, exps) -- stamp consuming the
   //      precomputed safe_exp values, same order as written in phase A.
@@ -113,7 +115,9 @@ class Device {
   /// (0 = device does not participate; stamp() is used directly).
   [[nodiscard]] virtual int exp_arg_count() const { return 0; }
   /// Phase A (see above). Only called when exp_arg_count() > 0.
-  virtual void collect_exp_args(const Unknowns& /*prev*/, double* /*out*/) {}
+  virtual bool collect_exp_args(const Unknowns& /*prev*/, double* /*out*/) {
+    return false;
+  }
   /// Phase C (see above). Default falls back to the one-shot stamp().
   virtual void stamp_with_exps(Stamper& stamper, const Unknowns& prev,
                                const double* /*exps*/) {

@@ -33,7 +33,7 @@ class Diode final : public Device {
   /// One junction exponential per evaluation, batched through the
   /// session's vectorized safe_exp sweep.
   [[nodiscard]] int exp_arg_count() const override { return 1; }
-  void collect_exp_args(const Unknowns& prev, double* out) override;
+  bool collect_exp_args(const Unknowns& prev, double* out) override;
   void stamp_with_exps(Stamper& stamper, const Unknowns& prev,
                        const double* exps) override;
 
@@ -49,6 +49,9 @@ class Diode final : public Device {
   /// shared by stamp() and stamp_ac() so the DC and AC linearisations
   /// cannot drift, while stamp() keeps its single exp() per iteration.
   [[nodiscard]] double conductance_from_exp(double e) const;
+  /// Junction limiting at `prev` into v_state_ (stamp()'s and
+  /// collect_exp_args()'s prologue); true if it moved the voltage.
+  bool limit(const Unknowns& prev);
 
   NodeId anode_;
   NodeId cathode_;

@@ -24,6 +24,15 @@ void safe_exp_many(const double* x, double* out, std::size_t n,
 [[nodiscard]] double pnjlim(double vnew, double vold, double vt,
                             double vcrit);
 
+/// pnjlim `v` against the limiting state `state` and store the result
+/// there. Returns true if the limiter moved the voltage (the iteration's
+/// stamp is then not taken at the iterate).
+[[nodiscard]] inline bool limit_junction(double v, double& state, double vt,
+                                         double vcrit) {
+  state = pnjlim(v, state, vt, vcrit);
+  return state != v;
+}
+
 /// Critical voltage for a junction with saturation current is_amps at
 /// thermal voltage vt: vcrit = vt ln(vt / (sqrt(2) is)).
 [[nodiscard]] double junction_vcrit(double vt, double is_amps);

@@ -67,11 +67,18 @@ enum class NewtonStep {
 /// read at `x_new[i * stride]`: stride 1 for a scalar solve buffer,
 /// linalg::kBatchLanes for a batch's lane-fastest RHS planes. Both
 /// sessions run this one function, so a lane's trajectory is
-/// bit-identical to the scalar one by construction. `first_iteration` is
-/// never converged (two iterations are required).
+/// bit-identical to the scalar one by construction.
+///
+/// An iteration is never converged if it is the first (two iterations
+/// are required) or `limited`: junction limiting moved a device voltage
+/// off the iterate during this iteration's stamps (Stamper::note_limited,
+/// Device::collect_exp_args). Such a stamp linearises at a point that is
+/// not the iterate, so a small step proves nothing about KCL there -- a
+/// limited stamp can be too weak to move the iterate at all (SPICE's
+/// noncon rule, Nagel 1975).
 [[nodiscard]] NewtonStep newton_update(const NewtonOptions& opt,
                                        int node_unknowns,
-                                       bool first_iteration,
+                                       bool first_iteration, bool limited,
                                        const double* x_new,
                                        std::size_t stride, Unknowns& x);
 
@@ -149,9 +156,8 @@ class SimSession {
   /// references session-owned storage and is valid until the next solve.
   /// Start point priority: `initial` if given, else the previous solution
   /// (warm-start continuation), else a cold start.
-  /// If plain Newton fails it is retried once from the same start with
-  /// fresh pivots every iteration, then falls back to gmin stepping, then
-  /// source stepping, like the legacy solver.
+  /// If plain Newton fails it falls back to gmin stepping, then source
+  /// stepping, like the legacy solver.
   /// \pre the circuit's device count is unchanged since bind/rebind()
   ///      (violations throw CircuitError rather than stamping into a
   ///      stale pattern).
@@ -261,11 +267,9 @@ class SimSession {
   }
 
  private:
-  /// One Newton attempt at fixed gmin; allocation-free unless `repivot`
-  /// (a fresh symbolic analysis, hence fresh pivots, every iteration).
-  /// Returns true on convergence; x holds the final iterate either way.
-  bool newton_attempt(double gmin, Unknowns& x, int& iterations,
-                      bool repivot = false);
+  /// One Newton attempt at fixed gmin; allocation-free. Returns true on
+  /// convergence; x holds the final iterate either way.
+  bool newton_attempt(double gmin, Unknowns& x, int& iterations);
 
   /// AC-plan execution (defined with the rest of the plan machinery in
   /// plan.cpp). \pre plan.ac is set and plan.axes is empty.

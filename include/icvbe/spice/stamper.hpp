@@ -68,9 +68,18 @@ class StamperT {
   /// Unknown index of a node (-1 for ground).
   [[nodiscard]] int node_index(NodeId n) const { return n - 1; }
 
+  /// A junction device calls this when limiting moved one of its voltages
+  /// off the iterate during this stamp: the stamp then linearises at a
+  /// point that is not the iterate, and newton_update does not accept the
+  /// iteration as converged (SPICE's noncon count).
+  void note_limited() noexcept { ++limited_; }
+  /// Calls of note_limited() since construction.
+  [[nodiscard]] int limited() const noexcept { return limited_; }
+
  private:
   linalg::MatrixViewT<Scalar> a_;
   linalg::VectorT<Scalar>& b_;
+  int limited_ = 0;
 };
 
 using Stamper = StamperT<double>;

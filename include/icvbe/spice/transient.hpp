@@ -6,14 +6,21 @@
 // operating-point solve (or the UIC vector), and then advances time with
 // the session's allocation-free Newton inner loop: per timestep it applies
 // the source waveforms at the candidate time, programs the companion
-// models for (method, h), and calls SimSession::solve() warm-started from
-// the previous timepoint.
+// models for (method, h), and calls SimSession::solve().
 //
-// Step control is local-truncation-error based: the LTE of the candidate
-// solution is estimated from divided differences of the accepted solution
-// history (order h^2 v'' for backward Euler, h^3 v''' for trapezoidal);
-// steps whose error ratio exceeds 1 are rejected and retried smaller, and
-// accepted steps grow up to 2x while the error stays low. Waveform corner
+// One history polynomial serves each step twice (a predictor-corrector
+// pair, Brayton, Gustavson and Hachtel, Proc. IEEE 60(1), 1972): P, the
+// quadratic through the three newest accepted points for trapezoidal (the
+// line through two for backward Euler), evaluated at the candidate time.
+//  * Predictor: on adaptive runs the step's Newton starts from P, not
+//    from the previous timepoint -- except on the first step after t = 0
+//    or a breakpoint, where P would extrapolate across a slope
+//    discontinuity. Fixed-step runs start from the previous timepoint.
+//  * Error estimate: the candidate's local truncation error is
+//    c |x_c - P| (order h^2 v'' for backward Euler, h^3 v''' for
+//    trapezoidal; see lte_ratio). Steps whose error ratio exceeds 1 are
+//    rejected and retried smaller, and accepted steps grow up to 2x while
+//    the error stays low. Waveform corner
 // times (PULSE edges, PWL knots) are breakpoints: a step never integrates
 // across one, and stepping restarts small right after it. The whole
 // sequence is plain double arithmetic with no time-of-day or RNG input, so
@@ -88,13 +95,17 @@ class TransientSolver {
 
  private:
   void apply_sources(double t);
-  /// Max over node voltages of |LTE| / (abstol + reltol max(|x|)) for the
-  /// candidate solution at t_ + h.
-  [[nodiscard]] double lte_ratio(const Unknowns& candidate, double h) const;
+  /// Evaluate the history polynomial P (see the header comment) at t_ + h
+  /// into pred_, every unknown, and return the scale c that turns
+  /// |x_c - P| into the LTE estimate. \pre hist_count_ >= need_history().
+  [[nodiscard]] double predict(double h);
+  /// Max over node voltages of c |x_c - P| / (abstol + reltol max(|x|))
+  /// for the candidate solution, with P in pred_ and c from predict().
+  [[nodiscard]] double lte_ratio(const Unknowns& candidate, double c) const;
   [[nodiscard]] int order() const noexcept {
     return spec_.method == IntegrationMethod::kTrapezoidal ? 2 : 1;
   }
-  /// Accepted history points the LTE estimate needs (excl. the candidate).
+  /// Accepted points the history polynomial runs through.
   [[nodiscard]] std::size_t need_history() const noexcept {
     return spec_.method == IntegrationMethod::kTrapezoidal ? 3u : 2u;
   }
@@ -123,12 +134,13 @@ class TransientSolver {
   double h_next_ = 0.0;
   Unknowns x_now_;
 
-  // Accepted-solution ring for the divided-difference LTE estimate:
-  // hist_x_[(hist_head_ + k) % 3] is the k-th newest accepted point.
+  // Accepted-solution ring the history polynomial runs through:
+  // hist_x_[(hist_head_ + 3 - k) % 3] is the k-th newest accepted point.
   Unknowns hist_x_[3];
   double hist_t_[3] = {0.0, 0.0, 0.0};
   std::size_t hist_head_ = 0;
   std::size_t hist_count_ = 0;
+  Unknowns pred_;  ///< the history polynomial at the candidate time
 
   long accepted_ = 0;
   long rejected_ = 0;

@@ -1,7 +1,9 @@
 #include "icvbe/server/client.hpp"
 
 #include <arpa/inet.h>
+#include <linux/sockios.h>
 #include <netinet/in.h>
+#include <sys/ioctl.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -145,6 +147,15 @@ Frame Client::read_frame() {
     if (n <= 0) throw Error("client: server closed the connection");
     decoder_.feed(std::string_view(buf, static_cast<std::size_t>(n)));
   }
+}
+
+std::size_t Client::unread_by_server() const {
+  int bytes = 0;
+  if (::ioctl(fd_, SIOCOUTQ, &bytes) != 0) {
+    throw Error(std::string("client: SIOCOUTQ failed: ") +
+                std::strerror(errno));
+  }
+  return static_cast<std::size_t>(bytes);
 }
 
 void Client::send_command(const std::vector<std::string>& head,

@@ -1,6 +1,7 @@
 #include "icvbe/spice/batch_session.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "icvbe/common/error.hpp"
@@ -146,13 +147,16 @@ void BatchDcSession::solve_active() {
     // element-wise bit-identical to safe_exp and each lane's stamp order is
     // unchanged, so the assembled systems match the one-shot stamp() path
     // bit-for-bit.
+    // Per lane: did the limiting move a junction voltage (newton_update's
+    // `limited`, Stamper::note_limited's count on the scalar path)?
+    std::array<bool, k> limited{};
     double* args = exp_args_.data();
     for (std::size_t l = 0; l < k; ++l) {
       if (!live_[l]) continue;
       const auto& devs = lanes_[l]->devices();
       for (std::size_t d = 0; d < devs.size(); ++d) {
         if (exp_off_[d + 1] != exp_off_[d]) {
-          devs[d]->collect_exp_args(x_[l], args + exp_off_[d]);
+          limited[l] |= devs[d]->collect_exp_args(x_[l], args + exp_off_[d]);
         }
       }
       args += exp_stride_;
@@ -212,8 +216,8 @@ void BatchDcSession::solve_active() {
     for (std::size_t l = 0; l < k; ++l) {
       if (!live_[l]) continue;
       const NewtonStep step =
-          newton_update(opt, node_unknowns, iter == 0, rhs_.data() + l, k,
-                        x_[l]);
+          newton_update(opt, node_unknowns, iter == 0, limited[l],
+                        rhs_.data() + l, k, x_[l]);
       if (step == NewtonStep::kDiverged) {
         status_[l].needs_solo = true;
         live_[l] = 0;

@@ -203,31 +203,31 @@ Bjt::RowJacobian Bjt::row_jacobian(const Eval& ev) const {
   return j;
 }
 
-void Bjt::stamp(Stamper& stamper, const Unknowns& prev) {
+bool Bjt::limit(const Unknowns& prev) {
   const double s = sign_;
-  double v1 = s * (prev.node_voltage(b_) - prev.node_voltage(e_));
-  double v2 = s * (prev.node_voltage(b_) - prev.node_voltage(c_));
-  v1 = pnjlim(v1, v1_state_, model_.nf * vt_, vcrit_be_);
-  v2 = pnjlim(v2, v2_state_, model_.nr * vt_, vcrit_bc_);
-  v1_state_ = v1;
-  v2_state_ = v2;
-  stamp_core(stamper, v1, v2, evaluate(v1, v2));
+  const bool be =
+      limit_junction(s * (prev.node_voltage(b_) - prev.node_voltage(e_)),
+                     v1_state_, model_.nf * vt_, vcrit_be_);
+  const bool bc =
+      limit_junction(s * (prev.node_voltage(b_) - prev.node_voltage(c_)),
+                     v2_state_, model_.nr * vt_, vcrit_bc_);
+  return be || bc;
 }
 
-void Bjt::collect_exp_args(const Unknowns& prev, double* out) {
-  // stamp()'s prologue verbatim: limit the junction voltages and commit
-  // the limiting state, then emit the exponent arguments the batched
-  // safe_exp sweep will evaluate. stamp_with_exps picks the limited
-  // voltages back up from v1_state_/v2_state_ -- re-limiting there would
-  // not be idempotent once pnjlim has engaged.
-  const double s = sign_;
-  double v1 = s * (prev.node_voltage(b_) - prev.node_voltage(e_));
-  double v2 = s * (prev.node_voltage(b_) - prev.node_voltage(c_));
-  v1 = pnjlim(v1, v1_state_, model_.nf * vt_, vcrit_be_);
-  v2 = pnjlim(v2, v2_state_, model_.nr * vt_, vcrit_bc_);
-  v1_state_ = v1;
-  v2_state_ = v2;
-  exp_args(v1, v2, out);
+void Bjt::stamp(Stamper& stamper, const Unknowns& prev) {
+  if (limit(prev)) stamper.note_limited();
+  stamp_core(stamper, v1_state_, v2_state_, evaluate(v1_state_, v2_state_));
+}
+
+bool Bjt::collect_exp_args(const Unknowns& prev, double* out) {
+  // stamp()'s prologue: limit the junction voltages and commit the
+  // limiting state, then emit the exponent arguments the batched safe_exp
+  // sweep will evaluate. stamp_with_exps picks the limited voltages back
+  // up from v1_state_/v2_state_ -- re-limiting there would not be
+  // idempotent once pnjlim has engaged.
+  const bool limited = limit(prev);
+  exp_args(v1_state_, v2_state_, out);
+  return limited;
 }
 
 void Bjt::stamp_with_exps(Stamper& stamper, const Unknowns& /*prev*/,

@@ -52,19 +52,22 @@ double Diode::conductance_from_exp(double e) const {
   return is_t_ * e / vt_ + 1e-15;  // floor keeps the matrix regular
 }
 
+bool Diode::limit(const Unknowns& prev) {
+  return limit_junction(
+      prev.node_voltage(anode_) - prev.node_voltage(cathode_), v_state_, vt_,
+      vcrit_);
+}
+
 void Diode::stamp(Stamper& stamper, const Unknowns& prev) {
-  double v = prev.node_voltage(anode_) - prev.node_voltage(cathode_);
-  v = pnjlim(v, v_state_, vt_, vcrit_);
-  v_state_ = v;
+  if (limit(prev)) stamper.note_limited();
   stamp_with_exps(stamper, prev, nullptr);
 }
 
-void Diode::collect_exp_args(const Unknowns& prev, double* out) {
+bool Diode::collect_exp_args(const Unknowns& prev, double* out) {
   // stamp()'s limiting prologue; stamp_with_exps reads v_state_ back.
-  double v = prev.node_voltage(anode_) - prev.node_voltage(cathode_);
-  v = pnjlim(v, v_state_, vt_, vcrit_);
-  v_state_ = v;
-  out[0] = v / vt_;
+  const bool limited = limit(prev);
+  out[0] = v_state_ / vt_;
+  return limited;
 }
 
 void Diode::stamp_with_exps(Stamper& stamper, const Unknowns& /*prev*/,

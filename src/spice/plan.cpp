@@ -956,9 +956,8 @@ void run_inner_sweep(SimSession& session, BoundPlan& bound,
 /// outer value applied. The sparse analysis is first pinned at the
 /// reference state, row 0's first point, whenever one ran since the last
 /// row start (`pinned` holds analysis_count() after it; -1 before the
-/// first row): the repivot retry and the growth guard re-analyse inside a
-/// row, so unpinned, a row would inherit pivots from the session's
-/// earlier rows.
+/// first row): the growth guard re-analyses inside a row, so unpinned, a
+/// row would inherit pivots from the session's earlier rows.
 void start_row(SimSession& session, BoundPlan& bound, const Unknowns* seed,
                const std::vector<double>& outer, double inner_first,
                std::size_t o, int& pinned) {

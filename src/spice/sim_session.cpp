@@ -115,8 +115,9 @@ std::size_t linear_prefix(const Circuit& circuit) {
 }
 
 NewtonStep newton_update(const NewtonOptions& opt, int node_unknowns,
-                         bool first_iteration, const double* x_new,
-                         std::size_t stride, Unknowns& x) {
+                         bool first_iteration, bool limited,
+                         const double* x_new, std::size_t stride,
+                         Unknowns& x) {
   const auto n_unknowns = x.size();
   const auto nodes = static_cast<std::size_t>(node_unknowns);
   double* xv = x.raw().data();
@@ -132,7 +133,7 @@ NewtonStep newton_update(const NewtonOptions& opt, int node_unknowns,
 
   // Finiteness is tested on every entry: a NaN fails no max() and no
   // `dx > tol`, so neither the step scale nor the tolerance test sees it.
-  bool converged = !first_iteration;
+  bool converged = !first_iteration && !limited;
   bool finite = true;
   for (std::size_t i = 0; i < n_unknowns; ++i) {
     const double xi = xv[i];
@@ -150,8 +151,7 @@ NewtonStep newton_update(const NewtonOptions& opt, int node_unknowns,
                                    : NewtonStep::kContinue;
 }
 
-bool SimSession::newton_attempt(double gmin, Unknowns& x, int& iterations,
-                                bool repivot) {
+bool SimSession::newton_attempt(double gmin, Unknowns& x, int& iterations) {
   const int node_unknowns = node_unknowns_;
   const NewtonOptions& opt = options_;
   const auto& devices = circuit_->devices();
@@ -180,19 +180,20 @@ bool SimSession::newton_attempt(double gmin, Unknowns& x, int& iterations,
       sa_.restore_checkpoint();
       std::copy(b_linear_.begin(), b_linear_.end(), b_.begin());
     }
+    const int limited_before = st.limited();
     for (std::size_t d = linear_prefix_; d < devices.size(); ++d) {
       devices[d]->stamp(st, x);
     }
 
     try {
-      if (repivot) slu_.invalidate_analysis();
       slu_.refactor(sa_);
     } catch (const NumericalError&) {
       return false;
     }
     slu_.solve_in_place(b_);
     const NewtonStep step =
-        newton_update(opt, node_unknowns, iter == 0, b_.data(), 1, x);
+        newton_update(opt, node_unknowns, iter == 0,
+                      st.limited() != limited_before, b_.data(), 1, x);
     if (step != NewtonStep::kContinue) return step == NewtonStep::kConverged;
   }
   return false;
@@ -215,32 +216,18 @@ const DcResult& SimSession::solve(const Unknowns* initial) {
 
   // Choose the start point: explicit initial > warm-start continuation >
   // cold (all zeros).
-  const auto load_start = [&] {
-    if (initial != nullptr &&
-        initial->size() == static_cast<std::size_t>(n_unknowns_)) {
-      x_ = *initial;
-    } else if (have_last_) {
-      x_ = result_.solution;
-    } else {
-      std::fill(x_.raw().begin(), x_.raw().end(), 0.0);
-    }
-  };
-  load_start();
+  if (initial != nullptr &&
+      initial->size() == static_cast<std::size_t>(n_unknowns_)) {
+    x_ = *initial;
+  } else if (have_last_) {
+    x_ = result_.solution;
+  } else {
+    std::fill(x_.raw().begin(), x_.raw().end(), 0.0);
+  }
 
   // Strategy 1: plain Newton at the floor gmin, along the cached pivot
-  // order. A pivot frozen at an earlier iterate can shrink by orders of
-  // magnitude without failing the LU's singularity screen and leave the
-  // solves too inaccurate to converge, so a failed attempt is retried
-  // once from the same start with fresh pivots every iteration -- what a
-  // dense partial-pivoting LU does -- before the gmin ladder.
-  bool plain = newton_attempt(options_.gmin_floor, x_, result_.iterations);
-  if (!plain) {
-    load_start();
-    for (const auto& dev : circuit_->devices()) dev->reset_state();
-    plain = newton_attempt(options_.gmin_floor, x_, result_.iterations,
-                           /*repivot=*/true);
-  }
-  if (plain) {
+  // order.
+  if (newton_attempt(options_.gmin_floor, x_, result_.iterations)) {
     result_.solution = x_;
     result_.converged = true;
     result_.strategy = "newton";

@@ -93,6 +93,7 @@ void TransientSolver::begin() {
   t_ = 0.0;
   h_next_ = h0_;
   for (auto& h : hist_x_) h = Unknowns(n);
+  pred_ = Unknowns(n);
   hist_head_ = 0;
   hist_count_ = 0;
   push_history(0.0, x_now_);
@@ -105,45 +106,52 @@ void TransientSolver::push_history(double t, const Unknowns& x) {
   if (hist_count_ < 3) ++hist_count_;
 }
 
-double TransientSolver::lte_ratio(const Unknowns& candidate, double h) const {
-  // k-th newest accepted point (k = 0 is the current time t_).
-  const auto at = [this](std::size_t k) -> std::size_t {
-    return (hist_head_ + 3 - k) % 3;
-  };
-  const std::size_t a0 = at(0);
-  const std::size_t a1 = at(1);
-  const bool third_order = spec_.method == IntegrationMethod::kTrapezoidal;
-  const std::size_t a2 = at(2);
+double TransientSolver::predict(double h) {
+  // P interpolates the need_history() newest accepted points; with their
+  // Lagrange weights w at tc, P(tc) = sum_k w_k x_k, unknown by unknown.
+  // Backward Euler's line leaves the oldest weight at 0.
   const double tc = t_ + h;
-  const double t0 = hist_t_[a0];
-  const double t1 = hist_t_[a1];
-  const double t2 = third_order ? hist_t_[a2] : 0.0;
-
-  const int nodes = session_.circuit().node_count() - 1;
-  double worst = 0.0;
-  for (int i = 0; i < nodes; ++i) {
-    const auto ui = static_cast<std::size_t>(i);
-    const double xc = candidate.raw()[ui];
-    const double x0 = hist_x_[a0].raw()[ui];
-    const double x1 = hist_x_[a1].raw()[ui];
-    const double dd1 = (xc - x0) / (tc - t0);
-    const double dd0 = (x0 - x1) / (t0 - t1);
-    const double dd2 = (dd1 - dd0) / (tc - t1);
-    double err;
-    if (third_order) {
-      // Trapezoidal: LTE ~ (h^3 / 12) |x'''|, x''' ~ 6 * dd3.
-      const double x2 = hist_x_[a2].raw()[ui];
-      const double dd0b = (x1 - x2) / (t1 - t2);
-      const double dd2b = (dd0 - dd0b) / (t0 - t2);
-      const double dd3 = (dd2 - dd2b) / (tc - t2);
-      err = 0.5 * h * h * h * std::abs(dd3);
-    } else {
-      // Backward Euler: LTE ~ (h^2 / 2) |x''|, x'' ~ 2 * dd2.
-      err = h * h * std::abs(dd2);
+  const std::size_t points = need_history();
+  std::size_t slot[3];
+  double t[3];
+  for (std::size_t k = 0; k < 3; ++k) {
+    slot[k] = (hist_head_ + 3 - k) % 3;
+    t[k] = hist_t_[slot[k]];
+  }
+  double w[3] = {0.0, 0.0, 0.0};
+  double span = 1.0;  // prod_k (tc - t_k)
+  for (std::size_t k = 0; k < points; ++k) {
+    w[k] = 1.0;
+    for (std::size_t j = 0; j < points; ++j) {
+      if (j != k) w[k] *= (tc - t[j]) / (t[k] - t[j]);
     }
+    span *= tc - t[k];
+  }
+  const double* x0 = hist_x_[slot[0]].raw().data();
+  const double* x1 = hist_x_[slot[1]].raw().data();
+  const double* x2 = hist_x_[slot[2]].raw().data();
+  double* p = pred_.raw().data();
+  for (std::size_t i = 0; i < pred_.size(); ++i) {
+    p[i] = w[0] * x0[i] + w[1] * x1[i] + w[2] * x2[i];
+  }
+  // x_c - P(tc) = f[tc, t0, ...] * span, with f the divided difference
+  // over the candidate and the history points. Trapezoidal: LTE ~
+  // (h^3 / 12) |x'''| with x''' ~ 6 f[tc, t0, t1, t2]; backward Euler:
+  // LTE ~ (h^2 / 2) |x''| with x'' ~ 2 f[tc, t0, t1].
+  return (order() == 2 ? 0.5 * h * h * h : h * h) / span;
+}
+
+double TransientSolver::lte_ratio(const Unknowns& candidate, double c) const {
+  const double* xc = candidate.raw().data();
+  const double* p = pred_.raw().data();
+  const double* x0 = hist_x_[hist_head_].raw().data();  // the point at t_
+  const auto nodes =
+      static_cast<std::size_t>(session_.circuit().node_count() - 1);
+  double worst = 0.0;
+  for (std::size_t i = 0; i < nodes; ++i) {
     const double tol =
-        kLteAbstol + kLteReltol * std::max(std::abs(xc), std::abs(x0));
-    worst = std::max(worst, err / tol);
+        kLteAbstol + kLteReltol * std::max(std::abs(xc[i]), std::abs(x0[i]));
+    worst = std::max(worst, c * std::abs(xc[i] - p[i]) / tol);
   }
   return worst;
 }
@@ -179,7 +187,12 @@ bool TransientSolver::advance() {
         (spec_.adaptive && restart_) ? IntegrationMethod::kBackwardEuler
                                      : spec_.method;
     for (DynamicDevice* d : dynamic_) d->begin_step(step_method, h);
-    const DcResult& r = session_.solve();
+    // The history polynomial at t_candidate gives the error estimate and,
+    // except right after a restart, the Newton start.
+    const bool predicted = spec_.adaptive && hist_count_ >= need_history();
+    const double lte_scale = predicted ? predict(h) : 0.0;
+    const DcResult& r =
+        session_.solve(predicted && !restart_ ? &pred_ : nullptr);
     newton_iterations_ += r.iterations;
     if (!r.converged) {
       if (h <= hmin_ * 1.0001) {
@@ -192,15 +205,9 @@ bool TransientSolver::advance() {
       continue;
     }
 
-    // The divided-difference estimate needs need_history() accepted points
-    // besides the candidate: the initial point plus accepted_ steps.
     double ratio = 0.0;
-    bool have_ratio = false;
-    if (spec_.adaptive &&
-        accepted_ + 1 >= static_cast<long>(need_history()) &&
-        hist_count_ >= need_history()) {
-      ratio = lte_ratio(r.solution, h);
-      have_ratio = true;
+    if (predicted) {
+      ratio = lte_ratio(r.solution, lte_scale);
       if (ratio > 1.0 && h > hmin_ * 1.0001) {
         ++rejected_;
         const double f =
@@ -222,7 +229,7 @@ bool TransientSolver::advance() {
     } else if (hit_breakpoint) {
       ++bp_index_;
       h_next_ = h0_;  // restart small after a slope discontinuity
-    } else if (!have_ratio) {
+    } else if (!predicted) {
       h_next_ = h0_;  // not enough history to trust the estimate yet
     } else {
       const double f =

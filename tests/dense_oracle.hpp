@@ -132,7 +132,9 @@ class DenseOracle {
       }
       const double scale =
           max_node_dx > kMaxStepVolts ? kMaxStepVolts / max_node_dx : 1.0;
-      bool converged = iter > 0 && scale == 1.0;
+      // The sessions' noncon rule: an iteration whose stamps limited a
+      // junction is not converged.
+      bool converged = iter > 0 && scale == 1.0 && st.limited() == 0;
       for (std::size_t i = 0; i < n_; ++i) {
         const double xi = x.raw()[i];
         const double xn = xi + scale * (b[i] - xi);

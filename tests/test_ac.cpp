@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "icvbe/common/constants.hpp"
 #include "icvbe/spice/netlist.hpp"
 #include "icvbe/spice/netlist_gen.hpp"
 #include "icvbe/spice/plan.hpp"
@@ -26,6 +27,7 @@
 #include "icvbe/testing/alloc_hook.hpp"
 
 #include "dense_oracle.hpp"
+#include "serve_deck.hpp"
 
 namespace icvbe::spice {
 namespace {
@@ -299,6 +301,21 @@ TEST(AcAnalysis, DenseAndSparseAgreeOnGeneratedLadderDeck) {
     EXPECT_NEAR(v.imag(), sparse.value(1, i), 1e-10 * scale)
         << "VI row " << i;
   }
+}
+
+TEST(AcAnalysis, ServeDeckLinearisesAboutItsRealOperatingPoint) {
+  // The serve_mixed benchmark deck's .AC: the sweep linearises about the
+  // cold operating point, V(n200) = 0.668 V on the PNP's knee. About the
+  // point Newton once accepted on a limited iterate (V(n200) ~ 1 V, KCL
+  // off by amps), |V(n200)| at 1 kHz read 2e-7.
+  auto parsed = parse_netlist(testdeck::serve_deck());
+  parsed.circuit->set_temperature(to_kelvin(parsed.temperature_celsius));
+  SimSession session(*parsed.circuit);
+  const AnalysisPlan& plan = *parsed.find_plan(AnalysisKind::kAc);
+  ASSERT_EQ(plan.probes.front().to_string(), "V(n200)");
+  const SweepResult r = session.run(plan);
+  ASSERT_DOUBLE_EQ(r.axis_value(0, 0), 1e3);
+  EXPECT_NEAR(r.value(0, 0), 0.0690, 0.00005);
 }
 
 TEST(AcAnalysis, GeneratedLadderSweepRunsOneComplexAnalysis) {

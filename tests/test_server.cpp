@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <functional>
 #include <map>
@@ -57,6 +58,17 @@ V1 in 0 PULSE(0 1 1u 1u 1u 10u 40u)
 R1 in out 1k
 C1 out 0 1n
 .TRAN 0.5u 2m
+.PROBE V(out)
+)";
+
+// kLongTranDeck run four times as long, for the cancel test: one
+// socket's worth of its DATA frames (4791 rows under Linux's default
+// 208 KiB AF_UNIX send buffer) is then well under half of the run.
+const char* kCancelTranDeck = R"(
+V1 in 0 PULSE(0 1 1u 1u 1u 10u 40u)
+R1 in out 1k
+C1 out 0 1n
+.TRAN 0.5u 8m
 .PROBE V(out)
 )";
 
@@ -457,16 +469,30 @@ TEST_F(ServerTest, AcAfterADcSweepOnTheSameSessionMatchesAColdAcRun) {
 TEST_F(ServerTest, CancelMidRunStopsStreamingAndKeepsTheSessionUsable) {
   start();
   Client client = connect();
-  (void)client.load("tran", kLongTranDeck);
+  (void)client.load("tran", kCancelTranDeck);
 
   // Cancel from inside the stream after a handful of rows -- the
-  // interactive front-end gesture.
+  // interactive front-end gesture. The handler then stops reading until
+  // the server has read the CANCEL: meanwhile the run's DATA frames fill
+  // the socket and its next write blocks, so the cancel lands within one
+  // socket's worth of rows however slowly the host schedules the
+  // server's reader, instead of racing a worker free to stream the run.
+  // (The wait gives up after a second: a reader that is itself writing
+  // held rows into the full socket reads the CANCEL only once the client
+  // drains it.)
   class CancelAfter : public RunHandler {
    public:
     CancelAfter(Client& c, std::string id) : client_(c), id_(std::move(id)) {}
     void on_data(std::size_t, const std::vector<double>&,
                  const std::vector<double>&) override {
-      if (++rows_ == 5) client_.cancel(id_);
+      if (++rows_ != 5) return;
+      client_.cancel(id_);
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(1);
+      while (client_.unread_by_server() > 0 &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+      }
     }
     Client& client_;
     std::string id_;
@@ -479,9 +505,9 @@ TEST_F(ServerTest, CancelMidRunStopsStreamingAndKeepsTheSessionUsable) {
   EXPECT_EQ(r.outcome, RunOutcome::kCancelled);
 
   const spice::SweepResult full =
-      local_run(kLongTranDeck, spice::AnalysisKind::kTransient);
+      local_run(kCancelTranDeck, spice::AnalysisKind::kTransient);
   // Cancellation is cooperative at row granularity plus stream latency,
-  // but it must land far before the end of a 4000-point transient.
+  // but it must land far before the end of a 16000-point transient.
   EXPECT_GE(handler.rows_, 5u);
   EXPECT_LT(handler.rows_, full.rows() / 2);
   EXPECT_LT(r.rows, full.rows() / 2);

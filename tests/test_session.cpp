@@ -504,7 +504,7 @@ TEST(NewtonUpdateTest, NonFiniteIterateDiverges) {
         Unknowns x(x0.size());
         x.raw() = x0;
         EXPECT_EQ(newton_update(opt, nodes, /*first_iteration=*/false,
-                                x_new.data(), stride, x),
+                                /*limited=*/false, x_new.data(), stride, x),
                   NewtonStep::kDiverged);
       }
     }

@@ -20,6 +20,7 @@
 #include "icvbe/spice/plan.hpp"
 #include "icvbe/spice/sim_session.hpp"
 #include "kcl_check.hpp"
+#include "serve_deck.hpp"
 
 namespace icvbe::spice {
 namespace {
@@ -364,12 +365,15 @@ TEST(DcSolver, StrategyReportedOnEasyCircuit) {
 // ------------------------------------------------------------ KCL check ---
 
 /// The DC operating point of a parsed deck, solved as `icvbe simulate`
-/// does: at the deck temperature, from its .NODESET guess.
-::testing::AssertionResult operating_point_passes_kcl(ParsedNetlist parsed) {
+/// does: at the deck temperature, from its .NODESET guess (a cold start
+/// without one). A non-null `point` receives it.
+::testing::AssertionResult operating_point_passes_kcl(
+    ParsedNetlist& parsed, Unknowns* point = nullptr) {
   Circuit& c = *parsed.circuit;
   c.set_temperature(to_kelvin(parsed.temperature_celsius));
   const Unknowns guess = parsed.nodeset_guess();
   const Unknowns x = SimSession(c).solve_or_throw(&guess);
+  if (point != nullptr) *point = x;
   const kcl::KclResult r = kcl::check_kcl(c, x);
   if (r.ok) return ::testing::AssertionSuccess();
   return ::testing::AssertionFailure()
@@ -387,8 +391,8 @@ TEST(KclCheck, EveryExampleDeckOperatingPointPasses) {
   ASSERT_GE(decks.size(), 8u);
   for (const auto& deck : decks) {
     std::ifstream in(deck);
-    EXPECT_TRUE(operating_point_passes_kcl(parse_netlist(in)))
-        << deck.filename();
+    ParsedNetlist parsed = parse_netlist(in);
+    EXPECT_TRUE(operating_point_passes_kcl(parsed)) << deck.filename();
   }
 }
 
@@ -402,8 +406,8 @@ TEST(KclCheck, GeneratedDeckOperatingPointsPass) {
         spec.topology = topology;
         spec.nodes = nodes;
         spec.seed = seed;
-        EXPECT_TRUE(
-            operating_point_passes_kcl(parse_netlist(generate_netlist(spec))))
+        ParsedNetlist parsed = parse_netlist(generate_netlist(spec));
+        EXPECT_TRUE(operating_point_passes_kcl(parsed))
             << topology_name(topology) << " " << nodes << " nodes, seed "
             << seed;
       }
@@ -412,9 +416,10 @@ TEST(KclCheck, GeneratedDeckOperatingPointsPass) {
 }
 
 TEST(KclCheck, NonconPointOfTheSaturatedNpnFails) {
-  // The point a cold solve of this deck returns, as `icvbe simulate`
-  // printed it: V(b) sits 1.86 V above ground, so the base junction would
-  // carry ~1e13 A that no other device at node b returns.
+  // The point a cold solve of this deck returned while Newton could
+  // converge on a limited iterate, as `icvbe simulate` printed it: V(b)
+  // sits 1.86 V above ground, so the base junction would carry ~1e13 A
+  // that no other device at node b returns.
   ParsedNetlist parsed = parse_netlist(
       "V1 vcc 0 2\n"
       "Q1 c b 0 NPN1\n"
@@ -435,6 +440,48 @@ TEST(KclCheck, NonconPointOfTheSaturatedNpnFails) {
   EXPECT_FALSE(r.ok);
   EXPECT_EQ(r.worst_node, c.find_node("b"));
   EXPECT_GT(r.residual, 1e12);
+}
+
+TEST(KclCheck, SaturatedNpnSolvesColdToACertifiedPoint) {
+  // The deck of NonconPointOfTheSaturatedNpnFails: no iteration whose
+  // stamps limited a junction counts as converged, so Newton walks on to
+  // the real operating point.
+  ParsedNetlist parsed = parse_netlist(
+      "V1 vcc 0 2\n"
+      "Q1 c b 0 NPN1\n"
+      "R1 vcc c 10k\n"
+      "R2 c b 87.3k\n"
+      "R3 b 0 1.27MEG\n"
+      ".MODEL NPN1 NPN (IS=1e-16 BF=100)\n");
+  Unknowns x;
+  EXPECT_TRUE(operating_point_passes_kcl(parsed, &x));
+  EXPECT_NEAR(x.node_voltage(parsed.circuit->find_node("b")), 0.717573,
+              1e-6);
+}
+
+TEST(KclCheck, DiodeConnectedNpnSolvesColdToACertifiedPoint) {
+  // The paper's own structure: VBE read off a diode-connected NPN fed
+  // through a resistor.
+  ParsedNetlist parsed = parse_netlist(
+      "V1 vcc 0 2\n"
+      "R1 vcc b 10k\n"
+      "Q1 b b 0 NPN1\n"
+      ".MODEL NPN1 NPN (IS=1e-16 BF=100)\n");
+  Unknowns x;
+  EXPECT_TRUE(operating_point_passes_kcl(parsed, &x));
+  Circuit& c = *parsed.circuit;
+  EXPECT_NEAR(x.node_voltage(c.find_node("b")), 0.720786, 1e-6);
+  EXPECT_NEAR(c.get<VoltageSource>("V1").terminals(x).pin[0].amps,
+              -127.92e-6, 0.01e-6);
+}
+
+TEST(KclCheck, ServeDeckColdOperatingPointIsCertified) {
+  // The serve_mixed benchmark deck: its TRAN and AC runs start here.
+  ParsedNetlist parsed = parse_netlist(testdeck::serve_deck());
+  Unknowns x;
+  EXPECT_TRUE(operating_point_passes_kcl(parsed, &x));
+  EXPECT_NEAR(x.node_voltage(parsed.circuit->find_node("n200")), 0.667734,
+              1e-6);
 }
 
 }  // namespace
