@@ -3,15 +3,15 @@
 //
 // Two shapes of concurrency exist in the repository and both live here:
 //
-//  * fan_out(): the one-shot deterministic fanout the parallel analysis
-//    paths use (plan.cpp 2-axis rows, plan.cpp AC frequency points,
-//    lab::LotCampaign dies). N workers run the same callable to
-//    completion; the callable pulls work indices from a caller-owned
-//    atomic counter and writes only its own preallocated result slots, so
-//    results are bit-identical for any worker count -- scheduling decides
-//    who computes an item, never what it yields. fan_out only owns the
-//    thread lifecycle and exception capture; the deterministic work
-//    partitioning stays at the call site.
+//  * for_each_index(): the one work loop of the parallel analysis paths
+//    (plan.cpp 2-axis rows and AC frequency points, lab::LotCampaign die
+//    groups). Workers claim indices from one shared counter and run
+//    body(state, i) on their own per-worker state; every item writes only
+//    its own preallocated result slots, so results are bit-identical for
+//    any worker count -- scheduling decides who computes an item, never
+//    what it yields. The call sites say only what one item is and what a
+//    worker needs to compute it; claiming, cancellation, the thread
+//    lifecycle and exception capture are the scheduler's.
 //
 //  * ThreadPool: a persistent pool with a job queue, built for the
 //    long-lived SimServer -- analyses arrive over connections at any time
@@ -21,10 +21,12 @@
 //    inputs (the SimSession discipline), so which worker executes it is
 //    irrelevant.
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
+#include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -35,16 +37,57 @@ namespace icvbe::common {
 /// Resolve a thread-count request: 0 = hardware_concurrency (min 1).
 [[nodiscard]] unsigned resolve_thread_count(unsigned requested) noexcept;
 
-/// Run `worker` on `threads` threads and join them all. threads <= 1 runs
-/// the callable inline on the calling thread (no spawn), which is what
-/// keeps serial analysis paths on the session's own thread. If workers
-/// throw, every worker still runs to completion and the first captured
-/// exception is rethrown in the caller afterwards.
-///
-/// The callable is invoked once per worker and must be safe to run
-/// concurrently with itself; deterministic work partitioning (shared
-/// atomic counter + per-item result slots) is the caller's job.
-void fan_out(unsigned threads, const std::function<void()>& worker);
+/// Run body(state, i) for every i in [0, n) on min(threads, n) workers
+/// (threads 0 = hardware_concurrency), the calling thread being one of
+/// them: a single worker spawns nothing, which keeps serial analyses on
+/// the caller's own session. Workers claim indices in increasing order
+/// from one shared counter; each builds its state with make(workers) on
+/// its first claimed index and keeps it for the rest. Once `*cancelled`
+/// is set no worker claims another index. A throwing body stops its own
+/// worker only; the first exception is rethrown once every worker has
+/// joined. body must be safe to run concurrently on distinct states.
+template <typename Make, typename Body>
+void for_each_index(std::size_t n, unsigned threads, Make&& make,
+                    Body&& body,
+                    const std::atomic<bool>* cancelled = nullptr) {
+  const auto workers = static_cast<unsigned>(
+      std::min<std::size_t>(resolve_thread_count(threads), n));
+  std::atomic<std::size_t> next{0};
+  const auto claim = [&]() -> std::size_t {
+    if (cancelled != nullptr && cancelled->load(std::memory_order_relaxed)) {
+      return n;
+    }
+    return next.fetch_add(1, std::memory_order_relaxed);
+  };
+  std::mutex error_mutex;
+  std::exception_ptr first_error;
+  const auto worker = [&]() {
+    try {
+      std::size_t i = claim();
+      if (i >= n) return;
+      auto state = make(workers);
+      do {
+        body(state, i);
+      } while ((i = claim()) < n);
+    } catch (...) {
+      const std::lock_guard<std::mutex> lock(error_mutex);
+      if (!first_error) first_error = std::current_exception();
+    }
+  };
+  std::vector<std::thread> crew;
+  for (unsigned t = 1; t < workers; ++t) {
+    // If creation fails, the crew so far finishes every index with the
+    // same results; throwing would destroy joinable threads.
+    try {
+      crew.emplace_back(worker);
+    } catch (...) {
+      break;
+    }
+  }
+  worker();
+  for (auto& t : crew) t.join();
+  if (first_error) std::rethrow_exception(first_error);
+}
 
 /// Fixed-size worker pool over a FIFO job queue.
 ///
@@ -68,17 +111,6 @@ class ThreadPool {
   /// Enqueue a job. Throws icvbe::Error if the pool is stopping.
   void submit(std::function<void()> job);
 
-  /// Workers in the pool.
-  [[nodiscard]] unsigned size() const noexcept {
-    return static_cast<unsigned>(workers_.size());
-  }
-  /// Jobs queued but not yet started (snapshot).
-  [[nodiscard]] std::size_t queued() const;
-  /// Jobs currently executing (snapshot).
-  [[nodiscard]] std::size_t running() const noexcept {
-    return running_.load(std::memory_order_relaxed);
-  }
-
   /// Stop accepting jobs, run the queue dry, join the workers.
   /// Idempotent. Queued jobs still execute -- a server shutdown first
   /// flips the per-run cancel flags, so drained jobs finish fast.
@@ -87,12 +119,11 @@ class ThreadPool {
  private:
   void worker_loop();
 
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::mutex join_mutex_;  ///< serialises stop_and_join() callers
   std::condition_variable cv_;
   std::deque<std::function<void()>> queue_;
   std::vector<std::thread> workers_;
-  std::atomic<std::size_t> running_{0};
   bool stopping_ = false;
 };
 

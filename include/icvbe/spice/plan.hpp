@@ -16,9 +16,10 @@
 // `to_string` round-trip), written into a netlist deck (.DC / .STEP /
 // .PROBE), and sharded across threads. Execution lives on the session:
 // `SimSession::run(plan)` warm-starts along the innermost axis and, for
-// 2-axis plans, can fan outer-axis rows across a thread pool using
-// per-thread circuit clones (same deterministic-fanout discipline as
-// lab::LotCampaign -- results are bit-identical for any thread count).
+// 2-axis plans, can fan outer-axis rows across worker threads using
+// per-thread circuit clones (common::for_each_index, the work loop
+// lab::LotCampaign shares -- results are bit-identical for any thread
+// count).
 
 #include <algorithm>
 #include <cstddef>
@@ -452,7 +453,7 @@ class SweepResult {
 
   [[nodiscard]] std::size_t rows() const noexcept { return rows_; }
   [[nodiscard]] std::size_t probe_count() const noexcept {
-    return columns_.size();
+    return probe_labels_.size();
   }
   [[nodiscard]] std::size_t axis_count() const noexcept {
     return outer_.empty() ? 1 : 2;
@@ -474,7 +475,9 @@ class SweepResult {
   [[nodiscard]] double axis_value(std::size_t axis, std::size_t row) const;
   /// Probe column value at a row.
   [[nodiscard]] double value(std::size_t probe, std::size_t row) const {
-    return columns_.at(probe).at(row);
+    ICVBE_REQUIRE(probe < probe_count() && row < rows_,
+                  "SweepResult::value: index out of range");
+    return values_[row * probe_count() + probe];
   }
 
   /// 1-axis plans: Series of one probe over the axis.
@@ -486,15 +489,19 @@ class SweepResult {
   /// CSV via the shared common/csv writer.
   void write_csv(std::ostream& os) const;
 
+  /// The one writer of results: every analysis fills, streams and
+  /// cancels its rows through it (internal; defined in src/spice/rows.hpp).
+  class RowSink;
+
  private:
-  friend class SimSession;
-  friend class TransientSolver;
   std::size_t rows_ = 0;
   std::vector<double> outer_;  ///< empty for 1-axis plans
   std::vector<double> inner_;
   std::vector<std::string> axis_labels_;
   std::vector<std::string> probe_labels_;
-  std::vector<std::vector<double>> columns_;  ///< [probe][row]
+  /// Row-major: probe p of row r at [r * probe_count() + p], so a finished
+  /// row is one contiguous span (what RunObserver::on_row receives).
+  std::vector<double> values_;
 };
 
 }  // namespace icvbe::spice

@@ -15,6 +15,7 @@
 // session), run() on an AnalysisPlan (plan.hpp) for every sweep, transient
 // and AC analysis.
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -301,14 +302,15 @@ class SimSession {
   linalg::ComplexVector cb_;
   linalg::ComplexSparseMatrix csa_;
   linalg::ComplexSparseLuFactorization cslu_;
-  // The symbolic analysis is pinned to the first frequency a
-  // session stamped (the sweep's "prime"): if a later point's refactor
-  // collapsed the frozen pivots and re-analysed, the next solve_ac
-  // re-pins at this omega first, so every point's factorisation is a
-  // pure function of (op, omega, prime omega) -- never of sweep order or
-  // worker scheduling (the bit-identity discipline; see run_ac).
-  double ac_prime_omega_ = 0.0;
-  int ac_pinned_analysis_ = 0;
+  // The symbolic analysis is pinned to the "prime": the first frequency
+  // the session stamped, or the sweep's first one that run_ac sets. When
+  // the live analysis is not the one pinned there (a new pin, or a later
+  // point's refactor that collapsed the frozen pivots and re-analysed),
+  // the next solve_ac re-pins at the prime first, so every point's
+  // factorisation is a pure function of (op, omega, prime omega) -- never
+  // of sweep order or worker scheduling (the bit-identity discipline).
+  std::optional<double> ac_prime_omega_;
+  int ac_pinned_analysis_ = -1;  ///< analysis_count() at the last pin
 
   Unknowns x_;        ///< working iterate
   Unknowns x_stage_;  ///< gmin / source stepping iterate

@@ -1,6 +1,5 @@
 #include "icvbe/common/thread_pool.hpp"
 
-#include <exception>
 #include <utility>
 
 #include "icvbe/common/error.hpp"
@@ -11,28 +10,6 @@ unsigned resolve_thread_count(unsigned requested) noexcept {
   if (requested != 0) return requested;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1u : hw;
-}
-
-void fan_out(unsigned threads, const std::function<void()>& worker) {
-  if (threads <= 1) {
-    worker();
-    return;
-  }
-  std::mutex error_mutex;
-  std::exception_ptr first_error;
-  auto guarded = [&]() {
-    try {
-      worker();
-    } catch (...) {
-      const std::lock_guard<std::mutex> lock(error_mutex);
-      if (!first_error) first_error = std::current_exception();
-    }
-  };
-  std::vector<std::thread> pool;
-  pool.reserve(threads);
-  for (unsigned t = 0; t < threads; ++t) pool.emplace_back(guarded);
-  for (auto& t : pool) t.join();
-  if (first_error) std::rethrow_exception(first_error);
 }
 
 ThreadPool::ThreadPool(unsigned threads) {
@@ -52,11 +29,6 @@ void ThreadPool::submit(std::function<void()> job) {
     queue_.push_back(std::move(job));
   }
   cv_.notify_one();
-}
-
-std::size_t ThreadPool::queued() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return queue_.size();
 }
 
 void ThreadPool::stop_and_join() {
@@ -84,7 +56,6 @@ void ThreadPool::worker_loop() {
       if (queue_.empty()) return;
       job = std::move(queue_.front());
       queue_.pop_front();
-      running_.fetch_add(1, std::memory_order_relaxed);
     }
     try {
       job();
@@ -92,7 +63,6 @@ void ThreadPool::worker_loop() {
       // Jobs own their error reporting; a throwing job must not take the
       // worker down.
     }
-    running_.fetch_sub(1, std::memory_order_relaxed);
   }
 }
 

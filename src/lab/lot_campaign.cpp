@@ -1,9 +1,7 @@
 #include "icvbe/lab/lot_campaign.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <optional>
 
 #include "icvbe/common/constants.hpp"
 #include "icvbe/common/thread_pool.hpp"
@@ -109,24 +107,16 @@ std::vector<DieCharacterisation> LotCampaign::run() const {
   std::vector<DieCharacterisation> results(n);
 
   // One die loop: workers claim groups of kBatchLanes consecutive dies
-  // from one counter and run them on their own lanes. Dies write only
-  // their own slots: scheduling decides who, never what.
+  // and run them on their own lanes. Dies write only their own slots:
+  // scheduling decides who, never what.
   constexpr std::size_t width = linalg::kBatchLanes;
-  const std::size_t groups = (n + width - 1) / width;
-  unsigned threads = common::resolve_thread_count(config_.threads);
-  threads = std::min<unsigned>(threads, static_cast<unsigned>(groups));
-
-  std::atomic<std::size_t> next{0};
-  common::fan_out(threads, [&]() {
-    std::optional<protocol::LaneGroup> lanes;  // built on first use
-    for (;;) {
-      const std::size_t g = next.fetch_add(1, std::memory_order_relaxed);
-      if (g >= groups) break;
-      const std::size_t first = g * width;
-      if (!lanes) lanes.emplace(*this, results);
-      lanes->run(first, std::min(width, n - first));
-    }
-  });
+  common::for_each_index(
+      (n + width - 1) / width, config_.threads,
+      [&](unsigned) { return protocol::LaneGroup(*this, results); },
+      [&](protocol::LaneGroup& lanes, std::size_t g) {
+        const std::size_t first = g * width;
+        lanes.run(first, std::min(width, n - first));
+      });
   return results;
 }
 

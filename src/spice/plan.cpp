@@ -1,11 +1,9 @@
 #include "icvbe/spice/plan.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cctype>
 #include <cstdlib>
-#include <exception>
 #include <optional>
 #include <ostream>
 #include <sstream>
@@ -16,6 +14,7 @@
 #include "icvbe/common/thread_pool.hpp"
 #include "icvbe/spice/netlist.hpp"
 #include "icvbe/spice/transient.hpp"
+#include "rows.hpp"
 
 namespace icvbe::spice {
 
@@ -583,15 +582,15 @@ Series SweepResult::series(std::size_t probe) const {
                 "SweepResult::series: 2-axis result, use series_family()");
   Series s(probe_labels_.at(probe));
   s.reserve(rows_);
-  const std::vector<double>& col = columns_.at(probe);
-  for (std::size_t i = 0; i < rows_; ++i) s.push_back(inner_[i], col[i]);
+  for (std::size_t i = 0; i < rows_; ++i) {
+    s.push_back(inner_[i], value(probe, i));
+  }
   return s;
 }
 
 std::vector<Series> SweepResult::series_family(std::size_t probe) const {
   ICVBE_REQUIRE(!outer_.empty(),
                 "SweepResult::series_family: 1-axis result, use series()");
-  const std::vector<double>& col = columns_.at(probe);
   std::vector<Series> out;
   out.reserve(outer_.size());
   const std::size_t inner_n = inner_.size();
@@ -600,7 +599,7 @@ std::vector<Series> SweepResult::series_family(std::size_t probe) const {
              format_sig(outer_[o], 6));
     s.reserve(inner_n);
     for (std::size_t i = 0; i < inner_n; ++i) {
-      s.push_back(inner_[i], col[o * inner_n + i]);
+      s.push_back(inner_[i], value(probe, o * inner_n + i));
     }
     out.push_back(std::move(s));
   }
@@ -618,8 +617,8 @@ Table SweepResult::table() const {
     for (std::size_t a = 0; a < n_axes; ++a) {
       row.push_back(format_sig(axis_value(a, r), 6));
     }
-    for (std::size_t p = 0; p < columns_.size(); ++p) {
-      row.push_back(format_sig(columns_[p][r], 6));
+    for (std::size_t p = 0; p < probe_count(); ++p) {
+      row.push_back(format_sig(value(p, r), 6));
     }
     t.add_row(std::move(row));
   }
@@ -629,20 +628,21 @@ Table SweepResult::table() const {
 void SweepResult::write_csv(std::ostream& os) const {
   std::vector<std::string> header = axis_labels_;
   header.insert(header.end(), probe_labels_.begin(), probe_labels_.end());
-  // Expand the axis grids into per-row columns, then defer to the shared
-  // writer.
-  std::vector<std::vector<double>> axis_cols(axis_count());
-  for (std::size_t a = 0; a < axis_cols.size(); ++a) {
-    axis_cols[a].resize(rows_);
-    for (std::size_t r = 0; r < rows_; ++r) {
-      axis_cols[a][r] = axis_value(a, r);
+  // Expand the axis grids and the row-major values into per-row columns,
+  // then defer to the shared writer.
+  const std::size_t n_axes = axis_count();
+  std::vector<std::vector<double>> cols(n_axes + probe_count(),
+                                        std::vector<double>(rows_));
+  for (std::size_t r = 0; r < rows_; ++r) {
+    for (std::size_t a = 0; a < n_axes; ++a) cols[a][r] = axis_value(a, r);
+    for (std::size_t p = 0; p < probe_count(); ++p) {
+      cols[n_axes + p][r] = value(p, r);
     }
   }
-  std::vector<const std::vector<double>*> cols;
-  cols.reserve(axis_cols.size() + columns_.size());
-  for (const auto& c : axis_cols) cols.push_back(&c);
-  for (const auto& c : columns_) cols.push_back(&c);
-  csv::write_columns(os, header, cols);
+  std::vector<const std::vector<double>*> ptrs;
+  ptrs.reserve(cols.size());
+  for (const auto& c : cols) ptrs.push_back(&c);
+  csv::write_columns(os, header, ptrs);
 }
 
 // ----------------------------------------------------- plan execution ---
@@ -859,51 +859,37 @@ double eval_compiled_ac(const CompiledProbe& probe,
   });
 }
 
-/// Everything one executor (the session itself or a per-thread clone)
-/// needs to run rows of a plan.
+/// The session one for_each_index worker runs on: the parent itself when
+/// the run has a single worker, else a private clone of its circuit under
+/// the same NewtonOptions.
+struct Executor {
+  Executor(SimSession& parent, const NewtonOptions& options,
+           unsigned workers)
+      : session(&parent) {
+    if (workers > 1) {
+      session = &own.emplace(clone.emplace(parent.circuit().clone()), options);
+    }
+  }
+
+  std::optional<Circuit> clone;
+  std::optional<SimSession> own;
+  SimSession* session;
+};
+
+/// Everything one executor needs to run rows of a sweep plan.
 struct BoundPlan {
   BoundParam outer;  ///< 1-axis plans: the inner axis again, unused
   BoundParam inner;
   CompiledProbeSet probes;
-  std::vector<double> probe_row;  ///< staging row for RunObserver delivery
 
   BoundPlan(const AnalysisPlan& plan, Circuit& circuit)
       : outer(plan.axes.front().param(), circuit),
         inner(plan.axes.back().param(), circuit),
-        probes(plan.probes, circuit),
-        probe_row(plan.probes.size(), 0.0) {}
+        probes(plan.probes, circuit) {}
 };
 
-/// Shared streaming state of one run() execution: the observer (may be
-/// null) plus the cooperative cancel flag every executor -- the session
-/// itself or the parallel workers -- polls. Cancellation can only
-/// originate from the observer, so a null observer makes the whole
-/// streaming path a no-op and keeps the per-point loop allocation-free
-/// and bit-identical to the pre-streaming code.
-struct ObserverStream {
-  RunObserver* observer = nullptr;
-  std::atomic<bool> cancelled{false};
-
-  [[nodiscard]] bool active() const noexcept { return observer != nullptr; }
-
-  /// Deliver one completed row; throws CancelledError if this or any
-  /// other executor was cancelled. Safe to call from worker threads (the
-  /// RunObserver contract makes on_row implementations synchronise).
-  void deliver(std::size_t row, const double* axes, std::size_t axis_count,
-               const double* probes, std::size_t probe_count,
-               const std::string& run_name) {
-    if (cancelled.load(std::memory_order_relaxed)) {
-      throw CancelledError(run_name + ": cancelled");
-    }
-    if (!observer->on_row(row, axes, axis_count, probes, probe_count)) {
-      cancelled.store(true, std::memory_order_relaxed);
-      throw CancelledError(run_name + ": cancelled by observer");
-    }
-  }
-};
-
-/// Sweep the inner axis once, filling rows [row_base, row_base + n) of the
-/// result columns. Allocation-free per point on the happy path.
+/// Sweep the inner axis once, filling outer row `o` of the grid (row 0
+/// of a 1-axis plan). Allocation-free per point on the happy path.
 ///
 /// If a point fails to converge and the run carries a seed (the warm
 /// start live when run() was called, e.g. .NODESET hints or an analytic
@@ -913,41 +899,26 @@ struct ObserverStream {
 /// pure continuation slides into the wrong basin; the retry is
 /// deterministic, so thread-count invariance is preserved.
 void run_inner_sweep(SimSession& session, BoundPlan& bound,
-                     const AnalysisPlan& plan,
-                     const std::vector<double>& inner_values,
-                     std::size_t row_base, const Unknowns* seed,
-                     std::vector<std::vector<double>>& columns,
-                     ObserverStream& stream,
-                     const double* outer_value = nullptr) {
-  for (std::size_t j = 0; j < inner_values.size(); ++j) {
-    bound.inner.apply(inner_values[j]);
+                     const AnalysisPlan& plan, SweepResult::RowSink& sink,
+                     std::size_t o, const Unknowns* seed) {
+  const std::vector<double>& inner = sink.inner();
+  for (std::size_t j = 0; j < inner.size(); ++j) {
+    bound.inner.apply(inner[j]);
     const DcResult* r = &session.solve();
     if (!r->converged && seed != nullptr) {
       session.begin_variant();
       session.seed_warm_start(*seed);
-      bound.inner.apply(inner_values[j]);
+      bound.inner.apply(inner[j]);
       r = &session.solve();
     }
     if (!r->converged) {
       throw NumericalError(plan.name + ": DC solve failed at " +
                            plan.axes.back().label() + "=" +
-                           format_sig(inner_values[j], 6));
+                           format_sig(inner[j], 6));
     }
-    const std::size_t row = row_base + j;
-    for (std::size_t p = 0; p < bound.probes.size(); ++p) {
-      columns[p][row] = bound.probes.eval(p, r->solution);
-    }
-    if (stream.active()) {
-      double axes[2];
-      std::size_t axis_count = 0;
-      if (outer_value != nullptr) axes[axis_count++] = *outer_value;
-      axes[axis_count++] = inner_values[j];
-      for (std::size_t p = 0; p < bound.probes.size(); ++p) {
-        bound.probe_row[p] = columns[p][row];
-      }
-      stream.deliver(row, axes, axis_count, bound.probe_row.data(),
-                     bound.probe_row.size(), plan.name);
-    }
+    sink.put(o * inner.size() + j, [&](std::size_t p) {
+      return bound.probes.eval(p, r->solution);
+    });
   }
 }
 
@@ -959,8 +930,8 @@ void run_inner_sweep(SimSession& session, BoundPlan& bound,
 /// first row): the growth guard re-analyses inside a row, so unpinned, a
 /// row would inherit pivots from the session's earlier rows.
 void start_row(SimSession& session, BoundPlan& bound, const Unknowns* seed,
-               const std::vector<double>& outer, double inner_first,
-               std::size_t o, int& pinned) {
+               const SweepResult::RowSink& sink, std::size_t o, int& pinned) {
+  const std::vector<double>& outer = sink.outer();
   const auto reset = [&](std::size_t row) {
     session.begin_variant();
     if (seed != nullptr) session.seed_warm_start(*seed);
@@ -968,12 +939,25 @@ void start_row(SimSession& session, BoundPlan& bound, const Unknowns* seed,
   };
   if (session.sparse_lu().analysis_count() != pinned) {
     reset(0);
-    bound.inner.apply(inner_first);
+    bound.inner.apply(sink.inner().front());
     session.prime();
   }
   reset(o);
   pinned = session.sparse_lu().analysis_count();
 }
+
+/// One worker of a 2-axis run: its session, the plan bound to that
+/// session's circuit, and the analysis count start_row last pinned.
+struct RowWorker {
+  Executor exec;
+  BoundPlan bound;
+  int pinned = -1;  ///< see start_row
+
+  RowWorker(SimSession& parent, const NewtonOptions& options,
+            unsigned workers, const AnalysisPlan& plan)
+      : exec(parent, options, workers),
+        bound(plan, exec.session->circuit()) {}
+};
 
 }  // namespace
 
@@ -1060,94 +1044,52 @@ double CompiledProbeSet::eval_ac(std::size_t i,
 
 SweepResult SimSession::run_ac(const AnalysisPlan& plan,
                                RunObserver* observer) {
-  const std::vector<double> freqs = plan.ac->frequencies();
-
-  SweepResult out;
-  out.axis_labels_ = {"FREQ"};
-  out.inner_ = freqs;
-  out.rows_ = freqs.size();
-  for (const Probe& p : plan.probes) {
-    out.probe_labels_.push_back(p.to_string());
-  }
-  out.columns_.resize(plan.probes.size());
-  for (auto& col : out.columns_) col.resize(out.rows_);
-
-  ObserverStream stream{observer};
-  if (stream.active()) {
-    observer->on_begin(out.axis_labels_, out.probe_labels_, out.rows_);
-  }
+  SweepResult::RowSink sink(plan.name, {"FREQ"}, plan.probes, {},
+                            plan.ac->frequencies(), observer);
+  const std::vector<double>& freqs = sink.inner();
 
   // One committed operating point serves the whole sweep. The plan path
   // always SOLVES it -- a live warm-start seed (.NODESET hints, an
   // analytic guess) is a starting point for Newton here, never a
-  // substitute for convergence. Solving once up front also pins the copy
-  // the parallel workers inherit verbatim, so every thread count
-  // linearises about the same bits. (SimSession::solve_ac alone is the
-  // low-level hook that accepts a seeded vector as the OP directly; the
-  // workers below use exactly that to inherit this op.)
+  // substitute for convergence. Every executor then linearises about
+  // exactly these bits: solve_ac takes a seeded vector as the OP, so the
+  // clones of a parallel run inherit it verbatim.
   (void)solve_or_throw();
   const Unknowns op = result_.solution;
 
-  unsigned threads = common::resolve_thread_count(plan.threads);
-  threads = std::min<unsigned>(threads, static_cast<unsigned>(freqs.size()));
+  // Every executor, this session on one worker or a clone on more, pins
+  // its sparse analysis at the sweep's FIRST frequency before its first
+  // point: the factorisation of each point then depends only on (op,
+  // omega, first omega), never on which points a worker drew, what an
+  // earlier solve_ac on this session pinned, or the thread count.
+  struct AcWorker {
+    Executor exec;
+    CompiledProbeSet probes;
 
-  // One frequency loop for every worker: pull the next index from a shared
-  // counter, solve, evaluate, deliver. Every point is an independent linear
-  // solve about the shared OP, so workers write their own preallocated
-  // slots; a lone worker walks the grid in order.
-  std::atomic<std::size_t> next{0};
-  const auto sweep_points = [&](SimSession& session, const Circuit& circuit) {
-    const CompiledProbeSet probes(plan.probes, circuit, ProbeDomain::kAc);
-    std::vector<double> probe_row(plan.probes.size(), 0.0);
-    for (;;) {
-      if (stream.cancelled.load(std::memory_order_relaxed)) break;
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= freqs.size()) break;
-      const linalg::ComplexVector& xac =
-          session.solve_ac(2.0 * M_PI * freqs[i]);
-      for (std::size_t p = 0; p < probes.size(); ++p) {
-        out.columns_[p][i] = probes.eval_ac(p, xac);
-      }
-      if (stream.active()) {
-        for (std::size_t p = 0; p < probes.size(); ++p) {
-          probe_row[p] = out.columns_[p][i];
-        }
-        stream.deliver(i, &freqs[i], 1, probe_row.data(), probe_row.size(),
-                       plan.name);
-      }
+    AcWorker(SimSession& parent, const NewtonOptions& options,
+             unsigned workers, const AnalysisPlan& plan, const Unknowns& op,
+             double prime_omega)
+        : exec(parent, options, workers),
+          probes(plan.probes, exec.session->circuit(), ProbeDomain::kAc) {
+      SimSession& s = *exec.session;
+      s.seed_warm_start(op);
+      s.ac_prime_omega_ = prime_omega;
+      s.ac_pinned_analysis_ = -1;  // (re)analyse at the prime first
     }
   };
-
-  if (threads <= 1) {
-    // Serial: the one worker is this session. Re-pin its cached sparse
-    // analysis to THIS plan's first frequency. A previous solve_ac (or a
-    // run over a different grid) may have pinned it elsewhere, and the
-    // parallel path's fresh workers always prime at freqs.front() --
-    // without the re-pin the serial and parallel factorisations could use
-    // different pivot orders and the thread-count bit-identity promise
-    // would break.
-    ac_prime_omega_ = 2.0 * M_PI * freqs.front();
-    ac_pinned_analysis_ = -1;  // any live analysis re-pins on first use
-    sweep_points(*this, *circuit_);
-    return out;
-  }
-
-  // Parallel frequency fanout over per-thread circuit clones. Bit-identity
-  // for any thread count needs two pins: the OP is the parent's (seeded,
-  // never re-solved), and every worker primes its sparse symbolic analysis
-  // at the sweep's FIRST frequency -- otherwise the threshold pivoting
-  // would run at whichever point a worker happened to draw first and the
-  // factor could differ across schedules.
-  common::fan_out(threads, [&]() {
-    Circuit clone = circuit_->clone();
-    SimSession session(clone, options_);
-    session.seed_warm_start(op);
-    (void)session.solve_ac(2.0 * M_PI * freqs.front());  // prime analysis
-    sweep_points(session, clone);
-  });
-  // A cancelling worker throws CancelledError from deliver(); fan_out
-  // rethrows it here after every worker has stopped.
-  return out;
+  common::for_each_index(
+      freqs.size(), plan.threads,
+      [&](unsigned workers) {
+        return AcWorker(*this, options_, workers, plan, op,
+                        2.0 * M_PI * freqs.front());
+      },
+      [&](AcWorker& w, std::size_t i) {
+        const linalg::ComplexVector& xac =
+            w.exec.session->solve_ac(2.0 * M_PI * freqs[i]);
+        sink.put(i, [&](std::size_t p) { return w.probes.eval_ac(p, xac); });
+      },
+      sink.cancelled());
+  return std::move(sink).take();
 }
 
 SweepResult SimSession::run(const AnalysisPlan& plan, RunObserver* observer) {
@@ -1200,28 +1142,13 @@ SweepResult SimSession::run(const AnalysisPlan& plan, RunObserver* observer) {
     }
   }
 
-  SweepResult out;
   const bool two_axis = plan.axes.size() == 2;
-  out.inner_ = plan.axes.back().grid().points();
-  if (two_axis) out.outer_ = plan.axes.front().grid().points();
-  for (const SweepAxis& axis : plan.axes) {
-    out.axis_labels_.push_back(axis.label());
-  }
-  for (const Probe& p : plan.probes) {
-    out.probe_labels_.push_back(p.to_string());
-  }
-  const std::size_t inner_n = out.inner_.size();
-  const std::size_t outer_n = two_axis ? out.outer_.size() : 1;
-  out.rows_ = inner_n * outer_n;
-  out.columns_.resize(plan.probes.size());
-  for (auto& col : out.columns_) col.resize(out.rows_);
-
-  std::vector<std::vector<double>>& columns = out.columns_;
-
-  ObserverStream stream{observer};
-  if (stream.active()) {
-    observer->on_begin(out.axis_labels_, out.probe_labels_, out.rows_);
-  }
+  std::vector<std::string> axis_labels;
+  for (const SweepAxis& axis : plan.axes) axis_labels.push_back(axis.label());
+  SweepResult::RowSink sink(
+      plan.name, std::move(axis_labels), plan.probes,
+      two_axis ? plan.axes.front().grid().points() : std::vector<double>{},
+      plan.axes.back().grid().points(), observer);
 
   // However the run ends, the swept values go back to their pre-run ones.
   ParamGuard restore(*circuit_);
@@ -1238,43 +1165,23 @@ SweepResult SimSession::run(const AnalysisPlan& plan, RunObserver* observer) {
     // Single axis: run in place, inheriting the session's continuation
     // state -- each point is the solve() a hand-written loop would make.
     BoundPlan bound(plan, *circuit_);
-    run_inner_sweep(*this, bound, plan, out.inner_, 0, seed, columns, stream);
-    return out;
+    run_inner_sweep(*this, bound, plan, sink, 0, seed);
+    return std::move(sink).take();
   }
 
-  // One scheduler over (rows, threads): workers claim single outer rows
-  // from one counter and sweep each on their own session -- this one on
-  // one thread, a private clone's otherwise, built on first use. Rows
-  // write only their own slots: scheduling decides who computes a row,
-  // not what.
-  unsigned threads = common::resolve_thread_count(plan.threads);
-  threads = std::min<unsigned>(threads, static_cast<unsigned>(outer_n));
-  std::atomic<std::size_t> next{0};
-  common::fan_out(threads, [&]() {
-    std::optional<Circuit> clone;
-    std::optional<SimSession> own;
-    std::optional<BoundPlan> bound;
-    int pinned = -1;  // see start_row
-    for (;;) {
-      if (stream.cancelled.load(std::memory_order_relaxed)) break;
-      const std::size_t o = next.fetch_add(1, std::memory_order_relaxed);
-      if (o >= outer_n) break;
-      if (!bound) {
-        if (threads > 1) {
-          own.emplace(clone.emplace(circuit_->clone()), options_);
-        }
-        bound.emplace(plan, own ? own->circuit() : *circuit_);
-      }
-      SimSession& session = own ? *own : *this;
-      start_row(session, *bound, seed, out.outer_, out.inner_.front(), o,
-                pinned);
-      run_inner_sweep(session, *bound, plan, out.inner_, o * inner_n, seed,
-                      columns, stream, &out.outer_[o]);
-    }
-  });
-  // A cancelling worker throws CancelledError from deliver(); fan_out
-  // rethrows it here after every worker has stopped.
-  return out;
+  // Workers claim single outer rows and sweep each from the deterministic
+  // row start on their own session.
+  common::for_each_index(
+      sink.outer().size(), plan.threads,
+      [&](unsigned workers) {
+        return RowWorker(*this, options_, workers, plan);
+      },
+      [&](RowWorker& w, std::size_t o) {
+        start_row(*w.exec.session, w.bound, seed, sink, o, w.pinned);
+        run_inner_sweep(*w.exec.session, w.bound, plan, sink, o, seed);
+      },
+      sink.cancelled());
+  return std::move(sink).take();
 }
 
 }  // namespace icvbe::spice

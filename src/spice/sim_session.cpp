@@ -54,6 +54,8 @@ void SimSession::rebind() {
   cb_ = linalg::ComplexVector();
   csa_ = linalg::ComplexSparseMatrix();
   cslu_ = linalg::ComplexSparseLuFactorization();
+  ac_prime_omega_.reset();
+  ac_pinned_analysis_ = -1;
 
   sources_.clear();
   for (const auto& dev : circuit_->devices()) {
@@ -334,25 +336,22 @@ const linalg::ComplexVector& SimSession::solve_ac(double omega) {
   };
 
   // Bit-identity discipline: the cached symbolic analysis belongs to the
-  // first stamped frequency (the sweep's prime). If a previous point's
-  // refactor collapsed the frozen pivots and re-analysed at its own
-  // frequency, re-pin a fresh analysis at the prime before this point --
-  // every point's factorisation then depends only on (op, omega, prime
-  // omega), never on sweep order or which parallel worker tripped the
-  // collapse.
-  const bool primed = cslu_.analysis_count() > 0;
-  if (primed && cslu_.analysis_count() != ac_pinned_analysis_) {
+  // prime -- the first stamped frequency, or the one run_ac pinned. Unless
+  // the live analysis is the one pinned there (a fresh engine, a new pin,
+  // or a previous point's refactor that collapsed the frozen pivots and
+  // re-analysed at its own frequency), analyse at the prime before this
+  // point -- every point's factorisation then depends only on (op, omega,
+  // prime omega), never on sweep order or which parallel worker tripped
+  // the collapse.
+  if (!ac_prime_omega_) ac_prime_omega_ = omega;
+  if (cslu_.analysis_count() != ac_pinned_analysis_) {
     cslu_.invalidate_analysis();
-    stamp_at(ac_prime_omega_);
+    stamp_at(*ac_prime_omega_);
     cslu_.refactor(csa_);
     ac_pinned_analysis_ = cslu_.analysis_count();
   }
   stamp_at(omega);
   cslu_.refactor(csa_);
-  if (!primed) {
-    ac_prime_omega_ = omega;
-    ac_pinned_analysis_ = cslu_.analysis_count();
-  }
   cslu_.solve_in_place(cb_);
   return cb_;
 }

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "icvbe/common/error.hpp"
+#include "rows.hpp"
 
 namespace icvbe::spice {
 
@@ -250,10 +251,6 @@ SweepResult TransientSolver::run(const std::vector<Probe>& probes,
   ICVBE_REQUIRE(!probes.empty(), "TransientSolver::run: need >= 1 probe");
   begin();
 
-  SweepResult out;
-  out.axis_labels_ = {"TIME"};
-  out.columns_.resize(probes.size());
-  for (const Probe& p : probes) out.probe_labels_.push_back(p.to_string());
   // Reserve for a typical run, at most kMaxReservedRows, and let longer
   // runs grow: memory then follows the steps a run takes, not its grid
   // (a grid near kMaxGridPoints would reserve ~320 MB per column).
@@ -261,42 +258,20 @@ SweepResult TransientSolver::run(const std::vector<Probe>& probes,
   const auto estimate = static_cast<std::size_t>(std::min(
       (spec_.tstop - spec_.tstart) / spec_.tstep * 4.0 + 16.0,
       kMaxReservedRows));
-  out.inner_.reserve(estimate);
-  for (auto& col : out.columns_) col.reserve(estimate);
-
-  // expected_rows = 0: the adaptive controller does not know the
-  // accepted-point count up front.
-  if (observer != nullptr) {
-    observer->on_begin(out.axis_labels_, out.probe_labels_, 0);
-  }
-  std::vector<double> probe_row(observer != nullptr ? probes.size() : 0, 0.0);
+  SweepResult::RowSink sink("transient", {"TIME"}, probes, {}, {}, observer,
+                            estimate);
 
   // Compile once: per-timepoint recording then does no name lookups
   // (same discipline as the DC plan path).
   const CompiledProbeSet compiled(probes, session_.circuit());
   const auto record = [&] {
-    out.inner_.push_back(t_);
-    for (std::size_t p = 0; p < probes.size(); ++p) {
-      out.columns_[p].push_back(compiled.eval(p, x_now_));
-    }
-    if (observer != nullptr) {
-      const std::size_t row = out.inner_.size() - 1;
-      for (std::size_t p = 0; p < probes.size(); ++p) {
-        probe_row[p] = out.columns_[p][row];
-      }
-      if (!observer->on_row(row, &out.inner_[row], 1, probe_row.data(),
-                            probe_row.size())) {
-        throw CancelledError("transient: cancelled by observer at t = " +
-                             std::to_string(t_) + " s");
-      }
-    }
+    sink.append(t_, [&](std::size_t p) { return compiled.eval(p, x_now_); });
   };
   if (spec_.tstart <= teps_) record();
   while (advance()) {
     if (t_ >= spec_.tstart - teps_) record();
   }
-  out.rows_ = out.inner_.size();
-  return out;
+  return std::move(sink).take();
 }
 
 }  // namespace icvbe::spice

@@ -16,6 +16,8 @@
 
 #include <cmath>
 #include <complex>
+#include <filesystem>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -387,6 +389,45 @@ TEST(AcAnalysis, PlanIsBitIdenticalForAnyThreadCount) {
         EXPECT_EQ(results[v].value(p, i), results[0].value(p, i))
             << "probe " << p << " row " << i << " variant " << v;
       }
+    }
+  }
+}
+
+TEST(AcAnalysis, SerialRunRepinsAtItsOwnFirstFrequency) {
+  // A one-thread AC run executes on the session itself, whose complex
+  // engine still holds the analysis an earlier run pinned at that run's
+  // first frequency. The loop-gain deck's L/C loop break spans decades, so
+  // pivots chosen at one end of the band differ from those chosen at the
+  // other: grid A after grid B on one session must still equal grid A on a
+  // fresh session, bit for bit.
+  const auto load = [] {
+    std::ifstream in(std::filesystem::path(ICVBE_EXAMPLE_DECKS) /
+                     "loopgain_banba.cir");
+    return parse_netlist(in);
+  };
+  const auto run = [](ParsedNetlist& deck, SimSession& session,
+                      const AnalysisPlan& plan) {
+    session.begin_variant();
+    session.seed_warm_start(deck.nodeset_guess());
+    return session.run(plan);
+  };
+  ParsedNetlist fresh_deck = load();
+  ASSERT_EQ(fresh_deck.plans.size(), 1u);
+  const AnalysisPlan grid_a = fresh_deck.plans.front();  // 1 Hz .. 100 MHz
+  AnalysisPlan grid_b = grid_a;
+  grid_b.ac->fstart = 1.0e7;
+  SimSession fresh(*fresh_deck.circuit);
+  const SweepResult want = run(fresh_deck, fresh, grid_a);
+
+  ParsedNetlist deck = load();
+  SimSession session(*deck.circuit);
+  (void)run(deck, session, grid_b);
+  const SweepResult got = run(deck, session, grid_a);
+  ASSERT_EQ(got.rows(), want.rows());
+  for (std::size_t p = 0; p < want.probe_count(); ++p) {
+    for (std::size_t i = 0; i < want.rows(); ++i) {
+      EXPECT_EQ(got.value(p, i), want.value(p, i))
+          << "probe " << p << " row " << i;
     }
   }
 }

@@ -965,6 +965,63 @@ TEST(RunObserverTest, ParallelCancellationStopsWorkers) {
   EXPECT_LT(obs.count_.load(), 72);
 }
 
+TEST(RunObserverTest, AcCancellationStopsAndTheSessionRerunsLikeAFreshOne) {
+  // An RC low-pass over 21 frequencies, cancelled at its third row, on one
+  // thread (the session itself) and on four (clones). The run throws and
+  // stops short of the grid; the same session's next full run then prints
+  // the bits a fresh session's run prints.
+  class CancelAfter : public RunObserver {
+   public:
+    bool on_row(std::size_t, const double*, std::size_t, const double*,
+                std::size_t) override {
+      return count_.fetch_add(1) + 1 < 3;
+    }
+    std::atomic<int> count_{0};
+  };
+  const auto build = [](Circuit& c) {
+    const NodeId in = c.node("in");
+    const NodeId out = c.node("out");
+    c.add_vsource("V1", in, kGround, 0.0).set_ac(1.0);
+    c.add_resistor("R1", in, out, 1.0e3);
+    c.add_capacitor("C1", out, kGround, 1.0e-6);
+  };
+  AnalysisPlan plan;
+  plan.name = "ac-cancel";
+  AcSpec spec;
+  spec.points = 5;
+  spec.fstart = 1.0;
+  spec.fstop = 1.0e4;
+  plan.ac = spec;
+  plan.probes = {parse_probe("VDB(out)"), parse_probe("VP(out)")};
+
+  for (const unsigned threads : {1u, 4u}) {
+    plan.threads = threads;
+    Circuit c;
+    build(c);
+    SimSession session(c);
+    CancelAfter obs;
+    EXPECT_THROW((void)session.run(plan, &obs), CancelledError)
+        << threads << " threads";
+    EXPECT_GE(obs.count_.load(), 3);
+    EXPECT_LT(obs.count_.load(), 21) << threads << " threads";
+
+    session.begin_variant();
+    const SweepResult again = session.run(plan);
+    Circuit fresh_circuit;
+    build(fresh_circuit);
+    SimSession fresh(fresh_circuit);
+    const SweepResult want = fresh.run(plan);
+    ASSERT_EQ(again.rows(), 21u);
+    ASSERT_EQ(want.rows(), 21u);
+    for (std::size_t p = 0; p < want.probe_count(); ++p) {
+      for (std::size_t i = 0; i < want.rows(); ++i) {
+        EXPECT_EQ(again.value(p, i), want.value(p, i))
+            << threads << " threads, probe " << p << " row " << i;
+      }
+    }
+  }
+}
+
 TEST(RunObserverTest, TransientCancellationRestoresDcMode) {
   const char* deck = R"(
 V1 in 0 PULSE(0 1 1u 1u 1u 10u 40u)

@@ -1,7 +1,8 @@
 // Tests for the shared threading primitives (common/thread_pool.hpp):
-// fan_out semantics (inline serial path, exception rethrow, full-crew
-// completion) and ThreadPool lifecycle (FIFO execution, submit-from-job,
-// drain-on-stop, post-stop rejection, exception swallowing).
+// for_each_index semantics (inline serial path, exception rethrow,
+// full-crew completion, cancellation) and ThreadPool lifecycle (FIFO
+// execution, submit-from-job, drain-on-stop, post-stop rejection,
+// exception swallowing).
 
 #include <gtest/gtest.h>
 
@@ -24,50 +25,81 @@ TEST(ResolveThreadCount, PassthroughAndHardwareFallback) {
   EXPECT_GE(resolve_thread_count(0), 1u);
 }
 
-TEST(FanOut, SerialRunsInlineOnCaller) {
-  // threads <= 1 must run on the calling thread: the serial analysis
-  // paths rely on inheriting the session's state without a handoff.
+/// make() for tests that need no per-worker state.
+constexpr auto kNoState = [](unsigned) { return 0; };
+
+TEST(ForEachIndex, SerialRunsInlineOnCaller) {
+  // One worker must run on the calling thread: the serial analysis paths
+  // rely on inheriting the session's state without a handoff.
   const std::thread::id caller = std::this_thread::get_id();
-  std::thread::id seen{};
-  fan_out(1, [&]() { seen = std::this_thread::get_id(); });
-  EXPECT_EQ(seen, caller);
-}
-
-TEST(FanOut, RunsCallableOncePerWorker) {
-  std::atomic<int> calls{0};
-  fan_out(4, [&]() { calls.fetch_add(1); });
-  EXPECT_EQ(calls.load(), 4);
-}
-
-TEST(FanOut, CounterPartitionCoversEveryIndexOnce) {
-  // The canonical call shape: counter-pull partitioning over preallocated
-  // slots. Every index must be computed exactly once.
-  constexpr int kN = 1000;
-  std::vector<int> slots(kN, -1);
-  std::atomic<int> next{0};
-  fan_out(8, [&]() {
-    for (;;) {
-      const int i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= kN) break;
-      slots[static_cast<std::size_t>(i)] = i;
-    }
+  std::vector<std::thread::id> seen;
+  for_each_index(5, 1, kNoState, [&](int, std::size_t) {
+    seen.push_back(std::this_thread::get_id());
   });
-  for (int i = 0; i < kN; ++i) {
-    ASSERT_EQ(slots[static_cast<std::size_t>(i)], i);
-  }
+  ASSERT_EQ(seen.size(), 5u);
+  for (const auto& id : seen) EXPECT_EQ(id, caller);
 }
 
-TEST(FanOut, RethrowsFirstExceptionAfterAllWorkersFinish) {
-  // One worker throws; the others must still run to completion before the
-  // exception surfaces in the caller.
+TEST(ForEachIndex, SerialVisitsIndicesInOrderWithOneState) {
+  std::vector<std::size_t> order;
+  int builds = 0;
+  for_each_index(
+      6, 1,
+      [&](unsigned workers) {
+        EXPECT_EQ(workers, 1u);
+        ++builds;
+        return std::vector<std::size_t>{};
+      },
+      [&](std::vector<std::size_t>& mine, std::size_t i) {
+        mine.push_back(i);
+        order = mine;
+      });
+  EXPECT_EQ(builds, 1);
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4, 5}));
+}
+
+TEST(ForEachIndex, EveryIndexRunsExactlyOnceOnAFullCrew) {
+  // A full crew: 8 workers over 1000 indices, each worker building its
+  // state once on its first index.
+  constexpr std::size_t kN = 1000;
+  std::vector<int> slots(kN, 0);
+  std::atomic<int> builds{0};
+  std::atomic<unsigned> crew{0};
+  for_each_index(
+      kN, 8,
+      [&](unsigned workers) {
+        crew.store(workers);
+        return builds.fetch_add(1) + 1;
+      },
+      [&](int, std::size_t i) { ++slots[i]; });
+  for (std::size_t i = 0; i < kN; ++i) ASSERT_EQ(slots[i], 1) << i;
+  EXPECT_EQ(crew.load(), 8u);
+  EXPECT_GE(builds.load(), 1);
+  EXPECT_LE(builds.load(), 8);
+}
+
+TEST(ForEachIndex, CrewIsCappedAtTheItemCount) {
+  std::atomic<unsigned> crew{0};
+  std::atomic<int> builds{0};
+  for_each_index(
+      3, 16,
+      [&](unsigned workers) {
+        crew.store(workers);
+        return builds.fetch_add(1);
+      },
+      [](int, std::size_t) {});
+  EXPECT_EQ(crew.load(), 3u);
+  EXPECT_LE(builds.load(), 3);
+}
+
+TEST(ForEachIndex, RethrowsFirstExceptionAfterAllWorkersFinish) {
+  // Index 0 throws; the other workers must still run their remaining
+  // indices to completion before the exception surfaces in the caller.
   std::atomic<int> finished{0};
-  std::atomic<int> thrown{0};
   std::string caught;
   try {
-    fan_out(4, [&]() {
-      if (thrown.fetch_add(1) == 0) {
-        throw std::runtime_error("worker boom");
-      }
+    for_each_index(8, 4, kNoState, [&](int, std::size_t i) {
+      if (i == 0) throw std::runtime_error("worker boom");
       std::this_thread::sleep_for(std::chrono::milliseconds(10));
       finished.fetch_add(1);
     });
@@ -75,18 +107,55 @@ TEST(FanOut, RethrowsFirstExceptionAfterAllWorkersFinish) {
     caught = e.what();
   }
   EXPECT_EQ(caught, "worker boom");
-  EXPECT_EQ(finished.load(), 3);
+  EXPECT_EQ(finished.load(), 7);
 }
 
-TEST(FanOut, SerialExceptionPropagatesDirectly) {
-  EXPECT_THROW(fan_out(1, []() { throw Error("serial boom"); }), Error);
+TEST(ForEachIndex, SerialExceptionPropagatesDirectly) {
+  int ran = 0;
+  EXPECT_THROW(for_each_index(4, 1, kNoState,
+                              [&](int, std::size_t) {
+                                ++ran;
+                                throw Error("serial boom");
+                              }),
+               Error);
+  EXPECT_EQ(ran, 1);
+}
+
+TEST(ForEachIndex, CancelStopsClaiming) {
+  // Once the flag is set no worker claims another index; the serial path
+  // stops right after the index that set it.
+  std::atomic<bool> cancelled{false};
+  std::vector<std::size_t> ran;
+  for_each_index(
+      10, 1, kNoState,
+      [&](int, std::size_t i) {
+        ran.push_back(i);
+        if (i == 2) cancelled.store(true);
+      },
+      &cancelled);
+  EXPECT_EQ(ran, (std::vector<std::size_t>{0, 1, 2}));
+
+  int none = 0;
+  for_each_index(10, 1, kNoState, [&](int, std::size_t) { ++none; },
+                 &cancelled);
+  EXPECT_EQ(none, 0) << "a set flag claims nothing";
+
+  cancelled.store(false);
+  std::atomic<int> parallel{0};
+  for_each_index(
+      100000, 4, kNoState,
+      [&](int, std::size_t) {
+        if (parallel.fetch_add(1) == 5) cancelled.store(true);
+      },
+      &cancelled);
+  EXPECT_GE(parallel.load(), 6);
+  EXPECT_LT(parallel.load(), 100000);
 }
 
 TEST(ThreadPool, DestructorDrainsAllQueuedJobs) {
   std::atomic<int> sum{0};
   {
     ThreadPool pool(3);
-    EXPECT_EQ(pool.size(), 3u);
     for (int i = 1; i <= 100; ++i) {
       pool.submit([&sum, i]() { sum.fetch_add(i); });
     }
@@ -130,8 +199,6 @@ TEST(ThreadPool, StopRunsQueueDry) {
   }
   pool.stop_and_join();
   EXPECT_EQ(ran.load(), 6);
-  EXPECT_EQ(pool.queued(), 0u);
-  EXPECT_EQ(pool.running(), 0u);
 }
 
 TEST(ThreadPool, ThrowingJobDoesNotKillItsWorker) {
