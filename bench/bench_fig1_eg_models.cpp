@@ -86,39 +86,9 @@ void reproduce_fig1() {
   bench::emit(id, "fig1_eq12_identification.csv");
 }
 
-void bm_eg_log_eval(benchmark::State& state) {
-  const auto eg5 = physics::make_eg5();
-  double t = 200.0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(eg5.eg(t));
-    t = (t < 450.0) ? t + 1.0 : 200.0;
-  }
-}
-BENCHMARK(bm_eg_log_eval);
-
-void bm_gummel_poon_is(benchmark::State& state) {
-  physics::BaseTransport bt;
-  const physics::GummelPoonIsModel gp(physics::make_eg5(), 0.045, bt, 48e-8);
-  double t = 220.0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(gp.is(t));
-    t = (t < 420.0) ? t + 1.0 : 220.0;
-  }
-}
-BENCHMARK(bm_gummel_poon_is);
-
-void bm_spice_is(benchmark::State& state) {
-  double t = 220.0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(physics::spice_is(1e-16, 1.132, 3.6, t, 298.15));
-    t = (t < 420.0) ? t + 1.0 : 220.0;
-  }
-}
-BENCHMARK(bm_spice_is);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   reproduce_fig1();
-  return icvbe::bench::run_benchmarks(argc, argv);
+  return 0;
 }

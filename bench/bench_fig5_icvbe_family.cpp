@@ -90,38 +90,9 @@ void reproduce_fig5() {
   bench::emit(s, "fig5_vbe_slices.csv");
 }
 
-void bm_icvbe_curve_solve(benchmark::State& state) {
-  lab::SiliconLot lot;
-  lab::CampaignConfig cfg;
-  cfg.ideal_instruments = true;
-  lab::Laboratory laboratory(lot.sample(0), cfg);
-  for (auto _ : state) {
-    auto fam = laboratory.icvbe_family({27.0}, 0.2, 0.9,
-                                       static_cast<int>(state.range(0)));
-    benchmark::DoNotOptimize(fam);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(bm_icvbe_curve_solve)->Arg(16)->Arg(64)->Arg(256);
-
-void bm_constant_ic_slice(benchmark::State& state) {
-  lab::SiliconLot lot;
-  lab::CampaignConfig cfg;
-  cfg.ideal_instruments = true;
-  lab::Laboratory laboratory(lot.sample(0), cfg);
-  const auto family = laboratory.icvbe_family(kPaperTemps, 0.1, 1.0, 46);
-  std::vector<double> temps_k;
-  for (double tc : kPaperTemps) temps_k.push_back(to_kelvin(tc));
-  for (auto _ : state) {
-    auto s = extract::vbe_vs_t_at_constant_ic(family, temps_k, 1e-6);
-    benchmark::DoNotOptimize(s);
-  }
-}
-BENCHMARK(bm_constant_ic_slice);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   reproduce_fig5();
-  return icvbe::bench::run_benchmarks(argc, argv);
+  return 0;
 }

@@ -122,59 +122,9 @@ void reproduce_fig6() {
   bench::emit(h, "fig6_structure_checks.csv");
 }
 
-void bm_best_fit(benchmark::State& state) {
-  std::vector<extract::VbeSample> data;
-  for (double t = 223.0; t <= 398.0; t += 25.0) {
-    data.push_back({t, 0.65 - 1.9e-3 * (t - 298.0)});
-  }
-  extract::BestFitOptions opt;
-  opt.t0 = 298.0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(extract::best_fit_eg_xti(data, opt));
-  }
-}
-BENCHMARK(bm_best_fit);
-
-void bm_characteristic_straight(benchmark::State& state) {
-  std::vector<extract::VbeSample> data;
-  for (double t = 223.0; t <= 398.0; t += 25.0) {
-    data.push_back({t, 0.65 - 1.9e-3 * (t - 298.0)});
-  }
-  extract::BestFitOptions opt;
-  opt.t0 = 298.0;
-  std::vector<double> grid;
-  for (double x = 0.5; x <= 6.5; x += 0.25) grid.push_back(x);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        extract::characteristic_straight(data, grid, opt));
-  }
-}
-BENCHMARK(bm_characteristic_straight);
-
-void bm_meijer_extract(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(extract::meijer_extract(
-        247.0, 0.745, 297.0, 0.650, 348.0, 0.548));
-  }
-}
-BENCHMARK(bm_meijer_extract);
-
-void bm_full_cell_campaign(benchmark::State& state) {
-  lab::SiliconLot lot;
-  lab::CampaignConfig cfg;
-  cfg.seed = 66;
-  for (auto _ : state) {
-    lab::Laboratory laboratory(lot.sample(1), cfg);
-    auto sweep = laboratory.test_cell_sweep({-25.0, 25.0, 75.0});
-    benchmark::DoNotOptimize(
-        extract::meijer_from_cell(sweep, -25.0, 25.0, 75.0));
-  }
-}
-BENCHMARK(bm_full_cell_campaign)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   reproduce_fig6();
-  return icvbe::bench::run_benchmarks(argc, argv);
+  return 0;
 }

@@ -185,33 +185,9 @@ void reproduce_fig8() {
   bench::emit(h, "fig8_shape_checks.csv");
 }
 
-void bm_vref_point(benchmark::State& state) {
-  lab::SiliconLot lot;
-  lab::CampaignConfig cfg;
-  cfg.ideal_instruments = true;
-  lab::Laboratory sim(lot.sample(1), cfg);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sim.vref_curve({25.0}, 0.0));
-  }
-}
-BENCHMARK(bm_vref_point)->Unit(benchmark::kMillisecond);
-
-void bm_vref_full_curve(benchmark::State& state) {
-  lab::SiliconLot lot;
-  lab::CampaignConfig cfg;
-  cfg.ideal_instruments = true;
-  cfg.ideal_thermal = true;
-  lab::Laboratory sim(lot.sample(1), cfg);
-  const auto grid = fig8_grid();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sim.vref_curve(grid, 0.0));
-  }
-}
-BENCHMARK(bm_vref_full_curve)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   reproduce_fig8();
-  return icvbe::bench::run_benchmarks(argc, argv);
+  return 0;
 }

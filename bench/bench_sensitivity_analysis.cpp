@@ -143,36 +143,12 @@ void claim_is_sensitivity() {
                "is processed from direct measurements\"\n";
 }
 
-void bm_propagation(benchmark::State& state) {
-  const auto data = clean_dataset();
-  extract::BestFitOptions opt;
-  opt.t0 = 298.15;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(extract::propagate_vbe_error(
-        data, 1.132, 0.01, static_cast<int>(state.range(0)), opt));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(bm_propagation)->Arg(100)->Arg(400);
-
-void bm_t2_sensitivity(benchmark::State& state) {
-  physics::VbeModelParams p{1.132, 3.6, 297.0, 0.64};
-  const std::vector<double> deltas{-5, -3, -1, 0, 1, 3, 5};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(extract::meijer_t2_sensitivity(
-        247.0, physics::vbe_of_t(p, 247.0), 297.0,
-        physics::vbe_of_t(p, 297.0), 348.0, physics::vbe_of_t(p, 348.0),
-        deltas));
-  }
-}
-BENCHMARK(bm_t2_sensitivity);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   claim_vbe_error();
   claim_t2_error();
   claim_current_coefficient();
   claim_is_sensitivity();
-  return icvbe::bench::run_benchmarks(argc, argv);
+  return 0;
 }

@@ -88,38 +88,9 @@ void reproduce_table1() {
   bench::emit(h, "table1_checks.csv");
 }
 
-void bm_cell_solve(benchmark::State& state) {
-  lab::SiliconLot lot;
-  lab::CampaignConfig cfg;
-  lab::Laboratory laboratory(lot.sample(1), cfg);
-  for (auto _ : state) {
-    auto sweep = laboratory.test_cell_sweep({25.0});
-    benchmark::DoNotOptimize(sweep);
-  }
-  state.SetLabel("one electro-thermal cell point");
-}
-BENCHMARK(bm_cell_solve)->Unit(benchmark::kMillisecond);
-
-void bm_computed_temperature(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        extract::computed_temperature(0.0446, 0.0536, 297.0));
-  }
-}
-BENCHMARK(bm_computed_temperature);
-
-void bm_monte_carlo_lot(benchmark::State& state) {
-  lab::SiliconLot lot;
-  int i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(lot.sample(i++));
-  }
-}
-BENCHMARK(bm_monte_carlo_lot);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   reproduce_table1();
-  return icvbe::bench::run_benchmarks(argc, argv);
+  return 0;
 }

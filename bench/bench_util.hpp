@@ -1,11 +1,9 @@
 #pragma once
-// Shared helpers for the reproduction benches. Each bench binary
-//  1. regenerates its paper table/figure and prints it (plus CSV under
-//     results/), then
-//  2. runs google-benchmark timings of the computational kernels involved.
+// Shared helpers for the paper-figure drivers. Each bench binary regenerates
+// its paper table/figure, prints it, and writes each table as CSV under
+// results/ (or $ICVBE_RESULTS_DIR). Timing lives in benchmark/run.py.
 
-#include <benchmark/benchmark.h>
-
+#include <cstdlib>
 #include <filesystem>
 #include <iostream>
 #include <string>
@@ -38,16 +36,6 @@ inline void emit(const Table& table, const std::string& csv_name) {
   const std::string path = results_dir() + "/" + csv_name;
   table.write_csv(path);
   std::cout << "[csv] " << path << '\n';
-}
-
-/// Run the reproduction (already printed) then the registered
-/// google-benchmark timings. Call from main().
-inline int run_benchmarks(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
 }
 
 }  // namespace icvbe::bench

@@ -71,9 +71,4 @@ struct CharacteristicStraight {
 /// the EG basis. Exposed for tests and the Fig. 6 bench.
 [[nodiscard]] double characteristic_slope_theory(double t_low, double t_high);
 
-/// Predicted VBE(T) from an extracted couple (for overlay plots and
-/// residual checks).
-[[nodiscard]] double predict_vbe(const EgXtiResult& result, double t_kelvin,
-                                 double t0, double vbe_t0);
-
 }  // namespace icvbe::extract

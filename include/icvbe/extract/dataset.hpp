@@ -28,9 +28,4 @@ namespace icvbe::extract {
 [[nodiscard]] std::vector<VbeSample> samples_from_lab(
     const std::vector<lab::VbePoint>& points);
 
-/// Same conversion but with the ground-truth die temperatures (validation
-/// baselines only -- a real lab cannot do this).
-[[nodiscard]] std::vector<VbeSample> samples_from_lab_true_t(
-    const std::vector<lab::VbePoint>& points);
-
 }  // namespace icvbe::extract

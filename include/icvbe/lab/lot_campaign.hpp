@@ -27,8 +27,8 @@ namespace icvbe::lab {
 /// kFirstDieIndex + k.
 inline constexpr int kFirstDieIndex = 1;
 
-/// A lot campaign: the classical method (optional) and the analytical
-/// (Meijer) method, which every campaign runs.
+/// A lot campaign: every die runs the classical method and the analytical
+/// (Meijer) method.
 struct LotCampaignConfig {
   int samples = 25;          ///< number of dies characterised
   unsigned threads = 0;      ///< worker threads; 0 = hardware_concurrency
@@ -45,8 +45,6 @@ struct LotCampaignConfig {
   /// Chamber settings for the analytical (Meijer) method; exactly three.
   std::vector<double> cell_celsius{-25.0, 25.0, 75.0};
 
-  bool run_classical = true;  ///< classical best-fit EG
-
   CampaignConfig lab;  ///< base lab config (its seed is overridden per die)
 };
 
@@ -57,13 +55,12 @@ struct DieCharacterisation {
   int index = 0;               ///< lot index of this die
   bool ok = false;
   std::string error;
-  bool has_classical = false;  ///< classical fields below are populated
 
-  // Classical method (run_classical).
+  // Classical method: best-fit EG of the single DUT's VBE(T).
   double eg_classical = 0.0;
 
-  // Analytical method (always run), with computed (C3) and sensor-measured
-  // (C2) temperatures.
+  // Analytical method, with computed (C3) and sensor-measured (C2)
+  // temperatures.
   double eg_meijer = 0.0;      ///< C3
   double xti_meijer = 0.0;     ///< C3
   double eg_measured_t = 0.0;  ///< C2

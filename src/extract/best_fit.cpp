@@ -123,14 +123,4 @@ double characteristic_slope_theory(double t_low, double t_high) {
          (t_high - t_low);
 }
 
-double predict_vbe(const EgXtiResult& result, double t_kelvin, double t0,
-                   double vbe_t0) {
-  physics::VbeModelParams p;
-  p.eg = result.eg;
-  p.xti = result.xti;
-  p.t0 = t0;
-  p.vbe_t0 = vbe_t0;
-  return physics::vbe_of_t(p, t_kelvin);
-}
-
 }  // namespace icvbe::extract

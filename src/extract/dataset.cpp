@@ -58,12 +58,4 @@ std::vector<VbeSample> samples_from_lab(
   return out;
 }
 
-std::vector<VbeSample> samples_from_lab_true_t(
-    const std::vector<lab::VbePoint>& points) {
-  std::vector<VbeSample> out;
-  out.reserve(points.size());
-  for (const auto& p : points) out.push_back({p.t_die_true, p.vbe});
-  return out;
-}
-
 }  // namespace icvbe::extract

@@ -30,7 +30,9 @@ LaneGroup::LaneGroup(const LotCampaign& owner,
   const LotCampaignConfig& cfg = owner.config();
   const DieSample ref = owner.lot().sample(kFirstDieIndex);
 
-  if (cfg.run_classical && !cfg.classical_celsius.empty()) {
+  // Classical-method rig. An empty chamber grid fails every die in the
+  // extraction, and has no first setting to prime at.
+  if (!cfg.classical_celsius.empty()) {
     std::vector<spice::Circuit*> ptrs;
     for (std::size_t l = 0; l < k; ++l) {
       spice::Circuit& c =
@@ -131,36 +133,33 @@ void LaneGroup::run(std::size_t first_offset, std::size_t group_size) {
     }
 
     // ---- Classical method: VBE(T) of the single DUT ----
-    if (config.run_classical) {
-      if (!(config.classical_ic > 0.0)) {
-        // vbe_vs_temperature would throw per die; let run_die record the
-        // identical error text for every die in the group.
-        throw MeasurementError("vbe_vs_temperature: current must be > 0");
+    if (!(config.classical_ic > 0.0)) {
+      // vbe_vs_temperature would throw per die; let run_die record the
+      // identical error text for every die in the group.
+      throw MeasurementError("vbe_vs_temperature: current must be > 0");
+    }
+    for (double tc : config.classical_celsius) {
+      const double chamber_k = to_kelvin(tc);
+      for (std::size_t l = 0; l < group_size; ++l) {
+        if (!good[l]) continue;
+        t_die[l] = die_temperature(sample[l], lab, chamber_k, 0.0);
+        ibias_ie[l]->set_value(inst[l]->forced_current(config.classical_ic));
+        ibias_circuit[l]->set_temperature(t_die[l]);
+        ibias->seed_warm_start(
+            l, dut_initial_guess(*ibias_circuit[l], ibias_emitter));
       }
-      for (double tc : config.classical_celsius) {
-        const double chamber_k = to_kelvin(tc);
-        for (std::size_t l = 0; l < group_size; ++l) {
-          if (!good[l]) continue;
-          t_die[l] = die_temperature(sample[l], lab, chamber_k, 0.0);
-          ibias_ie[l]->set_value(
-              inst[l]->forced_current(config.classical_ic));
-          ibias_circuit[l]->set_temperature(t_die[l]);
-          ibias->seed_warm_start(
-              l, dut_initial_guess(*ibias_circuit[l], ibias_emitter));
+      ibias->solve_active();
+      for (std::size_t l = 0; l < group_size; ++l) {
+        if (!good[l]) continue;
+        if (!ibias->status(l).converged) {
+          good[l] = 0;
+          drop_lane(l);
+          continue;
         }
-        ibias->solve_active();
-        for (std::size_t l = 0; l < group_size; ++l) {
-          if (!good[l]) continue;
-          if (!ibias->status(l).converged) {
-            good[l] = 0;
-            drop_lane(l);
-            continue;
-          }
-          const spice::Unknowns& x = ibias->solution(l);
-          vbe_pts[l].push_back(inst[l]->record_vbe_point(
-              chamber_k, t_die[l], x.node_voltage(ibias_emitter),
-              std::abs(ibias_dut[l]->currents(x).ic)));
-        }
+        const spice::Unknowns& x = ibias->solution(l);
+        vbe_pts[l].push_back(inst[l]->record_vbe_point(
+            chamber_k, t_die[l], x.node_voltage(ibias_emitter),
+            std::abs(ibias_dut[l]->currents(x).ic)));
       }
     }
 

@@ -57,13 +57,10 @@ void characterise(const LotCampaignConfig& cfg,
                   const std::function<std::vector<VbePoint>()>& vbe,
                   const std::function<std::vector<CellPoint>()>& cell,
                   DieCharacterisation& out) {
-  if (cfg.run_classical) {
-    extract::BestFitOptions opt;
-    opt.t0 = to_kelvin(25.0);
-    out.eg_classical =
-        extract::best_fit_eg_xti(extract::samples_from_lab(vbe()), opt).eg;
-    out.has_classical = true;
-  }
+  extract::BestFitOptions opt;
+  opt.t0 = to_kelvin(25.0);
+  out.eg_classical =
+      extract::best_fit_eg_xti(extract::samples_from_lab(vbe()), opt).eg;
   out.cell = cell();
   const auto m = extract::meijer_from_cell(out.cell, cfg.cell_celsius[0],
                                            cfg.cell_celsius[1],
@@ -130,7 +127,7 @@ LotSummary LotCampaign::summarise(
       continue;
     }
     ++s.dies_ok;
-    if (die.has_classical) eg_c.push_back(die.eg_classical);
+    eg_c.push_back(die.eg_classical);
     eg_m.push_back(die.eg_meijer);
     xti_m.push_back(die.xti_meijer);
     d1.push_back(die.delta_t1);

@@ -57,9 +57,9 @@ struct Instruments {
                                      double power_watts);
 
 /// Extraction and assembly of one die's result in the per-die order: the
-/// VBE(T) records (`vbe()`) and the classical EG if run_classical is set,
-/// then the cell records (`cell()`) and the Meijer EG/XTI; `out.ok` is
-/// set last. A throw leaves `out` filled as far as it got.
+/// VBE(T) records (`vbe()`) and the classical EG, then the cell records
+/// (`cell()`) and the Meijer EG/XTI; `out.ok` is set last. A throw leaves
+/// `out` filled as far as it got.
 void characterise(const LotCampaignConfig& cfg,
                   const std::function<std::vector<VbePoint>()>& vbe,
                   const std::function<std::vector<CellPoint>()>& cell,
@@ -84,7 +84,8 @@ struct LaneGroup {
   const LotCampaign& campaign;
   std::vector<DieCharacterisation>& results;
 
-  // Classical-method rig (forced-current diode-connected DUT, n = 1).
+  // Classical-method rig (forced-current diode-connected DUT, n = 1); not
+  // built for an empty classical chamber grid.
   std::vector<std::unique_ptr<spice::Circuit>> ibias_circuit;
   spice::NodeId ibias_emitter = spice::kGround;  ///< the same in every lane
   std::vector<spice::CurrentSource*> ibias_ie;

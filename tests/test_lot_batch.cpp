@@ -647,7 +647,6 @@ void expect_die_bit_identical(const lab::DieCharacterisation& a,
   EXPECT_EQ(a.index, b.index);
   EXPECT_EQ(a.ok, b.ok);
   EXPECT_EQ(a.error, b.error);
-  EXPECT_EQ(a.has_classical, b.has_classical);
   EXPECT_EQ(a.eg_classical, b.eg_classical);
   EXPECT_EQ(a.eg_meijer, b.eg_meijer);
   EXPECT_EQ(a.xti_meijer, b.xti_meijer);
@@ -744,6 +743,31 @@ TEST(LotBatchTest, GroupThatThrowsFallsBackToRunDie) {
   }
 }
 
+TEST(LotBatchTest, EmptyClassicalGridFailsEveryDieWithOneNamedError) {
+  // No classical chamber setting: the group body builds no classical rig
+  // (its prime needs a first setting) and every die fails in the
+  // extraction with the same message run_die records.
+  lab::LotCampaignConfig cfg = lot_config();
+  cfg.samples = 9;
+  cfg.classical_celsius.clear();
+  const auto ref = per_die(lab::LotCampaign(lab::SiliconLot{}, cfg));
+  for (const auto& die : ref) {
+    ASSERT_FALSE(die.ok);
+    EXPECT_EQ(die.error, ref.front().error);
+  }
+  EXPECT_FALSE(ref.front().error.empty());
+  for (unsigned threads : {1u, 2u}) {
+    cfg.threads = threads;
+    const auto got = lab::LotCampaign(lab::SiliconLot{}, cfg).run();
+    ASSERT_EQ(got.size(), ref.size());
+    for (std::size_t i = 0; i < ref.size(); ++i) {
+      SCOPED_TRACE(::testing::Message()
+                   << "threads=" << threads << " die=" << i);
+      expect_die_bit_identical(ref[i], got[i]);
+    }
+  }
+}
+
 TEST(LotBatchTest, FailingDiesFallBackBitIdentically) {
   // A wild process: some dies fail (extraction or convergence), others
   // survive. The batched path must reproduce the per-die results exactly,
@@ -754,7 +778,6 @@ TEST(LotBatchTest, FailingDiesFallBackBitIdentically) {
 
   lab::LotCampaignConfig cfg = lot_config();
   cfg.samples = 8;
-  cfg.run_classical = false;
   cfg.threads = 2;
   const lab::LotCampaign campaign(lot, cfg);
   const auto ref = per_die(campaign);

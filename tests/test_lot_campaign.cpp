@@ -16,8 +16,6 @@ LotCampaignConfig small_config() {
   LotCampaignConfig cfg;
   cfg.samples = 6;
   cfg.seed_base = 9000;
-  // Keep the per-die work light: three-temperature Meijer sweep only.
-  cfg.run_classical = false;
   return cfg;
 }
 
@@ -25,7 +23,6 @@ void expect_bit_identical(const DieCharacterisation& a,
                           const DieCharacterisation& b) {
   EXPECT_EQ(a.index, b.index);
   EXPECT_EQ(a.ok, b.ok);
-  EXPECT_EQ(a.has_classical, b.has_classical);
   // Exact equality on purpose: determinism means bit-identical doubles.
   EXPECT_EQ(a.eg_classical, b.eg_classical);
   EXPECT_EQ(a.eg_meijer, b.eg_meijer);
@@ -61,9 +58,7 @@ TEST(LotCampaignTest, ThreadCountDoesNotChangeResults) {
   const LotSummary sa = LotCampaign::summarise(a);
   const LotSummary sb = LotCampaign::summarise(b);
   EXPECT_EQ(sa.dies_ok, sb.dies_ok);
-  // run_classical was off: the summary must not fabricate statistics from
-  // never-computed fields.
-  EXPECT_EQ(sa.eg_classical.count, 0u);
+  EXPECT_EQ(sa.eg_classical.count, static_cast<std::size_t>(sa.dies_ok));
   EXPECT_EQ(sa.eg_meijer.mean, sb.eg_meijer.mean);
   EXPECT_EQ(sa.eg_meijer.stddev, sb.eg_meijer.stddev);
   EXPECT_EQ(sa.xti_meijer.q50, sb.xti_meijer.q50);
@@ -86,7 +81,6 @@ TEST(LotCampaignTest, RunMatchesPerDieProcedure) {
 
 TEST(LotCampaignTest, ResultsAreOrderedAndPlausible) {
   LotCampaignConfig cfg = small_config();
-  cfg.run_classical = true;
   cfg.classical_celsius = {-25.0, 0.0, 25.0, 50.0, 75.0};
   cfg.samples = 4;
   const LotCampaign campaign{SiliconLot{}, cfg};
