@@ -32,8 +32,8 @@
 // complex, a double either way), so the symbolic analysis is real-valued
 // for both instantiations and only the numeric refactor / solve arithmetic
 // is scalar-typed. An AC frequency sweep therefore runs the analysis once
-// at its first stamped frequency and re-factors allocation-free at every
-// further point, exactly like a Newton loop.
+// at its first frequency and re-factors allocation-free at every further
+// point, exactly like a Newton loop.
 //
 // Symbolic path: one, KLU's default shape. A block-triangular (BTF)
 // permutation first, then approximate minimum degree (AMD) on a quotient
@@ -124,6 +124,20 @@ class SparseMatrixT {
  public:
   SparseMatrixT() = default;
   SparseMatrixT(std::size_t rows, std::size_t cols) { resize(rows, cols); }
+  /// A frozen matrix on `pattern`'s CSR, every value zero. It shares the
+  /// pattern stamp, so one symbolic analysis serves both: the AC engine's
+  /// complex G + j*omega*C on the session's real DC pattern, whose values
+  /// it writes slot by slot through values().
+  /// \pre pattern.frozen().
+  template <typename Other>
+  explicit SparseMatrixT(const SparseMatrixT<Other>& pattern)
+      : rows_(pattern.rows()),
+        cols_(pattern.cols()),
+        frozen_(true),
+        pattern_stamp_(pattern.pattern_stamp()),
+        row_ptr_(pattern.row_ptr()),
+        col_index_(pattern.col_index()),
+        values_(pattern.nonzeros()) {}
 
   /// Reset to an empty building-phase matrix of the given dimensions.
   void resize(std::size_t rows, std::size_t cols);
@@ -191,6 +205,8 @@ class SparseMatrixT {
   [[nodiscard]] const std::vector<Scalar>& values() const noexcept {
     return values_;
   }
+  /// Slot-by-slot value access: one value per CSR slot, the pattern fixed.
+  [[nodiscard]] std::vector<Scalar>& values() noexcept { return values_; }
 
   /// Dense copy (tests and diagnostics; O(rows * cols)).
   [[nodiscard]] MatrixT<Scalar> to_dense() const;

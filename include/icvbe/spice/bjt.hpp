@@ -74,9 +74,6 @@ class Bjt final : public Device {
   void set_temperature(double t_kelvin) override;
   [[nodiscard]] std::unique_ptr<Device> clone() const override;
   void stamp(Stamper& stamper, const Unknowns& prev) override;
-  /// AC: the full conductance/transconductance Jacobian at the committed
-  /// OP -- the matrix part of stamp() without the companion RHS.
-  void stamp_ac(AcStamper& ac, const Unknowns& op) const override;
   [[nodiscard]] bool is_nonlinear() const override { return true; }
   void reset_state() override;
   [[nodiscard]] double power(const Unknowns& x) const override;
@@ -149,18 +146,6 @@ class Bjt final : public Device {
   /// Everything stamp() does after junction limiting and evaluation --
   /// shared by stamp() and stamp_with_exps().
   void stamp_core(Stamper& stamper, double v1, double v2, const Eval& ev);
-
-  /// The four terminal-current partials d J{c,b,e,s} / d {v1,v2} derived
-  /// from an Eval -- the ONE place the Jacobian structure lives, shared
-  /// by the large-signal stamp() and the small-signal stamp_ac() so the
-  /// two linearisations can never drift apart.
-  struct RowJacobian {
-    double djc_dv1, djc_dv2;
-    double djb_dv1, djb_dv2;
-    double dje_dv1, dje_dv2;
-    double djs_dv1, djs_dv2;
-  };
-  [[nodiscard]] RowJacobian row_jacobian(const Eval& ev) const;
 
   NodeId c_, b_, e_, s_node_;
   BjtModel model_;

@@ -11,15 +11,13 @@
 //   4. power(solution)      -- dissipation for the electro-thermal loop
 // terminals(x), outside the solve, reads the terminal currents at any x.
 //
-// Small-signal contract (AC analysis): after a DC operating point has been
-// committed, stamp_ac(ac, op) writes the device's *linearised* complex
-// admittance into the AC system at ac.omega() -- conductances and
-// transconductances evaluated at `op` for the static/nonlinear devices,
-// j*omega*C / 1/(j*omega*L) reactances for the dynamic ones, and AC
-// stimulus phasors on the RHS for independent sources carrying an AC spec.
-// stamp_ac is const and must not touch iteration state: one committed OP
-// serves a whole frequency sweep, and parallel sweep workers may share the
-// circuit read-only.
+// Small-signal contract (AC analysis): there is no AC stamp. The AC
+// engine (SimSession::solve_ac) solves G + j*omega*C about a solved
+// operating point, built from three real pieces: G is stamp() at the OP
+// in a Newton iteration's order (its RHS thrown away), C is
+// DynamicDevice::stamp_reactive on the capacitors and inductors, and the
+// RHS is IndependentSource::add_ac_stimulus. A device's AC model is its
+// DC Jacobian by construction, so the two cannot drift apart.
 
 #include <array>
 #include <memory>
@@ -74,14 +72,6 @@ class Device {
   /// Stamp the linearised model around the previous iterate. Non-const so
   /// nonlinear devices can keep junction-limiting state between iterations.
   virtual void stamp(Stamper& stamper, const Unknowns& prev) = 0;
-
-  /// Stamp the small-signal model linearised at the committed operating
-  /// point `op` into the complex AC system at ac.omega() (see the header
-  /// comment for the contract). Every device implements this: the matrix
-  /// part must agree with the Jacobian stamp() writes at a converged `op`
-  /// when omega -> 0 (asserted by test_ac), so the DC and AC views of a
-  /// device can never drift apart silently.
-  virtual void stamp_ac(AcStamper& ac, const Unknowns& op) const = 0;
 
   /// True if the device is nonlinear (forces Newton iteration).
   ///

@@ -24,8 +24,6 @@ class Diode final : public Device {
   void set_temperature(double t_kelvin) override;
   [[nodiscard]] std::unique_ptr<Device> clone() const override;
   void stamp(Stamper& stamper, const Unknowns& prev) override;
-  /// AC: the junction conductance g = dI/dV at the committed OP.
-  void stamp_ac(AcStamper& ac, const Unknowns& op) const override;
   [[nodiscard]] bool is_nonlinear() const override { return true; }
   void reset_state() override;
   [[nodiscard]] double power(const Unknowns& x) const override;
@@ -44,11 +42,6 @@ class Diode final : public Device {
   [[nodiscard]] double is_at_temperature() const noexcept { return is_t_; }
 
  private:
-  /// Small-signal conductance dI/dV from the precomputed junction
-  /// exponential e = exp(v / vt) (with the matrix-regularising floor) --
-  /// shared by stamp() and stamp_ac() so the DC and AC linearisations
-  /// cannot drift, while stamp() keeps its single exp() per iteration.
-  [[nodiscard]] double conductance_from_exp(double e) const;
   /// Junction limiting at `prev` into v_state_ (stamp()'s and
   /// collect_exp_args()'s prologue); true if it moved the voltage.
   bool limit(const Unknowns& prev);

@@ -18,6 +18,11 @@
 //    companion conductance/current linearised around the committed state
 //    of the previous accepted timepoint; commit(x) advances that state.
 //
+// In either mode stamp_reactive() writes the device's C in the MNA form
+// F(x) + dQ/dt: +C between a capacitor's nodes, -L at an inductor's aux
+// diagonal. The AC engine solves G + j*omega*C with it (sim_session.hpp).
+// Both land in slots the DC stamp already registers.
+//
 // Companion models (current i flows a -> b / p -> m):
 //   C, backward Euler:  i = (C/h)  v - (C/h) v_prev
 //   C, trapezoidal:     i = (2C/h) v - (2C/h) v_prev - i_prev
@@ -54,6 +59,10 @@ class DynamicDevice : public Device {
     method_ = method;
     h_ = h;
   }
+
+  /// Stamp the reactive coefficients (the matrix C of G + s*C, see the
+  /// header comment); independent of the mode and of any iterate.
+  virtual void stamp_reactive(Stamper& stamper) const = 0;
 
   /// Advance the companion state to the accepted solution `x` (called once
   /// per *accepted* timestep; rejected Newton solves never commit).
@@ -93,9 +102,8 @@ class Capacitor final : public DynamicDevice {
 
   [[nodiscard]] std::unique_ptr<Device> clone() const override;
   void stamp(Stamper& stamper, const Unknowns& prev) override;
-  /// AC: the admittance j*omega*C between a and b (the capacitor's actual
-  /// value, independent of the DC/transient companion mode).
-  void stamp_ac(AcStamper& ac, const Unknowns& op) const override;
+  /// C between a and b.
+  void stamp_reactive(Stamper& stamper) const override;
   void commit(const Unknowns& x) override;
   void init_state(const Unknowns& x) override;
 
@@ -142,9 +150,8 @@ class Inductor final : public DynamicDevice {
   [[nodiscard]] int aux_count() const override { return 1; }
   [[nodiscard]] std::unique_ptr<Device> clone() const override;
   void stamp(Stamper& stamper, const Unknowns& prev) override;
-  /// AC: the branch relation V(p) - V(m) = j*omega*L * i on the aux row
-  /// (omega = 0 degenerates to the DC short).
-  void stamp_ac(AcStamper& ac, const Unknowns& op) const override;
+  /// -L at the aux diagonal: the branch row V(p) - V(m) - s*L*i = 0.
+  void stamp_reactive(Stamper& stamper) const override;
   void commit(const Unknowns& x) override;
   void init_state(const Unknowns& x) override;
   void imprint_ic(Unknowns& x) const override;

@@ -21,7 +21,6 @@ class Resistor final : public Device {
   void set_temperature(double t_kelvin) override;
   [[nodiscard]] std::unique_ptr<Device> clone() const override;
   void stamp(Stamper& stamper, const Unknowns& prev) override;
-  void stamp_ac(AcStamper& ac, const Unknowns& op) const override;
   [[nodiscard]] double power(const Unknowns& x) const override;
   /// Current flowing a -> b.
   [[nodiscard]] Terminals terminals(const Unknowns& x) const override;
@@ -77,10 +76,14 @@ class IndependentSource : public Device {
   [[nodiscard]] double ac_magnitude() const noexcept { return ac_magnitude_; }
   [[nodiscard]] double ac_phase_deg() const noexcept { return ac_phase_deg_; }
 
- protected:
-  /// The AC stimulus as a phasor.
-  [[nodiscard]] linalg::Complex ac_phasor() const;
+  /// Add the AC stimulus phasor to the small-signal RHS `b`: a V source
+  /// drives its branch row, an I source injects it p -> m through the
+  /// source like its DC value. The DC value never enters the small-signal
+  /// system: without an AC spec a V source is an AC short and an I source
+  /// an AC open.
+  void add_ac_stimulus(linalg::ComplexVector& b) const;
 
+ protected:
   NodeId p_;
   NodeId m_;
   double value_;
@@ -102,9 +105,6 @@ class VoltageSource final : public IndependentSource {
     return std::make_unique<VoltageSource>(*this);
   }
   void stamp(Stamper& stamper, const Unknowns& prev) override;
-  /// AC: the branch is a short for small signals (V = AC phasor, 0 without
-  /// an AC spec) -- the DC bias never appears in the small-signal system.
-  void stamp_ac(AcStamper& ac, const Unknowns& op) const override;
 
   /// Branch current p -> m (positive = conventional current out of the +
   /// terminal through the external circuit is negative).
@@ -121,9 +121,6 @@ class CurrentSource final : public IndependentSource {
     return std::make_unique<CurrentSource>(*this);
   }
   void stamp(Stamper& stamper, const Unknowns& prev) override;
-  /// AC: an open circuit for small signals; with an AC spec it injects the
-  /// stimulus phasor (p -> m through the source, like the DC convention).
-  void stamp_ac(AcStamper& ac, const Unknowns& op) const override;
 
   [[nodiscard]] Terminals terminals(const Unknowns& x) const override;
 };
@@ -137,7 +134,6 @@ class Vcvs final : public Device {
   [[nodiscard]] int aux_count() const override { return 1; }
   [[nodiscard]] std::unique_ptr<Device> clone() const override;
   void stamp(Stamper& stamper, const Unknowns& prev) override;
-  void stamp_ac(AcStamper& ac, const Unknowns& op) const override;
   [[nodiscard]] Terminals terminals(const Unknowns& x) const override;
 
   [[nodiscard]] double gain() const noexcept { return gain_; }
@@ -161,9 +157,6 @@ class OpAmp final : public Device {
   [[nodiscard]] int aux_count() const override { return 1; }
   [[nodiscard]] std::unique_ptr<Device> clone() const override;
   void stamp(Stamper& stamper, const Unknowns& prev) override;
-  /// AC: the same gain-normalised constraint row without the offset (an
-  /// input offset is bias, not signal).
-  void stamp_ac(AcStamper& ac, const Unknowns& op) const override;
   /// Output current out -> ground; ground is the fourth terminal.
   [[nodiscard]] Terminals terminals(const Unknowns& x) const override;
 

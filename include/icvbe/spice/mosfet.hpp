@@ -33,9 +33,6 @@ class Mosfet final : public Device {
   void set_temperature(double t_kelvin) override;
   [[nodiscard]] std::unique_ptr<Device> clone() const override;
   void stamp(Stamper& stamper, const Unknowns& prev) override;
-  /// AC: gm / gds at the committed OP (no capacitances in the level-1
-  /// model, so the small-signal MOSFET is purely conductive).
-  void stamp_ac(AcStamper& ac, const Unknowns& op) const override;
   [[nodiscard]] bool is_nonlinear() const override { return true; }
   [[nodiscard]] double power(const Unknowns& x) const override;
 
@@ -55,13 +52,6 @@ class Mosfet final : public Device {
     double gm, gds;    // partials wrt vgs, vds (type frame)
   };
   [[nodiscard]] Eval evaluate(double vgs, double vds) const;
-
-  /// Clamp the raw type-frame voltages in place (the iteration limiting)
-  /// and evaluate at the clamped point -- the ONE linearisation both
-  /// stamp() and stamp_ac() use, so the DC and AC small-signal models
-  /// cannot drift. The clamped (vgs, vds) are the linearisation point the
-  /// DC companion RHS needs.
-  [[nodiscard]] Eval linearise(double& vgs, double& vds) const;
 
   NodeId d_, g_, s_;
   MosfetModel model_;

@@ -412,8 +412,8 @@ struct AnalysisPlan {
   std::vector<Probe> probes;
   /// Worker threads for 2-axis plans (outer rows) and AC plans (frequency
   /// points): 1 = serial in-place (default), 0 = hardware_concurrency,
-  /// N = N workers over per-thread circuit clones. Results are
-  /// bit-identical for any value.
+  /// N = N workers over per-thread circuit clones (rows) or complex AC
+  /// engines (frequency points). Results are bit-identical for any value.
   unsigned threads = 1;
 };
 

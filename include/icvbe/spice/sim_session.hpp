@@ -95,10 +95,16 @@ inline void stamp_gmin(Stamper& st, int node_unknowns, double gmin) {
   for (int i = 0; i < node_unknowns; ++i) st.add_entry(i, i, gmin);
 }
 
-/// Both sessions' prime(): stamp `circuit` at iterate `x` into `a`, `b` in
-/// a Newton iteration's order (linear prefix, gmin diagonal, the rest),
-/// wipe the devices' limiting state, and run a fresh analysis on `lu`.
-/// Throws NumericalError if singular there (`lu` is left invalidated).
+/// Stamp `circuit` at iterate `x` into `a`, `b` in a Newton iteration's
+/// order: linear prefix, gmin diagonal, the rest. pin_analysis stamps its
+/// reference matrix this way, and the AC engine its G.
+void stamp_in_newton_order(Circuit& circuit, std::size_t linear_prefix,
+                           int node_unknowns, double gmin, const Unknowns& x,
+                           linalg::SparseMatrix& a, linalg::Vector& b);
+
+/// Both sessions' prime(): stamp_in_newton_order at `x`, wipe the devices'
+/// limiting state, and run a fresh analysis on `lu`. Throws
+/// NumericalError if singular there (`lu` is left invalidated).
 void pin_analysis(Circuit& circuit, std::size_t linear_prefix,
                   int node_unknowns, double gmin, const Unknowns& x,
                   linalg::SparseMatrix& a, linalg::Vector& b,
@@ -114,9 +120,11 @@ class RunObserver;
 ///
 /// Thread-safety: a session is single-threaded -- it mutates its bound
 /// circuit (device limiting state, source values) on every solve. The
-/// sanctioned parallelism is run() with plan.threads != 1, which fans
-/// outer rows over per-thread Circuit::clone()s each owning a private
-/// session; results are bit-identical for any thread count.
+/// sanctioned parallelism is run() with plan.threads != 1, which fans a
+/// 2-axis plan's outer rows over per-thread Circuit::clone()s each owning
+/// a private session, and an AC plan's frequency points over per-thread
+/// complex engines that read the session's G, C and RHS; results are
+/// bit-identical for any thread count.
 class SimSession {
  public:
   /// Bind to `circuit`, assign unknowns, and preallocate every buffer the
@@ -150,7 +158,7 @@ class SimSession {
   /// The complex AC factorisation, for the same diagnostics.
   [[nodiscard]] const linalg::ComplexSparseLuFactorization&
   complex_sparse_lu() const noexcept {
-    return cslu_;
+    return ac_.lu();
   }
 
   /// Solve the DC operating point at the current circuit state. The result
@@ -174,15 +182,19 @@ class SimSession {
   const Unknowns& solve_or_throw(const Unknowns* initial = nullptr);
 
   /// Small-signal (.AC) solve at angular frequency `omega` [rad/s] about
-  /// the committed DC operating point -- the last converged solve() result
-  /// or an explicitly seeded warm start (seed_warm_start); if neither
-  /// exists, the operating point is solved first (solve_or_throw).
+  /// the operating point the last solve() converged on. If the session
+  /// holds none (no solve yet, or a failed solve, a seed, a variant or a
+  /// rebind since), the operating point is solved first (solve_or_throw):
+  /// a seed is a Newton start point, never an operating point.
   ///
-  /// Every device stamps its linearised complex admittance at the OP into
-  /// a complex CSR matrix whose frozen pattern is discovered once and
-  /// whose LU reuses one cached symbolic analysis across the whole
-  /// frequency sweep. The gmin_floor diagonal is included, mirroring the
-  /// DC system.
+  /// The system is G + j*omega*C (see device.hpp): the first solve_ac
+  /// after a solve builds G, C and the stimulus RHS once at the OP, on the
+  /// DC matrix's own pattern, and every call then writes each CSR slot as
+  /// (G, omega*C) into a complex matrix, factors it along one cached
+  /// symbolic analysis and solves. The gmin_floor diagonal is part of G,
+  /// as in the DC system. Building G stamps the devices at the OP, which
+  /// moves no junction's limiting state off the OP: the next warm solve
+  /// runs as if no AC solve had happened.
   ///
   /// Returns the complex unknown phasors (node voltages then aux branch
   /// currents), session-owned and valid until the next solve_ac call.
@@ -266,6 +278,11 @@ class SimSession {
       const noexcept {
     return sources_;
   }
+  /// Cached capacitors and inductors (discovered once at bind time).
+  [[nodiscard]] const std::vector<DynamicDevice*>& dynamic_devices()
+      const noexcept {
+    return dynamic_;
+  }
 
  private:
   /// One Newton attempt at fixed gmin; allocation-free. Returns true on
@@ -276,6 +293,51 @@ class SimSession {
   /// plan.cpp). \pre plan.ac is set and plan.axes is empty.
   [[nodiscard]] SweepResult run_ac(const AnalysisPlan& plan,
                                    RunObserver* observer);
+
+  /// The small-signal system at the solved OP in result_ (see solve_ac):
+  /// G, C and the RHS, on the pattern of sa_. Read-only during a sweep,
+  /// so every AC executor shares it.
+  struct SmallSignal {
+    linalg::Vector g;          ///< the DC stamp at the OP, per CSR slot
+    linalg::SparseMatrix c;    ///< stamp_reactive, on sa_'s pattern
+    linalg::ComplexVector rhs;  ///< the sources' AC stimulus phasors
+  };
+  /// Build small_signal_ at result_.solution. \pre a solved OP.
+  void linearise_ac();
+
+  /// One AC executor: the complex matrix G + j*omega*C, its LU and the
+  /// frequency its analysis is pinned at. The session owns one; a
+  /// parallel sweep gives each further worker its own.
+  class AcEngine {
+   public:
+    /// Phasors at `omega` (see SimSession::solve_ac).
+    const linalg::ComplexVector& solve(const SmallSignal& system,
+                                       double omega);
+    /// Pin the analysis at `omega`: re-analyse there before the next
+    /// point (run_ac pins every executor at the sweep's first frequency).
+    void pin_at(double omega) noexcept {
+      prime_omega_ = omega;
+      pinned_analysis_ = -1;
+    }
+    [[nodiscard]] const linalg::ComplexSparseLuFactorization& lu()
+        const noexcept {
+      return lu_;
+    }
+
+   private:
+    linalg::ComplexSparseMatrix a_;
+    linalg::ComplexSparseLuFactorization lu_;
+    linalg::ComplexVector x_;
+    // The symbolic analysis is pinned to the "prime": the first frequency
+    // the engine solved, or the one pin_at set. When the live analysis is
+    // not the one pinned there (a new pin, or a later point's refactor
+    // that collapsed the frozen pivots and re-analysed), the next solve
+    // re-pins at the prime first, so every point's factorisation is a
+    // pure function of (system, omega, prime omega) -- never of sweep
+    // order or worker scheduling (the bit-identity discipline).
+    std::optional<double> prime_omega_;
+    int pinned_analysis_ = -1;  ///< analysis_count() at the last pin
+  };
 
   /// Set every cached source to lambda times its nominal value in
   /// source_base_ (source stepping; 1 restores it).
@@ -294,23 +356,11 @@ class SimSession {
   linalg::SparseMatrix sa_;
   linalg::SparseLuFactorization slu_;
 
-  // Complex twin of the DC engine for AC solves, materialised lazily by
-  // the first solve_ac() (a DC-only session never pays for it) and
-  // released at rebind(). The pattern is discovered by one stamp_ac pass,
-  // then frozen -- the same build-once discipline as sa_.
-  bool ac_ready_ = false;
-  linalg::ComplexVector cb_;
-  linalg::ComplexSparseMatrix csa_;
-  linalg::ComplexSparseLuFactorization cslu_;
-  // The symbolic analysis is pinned to the "prime": the first frequency
-  // the session stamped, or the sweep's first one that run_ac sets. When
-  // the live analysis is not the one pinned there (a new pin, or a later
-  // point's refactor that collapsed the frozen pivots and re-analysed),
-  // the next solve_ac re-pins at the prime first, so every point's
-  // factorisation is a pure function of (op, omega, prime omega) -- never
-  // of sweep order or worker scheduling (the bit-identity discipline).
-  std::optional<double> ac_prime_omega_;
-  int ac_pinned_analysis_ = -1;  ///< analysis_count() at the last pin
+  // The AC engine (solve_ac, run_ac). small_signal_ is current when
+  // ac_linearised_ holds: any solve() or rebind() clears it.
+  SmallSignal small_signal_;
+  bool ac_linearised_ = false;
+  AcEngine ac_;
 
   Unknowns x_;        ///< working iterate
   Unknowns x_stage_;  ///< gmin / source stepping iterate
@@ -318,6 +368,7 @@ class SimSession {
 
   std::vector<IndependentSource*> sources_;
   std::vector<double> source_base_;
+  std::vector<DynamicDevice*> dynamic_;
 
   bool have_last_ = false;
 };

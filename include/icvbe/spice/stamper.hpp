@@ -1,13 +1,13 @@
 #pragma once
-// Stamper: the device-facing interface for assembling the MNA system
-// G x = b during one Newton iteration (real scalar) or one AC frequency
-// point (complex scalar).
+// Stamper: the device-facing interface for assembling the real MNA system
+// G x = b of one Newton iteration, and the reactive matrix C the AC
+// engine pairs with G (DynamicDevice::stamp_reactive).
 //
 // Conventions (classic MNA):
 //  * KCL rows: sum of currents *leaving* a node through devices equals the
 //    current *injected* into the node on the RHS.
 //  * A conductance g between nodes a and b stamps +g on the diagonals and
-//    -g off-diagonal (for AC, g generalises to a complex admittance y).
+//    -g off-diagonal (a capacitance C stamps into C the same way).
 //  * A nonlinear branch I(v) linearised at v* stamps its small-signal g and
 //    the companion current Ieq = I(v*) - g v* as an RHS extraction.
 //  * Aux rows (branch-current unknowns) are stamped with raw add_entry /
@@ -18,21 +18,19 @@
 
 namespace icvbe::spice {
 
-template <typename Scalar>
-class StamperT {
+class Stamper {
  public:
   /// `node_unknowns` = number of non-ground nodes; aux rows follow.
-  /// `a` views a SparseMatrixT (implicitly constructible from one) or one
+  /// `a` views a SparseMatrix (implicitly constructible from one) or one
   /// lane of a SparseValueBatch: every stamp goes through the same
-  /// MatrixViewT contract (see matrix_view.hpp).
-  StamperT(linalg::MatrixViewT<Scalar> a, linalg::VectorT<Scalar>& b,
-           int node_unknowns);
+  /// MatrixView contract (see matrix_view.hpp).
+  Stamper(linalg::MatrixView a, linalg::Vector& b, int node_unknowns);
 
   // The add methods are defined here, not in stamper.cpp, so each
   // device's stamp inlines down to the matrix's taped add.
 
-  /// Linear conductance (complex: admittance) between nodes a and b.
-  void add_conductance(NodeId a, NodeId b, Scalar g) {
+  /// Linear conductance between nodes a and b.
+  void add_conductance(NodeId a, NodeId b, double g) {
     const int ia = node_index(a);
     const int ib = node_index(b);
     add_entry(ia, ia, g);
@@ -42,11 +40,11 @@ class StamperT {
   }
 
   /// Independent current J injected into node n (flows from ground into n).
-  void add_current_into(NodeId n, Scalar j) { add_rhs(node_index(n), j); }
+  void add_current_into(NodeId n, double j) { add_rhs(node_index(n), j); }
 
   /// Companion model of a nonlinear branch from p to m: current I = g v +
   /// ieq flows p -> m. Stamps the conductance and moves ieq to the RHS.
-  void stamp_companion(NodeId p, NodeId m, Scalar g, Scalar ieq) {
+  void stamp_companion(NodeId p, NodeId m, double g, double ieq) {
     add_conductance(p, m, g);
     // ieq flows p -> m: extract it from p's injection, add to m's.
     add_rhs(node_index(p), -ieq);
@@ -56,11 +54,11 @@ class StamperT {
   /// Raw matrix access for aux rows/columns. Row/col indices are unknown
   /// indices: nodes occupy [0, node_unknowns), aux rows follow. Negative
   /// index (ground) contributions are dropped.
-  void add_entry(int row, int col, Scalar v) {
+  void add_entry(int row, int col, double v) {
     if (row < 0 || col < 0) return;  // ground row/column is eliminated
     a_.add(static_cast<std::size_t>(row), static_cast<std::size_t>(col), v);
   }
-  void add_rhs(int row, Scalar v) {
+  void add_rhs(int row, double v) {
     if (row < 0) return;
     b_[static_cast<std::size_t>(row)] += v;
   }
@@ -77,32 +75,9 @@ class StamperT {
   [[nodiscard]] int limited() const noexcept { return limited_; }
 
  private:
-  linalg::MatrixViewT<Scalar> a_;
-  linalg::VectorT<Scalar>& b_;
+  linalg::MatrixView a_;
+  linalg::Vector& b_;
   int limited_ = 0;
-};
-
-using Stamper = StamperT<double>;
-
-extern template class StamperT<double>;
-extern template class StamperT<linalg::Complex>;
-
-/// The small-signal stamper one AC frequency point is assembled through:
-/// the complex-scalar StamperT plus the angular frequency, so a device's
-/// stamp_ac() can write its admittance (g + j*omega*C, 1/(j*omega*L), ...)
-/// without extra plumbing. Conventions are identical to the DC Stamper;
-/// only independent sources with an AC stimulus touch the RHS.
-class AcStamper : public StamperT<linalg::Complex> {
- public:
-  AcStamper(linalg::ComplexMatrixView a, linalg::ComplexVector& b,
-            int node_unknowns, double omega)
-      : StamperT<linalg::Complex>(a, b, node_unknowns), omega_(omega) {}
-
-  /// Angular frequency of the point being stamped [rad/s].
-  [[nodiscard]] double omega() const noexcept { return omega_; }
-
- private:
-  double omega_;
 };
 
 }  // namespace icvbe::spice

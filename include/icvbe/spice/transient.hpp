@@ -123,7 +123,8 @@ class TransientSolver {
   /// take it with backward Euler (the committed derivative is stale).
   bool restart_ = true;
 
-  std::vector<DynamicDevice*> dynamic_;
+  /// The session's capacitors and inductors (SimSession::dynamic_devices).
+  const std::vector<DynamicDevice*>& dynamic_;
   std::vector<IndependentSource*> waves_;  ///< sources with a waveform
   std::vector<double> source_t0_;  ///< restore values (every source)
 

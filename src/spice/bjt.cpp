@@ -183,26 +183,6 @@ Bjt::Eval Bjt::evaluate_from_exps(double v1, double v2,
   return ev;
 }
 
-Bjt::RowJacobian Bjt::row_jacobian(const Eval& ev) const {
-  // Partials of the currents leaving each node in the junction frame
-  // (type factor s handled by the callers; s^2 = 1 cancels in every
-  // entry). The vertical parasitic collects isub_e into the substrate and
-  // returns isub_e/bf_sub through the base (its base is the main device's
-  // n-well base).
-  const double inv_bf_sub =
-      std::isfinite(model_.bf_sub) ? 1.0 / model_.bf_sub : 0.0;
-  RowJacobian j;
-  j.djc_dv1 = ev.git1;
-  j.djc_dv2 = ev.git2 - ev.gbc + ev.gsub;
-  j.djb_dv1 = ev.gbe + ev.gsub_e * inv_bf_sub;
-  j.djb_dv2 = ev.gbc;
-  j.dje_dv1 = -(ev.git1 + ev.gbe + ev.gsub_e * (1.0 + inv_bf_sub));
-  j.dje_dv2 = -ev.git2;
-  j.djs_dv1 = ev.gsub_e;
-  j.djs_dv2 = -ev.gsub;
-  return j;
-}
-
 bool Bjt::limit(const Unknowns& prev) {
   const double s = sign_;
   const bool be =
@@ -253,8 +233,6 @@ void Bjt::stamp_core(Stamper& stamper, double v1, double v2, const Eval& ev) {
       -s * (ev.it + ev.ibe + ev.isub_e * (1.0 + inv_bf_sub));
   const double js = s * (ev.isub_e - ev.isub);
 
-  const RowJacobian g = row_jacobian(ev);
-
   const int ic = stamper.node_index(c_);
   const int ib = stamper.node_index(b_);
   const int ie = stamper.node_index(e_);
@@ -262,16 +240,19 @@ void Bjt::stamp_core(Stamper& stamper, double v1, double v2, const Eval& ev) {
 
   // v1 = s(Vb - Ve), v2 = s(Vb - Vc): dv1/dVb = s, dv1/dVe = -s, etc.
   // Row entries for current J leaving node X: dJ/dVnode. J carries a factor
-  // s and the chain rule another, so entries are sign-free.
+  // s and the chain rule another, so entries are sign-free. The vertical
+  // parasitic collects isub_e into the substrate and returns isub_e/bf_sub
+  // through the base (its base is the main device's n-well base).
   struct RowStamp {
     int row;
     double dv1, dv2, j;
   };
   const RowStamp rows[] = {
-      {ic, g.djc_dv1, g.djc_dv2, jc},
-      {ib, g.djb_dv1, g.djb_dv2, jb},
-      {ie, g.dje_dv1, g.dje_dv2, je},
-      {is_i, g.djs_dv1, g.djs_dv2, js},
+      {ic, ev.git1, ev.git2 - ev.gbc + ev.gsub, jc},
+      {ib, ev.gbe + ev.gsub_e * inv_bf_sub, ev.gbc, jb},
+      {ie, -(ev.git1 + ev.gbe + ev.gsub_e * (1.0 + inv_bf_sub)), -ev.git2,
+       je},
+      {is_i, ev.gsub_e, -ev.gsub, js},
   };
   for (const auto& r : rows) {
     stamper.add_entry(r.row, ib, r.dv1 + r.dv2);
@@ -284,36 +265,6 @@ void Bjt::stamp_core(Stamper& stamper, double v1, double v2, const Eval& ev) {
     // extracted from the node's RHS injection.
     const double ieq = r.j - s * (r.dv1 * v1 + r.dv2 * v2);
     stamper.add_rhs(r.row, -ieq);
-  }
-}
-
-void Bjt::stamp_ac(AcStamper& ac, const Unknowns& op) const {
-  // Small-signal Jacobian at the committed OP: the same row_jacobian()
-  // partials stamp() writes (junction limiting skipped -- a converged OP
-  // is its own limit), with no companion RHS.
-  const double s = sign_;
-  const double v1 = s * (op.node_voltage(b_) - op.node_voltage(e_));
-  const double v2 = s * (op.node_voltage(b_) - op.node_voltage(c_));
-  const RowJacobian g = row_jacobian(evaluate(v1, v2));
-
-  const int ic = ac.node_index(c_);
-  const int ib = ac.node_index(b_);
-  const int ie = ac.node_index(e_);
-  const int is_i = ac.node_index(s_node_);
-
-  const struct {
-    int row;
-    double dv1, dv2;
-  } rows[] = {
-      {ic, g.djc_dv1, g.djc_dv2},
-      {ib, g.djb_dv1, g.djb_dv2},
-      {ie, g.dje_dv1, g.dje_dv2},
-      {is_i, g.djs_dv1, g.djs_dv2},
-  };
-  for (const auto& r : rows) {
-    ac.add_entry(r.row, ib, linalg::Complex(r.dv1 + r.dv2));
-    ac.add_entry(r.row, ie, linalg::Complex(-r.dv1));
-    ac.add_entry(r.row, ic, linalg::Complex(-r.dv2));
   }
 }
 

@@ -48,10 +48,6 @@ void Diode::set_temperature(double t_kelvin) {
 
 void Diode::reset_state() { v_state_ = 0.0; }
 
-double Diode::conductance_from_exp(double e) const {
-  return is_t_ * e / vt_ + 1e-15;  // floor keeps the matrix regular
-}
-
 bool Diode::limit(const Unknowns& prev) {
   return limit_junction(
       prev.node_voltage(anode_) - prev.node_voltage(cathode_), v_state_, vt_,
@@ -75,18 +71,8 @@ void Diode::stamp_with_exps(Stamper& stamper, const Unknowns& /*prev*/,
   const double v = v_state_;
   const double e = exps ? exps[0] : safe_exp(v / vt_);
   const double i = is_t_ * (e - 1.0);
-  const double g = conductance_from_exp(e);
+  const double g = is_t_ * e / vt_ + 1e-15;  // floor keeps G regular
   stamper.stamp_companion(anode_, cathode_, g, i - g * v);
-}
-
-void Diode::stamp_ac(AcStamper& ac, const Unknowns& op) const {
-  // Small-signal conductance at the committed operating point: the same
-  // conductance_from_exp() the large-signal stamp() linearises with,
-  // minus the junction limiting (the OP is converged, so limiting is a
-  // no-op).
-  const double v = op.node_voltage(anode_) - op.node_voltage(cathode_);
-  ac.add_conductance(anode_, cathode_,
-                     linalg::Complex(conductance_from_exp(safe_exp(v / vt_))));
 }
 
 Terminals Diode::terminals(const Unknowns& x) const {

@@ -34,8 +34,8 @@ void Capacitor::stamp(Stamper& stamper, const Unknowns& /*prev*/) {
   stamper.stamp_companion(a_, b_, geq(), ieq());
 }
 
-void Capacitor::stamp_ac(AcStamper& ac, const Unknowns& /*op*/) const {
-  ac.add_conductance(a_, b_, linalg::Complex(0.0, ac.omega() * farads_));
+void Capacitor::stamp_reactive(Stamper& stamper) const {
+  stamper.add_conductance(a_, b_, farads_);
 }
 
 Terminals Capacitor::terminals(const Unknowns& /*x*/) const {
@@ -110,18 +110,10 @@ void Inductor::stamp(Stamper& stamper, const Unknowns& /*prev*/) {
   stamper.add_rhs(k, veq);
 }
 
-void Inductor::stamp_ac(AcStamper& ac, const Unknowns& /*op*/) const {
+void Inductor::stamp_reactive(Stamper& stamper) const {
   const int k = first_aux();
   ICVBE_ASSERT(k >= 0, "Inductor: aux index not assigned");
-  const int ip = ac.node_index(p_);
-  const int im = ac.node_index(m_);
-  const linalg::Complex one(1.0);
-  ac.add_entry(ip, k, one);
-  ac.add_entry(im, k, -one);
-  // Branch row: V(p) - V(m) - j*omega*L * i = 0.
-  ac.add_entry(k, ip, one);
-  ac.add_entry(k, im, -one);
-  ac.add_entry(k, k, linalg::Complex(0.0, -ac.omega() * henries_));
+  stamper.add_entry(k, k, -henries_);
 }
 
 Terminals Inductor::terminals(const Unknowns& x) const {

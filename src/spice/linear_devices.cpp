@@ -45,10 +45,6 @@ void Resistor::stamp(Stamper& stamper, const Unknowns& /*prev*/) {
   stamper.add_conductance(a_, b_, 1.0 / r_now_);
 }
 
-void Resistor::stamp_ac(AcStamper& ac, const Unknowns& /*op*/) const {
-  ac.add_conductance(a_, b_, linalg::Complex(1.0 / r_now_));
-}
-
 Terminals Resistor::terminals(const Unknowns& x) const {
   return Terminals::branch(
       a_, b_, (x.node_voltage(a_) - x.node_voltage(b_)) / r_now_);
@@ -59,8 +55,15 @@ double Resistor::power(const Unknowns& x) const {
   return v * v / r_now_;
 }
 
-linalg::Complex IndependentSource::ac_phasor() const {
-  return std::polar(ac_magnitude_, ac_phase_deg_ * M_PI / 180.0);
+void IndependentSource::add_ac_stimulus(linalg::ComplexVector& b) const {
+  const linalg::Complex j =
+      std::polar(ac_magnitude_, ac_phase_deg_ * M_PI / 180.0);
+  if (aux_count() == 1) {
+    b[static_cast<std::size_t>(first_aux())] += j;
+    return;
+  }
+  if (p_ != kGround) b[static_cast<std::size_t>(p_ - 1)] += -j;
+  if (m_ != kGround) b[static_cast<std::size_t>(m_ - 1)] += j;
 }
 
 VoltageSource::VoltageSource(std::string name, NodeId p, NodeId m,
@@ -81,19 +84,6 @@ void VoltageSource::stamp(Stamper& stamper, const Unknowns& /*prev*/) {
   stamper.add_rhs(k, value_);
 }
 
-void VoltageSource::stamp_ac(AcStamper& ac, const Unknowns& /*op*/) const {
-  const int k = first_aux();
-  ICVBE_ASSERT(k >= 0, "VoltageSource: aux index not assigned");
-  const int ip = ac.node_index(p_);
-  const int im = ac.node_index(m_);
-  const linalg::Complex one(1.0);
-  ac.add_entry(ip, k, one);
-  ac.add_entry(im, k, -one);
-  ac.add_entry(k, ip, one);
-  ac.add_entry(k, im, -one);
-  ac.add_rhs(k, ac_phasor());
-}
-
 Terminals VoltageSource::terminals(const Unknowns& x) const {
   return Terminals::branch(p_, m_, x.aux(first_aux()));
 }
@@ -108,13 +98,6 @@ void CurrentSource::stamp(Stamper& stamper, const Unknowns& /*prev*/) {
   // value_ flows p -> m inside the source: extracted from p, injected at m.
   stamper.add_current_into(p_, -value_);
   stamper.add_current_into(m_, value_);
-}
-
-void CurrentSource::stamp_ac(AcStamper& ac, const Unknowns& /*op*/) const {
-  // The AC stimulus flows p -> m inside the source, like the DC value.
-  const linalg::Complex j = ac_phasor();
-  ac.add_current_into(p_, -j);
-  ac.add_current_into(m_, j);
 }
 
 Terminals CurrentSource::terminals(const Unknowns& /*x*/) const {
@@ -139,20 +122,6 @@ void Vcvs::stamp(Stamper& stamper, const Unknowns& /*prev*/) {
   stamper.add_entry(k, im, -1.0);
   stamper.add_entry(k, stamper.node_index(cp_), -gain_);
   stamper.add_entry(k, stamper.node_index(cm_), gain_);
-}
-
-void Vcvs::stamp_ac(AcStamper& ac, const Unknowns& /*op*/) const {
-  const int k = first_aux();
-  ICVBE_ASSERT(k >= 0, "Vcvs: aux index not assigned");
-  const int ip = ac.node_index(p_);
-  const int im = ac.node_index(m_);
-  const linalg::Complex one(1.0);
-  ac.add_entry(ip, k, one);
-  ac.add_entry(im, k, -one);
-  ac.add_entry(k, ip, one);
-  ac.add_entry(k, im, -one);
-  ac.add_entry(k, ac.node_index(cp_), linalg::Complex(-gain_));
-  ac.add_entry(k, ac.node_index(cm_), linalg::Complex(gain_));
 }
 
 Terminals Vcvs::terminals(const Unknowns& x) const {
@@ -188,19 +157,6 @@ void OpAmp::stamp(Stamper& stamper, const Unknowns& /*prev*/) {
   stamper.add_entry(k, stamper.node_index(inp_), -1.0);
   stamper.add_entry(k, stamper.node_index(inn_), 1.0);
   stamper.add_rhs(k, offset_);
-}
-
-void OpAmp::stamp_ac(AcStamper& ac, const Unknowns& /*op*/) const {
-  const int k = first_aux();
-  ICVBE_ASSERT(k >= 0, "OpAmp: aux index not assigned");
-  const int io = ac.node_index(out_);
-  const linalg::Complex one(1.0);
-  ac.add_entry(io, k, one);
-  // Same gain-normalised row as the DC stamp; the offset is a bias term
-  // and contributes nothing to the small-signal system.
-  ac.add_entry(k, io, linalg::Complex(1.0 / gain_));
-  ac.add_entry(k, ac.node_index(inp_), -one);
-  ac.add_entry(k, ac.node_index(inn_), one);
 }
 
 Terminals OpAmp::terminals(const Unknowns& x) const {

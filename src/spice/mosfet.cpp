@@ -81,20 +81,19 @@ Mosfet::Eval Mosfet::evaluate(double vgs, double vds) const {
   return ev;
 }
 
-Mosfet::Eval Mosfet::linearise(double& vgs, double& vds) const {
-  // Mild limiting keeps the square law from launching Newton; the device
-  // is polynomial so a simple clamp is enough (no exponentials here).
-  vgs = std::clamp(vgs, -5.0, 5.0);
-  vds = std::clamp(vds, -5.0, 10.0);
-  return evaluate(vgs, vds);
-}
-
 void Mosfet::stamp(Stamper& stamper, const Unknowns& prev) {
   const double s = sign_;
   // Type frame: vgs, vds positive in normal operation for both types.
-  double vgs = s * (prev.node_voltage(g_) - prev.node_voltage(s_));
-  double vds = s * (prev.node_voltage(d_) - prev.node_voltage(s_));
-  const Eval ev = linearise(vgs, vds);
+  // Mild limiting keeps the square law from launching Newton; the device
+  // is polynomial so a simple clamp is enough (no exponentials here). The
+  // clamped (vgs, vds) are the linearisation point the companion RHS needs.
+  const double vgs =
+      std::clamp(s * (prev.node_voltage(g_) - prev.node_voltage(s_)), -5.0,
+                 5.0);
+  const double vds =
+      std::clamp(s * (prev.node_voltage(d_) - prev.node_voltage(s_)), -5.0,
+                 10.0);
+  const Eval ev = evaluate(vgs, vds);
 
   // Currents leaving nodes: Jd = s*id, Js = -s*id, Jg = 0.
   const int id_ = stamper.node_index(d_);
@@ -113,25 +112,6 @@ void Mosfet::stamp(Stamper& stamper, const Unknowns& prev) {
   const double ieq_d = jd - s * (ev.gm * vgs + ev.gds * vds);
   stamper.add_rhs(id_, -ieq_d);
   stamper.add_rhs(is, ieq_d);
-}
-
-void Mosfet::stamp_ac(AcStamper& ac, const Unknowns& op) const {
-  // Small-signal gm / gds from the shared linearise() at the committed
-  // OP, so the two linearisations are identical even at a railed bias.
-  const double s = sign_;
-  double vgs = s * (op.node_voltage(g_) - op.node_voltage(s_));
-  double vds = s * (op.node_voltage(d_) - op.node_voltage(s_));
-  const Eval ev = linearise(vgs, vds);
-
-  const int id_ = ac.node_index(d_);
-  const int ig = ac.node_index(g_);
-  const int is = ac.node_index(s_);
-  ac.add_entry(id_, ig, linalg::Complex(ev.gm));
-  ac.add_entry(id_, id_, linalg::Complex(ev.gds));
-  ac.add_entry(id_, is, linalg::Complex(-(ev.gm + ev.gds)));
-  ac.add_entry(is, ig, linalg::Complex(-ev.gm));
-  ac.add_entry(is, id_, linalg::Complex(-ev.gds));
-  ac.add_entry(is, is, linalg::Complex(ev.gm + ev.gds));
 }
 
 Terminals Mosfet::terminals(const Unknowns& x) const {

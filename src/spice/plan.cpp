@@ -859,23 +859,6 @@ double eval_compiled_ac(const CompiledProbe& probe,
   });
 }
 
-/// The session one for_each_index worker runs on: the parent itself when
-/// the run has a single worker, else a private clone of its circuit under
-/// the same NewtonOptions.
-struct Executor {
-  Executor(SimSession& parent, const NewtonOptions& options,
-           unsigned workers)
-      : session(&parent) {
-    if (workers > 1) {
-      session = &own.emplace(clone.emplace(parent.circuit().clone()), options);
-    }
-  }
-
-  std::optional<Circuit> clone;
-  std::optional<SimSession> own;
-  SimSession* session;
-};
-
 /// Everything one executor needs to run rows of a sweep plan.
 struct BoundPlan {
   BoundParam outer;  ///< 1-axis plans: the inner axis again, unused
@@ -946,17 +929,24 @@ void start_row(SimSession& session, BoundPlan& bound, const Unknowns* seed,
   pinned = session.sparse_lu().analysis_count();
 }
 
-/// One worker of a 2-axis run: its session, the plan bound to that
-/// session's circuit, and the analysis count start_row last pinned.
+/// One worker of a 2-axis run: its session -- the parent itself when the
+/// run has a single worker, else a private clone of its circuit under the
+/// same NewtonOptions -- the plan bound to that session's circuit, and the
+/// analysis count start_row last pinned.
 struct RowWorker {
-  Executor exec;
+  std::optional<Circuit> clone;
+  std::optional<SimSession> own;
+  SimSession* session;
   BoundPlan bound;
   int pinned = -1;  ///< see start_row
 
   RowWorker(SimSession& parent, const NewtonOptions& options,
             unsigned workers, const AnalysisPlan& plan)
-      : exec(parent, options, workers),
-        bound(plan, exec.session->circuit()) {}
+      : session(workers > 1
+                    ? &own.emplace(clone.emplace(parent.circuit().clone()),
+                                   options)
+                    : &parent),
+        bound(plan, session->circuit()) {}
 };
 
 }  // namespace
@@ -1048,44 +1038,40 @@ SweepResult SimSession::run_ac(const AnalysisPlan& plan,
                             plan.ac->frequencies(), observer);
   const std::vector<double>& freqs = sink.inner();
 
-  // One committed operating point serves the whole sweep. The plan path
-  // always SOLVES it -- a live warm-start seed (.NODESET hints, an
-  // analytic guess) is a starting point for Newton here, never a
-  // substitute for convergence. Every executor then linearises about
-  // exactly these bits: solve_ac takes a seeded vector as the OP, so the
-  // clones of a parallel run inherit it verbatim.
+  // One operating point serves the whole sweep, and the plan path always
+  // SOLVES it -- a live warm-start seed (.NODESET hints, an analytic
+  // guess) is a starting point for Newton here, never a substitute for
+  // convergence. G, C and the RHS are built once at that OP; every
+  // executor reads them and keeps only its own complex matrix and LU.
   (void)solve_or_throw();
-  const Unknowns op = result_.solution;
+  linearise_ac();
 
-  // Every executor, this session on one worker or a clone on more, pins
-  // its sparse analysis at the sweep's FIRST frequency before its first
-  // point: the factorisation of each point then depends only on (op,
-  // omega, first omega), never on which points a worker drew, what an
-  // earlier solve_ac on this session pinned, or the thread count.
+  // Every executor, this session's engine on one worker or a fresh one on
+  // more, pins its analysis at the sweep's FIRST frequency before its
+  // first point: the factorisation of each point then depends only on
+  // (system, omega, first omega), never on which points a worker drew,
+  // what an earlier solve_ac on this session pinned, or the thread count.
   struct AcWorker {
-    Executor exec;
+    std::optional<AcEngine> own;
+    AcEngine* engine;
     CompiledProbeSet probes;
 
-    AcWorker(SimSession& parent, const NewtonOptions& options,
-             unsigned workers, const AnalysisPlan& plan, const Unknowns& op,
-             double prime_omega)
-        : exec(parent, options, workers),
-          probes(plan.probes, exec.session->circuit(), ProbeDomain::kAc) {
-      SimSession& s = *exec.session;
-      s.seed_warm_start(op);
-      s.ac_prime_omega_ = prime_omega;
-      s.ac_pinned_analysis_ = -1;  // (re)analyse at the prime first
+    AcWorker(AcEngine& parent, unsigned workers, const AnalysisPlan& plan,
+             const Circuit& circuit, double prime_omega)
+        : engine(workers > 1 ? &own.emplace() : &parent),
+          probes(plan.probes, circuit, ProbeDomain::kAc) {
+      engine->pin_at(prime_omega);
     }
   };
   common::for_each_index(
       freqs.size(), plan.threads,
       [&](unsigned workers) {
-        return AcWorker(*this, options_, workers, plan, op,
+        return AcWorker(ac_, workers, plan, *circuit_,
                         2.0 * M_PI * freqs.front());
       },
       [&](AcWorker& w, std::size_t i) {
         const linalg::ComplexVector& xac =
-            w.exec.session->solve_ac(2.0 * M_PI * freqs[i]);
+            w.engine->solve(small_signal_, 2.0 * M_PI * freqs[i]);
         sink.put(i, [&](std::size_t p) { return w.probes.eval_ac(p, xac); });
       },
       sink.cancelled());
@@ -1177,8 +1163,8 @@ SweepResult SimSession::run(const AnalysisPlan& plan, RunObserver* observer) {
         return RowWorker(*this, options_, workers, plan);
       },
       [&](RowWorker& w, std::size_t o) {
-        start_row(*w.exec.session, w.bound, seed, sink, o, w.pinned);
-        run_inner_sweep(*w.exec.session, w.bound, plan, sink, o, seed);
+        start_row(*w.session, w.bound, seed, sink, o, w.pinned);
+        run_inner_sweep(*w.session, w.bound, plan, sink, o, seed);
       },
       sink.cancelled());
   return std::move(sink).take();

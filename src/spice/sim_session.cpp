@@ -48,19 +48,19 @@ void SimSession::rebind() {
   for (const auto& dev : circuit_->devices()) dev->reset_state();
   std::fill(b_.begin(), b_.end(), 0.0);
 
-  // Release the complex AC engine; the next solve_ac() rebuilds it at the
-  // new size (and re-discovers the pattern).
-  ac_ready_ = false;
-  cb_ = linalg::ComplexVector();
-  csa_ = linalg::ComplexSparseMatrix();
-  cslu_ = linalg::ComplexSparseLuFactorization();
-  ac_prime_omega_.reset();
-  ac_pinned_analysis_ = -1;
+  // Release the AC engine; the next solve_ac() rebuilds it on the new
+  // pattern.
+  small_signal_ = SmallSignal();
+  ac_linearised_ = false;
+  ac_ = AcEngine();
 
   sources_.clear();
+  dynamic_.clear();
   for (const auto& dev : circuit_->devices()) {
     if (auto* s = dynamic_cast<IndependentSource*>(dev.get())) {
       sources_.push_back(s);
+    } else if (auto* d = dynamic_cast<DynamicDevice*>(dev.get())) {
+      dynamic_.push_back(d);
     }
   }
   source_base_.assign(sources_.size(), 0.0);
@@ -82,10 +82,9 @@ void SimSession::prime() {
   }
 }
 
-void pin_analysis(Circuit& circuit, std::size_t linear_prefix,
-                  int node_unknowns, double gmin, const Unknowns& x,
-                  linalg::SparseMatrix& a, linalg::Vector& b,
-                  linalg::SparseLuFactorization& lu) {
+void stamp_in_newton_order(Circuit& circuit, std::size_t linear_prefix,
+                           int node_unknowns, double gmin, const Unknowns& x,
+                           linalg::SparseMatrix& a, linalg::Vector& b) {
   a.fill(0.0);
   std::fill(b.begin(), b.end(), 0.0);
   Stamper st(a, b, node_unknowns);
@@ -95,7 +94,15 @@ void pin_analysis(Circuit& circuit, std::size_t linear_prefix,
   for (std::size_t d = linear_prefix; d < devices.size(); ++d) {
     devices[d]->stamp(st, x);
   }
-  for (const auto& dev : devices) dev->reset_state();
+}
+
+void pin_analysis(Circuit& circuit, std::size_t linear_prefix,
+                  int node_unknowns, double gmin, const Unknowns& x,
+                  linalg::SparseMatrix& a, linalg::Vector& b,
+                  linalg::SparseLuFactorization& lu) {
+  stamp_in_newton_order(circuit, linear_prefix, node_unknowns, gmin, x, a,
+                        b);
+  for (const auto& dev : circuit.devices()) dev->reset_state();
   lu.invalidate_analysis();
   lu.refactor(a);
 }
@@ -104,6 +111,7 @@ void SimSession::seed_warm_start(const Unknowns& x) {
   if (x.size() == static_cast<std::size_t>(n_unknowns_)) {
     x_ = x;  // same-size copy, no reallocation
     result_.solution = x;
+    result_.converged = false;  // a start point, not an operating point
     have_last_ = true;
   }
 }
@@ -215,6 +223,7 @@ const DcResult& SimSession::solve(const Unknowns* initial) {
   result_.converged = false;
   result_.iterations = 0;
   result_.strategy.clear();
+  ac_linearised_ = false;
 
   // Choose the start point: explicit initial > warm-start continuation >
   // cold (all zeros).
@@ -302,58 +311,58 @@ const linalg::ComplexVector& SimSession::solve_ac(double omega) {
   if (circuit_->devices().size() != bound_device_count_) {
     throw CircuitError("SimSession: circuit topology changed; call rebind()");
   }
-  // The small-signal system linearises about a committed operating point:
-  // the last converged solution, a seeded warm start (the parallel AC
-  // sweep workers' path -- they inherit the parent's OP verbatim so every
-  // thread count produces bit-identical phasors), or a fresh OP solve.
-  if (!have_last_) (void)solve_or_throw();
-  const Unknowns& op = result_.solution;
+  if (!have_last_ || !result_.converged) (void)solve_or_throw();
+  if (!ac_linearised_) linearise_ac();
+  return ac_.solve(small_signal_, omega);
+}
 
-  const auto n = static_cast<std::size_t>(n_unknowns_);
-  if (!ac_ready_) {
-    cb_.assign(n, linalg::Complex{});
-    // Pattern discovery, mirroring the real engine: one stamp_ac pass
-    // registers every slot (zero values included), gmin diagonal too.
-    csa_.resize(n, n);
-    AcStamper st(csa_, cb_, node_unknowns_, omega);
-    for (const auto& dev : circuit_->devices()) dev->stamp_ac(st, op);
-    for (int i = 0; i < node_unknowns_; ++i) {
-      st.add_entry(i, i, linalg::Complex{});
-    }
-    csa_.freeze_pattern();
-    std::fill(cb_.begin(), cb_.end(), linalg::Complex{});
-    ac_ready_ = true;
+void SimSession::linearise_ac() {
+  // G: the DC stamp at the OP, in a Newton iteration's order, its RHS
+  // thrown away. A solved OP's stamp is not limited, so each junction's
+  // limiting state ends where the next warm solve's first iteration would
+  // put it; nothing is reset and nothing is refactored.
+  stamp_in_newton_order(*circuit_, linear_prefix_, node_unknowns_,
+                        options_.gmin_floor, result_.solution, sa_, b_);
+  SmallSignal& ss = small_signal_;
+  ss.g.assign(sa_.values().begin(), sa_.values().end());
+
+  // C on the same pattern: a copy of sa_ the first time, whose stamp tape
+  // re-records the reactive sequence once.
+  if (ss.c.pattern_stamp() != sa_.pattern_stamp()) ss.c = sa_;
+  ss.c.fill(0.0);
+  Stamper st(ss.c, b_, node_unknowns_);
+  for (const DynamicDevice* d : dynamic_) d->stamp_reactive(st);
+
+  ss.rhs.assign(static_cast<std::size_t>(n_unknowns_), linalg::Complex{});
+  for (const IndependentSource* s : sources_) s->add_ac_stimulus(ss.rhs);
+  ac_linearised_ = true;
+}
+
+const linalg::ComplexVector& SimSession::AcEngine::solve(
+    const SmallSignal& system, double omega) {
+  if (a_.pattern_stamp() != system.c.pattern_stamp()) {
+    a_ = linalg::ComplexSparseMatrix(system.c);
+    x_.assign(system.rhs.size(), linalg::Complex{});
   }
-
-  const auto stamp_at = [&](double w) {
-    csa_.fill(linalg::Complex{});
-    std::fill(cb_.begin(), cb_.end(), linalg::Complex{});
-    AcStamper st(csa_, cb_, node_unknowns_, w);
-    for (const auto& dev : circuit_->devices()) dev->stamp_ac(st, op);
-    for (int i = 0; i < node_unknowns_; ++i) {
-      st.add_entry(i, i, linalg::Complex(options_.gmin_floor));
+  const auto fill_at = [&](double w) {
+    std::vector<linalg::Complex>& v = a_.values();
+    const std::vector<double>& c = system.c.values();
+    for (std::size_t k = 0; k < v.size(); ++k) {
+      v[k] = linalg::Complex(system.g[k], w * c[k]);
     }
   };
-
-  // Bit-identity discipline: the cached symbolic analysis belongs to the
-  // prime -- the first stamped frequency, or the one run_ac pinned. Unless
-  // the live analysis is the one pinned there (a fresh engine, a new pin,
-  // or a previous point's refactor that collapsed the frozen pivots and
-  // re-analysed at its own frequency), analyse at the prime before this
-  // point -- every point's factorisation then depends only on (op, omega,
-  // prime omega), never on sweep order or which parallel worker tripped
-  // the collapse.
-  if (!ac_prime_omega_) ac_prime_omega_ = omega;
-  if (cslu_.analysis_count() != ac_pinned_analysis_) {
-    cslu_.invalidate_analysis();
-    stamp_at(*ac_prime_omega_);
-    cslu_.refactor(csa_);
-    ac_pinned_analysis_ = cslu_.analysis_count();
+  if (!prime_omega_) prime_omega_ = omega;
+  if (lu_.analysis_count() != pinned_analysis_) {
+    lu_.invalidate_analysis();
+    fill_at(*prime_omega_);
+    lu_.refactor(a_);
+    pinned_analysis_ = lu_.analysis_count();
   }
-  stamp_at(omega);
-  cslu_.refactor(csa_);
-  cslu_.solve_in_place(cb_);
-  return cb_;
+  fill_at(omega);
+  lu_.refactor(a_);
+  std::copy(system.rhs.begin(), system.rhs.end(), x_.begin());
+  lu_.solve_in_place(x_);
+  return x_;
 }
 
 const Unknowns& SimSession::solve_or_throw(const Unknowns* initial) {

@@ -4,9 +4,7 @@
 
 namespace icvbe::spice {
 
-template <typename Scalar>
-StamperT<Scalar>::StamperT(linalg::MatrixViewT<Scalar> a,
-                           linalg::VectorT<Scalar>& b, int node_unknowns)
+Stamper::Stamper(linalg::MatrixView a, linalg::Vector& b, int node_unknowns)
     : a_(a), b_(b) {
   ICVBE_REQUIRE(a_.rows() == a_.cols() && a_.rows() == b.size(),
                 "Stamper: inconsistent system dimensions");
@@ -14,8 +12,5 @@ StamperT<Scalar>::StamperT(linalg::MatrixViewT<Scalar> a,
                     static_cast<std::size_t>(node_unknowns) <= b.size(),
                 "Stamper: bad node unknown count");
 }
-
-template class StamperT<double>;
-template class StamperT<linalg::Complex>;
 
 }  // namespace icvbe::spice

@@ -9,7 +9,9 @@
 namespace icvbe::spice {
 
 TransientSolver::TransientSolver(SimSession& session, TransientSpec spec)
-    : session_(session), spec_(std::move(spec)) {
+    : session_(session),
+      spec_(std::move(spec)),
+      dynamic_(session.dynamic_devices()) {
   ICVBE_REQUIRE(spec_.tstep > 0.0, "TransientSolver: tstep must be > 0");
   ICVBE_REQUIRE(spec_.tstart >= 0.0, "TransientSolver: tstart must be >= 0");
   ICVBE_REQUIRE(spec_.tstop > spec_.tstart,
@@ -43,14 +45,9 @@ void TransientSolver::begin() {
   if (began_) return;
   Circuit& circuit = session_.circuit();
 
-  // Discover dynamic devices and waveform-driven sources once.
-  dynamic_.clear();
-  for (const auto& dev : circuit.devices()) {
-    if (auto* d = dynamic_cast<DynamicDevice*>(dev.get())) {
-      d->set_dc_mode();
-      dynamic_.push_back(d);
-    }
-  }
+  // Dynamic devices start in DC mode; waveform-driven sources are found
+  // once.
+  for (DynamicDevice* d : dynamic_) d->set_dc_mode();
   waves_.clear();
   source_t0_.clear();
   for (IndependentSource* s : session_.sources()) {

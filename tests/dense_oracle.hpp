@@ -1,10 +1,10 @@
 #pragma once
 // Dense reference solver for the engine tests: stamps a circuit through the
-// ordinary Stamper into a building-mode linalg::SparseMatrix (a complex one
-// for AC), densifies it with to_dense() and solves with the dense
-// linalg::LuFactorizationT -- an independent linear-algebra path the
-// sessions' sparse engine is checked against. Plain damped Newton with a
-// gmin-ramp fallback; speed and allocations do not matter here.
+// ordinary Stamper into a building-mode linalg::SparseMatrix, densifies it
+// with to_dense() and solves with the dense linalg::LuFactorizationT (its
+// complex twin for AC) -- an independent assembly and linear-algebra path
+// the sessions' sparse engine is checked against. Plain damped Newton with
+// a gmin-ramp fallback; speed and allocations do not matter here.
 //
 // Bind the oracle to its own parse of the deck under test: unknown
 // numbering is deterministic, so its solution vectors compare index by
@@ -51,20 +51,54 @@ class DenseOracle {
 
   [[nodiscard]] const Unknowns& solution() const { return x_; }
 
-  /// Small-signal phasors at angular frequency `omega` about solution().
-  [[nodiscard]] linalg::ComplexVector solve_ac(double omega) const {
-    linalg::ComplexSparseMatrix a(n_, n_);
-    linalg::ComplexVector b(n_, linalg::Complex{});
-    AcStamper st(a, b, nodes_, omega);
-    for (const auto& dev : c_.devices()) dev->stamp_ac(st, x_);
-    for (int i = 0; i < nodes_; ++i) {
-      st.add_entry(i, i, linalg::Complex(opt_.gmin_floor));
+  /// Small-signal phasors at angular frequency `omega` about `op` (pass a
+  /// session's solved operating point, so a comparison measures assembly
+  /// and LU, not two Newton endpoints): the dense G + j*omega*C from the
+  /// device methods the engine uses -- stamp() at `op` plus gmin on every
+  /// node, stamp_reactive(), add_ac_stimulus() -- solved by dense complex
+  /// LU. The devices are stamped at `op` until no junction limits there,
+  /// so G is the Jacobian at `op` whatever limiting state they held.
+  [[nodiscard]] linalg::ComplexVector solve_ac(const Unknowns& op,
+                                               double omega) {
+    linalg::SparseMatrix g;
+    linalg::Vector b(n_, 0.0);
+    for (int pass = 0;; ++pass) {
+      g = linalg::SparseMatrix(n_, n_);
+      Stamper st(g, b, nodes_);
+      for (const auto& dev : c_.devices()) dev->stamp(st, op);
+      if (st.limited() == 0) break;
+      if (pass == 100) {
+        throw NumericalError("dense oracle: junctions still limit at op");
+      }
     }
-    a.freeze_pattern();
+    linalg::SparseMatrix c(n_, n_);
+    Stamper reactive(c, b, nodes_);
+    linalg::ComplexVector x(n_, linalg::Complex{});
+    for (const auto& dev : c_.devices()) {
+      if (const auto* d = dynamic_cast<const DynamicDevice*>(dev.get())) {
+        d->stamp_reactive(reactive);
+      } else if (const auto* s =
+                     dynamic_cast<const IndependentSource*>(dev.get())) {
+        s->add_ac_stimulus(x);
+      }
+    }
+    g.freeze_pattern();
+    c.freeze_pattern();
+    const linalg::Matrix gd = g.to_dense();
+    const linalg::Matrix cd = c.to_dense();
+    linalg::ComplexMatrix a(n_, n_);
+    for (std::size_t r = 0; r < n_; ++r) {
+      for (std::size_t k = 0; k < n_; ++k) {
+        a(r, k) = linalg::Complex(gd(r, k), omega * cd(r, k));
+      }
+    }
+    for (std::size_t i = 0; i < static_cast<std::size_t>(nodes_); ++i) {
+      a(i, i) += opt_.gmin_floor;
+    }
     linalg::ComplexLuFactorization lu;
-    lu.refactor(a.to_dense());
-    lu.solve_in_place(b);
-    return b;
+    lu.refactor(a);
+    lu.solve_in_place(x);
+    return x;
   }
 
   /// Fixed-step transient (spec.adaptive == false, no UIC or .IC): the

@@ -3,10 +3,13 @@
 //    analytic transfer functions at <= 1e-10;
 //  * the AC linearisation pinned to the DC Jacobian: the low-frequency
 //    small-signal gain of a nonlinear divider must equal the numeric
-//    derivative of the DC transfer curve (stamp_ac cannot drift from
-//    stamp);
-//  * the sparse complex engine agrees with a dense complex LU reference
-//    at <= 1e-10 on a generated rc-ladder deck;
+//    derivative of the DC transfer curve;
+//  * the sparse complex engine agrees with a dense G + j*omega*C and a
+//    dense complex LU at <= 1e-10, about the same operating point, on a
+//    generated rc-ladder, both Banba AC decks (MOSFET, PNP, op-amp,
+//    inductor loop break) and the serve deck (PNP, 200 capacitors);
+//  * building G at the operating point leaves no device state behind: a
+//    .DC run after an .AC run prints what it prints without one;
 //  * an AC sweep performs zero heap allocations per frequency point after
 //    setup (counting operator-new hook) and is bit-identical for any plan
 //    thread count;
@@ -14,10 +17,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -228,10 +233,9 @@ TEST(AcAnalysis, OpAmpFollowerHasUnityGain) {
 
 TEST(AcAnalysis, LowFrequencySmallSignalGainEqualsDcDerivative) {
   // A nonlinear divider (resistor into a diode) has small-signal gain
-  // dV(mid)/dV(in) at the OP. stamp_ac writes the device Jacobians
-  // directly; the DC path reaches the same derivative only through
-  // converged Newton solves -- agreement pins the two linearisations
-  // together.
+  // dV(mid)/dV(in) at the OP. The AC system's G is the DC Jacobian
+  // stamped once at the OP; the DC path reaches the same derivative only
+  // through converged Newton solves -- agreement pins the two together.
   const char* deck_text =
       "V1 in 0 DC 0.8 AC 1\n"
       "R1 in mid 1k\n"
@@ -264,44 +268,77 @@ TEST(AcAnalysis, LowFrequencySmallSignalGainEqualsDcDerivative) {
 
 // --------------------------------------- dense reference vs the engine ---
 
-TEST(AcAnalysis, DenseAndSparseAgreeOnGeneratedLadderDeck) {
+/// A deck read from examples/decks.
+std::string example_deck(const std::string& file) {
+  std::ifstream in(std::filesystem::path(ICVBE_EXAMPLE_DECKS) / file);
+  std::stringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+/// The 200-node generated rc-ladder with an .AC card.
+SyntheticNetlistSpec ladder_spec() {
   SyntheticNetlistSpec spec;
   spec.topology = SyntheticTopology::kRcLadder;
   spec.nodes = 200;
   spec.seed = 11;
   spec.ac_analysis = true;
-  auto parsed = parse_netlist(generate_netlist(spec));
-  ASSERT_FALSE(parsed.plans.empty());
-  ASSERT_TRUE(parsed.plans.front().ac.has_value());
+  return spec;
+}
 
-  // Compare the complex phasor (VR/VI) plus its magnitude at the far
-  // node: the honest agreement metric is relative to the phasor size.
-  AnalysisPlan plan = parsed.plans.front();
-  plan.probes.clear();
-  const std::string far = generated_probe_node(spec);
-  plan.probes.push_back(parse_probe("VR(" + far + ")"));
-  plan.probes.push_back(parse_probe("VI(" + far + ")"));
-  plan.probes.push_back(parse_probe("VM(" + far + ")"));
+TEST(AcAnalysis, DenseAndSparseAgreeOnDeckTable) {
+  // Every device kind's small-signal model, checked at every frequency of
+  // the deck's own .AC grid against the dense G + j*omega*C built about
+  // the session's solved operating point: the node each deck probes
+  // relative to its own phasor, every unknown relative to the largest.
+  // (Nodes inside the Banba cells' 1e6-gain loop carry phasors 1e-6 of
+  // the stimulus, where the loop's cancellation, not the engine, sets
+  // the relative agreement.)
+  const struct {
+    const char* name;
+    std::string text;
+    std::string probe_node;
+  } decks[] = {
+      {"rc-ladder", generate_netlist(ladder_spec()),
+       generated_probe_node(ladder_spec())},
+      {"psrr_banba", example_deck("psrr_banba.cir"), "vref"},
+      {"loopgain_banba", example_deck("loopgain_banba.cir"), "ret"},
+      {"serve", testdeck::serve_deck(), "n200"},
+  };
+  for (const auto& deck : decks) {
+    SCOPED_TRACE(deck.name);
+    auto parsed = parse_netlist(deck.text);
+    const AnalysisPlan* plan = parsed.find_plan(AnalysisKind::kAc);
+    ASSERT_NE(plan, nullptr);
+    parsed.circuit->set_temperature(to_kelvin(parsed.temperature_celsius));
+    SimSession session(*parsed.circuit);
+    if (!parsed.nodesets.empty()) {
+      session.seed_warm_start(parsed.nodeset_guess());
+    }
+    const Unknowns op = session.solve_or_throw();
 
-  SimSession session(*parsed.circuit);
-  const SweepResult sparse = session.run(plan);
-
-  auto reference = parse_netlist(generate_netlist(spec));
-  oracle::DenseOracle dense(*reference.circuit, NewtonOptions{});
-  (void)dense.solve();
-  const std::size_t far_unknown =
-      static_cast<std::size_t>(reference.circuit->find_node(far) - 1);
-  const std::vector<double> freqs = plan.ac->frequencies();
-  ASSERT_EQ(freqs.size(), sparse.rows());
-  for (std::size_t i = 0; i < sparse.rows(); ++i) {
-    const linalg::Complex v =
-        dense.solve_ac(2.0 * M_PI * freqs[i])[far_unknown];
-    const double scale =
-        std::max({1e-300, std::abs(v), sparse.value(2, i)});
-    EXPECT_NEAR(v.real(), sparse.value(0, i), 1e-10 * scale)
-        << "VR row " << i;
-    EXPECT_NEAR(v.imag(), sparse.value(1, i), 1e-10 * scale)
-        << "VI row " << i;
+    auto reference = parse_netlist(deck.text);
+    reference.circuit->set_temperature(
+        to_kelvin(reference.temperature_celsius));
+    oracle::DenseOracle dense(*reference.circuit, NewtonOptions{});
+    const auto probe = static_cast<std::size_t>(
+        parsed.circuit->find_node(deck.probe_node) - 1);
+    for (const double f : plan->ac->frequencies()) {
+      const linalg::ComplexVector want = dense.solve_ac(op, 2.0 * M_PI * f);
+      const linalg::ComplexVector& got = session.solve_ac(2.0 * M_PI * f);
+      ASSERT_EQ(got.size(), want.size());
+      const double v = std::max(std::abs(want[probe]), 1e-300);
+      EXPECT_NEAR(want[probe].real(), got[probe].real(), 1e-10 * v)
+          << deck.probe_node << " at " << f << " Hz";
+      EXPECT_NEAR(want[probe].imag(), got[probe].imag(), 1e-10 * v)
+          << deck.probe_node << " at " << f << " Hz";
+      double norm = 1e-300;
+      for (const linalg::Complex& w : want) norm = std::max(norm, std::abs(w));
+      for (std::size_t k = 0; k < want.size(); ++k) {
+        EXPECT_LE(std::abs(want[k] - got[k]), 1e-10 * norm)
+            << "unknown " << k << " at " << f << " Hz";
+      }
+    }
   }
 }
 
@@ -318,6 +355,39 @@ TEST(AcAnalysis, ServeDeckLinearisesAboutItsRealOperatingPoint) {
   const SweepResult r = session.run(plan);
   ASSERT_DOUBLE_EQ(r.axis_value(0, 0), 1e3);
   EXPECT_NEAR(r.value(0, 0), 0.0690, 0.00005);
+}
+
+TEST(AcAnalysis, DcRunAfterAnAcRunMatchesOneAfterTheSameOpSolve) {
+  // Building G stamps every device at the solved OP and resets nothing. A
+  // solved OP's stamp is not limited, so it leaves each junction's
+  // limiting state where the next warm solve's first iteration puts it: a
+  // .DC run straight after the .AC run (no begin_variant between) prints
+  // what a .DC run prints after the same OP solve alone, bit for bit.
+  const auto dc_after = [](bool ac_run) {
+    auto parsed = parse_netlist(testdeck::serve_deck());
+    parsed.circuit->set_temperature(to_kelvin(parsed.temperature_celsius));
+    SimSession session(*parsed.circuit);
+    if (ac_run) {
+      (void)session.run(*parsed.find_plan(AnalysisKind::kAc));
+    } else {
+      (void)session.solve_or_throw();
+    }
+    return session.run(*parsed.find_plan(AnalysisKind::kDcSweep));
+  };
+  const SweepResult want = dc_after(false);
+  const SweepResult got = dc_after(true);
+  std::ostringstream want_csv;
+  std::ostringstream got_csv;
+  want.write_csv(want_csv);
+  got.write_csv(got_csv);
+  EXPECT_EQ(got_csv.str(), want_csv.str());
+  ASSERT_EQ(got.rows(), want.rows());
+  for (std::size_t p = 0; p < want.probe_count(); ++p) {
+    for (std::size_t i = 0; i < want.rows(); ++i) {
+      EXPECT_EQ(got.value(p, i), want.value(p, i))
+          << "probe " << p << " row " << i;
+    }
+  }
 }
 
 TEST(AcAnalysis, GeneratedLadderSweepRunsOneComplexAnalysis) {

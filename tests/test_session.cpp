@@ -386,9 +386,6 @@ class CountingDevice final : public Device {
     ++*stamps_;
     inner_->stamp(stamper, prev);
   }
-  void stamp_ac(AcStamper& ac, const Unknowns& op) const override {
-    inner_->stamp_ac(ac, op);
-  }
   [[nodiscard]] bool is_nonlinear() const override {
     return inner_->is_nonlinear();
   }

@@ -118,7 +118,6 @@ class ScrambledConductances final : public spice::Device {
       st.add_entry(a, a, 0.01 * (a + 1));  // leak to ground
     }
   }
-  void stamp_ac(spice::AcStamper&, const spice::Unknowns&) const override {}
   /// Never probed: the ring has more terminals than Terminals holds.
   [[nodiscard]] spice::Terminals terminals(
       const spice::Unknowns&) const override {
