@@ -97,7 +97,9 @@ class Laboratory {
   [[nodiscard]] std::vector<CellPoint> test_cell_sweep(
       const std::vector<double>& chamber_celsius, double radja_ohms = 0.0);
 
-  /// VREF(T) as a Series (x = chamber Celsius, y = VREF [V]).
+  /// VREF(T) as a Series (x = chamber Celsius, y = VREF [V]). Each point
+  /// solves the cell as test_cell_sweep does at that setting; VREF is read
+  /// with one SMU draw (none with ideal instruments).
   [[nodiscard]] Series vref_curve(const std::vector<double>& chamber_celsius,
                                   double radja_ohms = 0.0);
 

@@ -2,11 +2,12 @@
 // Dense row-major matrix and vector types for the fitting library and the
 // MNA solver, generic over the scalar type.
 //
-// The linalg layer's matrices and factorisations (MatrixT,
-// LuFactorizationT, SparseMatrixT, SparseLuFactorizationT) are templated
-// on Scalar with exactly two sanctioned instantiations: double (DC /
-// transient Newton systems) and std::complex<double> (small-signal .AC
-// systems, G + j*omega*C assembled from real stamps). All pivoting,
+// The linalg layer's dense matrices and the factorisations (MatrixT,
+// LuFactorizationT, SparseLuFactorizationT) are templated on Scalar with
+// exactly two sanctioned instantiations: double (DC / transient Newton
+// systems) and std::complex<double> (small-signal .AC systems,
+// G + j*omega*C assembled from real stamps). The sparse matrix is real:
+// the complex sparse LU factors complex values on its pattern. All pivoting,
 // singularity screening and convergence logic compares *magnitudes*
 // (scalar_abs, a double for both instantiations), so the symbolic /
 // decision-making half of every algorithm is real-valued and identical

@@ -41,7 +41,7 @@ class MatrixView {
   }
 
   /// Accumulate v at (r, c). On a frozen sparse target the slot must be
-  /// inside the pattern (see SparseMatrixT::add).
+  /// inside the pattern (see SparseMatrix::add).
   void add(std::size_t r, std::size_t c, double v) {
     if (sparse_ != nullptr) {
       sparse_->add(r, c, v);

@@ -1,8 +1,10 @@
 #pragma once
-// Sparse linear algebra for large MNA systems: a CSR matrix with a
+// Sparse linear algebra for large MNA systems: a real CSR matrix with a
 // build-once / restamp-many lifecycle and an LU factorisation with a
-// reusable symbolic analysis. Generic over the scalar type (double for
-// DC/transient Newton systems, Complex for small-signal AC systems).
+// reusable symbolic analysis. The matrix is real (the DC/transient Newton
+// systems stamp it); the LU is generic over the scalar of the values it
+// factors (double, or Complex for small-signal AC systems G + j*omega*C
+// written slot by slot onto the real pattern).
 //
 // The dense workspace solver (matrix.hpp / solve.hpp) stores O(n^2) and
 // refactors in O(n^3). The netlist parser happily ingests thousands of
@@ -10,7 +12,7 @@
 // provides the engine every SimSession binds, at every size.
 //
 // Lifecycle, mirroring the dense workspace-reuse discipline:
-//  1. building: SparseMatrixT::add(r, c, v) records coordinates (one
+//  1. building: SparseMatrix::add(r, c, v) records coordinates (one
 //     pattern-discovery stamp of the circuit);
 //  2. freeze_pattern(): coordinates are compiled to CSR, duplicates merged;
 //  3. steady state: fill(0) + add() re-stamp values into the frozen
@@ -25,15 +27,17 @@
 //     attempt stamps the linear devices before its first nonlinear one
 //     once and restamps only the rest per iteration.
 //
-// Scalar genericity: the pattern machinery (COO -> CSR compilation,
-// fill-reducing ordering, BTF permutation, fill-pattern discovery) is
-// purely structural and identical for every scalar; pivot *selection*
-// compares magnitudes (scalar_abs -- |x| for double, |re| + |im| for
-// complex, a double either way), so the symbolic analysis is real-valued
-// for both instantiations and only the numeric refactor / solve arithmetic
-// is scalar-typed. An AC frequency sweep therefore runs the analysis once
-// at its first frequency and re-factors allocation-free at every further
-// point, exactly like a Newton loop.
+// One pattern, numerics per scalar (KLU's shape): the LU factors a
+// (pattern, values) pair -- the CSR arrays and pattern stamp of a frozen
+// SparseMatrix, and one value per CSR slot of the scalar being factored.
+// The pattern machinery (COO -> CSR compilation, fill-reducing ordering,
+// BTF permutation, fill-pattern discovery) is purely structural; pivot
+// *selection* compares magnitudes (scalar_abs -- |x| for double, |re| +
+// |im| for complex, a double either way), so the symbolic analysis is
+// real-valued for both scalars and only the numeric refactor / solve
+// arithmetic is scalar-typed. An AC frequency sweep therefore runs the
+// analysis once at its first frequency and re-factors allocation-free at
+// every further point, exactly like a Newton loop.
 //
 // Symbolic path: one, KLU's default shape. A block-triangular (BTF)
 // permutation first, then approximate minimum degree (AMD) on a quotient
@@ -54,8 +58,7 @@
 
 namespace icvbe::linalg {
 
-template <typename Scalar>
-class SparseMatrixT;
+class SparseMatrix;
 
 /// Slot tape of one restamp sequence over a frozen pattern. Devices stamp
 /// the same sequence of (row, col) adds on every restamp (the MatrixView
@@ -91,20 +94,16 @@ class StampTape {
   [[nodiscard]] std::uint64_t misses() const noexcept { return misses_; }
 
   /// CSR slot of (r, c) in the frozen matrix `m`, advancing the cursor.
-  /// Throws Error like SparseMatrixT::slot if (r, c) is outside the
+  /// Throws Error like SparseMatrix::slot if (r, c) is outside the
   /// pattern.
-  template <typename Scalar>
-  std::size_t next(const SparseMatrixT<Scalar>& m, std::size_t r,
-                   std::size_t c);
+  std::size_t next(const SparseMatrix& m, std::size_t r, std::size_t c);
 
  private:
   static constexpr std::uint32_t kUnrecorded = 0xffffffffu;
 
   /// The search fallback of next() (out of line, so the taped hit path
   /// stays small enough to inline into every device stamp).
-  template <typename Scalar>
-  std::size_t miss(const SparseMatrixT<Scalar>& m, std::size_t r,
-                   std::size_t c);
+  std::size_t miss(const SparseMatrix& m, std::size_t r, std::size_t c);
 
   std::vector<std::uint32_t> slots_;
   std::size_t cursor_ = 0;
@@ -119,25 +118,10 @@ class StampTape {
 /// Thread-safety: no internal synchronisation; one writer at a time.
 /// Distinct instances are fully independent (parallel plan workers each
 /// restamp their own copy).
-template <typename Scalar>
-class SparseMatrixT {
+class SparseMatrix {
  public:
-  SparseMatrixT() = default;
-  SparseMatrixT(std::size_t rows, std::size_t cols) { resize(rows, cols); }
-  /// A frozen matrix on `pattern`'s CSR, every value zero. It shares the
-  /// pattern stamp, so one symbolic analysis serves both: the AC engine's
-  /// complex G + j*omega*C on the session's real DC pattern, whose values
-  /// it writes slot by slot through values().
-  /// \pre pattern.frozen().
-  template <typename Other>
-  explicit SparseMatrixT(const SparseMatrixT<Other>& pattern)
-      : rows_(pattern.rows()),
-        cols_(pattern.cols()),
-        frozen_(true),
-        pattern_stamp_(pattern.pattern_stamp()),
-        row_ptr_(pattern.row_ptr()),
-        col_index_(pattern.col_index()),
-        values_(pattern.nonzeros()) {}
+  SparseMatrix() = default;
+  SparseMatrix(std::size_t rows, std::size_t cols) { resize(rows, cols); }
 
   /// Reset to an empty building-phase matrix of the given dimensions.
   void resize(std::size_t rows, std::size_t cols);
@@ -155,7 +139,7 @@ class SparseMatrixT {
   /// slot the stamp tape replays (or searches); throws Error if (r, c) is
   /// outside the frozen pattern.
   /// \pre r < rows(), c < cols().
-  void add(std::size_t r, std::size_t c, Scalar v) {
+  void add(std::size_t r, std::size_t c, double v) {
     if (frozen_) {
       values_[tape_.next(*this, r, c)] += v;
     } else {
@@ -169,9 +153,9 @@ class SparseMatrixT {
   void freeze_pattern();
 
   /// Set every stored value (frozen only); the pattern is untouched.
-  /// fill(0.0) is the per-Newton-iteration / per-frequency re-stamp reset,
-  /// so it also rewinds the stamp tape.
-  void fill(Scalar value);
+  /// fill(0.0) is the per-Newton-iteration re-stamp reset, so it also
+  /// rewinds the stamp tape.
+  void fill(double value);
 
   /// Save every stored value and the stamp-tape cursor (frozen only). The
   /// first call after freeze_pattern() sizes the buffer; later calls on
@@ -186,11 +170,13 @@ class SparseMatrixT {
   void restore_checkpoint();
 
   /// Value at (r, c); zero outside the pattern (frozen only).
-  [[nodiscard]] Scalar at(std::size_t r, std::size_t c) const;
+  [[nodiscard]] double at(std::size_t r, std::size_t c) const;
 
   /// Process-unique pattern identity assigned by freeze_pattern(). The
   /// factorisation compares it to detect that its cached symbolic
-  /// analysis still applies (copies share the stamp -- and the CSR).
+  /// analysis still applies (copies share the stamp -- and the CSR -- so a
+  /// copy's values, or any value array of one entry per CSR slot, factor
+  /// against the same analysis).
   [[nodiscard]] std::uint64_t pattern_stamp() const noexcept {
     return pattern_stamp_;
   }
@@ -202,17 +188,15 @@ class SparseMatrixT {
   [[nodiscard]] const std::vector<int>& col_index() const noexcept {
     return col_index_;
   }
-  [[nodiscard]] const std::vector<Scalar>& values() const noexcept {
+  [[nodiscard]] const std::vector<double>& values() const noexcept {
     return values_;
   }
-  /// Slot-by-slot value access: one value per CSR slot, the pattern fixed.
-  [[nodiscard]] std::vector<Scalar>& values() noexcept { return values_; }
 
   /// Dense copy (tests and diagnostics; O(rows * cols)).
-  [[nodiscard]] MatrixT<Scalar> to_dense() const;
+  [[nodiscard]] Matrix to_dense() const;
 
   /// this * v (frozen only; dimension-checked).
-  [[nodiscard]] VectorT<Scalar> multiply(const VectorT<Scalar>& v) const;
+  [[nodiscard]] Vector multiply(const Vector& v) const;
 
   /// CSR slot of (r, c) (frozen only); throws Error if outside the
   /// pattern. Binary search over the (short, sorted) row -- the stamp
@@ -224,7 +208,7 @@ class SparseMatrixT {
   [[nodiscard]] const StampTape& tape() const noexcept { return tape_; }
 
  private:
-  void add_building(std::size_t r, std::size_t c, Scalar v);
+  void add_building(std::size_t r, std::size_t c, double v);
 
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
@@ -233,22 +217,21 @@ class SparseMatrixT {
 
   // Building phase: COO triplets in registration order.
   std::vector<std::pair<int, int>> coo_coords_;
-  std::vector<Scalar> coo_values_;
+  std::vector<double> coo_values_;
 
   // Frozen phase: CSR.
   std::vector<int> row_ptr_;
   std::vector<int> col_index_;
-  std::vector<Scalar> values_;
+  std::vector<double> values_;
   StampTape tape_;
 
   // checkpoint(): saved values (empty until the first call) and cursor.
-  std::vector<Scalar> checkpoint_values_;
+  std::vector<double> checkpoint_values_;
   std::size_t checkpoint_cursor_ = 0;
 };
 
-template <typename Scalar>
-inline std::size_t StampTape::next(const SparseMatrixT<Scalar>& m,
-                                   std::size_t r, std::size_t c) {
+inline std::size_t StampTape::next(const SparseMatrix& m, std::size_t r,
+                                   std::size_t c) {
   if (cursor_ < slots_.size()) {
     // The slot must lie in row r and hold column c; an unrecorded entry
     // fails the first compare (kUnrecorded is never a valid slot).
@@ -266,12 +249,6 @@ inline std::size_t StampTape::next(const SparseMatrixT<Scalar>& m,
   }
   return miss(m, r, c);
 }
-
-using SparseMatrix = SparseMatrixT<double>;
-using ComplexSparseMatrix = SparseMatrixT<Complex>;
-
-extern template class SparseMatrixT<double>;
-extern template class SparseMatrixT<Complex>;
 
 /// Dies per batched refactor/solve: two DPacks of lanes (sparse.cpp
 /// checks the pack width). The lot engine's one batch width.
@@ -320,7 +297,7 @@ class SparseValueBatch {
   /// Accumulate v at (r, c) in `lane`, through the batch's own stamp tape
   /// (lanes stamp one after another, each after its clear_lane). Slot must
   /// be inside the frozen pattern (throws Error otherwise, like frozen
-  /// SparseMatrixT::add).
+  /// SparseMatrix::add).
   void add(std::size_t r, std::size_t c, double v, std::size_t lane) {
     values_[tape_.next(*pattern_, r, c) * kBatchLanes + lane] += v;
   }
@@ -402,7 +379,7 @@ struct RefactorStats {
 ///    pivots confined to the current BTF block. The pivot order and the
 ///    complete fill-in pattern of L and U are cached. Pivot acceptability
 ///    compares magnitudes, so the analysis decisions are real-valued for
-///    both scalar instantiations.
+///    both scalars.
 ///  * refactor() per Newton iteration / AC frequency point: if the matrix
 ///    pattern matches the cached analysis, a purely numeric
 ///    re-factorisation runs along the frozen pivot order and pattern -- no
@@ -427,20 +404,31 @@ class SparseLuFactorizationT {
  public:
   SparseLuFactorizationT() = default;
 
-  /// Factor a frozen SparseMatrixT. First call (or pattern change) runs the
-  /// symbolic analysis; later calls with the same pattern are
-  /// allocation-free. Throws NumericalError if A is singular to working
-  /// precision: no pivot candidate of some elimination step reaches
-  /// pivot_tol times its own column's original max|A| (column-relative,
-  /// like the dense engine, so AC systems whose columns legitimately span
-  /// many decades are not misdiagnosed).
-  /// \pre a.frozen(), a square and non-empty, all values finite (checked:
+  /// Factor the matrix A with `pattern`'s frozen CSR structure and
+  /// `values` (one per CSR slot, in slot order; pattern.values() is
+  /// ignored). First call (or pattern change) runs the symbolic analysis;
+  /// later calls with the same pattern stamp are allocation-free. Throws
+  /// NumericalError if A is singular to working precision: no pivot
+  /// candidate of some elimination step reaches pivot_tol times its own
+  /// column's original max|A| (column-relative, like the dense engine, so
+  /// AC systems whose columns legitimately span many decades are not
+  /// misdiagnosed).
+  /// \pre pattern.frozen(), square and non-empty; values.size() ==
+  ///      pattern.nonzeros() (checked); all values finite (checked:
   ///      non-finite input throws NumericalError deterministically here,
   ///      never surfacing at the first solve).
-  /// \post the factors match this matrix's values; a frozen-pivot
-  ///       collapse or runaway element growth re-ran the analysis with
-  ///       fresh pivoting (allocates; analysis_count() increments).
-  void refactor(const SparseMatrixT<Scalar>& a, double pivot_tol = 1e-14);
+  /// \post the factors match these values; a frozen-pivot collapse or
+  ///       runaway element growth re-ran the analysis with fresh pivoting
+  ///       (allocates; analysis_count() increments).
+  void refactor(const SparseMatrix& pattern, const std::vector<Scalar>& values,
+                double pivot_tol = 1e-14);
+
+  /// Factor a real matrix with its own values.
+  void refactor(const SparseMatrix& a, double pivot_tol = 1e-14)
+    requires std::is_same_v<Scalar, double>
+  {
+    refactor(a, a.values(), pivot_tol);
+  }
 
   /// Solve A x = rhs with the solution overwriting rhs; allocation-free.
   /// \pre refactor() has succeeded; rhs.size() == size().
@@ -534,7 +522,8 @@ class SparseLuFactorizationT {
   /// Full factorisation with pivot search; caches order + pattern. Pivot
   /// acceptability is column-relative: pivot_tol * colmax_ (filled by
   /// refactor()).
-  void analyze(const SparseMatrixT<Scalar>& a, double pivot_tol);
+  void analyze(const SparseMatrix& a, const std::vector<Scalar>& values,
+               double pivot_tol);
   /// Numeric-only sparse replay along the cached order/pattern, replaying
   /// pivot steps [from, n) and keeping the stored factors of steps < from.
   /// Returns false on pivot breakdown (column-relative, via colmax_) or
@@ -544,13 +533,14 @@ class SparseLuFactorizationT {
   /// steps face the same two screens, judged on their stored pivots and
   /// growth_ against the current colmax_ and cap, so a pass fails exactly
   /// where a full pass would. `amax` = max|A| of the current matrix.
-  [[nodiscard]] bool refactor_frozen(const SparseMatrixT<Scalar>& a,
+  [[nodiscard]] bool refactor_frozen(const SparseMatrix& pattern,
+                                     const std::vector<Scalar>& values,
                                      double pivot_tol, double amax,
                                      std::size_t from);
   /// Fill growth_ from factors the analysis produced (the running max
   /// refactor_frozen would have recorded for them).
   void record_growth();
-  [[nodiscard]] bool pattern_matches(const SparseMatrixT<Scalar>& a) const;
+  [[nodiscard]] bool pattern_matches(const SparseMatrix& pattern) const;
 
   std::size_t n_ = 0;
   bool analyzed_ = false;
@@ -561,7 +551,7 @@ class SparseLuFactorizationT {
   /// once sized.
   std::vector<double> colmax_;
 
-  // Identity of the analysed pattern (SparseMatrixT::pattern_stamp is
+  // Identity of the analysed pattern (SparseMatrix::pattern_stamp is
   // process-unique per freeze, so equality means the same frozen CSR).
   std::uint64_t pattern_stamp_ = 0;
 

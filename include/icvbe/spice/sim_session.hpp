@@ -296,7 +296,9 @@ class SimSession {
 
   /// The small-signal system at the solved OP in result_ (see solve_ac):
   /// G, C and the RHS, on the pattern of sa_. Read-only during a sweep,
-  /// so every AC executor shares it.
+  /// so every AC executor shares it. c is a copy of sa_ (same CSR, same
+  /// pattern stamp), so it is also the pattern every executor factors
+  /// G + j*omega*C against.
   struct SmallSignal {
     linalg::Vector g;          ///< the DC stamp at the OP, per CSR slot
     linalg::SparseMatrix c;    ///< stamp_reactive, on sa_'s pattern
@@ -305,9 +307,10 @@ class SimSession {
   /// Build small_signal_ at result_.solution. \pre a solved OP.
   void linearise_ac();
 
-  /// One AC executor: the complex matrix G + j*omega*C, its LU and the
-  /// frequency its analysis is pinned at. The session owns one; a
-  /// parallel sweep gives each further worker its own.
+  /// One AC executor: the values of G + j*omega*C, one per CSR slot of
+  /// SmallSignal::c, their LU on that pattern and the frequency the
+  /// analysis is pinned at. The session owns one; a parallel sweep gives
+  /// each further worker its own. No executor copies the pattern.
   class AcEngine {
    public:
     /// Phasors at `omega` (see SimSession::solve_ac).
@@ -325,7 +328,7 @@ class SimSession {
     }
 
    private:
-    linalg::ComplexSparseMatrix a_;
+    linalg::ComplexVector a_;  ///< G + j*omega*C per slot of the pattern
     linalg::ComplexSparseLuFactorization lu_;
     linalg::ComplexVector x_;
     // The symbolic analysis is pinned to the "prime": the first frequency

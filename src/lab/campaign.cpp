@@ -262,63 +262,21 @@ std::vector<CellPoint> Laboratory::test_cell_sweep(
 
 Series Laboratory::vref_curve(const std::vector<double>& chamber_celsius,
                               double radja_ohms) {
-  if (chamber_celsius.empty()) {
-    return Series("VREF(T), RadjA=" + format_fixed(radja_ohms / 1e3, 2) +
-                  "k");
-  }
-
-  // One persistent cell rig; RADJA re-programmed between calls.
-  CellRig& rig = cell_rig(radja_ohms);
-
-  // Resolve the electro-thermal operating temperature of every chamber
-  // point first -- the fixed point needs intermediate solves and the cell
-  // power, so it cannot be a sweep axis...
-  std::vector<double> die_temps;
-  die_temps.reserve(chamber_celsius.size());
-  for (double tc : chamber_celsius) {
-    die_temps.push_back(settle_die_temperature(rig, to_kelvin(tc)));
-  }
-
-  // ...the curve itself then is a declarative plan: sweep the resolved die
-  // temperatures, probe V(vref). Seed the first point with the cell's
-  // analytic startup guess at its own temperature (the last fixed-point
-  // iterate may sit at the far end of the grid).
-  spice::AnalysisPlan plan;
-  plan.name = "vref_curve";
-  plan.axes = {spice::SweepAxis::temperature_kelvin(
-      spice::SweepGrid::list(die_temps))};
-  plan.probes = {spice::Probe::node_voltage(
-      rig.circuit.node_name(rig.handles.vref))};
-  rig.circuit.set_temperature(die_temps.front());  // the guess reads
-                                                   // temperature state
-  rig.session->seed_warm_start(bandgap::cell_initial_guess(
-      rig.circuit, rig.handles, die_temps.front()));
-
-  std::vector<double> vrefs(chamber_celsius.size());
-  try {
-    const spice::SweepResult curve = rig.session->run(plan);
-    for (std::size_t i = 0; i < vrefs.size(); ++i) {
-      vrefs[i] = curve.value(0, i);
-    }
-  } catch (const NumericalError&) {
-    // Sparse grids can put adjacent points hundreds of kelvin apart,
-    // where one shared seed cannot rescue the continuation. Fall back to
-    // the per-point path, which re-seeds every solve from the cell's
-    // analytic startup guess at its own temperature.
-    for (std::size_t i = 0; i < vrefs.size(); ++i) {
-      vrefs[i] =
-          bandgap::solve_cell_at(*rig.session, rig.handles, die_temps[i])
-              .vref;
-    }
-  }
-
   Series s("VREF(T), RadjA=" + format_fixed(radja_ohms / 1e3, 2) + "k");
   s.reserve(chamber_celsius.size());
-  for (std::size_t i = 0; i < chamber_celsius.size(); ++i) {
-    const double vref = config_.ideal_instruments
-                            ? vrefs[i]
-                            : inst_->smu_aux.measure_voltage(vrefs[i]);
-    s.push_back(chamber_celsius[i], vref);
+
+  // One persistent cell rig; RADJA re-programmed between calls. Each point
+  // is test_cell_sweep's: settle the die, solve the cell there (warm from
+  // the settling solves, which start from the analytic guess at this
+  // setting), read VREF once.
+  CellRig& rig = cell_rig(radja_ohms);
+  for (double tc : chamber_celsius) {
+    const double t_die = settle_die_temperature(rig, to_kelvin(tc));
+    const double vref =
+        bandgap::solve_cell_at(*rig.session, rig.handles, t_die).vref;
+    s.push_back(tc, config_.ideal_instruments
+                        ? vref
+                        : inst_->smu_aux.measure_voltage(vref));
   }
   return s;
 }

@@ -16,16 +16,14 @@ namespace icvbe::linalg {
 
 namespace {
 
-/// Process-unique pattern stamps, shared across scalar instantiations so a
-/// stamp value identifies one frozen CSR no matter which engine holds it.
+/// Process-unique pattern stamps: a stamp value identifies one frozen CSR.
 std::atomic<std::uint64_t> g_next_pattern_stamp{1};
 
 }  // namespace
 
 // ---------------------------------------------------------- StampTape ---
 
-template <typename Scalar>
-std::size_t StampTape::miss(const SparseMatrixT<Scalar>& m, std::size_t r,
+std::size_t StampTape::miss(const SparseMatrix& m, std::size_t r,
                             std::size_t c) {
   const std::size_t found = m.slot(r, c);  // throws outside the pattern
   if (cursor_ == slots_.size()) {
@@ -38,15 +36,9 @@ std::size_t StampTape::miss(const SparseMatrixT<Scalar>& m, std::size_t r,
   return found;
 }
 
-template std::size_t StampTape::miss(const SparseMatrixT<double>&,
-                                     std::size_t, std::size_t);
-template std::size_t StampTape::miss(const SparseMatrixT<Complex>&,
-                                     std::size_t, std::size_t);
+// ------------------------------------------------------- SparseMatrix ---
 
-// ------------------------------------------------------ SparseMatrixT ---
-
-template <typename Scalar>
-void SparseMatrixT<Scalar>::resize(std::size_t rows, std::size_t cols) {
+void SparseMatrix::resize(std::size_t rows, std::size_t cols) {
   rows_ = rows;
   cols_ = cols;
   frozen_ = false;
@@ -59,16 +51,13 @@ void SparseMatrixT<Scalar>::resize(std::size_t rows, std::size_t cols) {
   tape_.reset(0);
 }
 
-template <typename Scalar>
-void SparseMatrixT<Scalar>::add_building(std::size_t r, std::size_t c,
-                                         Scalar v) {
+void SparseMatrix::add_building(std::size_t r, std::size_t c, double v) {
   ICVBE_REQUIRE(r < rows_ && c < cols_, "SparseMatrix::add: out of range");
   coo_coords_.emplace_back(static_cast<int>(r), static_cast<int>(c));
   coo_values_.push_back(v);
 }
 
-template <typename Scalar>
-std::size_t SparseMatrixT<Scalar>::slot(std::size_t r, std::size_t c) const {
+std::size_t SparseMatrix::slot(std::size_t r, std::size_t c) const {
   ICVBE_REQUIRE(r < rows_ && c < cols_, "SparseMatrix::add: out of range");
   const int* first = col_index_.data() + row_ptr_[r];
   const int* last = col_index_.data() + row_ptr_[r + 1];
@@ -79,8 +68,7 @@ std::size_t SparseMatrixT<Scalar>::slot(std::size_t r, std::size_t c) const {
   return static_cast<std::size_t>(it - col_index_.data());
 }
 
-template <typename Scalar>
-void SparseMatrixT<Scalar>::freeze_pattern() {
+void SparseMatrix::freeze_pattern() {
   if (frozen_) return;
 
   // Sort the registrations (row, col) and merge duplicates by summation.
@@ -100,7 +88,7 @@ void SparseMatrixT<Scalar>::freeze_pattern() {
   int last_c = -1;
   for (std::size_t i = 0; i < order.size(); ++i) {
     const auto [r, c] = coo_coords_[order[i]];
-    const Scalar v = coo_values_[order[i]];
+    const double v = coo_values_[order[i]];
     if (r == last_r && c == last_c) {
       values_.back() += v;  // repeated registration of the same slot
       continue;
@@ -124,22 +112,19 @@ void SparseMatrixT<Scalar>::freeze_pattern() {
   pattern_stamp_ = g_next_pattern_stamp.fetch_add(1, std::memory_order_relaxed);
 }
 
-template <typename Scalar>
-void SparseMatrixT<Scalar>::fill(Scalar value) {
+void SparseMatrix::fill(double value) {
   ICVBE_REQUIRE(frozen_, "SparseMatrix::fill: freeze_pattern() first");
   std::fill(values_.begin(), values_.end(), value);
   tape_.rewind();
 }
 
-template <typename Scalar>
-void SparseMatrixT<Scalar>::checkpoint() {
+void SparseMatrix::checkpoint() {
   ICVBE_REQUIRE(frozen_, "SparseMatrix::checkpoint: freeze_pattern() first");
   checkpoint_values_.assign(values_.begin(), values_.end());
   checkpoint_cursor_ = tape_.cursor();
 }
 
-template <typename Scalar>
-void SparseMatrixT<Scalar>::restore_checkpoint() {
+void SparseMatrix::restore_checkpoint() {
   ICVBE_REQUIRE(frozen_ && checkpoint_values_.size() == values_.size(),
                 "SparseMatrix::restore_checkpoint: no checkpoint of this "
                 "pattern");
@@ -148,21 +133,19 @@ void SparseMatrixT<Scalar>::restore_checkpoint() {
   tape_.seek(checkpoint_cursor_);
 }
 
-template <typename Scalar>
-Scalar SparseMatrixT<Scalar>::at(std::size_t r, std::size_t c) const {
+double SparseMatrix::at(std::size_t r, std::size_t c) const {
   ICVBE_REQUIRE(frozen_, "SparseMatrix::at: freeze_pattern() first");
   ICVBE_REQUIRE(r < rows_ && c < cols_, "SparseMatrix::at: out of range");
   const int* first = col_index_.data() + row_ptr_[r];
   const int* last = col_index_.data() + row_ptr_[r + 1];
   const int* it = std::lower_bound(first, last, static_cast<int>(c));
-  if (it == last || *it != static_cast<int>(c)) return Scalar{};
+  if (it == last || *it != static_cast<int>(c)) return 0.0;
   return values_[static_cast<std::size_t>(it - col_index_.data())];
 }
 
-template <typename Scalar>
-MatrixT<Scalar> SparseMatrixT<Scalar>::to_dense() const {
+Matrix SparseMatrix::to_dense() const {
   ICVBE_REQUIRE(frozen_, "SparseMatrix::to_dense: freeze_pattern() first");
-  MatrixT<Scalar> m(rows_, cols_, Scalar{});
+  Matrix m(rows_, cols_, 0.0);
   for (std::size_t r = 0; r < rows_; ++r) {
     for (int i = row_ptr_[r]; i < row_ptr_[r + 1]; ++i) {
       m(r, static_cast<std::size_t>(col_index_[static_cast<std::size_t>(i)])) =
@@ -172,14 +155,12 @@ MatrixT<Scalar> SparseMatrixT<Scalar>::to_dense() const {
   return m;
 }
 
-template <typename Scalar>
-VectorT<Scalar> SparseMatrixT<Scalar>::multiply(
-    const VectorT<Scalar>& v) const {
+Vector SparseMatrix::multiply(const Vector& v) const {
   ICVBE_REQUIRE(frozen_, "SparseMatrix::multiply: freeze_pattern() first");
   ICVBE_REQUIRE(v.size() == cols_, "SparseMatrix::multiply: size mismatch");
-  VectorT<Scalar> out(rows_, Scalar{});
+  Vector out(rows_, 0.0);
   for (std::size_t r = 0; r < rows_; ++r) {
-    Scalar acc{};
+    double acc = 0.0;
     for (int i = row_ptr_[r]; i < row_ptr_[r + 1]; ++i) {
       acc += values_[static_cast<std::size_t>(i)] *
              v[static_cast<std::size_t>(col_index_[static_cast<std::size_t>(i)])];
@@ -188,9 +169,6 @@ VectorT<Scalar> SparseMatrixT<Scalar>::multiply(
   }
   return out;
 }
-
-template class SparseMatrixT<double>;
-template class SparseMatrixT<Complex>;
 
 // -------------------------------------------------- SparseValueBatch ---
 
@@ -715,8 +693,9 @@ BtfDecomposition btf_decompose(const std::vector<int>& row_ptr,
 
 template <typename Scalar>
 bool SparseLuFactorizationT<Scalar>::pattern_matches(
-    const SparseMatrixT<Scalar>& a) const {
-  return analyzed_ && n_ == a.rows() && pattern_stamp_ == a.pattern_stamp();
+    const SparseMatrix& pattern) const {
+  return analyzed_ && n_ == pattern.rows() &&
+         pattern_stamp_ == pattern.pattern_stamp();
 }
 
 namespace {
@@ -750,12 +729,16 @@ bool pivot_ok(const Scalar& d, const Scalar& rd, double tol) noexcept {
 }  // namespace
 
 template <typename Scalar>
-void SparseLuFactorizationT<Scalar>::refactor(const SparseMatrixT<Scalar>& a,
-                                              double pivot_tol) {
-  ICVBE_REQUIRE(a.frozen(),
+void SparseLuFactorizationT<Scalar>::refactor(
+    const SparseMatrix& pattern, const std::vector<Scalar>& values,
+    double pivot_tol) {
+  ICVBE_REQUIRE(pattern.frozen(),
                 "sparse LU: freeze_pattern() before factoring");
-  ICVBE_REQUIRE(a.rows() == a.cols(), "sparse LU: matrix must be square");
-  ICVBE_REQUIRE(a.rows() > 0, "sparse LU: empty matrix");
+  ICVBE_REQUIRE(pattern.rows() == pattern.cols(),
+                "sparse LU: matrix must be square");
+  ICVBE_REQUIRE(pattern.rows() > 0, "sparse LU: empty matrix");
+  ICVBE_REQUIRE(values.size() == pattern.nonzeros(),
+                "sparse LU: one value per pattern slot");
 
   // Deterministic input screening: a NaN would otherwise win or lose every
   // pivot comparison silently and only surface at the first solve. The
@@ -766,26 +749,25 @@ void SparseLuFactorizationT<Scalar>::refactor(const SparseMatrixT<Scalar>& a,
   // with the one they were computed from, and finds the first pivot step
   // whose row changed; cross-block entries never enter the elimination, so
   // they do not count.
-  const bool replay = replay_ok_ && pattern_matches(a);
+  const bool replay = replay_ok_ && pattern_matches(pattern);
   replay_ok_ = false;  // re-established only by a pass that succeeds
   double amax = 0.0;
   bool finite = true;
   std::size_t from = replay ? n_ : 0;
-  colmax_.assign(a.cols(), 0.0);
-  const std::vector<int>& rows = a.row_ptr();
-  const std::vector<int>& cols = a.col_index();
-  const std::vector<Scalar>& vals = a.values();
-  for (std::size_t r = 0; r < a.rows(); ++r) {
+  colmax_.assign(pattern.cols(), 0.0);
+  const std::vector<int>& rows = pattern.row_ptr();
+  const std::vector<int>& cols = pattern.col_index();
+  for (std::size_t r = 0; r < pattern.rows(); ++r) {
     bool changed = false;
     for (int i = rows[r]; i < rows[r + 1]; ++i) {
       const std::size_t e = static_cast<std::size_t>(i);
-      if (!scalar_is_finite(vals[e])) finite = false;
-      const double v = scalar_abs(vals[e]);
+      if (!scalar_is_finite(values[e])) finite = false;
+      const double v = scalar_abs(values[e]);
       amax = std::max(amax, v);
       const std::size_t c = static_cast<std::size_t>(cols[e]);
       colmax_[c] = std::max(colmax_[c], v);
-      if (replay && !same_bits(vals[e], last_values_[e])) {
-        last_values_[e] = vals[e];
+      if (replay && !same_bits(values[e], last_values_[e])) {
+        last_values_[e] = values[e];
         changed = changed || astep_[e] >= 0;
       }
     }
@@ -801,13 +783,13 @@ void SparseLuFactorizationT<Scalar>::refactor(const SparseMatrixT<Scalar>& a,
   }
 
   bool factored = false;
-  if (pattern_matches(a)) {
+  if (pattern_matches(pattern)) {
     ++(from == 0 ? stats_.full : from < n_ ? stats_.partial : stats_.skipped);
     stats_.steps_replayed += n_ - from;
-    factored = refactor_frozen(a, pivot_tol, amax, from);
+    factored = refactor_frozen(pattern, values, pivot_tol, amax, from);
     // Without a replay the pass above did not track the values.
     if (factored && !replay) {
-      std::copy(vals.begin(), vals.end(), last_values_.begin());
+      std::copy(values.begin(), values.end(), last_values_.begin());
     }
     replay_ok_ = factored;
   }
@@ -817,15 +799,16 @@ void SparseLuFactorizationT<Scalar>::refactor(const SparseMatrixT<Scalar>& a,
     // step a full pass would (the kept factors are the ones it would
     // recompute, under the same screens), so there is no full pass to
     // retry first.
-    analyze(a, pivot_tol);
+    analyze(pattern, values, pivot_tol);
     // The analysis's pass is the frozen kernel's arithmetic step for
     // step, except that it copies A's values where the kernel adds them
     // to zero: a -0.0 entry would make the two differ in the sign of a
     // zero, so such a matrix is not replayed from.
     record_growth();
-    replay_ok_ = std::none_of(vals.begin(), vals.end(), [](const Scalar& v) {
-      return is_negative_zero(v);
-    });
+    replay_ok_ = std::none_of(values.begin(), values.end(),
+                              [](const Scalar& v) {
+                                return is_negative_zero(v);
+                              });
   }
 }
 
@@ -842,12 +825,12 @@ void SparseLuFactorizationT<Scalar>::record_growth() {
 }
 
 template <typename Scalar>
-void SparseLuFactorizationT<Scalar>::analyze(const SparseMatrixT<Scalar>& a,
-                                             double pivot_tol) {
+void SparseLuFactorizationT<Scalar>::analyze(
+    const SparseMatrix& a, const std::vector<Scalar>& values,
+    double pivot_tol) {
   const std::size_t n = a.rows();
   const std::vector<int>& row_ptr = a.row_ptr();
   const std::vector<int>& col_index = a.col_index();
-  const std::vector<Scalar>& values = a.values();
 
   analyzed_ = false;
   replay_ok_ = false;
@@ -1118,11 +1101,10 @@ void SparseLuFactorizationT<Scalar>::analyze(const SparseMatrixT<Scalar>& a,
 
 template <typename Scalar>
 bool SparseLuFactorizationT<Scalar>::refactor_frozen(
-    const SparseMatrixT<Scalar>& a, double pivot_tol, double amax,
-    std::size_t from) {
+    const SparseMatrix& pattern, const std::vector<Scalar>& values,
+    double pivot_tol, double amax, std::size_t from) {
   const std::size_t n = n_;
-  const std::vector<int>& row_ptr = a.row_ptr();
-  const std::vector<Scalar>& values = a.values();
+  const std::vector<int>& row_ptr = pattern.row_ptr();
 
   // Element-growth guard: with the pivot order frozen there is no
   // numerical pivoting left, so a restamp whose value distribution differs

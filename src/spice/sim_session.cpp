@@ -340,27 +340,23 @@ void SimSession::linearise_ac() {
 
 const linalg::ComplexVector& SimSession::AcEngine::solve(
     const SmallSignal& system, double omega) {
-  if (a_.pattern_stamp() != system.c.pattern_stamp()) {
-    a_ = linalg::ComplexSparseMatrix(system.c);
-    x_.assign(system.rhs.size(), linalg::Complex{});
-  }
+  const std::vector<double>& c = system.c.values();
+  a_.resize(c.size());
   const auto fill_at = [&](double w) {
-    std::vector<linalg::Complex>& v = a_.values();
-    const std::vector<double>& c = system.c.values();
-    for (std::size_t k = 0; k < v.size(); ++k) {
-      v[k] = linalg::Complex(system.g[k], w * c[k]);
+    for (std::size_t k = 0; k < a_.size(); ++k) {
+      a_[k] = linalg::Complex(system.g[k], w * c[k]);
     }
   };
   if (!prime_omega_) prime_omega_ = omega;
   if (lu_.analysis_count() != pinned_analysis_) {
     lu_.invalidate_analysis();
     fill_at(*prime_omega_);
-    lu_.refactor(a_);
+    lu_.refactor(system.c, a_);
     pinned_analysis_ = lu_.analysis_count();
   }
   fill_at(omega);
-  lu_.refactor(a_);
-  std::copy(system.rhs.begin(), system.rhs.end(), x_.begin());
+  lu_.refactor(system.c, a_);
+  x_.assign(system.rhs.begin(), system.rhs.end());
   lu_.solve_in_place(x_);
   return x_;
 }

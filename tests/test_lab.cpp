@@ -192,6 +192,29 @@ TEST_F(LabCampaignTest, VrefCurveIsReproducible) {
   }
 }
 
+// A VREF(T) point is the test-cell sweep's VREF at the same setting, on
+// any grid: on this die a two-point {-55, 125} C grid once read 0 V at
+// 125 C (the collapsed cell) while the sweep read 1.2275 V there.
+TEST_F(LabCampaignTest, VrefCurvePointsAreTheCellSweepsVref) {
+  CampaignConfig cfg;
+  cfg.ideal_instruments = true;
+  DieSample s = lot_.sample(2);
+  s.opamp_offset = 0.0;
+  const std::vector<double> grid = {-55.0, 125.0};
+  Laboratory curve_lab(s, cfg);
+  Laboratory sweep_lab(s, cfg);
+  const Series curve = curve_lab.vref_curve(grid);
+  const auto sweep = sweep_lab.test_cell_sweep(grid);
+  ASSERT_EQ(curve.size(), grid.size());
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    const double got = curve.y(i);
+    const double want = sweep[i].vref;
+    EXPECT_EQ(std::memcmp(&got, &want, sizeof got), 0)
+        << grid[i] << " C: " << got << " V against " << want << " V";
+  }
+  EXPECT_GT(curve.y(1), 1.2);
+}
+
 TEST_F(LabCampaignTest, MeasuredVrefRisesWithTemperature) {
   // The paper's Fig.-8 measured curve: a clear rise across the range
   // instead of the textbook bell.

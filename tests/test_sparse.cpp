@@ -23,7 +23,7 @@
 namespace icvbe::linalg {
 namespace {
 
-TEST(SparseMatrixTest, BuildFreezeAccess) {
+TEST(SparseMatrix, BuildFreezeAccess) {
   SparseMatrix m(3, 3);
   EXPECT_FALSE(m.frozen());
   m.add(0, 0, 2.0);
@@ -41,7 +41,7 @@ TEST(SparseMatrixTest, BuildFreezeAccess) {
   EXPECT_DOUBLE_EQ(m.at(2, 0), -1.0);
 }
 
-TEST(SparseMatrixTest, FrozenAddAccumulatesAndRejectsOutsidePattern) {
+TEST(SparseMatrix, FrozenAddAccumulatesAndRejectsOutsidePattern) {
   SparseMatrix m(2, 2);
   m.add(0, 0, 1.0);
   m.add(1, 1, 1.0);
@@ -55,7 +55,7 @@ TEST(SparseMatrixTest, FrozenAddAccumulatesAndRejectsOutsidePattern) {
   EXPECT_DOUBLE_EQ(m.at(0, 0), 7.0);
 }
 
-TEST(SparseMatrixTest, ZeroValueRegistersPatternEntry) {
+TEST(SparseMatrix, ZeroValueRegistersPatternEntry) {
   SparseMatrix m(2, 2);
   m.add(0, 0, 0.0);  // structural registration, value happens to be zero
   m.add(0, 1, 0.0);
@@ -67,7 +67,7 @@ TEST(SparseMatrixTest, ZeroValueRegistersPatternEntry) {
   EXPECT_DOUBLE_EQ(m.at(0, 1), 5.0);
 }
 
-TEST(SparseMatrixTest, MultiplyMatchesDense) {
+TEST(SparseMatrix, MultiplyMatchesDense) {
   SparseMatrix m(3, 3);
   m.add(0, 0, 2.0);
   m.add(0, 1, -1.0);

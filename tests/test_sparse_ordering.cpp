@@ -16,7 +16,10 @@
 //    every path;
 //  * the incremental refactor (replay from the first changed pivot step,
 //    none when nothing changed) solves bit-identically to a full frozen
-//    pass on the same analysis, cross-block BTF entries included.
+//    pass on the same analysis, cross-block BTF entries included;
+//  * so does the complex LU on complex values G + j*omega*C over the same
+//    real patterns (new omega, new rows of G, nothing), each solve within
+//    1e-10 of the dense complex LU.
 // A 1e4-node subset runs when ICVBE_SPARSE_STRESS=1 (CI stress job).
 
 #include <gtest/gtest.h>
@@ -606,6 +609,180 @@ TEST(OrderingHarness, IncrementalRefactorMatchesAFullPass) {
   EXPECT_GT(cov.partial, 0u);
   EXPECT_GT(cov.skipped, 0u);
   EXPECT_GT(cov.off_block_only, 0);
+}
+
+/// The small-signal shape on sys's real pattern: G is sys's values, and C
+/// puts a grounded capacitance on the diagonal of about a third of the
+/// rows that have a diagonal slot (zero elsewhere), so a new omega moves
+/// the imaginary parts of those slots only.
+struct SmallSignalValues {
+  std::vector<double> g;
+  std::vector<double> c;
+  double omega = 1.0;
+
+  [[nodiscard]] ComplexVector at(double scale = 1.0) const {
+    ComplexVector a(g.size());
+    for (std::size_t k = 0; k < a.size(); ++k) {
+      a[k] = Complex(g[k], omega * c[k]) * scale;
+    }
+    return a;
+  }
+};
+
+SmallSignalValues make_small_signal(const TestSystem& sys,
+                                    std::mt19937_64& rng) {
+  SmallSignalValues s;
+  s.g = sys.sparse.values();
+  s.c.assign(s.g.size(), 0.0);
+  s.omega = rnd(rng, 0.5, 2.0);
+  const auto& rp = sys.sparse.row_ptr();
+  const auto& ci = sys.sparse.col_index();
+  for (std::size_t r = 0; r < sys.n; ++r) {
+    if (rng() % 3 != 0) continue;
+    for (int i = rp[r]; i < rp[r + 1]; ++i) {
+      const auto k = static_cast<std::size_t>(i);
+      if (static_cast<std::size_t>(ci[k]) == r) s.c[k] = rnd(rng, 0.05, 0.5);
+    }
+  }
+  return s;
+}
+
+ComplexVector random_complex_rhs(std::mt19937_64& rng, std::size_t n) {
+  ComplexVector b(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    b[i] = Complex(rnd(rng, -1.0, 1.0), rnd(rng, -1.0, 1.0));
+  }
+  return b;
+}
+
+/// check_incremental's complex twin, through the (pattern, values) API:
+/// rounds move omega (the C slots' imaginary parts only), random rows of
+/// G, a single row of G, or nothing. Each incremental solve must be
+/// bitwise a full pass's (`full` refactors the doubled values first --
+/// exact for complex values too -- so it replays every step), and within
+/// kAgreeTol of the dense complex LU: forward error relative to
+/// max(1, max|x|), or the scale-free residual on a near-singular system.
+void check_incremental_complex(const TestSystem& sys, std::mt19937_64& rng,
+                               IncrementalCoverage& cov,
+                               std::uint64_t& omega_partial) {
+  const SparseMatrix& pattern = sys.sparse;
+  SmallSignalValues ss = make_small_signal(sys, rng);
+  ComplexSparseLuFactorization inc;
+  ComplexSparseLuFactorization full;
+  ASSERT_NO_THROW(inc.refactor(pattern, ss.at()));
+  full.refactor(pattern, ss.at());
+
+  for (int round = 0; round < 6; ++round) {
+    SCOPED_TRACE("complex round " + std::to_string(round));
+    const int mode = round % 4;
+    if (mode == 0) {
+      ss.omega *= rnd(rng, 0.5, 2.0);
+    } else if (mode != 3) {
+      std::vector<char> rows(sys.n, 0);
+      if (mode == 1) {
+        for (auto& f : rows) f = (rng() % 4 == 0) ? 1 : 0;
+      } else {
+        rows[rng() % sys.n] = 1;
+      }
+      for (std::size_t r = 0; r < sys.n; ++r) {
+        if (rows[r] == 0) continue;
+        for (int i = pattern.row_ptr()[r]; i < pattern.row_ptr()[r + 1];
+             ++i) {
+          ss.g[static_cast<std::size_t>(i)] *= 1.0 + 1e-3 * rnd(rng, 0.5, 1.5);
+        }
+      }
+    }
+    const ComplexVector values = ss.at();
+
+    const RefactorStats before = inc.refactor_stats();
+    ASSERT_NO_THROW(inc.refactor(pattern, values));
+    full.refactor(pattern, ss.at(2.0));
+    full.refactor(pattern, values);
+    ASSERT_EQ(inc.analysis_count(), full.analysis_count());
+    const RefactorStats& after = inc.refactor_stats();
+    cov.partial += after.partial - before.partial;
+    cov.skipped += after.skipped - before.skipped;
+    if (mode == 0) omega_partial += after.partial - before.partial;
+    if (mode == 3) {
+      EXPECT_EQ(after.skipped, before.skipped + 1)
+          << "an unchanged matrix must skip the replay";
+    }
+
+    ComplexMatrix dense(sys.n, sys.n, Complex{});
+    for (std::size_t r = 0; r < sys.n; ++r) {
+      for (int i = pattern.row_ptr()[r]; i < pattern.row_ptr()[r + 1]; ++i) {
+        const auto k = static_cast<std::size_t>(i);
+        dense(r, static_cast<std::size_t>(pattern.col_index()[k])) +=
+            values[k];
+      }
+    }
+
+    const ComplexVector b = random_complex_rhs(rng, sys.n);
+    const ComplexVector xi = inc.solve(b);
+    const ComplexVector xf = full.solve(b);
+    for (std::size_t i = 0; i < sys.n; ++i) {
+      ASSERT_EQ(std::memcmp(&xi[i], &xf[i], sizeof(Complex)), 0)
+          << "row " << i << ": incremental refactor not bit-identical to "
+             "a full pass";
+    }
+    if (sys.near_singular) {
+      double rmax = 0.0;
+      double anorm = 0.0;
+      double xmax = 0.0;
+      double bmax = 0.0;
+      for (std::size_t r = 0; r < sys.n; ++r) {
+        Complex ax{};
+        double row = 0.0;
+        for (std::size_t c = 0; c < sys.n; ++c) {
+          ax += dense(r, c) * xi[c];
+          row += std::abs(dense(r, c));
+        }
+        anorm = std::max(anorm, row);
+        rmax = std::max(rmax, std::abs(ax - b[r]));
+        xmax = std::max(xmax, std::abs(xi[r]));
+        bmax = std::max(bmax, std::abs(b[r]));
+      }
+      EXPECT_LT(rmax / (anorm * xmax + bmax), kAgreeTol);
+    } else {
+      const ComplexVector xd = ComplexLuFactorization(dense).solve(b);
+      double scale = 1.0;
+      double diff = 0.0;
+      for (std::size_t i = 0; i < sys.n; ++i) {
+        scale = std::max(scale, std::abs(xd[i]));
+        diff = std::max(diff, std::abs(xi[i] - xd[i]));
+      }
+      EXPECT_LT(diff / scale, kAgreeTol) << "sparse LU diverged from dense LU";
+    }
+  }
+  EXPECT_EQ(full.refactor_stats().partial, 0u);
+  EXPECT_EQ(full.refactor_stats().skipped, 0u);
+}
+
+TEST(OrderingHarness, ComplexIncrementalRefactorMatchesAFullPass) {
+  std::mt19937_64 rng(20261020u);
+  IncrementalCoverage cov;
+  std::uint64_t omega_partial = 0;
+  int case_id = 0;
+  for (int rep = 0; rep < 20; ++rep) {
+    std::vector<TestSystem> systems;
+    systems.push_back(make_ladder(rng, 8 + static_cast<int>(rng() % 90)));
+    systems.push_back(
+        make_mesh(rng, 3 + static_cast<int>(rng() % 8), (rep % 3) == 0));
+    systems.push_back(make_random_mna(rng, 10 + static_cast<int>(rng() % 80),
+                                      static_cast<int>(rng() % 4)));
+    systems.push_back(make_block_triangular(
+        rng, 5 + static_cast<int>(rng() % 30),
+        5 + static_cast<int>(rng() % 30)));
+    systems.push_back(make_near_singular(rng, 4 + static_cast<int>(rng() % 5)));
+    for (const TestSystem& s : systems) {
+      SCOPED_TRACE("complex case " + std::to_string(case_id++));
+      check_incremental_complex(s, rng, cov, omega_partial);
+    }
+  }
+  EXPECT_EQ(case_id, 100);
+  EXPECT_GT(cov.partial, 0u);
+  EXPECT_GT(cov.skipped, 0u);
+  EXPECT_GT(omega_partial, 0u) << "no omega change kept a prefix";
 }
 
 TEST(OrderingHarness, KeptPivotFailingOnARaisedColumnMaxReanalyses) {
