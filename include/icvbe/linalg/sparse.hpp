@@ -168,6 +168,14 @@ class SparseMatrix {
   /// only; allocation-free.
   /// \pre checkpoint() ran since the pattern was frozen.
   void restore_checkpoint();
+  /// Like restore_checkpoint(), from a caller's copy: set the values to
+  /// `values` (one per CSR slot) and move the stamp tape to `cursor`, the
+  /// tape position right after the adds those values hold. Frozen only;
+  /// allocation-free.
+  void load_values(const std::vector<double>& values, std::size_t cursor);
+  /// values()[k] += s * x[k] for every CSR slot (frozen only; `x` holds
+  /// one value per slot, e.g. another matrix's values on this pattern).
+  void add_scaled(double s, const std::vector<double>& x);
 
   /// Value at (r, c); zero outside the pattern (frozen only).
   [[nodiscard]] double at(std::size_t r, std::size_t c) const;

@@ -7,7 +7,9 @@
 //   3. stamp(stamper, prev) -- linear devices: once per Newton attempt;
 //                              nonlinear: every iteration, linearised at prev
 //      (SimSession checkpoints the linear devices before the first
-//      nonlinear one; the devices from there on restamp every iteration)
+//      nonlinear one; the devices from there on restamp every iteration;
+//      a transient run stamps the linear ones once per run, see
+//      SimSession::begin_transient)
 //   4. power(solution)      -- dissipation for the electro-thermal loop
 // terminals(x), outside the solve, reads the terminal currents at any x.
 //
@@ -17,7 +19,9 @@
 // in a Newton iteration's order (its RHS thrown away), C is
 // DynamicDevice::stamp_reactive on the capacitors and inductors, and the
 // RHS is IndependentSource::add_ac_stimulus. A device's AC model is its
-// DC Jacobian by construction, so the two cannot drift apart.
+// DC Jacobian by construction, so the two cannot drift apart. A
+// transient step solves the same form with s = alpha/h in place of
+// j*omega (dynamic_devices.hpp), so there is no companion stamp either.
 
 #include <array>
 #include <memory>
@@ -83,7 +87,10 @@ class Device {
   /// set_temperature, begin_step, a parameter setter). SimSession relies
   /// on this: it stamps the linear devices before the first nonlinear one
   /// once per attempt and restores them from a checkpoint on every later
-  /// iteration.
+  /// iteration. A transient run stamps them once per run
+  /// (SimSession::begin_transient) and per attempt restamps only the RHS
+  /// of the sources and dynamic devices among them, so within a run the
+  /// stamp of any other linear device must not change at all.
   [[nodiscard]] virtual bool is_nonlinear() const { return false; }
 
   // Lane-batched exponential evaluation (BatchDcSession). Junction devices

@@ -1,10 +1,7 @@
 #pragma once
 // Dynamic (energy-storage) devices: capacitor and inductor.
 //
-// Both stamp classic SPICE companion models through the same
-// Stamper/MatrixView contract every static device uses, so the linear
-// engine serves them unchanged. A dynamic device is in one
-// of two modes:
+// A dynamic device is in one of two modes:
 //
 //  * DC mode (default): the device contributes its steady-state behaviour
 //    -- a capacitor is an open circuit, an inductor a short (a 0 V branch
@@ -13,21 +10,30 @@
 //    entries register pattern slots, see SparseMatrix), so a sparse
 //    session's frozen pattern discovered at bind time is valid for both
 //    analyses.
-//  * transient mode (TransientSolver only): begin_step(method, h) selects
-//    the integration scheme for the next timestep and stamp() writes the
-//    companion conductance/current linearised around the committed state
-//    of the previous accepted timepoint; commit(x) advances that state.
+//  * transient mode (TransientSolver only): begin_step(method, s) selects
+//    the integration scheme and s = alpha/h for the next timestep;
+//    stamp() still writes the DC matrix entries and adds the companion's
+//    history term (stamp_history), linearised around the committed state
+//    of the previous accepted timepoint, to the RHS; commit(x) advances
+//    that state.
 //
-// In either mode stamp_reactive() writes the device's C in the MNA form
-// F(x) + dQ/dt: +C between a capacitor's nodes, -L at an inductor's aux
-// diagonal. The AC engine solves G + j*omega*C with it (sim_session.hpp).
-// Both land in slots the DC stamp already registers.
-//
-// Companion models (current i flows a -> b / p -> m):
-//   C, backward Euler:  i = (C/h)  v - (C/h) v_prev
-//   C, trapezoidal:     i = (2C/h) v - (2C/h) v_prev - i_prev
-//   L, backward Euler:  v = (L/h)  i - (L/h) i_prev      (aux row)
-//   L, trapezoidal:     v = (2L/h) i - (2L/h) i_prev - v_prev
+// stamp_reactive() writes the device's C in the MNA form F(x) + dQ/dt:
+// +C between a capacitor's nodes, -L at an inductor's aux diagonal, in
+// slots the DC stamp already registers. The session solves one linear
+// form with it, the DC stamp plus s*C:
+//   AC:    G + j*omega*C            (SimSession::solve_ac)
+//   TRAN:  G + (alpha/h)*C          (companion_scale; alpha = 1 for
+//                                    backward Euler, 2 for trapezoidal)
+// so the companion conductance exists only as (alpha/h)*stamp_reactive,
+// formed once per step size by the session (SimSession::begin_transient).
+// Per step a device adds only its history term (stamp_history), with
+// s = alpha/h:
+//   C (current i flows a -> b):  i = s C v + ieq,
+//     ieq = -s C v_prev            (backward Euler)
+//     ieq = -s C v_prev - i_prev   (trapezoidal)
+//   L (aux row, i flows p -> m): v = s L i + veq,
+//     veq = -s L i_prev            (backward Euler)
+//     veq = -s L i_prev - v_prev   (trapezoidal)
 
 #include <cmath>
 
@@ -41,10 +47,19 @@ enum class IntegrationMethod {
   kTrapezoidal,    ///< A-stable, second order, energy-preserving
 };
 
-/// Base class of the energy-storage devices. TransientSolver discovers
-/// dynamic devices once per run, flips them into transient mode, drives
-/// begin_step()/commit() around each timestep, and restores DC mode when
-/// it is destroyed. All methods are allocation-free.
+/// s = alpha/h of a companion step: the factor of C in G + s*C (see the
+/// header comment). The session's matrix and every device's history term
+/// take it from here, so both round alike.
+[[nodiscard]] inline double companion_scale(IntegrationMethod method,
+                                            double h) noexcept {
+  return (method == IntegrationMethod::kTrapezoidal ? 2.0 : 1.0) / h;
+}
+
+/// Base class of the energy-storage devices. TransientSolver drives a
+/// run's dynamic devices through its session: transient mode and
+/// begin_step() come from SimSession::transient_step, commit() from the
+/// solver after each accepted timestep, and DC mode returns when the
+/// solver is destroyed. All methods are allocation-free.
 class DynamicDevice : public Device {
  public:
   using Device::Device;
@@ -52,17 +67,25 @@ class DynamicDevice : public Device {
   /// Leave transient mode; stamps revert to the DC steady-state model.
   void set_dc_mode() noexcept { transient_ = false; }
 
-  /// Select the integration scheme and timestep for the next stamp.
-  /// \pre h > 0.
-  void begin_step(IntegrationMethod method, double h) noexcept {
+  /// Select the integration scheme and step for the next stamp, given as
+  /// s = companion_scale(method, h) (computed once per step by the
+  /// caller, not once per device). \pre s > 0.
+  void begin_step(IntegrationMethod method, double s) noexcept {
     transient_ = true;
     method_ = method;
-    h_ = h;
+    s_ = s;
   }
 
   /// Stamp the reactive coefficients (the matrix C of G + s*C, see the
   /// header comment); independent of the mode and of any iterate.
   virtual void stamp_reactive(Stamper& stamper) const = 0;
+
+  /// The RHS part of stamp() in transient mode: the companion history
+  /// term of the table in the header comment. stamp() adds it after the
+  /// DC entries; a transient attempt calls it alone for the devices whose
+  /// DC entries sit in the session's A_lin (SimSession::begin_transient).
+  /// \pre transient mode.
+  virtual void stamp_history(Stamper& stamper) const = 0;
 
   /// Advance the companion state to the accepted solution `x` (called once
   /// per *accepted* timestep; rejected Newton solves never commit).
@@ -88,7 +111,7 @@ class DynamicDevice : public Device {
  protected:
   bool transient_ = false;
   IntegrationMethod method_ = IntegrationMethod::kBackwardEuler;
-  double h_ = 0.0;
+  double s_ = 0.0;  ///< companion_scale of the current step
   double ic_ = std::nan("");
 };
 
@@ -104,6 +127,7 @@ class Capacitor final : public DynamicDevice {
   void stamp(Stamper& stamper, const Unknowns& prev) override;
   /// C between a and b.
   void stamp_reactive(Stamper& stamper) const override;
+  void stamp_history(Stamper& stamper) const override;
   void commit(const Unknowns& x) override;
   void init_state(const Unknowns& x) override;
 
@@ -120,11 +144,9 @@ class Capacitor final : public DynamicDevice {
   void set_capacitance(double farads);
 
  private:
-  /// Companion coefficients for the current method/step.
-  [[nodiscard]] double geq() const noexcept {
-    return (method_ == IntegrationMethod::kTrapezoidal ? 2.0 : 1.0) *
-           farads_ / h_;
-  }
+  /// Companion coefficients for the current method/step; geq is the
+  /// session's (alpha/h)*C.
+  [[nodiscard]] double geq() const noexcept { return s_ * farads_; }
   [[nodiscard]] double ieq() const noexcept {
     return method_ == IntegrationMethod::kTrapezoidal
                ? -geq() * v_prev_ - i_prev_
@@ -152,6 +174,7 @@ class Inductor final : public DynamicDevice {
   void stamp(Stamper& stamper, const Unknowns& prev) override;
   /// -L at the aux diagonal: the branch row V(p) - V(m) - s*L*i = 0.
   void stamp_reactive(Stamper& stamper) const override;
+  void stamp_history(Stamper& stamper) const override;
   void commit(const Unknowns& x) override;
   void init_state(const Unknowns& x) override;
   void imprint_ic(Unknowns& x) const override;

@@ -205,6 +205,25 @@ class SimSession {
   /// Throws NumericalError if the AC system is singular.
   const linalg::ComplexVector& solve_ac(double omega);
 
+  /// The transient system, G + (alpha/h)*C (dynamic_devices.hpp), which
+  /// TransientSolver drives. begin_transient(), after the run's operating
+  /// point, builds G_lin (the linear prefix's DC stamp and the gmin_floor
+  /// diagonal), C (stamp_reactive of every dynamic device, wherever it
+  /// sits in device order) and the RHS of the prefix devices that are
+  /// neither sources nor dynamic devices, fixed within a run; nothing of
+  /// it outlives the run. transient_step() puts the dynamic devices on the
+  /// step and, when alpha/h changes, forms A_lin = G_lin + (alpha/h)*C per
+  /// CSR slot. Each Newton attempt at the floor gmin (source stepping
+  /// included) then starts from A_lin and writes only the RHS of the
+  /// prefix's sources (their stamp through a discarding matrix view) and
+  /// dynamic devices (stamp_history); a gmin-stepping attempt adds
+  /// (alpha/h)*C to its own restamp. end_transient() returns the devices
+  /// to DC mode and solve() to the DC system. Allocation-free after
+  /// begin_transient().
+  void begin_transient();
+  void transient_step(IntegrationMethod method, double h);
+  void end_transient() noexcept;
+
   /// Warm-continuation solve with an analytic fallback -- the pattern the
   /// bandgap cells use. If no warm start is available, seed from
   /// make_guess(); if the continuation then fails to converge (e.g. it
@@ -289,6 +308,9 @@ class SimSession {
   /// convergence; x holds the final iterate either way.
   bool newton_attempt(double gmin, Unknowns& x, int& iterations);
 
+  /// C: every dynamic device's stamp_reactive into c_, on sa_'s pattern.
+  void stamp_reactive();
+
   /// AC-plan execution (defined with the rest of the plan machinery in
   /// plan.cpp). \pre plan.ac is set and plan.axes is empty.
   [[nodiscard]] SweepResult run_ac(const AnalysisPlan& plan,
@@ -296,12 +318,12 @@ class SimSession {
 
   /// The small-signal system at the solved OP in result_ (see solve_ac):
   /// G, C and the RHS, on the pattern of sa_. Read-only during a sweep,
-  /// so every AC executor shares it. c is a copy of sa_ (same CSR, same
-  /// pattern stamp), so it is also the pattern every executor factors
-  /// G + j*omega*C against.
+  /// so every AC executor shares it. c is the session's c_, a copy of sa_
+  /// (same CSR, same pattern stamp), so it is also the pattern every
+  /// executor factors G + j*omega*C against.
   struct SmallSignal {
     linalg::Vector g;          ///< the DC stamp at the OP, per CSR slot
-    linalg::SparseMatrix c;    ///< stamp_reactive, on sa_'s pattern
+    const linalg::SparseMatrix* c = nullptr;  ///< the session's C
     linalg::ComplexVector rhs;  ///< the sources' AC stimulus phasors
   };
   /// Build small_signal_ at result_.solution. \pre a solved OP.
@@ -358,6 +380,27 @@ class SimSession {
   linalg::Vector b_linear_;  ///< RHS checkpoint: the linear prefix's part
   linalg::SparseMatrix sa_;
   linalg::SparseLuFactorization slu_;
+
+  /// C (stamp_reactive) on sa_'s pattern: a copy of sa_, so it shares the
+  /// CSR and the pattern stamp. Rebuilt by every AC linearisation and
+  /// every begin_transient().
+  linalg::SparseMatrix c_;
+
+  /// A transient run's linear system (begin_transient): live while
+  /// `active`.
+  struct Companion {
+    bool active = false;
+    linalg::Vector g;  ///< G_lin, per CSR slot
+    linalg::Vector a;  ///< G_lin + s*C
+    double s = 0.0;    ///< the companion_scale `a` holds (NaN: none yet)
+    std::size_t cursor = 0;  ///< stamp-tape position after G_lin's adds
+    linalg::Vector b;  ///< RHS of the prefix's other devices
+    /// The prefix's sources (restamped through a discarding view) and
+    /// dynamic devices (stamp_history): the RHS written per attempt.
+    std::vector<IndependentSource*> sources;
+    std::vector<const DynamicDevice*> history;
+  };
+  Companion tran_;
 
   // The AC engine (solve_ac, run_ac). small_signal_ is current when
   // ac_linearised_ holds: any solve() or rebind() clears it.

@@ -1,12 +1,14 @@
 #pragma once
 // TransientSolver: time-domain (.TRAN) analysis on top of a SimSession.
 //
-// The solver flips every DynamicDevice (capacitor, inductor) of the bound
-// circuit into transient mode, initialises their companion state from an
-// operating-point solve (or the UIC vector), and then advances time with
-// the session's allocation-free Newton inner loop: per timestep it applies
-// the source waveforms at the candidate time, programs the companion
-// models for (method, h), and calls SimSession::solve().
+// The solver initialises the companion state of every DynamicDevice
+// (capacitor, inductor) of the bound circuit from an operating-point solve
+// (or the UIC vector), has the session build the run's linear system
+// G_lin and C once (SimSession::begin_transient), and then advances time
+// with the session's allocation-free Newton inner loop: per timestep it
+// applies the source waveforms at the candidate time, sets the step
+// (SimSession::transient_step: the devices' history terms for (method, h)
+// and the matrix G_lin + (alpha/h)*C), and calls SimSession::solve().
 //
 // One history polynomial serves each step twice (a predictor-corrector
 // pair, Brayton, Gustavson and Hachtel, Proc. IEEE 60(1), 1972): P, the

@@ -177,6 +177,10 @@ TrimResult trim_radja(spice::SimSession& session,
         radja_max * static_cast<double>(s) / static_cast<double>(steps - 1),
         kMinTrim);
     radja.set_nominal_resistance(r);
+    // Each setting starts from the analytic guess, as test_cell_sweep's
+    // settling does: continuing from the previous setting's last point
+    // can land on the collapsed (all-off) cell.
+    session.invalidate_warm_start();
     double vmin = std::numeric_limits<double>::infinity();
     double vmax = -vmin;
     double sum = 0.0;

@@ -128,9 +128,23 @@ void SparseMatrix::restore_checkpoint() {
   ICVBE_REQUIRE(frozen_ && checkpoint_values_.size() == values_.size(),
                 "SparseMatrix::restore_checkpoint: no checkpoint of this "
                 "pattern");
-  std::copy(checkpoint_values_.begin(), checkpoint_values_.end(),
-            values_.begin());
-  tape_.seek(checkpoint_cursor_);
+  load_values(checkpoint_values_, checkpoint_cursor_);
+}
+
+void SparseMatrix::load_values(const std::vector<double>& values,
+                               std::size_t cursor) {
+  ICVBE_REQUIRE(frozen_ && values.size() == values_.size(),
+                "SparseMatrix::load_values: one value per slot of a frozen "
+                "pattern");
+  std::copy(values.begin(), values.end(), values_.begin());
+  tape_.seek(cursor);
+}
+
+void SparseMatrix::add_scaled(double s, const std::vector<double>& x) {
+  ICVBE_REQUIRE(frozen_ && x.size() == values_.size(),
+                "SparseMatrix::add_scaled: one value per slot of a frozen "
+                "pattern");
+  for (std::size_t k = 0; k < values_.size(); ++k) values_[k] += s * x[k];
 }
 
 double SparseMatrix::at(std::size_t r, std::size_t c) const {

@@ -16,22 +16,26 @@ std::unique_ptr<Device> Capacitor::clone() const {
   auto d = std::make_unique<Capacitor>(name(), a_, b_, farads_, ic_);
   d->transient_ = transient_;
   d->method_ = method_;
-  d->h_ = h_;
+  d->s_ = s_;
   d->v_prev_ = v_prev_;
   d->i_prev_ = i_prev_;
   return d;
 }
 
 void Capacitor::stamp(Stamper& stamper, const Unknowns& /*prev*/) {
-  if (!transient_) {
-    // DC: open circuit -- but register the companion's pattern slots so a
-    // sparse session bound in DC mode can run transients on the same
-    // frozen pattern (zero values still register, see SparseMatrix::add).
-    stamper.stamp_companion(a_, b_, 0.0, 0.0);
-    return;
-  }
-  ICVBE_ASSERT(h_ > 0.0, "Capacitor: begin_step not called");
-  stamper.stamp_companion(a_, b_, geq(), ieq());
+  // DC: an open circuit whose zero values register the slots (alpha/h)*C
+  // lands in (zero values still register, see SparseMatrix::add). In
+  // transient mode the companion's history current rides on the RHS; its
+  // conductance is the session's (alpha/h)*stamp_reactive.
+  stamper.add_conductance(a_, b_, 0.0);
+  if (transient_) stamp_history(stamper);
+}
+
+void Capacitor::stamp_history(Stamper& stamper) const {
+  // ieq flows a -> b: extracted from a's injection, added to b's.
+  const double i = ieq();
+  stamper.add_current_into(a_, -i);
+  stamper.add_current_into(b_, i);
 }
 
 void Capacitor::stamp_reactive(Stamper& stamper) const {
@@ -76,7 +80,7 @@ std::unique_ptr<Device> Inductor::clone() const {
   auto d = std::make_unique<Inductor>(name(), p_, m_, henries_, ic_);
   d->transient_ = transient_;
   d->method_ = method_;
-  d->h_ = h_;
+  d->s_ = s_;
   d->i_prev_ = i_prev_;
   d->v_prev_ = v_prev_;
   return d;
@@ -90,24 +94,20 @@ void Inductor::stamp(Stamper& stamper, const Unknowns& /*prev*/) {
   // KCL: the branch current leaves p and enters m.
   stamper.add_entry(ip, k, 1.0);
   stamper.add_entry(im, k, -1.0);
-  // Branch row: V(p) - V(m) - req i = veq.
+  // Branch row: V(p) - V(m) - (alpha/h) L i = veq. DC: a short (0 V
+  // branch); the zero-valued (k, k) entry registers the slot the session's
+  // -(alpha/h) L lands in. Transient mode adds the history term veq.
   stamper.add_entry(k, ip, 1.0);
   stamper.add_entry(k, im, -1.0);
-  if (!transient_) {
-    // DC: a short (0 V branch). The zero-valued (k, k) entry registers the
-    // slot the transient -req coefficient will use.
-    stamper.add_entry(k, k, 0.0);
-    return;
-  }
-  ICVBE_ASSERT(h_ > 0.0, "Inductor: begin_step not called");
-  const double req =
-      (method_ == IntegrationMethod::kTrapezoidal ? 2.0 : 1.0) * henries_ /
-      h_;
-  const double veq = method_ == IntegrationMethod::kTrapezoidal
-                         ? -req * i_prev_ - v_prev_
-                         : -req * i_prev_;
-  stamper.add_entry(k, k, -req);
-  stamper.add_rhs(k, veq);
+  stamper.add_entry(k, k, 0.0);
+  if (transient_) stamp_history(stamper);
+}
+
+void Inductor::stamp_history(Stamper& stamper) const {
+  const double req = s_ * henries_;
+  stamper.add_rhs(first_aux(), method_ == IntegrationMethod::kTrapezoidal
+                                   ? -req * i_prev_ - v_prev_
+                                   : -req * i_prev_);
 }
 
 void Inductor::stamp_reactive(Stamper& stamper) const {

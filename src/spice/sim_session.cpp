@@ -48,8 +48,10 @@ void SimSession::rebind() {
   for (const auto& dev : circuit_->devices()) dev->reset_state();
   std::fill(b_.begin(), b_.end(), 0.0);
 
-  // Release the AC engine; the next solve_ac() rebuilds it on the new
-  // pattern.
+  // Release the AC engine and C; the next solve_ac() or transient run
+  // rebuilds them on the new pattern.
+  c_ = linalg::SparseMatrix();
+  tran_ = Companion();
   small_signal_ = SmallSignal();
   ac_linearised_ = false;
   ac_ = AcEngine();
@@ -166,6 +168,8 @@ bool SimSession::newton_attempt(double gmin, Unknowns& x, int& iterations) {
   const NewtonOptions& opt = options_;
   const auto& devices = circuit_->devices();
   Stamper st(sa_, b_, node_unknowns);
+  // A transient run at the floor gmin starts every iteration from A_lin.
+  const bool companion = tran_.active && gmin == opt.gmin_floor;
 
   for (int iter = 0; iter < opt.max_iterations; ++iter) {
     ++iterations;
@@ -176,18 +180,32 @@ bool SimSession::newton_attempt(double gmin, Unknowns& x, int& iterations) {
     // checkpoints the system; later iterations restore it. Either way the
     // remaining devices follow in device order, so every slot sums its
     // adds as a full restamp in that order would (BatchDcSession stamps
-    // gmin at the same position).
-    if (iter == 0) {
+    // gmin at the same position). A transient attempt at the floor gmin
+    // takes the matrix part from A_lin instead and writes only the RHS of
+    // the prefix's sources and dynamic devices (begin_transient).
+    if (iter == 0 && companion) {
+      sa_.load_values(tran_.a, tran_.cursor);
+      std::copy(tran_.b.begin(), tran_.b.end(), b_.begin());
+      Stamper rhs(linalg::MatrixView::discard(b_.size()), b_, node_unknowns);
+      for (Device* d : tran_.sources) d->stamp(rhs, x);
+      for (const DynamicDevice* d : tran_.history) d->stamp_history(rhs);
+      std::copy(b_.begin(), b_.end(), b_linear_.begin());
+    } else if (iter == 0) {
       sa_.fill(0.0);
       std::fill(b_.begin(), b_.end(), 0.0);
       for (std::size_t d = 0; d < linear_prefix_; ++d) {
         devices[d]->stamp(st, x);
       }
       stamp_gmin(st, node_unknowns, gmin);
+      if (tran_.active) sa_.add_scaled(tran_.s, c_.values());
       sa_.checkpoint();
       std::copy(b_.begin(), b_.end(), b_linear_.begin());
     } else {
-      sa_.restore_checkpoint();
+      if (companion) {
+        sa_.load_values(tran_.a, tran_.cursor);
+      } else {
+        sa_.restore_checkpoint();
+      }
       std::copy(b_linear_.begin(), b_linear_.end(), b_.begin());
     }
     const int limited_before = st.limited();
@@ -307,6 +325,66 @@ const DcResult& SimSession::solve(const Unknowns* initial) {
   return result_;  // converged == false
 }
 
+void SimSession::begin_transient() {
+  // G_lin: the linear prefix and the gmin_floor diagonal from zero, as
+  // newton_attempt's iteration 0 stamps them, so the tape cursor after
+  // them is the one every attempt resumes the rest of the devices at. A
+  // source's or dynamic device's RHS changes from step to step and is
+  // written per attempt; the other prefix devices' RHS is fixed for the
+  // run and kept in tran_.b.
+  const auto n = static_cast<std::size_t>(n_unknowns_);
+  sa_.fill(0.0);
+  std::fill(b_.begin(), b_.end(), 0.0);
+  tran_.b.assign(n, 0.0);
+  tran_.sources.clear();
+  tran_.history.clear();
+  Stamper fixed(sa_, tran_.b, node_unknowns_);
+  Stamper varying(sa_, b_, node_unknowns_);
+  const auto& devices = circuit_->devices();
+  for (std::size_t d = 0; d < linear_prefix_; ++d) {
+    Device* dev = devices[d].get();
+    auto* source = dynamic_cast<IndependentSource*>(dev);
+    auto* dynamic = dynamic_cast<DynamicDevice*>(dev);
+    dev->stamp(source != nullptr || dynamic != nullptr ? varying : fixed, x_);
+    if (source != nullptr) tran_.sources.push_back(source);
+    if (dynamic != nullptr) tran_.history.push_back(dynamic);
+  }
+  stamp_gmin(fixed, node_unknowns_, options_.gmin_floor);
+  tran_.g.assign(sa_.values().begin(), sa_.values().end());
+  tran_.cursor = sa_.tape().cursor();
+  tran_.a.assign(tran_.g.size(), 0.0);
+  tran_.s = std::nan("");
+  stamp_reactive();
+  tran_.active = true;
+}
+
+void SimSession::transient_step(IntegrationMethod method, double h) {
+  ICVBE_REQUIRE(tran_.active,
+                "SimSession::transient_step: begin_transient() first");
+  const double s = companion_scale(method, h);
+  for (DynamicDevice* d : dynamic_) d->begin_step(method, s);
+  if (s == tran_.s) return;
+  tran_.s = s;
+  const std::vector<double>& c = c_.values();
+  for (std::size_t k = 0; k < tran_.a.size(); ++k) {
+    tran_.a[k] = tran_.g[k] + s * c[k];
+  }
+}
+
+void SimSession::end_transient() noexcept {
+  tran_.active = false;
+  for (DynamicDevice* d : dynamic_) d->set_dc_mode();
+}
+
+void SimSession::stamp_reactive() {
+  // A copy of sa_ the first time, whose stamp tape re-records the
+  // reactive sequence once.
+  if (c_.pattern_stamp() != sa_.pattern_stamp()) c_ = sa_;
+  c_.fill(0.0);
+  Stamper st(c_, b_, node_unknowns_);
+  for (const DynamicDevice* d : dynamic_) d->stamp_reactive(st);
+}
+
 const linalg::ComplexVector& SimSession::solve_ac(double omega) {
   if (circuit_->devices().size() != bound_device_count_) {
     throw CircuitError("SimSession: circuit topology changed; call rebind()");
@@ -325,13 +403,8 @@ void SimSession::linearise_ac() {
                         options_.gmin_floor, result_.solution, sa_, b_);
   SmallSignal& ss = small_signal_;
   ss.g.assign(sa_.values().begin(), sa_.values().end());
-
-  // C on the same pattern: a copy of sa_ the first time, whose stamp tape
-  // re-records the reactive sequence once.
-  if (ss.c.pattern_stamp() != sa_.pattern_stamp()) ss.c = sa_;
-  ss.c.fill(0.0);
-  Stamper st(ss.c, b_, node_unknowns_);
-  for (const DynamicDevice* d : dynamic_) d->stamp_reactive(st);
+  stamp_reactive();
+  ss.c = &c_;
 
   ss.rhs.assign(static_cast<std::size_t>(n_unknowns_), linalg::Complex{});
   for (const IndependentSource* s : sources_) s->add_ac_stimulus(ss.rhs);
@@ -340,7 +413,7 @@ void SimSession::linearise_ac() {
 
 const linalg::ComplexVector& SimSession::AcEngine::solve(
     const SmallSignal& system, double omega) {
-  const std::vector<double>& c = system.c.values();
+  const std::vector<double>& c = system.c->values();
   a_.resize(c.size());
   const auto fill_at = [&](double w) {
     for (std::size_t k = 0; k < a_.size(); ++k) {
@@ -351,11 +424,11 @@ const linalg::ComplexVector& SimSession::AcEngine::solve(
   if (lu_.analysis_count() != pinned_analysis_) {
     lu_.invalidate_analysis();
     fill_at(*prime_omega_);
-    lu_.refactor(system.c, a_);
+    lu_.refactor(*system.c, a_);
     pinned_analysis_ = lu_.analysis_count();
   }
   fill_at(omega);
-  lu_.refactor(system.c, a_);
+  lu_.refactor(*system.c, a_);
   x_.assign(system.rhs.begin(), system.rhs.end());
   lu_.solve_in_place(x_);
   return x_;

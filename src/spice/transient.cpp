@@ -29,7 +29,7 @@ TransientSolver::TransientSolver(SimSession& session, TransientSpec spec)
 
 TransientSolver::~TransientSolver() {
   if (!began_ || restored_) return;
-  for (DynamicDevice* d : dynamic_) d->set_dc_mode();
+  session_.end_transient();
   const auto& sources = session_.sources();
   for (std::size_t i = 0; i < sources.size(); ++i) {
     sources[i]->set_value(source_t0_[i]);
@@ -45,9 +45,9 @@ void TransientSolver::begin() {
   if (began_) return;
   Circuit& circuit = session_.circuit();
 
-  // Dynamic devices start in DC mode; waveform-driven sources are found
-  // once.
-  for (DynamicDevice* d : dynamic_) d->set_dc_mode();
+  // The operating point solves the DC system with the dynamic devices in
+  // DC mode; waveform-driven sources are found once.
+  session_.end_transient();
   waves_.clear();
   source_t0_.clear();
   for (IndependentSource* s : session_.sources()) {
@@ -85,7 +85,10 @@ void TransientSolver::begin() {
   }
   for (DynamicDevice* d : dynamic_) d->imprint_ic(x_now_);
   for (DynamicDevice* d : dynamic_) d->init_state(x_now_);
-  for (DynamicDevice* d : dynamic_) d->begin_step(spec_.method, h0_);
+  // The run's linear system, G_lin and C, built once from the devices'
+  // values now (sim_session.hpp).
+  session_.begin_transient();
+  session_.transient_step(spec_.method, h0_);
   session_.seed_warm_start(x_now_);
 
   t_ = 0.0;
@@ -184,7 +187,7 @@ bool TransientSolver::advance() {
     const IntegrationMethod step_method =
         (spec_.adaptive && restart_) ? IntegrationMethod::kBackwardEuler
                                      : spec_.method;
-    for (DynamicDevice* d : dynamic_) d->begin_step(step_method, h);
+    session_.transient_step(step_method, h);
     // The history polynomial at t_candidate gives the error estimate and,
     // except right after a restart, the Newton start.
     const bool predicted = spec_.adaptive && hist_count_ >= need_history();

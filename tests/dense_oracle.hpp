@@ -104,8 +104,9 @@ class DenseOracle {
   /// Fixed-step transient (spec.adaptive == false, no UIC or .IC): the
   /// TransientSolver sequence without step control -- operating point at
   /// t = 0, companion state from it, then per step the waveforms at t + h,
-  /// begin_step(method, h), a DC solve and commit. Returns the solution at
-  /// t = 0 and after every step.
+  /// begin_step(method, alpha/h), a solve of the DC stamp plus (alpha/h)
+  /// times the dense C from stamp_reactive(), and commit. Returns the solution
+  /// at t = 0 and after every step.
   [[nodiscard]] std::vector<Unknowns> fixed_step_transient(
       const TransientSpec& spec) {
     std::vector<DynamicDevice*> dynamic;
@@ -126,6 +127,13 @@ class DenseOracle {
     const double tmax = spec.tmax > 0.0 ? spec.tmax : spec.tstep;
     const double teps = 1e-9 * std::max(spec.tstop, tmax);
 
+    linalg::SparseMatrix c(n_, n_);
+    linalg::Vector unused(n_, 0.0);
+    Stamper reactive(c, unused, nodes_);
+    for (const DynamicDevice* d : dynamic) d->stamp_reactive(reactive);
+    c.freeze_pattern();
+    c_dense_ = c.to_dense();
+
     apply_sources(0.0);
     std::vector<Unknowns> out{solve()};
     for (DynamicDevice* d : dynamic) d->init_state(x_);
@@ -133,10 +141,13 @@ class DenseOracle {
       const double h = std::min({spec.tstep, tmax, spec.tstop - t});
       t += h;
       apply_sources(t);
-      for (DynamicDevice* d : dynamic) d->begin_step(spec.method, h);
+      c_scale_ =
+          (spec.method == IntegrationMethod::kTrapezoidal ? 2.0 : 1.0) / h;
+      for (DynamicDevice* d : dynamic) d->begin_step(spec.method, c_scale_);
       out.push_back(solve());
       for (DynamicDevice* d : dynamic) d->commit(x_);
     }
+    c_scale_ = 0.0;
     for (DynamicDevice* d : dynamic) d->set_dc_mode();
     return out;
   }
@@ -151,9 +162,17 @@ class DenseOracle {
       for (const auto& dev : c_.devices()) dev->stamp(st, x);
       for (int i = 0; i < nodes_; ++i) st.add_entry(i, i, gmin);
       a.freeze_pattern();
+      linalg::Matrix ad = a.to_dense();
+      if (c_scale_ != 0.0) {
+        for (std::size_t r = 0; r < n_; ++r) {
+          for (std::size_t k = 0; k < n_; ++k) {
+            ad(r, k) += c_scale_ * c_dense_(r, k);
+          }
+        }
+      }
       linalg::LuFactorization lu;
       try {
-        lu.refactor(a.to_dense());
+        lu.refactor(ad);
       } catch (const NumericalError&) {
         return false;
       }
@@ -191,6 +210,10 @@ class DenseOracle {
   std::size_t n_;
   int nodes_;
   Unknowns x_;
+  /// alpha/h of the transient step being solved (0: a DC solve) and the
+  /// dense C it multiplies.
+  double c_scale_ = 0.0;
+  linalg::Matrix c_dense_;
 };
 
 }  // namespace icvbe::spice::oracle

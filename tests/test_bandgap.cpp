@@ -191,6 +191,9 @@ TEST(TestCell, TrimSearchReducesSpread) {
   EXPECT_LE(best.vref_spread, untrimmed + 1e-12);
   EXPECT_GE(best.radja, 0.0);
   EXPECT_LE(best.radja, 3e3);
+  // The trimmed cell is a working reference, not the collapsed all-off
+  // cell, whose zero spread would win the search.
+  EXPECT_GT(best.vref_mean, 1.0);
 }
 
 TEST(TestCell, SolvesAcrossFullMilitaryRange) {

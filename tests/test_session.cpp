@@ -273,9 +273,9 @@ std::unique_ptr<Device> stepping(std::unique_ptr<Dyn> d,
   const Unknowns x0 = iterate({0.2, -0.1, 0.05, 0.4, 1e-3});
   const Unknowns x1 = iterate({0.7, 0.3, -0.2, 0.1, 2e-3});
   d->init_state(x0);
-  d->begin_step(method, 1e-6);
+  d->begin_step(method, companion_scale(method, 1e-6));
   d->commit(x1);
-  d->begin_step(method, 5e-7);
+  d->begin_step(method, companion_scale(method, 5e-7));
   return d;
 }
 
@@ -458,20 +458,26 @@ TEST(SimSessionTest, LinearDevicesStampOncePerNewtonAttempt) {
   EXPECT_GT(iterations, 2 * solves);
 }
 
-TEST(SimSessionTest, TransientStampsLinearDevicesOncePerStepAttempt) {
+TEST(SimSessionTest, TransientStampsLinearDevicesOncePerRun) {
+  // A transient run stamps a linear prefix device twice in all: once in
+  // the operating point's one Newton attempt and once to build G_lin.
+  // Every step attempt starts from G_lin + (alpha/h)*C instead, so the
+  // count does not grow with the attempts.
   CountedLadder rig;
   SimSession session(rig.c);
+  rig.linear_stamps = 0;  // the bind's pattern-discovery pass
   TransientSpec spec;
   spec.tstep = 1e-6;
   spec.tstop = 40e-6;
   TransientSolver tran(session, spec);
-  tran.begin();  // the operating point: one more attempt, not counted
-  rig.linear_stamps = 0;
+  tran.begin();
+  EXPECT_EQ(rig.linear_stamps, 2);
   rig.diode_stamps = 0;
   while (tran.advance()) {
   }
   EXPECT_GT(tran.steps_rejected(), 0);
-  EXPECT_EQ(rig.linear_stamps, tran.steps_accepted() + tran.steps_rejected());
+  EXPECT_GT(tran.steps_accepted(), 20);
+  EXPECT_EQ(rig.linear_stamps, 2);
   EXPECT_EQ(rig.diode_stamps, tran.newton_iterations());
   EXPECT_GT(tran.newton_iterations(),
             tran.steps_accepted() + tran.steps_rejected());

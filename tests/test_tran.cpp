@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -386,6 +388,136 @@ TEST(TransientEngineTest, DenseAndSparseResultsAgreeOnCurrentDrivenRcLadder) {
   }
   // The source drove the ladder: V(n1) settles at 1.8 mA * 1k.
   EXPECT_NEAR(sparse.value(1, sparse.rows() - 1), 1.8, 0.1);
+}
+
+/// A pulsed source into a diode clamp with an RC and an RL branch:
+/// V1 - R1 - a, D1 a-0, C1 a-0, R2 a-b, L1 b-0. With `diode_first` the
+/// diode comes before C1 and L1 in device order, so they follow the first
+/// nonlinear device and are no part of the linear prefix; otherwise the
+/// order is a parsed deck's (linear devices first). Nodes and aux unknowns
+/// number alike either way.
+void build_clamp(Circuit& c, bool diode_first) {
+  const NodeId in = c.node("in");
+  const NodeId a = c.node("a");
+  const NodeId b = c.node("b");
+  c.add_vsource("V1", in, kGround, 0.0)
+      .set_waveform(Waveform::pulse(0.0, 1.5, 1e-6, 1e-6, 1e-6, 8e-6));
+  c.add_resistor("R1", in, a, 1e3, 2e-3);
+  c.add_resistor("R2", a, b, 2e3);
+  DiodeModel dm;
+  dm.is = 1e-14;
+  if (diode_first) c.add_diode("D1", a, kGround, dm);
+  c.add_capacitor("C1", a, kGround, 1e-9);
+  c.add_inductor("L1", b, kGround, 1e-3);
+  if (!diode_first) c.add_diode("D1", a, kGround, dm);
+}
+
+/// Tight Newton tolerances: solver slack stays far below the comparisons.
+NewtonOptions tight_options() {
+  NewtonOptions options;
+  options.v_abstol = 1e-11;
+  options.i_abstol = 1e-14;
+  options.reltol = 1e-12;
+  return options;
+}
+
+/// Every solution of a TransientSolver run on `c`, t = 0 included.
+std::vector<Unknowns> transient_solutions(Circuit& c,
+                                          const TransientSpec& spec) {
+  SimSession session(c, tight_options());
+  TransientSolver solver(session, spec);
+  solver.begin();
+  std::vector<Unknowns> out{solver.solution()};
+  while (solver.advance()) out.push_back(solver.solution());
+  return out;
+}
+
+TEST(TransientEngineTest, ReactiveDevicesAfterTheNonlinearOneCountOnce) {
+  // C1 and L1 stamp after the diode, outside the linear prefix: their
+  // companion conductance still comes from (alpha/h)*C, once. Counting it
+  // twice or leaving it out moves every step against both references.
+  const TransientSpec spec =
+      fixed_spec(IntegrationMethod::kTrapezoidal, 1e-7, 2e-5);
+  Circuit late;
+  build_clamp(late, true);
+  ASSERT_EQ(linear_prefix(late), 3u);
+  Circuit parsed_order;
+  build_clamp(parsed_order, false);
+  ASSERT_EQ(linear_prefix(parsed_order), 5u);
+  Circuit reference;
+  build_clamp(reference, true);
+
+  const std::vector<Unknowns> x = transient_solutions(late, spec);
+  const std::vector<Unknowns> xp = transient_solutions(parsed_order, spec);
+  oracle::DenseOracle dense(reference, tight_options());
+  const std::vector<Unknowns> xd = dense.fixed_step_transient(spec);
+  ASSERT_EQ(x.size(), 201u);
+  ASSERT_EQ(xp.size(), x.size());
+  ASSERT_EQ(xd.size(), x.size());
+  double swing = 0.0;
+  for (std::size_t r = 0; r < x.size(); ++r) {
+    for (std::size_t i = 0; i < x[r].size(); ++i) {
+      EXPECT_NEAR(x[r].raw()[i], xp[r].raw()[i], 1e-12)
+          << "step " << r << " unknown " << i;
+      EXPECT_NEAR(x[r].raw()[i], xd[r].raw()[i], 1e-10)
+          << "step " << r << " unknown " << i;
+    }
+    swing = std::max(swing, x[r].node_voltage(late.find_node("b")));
+  }
+  // The pulse drives both branches: the diode clamps node a and L1's
+  // branch carries current.
+  EXPECT_GT(swing, 0.05);
+}
+
+TEST(TransientEngineTest, RunAfterReprogrammingMatchesAFreshSession) {
+  // A second run on one session after set_capacitance, a resistor value
+  // and a temperature change must print what a fresh session prints: the
+  // run's G_lin and C come from the values of that run, not the last.
+  TransientSpec spec;
+  spec.tstep = 2e-7;
+  spec.tstop = 2e-5;
+  const std::vector<Probe> probes = {parse_probe("V(a)"),
+                                     parse_probe("V(b)"),
+                                     parse_probe("I(L1)")};
+  const auto reprogram = [](Circuit& c) {
+    c.get<Capacitor>("C1").set_capacitance(2.2e-9);
+    c.get<Resistor>("R2").set_nominal_resistance(1.5e3);
+    c.set_temperature(350.0);
+  };
+  const auto same_rows = [](const SweepResult& p, const SweepResult& q) {
+    if (p.rows() != q.rows()) return false;
+    for (std::size_t r = 0; r < p.rows(); ++r) {
+      if (std::bit_cast<std::uint64_t>(p.axis_value(0, r)) !=
+          std::bit_cast<std::uint64_t>(q.axis_value(0, r))) {
+        return false;
+      }
+      for (std::size_t k = 0; k < p.probe_count(); ++k) {
+        if (std::bit_cast<std::uint64_t>(p.value(k, r)) !=
+            std::bit_cast<std::uint64_t>(q.value(k, r))) {
+          return false;
+        }
+      }
+    }
+    return true;
+  };
+
+  Circuit warm;
+  build_clamp(warm, false);
+  SimSession session(warm);
+  const SweepResult before = TransientSolver(session, spec).run(probes);
+  reprogram(warm);
+  session.begin_variant();
+  session.prime();
+  const SweepResult after = TransientSolver(session, spec).run(probes);
+
+  Circuit fresh;
+  build_clamp(fresh, false);
+  reprogram(fresh);
+  SimSession cold(fresh);
+  const SweepResult expected = TransientSolver(cold, spec).run(probes);
+
+  EXPECT_TRUE(same_rows(after, expected));
+  EXPECT_FALSE(same_rows(before, expected));  // the change shows
 }
 
 TEST(TransientEngineTest, LadderWithPnpLoadRestampsNeverMissTheTape) {
