@@ -21,11 +21,11 @@
 //     short sorted row only when the check fails -- allocation-free), and
 //     SparseLuFactorizationT::refactor() re-factors numerically along a
 //     cached pivot order and fill pattern from the first pivot step whose
-//     row changed, also allocation-free. A restamp may stop part way,
-//     checkpoint() the values and the tape position, and later
-//     restore_checkpoint() instead of repeating that prefix: a Newton
-//     attempt stamps the linear devices before its first nonlinear one
-//     once and restamps only the rest per iteration.
+//     row changed, also allocation-free. load_values() starts a restamp
+//     part way: it sets the values a prefix of adds left and moves the
+//     tape past that prefix, so the adds that follow replay their taped
+//     slots (a Newton attempt loads its linear devices' part, built once,
+//     and restamps only the rest per iteration).
 //
 // One pattern, numerics per scalar (KLU's shape): the LU factors a
 // (pattern, values) pair -- the CSR arrays and pattern stamp of a frozen
@@ -157,25 +157,11 @@ class SparseMatrix {
   /// rewinds the stamp tape.
   void fill(double value);
 
-  /// Save every stored value and the stamp-tape cursor (frozen only). The
-  /// first call after freeze_pattern() sizes the buffer; later calls on
-  /// the same pattern do not allocate, and a matrix that never
-  /// checkpoints holds no buffer.
-  void checkpoint();
-  /// Copy the values saved by the last checkpoint() back and move the
-  /// stamp tape to the cursor saved with them, so the adds that follow
-  /// replay the same entries they replayed after the checkpoint. Frozen
-  /// only; allocation-free.
-  /// \pre checkpoint() ran since the pattern was frozen.
-  void restore_checkpoint();
-  /// Like restore_checkpoint(), from a caller's copy: set the values to
-  /// `values` (one per CSR slot) and move the stamp tape to `cursor`, the
-  /// tape position right after the adds those values hold. Frozen only;
-  /// allocation-free.
+  /// Set the values to `values` (one per CSR slot) and move the stamp
+  /// tape to `cursor`, the tape position right after the adds those
+  /// values hold, so the adds that follow replay the entries they
+  /// replayed after that prefix. Frozen only; allocation-free.
   void load_values(const std::vector<double>& values, std::size_t cursor);
-  /// values()[k] += s * x[k] for every CSR slot (frozen only; `x` holds
-  /// one value per slot, e.g. another matrix's values on this pattern).
-  void add_scaled(double s, const std::vector<double>& x);
 
   /// Value at (r, c); zero outside the pattern (frozen only).
   [[nodiscard]] double at(std::size_t r, std::size_t c) const;
@@ -232,10 +218,6 @@ class SparseMatrix {
   std::vector<int> col_index_;
   std::vector<double> values_;
   StampTape tape_;
-
-  // checkpoint(): saved values (empty until the first call) and cursor.
-  std::vector<double> checkpoint_values_;
-  std::size_t checkpoint_cursor_ = 0;
 };
 
 inline std::size_t StampTape::next(const SparseMatrix& m, std::size_t r,

@@ -6,10 +6,10 @@
 //   2. reset_state()        -- clear junction-limiting memory
 //   3. stamp(stamper, prev) -- linear devices: once per Newton attempt;
 //                              nonlinear: every iteration, linearised at prev
-//      (SimSession checkpoints the linear devices before the first
-//      nonlinear one; the devices from there on restamp every iteration;
-//      a transient run stamps the linear ones once per run, see
-//      SimSession::begin_transient)
+//      (the linear devices before the first nonlinear one are the
+//      session's linear part, built once per DC attempt or transient run
+//      and loaded every iteration; the devices from there on restamp
+//      every iteration; see SimSession::Linear)
 //   4. power(solution)      -- dissipation for the electro-thermal loop
 // terminals(x), outside the solve, reads the terminal currents at any x.
 //
@@ -85,12 +85,12 @@ class Device {
   /// a later stamp(), power() or probe could observe. Its values may change
   /// only through calls made between Newton attempts (a source value,
   /// set_temperature, begin_step, a parameter setter). SimSession relies
-  /// on this: it stamps the linear devices before the first nonlinear one
-  /// once per attempt and restores them from a checkpoint on every later
-  /// iteration. A transient run stamps them once per run
-  /// (SimSession::begin_transient) and per attempt restamps only the RHS
-  /// of the sources and dynamic devices among them, so within a run the
-  /// stamp of any other linear device must not change at all.
+  /// on this: the linear devices before the first nonlinear one are its
+  /// linear part, stamped once per DC attempt and once per transient run
+  /// and loaded on every iteration. Per attempt only the RHS of the
+  /// sources and dynamic devices among them is written again, so within
+  /// a transient run the stamp of any other linear device must not change
+  /// at all.
   [[nodiscard]] virtual bool is_nonlinear() const { return false; }
 
   // Lane-batched exponential evaluation (BatchDcSession). Junction devices

@@ -89,8 +89,8 @@ enum class NewtonStep {
 [[nodiscard]] std::size_t linear_prefix(const Circuit& circuit);
 
 /// Add gmin to every node diagonal. Both sessions stamp it right after the
-/// linear prefix, so it rides in SimSession's once-per-attempt checkpoint
-/// and a batched lane sums each diagonal slot in the scalar path's order.
+/// linear prefix, so it is part of SimSession's linear part (G_lin) and a
+/// batched lane sums each diagonal slot in the scalar path's order.
 inline void stamp_gmin(Stamper& st, int node_unknowns, double gmin) {
   for (int i = 0; i < node_unknowns; ++i) st.add_entry(i, i, gmin);
 }
@@ -207,19 +207,15 @@ class SimSession {
 
   /// The transient system, G + (alpha/h)*C (dynamic_devices.hpp), which
   /// TransientSolver drives. begin_transient(), after the run's operating
-  /// point, builds G_lin (the linear prefix's DC stamp and the gmin_floor
-  /// diagonal), C (stamp_reactive of every dynamic device, wherever it
-  /// sits in device order) and the RHS of the prefix devices that are
-  /// neither sources nor dynamic devices, fixed within a run; nothing of
-  /// it outlives the run. transient_step() puts the dynamic devices on the
-  /// step and, when alpha/h changes, forms A_lin = G_lin + (alpha/h)*C per
-  /// CSR slot. Each Newton attempt at the floor gmin (source stepping
-  /// included) then starts from A_lin and writes only the RHS of the
-  /// prefix's sources (their stamp through a discarding matrix view) and
-  /// dynamic devices (stamp_history); a gmin-stepping attempt adds
-  /// (alpha/h)*C to its own restamp. end_transient() returns the devices
-  /// to DC mode and solve() to the DC system. Allocation-free after
-  /// begin_transient().
+  /// point, builds C (stamp_reactive of every dynamic device, wherever it
+  /// sits in device order) and the linear part at the gmin_floor, and
+  /// marks the run: its Newton attempts at that gmin (source stepping
+  /// included) reuse the part instead of rebuilding it. transient_step()
+  /// puts the dynamic devices on the step and, when alpha/h changes, forms
+  /// G_lin + (alpha/h)*C per CSR slot; a gmin-stepping attempt builds the
+  /// part at its own gmin and adds (alpha/h)*C the same way.
+  /// end_transient() returns the devices to DC mode, and nothing of the
+  /// run's part outlives it. Allocation-free after begin_transient().
   void begin_transient();
   void transient_step(IntegrationMethod method, double h);
   void end_transient() noexcept;
@@ -308,6 +304,11 @@ class SimSession {
   /// convergence; x holds the final iterate either way.
   bool newton_attempt(double gmin, Unknowns& x, int& iterations);
 
+  /// Build linear_ at `gmin` from the devices' current values.
+  void build_linear(double gmin);
+  /// linear_.a = G_lin + s*C per CSR slot (transient runs).
+  void form_transient();
+
   /// C: every dynamic device's stamp_reactive into c_, on sa_'s pattern.
   void stamp_reactive();
 
@@ -374,10 +375,10 @@ class SimSession {
   int node_unknowns_ = 0;
   std::size_t bound_device_count_ = 0;
 
-  /// Devices before the first nonlinear one: stamped once per attempt.
+  /// Devices before the first nonlinear one: the linear part's devices.
   std::size_t linear_prefix_ = 0;
   linalg::Vector b_;  ///< RHS, then the linear solve's result
-  linalg::Vector b_linear_;  ///< RHS checkpoint: the linear prefix's part
+  linalg::Vector b_linear_;  ///< RHS after iteration 0's linear part
   linalg::SparseMatrix sa_;
   linalg::SparseLuFactorization slu_;
 
@@ -386,21 +387,27 @@ class SimSession {
   /// every begin_transient().
   linalg::SparseMatrix c_;
 
-  /// A transient run's linear system (begin_transient): live while
-  /// `active`.
-  struct Companion {
-    bool active = false;
-    linalg::Vector g;  ///< G_lin, per CSR slot
-    linalg::Vector a;  ///< G_lin + s*C
-    double s = 0.0;    ///< the companion_scale `a` holds (NaN: none yet)
+  /// The linear part every Newton attempt starts from (build_linear): a
+  /// linear device stamps the same values at every iterate, so its stamp
+  /// is taken once and loaded per iteration. A DC attempt builds it anew
+  /// (callers re-program devices between solves); a transient run keeps
+  /// the one built at its gmin.
+  struct Linear {
+    bool transient = false;  ///< held by a transient run (begin_transient)
+    double gmin = 0.0;       ///< the gmin diagonal in g
+    linalg::Vector g;        ///< G_lin: prefix stamp + gmin, per CSR slot
+    linalg::Vector a;        ///< G_lin + s*C (transient runs)
+    double s = 0.0;          ///< the companion_scale `a` holds (NaN: none)
     std::size_t cursor = 0;  ///< stamp-tape position after G_lin's adds
-    linalg::Vector b;  ///< RHS of the prefix's other devices
-    /// The prefix's sources (restamped through a discarding view) and
-    /// dynamic devices (stamp_history): the RHS written per attempt.
+    linalg::Vector b;        ///< RHS of the prefix's other devices
+    /// Per prefix device: true for the sources and dynamic devices, whose
+    /// RHS is written per attempt (sources through a discarding matrix
+    /// view, dynamic devices by stamp_history in a transient run).
+    std::vector<bool> per_attempt;
     std::vector<IndependentSource*> sources;
     std::vector<const DynamicDevice*> history;
   };
-  Companion tran_;
+  Linear linear_;
 
   // The AC engine (solve_ac, run_ac). small_signal_ is current when
   // ac_linearised_ holds: any solve() or rebind() clears it.

@@ -22,11 +22,15 @@
 //    c |x_c - P| (order h^2 v'' for backward Euler, h^3 v''' for
 //    trapezoidal; see lte_ratio). Steps whose error ratio exceeds 1 are
 //    rejected and retried smaller, and accepted steps grow up to 2x while
-//    the error stays low. Waveform corner
-// times (PULSE edges, PWL knots) are breakpoints: a step never integrates
-// across one, and stepping restarts small right after it. The whole
-// sequence is plain double arithmetic with no time-of-day or RNG input, so
-// the accepted-step sequence is deterministic (asserted by test_tran).
+//    the error stays low. A step still rejected at the minimum step
+//    (tstop * 1e-12, at least 1e-18 s) ends the run with NumericalError ("timestep too
+//    small", as SPICE3's DCtran): accepting it would march on at that
+//    step, and a run whose estimate never passes would never end.
+// Waveform corner times (PULSE edges, PWL knots) are breakpoints: a step
+// never integrates across one, and stepping restarts small right after
+// it. The whole sequence is plain double arithmetic with no time-of-day
+// or RNG input, so the accepted-step sequence is deterministic (asserted
+// by test_tran).
 //
 // Lifetime: the solver restores DC mode on the dynamic devices and the
 // t = 0 source values when destroyed, so a session can go back to DC
@@ -69,7 +73,8 @@ class TransientSolver {
   /// Advance one *accepted* timestep (internally retrying smaller steps on
   /// Newton failure or LTE rejection). Returns false once t has reached
   /// tstop. Allocation-free after begin().
-  /// Throws NumericalError if the controller cannot find a working step.
+  /// Throws NumericalError if the controller cannot find a working step:
+  /// Newton fails, or the error estimate rejects, at the minimum step.
   [[nodiscard]] bool advance();
 
   /// Current time [s] (0 until the first accepted step).

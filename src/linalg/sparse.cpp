@@ -47,7 +47,6 @@ void SparseMatrix::resize(std::size_t rows, std::size_t cols) {
   row_ptr_.clear();
   col_index_.clear();
   values_.clear();
-  checkpoint_values_.clear();
   tape_.reset(0);
 }
 
@@ -118,19 +117,6 @@ void SparseMatrix::fill(double value) {
   tape_.rewind();
 }
 
-void SparseMatrix::checkpoint() {
-  ICVBE_REQUIRE(frozen_, "SparseMatrix::checkpoint: freeze_pattern() first");
-  checkpoint_values_.assign(values_.begin(), values_.end());
-  checkpoint_cursor_ = tape_.cursor();
-}
-
-void SparseMatrix::restore_checkpoint() {
-  ICVBE_REQUIRE(frozen_ && checkpoint_values_.size() == values_.size(),
-                "SparseMatrix::restore_checkpoint: no checkpoint of this "
-                "pattern");
-  load_values(checkpoint_values_, checkpoint_cursor_);
-}
-
 void SparseMatrix::load_values(const std::vector<double>& values,
                                std::size_t cursor) {
   ICVBE_REQUIRE(frozen_ && values.size() == values_.size(),
@@ -138,13 +124,6 @@ void SparseMatrix::load_values(const std::vector<double>& values,
                 "pattern");
   std::copy(values.begin(), values.end(), values_.begin());
   tape_.seek(cursor);
-}
-
-void SparseMatrix::add_scaled(double s, const std::vector<double>& x) {
-  ICVBE_REQUIRE(frozen_ && x.size() == values_.size(),
-                "SparseMatrix::add_scaled: one value per slot of a frozen "
-                "pattern");
-  for (std::size_t k = 0; k < values_.size(); ++k) values_[k] += s * x[k];
 }
 
 double SparseMatrix::at(std::size_t r, std::size_t c) const {

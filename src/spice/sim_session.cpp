@@ -19,9 +19,9 @@ void SimSession::rebind() {
   ICVBE_REQUIRE(n_unknowns_ > 0, "SimSession: circuit has no unknowns");
   bound_device_count_ = circuit_->devices().size();
 
-  // The linear prefix: the devices before the first nonlinear one, which
-  // newton_attempt stamps once per attempt (see there). Parsed decks
-  // instantiate semiconductors last, so there it is every linear device.
+  // The linear prefix: the devices before the first nonlinear one, whose
+  // stamp is the linear part (build_linear). Parsed decks instantiate
+  // semiconductors last, so there it is every linear device.
   const auto& devices = circuit_->devices();
   linear_prefix_ = linear_prefix(*circuit_);
 
@@ -51,19 +51,23 @@ void SimSession::rebind() {
   // Release the AC engine and C; the next solve_ac() or transient run
   // rebuilds them on the new pattern.
   c_ = linalg::SparseMatrix();
-  tran_ = Companion();
+  linear_ = Linear();
+  linear_.b.assign(n, 0.0);
   small_signal_ = SmallSignal();
   ac_linearised_ = false;
   ac_ = AcEngine();
 
   sources_.clear();
   dynamic_.clear();
-  for (const auto& dev : circuit_->devices()) {
-    if (auto* s = dynamic_cast<IndependentSource*>(dev.get())) {
-      sources_.push_back(s);
-    } else if (auto* d = dynamic_cast<DynamicDevice*>(dev.get())) {
-      dynamic_.push_back(d);
-    }
+  for (std::size_t d = 0; d < devices.size(); ++d) {
+    auto* source = dynamic_cast<IndependentSource*>(devices[d].get());
+    auto* dynamic = dynamic_cast<DynamicDevice*>(devices[d].get());
+    if (source != nullptr) sources_.push_back(source);
+    if (dynamic != nullptr) dynamic_.push_back(dynamic);
+    if (d >= linear_prefix_) continue;
+    linear_.per_attempt.push_back(source != nullptr || dynamic != nullptr);
+    if (source != nullptr) linear_.sources.push_back(source);
+    if (dynamic != nullptr) linear_.history.push_back(dynamic);
   }
   source_base_.assign(sources_.size(), 0.0);
 }
@@ -167,45 +171,29 @@ bool SimSession::newton_attempt(double gmin, Unknowns& x, int& iterations) {
   const int node_unknowns = node_unknowns_;
   const NewtonOptions& opt = options_;
   const auto& devices = circuit_->devices();
+  if (!linear_.transient || gmin != linear_.gmin) build_linear(gmin);
+  const linalg::Vector& linear = linear_.transient ? linear_.a : linear_.g;
   Stamper st(sa_, b_, node_unknowns);
-  // A transient run at the floor gmin starts every iteration from A_lin.
-  const bool companion = tran_.active && gmin == opt.gmin_floor;
 
   for (int iter = 0; iter < opt.max_iterations; ++iter) {
     ++iterations;
-    // A linear device stamps the same values at every iterate, and what
-    // changes those values (a source value, the timestep, a temperature,
-    // a PATCH) changes only between attempts; so does the gmin diagonal.
-    // So iteration 0 stamps the linear prefix and the gmin diagonal and
-    // checkpoints the system; later iterations restore it. Either way the
-    // remaining devices follow in device order, so every slot sums its
-    // adds as a full restamp in that order would (BatchDcSession stamps
-    // gmin at the same position). A transient attempt at the floor gmin
-    // takes the matrix part from A_lin instead and writes only the RHS of
-    // the prefix's sources and dynamic devices (begin_transient).
-    if (iter == 0 && companion) {
-      sa_.load_values(tran_.a, tran_.cursor);
-      std::copy(tran_.b.begin(), tran_.b.end(), b_.begin());
+    // Every iteration starts from the linear part and the tape cursor
+    // after it, and the remaining devices follow in device order, so every
+    // slot sums its adds as a full restamp in that order would
+    // (BatchDcSession stamps gmin at the same position). What the linear
+    // part leaves out of the RHS changes only between attempts: iteration
+    // 0 writes the sources' RHS and, in a transient run, the dynamic
+    // devices' history, and later iterations copy that RHS back.
+    sa_.load_values(linear, linear_.cursor);
+    if (iter == 0) {
+      std::copy(linear_.b.begin(), linear_.b.end(), b_.begin());
       Stamper rhs(linalg::MatrixView::discard(b_.size()), b_, node_unknowns);
-      for (Device* d : tran_.sources) d->stamp(rhs, x);
-      for (const DynamicDevice* d : tran_.history) d->stamp_history(rhs);
-      std::copy(b_.begin(), b_.end(), b_linear_.begin());
-    } else if (iter == 0) {
-      sa_.fill(0.0);
-      std::fill(b_.begin(), b_.end(), 0.0);
-      for (std::size_t d = 0; d < linear_prefix_; ++d) {
-        devices[d]->stamp(st, x);
+      for (Device* d : linear_.sources) d->stamp(rhs, x);
+      if (linear_.transient) {
+        for (const DynamicDevice* d : linear_.history) d->stamp_history(rhs);
       }
-      stamp_gmin(st, node_unknowns, gmin);
-      if (tran_.active) sa_.add_scaled(tran_.s, c_.values());
-      sa_.checkpoint();
       std::copy(b_.begin(), b_.end(), b_linear_.begin());
     } else {
-      if (companion) {
-        sa_.load_values(tran_.a, tran_.cursor);
-      } else {
-        sa_.restore_checkpoint();
-      }
       std::copy(b_linear_.begin(), b_linear_.end(), b_.begin());
     }
     const int limited_before = st.limited();
@@ -325,54 +313,53 @@ const DcResult& SimSession::solve(const Unknowns* initial) {
   return result_;  // converged == false
 }
 
-void SimSession::begin_transient() {
-  // G_lin: the linear prefix and the gmin_floor diagonal from zero, as
-  // newton_attempt's iteration 0 stamps them, so the tape cursor after
-  // them is the one every attempt resumes the rest of the devices at. A
-  // source's or dynamic device's RHS changes from step to step and is
-  // written per attempt; the other prefix devices' RHS is fixed for the
-  // run and kept in tran_.b.
-  const auto n = static_cast<std::size_t>(n_unknowns_);
+void SimSession::build_linear(double gmin) {
+  // The linear prefix and the gmin diagonal from zero, so the tape cursor
+  // after them is the one every iteration resumes the rest of the devices
+  // at. The per-attempt devices' RHS lands in the scratch b_ and is
+  // written again by each attempt; the other devices' RHS is kept in b.
   sa_.fill(0.0);
-  std::fill(b_.begin(), b_.end(), 0.0);
-  tran_.b.assign(n, 0.0);
-  tran_.sources.clear();
-  tran_.history.clear();
-  Stamper fixed(sa_, tran_.b, node_unknowns_);
+  std::fill(linear_.b.begin(), linear_.b.end(), 0.0);
+  Stamper fixed(sa_, linear_.b, node_unknowns_);
   Stamper varying(sa_, b_, node_unknowns_);
   const auto& devices = circuit_->devices();
   for (std::size_t d = 0; d < linear_prefix_; ++d) {
-    Device* dev = devices[d].get();
-    auto* source = dynamic_cast<IndependentSource*>(dev);
-    auto* dynamic = dynamic_cast<DynamicDevice*>(dev);
-    dev->stamp(source != nullptr || dynamic != nullptr ? varying : fixed, x_);
-    if (source != nullptr) tran_.sources.push_back(source);
-    if (dynamic != nullptr) tran_.history.push_back(dynamic);
+    devices[d]->stamp(linear_.per_attempt[d] ? varying : fixed, x_);
   }
-  stamp_gmin(fixed, node_unknowns_, options_.gmin_floor);
-  tran_.g.assign(sa_.values().begin(), sa_.values().end());
-  tran_.cursor = sa_.tape().cursor();
-  tran_.a.assign(tran_.g.size(), 0.0);
-  tran_.s = std::nan("");
+  stamp_gmin(fixed, node_unknowns_, gmin);
+  linear_.g.assign(sa_.values().begin(), sa_.values().end());
+  linear_.cursor = sa_.tape().cursor();
+  linear_.gmin = gmin;
+  if (linear_.transient) form_transient();
+}
+
+void SimSession::form_transient() {
+  const std::vector<double>& c = c_.values();
+  linear_.a.resize(c.size());
+  for (std::size_t k = 0; k < c.size(); ++k) {
+    linear_.a[k] = linear_.g[k] + linear_.s * c[k];
+  }
+}
+
+void SimSession::begin_transient() {
   stamp_reactive();
-  tran_.active = true;
+  build_linear(options_.gmin_floor);
+  linear_.transient = true;
+  linear_.s = std::nan("");
 }
 
 void SimSession::transient_step(IntegrationMethod method, double h) {
-  ICVBE_REQUIRE(tran_.active,
+  ICVBE_REQUIRE(linear_.transient,
                 "SimSession::transient_step: begin_transient() first");
   const double s = companion_scale(method, h);
   for (DynamicDevice* d : dynamic_) d->begin_step(method, s);
-  if (s == tran_.s) return;
-  tran_.s = s;
-  const std::vector<double>& c = c_.values();
-  for (std::size_t k = 0; k < tran_.a.size(); ++k) {
-    tran_.a[k] = tran_.g[k] + s * c[k];
-  }
+  if (s == linear_.s) return;
+  linear_.s = s;
+  form_transient();
 }
 
 void SimSession::end_transient() noexcept {
-  tran_.active = false;
+  linear_.transient = false;
   for (DynamicDevice* d : dynamic_) d->set_dc_mode();
 }
 

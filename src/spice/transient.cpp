@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "icvbe/common/error.hpp"
+#include "icvbe/common/table.hpp"
 #include "rows.hpp"
 
 namespace icvbe::spice {
@@ -199,7 +200,7 @@ bool TransientSolver::advance() {
       if (h <= hmin_ * 1.0001) {
         throw NumericalError(
             "transient: Newton failed to converge at t = " +
-            std::to_string(t_candidate) + " s with the minimum step");
+            format_sig(t_candidate, 6) + " s with the minimum step");
       }
       ++rejected_;
       h *= 0.125;
@@ -209,7 +210,11 @@ bool TransientSolver::advance() {
     double ratio = 0.0;
     if (predicted) {
       ratio = lte_ratio(r.solution, lte_scale);
-      if (ratio > 1.0 && h > hmin_ * 1.0001) {
+      if (ratio > 1.0) {
+        if (h <= hmin_ * 1.0001) {
+          throw NumericalError("transient: timestep too small at t = " +
+                               format_sig(t_, 6) + " s");
+        }
         ++rejected_;
         const double f =
             std::clamp(0.9 * std::pow(ratio, exponent), 0.1, 0.9);
@@ -243,7 +248,7 @@ bool TransientSolver::advance() {
   }
   throw NumericalError("transient: step control failed to find an "
                        "acceptable step at t = " +
-                       std::to_string(t_) + " s");
+                       format_sig(t_, 6) + " s");
 }
 
 SweepResult TransientSolver::run(const std::vector<Probe>& probes,

@@ -353,7 +353,7 @@ TEST(BatchDcSessionTest, LinearOnlyRigLanesBitIdentical) {
 
 TEST(BatchDcSessionTest, LanesMatchScalarSessionWhenNonlinearDevicesComeFirst) {
   // V1 -> R1 -> collector of Q1, R2 collector -> base, R3 base -> ground,
-  // with Q1 added before the resistors: a scalar session's checkpoint
+  // with Q1 added before the resistors: a scalar session's linear part
   // holds only V1 and it restamps Q1 and the resistors every iteration,
   // while the batched lanes restamp every device. Both add each slot's
   // contributions in device order, so along a warm-started V1 sweep every

@@ -499,7 +499,7 @@ void build_bjt_first_rig(Circuit& c) {
 }
 
 TEST(AnalysisPlanTest, NonlinearFirstRigMatchesDenseOracle) {
-  // Q1 is added before R1..R3, so the session's checkpoint holds only V1
+  // Q1 is added before R1..R3, so the session's linear part holds only V1
   // and it restamps Q1 and the resistors on every iteration. Every row
   // must agree with a dense LU. (The batched lanes on this rig are pinned
   // against the scalar session by test_lot_batch.)

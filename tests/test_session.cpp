@@ -220,8 +220,8 @@ TEST(SimSessionTest, BanbaSweepIsAllocationFreeAfterWarmUp) {
 // The linear-device contract (Device::is_nonlinear): a device reporting
 // itself linear stamps values independent of the iterate and keeps no
 // state a stamp can change. SimSession stamps such devices once per Newton
-// attempt and restores them from a checkpoint on later iterations, so a
-// device breaking the contract would silently freeze at iteration 0.
+// attempt and loads that stamp on later iterations, so a device breaking
+// the contract would silently freeze at iteration 0.
 
 /// One stamp of `dev` at `x` into a fresh dense system.
 struct DenseStamp {

@@ -218,10 +218,11 @@ TEST(StampTapeTest, FixedSequenceRestampsNeverMiss) {
   EXPECT_THROW(m.add(0, 2, 1.0), Error);
 }
 
-TEST(StampTapeTest, CheckpointRestoresValuesAndTapeCursor) {
-  // A restamp that stops after a prefix, checkpoints, and later restores
-  // instead of repeating the prefix must leave the values a full restamp
-  // gives, with the suffix still replaying its taped slots.
+TEST(StampTapeTest, LoadValuesRestoresValuesAndTapeCursor) {
+  // A restamp that stops after a prefix, keeps its values and tape cursor,
+  // and later loads them instead of repeating the prefix must leave the
+  // values a full restamp gives, with the suffix still replaying its taped
+  // slots.
   const auto prefix = [](SparseMatrix& m) {
     m.add(0, 0, 2.0);
     m.add(1, 1, 3.0);
@@ -240,12 +241,15 @@ TEST(StampTapeTest, CheckpointRestoresValuesAndTapeCursor) {
 
   m.fill(0.0);
   prefix(m);
-  EXPECT_THROW(m.restore_checkpoint(), Error);  // nothing saved yet
-  m.checkpoint();
-  EXPECT_EQ(m.tape().cursor(), 3u);
+  const std::vector<double> saved = m.values();
+  const std::size_t cursor = m.tape().cursor();
+  EXPECT_EQ(cursor, 3u);
+  // One value per slot, or nothing is loaded.
+  EXPECT_THROW(m.load_values(std::vector<double>(saved.size() + 1), cursor),
+               Error);
   suffix(m, 0.5);
   for (int k = 1; k <= 4; ++k) {
-    m.restore_checkpoint();
+    m.load_values(saved, cursor);
     EXPECT_EQ(m.tape().cursor(), 3u);
     EXPECT_DOUBLE_EQ(m.at(0, 0), 2.0);  // the suffix's adds are gone
     EXPECT_DOUBLE_EQ(m.at(2, 2), 0.0);

@@ -307,6 +307,41 @@ TEST(TransientLteTest, StepSequenceIsDeterministic) {
   EXPECT_EQ(rejected_a, rejected_b);
 }
 
+TEST(TransientLteTest, StepRejectedAtTheMinimumStepEndsTheRun) {
+  // No step follows a 1e17 Hz sine, so the error estimate rejects every
+  // step down to the minimum one. The run must end there with an error
+  // naming the time it stuck at, not accept minimum steps until memory
+  // runs out; the loop is capped so that a regression fails, not hangs.
+  auto parsed = parse_netlist(R"(
+V1 in 0 SIN(0 1 1e17)
+R1 in out 1k
+C1 out 0 1n
+.TRAN 1u 10u
+.PROBE V(out)
+.END
+)");
+  const AnalysisPlan* plan = parsed.find_plan(AnalysisKind::kTransient);
+  ASSERT_NE(plan, nullptr);
+  SimSession session(*parsed.circuit);
+  TransientSolver solver(session, *plan->transient);
+  solver.begin();
+  std::string error;
+  long steps = 0;
+  try {
+    while (solver.advance() && ++steps < 100000) {
+    }
+  } catch (const NumericalError& e) {
+    error = e.what();
+  }
+  const std::string prefix = "transient: timestep too small at t = ";
+  ASSERT_EQ(error.rfind(prefix, 0), 0u)
+      << "after " << steps << " steps: '" << error << "'";
+  // t prints with significant digits: a sub-microsecond time is not 0.
+  const double t = std::stod(error.substr(prefix.size()));
+  EXPECT_GT(t, 0.0);
+  EXPECT_LT(t, 1e-5);
+}
+
 // ---------------------------------------- dense reference + allocations ---
 
 TEST(TransientEngineTest, DenseAndSparseResultsAgreeOnRcLadderDeck) {
@@ -518,6 +553,43 @@ TEST(TransientEngineTest, RunAfterReprogrammingMatchesAFreshSession) {
 
   EXPECT_TRUE(same_rows(after, expected));
   EXPECT_FALSE(same_rows(before, expected));  // the change shows
+}
+
+TEST(TransientEngineTest, DcAfterTransientMatchesAFreshSession) {
+  // A DC plan after a TRAN plan on one session must print what a fresh
+  // session prints. The sweep re-programs R2 (a linear-prefix device) and
+  // V1 between solves, so every DC attempt builds the linear part from
+  // the values of its own point; the TRAN run's part must not serve it.
+  AnalysisPlan tran;
+  tran.transient = TransientSpec{};
+  tran.transient->tstep = 2e-7;
+  tran.transient->tstop = 2e-5;
+  tran.probes = {parse_probe("V(a)")};
+  AnalysisPlan dc;
+  dc.axes = {SweepAxis::resistor("R2", SweepGrid::list({500.0, 4e3})),
+             SweepAxis::vsource("V1", SweepGrid::linear(0.0, 1.5, 7))};
+  dc.probes = {parse_probe("V(a)"), parse_probe("V(b)"),
+               parse_probe("I(L1)")};
+
+  Circuit warm;
+  build_clamp(warm, false);
+  SimSession session(warm);
+  (void)session.run(tran);
+  session.begin_variant();
+  const SweepResult got = session.run(dc);
+
+  Circuit fresh;
+  build_clamp(fresh, false);
+  SimSession cold(fresh);
+  const SweepResult want = cold.run(dc);
+  ASSERT_EQ(got.rows(), want.rows());
+  for (std::size_t r = 0; r < want.rows(); ++r) {
+    for (std::size_t k = 0; k < want.probe_count(); ++k) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.value(k, r)),
+                std::bit_cast<std::uint64_t>(want.value(k, r)))
+          << "row " << r << " probe " << k;
+    }
+  }
 }
 
 TEST(TransientEngineTest, LadderWithPnpLoadRestampsNeverMissTheTape) {
